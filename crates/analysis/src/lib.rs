@@ -32,14 +32,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 mod histogram;
 mod online;
 mod report;
 mod series;
 mod stats;
 
-pub use bench::{BenchReport, BenchRun};
 pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use report::Table;

@@ -1,14 +1,15 @@
 //! # gossip-bench
 //!
 //! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation, plus ablations and performance micro-benchmarks.
+//! evaluation, plus ablations.
 //!
-//! Each bench target is an ordinary binary (Criterion is used only by
-//! `perf_micro`); running `cargo bench -p gossip-bench` executes all of them
-//! and prints the same rows/series the paper reports, next to the theoretical
-//! predictions. The mapping from paper artefact to bench target lives in the
-//! workspace `DESIGN.md`; each target prints its measured-vs-paper numbers
-//! to stdout (tee the output into a file to archive a run).
+//! Each bench target is an ordinary binary; running
+//! `cargo bench -p gossip-bench` executes all of them and prints the same
+//! rows/series the paper reports, next to the theoretical predictions. The
+//! mapping from paper artefact to bench target lives in the workspace
+//! `DESIGN.md`; each target prints its measured-vs-paper numbers to stdout
+//! (tee the output into a file to archive a run). None of them measures host
+//! time — that is the job of the ledger in `benchmark/`.
 //!
 //! ## Scaling knobs
 //!
@@ -23,8 +24,6 @@
 //! | `GOSSIP_FIG3B_NODES` | network size for Figure 3b | 100000 | 100000 |
 //! | `GOSSIP_FIG4_NODES` | base network size for Figure 4 | 20000 | 100000 |
 //! | `GOSSIP_FIG4_CYCLES` | simulated cycles for Figure 4 | 600 | 1000 |
-//! | `GOSSIP_CHURN_CYCLES` | cycles for the churn-engine throughput bench | 1000 | 1000 |
-//! | `GOSSIP_CHURN_FULL` | set to `1` to add the 100000-node churn-engine row | 0 | 1 |
 //! | `GOSSIP_OVERLAY_NODES` | network size for the overlay sweep | 100000 | 100000–1000000 |
 //! | `GOSSIP_OVERLAY_CYCLES` | cycles per overlay-sweep point | 20 | 20 |
 //! | `GOSSIP_OVERLAY_SHARDS` | shard count for the overlay sweep | 4 | — |

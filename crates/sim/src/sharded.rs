@@ -2523,6 +2523,35 @@ mod tests {
     }
 
     #[test]
+    fn cycle_telemetry_table_pins_the_csv_artifact_format() {
+        let summary = |cycle, completed_epoch, shard_exchanges: Vec<usize>| ShardedCycleSummary {
+            cycle,
+            live_nodes: 100,
+            exchanges: shard_exchanges.iter().sum(),
+            messages_lost: 3,
+            exchanges_blocked: 1,
+            estimate_mean: 499.5,
+            estimate_variance: 0.25,
+            completed_epoch,
+            epoch_estimates: OnlineStats::new(),
+            epoch_size_estimates: OnlineStats::new(),
+            shard_exchanges,
+        };
+        let summaries = [
+            summary(0, None, vec![30, 40, 30]),
+            summary(1, Some(7), vec![100]),
+        ];
+        let csv = cycle_telemetry_table(&summaries, SamplerConfig::UniformComplete).to_csv();
+        assert_eq!(
+            csv,
+            "cycle,sampler,live_nodes,exchanges,messages_lost,exchanges_blocked,\
+             estimate_mean,estimate_variance,completed_epoch,shard_exchanges\n\
+             0,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,-,30|40|30\n\
+             1,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,7,100\n"
+        );
+    }
+
+    #[test]
     fn tiny_networks_do_not_panic() {
         let mut sim = ShardedSimulation::new(averaging(2, 3), &[1.0], 29).unwrap();
         let summary = sim.run_cycle();

@@ -31,22 +31,37 @@
 use epidemic_aggregation::prelude::*;
 use gossip_sim::robustness::{attack_defense_sweep, attack_defense_table};
 
-fn parse_args() -> (usize, Option<String>) {
+const USAGE: &str = "usage: byzantine_lab [--nodes N] [--csv <path>]";
+
+/// The value following `flag`, parsed; a missing or unparsable one is an error.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let raw = args.next().ok_or(format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{raw}'"))
+}
+
+fn parse_args() -> Result<(usize, Option<String>), String> {
     let mut nodes = 10_000usize;
     let mut csv = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--nodes" => nodes = args.next().and_then(|v| v.parse().ok()).unwrap_or(nodes),
-            "--csv" => csv = args.next(),
-            other => eprintln!("ignoring unknown argument {other}"),
+            "--nodes" => nodes = value(&arg, &mut args)?,
+            "--csv" => csv = Some(value(&arg, &mut args)?),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    (nodes, csv)
+    Ok((nodes, csv))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (nodes, csv) = parse_args();
+    let (nodes, csv) = parse_args().unwrap_or_else(|message| {
+        eprintln!("{message}\n{USAGE}");
+        std::process::exit(2)
+    });
     let seed = 20040102;
     let cycles_per_epoch = 30u32;
     println!("byzantine_lab: {nodes} nodes, {cycles_per_epoch} cycles per epoch\n");

@@ -26,7 +26,19 @@
 use epidemic_aggregation::prelude::*;
 use gossip_sim::robustness::{crash_estimation_curve, crash_table, sweep_table};
 
-fn parse_args() -> (usize, usize, usize, Option<String>) {
+const USAGE: &str = "usage: fault_lab [--nodes N] [--cycles N] [--shards N] [--csv <path>]";
+
+/// The value following `flag`, parsed; a missing or unparsable one is an error.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let raw = args.next().ok_or(format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{raw}'"))
+}
+
+fn parse_args() -> Result<(usize, usize, usize, Option<String>), String> {
     let mut nodes = 10_000usize;
     let mut cycles = 20usize;
     let mut shards = 0usize;
@@ -34,18 +46,21 @@ fn parse_args() -> (usize, usize, usize, Option<String>) {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--nodes" => nodes = args.next().and_then(|v| v.parse().ok()).unwrap_or(nodes),
-            "--cycles" => cycles = args.next().and_then(|v| v.parse().ok()).unwrap_or(cycles),
-            "--shards" => shards = args.next().and_then(|v| v.parse().ok()).unwrap_or(shards),
-            "--csv" => csv = args.next(),
-            other => eprintln!("ignoring unknown argument {other}"),
+            "--nodes" => nodes = value(&arg, &mut args)?,
+            "--cycles" => cycles = value(&arg, &mut args)?,
+            "--shards" => shards = value(&arg, &mut args)?,
+            "--csv" => csv = Some(value(&arg, &mut args)?),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    (nodes, cycles, shards, csv)
+    Ok((nodes, cycles, shards, csv))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (nodes, cycles, shards, csv) = parse_args();
+    let (nodes, cycles, shards, csv) = parse_args().unwrap_or_else(|message| {
+        eprintln!("{message}\n{USAGE}");
+        std::process::exit(2)
+    });
     let seed = 20040102;
     let engine = if shards == 0 {
         "reference engine".to_string()

@@ -8,11 +8,9 @@
 //! per-cycle variance-reduction rate of `GETPAIR_SEQ`, 1/(2√e) ≈ 0.303 —
 //! the same value the 1 000-node runs measure.
 //!
-//! Every run also records a machine-readable benchmark report (see
-//! `EXPERIMENTS.md`, "Benchmark artifact schema") so CI can gate on
-//! throughput regressions; by default it lands in
-//! `BENCH_sharded_engine.json` in the working directory — run from the
-//! repository root to refresh the committed artifact.
+//! The wall-clock figures it prints are for the person at the terminal;
+//! the repository's tracked host-time measurements live in `benchmark/`
+//! (workload `epoch_1m`). The only file a run writes is the `--csv` one.
 //!
 //! Run with:
 //!
@@ -24,16 +22,12 @@
 //! cargo run --release --example million_node -- --sweep-workers  # 1→8 strong-scaling curve
 //! cargo run --release --example million_node -- --baseline     # + single-threaded comparison
 //! cargo run --release --example million_node -- --csv out.csv  # record per-cycle telemetry
-//! cargo run --release --example million_node -- --label ci_smoke \
-//!     --assert-baseline BENCH_sharded_engine.json              # regression gate
 //! ```
 //!
 //! The `--full` run asserts a wall-clock budget (default 90 s, override
-//! with `GOSSIP_FULL_BUDGET_S`); the regression gate tolerance defaults to
-//! 20 % (`GOSSIP_BENCH_TOLERANCE`).
+//! with `GOSSIP_FULL_BUDGET_S`).
 
 use epidemic_aggregation::prelude::*;
-use gossip_analysis::bench::{self, BenchReport, BenchRun};
 use gossip_sim::sharded::cycle_telemetry_table;
 use std::time::Instant;
 
@@ -46,12 +40,22 @@ struct Args {
     baseline: bool,
     full: bool,
     sweep_workers: bool,
-    label: Option<String>,
-    bench_out: String,
-    assert_baseline: Option<String>,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: million_node [--nodes N] [--shards N] [--workers N] [--cycles N] \
+                     [--csv <path>] [--baseline] [--full] [--sweep-workers]";
+
+/// The value following `flag`, parsed; a missing or unparsable one is an error.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let raw = args.next().ok_or(format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{raw}'"))
+}
+
+fn parse_args() -> Result<Args, String> {
     let mut parsed = Args {
         nodes: 1_000_000,
         shards: std::thread::available_parallelism()
@@ -64,46 +68,19 @@ fn parse_args() -> Args {
         baseline: false,
         full: false,
         sweep_workers: false,
-        label: None,
-        bench_out: "BENCH_sharded_engine.json".to_string(),
-        assert_baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--nodes" => {
-                parsed.nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(parsed.nodes)
-            }
-            "--shards" => {
-                parsed.shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(parsed.shards)
-            }
-            "--workers" => parsed.workers = args.next().and_then(|v| v.parse().ok()),
-            "--cycles" => {
-                parsed.cycles = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(parsed.cycles)
-            }
-            "--csv" => parsed.csv = args.next(),
+            "--nodes" => parsed.nodes = value(&arg, &mut args)?,
+            "--shards" => parsed.shards = value(&arg, &mut args)?,
+            "--workers" => parsed.workers = Some(value(&arg, &mut args)?),
+            "--cycles" => parsed.cycles = value(&arg, &mut args)?,
+            "--csv" => parsed.csv = Some(value(&arg, &mut args)?),
             "--baseline" => parsed.baseline = true,
             "--full" => parsed.full = true,
             "--sweep-workers" => parsed.sweep_workers = true,
-            "--label" => parsed.label = args.next(),
-            "--bench-out" => {
-                if let Some(path) = args.next() {
-                    parsed.bench_out = path;
-                }
-            }
-            "--assert-baseline" => parsed.assert_baseline = args.next(),
-            other => {
-                eprintln!("ignoring unknown argument {other}");
-            }
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
     if parsed.full {
@@ -112,7 +89,7 @@ fn parse_args() -> Args {
         parsed.nodes = 10_000_000;
         parsed.shards = 16;
     }
-    parsed
+    Ok(parsed)
 }
 
 fn env_f64(name: &str, default: f64) -> f64 {
@@ -158,7 +135,10 @@ fn run_engine(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|message| {
+        eprintln!("{message}\n{USAGE}");
+        std::process::exit(2)
+    });
     let (nodes, shards, cycles) = (args.nodes, args.shards, args.cycles);
     assert!(cycles >= 3, "need a few cycles to measure a reduction rate");
     let seed = 20040102;
@@ -184,25 +164,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {workers} worker(s) ({sharded_rate:.2} cycles/s, {:.1} M exchanges/s)",
         exchanges as f64 / elapsed / 1e6
     );
-
-    let mut report = BenchReport::new("million_node", &bench::git_revision());
-    let label = args.label.unwrap_or_else(|| {
-        if args.full {
-            "full_10m".to_string()
-        } else {
-            format!("nodes_{nodes}")
-        }
-    });
-    report.push(BenchRun {
-        label,
-        nodes,
-        shards,
-        workers,
-        cycles,
-        elapsed_s: elapsed,
-        cycles_per_s: sharded_rate,
-        exchanges_per_s: exchanges as f64 / elapsed,
-    });
 
     if args.full {
         let budget = env_f64("GOSSIP_FULL_BUDGET_S", 90.0);
@@ -290,16 +251,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                  ({rate:.2} cycles/s, {:.1} M exchanges/s)",
                 w_exchanges as f64 / w_elapsed / 1e6
             );
-            report.push(BenchRun {
-                label: format!("workers_{requested}"),
-                nodes,
-                shards,
-                workers: w_effective,
-                cycles,
-                elapsed_s: w_elapsed,
-                cycles_per_s: rate,
-                exchanges_per_s: w_exchanges as f64 / w_elapsed,
-            });
         }
     }
 
@@ -314,39 +265,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "single-threaded reference: {ref_elapsed:.2} s ({reference_rate:.2} cycles/s) — \
              sharded speedup {:.2}x",
             sharded_rate / reference_rate
-        );
-    }
-
-    report.peak_rss_bytes = bench::peak_rss_bytes();
-    // Successive invocations build up one artifact: runs already recorded
-    // under other labels (a --full run, the worker sweep) are kept, runs
-    // re-measured under the same label are replaced.
-    report.merge_into_file(&args.bench_out)?;
-    println!("benchmark report written to {}", args.bench_out);
-
-    if let Some(path) = args.assert_baseline {
-        let tolerance = env_f64("GOSSIP_BENCH_TOLERANCE", 0.20);
-        let committed = BenchReport::load(&path)?
-            .ok_or_else(|| format!("{path} is not a bench_sharded_engine/v1 report"))?;
-        // The gate compares the freshly measured runs only — merged-in
-        // history would trivially pass against itself.
-        let failures = bench::regressions(&committed, &report, tolerance);
-        for (label, was, now) in &failures {
-            eprintln!(
-                "REGRESSION {label}: {now:.2} cycles/s vs committed {was:.2} \
-                 (tolerance {:.0}%)",
-                tolerance * 100.0
-            );
-        }
-        assert!(
-            failures.is_empty(),
-            "throughput regressed beyond {:.0}% on {} run(s)",
-            tolerance * 100.0,
-            failures.len()
-        );
-        println!(
-            "regression gate vs {path}: OK (tolerance {:.0}%)",
-            tolerance * 100.0
         );
     }
 
