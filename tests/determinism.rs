@@ -748,6 +748,91 @@ fn newscast_shard_count_changes_only_telemetry_summation_order() {
     }
 }
 
+/// FNV-1a fingerprint of a non-uniform sharded run under every coordinator
+/// mechanism the sampler interacts with: link vetoes reported back through
+/// `peer_failed`, 5% message loss, a median-of-3 counting defense (cold,
+/// led instances) and per-cycle joins and departures. Covers the per-cycle
+/// `(exchanges, exchanges_blocked, messages_lost)`, the final node estimates
+/// and the last pooled size estimate.
+fn non_uniform_sharded_fingerprint(
+    sampler: SamplerConfig,
+    shards: usize,
+    workers: Option<usize>,
+) -> u64 {
+    let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
+    let config = ShardedConfig {
+        base: SimulationConfig {
+            protocol: ProtocolConfig::builder()
+                .cycles_per_epoch(8)
+                .late_join(aggregate_core::config::LateJoinPolicy::FixedState(0.0))
+                .build()
+                .unwrap(),
+            conditions: NetworkConditions::with_message_loss(0.05),
+            leader_policy: None,
+            sampler,
+            redundancy: Some(RedundancyConfig::median_of(3)),
+        },
+        shards,
+        workers,
+    };
+    let plan = FaultPlan::with_link_failure(0.1);
+    let mut sim = ShardedSimulation::with_faults(config, &values, 2_718, plan).unwrap();
+    let mut words = Vec::new();
+    let mut blocked = 0;
+    for cycle in 0..30 {
+        for i in 0..4 {
+            sim.add_node((cycle * 4 + i) as f64);
+        }
+        sim.remove_random_nodes(4);
+        let s = sim.run_cycle();
+        blocked += s.exchanges_blocked;
+        words.extend([s.exchanges, s.exchanges_blocked, s.messages_lost].map(|c| c as u64));
+    }
+    assert!(blocked > 0, "dead links must veto some picks");
+    words.extend(sim.estimates().iter().map(|v| v.to_bits()));
+    let size = sim.last_size_estimate();
+    assert!(size.is_some(), "a median-of-3 epoch must have completed");
+    words.extend(size.map(f64::to_bits));
+    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        fnv ^= word;
+        fnv = fnv.wrapping_mul(0x1000_0000_01b3);
+    }
+    fnv
+}
+
+/// Absolute golden pin for live NEWSCAST on the sharded engine, captured
+/// before the single-worker executors were unified: any change to the
+/// draw sequence, the veto → `peer_failed` feedback into later picks, or
+/// the exchange arithmetic shows up here, on either executor.
+#[test]
+fn newscast_sharded_run_reproduces_its_golden_fingerprint() {
+    for workers in [Some(1), Some(2)] {
+        assert_eq!(
+            non_uniform_sharded_fingerprint(SamplerConfig::newscast(), 4, workers),
+            0xad4c_6417_59f7_5267,
+            "NEWSCAST sharded run at {workers:?} workers drifted from the golden trajectory"
+        );
+    }
+}
+
+/// Absolute golden pin for the static-overlay sampler on the sharded
+/// engine (a 10-regular random graph), same harness and provenance as
+/// [`newscast_sharded_run_reproduces_its_golden_fingerprint`].
+#[test]
+fn static_overlay_sharded_run_reproduces_its_golden_fingerprint() {
+    let sampler = SamplerConfig::StaticOverlay {
+        topology: TopologyKind::RandomRegular { degree: 10 },
+    };
+    for workers in [Some(1), Some(2)] {
+        assert_eq!(
+            non_uniform_sharded_fingerprint(sampler, 4, workers),
+            0x0581_f54d_471e_e5a6,
+            "static-overlay sharded run at {workers:?} workers drifted from the golden trajectory"
+        );
+    }
+}
+
 /// Tentpole pin — one protocol core, two runtimes. The wire-path
 /// [`VirtualCluster`] (every exchange encoded to a 33-byte frame, shipped
 /// through an `InMemoryNetwork` endpoint, decoded and delivered to a
