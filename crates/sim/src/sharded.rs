@@ -91,8 +91,9 @@ pub struct ShardedConfig {
     /// not a semantic one: any worker count produces bit-identical results
     /// for a given shard count, so the engine can saturate whatever
     /// hardware it lands on — including the degenerate single-core case,
-    /// where one worker applies the schedule sequentially with fused
-    /// exchanges and skips the mailbox machinery entirely.
+    /// where one worker applies the schedule sequentially over the dense
+    /// hot-node mirror (whatever the sampler) and skips the mailbox
+    /// machinery entirely.
     ///
     /// The multi-worker executor spawns its threads and mailbox channels
     /// per cycle (scoped threads cannot outlive a `run_cycle` call), a
@@ -243,9 +244,11 @@ struct Shard {
     /// Per slot: position of the occupant in the global live directory.
     global_pos: Vec<u32>,
     /// The struct-of-arrays mirror of this shard's *hot* nodes (see
-    /// [`crate::soa`]): while the single-worker SoA executor is resident,
+    /// [`crate::soa`]): while the single-worker executor is resident — from
+    /// its first cycle until the next threaded cycle or leader election —
     /// hot records are authoritative and the matching `ProtocolNode`s are
-    /// stale until synced back at a flush point.
+    /// stale until synced back at a flush point. Allocated for every
+    /// sampler; empty until a single-worker cycle runs.
     hot: HotStore,
     /// This shard's slice of the flight recorder: worker-side exchange
     /// outcomes (`MessageLost` / `ExchangeCompleted`), keyed by global
@@ -310,6 +313,21 @@ impl Shard {
         }
     }
 
+    /// Reads one word per cache line an exchange at `slot` needs — the hot
+    /// record, or the node's epoch state, instance state and led-map root
+    /// when the record is cold — so the execute pass hits L1.
+    #[inline]
+    fn touch(&self, slot: u32) -> u64 {
+        match self.hot.slots.get(slot as usize) {
+            Some(record) if record.is_hot() => u64::from(record.key),
+            _ => self.arena.node_at_slot(slot).map_or(0, |node| {
+                node.current_epoch()
+                    ^ node.estimate().unwrap_or(0.0).to_bits()
+                    ^ u64::from(node.has_only_default_instance())
+            }),
+        }
+    }
+
     /// Re-derives `slot`'s mirror record from its `ProtocolNode`: promoted if
     /// the node is currently hot, demoted to cold otherwise.
     fn resync_slot(&mut self, slot: u32, kind: AggregateKind) {
@@ -357,15 +375,15 @@ pub struct ShardedSimulation {
     shard_exchange_totals: Vec<usize>,
     sched: ScheduleBuffers,
     /// Whether the per-shard [`HotStore`]s currently hold the authoritative
-    /// state of the hot nodes (single-worker SoA executor). While `true`,
+    /// state of the hot nodes (single-worker executor). While `true`,
     /// every read or node-path mutation of a hot node must go through a
     /// flush/resync; `flush_soa` drops back to all-node representation.
     soa_resident: bool,
-    /// Reusable shuffle buffer for the SoA executor: one `u64` per live node
-    /// carrying `directory_position << 32 | packed_endpoint`, so after the
-    /// shuffle both the rejection compare (high half) and the initiator's
-    /// shard/slot (low half) come from the entry itself — no random
-    /// directory lookup per initiator.
+    /// Reusable shuffle buffer for the single-worker executor: one `u64` per
+    /// live node carrying `directory_position << 32 | packed_endpoint`, so
+    /// after the shuffle both the rejection compare (high half) and the
+    /// initiator's shard/slot (low half) come from the entry itself — no
+    /// random directory lookup per initiator.
     soa_order: Vec<u64>,
     /// Reusable packed mirror of `global_live` (`shard << 24 | slot` per
     /// directory position) for candidate lookups — half the miss footprint of
@@ -913,12 +931,8 @@ impl ShardedSimulation {
             });
         }
         let (outs, exchanges_blocked) = if self.effective_workers() == 1 {
-            if self.soa_allowed() {
-                self.ensure_soa_resident();
-                self.run_cycle_sequential_soa(loss)
-            } else {
-                self.run_cycle_sequential(loss)
-            }
+            self.ensure_soa_resident();
+            self.run_cycle_sequential_soa(loss)
         } else {
             self.flush_soa();
             self.run_cycle_threaded(loss)
@@ -994,175 +1008,6 @@ impl ShardedSimulation {
         summary
     }
 
-    /// Single-worker executor: applies the cycle's schedule sequentially in
-    /// global sequence order with fused exchanges. By the round-equivalence
-    /// argument (see the module docs) this is bit-identical to the threaded
-    /// executor for the same shard count — `tests/determinism.rs` and the
-    /// unit tests pin it — while skipping the round computation, mailboxes
-    /// and barriers that only pay off with real parallelism.
-    fn run_cycle_sequential(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
-        let shard_count = self.config.shards;
-        let redundancy = self.config.base.redundancy.map(|r| r.merge);
-        let lossy = loss > 0.0;
-        let loss_seeds =
-            // stream: per-exchange message-loss coins, re-derived each cycle
-            SeedSequence::new(self.seeds.seed_for_labeled(self.cycle as u64, "cycle-loss"));
-        let n = self.global_live.len();
-        let mut rng = self
-            .seeds
-            // stream: per-cycle initiator shuffle and peer picks
-            .rng_for_labeled(self.cycle as u64, "cycle-schedule");
-        let order = &mut self.sched.order;
-        order.clear();
-        order.extend(0..n as u32);
-        order.shuffle(&mut rng);
-
-        let mut tallies = vec![ExchangeTally::default(); shard_count];
-        let mut exchanges_blocked = 0usize;
-        let mut scratch = ExchangeScratch::new();
-        let shards = &mut self.shards;
-        let global_live = &self.global_live;
-        let sampler = &mut self.sampler;
-        let injector = &self.injector;
-        let telemetry = &mut self.telemetry;
-        let record = telemetry.events_enabled();
-        // Exchanges are executed in blocks: peers for the whole block are
-        // drawn first (the same draw sequence as one-at-a-time), then every
-        // endpoint node is *touched* with plain reads, then the block runs.
-        // The touch pass issues up to 2·BLOCK independent loads whose cache
-        // misses overlap, where the execute pass alone would serialise one
-        // ~L3-latency miss pair per exchange — at 10⁵–10⁶ nodes the node
-        // array is far beyond L2 and this roughly halves the cycle time.
-        const BLOCK: usize = 64;
-        let mut block: Vec<(NodeId, NodeId)> = Vec::with_capacity(BLOCK);
-        if n >= 2 {
-            // Dense sequence numbers over *successful* picks — the same
-            // numbering `build_schedule` gives the threaded executor (a
-            // sampler may fail a pick, e.g. an empty NEWSCAST view, so the
-            // count is not simply the initiator's order position).
-            let mut next_seq = 0usize;
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + BLOCK).min(n);
-                block.clear();
-                for &ipos in &order[start..end] {
-                    let directory = GlobalDirectory {
-                        live: global_live,
-                        shards,
-                    };
-                    let Some(peer_id) =
-                        sample_live_peer(sampler.as_mut(), &directory, ipos as usize, &mut rng)
-                    else {
-                        continue;
-                    };
-                    // Fault-lab veto, applied at the same point as the
-                    // threaded executor's schedule construction so both
-                    // executors number the surviving exchanges identically.
-                    // The failed contact is reported to the sampler so
-                    // cached views tail-drop unreachable neighbours.
-                    let initiator_id = global_live[ipos as usize];
-                    if injector.link_blocked(initiator_id, peer_id) {
-                        sampler.peer_failed(initiator_id, peer_id);
-                        exchanges_blocked += 1;
-                        if record {
-                            telemetry.exchange_vetoed(
-                                u64::from(ipos),
-                                u64::from(global_pos_of(shards, peer_id)),
-                            );
-                        }
-                        continue;
-                    }
-                    block.push((initiator_id, peer_id));
-                }
-                let mut warm = 0u64;
-                for &(initiator_id, peer_id) in &block {
-                    for id in [initiator_id, peer_id] {
-                        let shard = IdLayout::shard_of(id) as usize;
-                        let slot = IdLayout::sharded_slot_of(id);
-                        if let Some(node) = shards[shard].arena.node_at_slot(slot) {
-                            // One read per cache line the fused exchange
-                            // needs (epoch state, instance state, led-map
-                            // root), so the execute pass below hits L1.
-                            warm ^= node.current_epoch();
-                            warm ^= node.estimate().unwrap_or(0.0).to_bits();
-                            warm ^= u64::from(node.has_only_default_instance());
-                        }
-                    }
-                }
-                std::hint::black_box(warm);
-                for &(initiator_id, peer_id) in block.iter() {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    if record {
-                        // Same placement as `build_schedule`: a begun event
-                        // for every surviving pick, keyed by directory
-                        // positions and the executor-agnostic seq.
-                        telemetry.exchange_begun(
-                            seq as u64,
-                            u64::from(global_pos_of(shards, initiator_id)),
-                            u64::from(global_pos_of(shards, peer_id)),
-                        );
-                    }
-                    let initiator_shard = IdLayout::shard_of(initiator_id) as usize;
-                    let peer_shard = IdLayout::shard_of(peer_id) as usize;
-                    let initiator_slot = IdLayout::sharded_slot_of(initiator_id);
-                    let peer_slot = IdLayout::sharded_slot_of(peer_id);
-                    let (initiator, peer) = if initiator_shard == peer_shard {
-                        shards[initiator_shard]
-                            .arena
-                            .pair_mut(initiator_slot, peer_slot)
-                    } else {
-                        let (a, b) = shard_pair_mut(shards, initiator_shard, peer_shard);
-                        (
-                            a.arena.node_at_slot_mut(initiator_slot),
-                            b.arena.node_at_slot_mut(peer_slot),
-                        )
-                    };
-                    let (Some(initiator), Some(peer)) = (initiator, peer) else {
-                        continue;
-                    };
-                    let seed = if lossy {
-                        loss_seeds.seed_for_run(seq as u64)
-                    } else {
-                        0
-                    };
-                    let mut lost = exchange_loss(loss, seed);
-                    let exch_before = tallies[initiator_shard].exchanges;
-                    let lost_before = tallies[initiator_shard].messages_lost;
-                    ExchangeCore::exchange(
-                        initiator,
-                        peer,
-                        &mut scratch,
-                        &mut lost,
-                        &mut tallies[initiator_shard],
-                    );
-                    if record {
-                        record_exchange_outcome(
-                            &mut shards[initiator_shard].recorder,
-                            seq as u64,
-                            tallies[initiator_shard].exchanges > exch_before,
-                            tallies[initiator_shard].messages_lost - lost_before,
-                        );
-                    }
-                }
-                start = end;
-            }
-        }
-        let outs = shards
-            .iter_mut()
-            .zip(tallies)
-            .map(|(shard, tally)| end_of_cycle_pass(shard, tally, redundancy))
-            .collect();
-        (outs, exchanges_blocked)
-    }
-
-    /// Whether the struct-of-arrays executor may run: its inline peer picks
-    /// replicate exactly the uniform complete-membership sampler; overlay and
-    /// NEWSCAST samplers keep the node-path executors.
-    fn soa_allowed(&self) -> bool {
-        matches!(self.sampler.config(), SamplerConfig::UniformComplete)
-    }
-
     /// Loads every currently-hot node into the per-shard dense mirrors and
     /// marks the mirrors authoritative. One streaming pass; a no-op while
     /// already resident.
@@ -1197,15 +1042,19 @@ impl ShardedSimulation {
         self.soa_resident = false;
     }
 
-    /// Single-worker struct-of-arrays executor: same schedule, same draws,
-    /// same arithmetic as [`ShardedSimulation::run_cycle_sequential`] — the
-    /// determinism suite pins the bit-identity — but the steady-state work
-    /// runs over the dense per-shard [`HotStore`]s:
+    /// Single-worker executor: applies the cycle's schedule sequentially in
+    /// global sequence order. By the round-equivalence argument (see the
+    /// module docs) this is bit-identical to the threaded executor for the
+    /// same shard count — `tests/determinism.rs` pins it for every sampler —
+    /// while skipping the round computation, mailboxes and barriers that only
+    /// pay off with real parallelism. The steady-state work runs over the
+    /// dense per-shard [`HotStore`]s:
     ///
-    /// * the initiator shuffle and the peer picks consume the
-    ///   `cycle-schedule` stream through block-buffered raw words
-    ///   ([`soa::shuffle_batched`] / [`WordBuffer`]), with the uniform
-    ///   sampler's pick loop inlined — zero virtual calls per pick;
+    /// * the initiator shuffle consumes the `cycle-schedule` stream through
+    ///   block-buffered raw words ([`soa::shuffle_batched`]); under the
+    ///   uniform sampler the peer picks do too ([`WordBuffer`], with the
+    ///   sampler's pick loop inlined — zero virtual calls per pick), while
+    ///   every other sampler is asked once per initiator;
     /// * per-exchange loss coins are pre-drawn per block from the
     ///   `cycle-loss` stream via [`SeedSequence::fill_block`] (each
     ///   exchange's coins still come from its own `seed_for_run(seq)`
@@ -1235,8 +1084,9 @@ impl ShardedSimulation {
         // low half so the initiator's shard/slot ride along through the
         // shuffle for free. The Fisher–Yates swap sequence is a function of
         // the drawn words and the length only, so shuffling these u64
-        // entries applies the exact permutation the reference executor's
-        // u32 position shuffle applies.
+        // entries applies the exact permutation the threaded executor's
+        // u32 position shuffle applies — and, drawing exactly n − 1 words,
+        // leaves the stream where that shuffle leaves it for the picks.
         let packed_dir = &mut self.soa_packed;
         packed_dir.clear();
         packed_dir.extend(self.global_live.iter().map(|&id| pack_endpoint(id)));
@@ -1260,34 +1110,23 @@ impl ShardedSimulation {
         let telemetry = &mut self.telemetry;
         let record = telemetry.events_enabled();
 
-        // One fused pipeline per block of initiators: draw the block's peer
-        // picks and touch the candidate directory lines; resolve the pairs
-        // (link vetoes) and touch every endpoint's hot record; pre-draw the
-        // block's loss coins; execute from cache. Each stage issues a
-        // block's worth of independent loads, so the misses overlap instead
-        // of serialising — at 10⁷ nodes every random access is a DRAM miss
-        // and this overlap is the whole game.
-        //
-        // Draw-stream order is untouched: pick words are consumed in
-        // initiator order across blocks (the rejection loop — re-draw while
-        // the candidate is the initiator — is the uniform sampler's,
-        // inlined; directory picks are live by construction, so
-        // `sample_live_peer` adds nothing further). The link veto runs only
-        // when the fault lab can block links this cycle (`links_can_block`)
-        // and moves *between* the block's draws and its executions — legal
-        // because `link_blocked` is pure and `peer_failed` is a no-op for
-        // the uniform sampler (the only sampler routed here).
         // Four stages per block of initiators, each a tight loop so dozens
         // of iterations fit the out-of-order window and the stage's random
         // loads (every one a DRAM — and TLB — miss at 10⁷ nodes) overlap
-        // instead of serialising into a miss chain: draw the block's peer
-        // picks; touch their directory lines; resolve the pairs (link
-        // vetoes) and touch every endpoint's hot record; pre-draw the loss
-        // coins; execute from cache. (A deeper software pipeline that
-        // interleaved the stages across blocks in one master loop measured
-        // *slower* — the fat loop body starves the reorder buffer — so the
-        // simple staged form stands.)
+        // instead of serialising into a miss chain: pick the block's peers
+        // and resolve the pairs (link vetoes); touch every endpoint's state;
+        // pre-draw the loss coins; execute from cache. (A deeper software
+        // pipeline that interleaved the stages across blocks in one master
+        // loop measured *slower* — the fat loop body starves the reorder
+        // buffer — so the simple staged form stands.)
+        //
+        // Draw-stream order is untouched: pick words are consumed in
+        // initiator order across blocks, and exchange sequence numbers are
+        // dense over surviving picks. The link veto runs only when the fault
+        // lab can block links this cycle (`links_can_block`); `link_blocked`
+        // is pure, so skipping it otherwise changes nothing.
         const BLOCK: usize = 128;
+        let uniform = matches!(sampler.config(), SamplerConfig::UniformComplete);
         let check_links = injector.links_can_block();
         let mut words = WordBuffer::new();
         let mut cand = [0u32; BLOCK];
@@ -1299,78 +1138,119 @@ impl ShardedSimulation {
         while n >= 2 && start < n {
             let end = (start + BLOCK).min(n);
             let count = end - start;
-            // Stage 1: the block's peer picks (the rejection compare uses
-            // only the entry's high half — no memory dependence), then the
-            // touch loop over the candidate directory lines.
-            for k in 0..count {
-                let ipos = (order[start + k] >> 32) as usize;
-                let mut candidate;
-                loop {
-                    candidate = soa::index_from_word(words.next(&mut rng), n);
-                    if candidate != ipos {
-                        break;
-                    }
-                }
-                cand[k] = candidate as u32;
-            }
-            let mut warm = 0u32;
-            for &candidate in &cand[..count] {
-                warm ^= packed_dir[candidate as usize];
-            }
-            std::hint::black_box(warm);
-            // Stage 2: resolve pairs (link vetoes — the veto moves between
-            // the block's draws and its executions, legal because
-            // `link_blocked` is pure and `peer_failed` is a no-op for the
-            // uniform sampler), then touch every endpoint's hot record in
-            // its own tight loop. The touch loads' values are discarded, so
-            // the cold path's flush/resync writes can never be made stale.
+            // Stage 1: the block's surviving pairs, packed into
+            // `block_pairs`. Each veto emits its event and each survivor a
+            // begun event numbered densely in pick order; the events' sort
+            // keys restore the threaded executor's total order after the
+            // merge.
             let mut survivors = 0usize;
-            for k in 0..count {
-                let entry = order[start + k];
-                let initiator = entry as u32;
-                let peer = packed_dir[cand[k] as usize];
-                if check_links {
-                    let initiator_id = global_live[(entry >> 32) as usize];
-                    let peer_id = global_live[cand[k] as usize];
-                    if injector.link_blocked(initiator_id, peer_id) {
+            if uniform {
+                // The uniform sampler's rejection loop — re-draw while the
+                // candidate is the initiator — inlined over buffered words
+                // (the compare uses only the entry's high half, no memory
+                // dependence; directory picks are live by construction, so
+                // `sample_live_peer` adds nothing further), then the touch
+                // loop over the candidate directory lines.
+                for k in 0..count {
+                    let ipos = (order[start + k] >> 32) as usize;
+                    let mut candidate;
+                    loop {
+                        candidate = soa::index_from_word(words.next(&mut rng), n);
+                        if candidate != ipos {
+                            break;
+                        }
+                    }
+                    cand[k] = candidate as u32;
+                }
+                let mut warm = 0u32;
+                for &candidate in &cand[..count] {
+                    warm ^= packed_dir[candidate as usize];
+                }
+                std::hint::black_box(warm);
+                // The veto moves between the block's draws and its
+                // executions — legal because `peer_failed` is a no-op for
+                // the uniform sampler.
+                for k in 0..count {
+                    let entry = order[start + k];
+                    let initiator = entry as u32;
+                    let peer = packed_dir[cand[k] as usize];
+                    if check_links {
+                        let initiator_id = global_live[(entry >> 32) as usize];
+                        let peer_id = global_live[cand[k] as usize];
+                        if injector.link_blocked(initiator_id, peer_id) {
+                            sampler.peer_failed(initiator_id, peer_id);
+                            exchanges_blocked += 1;
+                            if record {
+                                telemetry.exchange_vetoed(entry >> 32, u64::from(cand[k]));
+                            }
+                            continue;
+                        }
+                    }
+                    if record {
+                        telemetry.exchange_begun(
+                            (next_seq + survivors) as u64,
+                            entry >> 32,
+                            u64::from(cand[k]),
+                        );
+                    }
+                    block_pairs[survivors] = (initiator, peer);
+                    survivors += 1;
+                }
+            } else {
+                // Any other sampler is asked once per initiator, straight
+                // from the schedule stream, and each veto is reported right
+                // after its pick: NEWSCAST's `peer_failed` tail-drops the
+                // unreachable neighbour, which changes later picks.
+                for &entry in &order[start..end] {
+                    let ipos = (entry >> 32) as usize;
+                    let directory = GlobalDirectory {
+                        live: global_live,
+                        shards,
+                    };
+                    let Some(peer_id) =
+                        sample_live_peer(sampler.as_mut(), &directory, ipos, &mut rng)
+                    else {
+                        continue;
+                    };
+                    let initiator_id = global_live[ipos];
+                    if check_links && injector.link_blocked(initiator_id, peer_id) {
                         sampler.peer_failed(initiator_id, peer_id);
                         exchanges_blocked += 1;
                         if record {
-                            telemetry.exchange_vetoed(entry >> 32, u64::from(cand[k]));
+                            telemetry.exchange_vetoed(
+                                ipos as u64,
+                                u64::from(global_pos_of(shards, peer_id)),
+                            );
                         }
                         continue;
                     }
+                    if record {
+                        telemetry.exchange_begun(
+                            (next_seq + survivors) as u64,
+                            ipos as u64,
+                            u64::from(global_pos_of(shards, peer_id)),
+                        );
+                    }
+                    block_pairs[survivors] = (entry as u32, pack_endpoint(peer_id));
+                    survivors += 1;
                 }
-                if record {
-                    // Identical to the reference pick loop: a begun event per
-                    // surviving pick, numbered densely in pick order. (The
-                    // recording interleave differs — vetoes and beguns share
-                    // this stage here — but the events' sort keys restore the
-                    // same total order after the merge.)
-                    telemetry.exchange_begun(
-                        (next_seq + survivors) as u64,
-                        entry >> 32,
-                        u64::from(cand[k]),
-                    );
-                }
-                block_pairs[survivors] = (initiator, peer);
-                survivors += 1;
             }
-            let mut warm = 0u32;
+            // Stage 2: touch every endpoint's state in its own tight loop —
+            // the hot record, or the `ProtocolNode` of a cold endpoint (which
+            // takes the node path below). The touch loads' values are
+            // discarded, so the cold path's flush/resync writes can never be
+            // made stale.
+            let mut warm = 0u64;
             for &(a, b) in &block_pairs[..survivors] {
                 let (shard_a, slot_a) = unpack_endpoint(a);
                 let (shard_b, slot_b) = unpack_endpoint(b);
-                if let Some(record) = shards[shard_a].hot.slots.get(slot_a as usize) {
-                    warm ^= record.key;
-                }
-                if let Some(record) = shards[shard_b].hot.slots.get(slot_b as usize) {
-                    warm ^= record.key;
-                }
+                warm ^= shards[shard_a].touch(slot_a);
+                warm ^= shards[shard_b].touch(slot_b);
             }
             std::hint::black_box(warm);
             // Stage 3: the block's loss coins. Exchange sequence numbers are
-            // dense over survivors, exactly as the reference's pick loop
-            // hands them out.
+            // dense over survivors, exactly as `build_schedule` hands them
+            // out.
             if lossy {
                 loss_seeds.fill_block(next_seq as u64, &mut coin_seeds[..survivors]);
                 for (k, &seed) in coin_seeds[..survivors].iter().enumerate() {
@@ -1819,10 +1699,6 @@ fn shard_pair_mut(shards: &mut [Shard], a: usize, b: usize) -> (&mut Shard, &mut
     }
 }
 
-/// End-of-cycle phase for one shard: epoch book-keeping on every live node,
-/// then the telemetry pass — both shard-local, streamed into per-shard
-/// stats. Shared verbatim by the sequential and threaded executors so their
-/// outputs are bit-identical.
 /// Per-node size-estimate extraction shared by the end-of-cycle passes:
 /// the defended estimator (median-of-k / trimmed merge over per-instance
 /// estimates) when redundancy is configured, the undefended state-pooling
@@ -1838,53 +1714,67 @@ fn epoch_size_estimate(
     }
 }
 
+impl ShardCycleOut {
+    /// An output with the shard's exchange tally and nothing observed yet.
+    fn new(tally: ExchangeTally) -> Self {
+        ShardCycleOut {
+            tally,
+            completed_epoch: None,
+            epoch_stats: OnlineStats::new(),
+            size_stats: OnlineStats::new(),
+            estimate_stats: OnlineStats::new(),
+        }
+    }
+
+    /// Notes that `epoch` completed on this shard; the latest epoch wins.
+    fn epoch_completed(&mut self, epoch: u64) {
+        self.completed_epoch = Some(self.completed_epoch.map_or(epoch, |e| e.max(epoch)));
+    }
+
+    /// The end-of-cycle tick of one node-represented node: tick its epoch
+    /// machinery, then read the (post-restart) estimate while the node is
+    /// cache-hot. Per-node independence makes this bit-identical to a
+    /// tick-all-then-read-all split in live order.
+    fn tick_node(&mut self, node: &mut ProtocolNode, redundancy: Option<MergePolicy>) {
+        if let Some(result) = node.end_cycle() {
+            self.epoch_completed(result.epoch);
+            if result.full_participation {
+                if let Some(estimate) = result.default_estimate() {
+                    self.epoch_stats.push(estimate);
+                }
+                if let Some(size) = epoch_size_estimate(&result, redundancy) {
+                    self.size_stats.push(size);
+                }
+            }
+        }
+        if let Some(estimate) = node.estimate() {
+            self.estimate_stats.push(estimate);
+        }
+    }
+}
+
+/// End-of-cycle phase of the threaded executor for one shard: every live
+/// node takes [`ShardCycleOut::tick_node`] — the tick the single-worker
+/// [`end_of_cycle_pass_soa`] gives its cold nodes — streamed into
+/// per-shard stats.
 fn end_of_cycle_pass(
     shard: &mut Shard,
     tally: ExchangeTally,
     redundancy: Option<MergePolicy>,
 ) -> ShardCycleOut {
-    let mut completed_epoch = None;
-    let mut epoch_stats = OnlineStats::new();
-    let mut size_stats = OnlineStats::new();
-    let mut estimate_stats = OnlineStats::new();
-    // One fused pass: tick the epoch machinery and read the (post-restart)
-    // estimate while the node is cache-hot. Per-node independence makes this
-    // bit-identical to a tick-all-then-read-all split in live order.
+    let mut out = ShardCycleOut::new(tally);
     for pos in 0..shard.arena.len() {
         let slot = shard.arena.live_slots()[pos];
-        let Some(node) = shard.arena.node_at_slot_mut(slot) else {
-            continue;
-        };
-        if let Some(result) = node.end_cycle() {
-            completed_epoch = Some(match completed_epoch {
-                Some(epoch) => std::cmp::max::<u64>(epoch, result.epoch),
-                None => result.epoch,
-            });
-            if result.full_participation {
-                if let Some(estimate) = result.default_estimate() {
-                    epoch_stats.push(estimate);
-                }
-                if let Some(size) = epoch_size_estimate(&result, redundancy) {
-                    size_stats.push(size);
-                }
-            }
-        }
-        if let Some(estimate) = node.estimate() {
-            estimate_stats.push(estimate);
+        if let Some(node) = shard.arena.node_at_slot_mut(slot) {
+            out.tick_node(node, redundancy);
         }
     }
-    ShardCycleOut {
-        tally,
-        completed_epoch,
-        epoch_stats,
-        size_stats,
-        estimate_stats,
-    }
+    out
 }
 
-/// End-of-cycle phase of the struct-of-arrays executor: hot nodes tick,
-/// restart and report entirely inside the dense mirror; cold nodes take the
-/// ordinary [`end_of_cycle_pass`] branch and are re-examined for promotion
+/// End-of-cycle phase of the single-worker executor: hot nodes tick,
+/// restart and report entirely inside the dense mirror; cold nodes take
+/// [`ShardCycleOut::tick_node`] and are re-examined for promotion
 /// afterwards (joining nodes whose epoch just started, ex-leaders whose led
 /// instances just cleared). Iteration order, stat-push order and epoch
 /// book-keeping replicate `ProtocolNode::end_cycle` exactly:
@@ -1903,10 +1793,7 @@ fn end_of_cycle_pass_soa(
     cycles_per_epoch: u32,
     redundancy: Option<MergePolicy>,
 ) -> ShardCycleOut {
-    let mut completed_epoch = None;
-    let mut epoch_stats = OnlineStats::new();
-    let mut size_stats = OnlineStats::new();
-    let mut estimate_stats = OnlineStats::new();
+    let mut out = ShardCycleOut::new(tally);
     for pos in 0..shard.arena.len() {
         let slot = shard.arena.live_slots()[pos];
         let hot = shard.hot.hot(slot).is_some();
@@ -1921,17 +1808,14 @@ fn end_of_cycle_pass_soa(
             let record = &mut shard.hot.slots[slot as usize];
             let mut overflow = false;
             if completing {
-                completed_epoch = Some(match completed_epoch {
-                    Some(epoch) => std::cmp::max::<u64>(epoch, u64::from(record.key)),
-                    None => u64::from(record.key),
-                });
-                epoch_stats.push(kind.estimate_value(record.state));
+                out.epoch_completed(u64::from(record.key));
+                out.epoch_stats.push(kind.estimate_value(record.state));
                 record.state = restart;
                 record.exchanges = 0;
                 record.key += 1;
                 overflow = record.key == soa::COLD;
             }
-            estimate_stats.push(kind.estimate_value(record.state));
+            out.estimate_stats.push(kind.estimate_value(record.state));
             if overflow {
                 // The new epoch is not representable in the 16-byte record
                 // (u32 epochs): hand the node back to the cold path.
@@ -1951,33 +1835,11 @@ fn end_of_cycle_pass_soa(
             let Some(node) = shard.arena.node_at_slot_mut(slot) else {
                 continue;
             };
-            if let Some(result) = node.end_cycle() {
-                completed_epoch = Some(match completed_epoch {
-                    Some(epoch) => std::cmp::max::<u64>(epoch, result.epoch),
-                    None => result.epoch,
-                });
-                if result.full_participation {
-                    if let Some(estimate) = result.default_estimate() {
-                        epoch_stats.push(estimate);
-                    }
-                    if let Some(size) = epoch_size_estimate(&result, redundancy) {
-                        size_stats.push(size);
-                    }
-                }
-            }
-            if let Some(estimate) = node.estimate() {
-                estimate_stats.push(estimate);
-            }
+            out.tick_node(node, redundancy);
             shard.resync_slot(slot, kind);
         }
     }
-    ShardCycleOut {
-        tally,
-        completed_epoch,
-        epoch_stats,
-        size_stats,
-        estimate_stats,
-    }
+    out
 }
 
 /// A shard's mailbox receivers: push batches in, reply batches back.
