@@ -250,6 +250,12 @@ struct Shard {
     /// stale until synced back at a flush point. Allocated for every
     /// sampler; empty until a single-worker cycle runs.
     hot: HotStore,
+    /// Whether a live node of this shard may be cold while the mirror is
+    /// resident: exact after every full pass over the shard (residency
+    /// entry, end-of-cycle pass), conservatively `true` after a join. Only
+    /// decides whether the single-worker touch stage also touches node
+    /// lines; never changes a result.
+    cold_live: bool,
     /// This shard's slice of the flight recorder: worker-side exchange
     /// outcomes (`MessageLost` / `ExchangeCompleted`), keyed by global
     /// sequence number only — no node identity — so the seq-sorted merge
@@ -313,6 +319,16 @@ impl Shard {
         }
     }
 
+    /// Reads `slot`'s hot record (if the slot has one) so the execute pass
+    /// hits L1.
+    #[inline]
+    fn touch_record(&self, slot: u32) -> u64 {
+        self.hot
+            .slots
+            .get(slot as usize)
+            .map_or(0, |r| u64::from(r.key))
+    }
+
     /// Reads one word per cache line an exchange at `slot` needs — the hot
     /// record, or the node's epoch state, instance state and led-map root
     /// when the record is cold — so the execute pass hits L1.
@@ -340,7 +356,10 @@ impl Shard {
                 let restart = kind.init_value(node.local_value());
                 self.hot.promote(slot, view, restart);
             }
-            None => self.hot.mark_cold(slot),
+            None => {
+                self.hot.mark_cold(slot);
+                self.cold_live = true;
+            }
         }
     }
 }
@@ -507,6 +526,7 @@ impl ShardedSimulation {
                 arena: NodeArena::with_layout(IdLayout::sharded(s as u32)),
                 global_pos: Vec::new(),
                 hot: HotStore::default(),
+                cold_live: false,
                 recorder: FlightRecorder::new(0),
             })
             .collect();
@@ -733,6 +753,7 @@ impl ShardedSimulation {
         // A joining node waits for its epoch — never hot; the slot may be a
         // reused one carrying a stale hot record.
         shard.hot.mark_cold(slot);
+        shard.cold_live = true;
         shard.set_global_pos(slot, self.global_live.len() as u32);
         self.global_live.push(id);
         if self.telemetry.events_enabled() {
@@ -1017,6 +1038,7 @@ impl ShardedSimulation {
         }
         let kind = self.config.base.protocol.aggregate();
         for shard in &mut self.shards {
+            shard.cold_live = false;
             for pos in 0..shard.arena.len() {
                 let slot = shard.arena.live_slots()[pos];
                 shard.resync_slot(slot, kind);
@@ -1128,6 +1150,7 @@ impl ShardedSimulation {
         const BLOCK: usize = 128;
         let uniform = matches!(sampler.config(), SamplerConfig::UniformComplete);
         let check_links = injector.links_can_block();
+        let touch_nodes = shards.iter().any(|shard| shard.cold_live);
         let mut words = WordBuffer::new();
         let mut cand = [0u32; BLOCK];
         let mut block_pairs = [(0u32, 0u32); BLOCK];
@@ -1235,18 +1258,27 @@ impl ShardedSimulation {
                     survivors += 1;
                 }
             }
-            // Stage 2: touch every endpoint's state in its own tight loop —
-            // the hot record, or the `ProtocolNode` of a cold endpoint (which
-            // takes the node path below). The touch loads' values are
+            // Stage 2: touch every endpoint's hot record in its own tight
+            // loop — and, in a cycle that may have cold nodes, the
+            // `ProtocolNode` of each cold endpoint, which takes the node path
+            // below. The all-hot loop stays minimal on purpose: a per-endpoint
+            // hot/cold check cost `epoch_1m` ≈3 %, because every extra
+            // instruction per iteration shrinks how many misses the
+            // out-of-order window overlaps. The touch loads' values are
             // discarded, so the cold path's flush/resync writes can never be
             // made stale.
-            let mut warm = 0u64;
-            for &(a, b) in &block_pairs[..survivors] {
+            let pairs = block_pairs[..survivors].iter().map(|&(a, b)| {
                 let (shard_a, slot_a) = unpack_endpoint(a);
                 let (shard_b, slot_b) = unpack_endpoint(b);
-                warm ^= shards[shard_a].touch(slot_a);
-                warm ^= shards[shard_b].touch(slot_b);
-            }
+                (&shards[shard_a], slot_a, &shards[shard_b], slot_b)
+            });
+            let warm: u64 = if touch_nodes {
+                pairs.fold(0, |w, (sa, a, sb, b)| w ^ sa.touch(a) ^ sb.touch(b))
+            } else {
+                pairs.fold(0, |w, (sa, a, sb, b)| {
+                    w ^ sa.touch_record(a) ^ sb.touch_record(b)
+                })
+            };
             std::hint::black_box(warm);
             // Stage 3: the block's loss coins. Exchange sequence numbers are
             // dense over survivors, exactly as `build_schedule` hands them
@@ -1794,6 +1826,7 @@ fn end_of_cycle_pass_soa(
     redundancy: Option<MergePolicy>,
 ) -> ShardCycleOut {
     let mut out = ShardCycleOut::new(tally);
+    shard.cold_live = false;
     for pos in 0..shard.arena.len() {
         let slot = shard.arena.live_slots()[pos];
         let hot = shard.hot.hot(slot).is_some();
