@@ -250,11 +250,9 @@ struct Shard {
     /// stale until synced back at a flush point. Allocated for every
     /// sampler; empty until a single-worker cycle runs.
     hot: HotStore,
-    /// Whether a live node of this shard may be cold while the mirror is
-    /// resident: exact after every full pass over the shard (residency
-    /// entry, end-of-cycle pass), conservatively `true` after a join. Only
-    /// decides whether the single-worker touch stage also touches node
-    /// lines; never changes a result.
+    /// Whether a live node of this shard may be cold: exact after every full
+    /// pass over the shard, `true` after a join. A prefetch hint for the
+    /// single-worker touch stage; it never changes a result.
     cold_live: bool,
     /// This shard's slice of the flight recorder: worker-side exchange
     /// outcomes (`MessageLost` / `ExchangeCompleted`), keyed by global
@@ -319,8 +317,7 @@ impl Shard {
         }
     }
 
-    /// Reads `slot`'s hot record (if the slot has one) so the execute pass
-    /// hits L1.
+    /// Reads `slot`'s hot record, if any, so the execute pass hits L1.
     #[inline]
     fn touch_record(&self, slot: u32) -> u64 {
         self.hot
@@ -1134,19 +1131,16 @@ impl ShardedSimulation {
 
         // Four stages per block of initiators, each a tight loop so dozens
         // of iterations fit the out-of-order window and the stage's random
-        // loads (every one a DRAM — and TLB — miss at 10⁷ nodes) overlap
-        // instead of serialising into a miss chain: pick the block's peers
-        // and resolve the pairs (link vetoes); touch every endpoint's state;
-        // pre-draw the loss coins; execute from cache. (A deeper software
-        // pipeline that interleaved the stages across blocks in one master
-        // loop measured *slower* — the fat loop body starves the reorder
-        // buffer — so the simple staged form stands.)
+        // loads (DRAM and TLB misses at 10⁷ nodes) overlap instead of
+        // serialising: pick peers and resolve link vetoes; touch endpoints;
+        // pre-draw loss coins; execute from cache. (Interleaving the stages
+        // across blocks in one master loop measured *slower*: the fat loop
+        // body starves the reorder buffer.)
         //
         // Draw-stream order is untouched: pick words are consumed in
-        // initiator order across blocks, and exchange sequence numbers are
-        // dense over surviving picks. The link veto runs only when the fault
-        // lab can block links this cycle (`links_can_block`); `link_blocked`
-        // is pure, so skipping it otherwise changes nothing.
+        // initiator order, and sequence numbers are dense over surviving
+        // picks. `link_blocked` is pure, so it is skipped when the fault lab
+        // cannot block links this cycle (`links_can_block`).
         const BLOCK: usize = 128;
         let uniform = matches!(sampler.config(), SamplerConfig::UniformComplete);
         let check_links = injector.links_can_block();
@@ -1162,18 +1156,14 @@ impl ShardedSimulation {
             let end = (start + BLOCK).min(n);
             let count = end - start;
             // Stage 1: the block's surviving pairs, packed into
-            // `block_pairs`. Each veto emits its event and each survivor a
-            // begun event numbered densely in pick order; the events' sort
-            // keys restore the threaded executor's total order after the
-            // merge.
+            // `block_pairs`, with veto and begun events (their sort keys
+            // restore the threaded executor's order after the merge).
             let mut survivors = 0usize;
             if uniform {
-                // The uniform sampler's rejection loop — re-draw while the
-                // candidate is the initiator — inlined over buffered words
-                // (the compare uses only the entry's high half, no memory
-                // dependence; directory picks are live by construction, so
-                // `sample_live_peer` adds nothing further), then the touch
-                // loop over the candidate directory lines.
+                // The uniform sampler's rejection loop inlined over buffered
+                // words (directory picks are live by construction, so
+                // `sample_live_peer` adds nothing), then the touch loop over
+                // the candidate directory lines.
                 for k in 0..count {
                     let ipos = (order[start + k] >> 32) as usize;
                     let mut candidate;
@@ -1220,53 +1210,47 @@ impl ShardedSimulation {
                     survivors += 1;
                 }
             } else {
-                // Any other sampler is asked once per initiator, straight
-                // from the schedule stream, and each veto is reported right
-                // after its pick: NEWSCAST's `peer_failed` tail-drops the
-                // unreachable neighbour, which changes later picks.
+                // Any other sampler is asked once per initiator, and each
+                // veto is reported right after its pick: NEWSCAST's
+                // `peer_failed` drops the neighbour, changing later picks.
+                let directory = GlobalDirectory {
+                    live: global_live,
+                    shards,
+                };
                 for &entry in &order[start..end] {
                     let ipos = (entry >> 32) as usize;
-                    let directory = GlobalDirectory {
-                        live: global_live,
-                        shards,
-                    };
                     let Some(peer_id) =
                         sample_live_peer(sampler.as_mut(), &directory, ipos, &mut rng)
                     else {
                         continue;
                     };
                     let initiator_id = global_live[ipos];
+                    let ppos = if record {
+                        u64::from(global_pos_of(shards, peer_id))
+                    } else {
+                        0
+                    };
                     if check_links && injector.link_blocked(initiator_id, peer_id) {
                         sampler.peer_failed(initiator_id, peer_id);
                         exchanges_blocked += 1;
                         if record {
-                            telemetry.exchange_vetoed(
-                                ipos as u64,
-                                u64::from(global_pos_of(shards, peer_id)),
-                            );
+                            telemetry.exchange_vetoed(ipos as u64, ppos);
                         }
                         continue;
                     }
                     if record {
-                        telemetry.exchange_begun(
-                            (next_seq + survivors) as u64,
-                            ipos as u64,
-                            u64::from(global_pos_of(shards, peer_id)),
-                        );
+                        let seq = (next_seq + survivors) as u64;
+                        telemetry.exchange_begun(seq, ipos as u64, ppos);
                     }
                     block_pairs[survivors] = (entry as u32, pack_endpoint(peer_id));
                     survivors += 1;
                 }
             }
-            // Stage 2: touch every endpoint's hot record in its own tight
-            // loop — and, in a cycle that may have cold nodes, the
-            // `ProtocolNode` of each cold endpoint, which takes the node path
-            // below. The all-hot loop stays minimal on purpose: a per-endpoint
-            // hot/cold check cost `epoch_1m` ≈3 %, because every extra
-            // instruction per iteration shrinks how many misses the
-            // out-of-order window overlaps. The touch loads' values are
-            // discarded, so the cold path's flush/resync writes can never be
-            // made stale.
+            // Stage 2: touch every endpoint's hot record — plus, in a cycle
+            // that may have cold nodes, the `ProtocolNode` of each cold
+            // endpoint (it takes the node path). The record-only loop has no
+            // hot/cold check: that check cost `epoch_1m` ≈3 %. The loads'
+            // values are discarded, so they can never go stale.
             let pairs = block_pairs[..survivors].iter().map(|&(a, b)| {
                 let (shard_a, slot_a) = unpack_endpoint(a);
                 let (shard_b, slot_b) = unpack_endpoint(b);

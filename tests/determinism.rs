@@ -220,9 +220,10 @@ fn sharded_runs_are_bit_identical_for_identical_seeds() {
 }
 
 /// Worker threads are an execution resource, not a semantic one: for a fixed
-/// shard count, the single-worker sequential executor (fused exchanges, no
-/// mailboxes) and the multi-worker round/mailbox executor must produce
-/// bit-identical summaries — including when workers own several shards each.
+/// shard count, the single-worker executor (the struct-of-arrays block
+/// pipeline, no mailboxes) and the multi-worker round/mailbox executor must
+/// produce bit-identical summaries — including when workers own several
+/// shards each.
 #[test]
 fn worker_count_does_not_change_results_at_all() {
     let (reference, reference_bits) = sharded_summaries(31, 4, Some(1), 0.1);
@@ -230,7 +231,7 @@ fn worker_count_does_not_change_results_at_all() {
         let (summaries, bits) = sharded_summaries(31, 4, Some(workers), 0.1);
         assert_eq!(
             summaries, reference,
-            "{workers}-worker execution must match the sequential executor"
+            "{workers}-worker execution must match the single-worker executor"
         );
         assert_eq!(bits, reference_bits);
     }
@@ -283,13 +284,13 @@ fn shard_count_changes_only_telemetry_summation_order() {
     }
 }
 
-/// Tentpole pin for the struct-of-arrays hot path: with one worker and
-/// uniform sampling the engine runs the batched SoA fused executor, and its
+/// Tentpole pin for the struct-of-arrays hot path: with one worker the
+/// engine runs the batched SoA executor, and under uniform sampling its
 /// results must be bit-identical at 1/2/4/8 shards — all reproducing the
 /// *pre-SoA* golden trajectory (the same FNV fingerprint pinned by
 /// [`uniform_sampler_is_bit_identical_to_the_pre_sampler_engines`] for this
 /// harness). Batched shuffles, pre-drawn peer picks and per-seq loss seeds
-/// must replay the exact draw sequence of the node-path executor.
+/// must replay the exact draw sequence of the threaded executor's schedule.
 #[test]
 fn soa_fused_executor_reproduces_the_golden_across_shard_counts() {
     for shards in [1usize, 2, 4, 8] {
@@ -712,7 +713,7 @@ fn newscast_sharded_runs_are_worker_count_invariant() {
         let (summaries, bits) = sharded_summaries_with(55, 4, Some(workers), 0.1, sampler);
         assert_eq!(
             summaries, reference,
-            "{workers}-worker NEWSCAST run must match the sequential executor"
+            "{workers}-worker NEWSCAST run must match the single-worker executor"
         );
         assert_eq!(bits, reference_bits);
     }
@@ -748,17 +749,13 @@ fn newscast_shard_count_changes_only_telemetry_summation_order() {
     }
 }
 
-/// FNV-1a fingerprint of a non-uniform sharded run under every coordinator
+/// FNV-1a fingerprint of a non-uniform 4-shard run under every coordinator
 /// mechanism the sampler interacts with: link vetoes reported back through
 /// `peer_failed`, 5% message loss, a median-of-3 counting defense (cold,
 /// led instances) and per-cycle joins and departures. Covers the per-cycle
 /// `(exchanges, exchanges_blocked, messages_lost)`, the final node estimates
 /// and the last pooled size estimate.
-fn non_uniform_sharded_fingerprint(
-    sampler: SamplerConfig,
-    shards: usize,
-    workers: Option<usize>,
-) -> u64 {
+fn non_uniform_sharded_fingerprint(sampler: SamplerConfig, workers: Option<usize>) -> u64 {
     let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
     let config = ShardedConfig {
         base: SimulationConfig {
@@ -772,7 +769,7 @@ fn non_uniform_sharded_fingerprint(
             sampler,
             redundancy: Some(RedundancyConfig::median_of(3)),
         },
-        shards,
+        shards: 4,
         workers,
     };
     let plan = FaultPlan::with_link_failure(0.1);
@@ -802,14 +799,15 @@ fn non_uniform_sharded_fingerprint(
 }
 
 /// Absolute golden pin for live NEWSCAST on the sharded engine, captured
-/// before the single-worker executors were unified: any change to the
-/// draw sequence, the veto → `peer_failed` feedback into later picks, or
-/// the exchange arithmetic shows up here, on either executor.
+/// while non-uniform samplers still ran on a separate array-of-structs
+/// single-worker executor: any change to the draw sequence, the veto →
+/// `peer_failed` feedback into later picks, or the exchange arithmetic
+/// shows up here, on either executor.
 #[test]
 fn newscast_sharded_run_reproduces_its_golden_fingerprint() {
     for workers in [Some(1), Some(2)] {
         assert_eq!(
-            non_uniform_sharded_fingerprint(SamplerConfig::newscast(), 4, workers),
+            non_uniform_sharded_fingerprint(SamplerConfig::newscast(), workers),
             0xad4c_6417_59f7_5267,
             "NEWSCAST sharded run at {workers:?} workers drifted from the golden trajectory"
         );
@@ -826,7 +824,7 @@ fn static_overlay_sharded_run_reproduces_its_golden_fingerprint() {
     };
     for workers in [Some(1), Some(2)] {
         assert_eq!(
-            non_uniform_sharded_fingerprint(sampler, 4, workers),
+            non_uniform_sharded_fingerprint(sampler, workers),
             0x0581_f54d_471e_e5a6,
             "static-overlay sharded run at {workers:?} workers drifted from the golden trajectory"
         );
