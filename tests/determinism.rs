@@ -831,6 +831,99 @@ fn static_overlay_sharded_run_reproduces_its_golden_fingerprint() {
     }
 }
 
+/// FNV-1a over NEWSCAST views in *view order*: for each listed member its
+/// id and view length, then every descriptor's `(id, age)` in position
+/// order. `random_peer` indexes view positions and `oldest_peer` breaks age
+/// ties by position, so a consistent reordering of view entries changes
+/// every later draw; the aggregate-level pins above only see it indirectly.
+fn view_order_fingerprint<'a>(
+    views: impl IntoIterator<Item = (NodeId, &'a epidemic_aggregation::membership::PartialView)>,
+) -> u64 {
+    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        fnv ^= word;
+        fnv = fnv.wrapping_mul(0x1000_0000_01b3);
+    };
+    for (id, view) in views {
+        mix(u64::from(id.as_u32()));
+        mix(view.len() as u64);
+        for descriptor in view.iter() {
+            mix(u64::from(descriptor.node.as_u32()));
+            mix(u64::from(descriptor.age));
+        }
+    }
+    fnv
+}
+
+/// Absolute view-order golden for [`NewscastSampler`] (c = 20, 300 sparse
+/// ids over a `SliceDirectory`, 30 cycles): four departures and four joins a
+/// cycle, one aggregation pick per member, and `peer_failed` for every pick
+/// that lands on a departed node or on a simulated dead link.
+#[test]
+fn newscast_sampler_views_reproduce_their_golden_order() {
+    use rand::Rng;
+    let mut live: Vec<NodeId> = (0..300).map(|i| NodeId::new(3 * i + 1)).collect();
+    let mut next_id = 3 * 300 + 1;
+    let mut sampler = NewscastSampler::new(20, &live, 0x5eed);
+    let mut churn = rand::rngs::StdRng::seed_from_u64(31);
+    let mut picks = rand::rngs::StdRng::seed_from_u64(32);
+    let mut failed = 0;
+    for cycle in 0..30 {
+        for _ in 0..4 {
+            let gone = live.remove(churn.gen_range(0..live.len()));
+            sampler.on_depart(gone);
+        }
+        for _ in 0..4 {
+            let id = NodeId::new(next_id);
+            next_id += 3;
+            live.push(id);
+            sampler.on_join(id, &SliceDirectory::new(&live));
+        }
+        let directory = SliceDirectory::new(&live);
+        sampler.begin_cycle(&directory);
+        for (pos, &initiator) in live.iter().enumerate() {
+            let Some(peer) = sampler.sample(&directory, pos, &mut picks) else {
+                continue;
+            };
+            if !live.contains(&peer) || (pos + cycle) % 13 == 0 {
+                sampler.peer_failed(initiator, peer);
+                failed += 1;
+            }
+        }
+    }
+    assert!(
+        failed > 300,
+        "departed peers and dead links must be reported"
+    );
+    live.sort();
+    let fingerprint = view_order_fingerprint(
+        live.iter()
+            .map(|&id| (id, sampler.view_of(id).expect("live member"))),
+    );
+    assert_eq!(
+        fingerprint, 0xa9bc_1ad6_d461_a64f,
+        "NEWSCAST sampler views drifted from the golden order: {fingerprint:#x}"
+    );
+}
+
+/// Absolute view-order golden for [`NewscastNetwork`]: a 400-node ring
+/// bootstrap with c = 20 after 15 membership cycles.
+#[test]
+fn newscast_network_views_reproduce_their_golden_order() {
+    let n = 400;
+    let mut network = NewscastNetwork::bootstrap_ring(n, 20);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+    for _ in 0..15 {
+        network.run_cycle(&mut rng);
+    }
+    let ids: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+    let fingerprint = view_order_fingerprint(ids.iter().map(|&id| (id, network.node(id).view())));
+    assert_eq!(
+        fingerprint, 0x1d47_0fa3_0aea_43a6,
+        "NEWSCAST network views drifted from the golden order: {fingerprint:#x}"
+    );
+}
+
 /// Tentpole pin — one protocol core, two runtimes. The wire-path
 /// [`VirtualCluster`] (every exchange encoded to a 33-byte frame, shipped
 /// through an `InMemoryNetwork` endpoint, decoded and delivered to a
