@@ -1,5 +1,6 @@
 //! Whole-network newscast driver.
 
+use crate::newscast::{pair_mut, ExchangeBuffers};
 use crate::{NewscastNode, PeerSampling};
 use overlay_topology::{NodeId, ViewTopology};
 use rand::seq::SliceRandom;
@@ -15,8 +16,10 @@ use rand::Rng;
 /// protocol or the simulator.
 #[derive(Debug, Clone)]
 pub struct NewscastNetwork {
+    /// Node `i` is `NodeId::new(i)`.
     nodes: Vec<NewscastNode>,
     view_size: usize,
+    exchange: ExchangeBuffers,
 }
 
 impl NewscastNetwork {
@@ -30,7 +33,11 @@ impl NewscastNetwork {
                 NewscastNode::new(NodeId::new(i), view_size, &[successor])
             })
             .collect();
-        NewscastNetwork { nodes, view_size }
+        NewscastNetwork {
+            nodes,
+            view_size,
+            exchange: ExchangeBuffers::default(),
+        }
     }
 
     /// Bootstraps `n` nodes whose initial views contain `contacts_per_node`
@@ -53,7 +60,11 @@ impl NewscastNetwork {
                 NewscastNode::new(NodeId::new(i), view_size, &contacts)
             })
             .collect();
-        NewscastNetwork { nodes, view_size }
+        NewscastNetwork {
+            nodes,
+            view_size,
+            exchange: ExchangeBuffers::default(),
+        }
     }
 
     /// Number of nodes in the network.
@@ -79,20 +90,15 @@ impl NewscastNetwork {
     /// Runs one membership cycle: every node (in random order) exchanges views
     /// with its oldest known peer, then all views age by one.
     pub fn run_cycle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let n = self.nodes.len();
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
         order.shuffle(rng);
         for initiator in order {
             let Some(partner) = self.nodes[initiator].exchange_partner() else {
                 continue;
             };
-            let partner_idx = partner.index();
-            if partner_idx == initiator || partner_idx >= n {
-                continue;
+            if let Some((a, b)) = pair_mut(&mut self.nodes, initiator, partner.index()) {
+                self.exchange.exchange(a, b);
             }
-            let offer = self.nodes[initiator].prepare_exchange();
-            let response = self.nodes[partner_idx].accept_exchange(&offer);
-            self.nodes[initiator].complete_exchange(&response);
         }
         for node in &mut self.nodes {
             node.end_cycle();

@@ -73,9 +73,17 @@ impl NewscastNode {
     /// Produces the descriptor list this node sends in an exchange: its whole
     /// view plus a fresh descriptor of itself.
     pub fn prepare_exchange(&self) -> Vec<NodeDescriptor> {
-        let mut payload: Vec<NodeDescriptor> = self.view.iter().copied().collect();
-        payload.push(NodeDescriptor::fresh(self.id));
+        let mut payload = Vec::with_capacity(self.view.len() + 1);
+        self.write_payload(&mut payload);
         payload
+    }
+
+    /// [`NewscastNode::prepare_exchange`] into a caller-owned buffer, which
+    /// is cleared first; drivers reuse one buffer for every exchange.
+    pub fn write_payload(&self, payload: &mut Vec<NodeDescriptor>) {
+        payload.clear();
+        payload.extend(self.view.iter());
+        payload.push(NodeDescriptor::fresh(self.id));
     }
 
     /// Passive side of an exchange: merges the received descriptors and
@@ -102,6 +110,44 @@ impl NewscastNode {
     pub fn evict(&mut self, peer: NodeId) -> bool {
         self.view.remove(peer)
     }
+}
+
+/// The one per-exchange step behind both whole-population drivers
+/// ([`crate::NewscastNetwork`] and [`crate::NewscastSampler`]): owns the
+/// offer and response buffers, which every exchange refills instead of
+/// allocating.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExchangeBuffers {
+    offer: Vec<NodeDescriptor>,
+    response: Vec<NodeDescriptor>,
+}
+
+impl ExchangeBuffers {
+    /// One membership exchange initiated by `initiator` with `partner`:
+    /// the same views as `prepare_exchange`, `accept_exchange` and
+    /// `complete_exchange` in turn, since both payloads are taken before
+    /// either side merges.
+    pub(crate) fn exchange(&mut self, initiator: &mut NewscastNode, partner: &mut NewscastNode) {
+        initiator.write_payload(&mut self.offer);
+        partner.write_payload(&mut self.response);
+        partner.complete_exchange(&self.offer);
+        initiator.complete_exchange(&self.response);
+    }
+}
+
+/// Mutable access to two distinct elements of `items`; `None` when the
+/// indices coincide or either is out of range.
+pub(crate) fn pair_mut<T>(items: &mut [T], a: usize, b: usize) -> Option<(&mut T, &mut T)> {
+    if a == b || a.max(b) >= items.len() {
+        return None;
+    }
+    let (low, high) = items.split_at_mut(a.max(b));
+    let (at_min, at_max) = (&mut low[a.min(b)], &mut high[0]);
+    Some(if a < b {
+        (at_min, at_max)
+    } else {
+        (at_max, at_min)
+    })
 }
 
 impl PeerSampling for NewscastNode {
@@ -144,6 +190,28 @@ mod tests {
         // Neither node ever lists itself.
         assert!(!a.known_peers().contains(&NodeId::new(0)));
         assert!(!b.known_peers().contains(&NodeId::new(1)));
+    }
+
+    #[test]
+    fn buffered_exchange_matches_the_allocating_three_step_exchange() {
+        let a = NewscastNode::new(NodeId::new(0), 3, &[NodeId::new(1), NodeId::new(5)]);
+        let b = NewscastNode::new(NodeId::new(1), 3, &[NodeId::new(2), NodeId::new(3)]);
+        let (mut a1, mut b1) = (a.clone(), b.clone());
+        let response = b1.accept_exchange(&a1.prepare_exchange());
+        a1.complete_exchange(&response);
+        let (mut a2, mut b2) = (a, b);
+        let mut buffers = ExchangeBuffers::default();
+        buffers.exchange(&mut a2, &mut b2);
+        assert_eq!((a1, b1), (a2, b2));
+    }
+
+    #[test]
+    fn pair_mut_hands_out_two_distinct_elements_in_argument_order() {
+        let mut items = [10, 20, 30];
+        assert_eq!(pair_mut(&mut items, 2, 0), Some((&mut 30, &mut 10)));
+        assert_eq!(pair_mut(&mut items, 0, 1), Some((&mut 10, &mut 20)));
+        assert!(pair_mut(&mut items, 1, 1).is_none());
+        assert!(pair_mut(&mut items, 0, 3).is_none());
     }
 
     #[test]

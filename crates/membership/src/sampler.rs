@@ -8,6 +8,7 @@
 //! for a realistic membership service is a one-line configuration change
 //! ([`aggregate_core::sampler::SamplerConfig`]).
 
+use crate::newscast::{pair_mut, ExchangeBuffers};
 use crate::{NewscastNode, NodeDescriptor, PartialView};
 use aggregate_core::sampler::{PeerSampler, SamplerConfig, SamplerDirectory};
 use overlay_topology::{
@@ -17,6 +18,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BTreeMap;
+use std::collections::HashMap; // lint-allow(nondeterminism): NewscastSampler's id → slot index, keyed lookups only
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A live NEWSCAST membership service acting as the peer sampler of a
 /// simulation: every live node keeps a partial view ("cache") of
@@ -33,9 +36,16 @@ use std::collections::BTreeMap;
 ///
 /// Determinism: membership randomness (exchange order, bootstrap contacts)
 /// comes from an internal RNG seeded at construction; sampling randomness
-/// comes from the engine's seeded pick stream. Node state lives in a
-/// `BTreeMap`, so iteration order — and therefore the whole trajectory — is
-/// a pure function of the seeds.
+/// comes from the engine's seeded pick stream. Exchanges run in the drawn
+/// order over directory positions, and every other pass (aging, in-degree
+/// and stale counts) treats each member on its own, so the trajectory is a
+/// pure function of the seeds whatever order members are stored in.
+///
+/// Layout: members live in a dense slab of slots (`Vec<Option<…>>`), and a
+/// departure frees its slot for the next join. An id → slot hash index is
+/// used for keyed lookups only and is never iterated. An exchange performs
+/// two index lookups and refills two buffers the sampler owns, so it does
+/// not allocate.
 ///
 /// # Example
 ///
@@ -62,10 +72,46 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct NewscastSampler {
     cache_size: usize,
-    nodes: BTreeMap<NodeId, NewscastNode>,
+    /// Member state by slot; `None` marks a free slot.
+    slots: Vec<Option<NewscastNode>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Member id → slot.
+    index: SlotIndex,
     rng: StdRng,
     /// Scratch buffer for the per-cycle exchange order.
     order: Vec<NodeId>,
+    exchange: ExchangeBuffers,
+}
+
+// lint-allow(nondeterminism): keyed lookups only; every pass over members walks the slots
+type SlotIndex = HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>;
+
+/// A fixed multiplicative hash for [`NodeId`] keys: one multiply by the
+/// 64-bit golden ratio, rotated so the well-mixed high half of the product
+/// selects the bucket. Ids that differ only in high bits (shard or
+/// generation tags) therefore still spread.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
 }
 
 impl NewscastSampler {
@@ -87,31 +133,72 @@ impl NewscastSampler {
     pub fn new(cache_size: usize, initial: &[NodeId], membership_seed: u64) -> Self {
         assert!(cache_size > 0, "newscast cache size must be positive");
         let n = initial.len();
-        let mut rng = StdRng::seed_from_u64(membership_seed);
         let contacts_per_node = cache_size.min(n.saturating_sub(1));
-        let nodes = initial
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                // Distinct random contacts, drawn positionally so the
-                // bootstrap is invariant under the engines' id layouts.
-                let mut contacts: Vec<NodeId> = Vec::with_capacity(contacts_per_node);
-                while contacts.len() < contacts_per_node {
-                    let pos = rng.gen_range(0..n);
-                    let candidate = initial[pos];
-                    if pos != i && !contacts.contains(&candidate) {
-                        contacts.push(candidate);
-                    }
-                }
-                (id, NewscastNode::new(id, cache_size, &contacts))
-            })
-            .collect();
-        NewscastSampler {
+        let mut sampler = NewscastSampler {
             cache_size,
-            nodes,
-            rng,
+            slots: Vec::with_capacity(n),
+            free: Vec::new(),
+            index: SlotIndex::with_capacity_and_hasher(n, BuildHasherDefault::default()),
+            rng: StdRng::seed_from_u64(membership_seed),
             order: Vec::new(),
+            exchange: ExchangeBuffers::default(),
+        };
+        let mut contacts: Vec<NodeId> = Vec::with_capacity(contacts_per_node);
+        for (i, &id) in initial.iter().enumerate() {
+            // Distinct random contacts, drawn positionally so the bootstrap
+            // is invariant under the engines' id layouts.
+            contacts.clear();
+            while contacts.len() < contacts_per_node {
+                let pos = sampler.rng.gen_range(0..n);
+                let candidate = initial[pos];
+                if pos != i && !contacts.contains(&candidate) {
+                    contacts.push(candidate);
+                }
+            }
+            sampler.admit(NewscastNode::new(id, cache_size, &contacts));
         }
+        sampler
+    }
+
+    /// Stores `node` as a member: in place of its previous state if its id
+    /// is already a member, else in the most recently freed slot or a new
+    /// one.
+    fn admit(&mut self, node: NewscastNode) {
+        let id = node.id();
+        let slot = match self.index.get(&id) {
+            Some(&slot) => slot as usize,
+            None => {
+                let slot = match self.free.pop() {
+                    Some(slot) => slot as usize,
+                    None => {
+                        self.slots.push(None);
+                        self.slots.len() - 1
+                    }
+                };
+                // lint-allow(unwrap): at most one slot per distinct u32 NodeId, so slots fit a u32
+                let key = u32::try_from(slot).expect("slot fits u32");
+                self.index.insert(id, key);
+                slot
+            }
+        };
+        self.slots[slot] = Some(node);
+    }
+
+    /// The member state of `id`, if it is a member.
+    fn member(&self, id: NodeId) -> Option<&NewscastNode> {
+        let slot = *self.index.get(&id)?;
+        self.slots[slot as usize].as_ref()
+    }
+
+    /// Mutable member state of `id`, if it is a member.
+    fn member_mut(&mut self, id: NodeId) -> Option<&mut NewscastNode> {
+        let slot = *self.index.get(&id)?;
+        self.slots[slot as usize].as_mut()
+    }
+
+    /// Every member's state, in slot order.
+    fn members(&self) -> impl Iterator<Item = &NewscastNode> {
+        self.slots.iter().flatten()
     }
 
     /// The configured per-node view capacity `c`.
@@ -121,29 +208,28 @@ impl NewscastSampler {
 
     /// Number of nodes currently holding membership state.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.index.len()
     }
 
     /// Returns `true` when no node holds membership state.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.index.is_empty()
     }
 
     /// Read access to a node's current partial view, if the node is known.
     pub fn view_of(&self, id: NodeId) -> Option<&PartialView> {
-        self.nodes.get(&id).map(NewscastNode::view)
+        self.member(id).map(NewscastNode::view)
     }
 
     /// In-degree of every member: how many *other* members currently list it
     /// in their view. A healthy peer-sampling service keeps this
     /// distribution narrow; the view-dynamics tests bound it.
     pub fn in_degrees(&self) -> BTreeMap<NodeId, usize> {
-        let mut degrees: BTreeMap<NodeId, usize> = self.nodes.keys().map(|&id| (id, 0)).collect();
-        for node in self.nodes.values() {
-            for descriptor in node.view().iter() {
-                if let Some(count) = degrees.get_mut(&descriptor.node) {
-                    *count += 1;
-                }
+        let mut degrees: BTreeMap<NodeId, usize> =
+            self.members().map(|node| (node.id(), 0)).collect();
+        for descriptor in self.members().flat_map(|node| node.view().iter()) {
+            if let Some(count) = degrees.get_mut(&descriptor.node) {
+                *count += 1;
             }
         }
         degrees
@@ -153,10 +239,9 @@ impl NewscastSampler {
     /// that no longer holds membership state. Self-healing drives this to
     /// zero after a failure burst; the dynamics tests assert it.
     pub fn stale_descriptors(&self) -> usize {
-        self.nodes
-            .values()
+        self.members()
             .flat_map(|node| node.view().iter())
-            .filter(|descriptor| !self.nodes.contains_key(&descriptor.node))
+            .filter(|descriptor| !self.index.contains_key(&descriptor.node))
             .count()
     }
 }
@@ -184,36 +269,35 @@ impl PeerSampler for NewscastSampler {
         order.extend((0..directory.len()).map(|pos| directory.id_at(pos)));
         order.shuffle(&mut self.rng);
         for initiator in &order {
-            let Some(partner) = self
-                .nodes
-                .get(initiator)
+            let Some(&slot) = self.index.get(initiator) else {
+                continue;
+            };
+            let slot = slot as usize;
+            let Some(partner) = self.slots[slot]
+                .as_ref()
                 .and_then(NewscastNode::exchange_partner)
             else {
                 continue;
             };
-            if !self.nodes.contains_key(&partner) {
+            match self.index.get(&partner) {
+                Some(&partner_slot) => {
+                    if let Some((Some(a), Some(b))) =
+                        pair_mut(&mut self.slots, slot, partner_slot as usize)
+                    {
+                        self.exchange.exchange(a, b);
+                    }
+                }
                 // The oldest entry points at a departed node: heal the view
                 // (no failure detector — the failed contact attempt is the
                 // detection) and skip this cycle's membership exchange.
-                if let Some(node) = self.nodes.get_mut(initiator) {
-                    node.evict(partner);
+                None => {
+                    if let Some(node) = self.slots[slot].as_mut() {
+                        node.evict(partner);
+                    }
                 }
-                continue;
             }
-            let offer = self.nodes[initiator].prepare_exchange();
-            let response = self
-                .nodes
-                .get_mut(&partner)
-                // lint-allow(unwrap): partner membership checked at the top of this loop iteration
-                .expect("checked above")
-                .accept_exchange(&offer);
-            self.nodes
-                .get_mut(initiator)
-                // lint-allow(unwrap): initiator is drawn from the current member list
-                .expect("iterating current members")
-                .complete_exchange(&response);
         }
-        for node in self.nodes.values_mut() {
+        for node in self.slots.iter_mut().flatten() {
             node.end_cycle();
         }
         self.order = order;
@@ -225,8 +309,9 @@ impl PeerSampler for NewscastSampler {
         initiator_pos: usize,
         rng: &mut dyn RngCore,
     ) -> Option<NodeId> {
-        let id = directory.id_at(initiator_pos);
-        self.nodes.get(&id)?.view().random_peer(rng)
+        self.member(directory.id_at(initiator_pos))?
+            .view()
+            .random_peer(rng)
     }
 
     /// A joining node learns one uniformly random live contact (the paper's
@@ -246,23 +331,25 @@ impl PeerSampler for NewscastSampler {
                 }
             }
         }
-        self.nodes
-            .insert(id, NewscastNode::new(id, self.cache_size, &bootstrap));
+        self.admit(NewscastNode::new(id, self.cache_size, &bootstrap));
         // Tell the contact about the newcomer as well (the join handshake's
         // other half), so isolated newcomers cannot linger unreferenced.
         if let Some(&contact) = bootstrap.first() {
-            if let Some(node) = self.nodes.get_mut(&contact) {
+            if let Some(node) = self.member_mut(contact) {
                 node.complete_exchange(&[NodeDescriptor::fresh(id)]);
             }
         }
     }
 
     fn on_depart(&mut self, id: NodeId) {
-        self.nodes.remove(&id);
+        if let Some(slot) = self.index.remove(&id) {
+            self.slots[slot as usize] = None;
+            self.free.push(slot);
+        }
     }
 
     fn peer_failed(&mut self, initiator: NodeId, peer: NodeId) {
-        if let Some(node) = self.nodes.get_mut(&initiator) {
+        if let Some(node) = self.member_mut(initiator) {
             node.evict(peer);
         }
     }
@@ -461,6 +548,64 @@ mod tests {
         let peer = sampler.view_of(initiator).unwrap().node_ids()[0];
         sampler.peer_failed(initiator, peer);
         assert!(!sampler.view_of(initiator).unwrap().contains(peer));
+    }
+
+    #[test]
+    fn newscast_rejoin_of_a_member_replaces_its_state_in_place() {
+        let live = ids(30);
+        let directory = SliceDirectory::new(&live);
+        let mut sampler = NewscastSampler::new(6, &live, 4);
+        for _ in 0..5 {
+            sampler.begin_cycle(&directory);
+        }
+        let member = live[7];
+        let slot = sampler.index[&member];
+        assert_eq!(sampler.view_of(member).unwrap().len(), 6);
+        sampler.on_join(member, &directory);
+        assert_eq!(
+            sampler.view_of(member).unwrap().len(),
+            1,
+            "a re-join starts from a one-contact view, as a map insert would"
+        );
+        assert_eq!(sampler.index[&member], slot, "state replaced in place");
+        assert_eq!(sampler.slots.len(), 30, "no slot leaked");
+        assert_eq!(sampler.len(), 30);
+    }
+
+    #[test]
+    fn newscast_depart_then_join_reuses_the_freed_slot() {
+        let mut live = ids(20);
+        let mut sampler = NewscastSampler::new(4, &live, 5);
+        let departed = live.remove(3);
+        let slot = sampler.index[&departed];
+        sampler.on_depart(departed);
+        sampler.on_depart(departed);
+        assert!(sampler.view_of(departed).is_none());
+        assert_eq!(sampler.free, vec![slot], "a repeated departure frees once");
+        let newcomer = NodeId::new(100);
+        live.push(newcomer);
+        sampler.on_join(newcomer, &SliceDirectory::new(&live));
+        assert_eq!(sampler.index[&newcomer], slot);
+        assert!(sampler.free.is_empty());
+        assert!(sampler.view_of(departed).is_none());
+        assert_eq!(sampler.view_of(newcomer).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn newscast_len_counts_members_not_slots() {
+        let mut live = ids(10);
+        let mut sampler = NewscastSampler::new(3, &live, 6);
+        for dead in live.drain(0..4) {
+            sampler.on_depart(dead);
+        }
+        assert_eq!(sampler.len(), 6);
+        assert_eq!(sampler.slots.len(), 10, "freed slots stay in the slab");
+        assert_eq!(sampler.in_degrees().len(), 6);
+        for dead in live.drain(..) {
+            sampler.on_depart(dead);
+        }
+        assert!(sampler.is_empty());
+        assert_eq!(sampler.stale_descriptors(), 0);
     }
 
     #[test]

@@ -62,20 +62,35 @@ impl PartialView {
     }
 
     /// Inserts a descriptor, keeping only the youngest descriptor per node and
-    /// evicting the oldest entries when the capacity is exceeded.
+    /// evicting the oldest entry when the capacity would be exceeded.
+    ///
+    /// One scan finds both a duplicate and the *last* maximum-age entry. A
+    /// newcomer is appended while the view has room; once it is full, the
+    /// newcomer replaces that entry in place if strictly younger and is
+    /// dropped otherwise. That is exactly where pushing it and then
+    /// `swap_remove`-ing the last maximum-age entry of the overfull view
+    /// would leave every entry, without the second scan.
     pub fn insert(&mut self, descriptor: NodeDescriptor) {
-        match self.entries.iter_mut().find(|d| d.node == descriptor.node) {
-            Some(existing) => {
-                if descriptor.age < existing.age {
-                    existing.age = descriptor.age;
-                }
+        let mut duplicate = None;
+        let mut oldest = 0;
+        let mut oldest_age = 0;
+        for (i, entry) in self.entries.iter().enumerate() {
+            if entry.node == descriptor.node {
+                duplicate = Some(i);
             }
-            None => {
-                self.entries.push(descriptor);
-                if self.entries.len() > self.capacity {
-                    self.evict_oldest();
-                }
+            if entry.age >= oldest_age {
+                oldest = i;
+                oldest_age = entry.age;
             }
+        }
+        match duplicate {
+            Some(i) => {
+                let existing = &mut self.entries[i];
+                existing.age = existing.age.min(descriptor.age);
+            }
+            None if self.entries.len() < self.capacity => self.entries.push(descriptor),
+            None if descriptor.age < oldest_age => self.entries[oldest] = descriptor,
+            None => {}
         }
     }
 
@@ -84,9 +99,9 @@ impl PartialView {
     /// freshest entries. `exclude` (normally the merging node itself) is never
     /// admitted into the view.
     pub fn merge(&mut self, incoming: &[NodeDescriptor], exclude: NodeId) {
-        for descriptor in incoming {
+        for &descriptor in incoming {
             if descriptor.node != exclude {
-                self.insert(*descriptor);
+                self.insert(descriptor);
             }
         }
     }
@@ -119,16 +134,6 @@ impl PartialView {
     /// heuristic that speeds up the removal of stale descriptors).
     pub fn oldest_peer(&self) -> Option<NodeId> {
         self.entries.iter().max_by_key(|d| d.age).map(|d| d.node)
-    }
-
-    fn evict_oldest(&mut self) {
-        while self.entries.len() > self.capacity {
-            if let Some((idx, _)) = self.entries.iter().enumerate().max_by_key(|(_, d)| d.age) {
-                self.entries.swap_remove(idx);
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -233,7 +238,112 @@ mod tests {
         assert!(!view.is_empty());
     }
 
+    /// The merge as it was before [`PartialView::insert`] became one scan:
+    /// append a newcomer, then `swap_remove` the last maximum-age entry
+    /// while the view is over capacity.
+    fn oracle_merge(view: &mut PartialView, incoming: &[NodeDescriptor], exclude: NodeId) {
+        for descriptor in incoming.iter().filter(|d| d.node != exclude) {
+            match view.entries.iter_mut().find(|d| d.node == descriptor.node) {
+                Some(existing) => {
+                    if descriptor.age < existing.age {
+                        existing.age = descriptor.age;
+                    }
+                }
+                None => {
+                    view.entries.push(*descriptor);
+                    while view.entries.len() > view.capacity {
+                        let (idx, _) = view
+                            .entries
+                            .iter()
+                            .enumerate()
+                            .max_by_key(|(_, d)| d.age)
+                            .unwrap();
+                        view.entries.swap_remove(idx);
+                    }
+                }
+            }
+        }
+    }
+
+    fn descriptors(pairs: &[(usize, u32)]) -> Vec<NodeDescriptor> {
+        pairs
+            .iter()
+            .map(|&(node, age)| NodeDescriptor::with_age(NodeId::new(node), age))
+            .collect()
+    }
+
+    /// Merges `incoming` into a copy of `start` both ways and returns the
+    /// entries, asserting that they agree position by position.
+    fn merge_against_oracle(
+        start: &PartialView,
+        incoming: &[NodeDescriptor],
+        exclude: NodeId,
+    ) -> Vec<NodeDescriptor> {
+        let mut merged = start.clone();
+        merged.merge(incoming, exclude);
+        let mut expected = start.clone();
+        oracle_merge(&mut expected, incoming, exclude);
+        assert_eq!(merged.entries, expected.entries);
+        merged.entries
+    }
+
+    #[test]
+    fn full_view_merge_replaces_the_last_oldest_entry_in_place() {
+        let mut view = PartialView::new(4);
+        view.merge(
+            &descriptors(&[(1, 3), (2, 5), (3, 1), (4, 5)]),
+            NodeId::new(0),
+        );
+        // Ties at age 5: the last one (node 4, position 3) is the victim; a
+        // newcomer as old as it is dropped, a younger one takes its slot.
+        let tied = merge_against_oracle(&view, &descriptors(&[(9, 5)]), NodeId::new(0));
+        assert_eq!(tied, view.entries);
+        let younger = merge_against_oracle(&view, &descriptors(&[(9, 4)]), NodeId::new(0));
+        assert_eq!(younger, descriptors(&[(1, 3), (2, 5), (3, 1), (9, 4)]));
+        // Duplicates only ever lower an age, and never evict.
+        let dups = merge_against_oracle(&view, &descriptors(&[(2, 0), (3, 7)]), NodeId::new(0));
+        assert_eq!(dups, descriptors(&[(1, 3), (2, 0), (3, 1), (4, 5)]));
+        // The excluded node is never admitted, however young.
+        let own = merge_against_oracle(&view, &descriptors(&[(7, 0)]), NodeId::new(7));
+        assert_eq!(own, view.entries);
+    }
+
+    #[test]
+    fn merge_matches_the_oracle_when_the_view_fills_mid_merge_and_at_capacity_one() {
+        let mut view = PartialView::new(3);
+        view.merge(&descriptors(&[(1, 2)]), NodeId::new(0));
+        let filled = merge_against_oracle(
+            &view,
+            &descriptors(&[(2, 6), (3, 6), (4, 1), (5, 6), (1, 0)]),
+            NodeId::new(0),
+        );
+        assert_eq!(filled, descriptors(&[(1, 0), (2, 6), (4, 1)]));
+        let single = PartialView::new(1);
+        let kept = merge_against_oracle(
+            &single,
+            &descriptors(&[(1, 4), (2, 4), (3, 2), (3, 5), (4, 3)]),
+            NodeId::new(0),
+        );
+        assert_eq!(kept, descriptors(&[(3, 2)]));
+    }
+
     proptest! {
+        /// `merge` leaves the same entries in the same order as the
+        /// push-then-evict oracle, from any reachable start: few node ids
+        /// and few ages make duplicates and age ties common, the start is
+        /// often part-full so views fill mid-merge, and capacity 1 is drawn.
+        #[test]
+        fn prop_merge_matches_the_push_then_evict_oracle(
+            capacity in 1usize..7,
+            start in proptest::collection::vec((0usize..12, 0u32..5), 0..10),
+            incoming in proptest::collection::vec((0usize..12, 0u32..5), 0..24),
+            exclude in 0usize..12,
+        ) {
+            let mut view = PartialView::new(capacity);
+            oracle_merge(&mut view, &descriptors(&start), NodeId::new(exclude));
+            merge_against_oracle(&view, &descriptors(&incoming), NodeId::new(exclude));
+        }
+
         /// The view never exceeds its capacity and never contains duplicates,
         /// no matter what descriptor stream is inserted.
         #[test]
