@@ -63,46 +63,74 @@ impl PartialView {
 
     /// Inserts a descriptor, keeping only the youngest descriptor per node and
     /// evicting the oldest entry when the capacity would be exceeded.
-    ///
-    /// One scan finds both a duplicate and the *last* maximum-age entry. A
-    /// newcomer is appended while the view has room; once it is full, the
-    /// newcomer replaces that entry in place if strictly younger and is
-    /// dropped otherwise. That is exactly where pushing it and then
-    /// `swap_remove`-ing the last maximum-age entry of the overfull view
-    /// would leave every entry, without the second scan.
     pub fn insert(&mut self, descriptor: NodeDescriptor) {
-        let mut duplicate = None;
-        let mut oldest = 0;
-        let mut oldest_age = 0;
-        for (i, entry) in self.entries.iter().enumerate() {
-            if entry.node == descriptor.node {
-                duplicate = Some(i);
-            }
-            if entry.age >= oldest_age {
-                oldest = i;
-                oldest_age = entry.age;
-            }
-        }
-        match duplicate {
-            Some(i) => {
-                let existing = &mut self.entries[i];
-                existing.age = existing.age.min(descriptor.age);
-            }
-            None if self.entries.len() < self.capacity => self.entries.push(descriptor),
-            None if descriptor.age < oldest_age => self.entries[oldest] = descriptor,
-            None => {}
-        }
+        let oldest = self.last_oldest();
+        self.admit(descriptor, oldest);
     }
 
     /// Merges the descriptors received from a peer (the newscast merge): take
     /// the union, deduplicate keeping the youngest, keep the `capacity`
     /// freshest entries. `exclude` (normally the merging node itself) is never
     /// admitted into the view.
+    ///
+    /// Equivalent to [`PartialView::insert`] of each descriptor in turn. The
+    /// eviction victim is carried from one descriptor to the next, so the
+    /// view is rescanned for it only after the victim itself changed.
     pub fn merge(&mut self, incoming: &[NodeDescriptor], exclude: NodeId) {
+        let mut oldest = self.last_oldest();
         for &descriptor in incoming {
             if descriptor.node != exclude {
-                self.insert(descriptor);
+                oldest = self.admit(descriptor, oldest);
             }
+        }
+    }
+
+    /// Position and age of the *last* entry of maximum age, the eviction
+    /// victim; `(0, 0)` for an empty view.
+    fn last_oldest(&self) -> (usize, u32) {
+        let mut oldest = (0, 0);
+        for (i, entry) in self.entries.iter().enumerate() {
+            if entry.age >= oldest.1 {
+                oldest = (i, entry.age);
+            }
+        }
+        oldest
+    }
+
+    /// Inserts `descriptor` given the current [`PartialView::last_oldest`]
+    /// and returns the updated one.
+    ///
+    /// A newcomer is appended while the view has room. Once it is full, the
+    /// newcomer overwrites the victim in place if strictly younger and is
+    /// dropped otherwise. That is exactly where pushing it and then
+    /// `swap_remove`-ing the last maximum-age entry of the overfull view
+    /// would leave every entry.
+    fn admit(&mut self, descriptor: NodeDescriptor, oldest: (usize, u32)) -> (usize, u32) {
+        let (victim, victim_age) = oldest;
+        match self.entries.iter().position(|d| d.node == descriptor.node) {
+            Some(i) if descriptor.age < self.entries[i].age => {
+                self.entries[i].age = descriptor.age;
+                // Lowering any other age leaves the last maximum in place.
+                if i == victim {
+                    self.last_oldest()
+                } else {
+                    oldest
+                }
+            }
+            Some(_) => oldest,
+            None if self.entries.len() < self.capacity => {
+                self.entries.push(descriptor);
+                if descriptor.age >= victim_age {
+                    (self.entries.len() - 1, descriptor.age)
+                } else {
+                    oldest
+                }
+            }
+            None if descriptor.age < victim_age => {
+                self.entries[victim] = descriptor;
+                self.last_oldest()
+            }
+            None => oldest,
         }
     }
 
@@ -131,9 +159,10 @@ impl PartialView {
     }
 
     /// Picks the *oldest* descriptor's node (newscast's partner-selection
-    /// heuristic that speeds up the removal of stale descriptors).
+    /// heuristic that speeds up the removal of stale descriptors); among
+    /// equally old entries, the last one, which is also the eviction victim.
     pub fn oldest_peer(&self) -> Option<NodeId> {
-        self.entries.iter().max_by_key(|d| d.age).map(|d| d.node)
+        self.entries.get(self.last_oldest().0).map(|d| d.node)
     }
 }
 
@@ -238,9 +267,9 @@ mod tests {
         assert!(!view.is_empty());
     }
 
-    /// The merge as it was before [`PartialView::insert`] became one scan:
-    /// append a newcomer, then `swap_remove` the last maximum-age entry
-    /// while the view is over capacity.
+    /// The merge as it was before the eviction victim was carried between
+    /// descriptors: append a newcomer, then `swap_remove` the last
+    /// maximum-age entry while the view is over capacity.
     fn oracle_merge(view: &mut PartialView, incoming: &[NodeDescriptor], exclude: NodeId) {
         for descriptor in incoming.iter().filter(|d| d.node != exclude) {
             match view.entries.iter_mut().find(|d| d.node == descriptor.node) {
@@ -273,7 +302,8 @@ mod tests {
     }
 
     /// Merges `incoming` into a copy of `start` both ways and returns the
-    /// entries, asserting that they agree position by position.
+    /// entries, asserting that they agree position by position and name the
+    /// same oldest peer.
     fn merge_against_oracle(
         start: &PartialView,
         incoming: &[NodeDescriptor],
@@ -284,6 +314,14 @@ mod tests {
         let mut expected = start.clone();
         oracle_merge(&mut expected, incoming, exclude);
         assert_eq!(merged.entries, expected.entries);
+        assert_eq!(
+            merged.oldest_peer(),
+            expected
+                .entries
+                .iter()
+                .max_by_key(|d| d.age)
+                .map(|d| d.node)
+        );
         merged.entries
     }
 
@@ -303,6 +341,10 @@ mod tests {
         // Duplicates only ever lower an age, and never evict.
         let dups = merge_against_oracle(&view, &descriptors(&[(2, 0), (3, 7)]), NodeId::new(0));
         assert_eq!(dups, descriptors(&[(1, 3), (2, 0), (3, 1), (4, 5)]));
+        // Refreshing the victim itself hands the role to the last entry
+        // still at the maximum age.
+        let moved = merge_against_oracle(&view, &descriptors(&[(4, 0), (9, 4)]), NodeId::new(0));
+        assert_eq!(moved, descriptors(&[(1, 3), (9, 4), (3, 1), (4, 0)]));
         // The excluded node is never admitted, however young.
         let own = merge_against_oracle(&view, &descriptors(&[(7, 0)]), NodeId::new(7));
         assert_eq!(own, view.entries);
