@@ -79,8 +79,8 @@ impl NewscastNode {
     }
 
     /// [`NewscastNode::prepare_exchange`] into a caller-owned buffer, which
-    /// is cleared first; drivers reuse one buffer for every exchange.
-    pub fn write_payload(&self, payload: &mut Vec<NodeDescriptor>) {
+    /// is cleared first, so one buffer serves every exchange.
+    pub(crate) fn write_payload(&self, payload: &mut Vec<NodeDescriptor>) {
         payload.clear();
         payload.extend(self.view.iter());
         payload.push(NodeDescriptor::fresh(self.id));
@@ -112,7 +112,7 @@ impl NewscastNode {
     }
 }
 
-/// The one per-exchange step behind both whole-population drivers
+/// The one per-exchange step behind both whole-population cycles
 /// ([`crate::NewscastNetwork`] and [`crate::NewscastSampler`]): owns the
 /// offer and response buffers, which every exchange refills instead of
 /// allocating.

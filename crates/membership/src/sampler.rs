@@ -90,7 +90,9 @@ type SlotIndex = HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>;
 /// A fixed multiplicative hash for [`NodeId`] keys: one multiply by the
 /// 64-bit golden ratio, rotated so the well-mixed high half of the product
 /// selects the bucket. Ids that differ only in high bits (shard or
-/// generation tags) therefore still spread.
+/// generation tags) therefore still spread. Keys are the ids the engine or
+/// runtime admits as members, never ids read off the wire, so there is no
+/// crafted-collision input to defend against.
 #[derive(Debug, Clone, Copy, Default)]
 struct IdHasher(u64);
 
