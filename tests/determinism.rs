@@ -307,10 +307,33 @@ fn soa_fused_executor_reproduces_the_golden_across_shard_counts() {
     }
 }
 
-/// The SoA executor and the threaded round/mailbox executor stay
-/// bit-identical on the *hard* configuration too: leader-led size
-/// estimation (multi-instance epochs, cold-path led instances), message
-/// loss and churn all at once, across worker counts at a fixed shard count.
+/// FNV-1a over 64-bit words, the fingerprint the absolute goldens pin.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        fnv ^= word;
+        fnv = fnv.wrapping_mul(0x1000_0000_01b3);
+    }
+    fnv
+}
+
+/// The integer counters of one sharded cycle summary, as fingerprint words.
+fn summary_counters(s: &gossip_sim::ShardedCycleSummary) -> [u64; 5] {
+    [
+        s.live_nodes as u64,
+        s.exchanges as u64,
+        s.exchanges_blocked as u64,
+        s.messages_lost as u64,
+        s.completed_epoch.unwrap_or(u64::MAX),
+    ]
+}
+
+/// Absolute golden for the *hard* configuration: leader-led size
+/// estimation (multi-instance epochs, cold-path led instances), 5 % message
+/// loss and churn all at once. Covers every cycle's counters, the final node
+/// estimates and the last pooled size estimate. Captured while a threaded
+/// round/mailbox executor still existed, with every worker count reaching
+/// the same constant.
 #[test]
 fn soa_executor_matches_threaded_executor_with_leaders_loss_and_churn() {
     let run = |workers: usize| {
@@ -342,19 +365,23 @@ fn soa_executor_matches_threaded_executor_with_leaders_loss_and_churn() {
         let bits: Vec<u64> = sim.estimates().iter().map(|v| v.to_bits()).collect();
         (summaries, bits, sim.last_size_estimate())
     };
-    let (reference, reference_bits, reference_size) = run(1);
-    assert!(
-        reference_size.is_some(),
-        "a leader-led COUNT epoch must have completed"
-    );
-    for workers in [2, 4] {
+    for workers in [1, 2, 4] {
         let (summaries, bits, size) = run(workers);
-        assert_eq!(
-            summaries, reference,
-            "{workers}-worker run must match the SoA executor"
+        assert!(
+            size.is_some(),
+            "a leader-led COUNT epoch must have completed"
         );
-        assert_eq!(bits, reference_bits);
-        assert_eq!(size.map(f64::to_bits), reference_size.map(f64::to_bits));
+        let fingerprint = fnv1a(
+            summaries
+                .iter()
+                .flat_map(summary_counters)
+                .chain(bits)
+                .chain(size.map(f64::to_bits)),
+        );
+        assert_eq!(
+            fingerprint, 0xb79f_2bc9_c0ab_a17a,
+            "{workers}-worker run drifted from the golden: {fingerprint:#x}"
+        );
     }
 }
 
@@ -1182,6 +1209,11 @@ fn tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers() {
         "enabling full tracing changed the node estimates"
     );
     assert!(!reference_trace.is_empty());
+    let trace_fingerprint = fnv1a(reference_trace.bytes().map(u64::from));
+    assert_eq!(
+        trace_fingerprint, 0xac0d_c54b_7544_2ae4,
+        "the merged 1-shard trace drifted from its golden: {trace_fingerprint:#x}"
+    );
     for (shards, workers) in [(2, None), (4, Some(1)), (4, Some(3)), (8, Some(4))] {
         let (bits, trace) = traced_sharded_run(2024, shards, workers);
         assert_eq!(
