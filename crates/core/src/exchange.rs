@@ -1,7 +1,7 @@
 //! Engine-agnostic push–pull exchange core.
 //!
-//! Every runtime in this workspace — the single-threaded cycle engine, the
-//! event-driven asynchronous engine and the sharded multi-threaded engine in
+//! Every runtime in this workspace — the reference cycle engine, the
+//! event-driven asynchronous engine and the sharded engine in
 //! `gossip-sim`, as well as the live UDP runtime in `gossip-net` — ultimately
 //! performs the same node-level step: the initiator pushes one message per
 //! live instance, the peer absorbs each push and replies with its pre-update
@@ -12,15 +12,16 @@
 //!
 //! The core is deliberately split into resumable halves —
 //! [`ExchangeCore::begin`], [`ExchangeCore::respond`] and
-//! [`ExchangeCore::complete`] — because the sharded engine executes the two
-//! sides of a cross-shard exchange on different worker threads with a mailbox
-//! hop in between. [`ExchangeCore::exchange`] fuses all three for the local
-//! case and additionally takes a message-free fast path when both nodes are
-//! in the common steady state (one default instance, same epoch, both
-//! participating). The fast path performs bit-identical arithmetic and draws
-//! loss decisions in bit-identical order, so an engine may mix fused and
-//! split execution freely without perturbing results — the determinism suite
-//! in `gossip-sim` pins this.
+//! [`ExchangeCore::complete`] — because message-passing runtimes (the
+//! reference engine's message path, the event engine, the live runtime)
+//! execute the two sides of an exchange with a message hop in between.
+//! [`ExchangeCore::exchange`] fuses all three and additionally takes a
+//! message-free fast path when both nodes are in the common steady state
+//! (one default instance, same epoch, both participating). The fast path
+//! performs bit-identical arithmetic and draws loss decisions in
+//! bit-identical order, so an engine may mix fused and split execution
+//! freely without perturbing results — the determinism suite in
+//! `gossip-sim` pins this.
 //!
 //! Message loss is injected through a `FnMut() -> bool` closure so the core
 //! stays independent of any particular RNG or failure model; the closure is

@@ -8,9 +8,8 @@
 //!
 //! * **link and partition decisions are pure** — [`FaultInjector::link_blocked`]
 //!   is a function of (plan, seed, endpoints, cycle) with no internal state,
-//!   so the sharded engine may evaluate it in any executor (sequential or
-//!   threaded schedule construction) and get identical answers in any query
-//!   order;
+//!   so an engine may evaluate it at any point of its schedule
+//!   construction and get identical answers in any query order;
 //! * **adversarial randomness is stream-isolated** — victim picks for value
 //!   injection come from the injector's own seeded RNG, never the engine's
 //!   schedule streams, so a plan with no injections consumes *zero* engine

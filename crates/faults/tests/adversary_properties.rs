@@ -10,7 +10,7 @@
 //!   fraction (the threshold-coin construction makes realised sets nested:
 //!   raising the fraction only ever adds colluders);
 //! * **engine level** — adversarial runs are deterministic across repeated
-//!   runs, bit-identical across worker counts at a fixed shard count, and
+//!   runs, reproduce an absolute golden at a fixed shard count, and are
 //!   node-value invariant across shard counts in the loss-free regime —
 //!   the same contracts the fault lab pins for [`FaultPlan`].
 //!
@@ -179,7 +179,7 @@ fn adversarial_runs_are_deterministic_across_repeated_runs() {
 /// estimates. Captured while a threaded executor still existed, with every
 /// worker count reaching the same constant.
 #[test]
-fn adversarial_runs_are_worker_count_invariant() {
+fn adversarial_sharded_run_reproduces_its_golden_fingerprint() {
     let values: Vec<f64> = (0..300).map(|i| i as f64).collect();
     let plan = AdversaryPlan::with_strategy(
         0.15,
@@ -188,41 +188,35 @@ fn adversarial_runs_are_worker_count_invariant() {
             rate: 4.0,
         },
     );
-    let run = |workers: usize| {
-        let config = ShardedConfig {
-            base: averaging_base(10, 0.05),
-            shards: 4,
-            workers: Some(workers),
-        };
-        let mut sim =
-            ShardedSimulation::with_adversary(config, &values, 41, FaultPlan::none(), plan)
-                .unwrap();
-        let counters = sim.run(12).into_iter().flat_map(|s| {
-            [
-                s.live_nodes,
-                s.exchanges,
-                s.exchanges_blocked,
-                s.messages_lost,
-            ]
-            .map(|c| c as u64)
-        });
-        let words: Vec<u64> = counters
-            .chain(sim.estimates().iter().map(|v| v.to_bits()))
-            .collect();
-        assert_eq!(words.len(), 4 * 12 + values.len());
-        words
-            .into_iter()
-            .fold(0xcbf2_9ce4_8422_2325, |fnv: u64, word| {
-                (fnv ^ word).wrapping_mul(0x1000_0000_01b3)
-            })
+    let config = ShardedConfig {
+        base: averaging_base(10, 0.05),
+        shards: 4,
+        workers: None,
     };
-    for workers in [1, 2, 4, 8] {
-        let fingerprint = run(workers);
-        assert_eq!(
-            fingerprint, 0x495d_8c8a_0947_443b,
-            "{workers}-worker adversarial run drifted from the golden: {fingerprint:#x}"
-        );
-    }
+    let mut sim =
+        ShardedSimulation::with_adversary(config, &values, 41, FaultPlan::none(), plan).unwrap();
+    let counters = sim.run(12).into_iter().flat_map(|s| {
+        [
+            s.live_nodes,
+            s.exchanges,
+            s.exchanges_blocked,
+            s.messages_lost,
+        ]
+        .map(|c| c as u64)
+    });
+    let words: Vec<u64> = counters
+        .chain(sim.estimates().iter().map(|v| v.to_bits()))
+        .collect();
+    assert_eq!(words.len(), 4 * 12 + values.len());
+    let fingerprint = words
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |fnv: u64, word| {
+            (fnv ^ word).wrapping_mul(0x1000_0000_01b3)
+        });
+    assert_eq!(
+        fingerprint, 0x495d_8c8a_0947_443b,
+        "adversarial sharded run drifted from the golden: {fingerprint:#x}"
+    );
 }
 
 /// In the loss-free regime the sharded engine's node values are invariant

@@ -2,7 +2,7 @@
 //! suite.
 //!
 //! Every headline number in this reproduction — the Section 3 convergence
-//! factors, the shard/worker bit-identity pins, the simulator↔`VirtualCluster`
+//! factors, the shard-count bit-identity pins, the simulator↔`VirtualCluster`
 //! lockstep identity — rests on invariants no compiler checks: protocol code
 //! draws randomness only from labelled `SeedSequence` streams, never consults
 //! wall clocks or unordered containers, and merges concurrent results in a

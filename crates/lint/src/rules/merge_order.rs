@@ -1,15 +1,16 @@
 //! Rule `merge-order`: concurrent results must merge through a seq-sorted
 //! path, never in arrival order.
 //!
-//! The sharded engine's determinism argument has exactly one
-//! concurrency-sensitive step: worker threads deliver cross-shard batches
-//! through mailboxes, and the receiving side restores a total order (by
-//! global sequence number) before touching node or telemetry state — see
-//! `crates/sim/src/sharded.rs`. Any new code that (a) drains a channel and
-//! consumes the batches un-sorted, or (b) folds floating-point statistics
-//! together *inside* a spawned worker (where completion order is the
-//! scheduler's choice), silently breaks the worker-count invariance that
-//! `tests/determinism.rs` and `tests/interleavings.rs` pin.
+//! The sharded engine applies each cycle's exchanges in global sequence
+//! order on one thread (`crates/sim/src/sharded.rs`), so `crates/sim`
+//! currently has no threads or mailboxes and this rule has nothing to check.
+//! It stays as the guard for any future parallel executor: code that (a)
+//! drains a channel and consumes the batches un-sorted, or (b) folds
+//! floating-point statistics together *inside* a spawned worker (where
+//! completion order is the scheduler's choice), would silently break the
+//! bit-identical runs `tests/determinism.rs` pins. Why order matters at all
+//! is shown by the permutation check in `crates/sim/tests/interleavings.rs`:
+//! exchanges that share an endpoint do not commute.
 //!
 //! Two checks, applied to the simulator crate (`crates/sim`) outside tests:
 //!

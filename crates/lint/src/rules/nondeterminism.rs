@@ -2,7 +2,7 @@
 //! containers, wall clocks or ambient entropy.
 //!
 //! Every simulator/runtime result in this repo is pinned bit-identical
-//! across shard counts, worker counts and the simulator↔cluster boundary.
+//! across shard counts and the simulator↔cluster boundary.
 //! That only holds while protocol code draws randomness from labelled
 //! `SeedSequence` streams, reads time through the
 //! injected `Clock`, and never iterates a `HashMap`/`HashSet` (whose order

@@ -2,9 +2,8 @@
 //!
 //! Library crates surface failures as typed errors (`SimError`,
 //! `TopologyError`, `NetError`, …) so embedders — benches, the fault lab,
-//! the live cluster — decide the policy. A panic in a worker thread would
-//! additionally poison the sharded engine's barrier protocol and abort a
-//! whole run. Residual `unwrap`s must carry
+//! the live cluster — decide the policy. A panic in a runtime thread would
+//! additionally take a live node down mid-cycle. Residual `unwrap`s must carry
 //! `// lint-allow(unwrap): <invariant>` citing the invariant that makes
 //! them infallible; test modules are exempt (a panic *is* a test failure).
 
@@ -19,7 +18,7 @@ pub const NAME: &str = "unwrap";
 const PATTERNS: &[(&str, &str)] = &[
     (".unwrap()", "`unwrap` in library code: return a typed error, or lint-allow citing the invariant that makes this infallible"),
     (".expect(", "`expect` in library code: return a typed error, or lint-allow citing the invariant that makes this infallible"),
-    ("panic!", "`panic!` in library code: return a typed error (a worker-thread panic poisons the sharded barrier protocol)"),
+    ("panic!", "`panic!` in library code: return a typed error (a panic in a runtime thread takes a live node down)"),
 ];
 
 /// Runs the rule over one file, appending raw (pre-suppression) findings.

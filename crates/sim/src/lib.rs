@@ -11,12 +11,11 @@
 //!   leader election — the engine behind the Figure 4 reproduction. Node
 //!   state lives in a slot-reclaiming, generation-tagged [`arena::NodeArena`],
 //!   so indefinite churn runs in memory bounded by the peak live size;
-//! * a **sharded multi-threaded engine** ([`ShardedSimulation`]) that
-//!   partitions the arena into per-shard sub-arenas and executes each cycle
-//!   across worker threads with a deterministic round/mailbox protocol —
-//!   bit-identical per (seed, shard count), node values invariant across
-//!   shard counts — the engine behind the million-node epochs
-//!   (`examples/million_node.rs`);
+//! * a **sharded engine** ([`ShardedSimulation`]) that partitions the arena
+//!   into per-shard sub-arenas and applies each cycle's schedule in sequence
+//!   order through a struct-of-arrays block pipeline — bit-identical per
+//!   (seed, shard count), node values invariant across shard counts — the
+//!   engine behind the million-node epochs (`examples/million_node.rs`);
 //! * an **event-driven engine** ([`AsyncSimulation`]) with per-node clocks and
 //!   message latency, validating that convergence does not depend on the
 //!   synchronisation assumption of the analysis;

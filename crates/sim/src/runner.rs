@@ -347,7 +347,7 @@ impl ChurnReport {
 /// both scaled and full (90 000–110 000 node) scale.
 ///
 /// [`ChurnRunner::new`] drives the single-threaded reference engine;
-/// [`ChurnRunner::sharded`] drives the multi-threaded sharded engine, with
+/// [`ChurnRunner::sharded`] drives the sharded engine, with
 /// joins routed to the least-loaded shard and departures to the victim's
 /// owning shard.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -1,51 +1,34 @@
-//! Sharded, multi-threaded cycle engine with bit-deterministic results.
+//! Sharded cycle engine with bit-deterministic results.
 //!
-//! The round-synchronous model of the paper is embarrassingly parallel
-//! *within* a cycle: each push–pull exchange touches exactly two nodes, so
-//! exchanges over disjoint node pairs commute. [`ShardedSimulation`] exploits
-//! that to run million-node epochs across all cores while keeping the two
-//! properties a reproduction engine cannot give up:
+//! [`ShardedSimulation`] partitions the nodes into shards, each a sub-arena
+//! with its own identifier space, and runs million-node epochs on one thread
+//! while keeping the two properties a reproduction engine cannot give up:
 //!
-//! 1. **Same seed + same shard count → bit-identical runs**, independent of
-//!    thread scheduling.
+//! 1. **Same seed + same shard count → bit-identical runs.**
 //! 2. **Node trajectories are independent of the shard count.** The exchange
 //!    schedule (initiator order, peer choice, per-exchange loss draws, churn
 //!    victims, leader elections) is derived from shard-count-agnostic RNG
-//!    streams over a *global* directory of live nodes, and the execution
-//!    order is equivalent to applying the schedule sequentially. Running the
-//!    same seed with 1 or 8 shards yields bit-identical node estimates;
-//!    only cross-shard *telemetry reductions* (mean/variance merges) may
-//!    differ, and only in floating-point summation order. (The sole
-//!    exception: multi-instance epochs under message loss, where loss draws
-//!    are consumed in instance order and led-instance tags differ across
-//!    shard counts; the determinism suite pins the invariant for the
-//!    loss-free and single-instance settings.)
+//!    streams over a *global* directory of live nodes, and the schedule is
+//!    applied in sequence order. Running the same seed with 1 or 8 shards
+//!    yields bit-identical node estimates; only cross-shard *telemetry
+//!    reductions* (mean/variance merges) may differ, and only in
+//!    floating-point summation order. (The sole exception: multi-instance
+//!    epochs under message loss, where loss draws are consumed in instance
+//!    order and led-instance tags differ across shard counts; the
+//!    determinism suite pins the invariant for the loss-free and
+//!    single-instance settings.)
 //!
 //! # How a cycle executes
 //!
-//! A coordinator pass derives the cycle's schedule: every live node
-//! initiates once, in a shuffled order realising `GETPAIR_SEQ`, against a
-//! uniformly drawn peer. Each exchange is then assigned a **round**: the
-//! earliest round in which neither endpoint is used by an earlier exchange
-//! (`round = 1 + max(last_round(initiator), last_round(peer))`). Within a
-//! round all exchanges are node-disjoint, so they may execute concurrently
-//! in any order; across rounds, barriers enforce the dependency order. The
-//! result is *exactly* the state the sequential schedule produces, which is
-//! what makes node values shard-count invariant.
-//!
-//! Each round runs as a deterministic two-phase (plus apply) protocol per
-//! shard worker:
-//!
-//! * **phase A** — exchanges whose endpoints are both shard-local run fused
-//!   ([`ExchangeCore::exchange`]); for cross-shard pairs the initiator's
-//!   pushes are batched into the peer shard's mailbox (`crossbeam`
-//!   channels);
-//! * **phase B** — each shard drains its mailbox, sorts the batches by
-//!   global sequence number (the fixed merge order) and lets the peers
-//!   absorb and reply ([`ExchangeCore::respond`]); surviving replies are
-//!   batched back to the initiators' shards;
-//! * **phase C** — initiator shards apply the replies
-//!   ([`ExchangeCore::complete`]).
+//! Every live node initiates once, in a shuffled order realising
+//! `GETPAIR_SEQ`, against a peer drawn by the sampler; a fault-lab link veto
+//! drops the pick. A block pipeline applies the resulting schedule in
+//! sequence order, 128 initiators at a time: pick peers and resolve vetoes,
+//! touch the endpoints, pre-draw loss coins, then execute. An exchange
+//! between two hot nodes in the same epoch runs fused over the dense
+//! [`HotStore`] records; any other takes the node path
+//! ([`ExchangeCore::exchange`]). The pipeline may batch draws but never
+//! reorders exchanges: two exchanges that share an endpoint do not commute.
 //!
 //! Per-cycle telemetry is accumulated in per-shard [`OnlineStats`] and
 //! merged in shard order (Chan's parallel Welford update), so a million-node
@@ -61,18 +44,14 @@ use aggregate_core::node::{HotView, ProtocolNode};
 use aggregate_core::redundancy::{redundant_size_estimate_from_epoch, MergePolicy};
 use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SamplerDirectory};
 use aggregate_core::size_estimation;
-use aggregate_core::{
-    AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, GossipMessage, InstanceTag,
-};
+use aggregate_core::{AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag};
 use gossip_analysis::OnlineStats;
 use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
 use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig, TelemetrySink};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Barrier;
 
 /// Configuration of a [`ShardedSimulation`]: the engine-agnostic simulation
 /// parameters plus the shard count.
@@ -86,26 +65,14 @@ pub struct ShardedConfig {
     /// shard count is part of the deterministic contract: same seed + same
     /// shard count → bit-identical runs.
     pub shards: usize,
-    /// Worker threads executing the shards; `None` (the default) uses
-    /// `min(shards, available cores)`. Workers are an *execution* resource,
-    /// not a semantic one: any worker count produces bit-identical results
-    /// for a given shard count, so the engine can saturate whatever
-    /// hardware it lands on — including the degenerate single-core case,
-    /// where one worker applies the schedule sequentially over the dense
-    /// hot-node mirror (whatever the sampler) and skips the mailbox
-    /// machinery entirely.
-    ///
-    /// The multi-worker executor spawns its threads and mailbox channels
-    /// per cycle (scoped threads cannot outlive a `run_cycle` call), a
-    /// fixed setup cost of a few hundred microseconds. It is noise at the
-    /// ≥10⁵-node scales this engine targets but dominates toy runs; for
-    /// multicore machines driving small populations, `Some(1)` removes it.
+    /// Ignored: every cycle runs on the calling thread. `Some(0)` is still
+    /// rejected with [`SimConfigError::ZeroWorkers`]; every other value,
+    /// `None` included, gives a bit-identical run.
     pub workers: Option<usize>,
 }
 
 impl ShardedConfig {
-    /// Plain averaging over a reliable network with the given shard count
-    /// and automatic worker selection.
+    /// Plain averaging over a reliable network with the given shard count.
     pub fn averaging(protocol: aggregate_core::ProtocolConfig, shards: usize) -> Self {
         ShardedConfig {
             base: SimulationConfig::averaging(protocol),
@@ -182,61 +149,6 @@ pub struct ShardedCycleSummary {
     pub shard_exchanges: Vec<usize>,
 }
 
-/// One exchange of the cycle schedule.
-#[derive(Debug, Clone, Copy)]
-struct ScheduledExchange {
-    initiator: NodeId,
-    peer: NodeId,
-    round: u32,
-}
-
-/// Reusable buffers of the per-cycle schedule.
-#[derive(Debug, Default)]
-struct ScheduleBuffers {
-    /// Shuffled global positions — the initiator order.
-    order: Vec<u32>,
-    /// The cycle's exchanges in global sequence order.
-    exchanges: Vec<ScheduledExchange>,
-    /// Per global position: the next free round for that node.
-    next_round: Vec<u32>,
-    /// Counting-sort scratch: per (round, shard) bucket starts (length
-    /// `rounds * shards + 1`) and the exchange indices grouped by bucket.
-    bucket_starts: Vec<u32>,
-    bucket_items: Vec<u32>,
-}
-
-impl ScheduleBuffers {
-    fn bucket(&self, round: usize, shard: usize, shards: usize) -> &[u32] {
-        let b = round * shards + shard;
-        let start = self.bucket_starts[b] as usize;
-        let end = self.bucket_starts[b + 1] as usize;
-        &self.bucket_items[start..end]
-    }
-}
-
-/// A cross-shard push batch: one entry per initiated exchange, carrying the
-/// initiator's pushes to the peer's shard.
-#[derive(Debug)]
-struct CrossPush {
-    /// Global sequence number of the exchange (the fixed merge order key).
-    seq: u32,
-    initiator: NodeId,
-    peer_slot: u32,
-    /// First push inline (the common single-instance case allocates
-    /// nothing); further pushes spill into `rest`.
-    first: GossipMessage,
-    rest: Vec<GossipMessage>,
-}
-
-/// A cross-shard reply batch routed back to the initiator's shard.
-#[derive(Debug)]
-struct CrossReply {
-    seq: u32,
-    initiator_slot: u32,
-    first: GossipMessage,
-    rest: Vec<GossipMessage>,
-}
-
 /// Node state owned by one shard.
 #[derive(Debug)]
 struct Shard {
@@ -244,21 +156,20 @@ struct Shard {
     /// Per slot: position of the occupant in the global live directory.
     global_pos: Vec<u32>,
     /// The struct-of-arrays mirror of this shard's *hot* nodes (see
-    /// [`crate::soa`]): while the single-worker executor is resident — from
-    /// its first cycle until the next threaded cycle or leader election —
-    /// hot records are authoritative and the matching `ProtocolNode`s are
-    /// stale until synced back at a flush point. Allocated for every
-    /// sampler; empty until a single-worker cycle runs.
+    /// [`crate::soa`]): while the mirror is resident — from the first cycle
+    /// after construction or a flush until the next flush — hot records are
+    /// authoritative and the matching `ProtocolNode`s are stale until synced
+    /// back. Empty until the first cycle runs.
     hot: HotStore,
     /// Whether a live node of this shard may be cold: exact after every full
     /// pass over the shard, `true` after a join. A prefetch hint for the
-    /// single-worker touch stage; it never changes a result.
+    /// block pipeline's touch stage; it never changes a result.
     cold_live: bool,
-    /// This shard's slice of the flight recorder: worker-side exchange
-    /// outcomes (`MessageLost` / `ExchangeCompleted`), keyed by global
-    /// sequence number only — no node identity — so the seq-sorted merge
-    /// of all rings is invariant across shard and worker counts. Capacity
-    /// 0 (the default) disables recording entirely.
+    /// This shard's slice of the flight recorder: the outcomes
+    /// (`MessageLost` / `ExchangeCompleted`) of exchanges its nodes
+    /// initiate, keyed by global sequence number only — no node identity —
+    /// so the seq-sorted merge of all rings is invariant across shard
+    /// counts. Capacity 0 (the default) disables recording entirely.
     recorder: FlightRecorder,
 }
 
@@ -361,7 +272,7 @@ impl Shard {
     }
 }
 
-/// Per-shard, per-cycle output, merged by the coordinator in shard order.
+/// Per-shard, per-cycle output, merged by `run_cycle` in shard order.
 #[derive(Debug, Default)]
 struct ShardCycleOut {
     tally: ExchangeTally,
@@ -371,8 +282,8 @@ struct ShardCycleOut {
     estimate_stats: OnlineStats,
 }
 
-/// The sharded multi-threaded cycle engine. See the module documentation for
-/// the execution and determinism model.
+/// The sharded cycle engine. See the module documentation for the execution
+/// and determinism model.
 #[derive(Debug)]
 pub struct ShardedSimulation {
     config: ShardedConfig,
@@ -389,46 +300,41 @@ pub struct ShardedSimulation {
     elections: u64,
     last_size_estimate: Option<f64>,
     shard_exchange_totals: Vec<usize>,
-    sched: ScheduleBuffers,
     /// Whether the per-shard [`HotStore`]s currently hold the authoritative
-    /// state of the hot nodes (single-worker executor). While `true`,
-    /// every read or node-path mutation of a hot node must go through a
-    /// flush/resync; `flush_soa` drops back to all-node representation.
+    /// state of the hot nodes. Set by the first cycle after construction or
+    /// a flush; while `true`, every read or node-path mutation of a hot node
+    /// must go through a flush/resync. Only leader elections call
+    /// `flush_soa`, which drops back to the all-node representation.
     soa_resident: bool,
-    /// Reusable shuffle buffer for the single-worker executor: one `u64` per
-    /// live node carrying `directory_position << 32 | packed_endpoint`, so
-    /// after the shuffle both the rejection compare (high half) and the
-    /// initiator's shard/slot (low half) come from the entry itself — no
-    /// random directory lookup per initiator.
+    /// Reusable shuffle buffer: one `u64` per live node carrying
+    /// `directory_position << 32 | packed_endpoint`, so after the shuffle
+    /// both the rejection compare (high half) and the initiator's shard/slot
+    /// (low half) come from the entry itself — no random directory lookup
+    /// per initiator.
     soa_order: Vec<u64>,
     /// Reusable packed mirror of `global_live` (`shard << 24 | slot` per
     /// directory position) for candidate lookups — half the miss footprint of
     /// the 8-byte `NodeId` directory.
     soa_packed: Vec<u32>,
-    /// The peer-sampling layer. Sampling happens exclusively in the
-    /// coordinator pass (schedule construction), never on worker threads, so
-    /// one sampler serves every shard and both determinism invariants —
-    /// across worker counts *and* across shard counts — hold by
-    /// construction.
+    /// The peer-sampling layer. It sees only global directory positions and
+    /// identifiers, so one sampler serves every shard and its picks are
+    /// invariant across shard counts.
     sampler: Box<dyn PeerSampler>,
-    /// The fault lab. Like the sampler it is consulted exclusively on the
-    /// coordinator (cycle entry, crash bursts, value injections, link
-    /// vetoes during schedule construction); workers only ever see the
-    /// already-filtered schedule plus the cycle's scalar loss probability,
-    /// so faulted runs stay bit-identical across *worker* counts. Across
-    /// *shard* counts, the loss/crash/injection schedules are agnostic
-    /// (scalar rates, churn-stream victims, directory-position picks), but
-    /// link and partition coins key on node identifiers — which embed the
-    /// shard layout — so a link-failure or partition plan draws a
-    /// *different (statistically equivalent) fault map* per shard count;
-    /// the shard-count bit-invariance of node values holds only for plans
-    /// without identity-keyed faults.
+    /// The fault lab, consulted at cycle entry (crash bursts, value
+    /// injections, the cycle's scalar loss probability) and after every
+    /// peer pick (link vetoes). The loss/crash/injection schedules are
+    /// shard-count agnostic (scalar rates, churn-stream victims,
+    /// directory-position picks), but link and partition coins key on node
+    /// identifiers — which embed the shard layout — so a link-failure or
+    /// partition plan draws a *different (statistically equivalent) fault
+    /// map* per shard count; the shard-count bit-invariance of node values
+    /// holds only for plans without identity-keyed faults.
     injector: Box<dyn FaultInjector>,
-    /// The stateful adversary. Consulted exclusively on the coordinator
-    /// (cycle-start lies, captured-leader assertions, injection overrides).
-    /// Colluder membership keys on initial global-directory *positions* —
-    /// not node identifiers, which embed the shard layout — so the
-    /// colluding set is bit-identical across shard and worker counts.
+    /// The stateful adversary, consulted at cycle entry (cycle-start lies,
+    /// captured-leader assertions, injection overrides). Colluder
+    /// membership keys on initial global-directory *positions* — not node
+    /// identifiers, which embed the shard layout — so the colluding set is
+    /// bit-identical across shard counts.
     adversary: Adversary,
     /// The coordinator-side observability sink: schedule-time events
     /// (churn, corruption, vetoes, exchange starts — all keyed by global
@@ -444,10 +350,9 @@ pub struct ShardedSimulation {
 
 /// Lazily seeded per-exchange loss model: free when the loss probability is
 /// zero, and a deterministic function of the exchange's sequence number
-/// otherwise — identical no matter which thread (or which side of a
-/// cross-shard mailbox) consumes the draws. The probability is the cycle's
-/// effective loss rate as computed by the fault injector (a plain
-/// `NetworkConditions` run feeds its constant rate through the same path).
+/// otherwise. The probability is the cycle's effective loss rate as
+/// computed by the fault injector (a plain `NetworkConditions` run feeds its
+/// constant rate through the same path).
 fn exchange_loss(loss: f64, seed: u64) -> impl FnMut() -> bool {
     let mut rng: Option<StdRng> = None;
     move || {
@@ -500,7 +405,7 @@ impl ShardedSimulation {
     /// Creates a sharded simulation executing both a [`FaultPlan`] and a
     /// stateful [`AdversaryPlan`]. Colluder membership is keyed on initial
     /// global-directory *positions*, so the colluding set (and hence the
-    /// whole trajectory) is invariant across shard and worker counts.
+    /// whole trajectory) is invariant across shard counts.
     ///
     /// # Errors
     ///
@@ -559,7 +464,6 @@ impl ShardedSimulation {
             elections: 0,
             last_size_estimate: None,
             shard_exchange_totals: vec![0; shard_count],
-            sched: ScheduleBuffers::default(),
             soa_resident: false,
             soa_order: Vec::new(),
             soa_packed: Vec::new(),
@@ -578,8 +482,8 @@ impl ShardedSimulation {
     /// construction default — every hook is a single branch and the run is
     /// bit-identical to the pre-telemetry engine. Recording consumes no
     /// randomness, and events are keyed by global directory positions plus
-    /// executor-agnostic sequence numbers, so the merged trace is invariant
-    /// across shard *and* worker counts.
+    /// global sequence numbers, so the merged trace is invariant across
+    /// shard counts.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
         self.telemetry = TelemetrySink::new(config);
         self.telemetry
@@ -687,8 +591,8 @@ impl ShardedSimulation {
     /// identifiers.
     ///
     /// Takes `&mut self` because the node may currently be mirrored in the
-    /// struct-of-arrays hot store (single-worker executor); the mirror is
-    /// flushed into the node first so the returned view is never stale.
+    /// struct-of-arrays hot store; the mirror is flushed into the node first
+    /// so the returned view is never stale.
     pub fn node(&mut self, id: NodeId) -> Option<&ProtocolNode> {
         let shard = IdLayout::shard_of(id) as usize;
         let shard = self.shards.get_mut(shard)?;
@@ -837,35 +741,23 @@ impl ShardedSimulation {
         (0..cycles).map(|_| self.run_cycle()).collect()
     }
 
-    /// The worker-thread count the next cycle will execute on.
-    pub fn effective_workers(&self) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.config
-            .workers
-            .unwrap_or(auto)
-            .clamp(1, self.config.shards)
-    }
-
-    /// Runs one full protocol cycle across the shard workers and returns its
-    /// summary.
+    /// Runs one full protocol cycle and returns its summary.
     pub fn run_cycle(&mut self) -> ShardedCycleSummary {
         let shard_count = self.config.shards;
-        // Fault lab first, entirely on the coordinator: enter the cycle,
-        // fire scheduled crash bursts through the ordinary churn path
-        // (shard-count-agnostic victim stream), apply adversarial value
-        // injections over the global directory. A run with the empty plan
-        // takes none of these branches and consumes no randomness.
+        // Fault lab first: enter the cycle, fire scheduled crash bursts
+        // through the ordinary churn path (shard-count-agnostic victim
+        // stream), apply adversarial value injections over the global
+        // directory. A run with the empty plan takes none of these branches
+        // and consumes no randomness.
         self.injector.begin_cycle(self.cycle);
         let crash_victims = self.injector.crash_count(self.global_live.len());
         if crash_victims > 0 {
             self.remove_random_nodes(crash_victims);
         }
-        // The stateful adversary next (coordinator-only, pure — no RNG, so
-        // the empty plan stays bit-identical): colluders re-assert their lie
-        // and captured counting-instance leaders re-assert the false state,
-        // both hot-aware like the injector path below.
+        // The stateful adversary next (pure — no RNG, so the empty plan
+        // stays bit-identical): colluders re-assert their lie and captured
+        // counting-instance leaders re-assert the false state, both
+        // hot-aware like the injector path below.
         {
             let ShardedSimulation {
                 adversary,
@@ -932,8 +824,7 @@ impl ShardedSimulation {
             }
         }
         let loss = self.injector.loss_probability();
-        // Overlay maintenance in lockstep with the aggregation cycle, on the
-        // coordinator (identical for both executors and every worker count);
+        // Overlay maintenance in lockstep with the aggregation cycle;
         // NEWSCAST's randomness comes from its own labelled stream, so the
         // schedule draws below are unaffected.
         {
@@ -948,13 +839,8 @@ impl ShardedSimulation {
                 shards,
             });
         }
-        let (outs, exchanges_blocked) = if self.effective_workers() == 1 {
-            self.ensure_soa_resident();
-            self.run_cycle_sequential_soa(loss)
-        } else {
-            self.flush_soa();
-            self.run_cycle_threaded(loss)
-        };
+        self.ensure_soa_resident();
+        let (outs, exchanges_blocked) = self.run_cycle_sequential_soa(loss);
 
         // Merge the per-shard outputs in shard order: integer counters sum
         // exactly; statistics merge via the parallel Welford update, whose
@@ -1045,7 +931,8 @@ impl ShardedSimulation {
     }
 
     /// Writes every hot record back into its `ProtocolNode` and drops to the
-    /// all-node representation (threaded executor entry, leader elections).
+    /// all-node representation, so a leader election can read and mutate
+    /// nodes directly.
     fn flush_soa(&mut self) {
         if !self.soa_resident {
             return;
@@ -1061,13 +948,10 @@ impl ShardedSimulation {
         self.soa_resident = false;
     }
 
-    /// Single-worker executor: applies the cycle's schedule sequentially in
-    /// global sequence order. By the round-equivalence argument (see the
-    /// module docs) this is bit-identical to the threaded executor for the
-    /// same shard count — `tests/determinism.rs` pins it for every sampler —
-    /// while skipping the round computation, mailboxes and barriers that only
-    /// pay off with real parallelism. The steady-state work runs over the
-    /// dense per-shard [`HotStore`]s:
+    /// The executor: draws the cycle's schedule and applies it in global
+    /// sequence order, returning the per-shard outputs and the number of
+    /// vetoed picks. The steady-state work runs over the dense per-shard
+    /// [`HotStore`]s:
     ///
     /// * the initiator shuffle consumes the `cycle-schedule` stream through
     ///   block-buffered raw words ([`soa::shuffle_batched`]); under the
@@ -1103,9 +987,10 @@ impl ShardedSimulation {
         // low half so the initiator's shard/slot ride along through the
         // shuffle for free. The Fisher–Yates swap sequence is a function of
         // the drawn words and the length only, so shuffling these u64
-        // entries applies the exact permutation the threaded executor's
-        // u32 position shuffle applies — and, drawing exactly n − 1 words,
-        // leaves the stream where that shuffle leaves it for the picks.
+        // entries applies the exact permutation `SliceRandom::shuffle` applies
+        // to the bare positions — the draw order the goldens were captured
+        // with — and, drawing exactly n − 1 words, leaves the stream where
+        // that shuffle leaves it for the picks.
         let packed_dir = &mut self.soa_packed;
         packed_dir.clear();
         packed_dir.extend(self.global_live.iter().map(|&id| pack_endpoint(id)));
@@ -1156,8 +1041,7 @@ impl ShardedSimulation {
             let end = (start + BLOCK).min(n);
             let count = end - start;
             // Stage 1: the block's surviving pairs, packed into
-            // `block_pairs`, with veto and begun events (their sort keys
-            // restore the threaded executor's order after the merge).
+            // `block_pairs`, with veto and begun events.
             let mut survivors = 0usize;
             if uniform {
                 // The uniform sampler's rejection loop inlined over buffered
@@ -1265,8 +1149,7 @@ impl ShardedSimulation {
             };
             std::hint::black_box(warm);
             // Stage 3: the block's loss coins. Exchange sequence numbers are
-            // dense over survivors, exactly as `build_schedule` hands them
-            // out.
+            // dense over survivors.
             if lossy {
                 loss_seeds.fill_block(next_seq as u64, &mut coin_seeds[..survivors]);
                 for (k, &seed) in coin_seeds[..survivors].iter().enumerate() {
@@ -1386,170 +1269,6 @@ impl ShardedSimulation {
         (outs, exchanges_blocked)
     }
 
-    /// Multi-worker executor: the deterministic round/mailbox protocol from
-    /// the module docs, with the shards partitioned into contiguous chunks
-    /// over the worker threads.
-    fn run_cycle_threaded(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
-        let (rounds, exchanges_blocked) = self.build_schedule();
-        let shard_count = self.config.shards;
-        let workers = self.effective_workers();
-        let redundancy = self.config.base.redundancy.map(|r| r.merge);
-        let loss_seed_base = self.seeds.seed_for_labeled(self.cycle as u64, "cycle-loss");
-
-        let mut outs: Vec<ShardCycleOut> =
-            (0..shard_count).map(|_| ShardCycleOut::default()).collect();
-        let barrier = Barrier::new(workers);
-        let (push_txs, push_rxs): (Vec<_>, Vec<_>) = (0..shard_count)
-            .map(|_| crossbeam::channel::unbounded::<Vec<CrossPush>>())
-            .unzip();
-        let (reply_txs, reply_rxs): (Vec<_>, Vec<_>) = (0..shard_count)
-            .map(|_| crossbeam::channel::unbounded::<Vec<CrossReply>>())
-            .unzip();
-
-        // Contiguous shard chunks per worker, sized as evenly as possible.
-        let base_chunk = shard_count / workers;
-        let remainder = shard_count % workers;
-        let sched = &self.sched;
-        std::thread::scope(|scope| {
-            let mut shards_rest = self.shards.as_mut_slice();
-            let mut outs_rest = outs.as_mut_slice();
-            let mut rx_rest: Vec<_> = push_rxs.into_iter().zip(reply_rxs).collect();
-            let mut first_shard = 0usize;
-            for worker in 0..workers {
-                let chunk_len = base_chunk + usize::from(worker < remainder);
-                let (shards_chunk, tail) = shards_rest.split_at_mut(chunk_len);
-                shards_rest = tail;
-                let (outs_chunk, tail) = outs_rest.split_at_mut(chunk_len);
-                outs_rest = tail;
-                let receivers: Vec<_> = rx_rest.drain(..chunk_len).collect();
-                let push_txs = push_txs.clone();
-                let reply_txs = reply_txs.clone();
-                let barrier = &barrier;
-                let chunk_start = first_shard;
-                first_shard += chunk_len;
-                scope.spawn(move || {
-                    run_shard_worker(ShardWorker {
-                        chunk_start,
-                        shards_chunk,
-                        outs_chunk,
-                        receivers,
-                        sched,
-                        rounds,
-                        shard_count,
-                        loss,
-                        loss_seed_base,
-                        redundancy,
-                        barrier,
-                        push_txs,
-                        reply_txs,
-                    });
-                });
-            }
-        });
-        (outs, exchanges_blocked)
-    }
-
-    /// Derives the cycle's exchange schedule and its round structure,
-    /// returning `(rounds, exchanges_blocked)`. All RNG draws here run over
-    /// global directory positions — shard-count agnostic by construction —
-    /// and the fault lab's link vetoes are applied right after each peer
-    /// pick, so workers only ever see surviving exchanges.
-    fn build_schedule(&mut self) -> (usize, usize) {
-        let n = self.global_live.len();
-        let shard_count = self.config.shards;
-        let cycle = self.cycle;
-        let ShardedSimulation {
-            seeds,
-            sched,
-            sampler,
-            global_live,
-            shards,
-            injector,
-            telemetry,
-            ..
-        } = self;
-        let record = telemetry.events_enabled();
-        let mut rng = seeds.rng_for_labeled(cycle as u64, "cycle-schedule");
-
-        sched.order.clear();
-        sched.order.extend(0..n as u32);
-        sched.order.shuffle(&mut rng);
-        sched.exchanges.clear();
-        sched.next_round.clear();
-        sched.next_round.resize(n, 0);
-
-        let mut rounds = 0u32;
-        let mut exchanges_blocked = 0usize;
-        if n >= 2 {
-            sched.exchanges.reserve(n);
-            for i in 0..n {
-                let ipos = sched.order[i];
-                let directory = GlobalDirectory {
-                    live: global_live,
-                    shards,
-                };
-                let Some(peer_id) =
-                    sample_live_peer(sampler.as_mut(), &directory, ipos as usize, &mut rng)
-                else {
-                    continue;
-                };
-                if injector.link_blocked(global_live[ipos as usize], peer_id) {
-                    sampler.peer_failed(global_live[ipos as usize], peer_id);
-                    exchanges_blocked += 1;
-                    if record {
-                        telemetry.exchange_vetoed(
-                            u64::from(ipos),
-                            u64::from(global_pos_of(shards, peer_id)),
-                        );
-                    }
-                    continue;
-                }
-                let ppos = global_pos_of(shards, peer_id);
-                let round = sched.next_round[ipos as usize].max(sched.next_round[ppos as usize]);
-                sched.next_round[ipos as usize] = round + 1;
-                sched.next_round[ppos as usize] = round + 1;
-                rounds = rounds.max(round + 1);
-                if record {
-                    // The schedule index IS the global sequence number the
-                    // workers key their loss draws (and loss/completion
-                    // events) on.
-                    telemetry.exchange_begun(
-                        sched.exchanges.len() as u64,
-                        u64::from(ipos),
-                        u64::from(ppos),
-                    );
-                }
-                sched.exchanges.push(ScheduledExchange {
-                    initiator: global_live[ipos as usize],
-                    peer: peer_id,
-                    round,
-                });
-            }
-        }
-
-        // Counting sort of the exchanges into (round, initiator-shard)
-        // buckets, preserving global sequence order within each bucket.
-        let buckets = rounds as usize * shard_count;
-        sched.bucket_starts.clear();
-        sched.bucket_starts.resize(buckets + 1, 0);
-        for ex in &sched.exchanges {
-            let b = ex.round as usize * shard_count + IdLayout::shard_of(ex.initiator) as usize;
-            sched.bucket_starts[b + 1] += 1;
-        }
-        for b in 0..buckets {
-            sched.bucket_starts[b + 1] += sched.bucket_starts[b];
-        }
-        let mut cursors: Vec<u32> = sched.bucket_starts[..buckets].to_vec();
-        sched.bucket_items.clear();
-        sched.bucket_items.resize(sched.exchanges.len(), 0);
-        for (i, ex) in sched.exchanges.iter().enumerate() {
-            let b = ex.round as usize * shard_count + IdLayout::shard_of(ex.initiator) as usize;
-            sched.bucket_items[cursors[b] as usize] = i as u32;
-            cursors[b] += 1;
-        }
-        (rounds as usize, exchanges_blocked)
-    }
-
     /// Leader (re-)election for the counting instances, run over the global
     /// directory with an election-ordinal-derived stream — identical draws
     /// for every shard count.
@@ -1610,7 +1329,7 @@ impl ShardedSimulation {
     /// epoch, chosen by a partial Fisher–Yates over global directory
     /// positions from the `redundancy-leaders` stream. Positions — not
     /// identifiers — feed the draws, so the elected positions are invariant
-    /// across shard and worker counts.
+    /// across shard counts.
     fn elect_redundant_leaders(&mut self, instances: usize) {
         let live = self.global_live.len();
         if live == 0 {
@@ -1715,11 +1434,10 @@ fn shard_pair_mut(shards: &mut [Shard], a: usize, b: usize) -> (&mut Shard, &mut
     }
 }
 
-/// Per-node size-estimate extraction shared by the end-of-cycle passes:
-/// the defended estimator (median-of-k / trimmed merge over per-instance
+/// Per-node size-estimate extraction for [`ShardCycleOut::tick_node`]: the
+/// defended estimator (median-of-k / trimmed merge over per-instance
 /// estimates) when redundancy is configured, the undefended state-pooling
-/// estimator otherwise. Runs on shard workers, so the policy is threaded in
-/// as a parameter rather than read from engine state.
+/// estimator otherwise.
 fn epoch_size_estimate(
     result: &aggregate_core::EpochResult,
     redundancy: Option<MergePolicy>,
@@ -1751,6 +1469,11 @@ impl ShardCycleOut {
     /// machinery, then read the (post-restart) estimate while the node is
     /// cache-hot. Per-node independence makes this bit-identical to a
     /// tick-all-then-read-all split in live order.
+    ///
+    /// Kept out of line: inlined into [`end_of_cycle_pass_soa`], its only
+    /// caller, it slowed the churned NEWSCAST workload (`overlay_churn_30k`)
+    /// by ≈5 %.
+    #[inline(never)]
     fn tick_node(&mut self, node: &mut ProtocolNode, redundancy: Option<MergePolicy>) {
         if let Some(result) = node.end_cycle() {
             self.epoch_completed(result.epoch);
@@ -1769,27 +1492,8 @@ impl ShardCycleOut {
     }
 }
 
-/// End-of-cycle phase of the threaded executor for one shard: every live
-/// node takes [`ShardCycleOut::tick_node`] — the tick the single-worker
-/// [`end_of_cycle_pass_soa`] gives its cold nodes — streamed into
-/// per-shard stats.
-fn end_of_cycle_pass(
-    shard: &mut Shard,
-    tally: ExchangeTally,
-    redundancy: Option<MergePolicy>,
-) -> ShardCycleOut {
-    let mut out = ShardCycleOut::new(tally);
-    for pos in 0..shard.arena.len() {
-        let slot = shard.arena.live_slots()[pos];
-        if let Some(node) = shard.arena.node_at_slot_mut(slot) {
-            out.tick_node(node, redundancy);
-        }
-    }
-    out
-}
-
-/// End-of-cycle phase of the single-worker executor: hot nodes tick,
-/// restart and report entirely inside the dense mirror; cold nodes take
+/// End-of-cycle phase of one shard: hot nodes tick, restart and report
+/// entirely inside the dense mirror; cold nodes take
 /// [`ShardCycleOut::tick_node`] and are re-examined for promotion
 /// afterwards (joining nodes whose epoch just started, ex-leaders whose led
 /// instances just cleared). Iteration order, stat-push order and epoch
@@ -1859,42 +1563,12 @@ fn end_of_cycle_pass_soa(
     out
 }
 
-/// A shard's mailbox receivers: push batches in, reply batches back.
-type ShardReceivers = (
-    crossbeam::channel::Receiver<Vec<CrossPush>>,
-    crossbeam::channel::Receiver<Vec<CrossReply>>,
-);
-
-/// Everything one worker thread needs for one cycle: a contiguous chunk of
-/// shards (with their output slots and mailbox receivers) plus the shared
-/// schedule and channel fabric.
-struct ShardWorker<'a> {
-    chunk_start: usize,
-    shards_chunk: &'a mut [Shard],
-    outs_chunk: &'a mut [ShardCycleOut],
-    receivers: Vec<ShardReceivers>,
-    sched: &'a ScheduleBuffers,
-    rounds: usize,
-    shard_count: usize,
-    /// The cycle's effective message-loss probability (coordinator-computed
-    /// by the fault injector; constant within a cycle).
-    loss: f64,
-    loss_seed_base: u64,
-    /// Merge policy of the redundant-instance defense, `None` for the
-    /// undefended estimator (coordinator-computed; workers must not read
-    /// engine state).
-    redundancy: Option<MergePolicy>,
-    barrier: &'a Barrier,
-    push_txs: Vec<crossbeam::channel::Sender<Vec<CrossPush>>>,
-    reply_txs: Vec<crossbeam::channel::Sender<Vec<CrossReply>>>,
-}
-
 /// Records exchange `seq`'s outcome — per-message loss events, or a single
 /// completion event when every message survived — from the [`ExchangeTally`]
 /// deltas around the `ExchangeCore` call. The deltas are a pure function of
-/// the exchange's private loss-coin stream, so every executor derives the
-/// identical event set regardless of which shard's ring receives it (the
-/// events carry no identity; the seq-sorted merge restores one total order).
+/// the exchange's private loss-coin stream and the events carry no
+/// identity, so the seq-sorted merge of all rings yields the same trace
+/// whichever shard's ring receives them.
 /// A delta of zero exchanges means the exchange never began (e.g. a joining
 /// initiator) and nothing is recorded.
 fn record_exchange_outcome(recorder: &mut FlightRecorder, seq: u64, began: bool, lost: usize) {
@@ -1907,183 +1581,6 @@ fn record_exchange_outcome(recorder: &mut FlightRecorder, seq: u64, began: bool,
         for _ in 0..lost {
             recorder.record(seq, EventKind::MessageLost);
         }
-    }
-}
-
-fn run_shard_worker(ctx: ShardWorker<'_>) {
-    let ShardWorker {
-        chunk_start,
-        shards_chunk,
-        outs_chunk,
-        receivers,
-        sched,
-        rounds,
-        shard_count,
-        loss,
-        loss_seed_base,
-        redundancy,
-        barrier,
-        push_txs,
-        reply_txs,
-    } = ctx;
-    let lossy = loss > 0.0;
-    let loss_seeds = SeedSequence::new(loss_seed_base);
-    let seed_of = |seq: u32| {
-        if lossy {
-            loss_seeds.seed_for_run(seq as u64)
-        } else {
-            0
-        }
-    };
-
-    let mut scratch = ExchangeScratch::new();
-    let mut tallies = vec![ExchangeTally::default(); shards_chunk.len()];
-    let mut begin_buf: Vec<GossipMessage> = Vec::new();
-    let mut msg_buf: Vec<GossipMessage> = Vec::new();
-    let mut reply_buf: Vec<GossipMessage> = Vec::new();
-    let mut push_out: Vec<Vec<CrossPush>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut reply_out: Vec<Vec<CrossReply>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut in_pushes: Vec<CrossPush> = Vec::new();
-    let mut in_replies: Vec<CrossReply> = Vec::new();
-
-    for round in 0..rounds {
-        // Phase A: local exchanges run fused; cross-shard exchanges begin
-        // and batch their pushes into the peer shard's mailbox. A pair whose
-        // endpoints live in two shards of *this* worker's chunk still goes
-        // through the mailbox, keeping the protocol uniform.
-        for (local, shard) in shards_chunk.iter_mut().enumerate() {
-            let me = chunk_start + local;
-            let tally = &mut tallies[local];
-            for &ei in sched.bucket(round, me, shard_count) {
-                let ex = sched.exchanges[ei as usize];
-                let initiator_slot = IdLayout::sharded_slot_of(ex.initiator);
-                let peer_shard = IdLayout::shard_of(ex.peer) as usize;
-                if peer_shard == me {
-                    let peer_slot = IdLayout::sharded_slot_of(ex.peer);
-                    let (Some(initiator), Some(peer)) =
-                        shard.arena.pair_mut(initiator_slot, peer_slot)
-                    else {
-                        continue;
-                    };
-                    let mut lost = exchange_loss(loss, seed_of(ei));
-                    let exch_before = tally.exchanges;
-                    let lost_before = tally.messages_lost;
-                    ExchangeCore::exchange(initiator, peer, &mut scratch, &mut lost, tally);
-                    record_exchange_outcome(
-                        &mut shard.recorder,
-                        u64::from(ei),
-                        tally.exchanges > exch_before,
-                        tally.messages_lost - lost_before,
-                    );
-                } else {
-                    let Some(initiator) = shard.arena.node_at_slot_mut(initiator_slot) else {
-                        continue;
-                    };
-                    if ExchangeCore::begin(initiator, ex.peer, &mut begin_buf) {
-                        tally.exchanges += 1;
-                        push_out[peer_shard].push(CrossPush {
-                            seq: ei,
-                            initiator: ex.initiator,
-                            peer_slot: IdLayout::sharded_slot_of(ex.peer),
-                            first: begin_buf[0],
-                            rest: begin_buf[1..].to_vec(),
-                        });
-                    }
-                }
-            }
-        }
-        for (dst, buf) in push_out.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                push_txs[dst]
-                    .send(std::mem::take(buf))
-                    // lint-allow(unwrap): receivers outlive the cycle's thread scope by construction
-                    .expect("peer shard receiver lives for the whole cycle");
-            }
-        }
-        barrier.wait();
-
-        // Phase B: drain each owned shard's mailbox (complete after the
-        // barrier), flatten the batches and restore the fixed merge order —
-        // a total order by global sequence number — then absorb pushes and
-        // batch replies back. (Within a round node-disjointness already
-        // makes the node state order-independent; the total order keeps the
-        // execution auditable and future-proofs any per-shard state
-        // consulted during the merge.)
-        for (local, shard) in shards_chunk.iter_mut().enumerate() {
-            let tally = &mut tallies[local];
-            in_pushes.clear();
-            while let Ok(batch) = receivers[local].0.try_recv() {
-                in_pushes.extend(batch);
-            }
-            in_pushes.sort_unstable_by_key(|cross| cross.seq);
-            for cross in &in_pushes {
-                let Some(peer) = shard.arena.node_at_slot_mut(cross.peer_slot) else {
-                    continue;
-                };
-                msg_buf.clear();
-                msg_buf.push(cross.first);
-                msg_buf.extend_from_slice(&cross.rest);
-                reply_buf.clear();
-                let mut lost = exchange_loss(loss, seed_of(cross.seq));
-                let lost_before = tally.messages_lost;
-                ExchangeCore::respond(peer, &msg_buf, &mut reply_buf, &mut lost, tally);
-                // Every loss draw of a cross-shard exchange happens inside
-                // `respond` (push coins, then reply coins); the initiator's
-                // `complete` draws none. `began` is unconditionally true —
-                // the push batch only exists because `begin` succeeded.
-                record_exchange_outcome(
-                    &mut shard.recorder,
-                    u64::from(cross.seq),
-                    true,
-                    tally.messages_lost - lost_before,
-                );
-                if !reply_buf.is_empty() {
-                    let initiator_shard = IdLayout::shard_of(cross.initiator) as usize;
-                    reply_out[initiator_shard].push(CrossReply {
-                        seq: cross.seq,
-                        initiator_slot: IdLayout::sharded_slot_of(cross.initiator),
-                        first: reply_buf[0],
-                        rest: reply_buf[1..].to_vec(),
-                    });
-                }
-            }
-        }
-        for (dst, buf) in reply_out.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                reply_txs[dst]
-                    .send(std::mem::take(buf))
-                    // lint-allow(unwrap): receivers outlive the cycle's thread scope by construction
-                    .expect("initiator shard receiver lives for the whole cycle");
-            }
-        }
-        barrier.wait();
-
-        // Phase C: initiators absorb the surviving replies, in merge order.
-        for (local, shard) in shards_chunk.iter_mut().enumerate() {
-            in_replies.clear();
-            while let Ok(batch) = receivers[local].1.try_recv() {
-                in_replies.extend(batch);
-            }
-            in_replies.sort_unstable_by_key(|cross| cross.seq);
-            for cross in &in_replies {
-                let Some(initiator) = shard.arena.node_at_slot_mut(cross.initiator_slot) else {
-                    continue;
-                };
-                msg_buf.clear();
-                msg_buf.push(cross.first);
-                msg_buf.extend_from_slice(&cross.rest);
-                ExchangeCore::complete(initiator, &msg_buf);
-            }
-        }
-        barrier.wait();
-    }
-
-    for ((shard, out), tally) in shards_chunk
-        .iter_mut()
-        .zip(outs_chunk.iter_mut())
-        .zip(tallies)
-    {
-        *out = end_of_cycle_pass(shard, tally, redundancy);
     }
 }
 
@@ -2339,8 +1836,32 @@ mod tests {
         assert_eq!(plain.run(12), faulted.run(12));
     }
 
-    /// FNV-1a over every cycle's counters and the final estimate bits.
-    fn run_fingerprint(summaries: &[ShardedCycleSummary], bits: &[u64]) -> u64 {
+    /// A 4-shard run under 20 % dead links, a partition and 5 % loss: every
+    /// cycle's summary and the final estimate bits.
+    fn faulted_run(workers: Option<usize>) -> (Vec<ShardedCycleSummary>, Vec<u64>) {
+        let values: Vec<f64> = (0..300).map(|i| i as f64).collect();
+        let plan = FaultPlan {
+            link_failure: 0.2,
+            base_loss: 0.05,
+            ..FaultPlan::with_partition(3, 8, 0.3)
+        };
+        let config = ShardedConfig {
+            workers,
+            ..averaging(4, 50)
+        };
+        let mut sim = ShardedSimulation::with_faults(config, &values, 41, plan).unwrap();
+        let summaries = sim.run(12);
+        let bits = sim.estimates().iter().map(|v| v.to_bits()).collect();
+        (summaries, bits)
+    }
+
+    #[test]
+    fn faulted_run_reproduces_its_golden_fingerprint() {
+        // Captured while a threaded executor still existed, with every
+        // worker count reaching the same constant: an FNV-1a over every
+        // cycle's counters and the final estimate bits.
+        let (summaries, bits) = faulted_run(None);
+        assert!(summaries.iter().any(|s| s.exchanges_blocked > 0));
         let counters = summaries.iter().flat_map(|s| {
             [
                 s.live_nodes,
@@ -2350,42 +1871,33 @@ mod tests {
             ]
             .map(|c| c as u64)
         });
-        counters
-            .chain(bits.iter().copied())
+        let fingerprint = counters
+            .chain(bits)
             .fold(0xcbf2_9ce4_8422_2325, |fnv: u64, word| {
                 (fnv ^ word).wrapping_mul(0x1000_0000_01b3)
-            })
+            });
+        assert_eq!(
+            fingerprint, 0x5678_d62f_362f_0f21,
+            "faulted run drifted from the golden: {fingerprint:#x}"
+        );
     }
 
     #[test]
-    fn fault_plans_are_worker_count_invariant() {
-        // Absolute golden for uniform sampling under 20 % dead links, a
-        // partition and 5 % loss, captured while a threaded executor still
-        // existed, with every worker count reaching the same constant.
-        let values: Vec<f64> = (0..300).map(|i| i as f64).collect();
-        let plan = FaultPlan {
-            link_failure: 0.2,
-            base_loss: 0.05,
-            ..FaultPlan::with_partition(3, 8, 0.3)
+    fn workers_is_inert_apart_from_rejecting_zero() {
+        let zero = ShardedConfig {
+            workers: Some(0),
+            ..averaging(4, 50)
         };
-        let run = |workers: Option<usize>| {
-            let config = ShardedConfig {
-                workers,
-                ..averaging(4, 50)
-            };
-            let mut sim =
-                ShardedSimulation::with_faults(config, &values, 41, plan.clone()).unwrap();
-            let summaries = sim.run(12);
-            let bits: Vec<u64> = sim.estimates().iter().map(|v| v.to_bits()).collect();
-            (summaries, bits)
-        };
-        for workers in [1, 2, 4] {
-            let (summaries, bits) = run(Some(workers));
-            assert!(summaries.iter().any(|s| s.exchanges_blocked > 0));
-            let fingerprint = run_fingerprint(&summaries, &bits);
+        assert_eq!(
+            ShardedSimulation::new(zero, &[1.0, 2.0], 1).err(),
+            Some(SimConfigError::ZeroWorkers)
+        );
+        let reference = faulted_run(Some(1));
+        for workers in [Some(8), None] {
             assert_eq!(
-                fingerprint, 0x5678_d62f_362f_0f21,
-                "{workers}-worker faulted run drifted from the golden: {fingerprint:#x}"
+                faulted_run(workers),
+                reference,
+                "workers = {workers:?} changed the run"
             );
         }
     }

@@ -1,62 +1,15 @@
-//! Deterministic-interleaving exerciser for the sharded engine.
+//! Why the sharded engine's block pipeline may batch its draws but must
+//! apply exchanges in schedule order.
 //!
-//! The engine's determinism argument has exactly one concurrency-sensitive
-//! step: worker threads complete in scheduler order and deliver cross-shard
-//! exchange batches through mailboxes, and the receiving side restores a
-//! total order by global sequence number before touching node state (the
-//! seq-sorted drain in `sharded.rs` — guarded statically by gossip-lint's
-//! `merge-order` rule). These tests exercise that argument dynamically:
-//!
-//! 1. a model of the mailbox merge replayed under **every** batch-arrival
-//!    permutation, pinning that the seq-sort (and nothing weaker) restores a
-//!    bit-identical merge — and that arrival-order folding really would
-//!    diverge;
-//! 2. the real engine across all worker counts for a fixed shard count,
-//!    asserting bit-identical cycle summaries *and* per-node estimates;
-//! 3. repeated multi-worker runs against a sequential reference, so the OS
-//!    scheduler gets many chances to produce a novel interleaving and any
-//!    arrival-order dependence shows up as a bit diff;
-//! 4. a permutation check over the struct-of-arrays fused merge, pinning
-//!    *why* the batched hot path may reorder its draws but must apply
-//!    exchanges in schedule order: disjoint pairs commute bitwise,
-//!    overlapping ones do not.
-//!
-//! The single-worker reference in (2) and (3) is the struct-of-arrays fused
-//! executor (uniform sampling, one worker), so those tests double as
-//! SoA-versus-threaded equivalence checks.
+//! The struct-of-arrays executor pre-draws a block's peer picks and loss
+//! coins, then executes the block's exchanges over the dense hot store. A
+//! permutation check over the fused merge pins the line between the two:
+//! exchanges over disjoint slot pairs commute bitwise, while exchanges that
+//! share an endpoint do not, so the execute stage keeps the schedule-time
+//! sequence order.
 
-use aggregate_core::sampler::SamplerConfig;
-use aggregate_core::{AggregateKind, ExchangeCore, ExchangeTally, ProtocolConfig};
-use gossip_sim::sharded::{ShardedConfig, ShardedCycleSummary, ShardedSimulation};
+use aggregate_core::{AggregateKind, ExchangeCore, ExchangeTally};
 use gossip_sim::soa::{HotSlot, HotStore};
-use gossip_sim::{NetworkConditions, SimulationConfig};
-
-/// One cross-shard exchange batch as the mailbox protocol sees it: a global
-/// sequence number assigned at schedule time, plus a floating-point payload
-/// whose summation order is observable in the low bits.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Batch {
-    seq: u64,
-    payload: f64,
-}
-
-/// FNV-1a over the payload bit patterns, in order — the same fingerprint
-/// style the determinism suite pins run results with.
-fn fingerprint(batches: &[Batch]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in batches {
-        for byte in b
-            .seq
-            .to_le_bytes()
-            .iter()
-            .chain(b.payload.to_bits().to_le_bytes().iter())
-        {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
 
 /// All permutations of `items` (Heap's algorithm).
 fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
@@ -79,97 +32,6 @@ fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
     let len = work.len();
     heap(&mut work, len, &mut out);
     out
-}
-
-/// The coordinator's merge step, as `sharded.rs` performs it: flatten the
-/// arrived batches, then restore the schedule-time total order by `seq`.
-fn merge_seq_sorted(arrival: &[Vec<Batch>]) -> Vec<Batch> {
-    let mut flat: Vec<Batch> = arrival.iter().flatten().copied().collect();
-    flat.sort_unstable_by_key(|b| b.seq);
-    flat
-}
-
-/// Left-to-right sum — order-sensitive in floating point, which is exactly
-/// why the merge must not consume batches in arrival order.
-fn fold_sum(batches: &[Batch]) -> f64 {
-    batches.iter().fold(0.0, |acc, b| acc + b.payload)
-}
-
-/// Model check: under every possible mailbox-arrival permutation of the
-/// per-worker batch lists, the seq-sorted merge yields one bit-identical
-/// order, fingerprint and fold — while the raw arrival order provably
-/// diverges for at least one permutation. This is the exact invariant the
-/// `merge-order` lint rule freezes into the sources.
-#[test]
-fn seq_sorted_merge_is_invariant_under_all_arrival_orders() {
-    // Five workers' batch lists; payloads picked so that summation order is
-    // observable ((1e16 + 1) - 1e16 loses the 1.0 unless it is added last).
-    let per_worker: Vec<Vec<Batch>> = vec![
-        vec![
-            Batch {
-                seq: 0,
-                payload: 1.0e16,
-            },
-            Batch {
-                seq: 7,
-                payload: -1.0e16,
-            },
-        ],
-        vec![Batch {
-            seq: 3,
-            payload: 1.0,
-        }],
-        vec![
-            Batch {
-                seq: 1,
-                payload: 0.1,
-            },
-            Batch {
-                seq: 5,
-                payload: -0.1,
-            },
-        ],
-        vec![Batch {
-            seq: 2,
-            payload: 3.25,
-        }],
-        vec![
-            Batch {
-                seq: 4,
-                payload: -7.5,
-            },
-            Batch {
-                seq: 6,
-                payload: 1.0e-3,
-            },
-        ],
-    ];
-
-    let reference = merge_seq_sorted(&per_worker);
-    let reference_fp = fingerprint(&reference);
-    let reference_sum = fold_sum(&reference).to_bits();
-    // The merged order is the schedule-time order: seq 0..=7 exactly.
-    assert_eq!(
-        reference.iter().map(|b| b.seq).collect::<Vec<_>>(),
-        (0..=7).collect::<Vec<_>>()
-    );
-
-    let mut arrival_order_diverged = false;
-    for arrival in permutations(&per_worker) {
-        let merged = merge_seq_sorted(&arrival);
-        assert_eq!(merged, reference, "seq-sort must erase arrival order");
-        assert_eq!(fingerprint(&merged), reference_fp);
-        assert_eq!(fold_sum(&merged).to_bits(), reference_sum);
-
-        let unsorted: Vec<Batch> = arrival.iter().flatten().copied().collect();
-        if fold_sum(&unsorted).to_bits() != reference_sum {
-            arrival_order_diverged = true;
-        }
-    }
-    assert!(
-        arrival_order_diverged,
-        "payloads must be order-sensitive, or this test proves nothing"
-    );
 }
 
 /// A dense hot store with order-sensitive states: catastrophic-cancellation
@@ -219,13 +81,12 @@ fn apply_dense(store: &mut HotStore, schedule: &[(u32, u32)]) -> u64 {
     hash
 }
 
-/// Model check over the struct-of-arrays fused merge (the single-worker
-/// executor's hot path): exchanges touching **disjoint** slot pairs commute
+/// Model check over the struct-of-arrays fused merge (the executor's hot
+/// path): exchanges touching **disjoint** slot pairs commute
 /// bitwise — any permutation of them produces the identical dense store —
 /// while exchanges **sharing** an endpoint do not, which is exactly why the
 /// SoA pipeline resolves and applies its batched schedule in the
-/// schedule-time sequence order (the same total order the mailbox merge
-/// restores by seq-sort on the threaded path).
+/// schedule-time sequence order.
 #[test]
 fn dense_fused_merge_commutes_exactly_for_disjoint_pairs_only() {
     let states = [1.0e16, 1.0, 0.1, 3.25, -7.5, 1.0e-3];
@@ -252,74 +113,4 @@ fn dense_fused_merge_commutes_exactly_for_disjoint_pairs_only() {
         diverged,
         "overlapping exchanges must be order-sensitive, or this test proves nothing"
     );
-}
-
-/// A small sharded run with churn and message loss — every knob that feeds
-/// the cross-shard mailboxes — returning the full observable state: cycle
-/// summaries plus the bit patterns of every node estimate.
-fn churny_run(
-    seed: u64,
-    shards: usize,
-    workers: Option<usize>,
-) -> (Vec<ShardedCycleSummary>, Vec<u64>) {
-    let values: Vec<f64> = (0..96).map(|i| (i % 13) as f64).collect();
-    let protocol = ProtocolConfig::builder()
-        .cycles_per_epoch(6)
-        .build()
-        .unwrap();
-    let config = ShardedConfig {
-        base: SimulationConfig {
-            protocol,
-            conditions: NetworkConditions::with_message_loss(0.1),
-            leader_policy: None,
-            sampler: SamplerConfig::UniformComplete,
-            redundancy: None,
-        },
-        shards,
-        workers,
-    };
-    let mut sim = ShardedSimulation::new(config, &values, seed).unwrap();
-    let mut summaries = Vec::new();
-    for cycle in 0..18 {
-        if cycle % 3 == 0 {
-            sim.add_node(cycle as f64);
-            sim.remove_random_nodes(1);
-        }
-        summaries.push(sim.run_cycle());
-    }
-    let bits = sim.estimates().iter().map(|v| v.to_bits()).collect();
-    (summaries, bits)
-}
-
-/// The mailbox/barrier protocol must make worker count invisible: the fused
-/// sequential executor (one worker) and every multi-worker round execution
-/// produce bit-identical summaries and node estimates.
-#[test]
-fn every_worker_count_reproduces_the_sequential_execution() {
-    let (reference, reference_bits) = churny_run(97, 4, Some(1));
-    for workers in 2..=4 {
-        let (summaries, bits) = churny_run(97, 4, Some(workers));
-        assert_eq!(
-            summaries, reference,
-            "{workers}-worker interleavings must merge back to the sequential order"
-        );
-        assert_eq!(
-            bits, reference_bits,
-            "node estimates drifted at {workers} workers"
-        );
-    }
-}
-
-/// Scheduler roulette: repeat the same multi-worker run many times. Each
-/// repetition hands the OS scheduler a fresh chance to deliver mailbox
-/// batches in a new order; if any code path consumed them arrival-ordered,
-/// some repetition would produce different bits.
-#[test]
-fn repeated_threaded_runs_never_drift_from_the_reference() {
-    let (reference, reference_bits) = churny_run(613, 3, Some(1));
-    for rep in 0..8 {
-        let (summaries, bits) = churny_run(613, 3, Some(3));
-        assert_eq!(summaries, reference, "drift on repetition {rep}");
-        assert_eq!(bits, reference_bits, "estimate drift on repetition {rep}");
-    }
 }

@@ -15,11 +15,10 @@
 //! payload)`. The *phase* groups events within a cycle into cycle-start
 //! (churn, corruption), veto, exchange and cycle-end (epoch restarts,
 //! elections) bands; within the exchange band the global exchange sequence
-//! number `seq` — identical across shard and worker counts by the sharded
-//! engine's schedule construction — provides the total order, and the rank
-//! orders begun < lost < completed within one exchange. The result: the
-//! merged trace of a seeded run is byte-identical across repeats, worker
-//! counts and shard counts.
+//! number `seq` — identical across shard counts by the sharded engine's
+//! schedule construction — provides the total order, and the rank orders
+//! begun < lost < completed within one exchange. The result: the merged
+//! trace of a seeded run is byte-identical across repeats and shard counts.
 
 /// Sentinel for "no node attached to this event".
 pub const NO_NODE: u64 = u64::MAX;
@@ -189,7 +188,7 @@ impl Event {
 /// Merges per-shard / per-node event batches into the canonical trace
 /// order by sorting on [`Event::sort_key`]. The result is independent of
 /// how the events were distributed across recorders, which is what makes
-/// merged traces bit-identical across shard and worker counts.
+/// merged traces bit-identical across shard counts.
 pub fn merge_events(batches: impl IntoIterator<Item = Vec<Event>>) -> Vec<Event> {
     let mut merged: Vec<Event> = batches.into_iter().flatten().collect();
     merged.sort_unstable_by_key(Event::sort_key);

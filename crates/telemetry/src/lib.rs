@@ -21,7 +21,7 @@
 //!    total-order key ([`Event::sort_key`]) built from shard-count-agnostic
 //!    identifiers (global directory positions, global exchange sequence
 //!    numbers), so draining per-shard rings and sorting yields the same
-//!    byte stream at any shard or worker count.
+//!    byte stream at any shard count.
 //!
 //! Timestamps come from the runtime's injected clock (virtual time in the
 //! simulators, the `NodeEnv` clock in the live runtime) — never from a

@@ -72,7 +72,7 @@ impl Default for TelemetryConfig {
 /// protocol decisions.
 ///
 /// Sharded engines keep additional per-shard [`FlightRecorder`]s for the
-/// worker-side events and hand their drained batches to
+/// exchange-outcome events and hand their drained batches to
 /// [`drain_events_with`](TelemetrySink::drain_events_with).
 #[derive(Debug)]
 pub struct TelemetrySink {
@@ -200,7 +200,7 @@ impl TelemetrySink {
 
     /// Bumps the message-loss counter by `count` without recording events.
     /// Sharded engines record per-exchange loss events into per-shard
-    /// [`FlightRecorder`]s (worker-side, identity-free), so the metric is
+    /// [`FlightRecorder`]s (identity-free), so the metric is
     /// fed separately from the cycle's merged tally.
     pub fn add_message_losses(&mut self, count: u64) {
         self.metrics.add(self.messages_lost, count);

@@ -18,8 +18,6 @@
 //! cargo run --release --example million_node                   # 10⁶ nodes, 30 cycles
 //! cargo run --release --example million_node -- --full         # 10⁷ nodes, 16 shards
 //! cargo run --release --example million_node -- --nodes 100000 --shards 4  # CI smoke scale
-//! cargo run --release --example million_node -- --workers 4    # pin the worker pool
-//! cargo run --release --example million_node -- --sweep-workers  # 1→8 strong-scaling curve
 //! cargo run --release --example million_node -- --baseline     # + single-threaded comparison
 //! cargo run --release --example million_node -- --csv out.csv  # record per-cycle telemetry
 //! ```
@@ -34,16 +32,14 @@ use std::time::Instant;
 struct Args {
     nodes: usize,
     shards: usize,
-    workers: Option<usize>,
     cycles: usize,
     csv: Option<String>,
     baseline: bool,
     full: bool,
-    sweep_workers: bool,
 }
 
-const USAGE: &str = "usage: million_node [--nodes N] [--shards N] [--workers N] [--cycles N] \
-                     [--csv <path>] [--baseline] [--full] [--sweep-workers]";
+const USAGE: &str =
+    "usage: million_node [--nodes N] [--shards N] [--cycles N] [--csv <path>] [--baseline] [--full]";
 
 /// The value following `flag`, parsed; a missing or unparsable one is an error.
 fn value<T: std::str::FromStr>(
@@ -62,24 +58,20 @@ fn parse_args() -> Result<Args, String> {
             .map(|p| p.get())
             .unwrap_or(1)
             .min(gossip_sim::arena::MAX_SHARDS),
-        workers: None,
         cycles: 30,
         csv: None,
         baseline: false,
         full: false,
-        sweep_workers: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--nodes" => parsed.nodes = value(&arg, &mut args)?,
             "--shards" => parsed.shards = value(&arg, &mut args)?,
-            "--workers" => parsed.workers = Some(value(&arg, &mut args)?),
             "--cycles" => parsed.cycles = value(&arg, &mut args)?,
             "--csv" => parsed.csv = Some(value(&arg, &mut args)?),
             "--baseline" => parsed.baseline = true,
             "--full" => parsed.full = true,
-            "--sweep-workers" => parsed.sweep_workers = true,
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
@@ -99,41 +91,6 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// One measured engine run.
-struct EngineRun {
-    elapsed: f64,
-    exchanges: usize,
-    workers: usize,
-    summaries: Vec<gossip_sim::ShardedCycleSummary>,
-}
-
-fn run_engine(
-    base: SimulationConfig,
-    values: &[f64],
-    seed: u64,
-    shards: usize,
-    workers: Option<usize>,
-    cycles: usize,
-) -> Result<EngineRun, Box<dyn std::error::Error>> {
-    let config = ShardedConfig {
-        base,
-        shards,
-        workers,
-    };
-    let mut sim = ShardedSimulation::new(config, values, seed)?;
-    let effective = sim.effective_workers();
-    let started = Instant::now();
-    let summaries = sim.run(cycles);
-    let elapsed = started.elapsed().as_secs_f64();
-    let exchanges = summaries.iter().map(|s| s.exchanges).sum::<usize>();
-    Ok(EngineRun {
-        elapsed,
-        exchanges,
-        workers: effective,
-        summaries,
-    })
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args().unwrap_or_else(|message| {
         eprintln!("{message}\n{USAGE}");
@@ -151,17 +108,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let protocol = ProtocolConfig::builder()
         .cycles_per_epoch(cycles as u32)
         .build()?;
-    let base = SimulationConfig::averaging(protocol);
-    let EngineRun {
-        elapsed,
-        exchanges,
-        workers,
-        summaries,
-    } = run_engine(base, &values, seed, shards, args.workers, cycles)?;
+    let config = ShardedConfig {
+        base: SimulationConfig::averaging(protocol),
+        shards,
+        workers: None,
+    };
+    let mut sim = ShardedSimulation::new(config, &values, seed)?;
+    let started = Instant::now();
+    let summaries = sim.run(cycles);
+    let elapsed = started.elapsed().as_secs_f64();
+    let exchanges: usize = summaries.iter().map(|s| s.exchanges).sum();
     let sharded_rate = cycles as f64 / elapsed;
     println!(
-        "sharded engine: {elapsed:.2} s for {cycles} cycles at {nodes} nodes, \
-         {workers} worker(s) ({sharded_rate:.2} cycles/s, {:.1} M exchanges/s)",
+        "sharded engine: {elapsed:.2} s for {cycles} cycles at {nodes} nodes \
+         ({sharded_rate:.2} cycles/s, {:.1} M exchanges/s)",
         exchanges as f64 / elapsed / 1e6
     );
 
@@ -224,34 +184,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = args.csv {
         cycle_telemetry_table(&summaries, SamplerConfig::UniformComplete).write_csv(&path)?;
         println!("per-cycle telemetry written to {path}");
-    }
-
-    if args.sweep_workers {
-        // Strong-scaling curve: the same workload pinned to 1/2/4/8 worker
-        // threads. Worker count never changes results — only wall clock —
-        // so every sweep point must land on bit-identical statistics.
-        println!("worker sweep at {nodes} nodes, {shards} shards:");
-        for requested in [1usize, 2, 4, 8] {
-            let sweep = run_engine(base, &values, seed, shards, Some(requested), cycles)?;
-            let (w_elapsed, w_exchanges, w_effective, w_summaries) = (
-                sweep.elapsed,
-                sweep.exchanges,
-                sweep.workers,
-                sweep.summaries,
-            );
-            let w_last = w_summaries.last().expect("at least one cycle");
-            assert_eq!(
-                w_last.estimate_variance.to_bits(),
-                last.estimate_variance.to_bits(),
-                "worker count {requested} changed the trajectory"
-            );
-            let rate = cycles as f64 / w_elapsed;
-            println!(
-                "  workers {requested} (effective {w_effective}): {w_elapsed:.2} s \
-                 ({rate:.2} cycles/s, {:.1} M exchanges/s)",
-                w_exchanges as f64 / w_elapsed / 1e6
-            );
-        }
     }
 
     if args.baseline {

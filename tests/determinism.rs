@@ -153,22 +153,14 @@ fn churn_runs_with_slot_reuse_are_bit_identical_for_identical_seeds() {
 fn sharded_summaries(
     seed: u64,
     shards: usize,
-    workers: Option<usize>,
     message_loss: f64,
 ) -> (Vec<gossip_sim::ShardedCycleSummary>, Vec<u64>) {
-    sharded_summaries_with(
-        seed,
-        shards,
-        workers,
-        message_loss,
-        SamplerConfig::UniformComplete,
-    )
+    sharded_summaries_with(seed, shards, message_loss, SamplerConfig::UniformComplete)
 }
 
 fn sharded_summaries_with(
     seed: u64,
     shards: usize,
-    workers: Option<usize>,
     message_loss: f64,
     sampler: SamplerConfig,
 ) -> (Vec<gossip_sim::ShardedCycleSummary>, Vec<u64>) {
@@ -186,7 +178,7 @@ fn sharded_summaries_with(
             redundancy: None,
         },
         shards,
-        workers,
+        workers: None,
     };
     let mut sim = ShardedSimulation::new(config, &values, seed).unwrap();
     let mut summaries = Vec::new();
@@ -203,56 +195,35 @@ fn sharded_summaries_with(
 
 /// Tentpole pin: the sharded engine is bit-deterministic — same seed, same
 /// shard count, bit-identical cycle summaries (including the merged
-/// floating-point telemetry), regardless of thread scheduling.
+/// floating-point telemetry).
 #[test]
 fn sharded_runs_are_bit_identical_for_identical_seeds() {
     for shards in [1, 3, 8] {
-        let (a, bits_a) = sharded_summaries(2024, shards, None, 0.1);
-        let (b, bits_b) = sharded_summaries(2024, shards, None, 0.1);
+        let (a, bits_a) = sharded_summaries(2024, shards, 0.1);
+        let (b, bits_b) = sharded_summaries(2024, shards, 0.1);
         assert_eq!(a, b, "{shards}-shard runs must be bit-identical");
         assert_eq!(bits_a, bits_b);
     }
     assert_ne!(
-        sharded_summaries(2024, 2, None, 0.1).1,
-        sharded_summaries(2025, 2, None, 0.1).1,
+        sharded_summaries(2024, 2, 0.1).1,
+        sharded_summaries(2025, 2, 0.1).1,
         "different seeds must explore different schedules"
     );
-}
-
-/// Worker threads are an execution resource, not a semantic one: for a fixed
-/// shard count, the single-worker executor (the struct-of-arrays block
-/// pipeline, no mailboxes) and the multi-worker round/mailbox executor must
-/// produce bit-identical summaries — including when workers own several
-/// shards each.
-#[test]
-fn worker_count_does_not_change_results_at_all() {
-    let (reference, reference_bits) = sharded_summaries(31, 4, Some(1), 0.1);
-    for workers in [2, 3, 4] {
-        let (summaries, bits) = sharded_summaries(31, 4, Some(workers), 0.1);
-        assert_eq!(
-            summaries, reference,
-            "{workers}-worker execution must match the single-worker executor"
-        );
-        assert_eq!(bits, reference_bits);
-    }
 }
 
 /// Tentpole pin: changing the shard count changes *only* the floating-point
 /// summation order of cross-shard telemetry reductions — never the node
 /// values. The exchange schedule, loss draws and churn victims are drawn
 /// from shard-count-agnostic streams over the global directory, and the
-/// round/barrier execution is equivalent to applying the schedule
-/// sequentially. (Holds for single-instance configurations as pinned here;
-/// under multi-instance epochs with message loss the draws are consumed in
-/// instance order and led-instance tags differ across shard counts.)
+/// schedule is applied in sequence order. (Holds for single-instance
+/// configurations as pinned here; under multi-instance epochs with message
+/// loss the draws are consumed in instance order and led-instance tags
+/// differ across shard counts.)
 #[test]
 fn shard_count_changes_only_telemetry_summation_order() {
-    let (reference, reference_bits) = sharded_summaries(77, 1, None, 0.1);
+    let (reference, reference_bits) = sharded_summaries(77, 1, 0.1);
     for shards in [2, 4, 8] {
-        // Exercise the threaded executor for half the configurations so the
-        // invariant is pinned across executors too.
-        let workers = if shards == 4 { Some(shards) } else { None };
-        let (summaries, bits) = sharded_summaries(77, shards, workers, 0.1);
+        let (summaries, bits) = sharded_summaries(77, shards, 0.1);
         assert_eq!(
             bits, reference_bits,
             "{shards}-shard node estimates must be bit-identical to 1 shard"
@@ -284,17 +255,17 @@ fn shard_count_changes_only_telemetry_summation_order() {
     }
 }
 
-/// Tentpole pin for the struct-of-arrays hot path: with one worker the
-/// engine runs the batched SoA executor, and under uniform sampling its
-/// results must be bit-identical at 1/2/4/8 shards — all reproducing the
-/// *pre-SoA* golden trajectory (the same FNV fingerprint pinned by
+/// Tentpole pin for the struct-of-arrays hot path: under uniform sampling
+/// the batched SoA executor's results must be bit-identical at 1/2/4/8
+/// shards — all reproducing the *pre-SoA* golden trajectory (the same FNV
+/// fingerprint pinned by
 /// [`uniform_sampler_is_bit_identical_to_the_pre_sampler_engines`] for this
 /// harness). Batched shuffles, pre-drawn peer picks and per-seq loss seeds
-/// must replay the exact draw sequence of the threaded executor's schedule.
+/// must replay the exact draw sequence that trajectory was captured with.
 #[test]
 fn soa_fused_executor_reproduces_the_golden_across_shard_counts() {
     for shards in [1usize, 2, 4, 8] {
-        let (_, bits) = sharded_summaries(2024, shards, Some(1), 0.1);
+        let (_, bits) = sharded_summaries(2024, shards, 0.1);
         let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
         for b in &bits {
             fnv ^= b;
@@ -335,54 +306,48 @@ fn summary_counters(s: &gossip_sim::ShardedCycleSummary) -> [u64; 5] {
 /// round/mailbox executor still existed, with every worker count reaching
 /// the same constant.
 #[test]
-fn soa_executor_matches_threaded_executor_with_leaders_loss_and_churn() {
-    let run = |workers: usize| {
-        let config = ShardedConfig {
-            base: SimulationConfig {
-                protocol: ProtocolConfig::builder()
-                    .cycles_per_epoch(8)
-                    .late_join(aggregate_core::config::LateJoinPolicy::FixedState(0.0))
-                    .build()
-                    .unwrap(),
-                conditions: NetworkConditions::with_message_loss(0.05),
-                leader_policy: Some(LeaderPolicy::Fixed { probability: 0.02 }),
-                sampler: SamplerConfig::UniformComplete,
-                redundancy: None,
-            },
-            shards: 4,
-            workers: Some(workers),
-        };
-        let values: Vec<f64> = (0..240).map(|i| (i % 31) as f64).collect();
-        let mut sim = ShardedSimulation::new(config, &values, 404).unwrap();
-        let mut summaries = Vec::new();
-        for cycle in 0..25 {
-            for i in 0..4 {
-                sim.add_node((cycle * 4 + i) as f64);
-            }
-            sim.remove_random_nodes(4);
-            summaries.push(sim.run_cycle());
-        }
-        let bits: Vec<u64> = sim.estimates().iter().map(|v| v.to_bits()).collect();
-        (summaries, bits, sim.last_size_estimate())
+fn sharded_run_with_leaders_loss_and_churn_reproduces_its_golden_fingerprint() {
+    let config = ShardedConfig {
+        base: SimulationConfig {
+            protocol: ProtocolConfig::builder()
+                .cycles_per_epoch(8)
+                .late_join(aggregate_core::config::LateJoinPolicy::FixedState(0.0))
+                .build()
+                .unwrap(),
+            conditions: NetworkConditions::with_message_loss(0.05),
+            leader_policy: Some(LeaderPolicy::Fixed { probability: 0.02 }),
+            sampler: SamplerConfig::UniformComplete,
+            redundancy: None,
+        },
+        shards: 4,
+        workers: None,
     };
-    for workers in [1, 2, 4] {
-        let (summaries, bits, size) = run(workers);
-        assert!(
-            size.is_some(),
-            "a leader-led COUNT epoch must have completed"
-        );
-        let fingerprint = fnv1a(
-            summaries
-                .iter()
-                .flat_map(summary_counters)
-                .chain(bits)
-                .chain(size.map(f64::to_bits)),
-        );
-        assert_eq!(
-            fingerprint, 0xb79f_2bc9_c0ab_a17a,
-            "{workers}-worker run drifted from the golden: {fingerprint:#x}"
-        );
+    let values: Vec<f64> = (0..240).map(|i| (i % 31) as f64).collect();
+    let mut sim = ShardedSimulation::new(config, &values, 404).unwrap();
+    let mut summaries = Vec::new();
+    for cycle in 0..25 {
+        for i in 0..4 {
+            sim.add_node((cycle * 4 + i) as f64);
+        }
+        sim.remove_random_nodes(4);
+        summaries.push(sim.run_cycle());
     }
+    let size = sim.last_size_estimate();
+    assert!(
+        size.is_some(),
+        "a leader-led COUNT epoch must have completed"
+    );
+    let fingerprint = fnv1a(
+        summaries
+            .iter()
+            .flat_map(summary_counters)
+            .chain(sim.estimates().iter().map(|v| v.to_bits()))
+            .chain(size.map(f64::to_bits)),
+    );
+    assert_eq!(
+        fingerprint, 0xb79f_2bc9_c0ab_a17a,
+        "the leader/loss/churn run drifted from its golden: {fingerprint:#x}"
+    );
 }
 
 /// The loss-free size-estimation scenario (multi-instance epochs) is also
@@ -433,7 +398,7 @@ fn sharded_size_estimation_is_shard_count_invariant_without_loss() {
 /// reproduce the *pre-refactor* trajectories bit for bit. The golden values
 /// below were captured from the engines before the peer-sampling layer was
 /// introduced (same harnesses as `simulation_summaries(77)` and
-/// `sharded_summaries(2024, 3, None, 0.1)`); any change to the uniform draw
+/// `sharded_summaries(2024, 3, 0.1)`); any change to the uniform draw
 /// sequence shows up here.
 #[test]
 fn uniform_sampler_is_bit_identical_to_the_pre_sampler_engines() {
@@ -449,7 +414,7 @@ fn uniform_sampler_is_bit_identical_to_the_pre_sampler_engines() {
         "reference-engine variance drifted from the pre-refactor trajectory"
     );
 
-    let (_, bits) = sharded_summaries(2024, 3, None, 0.1);
+    let (_, bits) = sharded_summaries(2024, 3, 0.1);
     assert_eq!(bits.len(), 300);
     assert_eq!(bits[0], 0x4040_c7e9_0fd8_0000);
     let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
@@ -598,7 +563,7 @@ fn empty_adversary_plan_reproduces_the_pre_adversary_lab_goldens() {
 }
 
 /// Faulted runs are just as reproducible as fault-free ones: one seed, one
-/// trajectory — across repeats and regardless of the executor.
+/// trajectory across repeats.
 #[test]
 fn faulted_runs_are_bit_identical_for_identical_seeds() {
     let plan = || FaultPlan {
@@ -729,23 +694,6 @@ fn static_overlay_runs_are_bit_identical_for_identical_seeds() {
     assert_ne!(run(7), run(8));
 }
 
-/// Live NEWSCAST on the sharded engine: worker threads never touch the
-/// sampler (all picks happen in the coordinator pass), so any worker count
-/// must produce bit-identical summaries for a fixed shard count.
-#[test]
-fn newscast_sharded_runs_are_worker_count_invariant() {
-    let sampler = SamplerConfig::newscast();
-    let (reference, reference_bits) = sharded_summaries_with(55, 4, Some(1), 0.1, sampler);
-    for workers in [2, 4] {
-        let (summaries, bits) = sharded_summaries_with(55, 4, Some(workers), 0.1, sampler);
-        assert_eq!(
-            summaries, reference,
-            "{workers}-worker NEWSCAST run must match the single-worker executor"
-        );
-        assert_eq!(bits, reference_bits);
-    }
-}
-
 /// Live NEWSCAST across shard counts: the membership protocol iterates and
 /// bootstraps over *directory positions* (shard-count invariant), never raw
 /// identifiers (which embed shard bits), so node estimates stay bit-identical
@@ -753,9 +701,9 @@ fn newscast_sharded_runs_are_worker_count_invariant() {
 #[test]
 fn newscast_shard_count_changes_only_telemetry_summation_order() {
     let sampler = SamplerConfig::newscast();
-    let (reference, reference_bits) = sharded_summaries_with(56, 1, None, 0.1, sampler);
+    let (reference, reference_bits) = sharded_summaries_with(56, 1, 0.1, sampler);
     for shards in [2, 4, 8] {
-        let (summaries, bits) = sharded_summaries_with(56, shards, None, 0.1, sampler);
+        let (summaries, bits) = sharded_summaries_with(56, shards, 0.1, sampler);
         assert_eq!(
             bits, reference_bits,
             "{shards}-shard NEWSCAST node estimates must be bit-identical to 1 shard"
@@ -782,7 +730,7 @@ fn newscast_shard_count_changes_only_telemetry_summation_order() {
 /// led instances) and per-cycle joins and departures. Covers the per-cycle
 /// `(exchanges, exchanges_blocked, messages_lost)`, the final node estimates
 /// and the last pooled size estimate.
-fn non_uniform_sharded_fingerprint(sampler: SamplerConfig, workers: Option<usize>) -> u64 {
+fn non_uniform_sharded_fingerprint(sampler: SamplerConfig) -> u64 {
     let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
     let config = ShardedConfig {
         base: SimulationConfig {
@@ -797,7 +745,7 @@ fn non_uniform_sharded_fingerprint(sampler: SamplerConfig, workers: Option<usize
             redundancy: Some(RedundancyConfig::median_of(3)),
         },
         shards: 4,
-        workers,
+        workers: None,
     };
     let plan = FaultPlan::with_link_failure(0.1);
     let mut sim = ShardedSimulation::with_faults(config, &values, 2_718, plan).unwrap();
@@ -829,16 +777,14 @@ fn non_uniform_sharded_fingerprint(sampler: SamplerConfig, workers: Option<usize
 /// while non-uniform samplers still ran on a separate array-of-structs
 /// single-worker executor: any change to the draw sequence, the veto →
 /// `peer_failed` feedback into later picks, or the exchange arithmetic
-/// shows up here, on either executor.
+/// shows up here.
 #[test]
 fn newscast_sharded_run_reproduces_its_golden_fingerprint() {
-    for workers in [Some(1), Some(2)] {
-        assert_eq!(
-            non_uniform_sharded_fingerprint(SamplerConfig::newscast(), workers),
-            0xad4c_6417_59f7_5267,
-            "NEWSCAST sharded run at {workers:?} workers drifted from the golden trajectory"
-        );
-    }
+    assert_eq!(
+        non_uniform_sharded_fingerprint(SamplerConfig::newscast()),
+        0xad4c_6417_59f7_5267,
+        "NEWSCAST sharded run drifted from the golden trajectory"
+    );
 }
 
 /// Absolute golden pin for the static-overlay sampler on the sharded
@@ -849,13 +795,11 @@ fn static_overlay_sharded_run_reproduces_its_golden_fingerprint() {
     let sampler = SamplerConfig::StaticOverlay {
         topology: TopologyKind::RandomRegular { degree: 10 },
     };
-    for workers in [Some(1), Some(2)] {
-        assert_eq!(
-            non_uniform_sharded_fingerprint(sampler, workers),
-            0x0581_f54d_471e_e5a6,
-            "static-overlay sharded run at {workers:?} workers drifted from the golden trajectory"
-        );
-    }
+    assert_eq!(
+        non_uniform_sharded_fingerprint(sampler),
+        0x0581_f54d_471e_e5a6,
+        "static-overlay sharded run drifted from the golden trajectory"
+    );
 }
 
 /// FNV-1a over NEWSCAST views in *view order*: for each listed member its
@@ -1158,13 +1102,13 @@ fn variance_experiments_are_reproducible() {
 
 /// Telemetry tentpole pin, part 1: enabling the full flight recorder +
 /// watchdog changes not a single protocol bit. The traced sharded run must
-/// reproduce the untraced estimates exactly, at every shard count and on
-/// every executor (sequential SoA, threaded round/mailbox) — and the merged
-/// JSONL trace must itself be **byte-identical** across shard and worker
-/// counts, because every event is keyed by shard-count-invariant global
-/// directory positions or global sequence numbers and merged through the
-/// distribution-independent sort in `merge_events`.
-fn traced_sharded_run(seed: u64, shards: usize, workers: Option<usize>) -> (Vec<u64>, String) {
+/// reproduce the untraced estimates exactly, at every shard count — and the
+/// merged JSONL trace must itself be **byte-identical** across shard counts
+/// (and match its absolute golden), because every event is keyed by
+/// shard-count-invariant global directory positions or global sequence
+/// numbers and merged through the distribution-independent sort in
+/// `merge_events`.
+fn traced_sharded_run(seed: u64, shards: usize) -> (Vec<u64>, String) {
     let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
     let protocol = ProtocolConfig::builder()
         .cycles_per_epoch(8)
@@ -1179,7 +1123,7 @@ fn traced_sharded_run(seed: u64, shards: usize, workers: Option<usize>) -> (Vec<
             redundancy: None,
         },
         shards,
-        workers,
+        workers: None,
     };
     let mut sim = ShardedSimulation::new(config, &values, seed).unwrap();
     sim.set_telemetry(TelemetryConfig::full());
@@ -1202,8 +1146,8 @@ fn traced_sharded_run(seed: u64, shards: usize, workers: Option<usize>) -> (Vec<
 
 #[test]
 fn tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers() {
-    let untraced = sharded_summaries(2024, 1, None, 0.1).1;
-    let (reference_bits, reference_trace) = traced_sharded_run(2024, 1, None);
+    let untraced = sharded_summaries(2024, 1, 0.1).1;
+    let (reference_bits, reference_trace) = traced_sharded_run(2024, 1);
     assert_eq!(
         reference_bits, untraced,
         "enabling full tracing changed the node estimates"
@@ -1214,15 +1158,15 @@ fn tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers() {
         trace_fingerprint, 0xac0d_c54b_7544_2ae4,
         "the merged 1-shard trace drifted from its golden: {trace_fingerprint:#x}"
     );
-    for (shards, workers) in [(2, None), (4, Some(1)), (4, Some(3)), (8, Some(4))] {
-        let (bits, trace) = traced_sharded_run(2024, shards, workers);
+    for shards in [2, 4, 8] {
+        let (bits, trace) = traced_sharded_run(2024, shards);
         assert_eq!(
             bits, reference_bits,
-            "{shards}-shard/{workers:?}-worker traced estimates drifted"
+            "{shards}-shard traced estimates drifted"
         );
         assert_eq!(
             trace, reference_trace,
-            "merged trace must be byte-identical at {shards} shards / {workers:?} workers"
+            "merged trace must be byte-identical at {shards} shards"
         );
     }
 }
@@ -1232,8 +1176,8 @@ fn tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers() {
 /// and stamps virtual (never wall-clock) time.
 #[test]
 fn same_seed_traced_runs_produce_byte_identical_jsonl() {
-    let (_, a) = traced_sharded_run(7, 4, Some(4));
-    let (_, b) = traced_sharded_run(7, 4, Some(4));
+    let (_, a) = traced_sharded_run(7, 4);
+    let (_, b) = traced_sharded_run(7, 4);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same-seed traces must be byte-identical");
 }
