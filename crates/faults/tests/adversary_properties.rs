@@ -204,12 +204,8 @@ fn adversarial_sharded_run_reproduces_its_golden_fingerprint() {
         ]
         .map(|c| c as u64)
     });
-    let words: Vec<u64> = counters
+    let fingerprint = counters
         .chain(sim.estimates().iter().map(|v| v.to_bits()))
-        .collect();
-    assert_eq!(words.len(), 4 * 12 + values.len());
-    let fingerprint = words
-        .into_iter()
         .fold(0xcbf2_9ce4_8422_2325, |fnv: u64, word| {
             (fnv ^ word).wrapping_mul(0x1000_0000_01b3)
         });
