@@ -1,7 +1,5 @@
 //! Fixed-bin histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over a fixed range with equally sized bins.
 ///
 /// Used for reporting distributions (per-node contact counts, estimate spreads
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.bin_counts()[1], 2); // 2.5 and 2.6 fall in [2, 4)
 /// assert_eq!(h.overflow(), 1);       // 42.0 is out of range
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,7 +1,5 @@
 //! Streaming (online) statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford-style online accumulator for mean and variance.
 ///
 /// Used where the benchmark harness cannot afford to keep every observation in
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.mean(), 4.0);
 /// assert_eq!(stats.sample_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

@@ -1,7 +1,5 @@
 //! Text/markdown/CSV tables for benchmark reports.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple rectangular table with a header row.
 ///
 /// The benchmark binaries print every paper table and figure as one of these,
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(text.contains("getPair_pm"));
 /// assert_eq!(table.to_csv().lines().count(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,

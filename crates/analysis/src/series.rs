@@ -1,19 +1,17 @@
 //! Named (x, y) data series for experiment output.
 
-use serde::{Deserialize, Serialize};
-
 /// A named series of `(x, y)` points with optional per-point spread (error
 /// bars), mirroring what the paper plots: e.g. "getPair_seq, 20-reg. random"
 /// as a function of network size, or the size estimate with min/max bars in
 /// Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     name: String,
     points: Vec<SeriesPoint>,
 }
 
 /// A single point of a [`Series`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Abscissa (network size, cycle number, …).
     pub x: f64,

@@ -1,10 +1,8 @@
 //! Batch summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a batch of observations (e.g. the 50 independent
 /// runs behind each point of the paper's Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

@@ -1,7 +1,6 @@
 //! The averaging aggregate — the paper's `AGGREGATE_AVG`.
 
 use super::Aggregate;
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic averaging: both peers adopt `(x + y) / 2`.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// // mass conservation: 10 + 20 == 15 + 15
 /// assert_eq!(avg.merge(10.0, 20.0) * 2.0, 30.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Average;
 
 impl Aggregate for Average {

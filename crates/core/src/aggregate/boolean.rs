@@ -1,7 +1,6 @@
 //! Boolean aggregates over indicator values.
 
 use super::Aggregate;
-use serde::{Deserialize, Serialize};
 
 /// Boolean OR: over indicator values in `{0, 1}`, both peers adopt the
 /// maximum, so a single `1` anywhere in the network spreads to everyone.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(BooleanOr.merge(0.0, 1.0), 1.0);
 /// assert_eq!(BooleanOr.init(0.2), 1.0); // any non-zero value counts as true
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BooleanOr;
 
 impl Aggregate for BooleanOr {
@@ -50,7 +49,7 @@ impl Aggregate for BooleanOr {
 ///
 /// assert_eq!(BooleanAnd.merge(1.0, 0.0), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BooleanAnd;
 
 impl Aggregate for BooleanAnd {

@@ -1,7 +1,6 @@
 //! Extremal aggregates: maximum and minimum.
 
 use super::Aggregate;
-use serde::{Deserialize, Serialize};
 
 /// Maximum: both peers adopt `max(x, y)`.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// assert_eq!(Maximum.merge(3.0, 8.0), 8.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Maximum;
 
 impl Aggregate for Maximum {
@@ -44,7 +43,7 @@ impl Aggregate for Maximum {
 ///
 /// assert_eq!(Minimum.merge(3.0, 8.0), 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Minimum;
 
 impl Aggregate for Minimum {

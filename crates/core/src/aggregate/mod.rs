@@ -30,7 +30,6 @@ pub use boolean::{BooleanAnd, BooleanOr};
 pub use extrema::{Maximum, Minimum};
 pub use moments::{GeometricMean, Moment};
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 /// An aggregate function applied during the elementary anti-entropy exchange.
@@ -82,7 +81,7 @@ pub trait Aggregate: Debug + Send + Sync {
 /// Useful when the aggregate is chosen from configuration (the simulator and
 /// the benchmarks store an `AggregateKind` in their scenario descriptions);
 /// [`AggregateKind::instantiate`] turns it into a boxed [`Aggregate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum AggregateKind {
     /// Arithmetic average (the paper's main subject).
@@ -170,7 +169,7 @@ impl AggregateKind {
 /// This is not an [`Aggregate`] by itself — it is combined with [`Average`] —
 /// but it is kept here so the initialisation rule is documented next to the
 /// functions it feeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountInit;
 
 impl CountInit {

@@ -1,7 +1,6 @@
 //! Moment-based aggregates: raw moments and the geometric mean.
 
 use super::Aggregate;
-use serde::{Deserialize, Serialize};
 
 /// k-th raw moment: averages `xᵏ` instead of `x`.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(second.init(3.0), 9.0);
 /// assert_eq!(second.merge(9.0, 25.0), 17.0); // still plain averaging of states
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Moment {
     order: u32,
 }
@@ -81,7 +80,7 @@ impl Aggregate for Moment {
 /// let estimate = g.estimate(merged);
 /// assert!((estimate - 10.0).abs() < 1e-9); // sqrt(1 * 100)
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GeometricMean;
 
 /// Smallest value substituted for non-positive inputs of the geometric mean.

@@ -12,7 +12,6 @@ use crate::selectors::PairSelector;
 use crate::AggregationError;
 use overlay_topology::Topology;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Empirical mean of a value vector (`ā` in equation (2) of the paper).
 ///
@@ -51,7 +50,7 @@ pub fn variance(values: &[f64]) -> f64 {
 }
 
 /// Report of a single cycle of the `AVG` algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleReport {
     /// Cycle index (0-based) within the run.
     pub cycle: usize,

@@ -2,12 +2,11 @@
 
 use crate::aggregate::AggregateKind;
 use crate::AggregationError;
-use serde::{Deserialize, Serialize};
 
 /// What initial state a node gives to an aggregation instance it first learns
 /// about from a peer (i.e. an instance that was started elsewhere while this
 /// node was already running).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum LateJoinPolicy {
     /// Seed the instance from the node's own local value (the right choice for
     /// plain averaging, maxima, minima and moments: the node's value is part
@@ -36,7 +35,7 @@ pub enum LateJoinPolicy {
 /// assert_eq!(config.cycles_per_epoch(), 30);
 /// # Ok::<(), aggregate_core::AggregationError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConfig {
     aggregate: AggregateKind,
     cycles_per_epoch: u32,

@@ -11,11 +11,9 @@
 //! this is what keeps each epoch's result exact with respect to the
 //! membership at the epoch's start.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened to the epoch state as a result of a cycle tick or a received
 /// message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochTransition {
     /// The node stayed in the same epoch.
     None,
@@ -53,7 +51,7 @@ pub enum EpochTransition {
 /// );
 /// assert_eq!(epochs.current_epoch(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochManager {
     current_epoch: u64,
     cycle_in_epoch: u32,

@@ -17,11 +17,10 @@ use crate::config::{LateJoinPolicy, ProtocolConfig};
 use crate::epoch::{EpochManager, EpochTransition};
 use crate::protocol::{AggregationInstance, GossipMessage, InstanceTag};
 use overlay_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Converged result of one finished epoch on one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochResult {
     /// The epoch that finished.
     pub epoch: u64,
@@ -91,7 +90,7 @@ pub struct HotView {
 /// live in the [`BTreeMap`]. In the common single-instance configuration a
 /// node therefore owns no heap allocation at all, which is what lets the
 /// sharded cycle engine keep millions of nodes contiguous in its arenas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[repr(C)] // hot-first field order: everything the fused exchange fast path
            // reads (epoch state, default instance, led-instance root, id)
            // lives in the leading ~96 bytes, so an exchange costs the

@@ -9,7 +9,6 @@
 
 use crate::aggregate::AggregateKind;
 use overlay_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an aggregation instance.
 ///
@@ -18,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// tagged with the leader's node id, and the epoch-restart machinery keeps
 /// instances of different epochs apart via the epoch number carried in every
 /// message.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct InstanceTag(pub u64);
 
 impl InstanceTag {
@@ -43,7 +40,7 @@ impl InstanceTag {
 /// [`GossipMessage::Reply`] carrying its *pre-update* approximation, and both
 /// then apply the aggregate function. Every message is tagged with the epoch
 /// it belongs to (Section 4's restart mechanism) and the instance tag.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GossipMessage {
     /// First half of the exchange, sent by the initiating (active) node.
     Push {
@@ -127,7 +124,7 @@ impl GossipMessage {
 /// assert_eq!(a.estimate(), 20.0);
 /// assert_eq!(b.estimate(), 20.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregationInstance {
     kind: AggregateKind,
     local_value: f64,

@@ -18,12 +18,11 @@
 use crate::aggregate::CountInit;
 use crate::node::EpochResult;
 use crate::protocol::InstanceTag;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the per-instance reports of one epoch are merged into the defended
 /// estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MergePolicy {
     /// Report the median of the instance estimates (the paper's proposal).
     /// With `f < k/2` captured instances the median is bracketed by honest
@@ -53,7 +52,7 @@ impl fmt::Display for MergePolicy {
 /// counting instances per epoch (each with its own elected leader drawn from
 /// an independent labelled seed stream) and merge their reports with
 /// `merge`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedundancyConfig {
     /// Number of concurrent instances per epoch (`k`); must be ≥ 1.
     pub instances: usize,

@@ -41,7 +41,6 @@
 
 use overlay_topology::{NodeId, TopologyKind};
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, indexable directory of the currently live nodes, provided by the
@@ -236,7 +235,7 @@ impl PeerSampler for UniformSampler {
 /// Serialisable description of a peer-sampling layer, mirroring
 /// [`crate::SelectorKind`]: experiment configurations store a
 /// `SamplerConfig`, engines instantiate the matching [`PeerSampler`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub enum SamplerConfig {
     /// Uniform sampling over the complete live membership (the paper's

@@ -31,7 +31,6 @@ pub use sequential::SequentialSelector;
 use crate::theory;
 use overlay_topology::{NodeId, Topology};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 /// A `GETPAIR` implementation: produces the pairs on which the elementary
@@ -61,7 +60,7 @@ pub trait PairSelector: Debug {
 
 /// Enumeration of the built-in pair-selection strategies, for use in
 /// serialisable experiment configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SelectorKind {
     /// `GETPAIR_PM` — non-overlapping perfect matchings; the optimal reference.

@@ -17,7 +17,6 @@ use crate::node::{EpochResult, ProtocolNode};
 use crate::protocol::InstanceTag;
 use crate::AggregationError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Leader-election policy: with what probability a node starts its own
 /// counting instance at the beginning of an epoch.
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// The paper bounds the number of concurrent instances by letting each node
 /// become a leader "with a sufficiently small probability that can also depend
 /// on the previous approximation of network size".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LeaderPolicy {
     /// Fixed probability per node per epoch.
     Fixed {

@@ -25,7 +25,6 @@
 
 use crate::injector::{mix, probability_threshold};
 use overlay_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Salt for the colluder-membership coins ("colluder" in ASCII), keeping the
@@ -103,7 +102,7 @@ fn check_finite(parameter: &'static str, value: f64) -> Result<(), AdversaryPlan
 }
 
 /// What the colluding set does while the attack window is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackStrategy {
     /// Mass inflation/deflation: every colluder overwrites its running
     /// default-instance estimate with `value` at the start of every active
@@ -151,7 +150,7 @@ pub enum AttackStrategy {
 /// *what* they assert ([`AttackStrategy`]) and *when* (a half-open cycle
 /// window). The empty plan ([`AdversaryPlan::none`]) attacks nobody and is
 /// bit-identical to no adversary lab at all.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryPlan {
     /// Fraction of the initial population that colludes. Membership is a
     /// pure per-position coin, so the expected colluder count is

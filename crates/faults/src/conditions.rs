@@ -7,7 +7,6 @@
 //! the plan via [`crate::FaultPlan::from_conditions`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rejected [`NetworkConditions`] parameter.
@@ -58,7 +57,7 @@ impl std::error::Error for ConditionsError {}
 /// The engines treat a `NetworkConditions` as the trivial [`crate::FaultPlan`]
 /// (constant loss, at most one crash burst) — see
 /// [`crate::FaultPlan::from_conditions`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConditions {
     /// Probability that any individual message (push or reply) is lost.
     pub message_loss: f64,

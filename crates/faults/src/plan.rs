@@ -29,7 +29,6 @@
 //! configuration surfaces cannot drift apart.
 
 use crate::conditions::NetworkConditions;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rejected [`FaultPlan`] parameter.
@@ -109,7 +108,7 @@ fn check_probability(parameter: &'static str, value: f64) -> Result<(), FaultPla
 /// the minority side with probability `minority_fraction`), so a window is a
 /// *random* cut of the expected size — the model of a backbone failure
 /// isolating a region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionWindow {
     /// First cycle the partition is active.
     pub split_at_cycle: usize,
@@ -128,7 +127,7 @@ impl PartitionWindow {
 
 /// A correlated crash event: `fraction` of the live nodes crashes at the
 /// start of `cycle` (before any exchange of that cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashBurst {
     /// The cycle at whose start the burst fires.
     pub cycle: usize,
@@ -140,7 +139,7 @@ pub struct CrashBurst {
 /// at `start_cycle` to `end_loss` at `end_cycle` and *holds* `end_loss`
 /// afterwards (a lasting regime change, e.g. a network degrading under
 /// load). Before `start_cycle` the ramp contributes nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossRamp {
     /// First cycle of the ramp.
     pub start_cycle: usize,
@@ -173,7 +172,7 @@ impl LossRamp {
 /// *converging state*, not the local attribute — the transient-adversary
 /// model: the protocol's subsequent cycles dilute the corruption, and the
 /// next epoch restart flushes it entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValueInjection {
     /// The cycle at whose start the injection fires.
     pub cycle: usize,
@@ -187,7 +186,7 @@ pub struct ValueInjection {
 /// fault families. Construct one with struct-update syntax over
 /// [`FaultPlan::default`] (the empty plan) and validate with
 /// [`FaultPlan::validate`]; the engines validate at construction.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Probability that any given (unordered) node pair's link is dead for
     /// the entire run.

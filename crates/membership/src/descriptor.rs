@@ -2,7 +2,6 @@
 //! protocol.
 
 use overlay_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A descriptor of a node as seen by the membership protocol: the node's
 /// identifier plus the *age* of the information (number of membership cycles
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// alive; newscast's merge rule keeps the freshest descriptors, which is how
 /// crashed nodes eventually disappear from all views without any explicit
 /// failure detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeDescriptor {
     /// The described node.
     pub node: NodeId,

@@ -3,7 +3,6 @@
 use crate::NodeDescriptor;
 use overlay_topology::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A bounded set of [`NodeDescriptor`]s — the "neighbour set" a node knows
 /// about.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// The view never contains two descriptors for the same node (the younger one
 /// wins) and never exceeds its capacity (the oldest entries are evicted
 /// first), which is the newscast merge rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialView {
     capacity: usize,
     entries: Vec<NodeDescriptor>,

@@ -11,12 +11,12 @@
 //! | 8 | epoch (big-endian u64) |
 //! | 8 | estimate value (IEEE-754 bits, big-endian u64) |
 //!
-//! The format is intentionally explicit (no serde) so that the byte layout is
-//! stable across versions and trivially implementable by other languages.
+//! The format is intentionally explicit (no serialization framework) so that
+//! the byte layout is stable across versions and trivially implementable by
+//! other languages.
 
 use crate::NetError;
 use aggregate_core::{GossipMessage, InstanceTag};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use overlay_topology::NodeId;
 
 /// Exact size of an encoded message in bytes.
@@ -26,8 +26,7 @@ const TYPE_PUSH: u8 = 0;
 const TYPE_REPLY: u8 = 1;
 
 /// Encodes a message into its 33-byte frame.
-pub fn encode(message: &GossipMessage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(FRAME_LEN);
+pub fn encode(message: &GossipMessage) -> [u8; FRAME_LEN] {
     let (tag, from, to, instance, epoch, value) = match *message {
         GossipMessage::Push {
             from,
@@ -44,13 +43,14 @@ pub fn encode(message: &GossipMessage) -> Bytes {
             value,
         } => (TYPE_REPLY, from, to, instance, epoch, value),
     };
-    buf.put_u8(tag);
-    buf.put_u32(from.as_u32());
-    buf.put_u32(to.as_u32());
-    buf.put_u64(instance.0);
-    buf.put_u64(epoch);
-    buf.put_u64(value.to_bits());
-    buf.freeze()
+    let mut frame = [0u8; FRAME_LEN];
+    frame[0] = tag;
+    frame[1..5].copy_from_slice(&from.as_u32().to_be_bytes());
+    frame[5..9].copy_from_slice(&to.as_u32().to_be_bytes());
+    frame[9..17].copy_from_slice(&instance.0.to_be_bytes());
+    frame[17..25].copy_from_slice(&epoch.to_be_bytes());
+    frame[25..33].copy_from_slice(&value.to_bits().to_be_bytes());
+    frame
 }
 
 /// Decodes a 33-byte frame back into a message.
@@ -60,19 +60,15 @@ pub fn encode(message: &GossipMessage) -> Bytes {
 /// Returns [`NetError::Decode`] when the frame has the wrong length or an
 /// unknown type tag.
 pub fn decode(frame: &[u8]) -> Result<GossipMessage, NetError> {
-    if frame.len() != FRAME_LEN {
-        return Err(NetError::Decode {
-            reason: format!("expected {FRAME_LEN} bytes, got {}", frame.len()),
-        });
-    }
-    let mut buf = frame;
-    let tag = buf.get_u8();
-    let from = NodeId::from_u32(buf.get_u32());
-    let to = NodeId::from_u32(buf.get_u32());
-    let instance = InstanceTag(buf.get_u64());
-    let epoch = buf.get_u64();
-    let value = f64::from_bits(buf.get_u64());
-    match tag {
+    let frame: &[u8; FRAME_LEN] = frame.try_into().map_err(|_| NetError::Decode {
+        reason: format!("expected {FRAME_LEN} bytes, got {}", frame.len()),
+    })?;
+    let from = NodeId::from_u32(u32::from_be_bytes(field(frame, 1)));
+    let to = NodeId::from_u32(u32::from_be_bytes(field(frame, 5)));
+    let instance = InstanceTag(u64::from_be_bytes(field(frame, 9)));
+    let epoch = u64::from_be_bytes(field(frame, 17));
+    let value = f64::from_bits(u64::from_be_bytes(field(frame, 25)));
+    match frame[0] {
         TYPE_PUSH => Ok(GossipMessage::Push {
             from,
             to,
@@ -91,6 +87,14 @@ pub fn decode(frame: &[u8]) -> Result<GossipMessage, NetError> {
             reason: format!("unknown message type tag {other}"),
         }),
     }
+}
+
+/// The `N` bytes of `frame` starting at `at`; every caller keeps
+/// `at + N <= FRAME_LEN`.
+fn field<const N: usize>(frame: &[u8; FRAME_LEN], at: usize) -> [u8; N] {
+    let mut bytes = [0u8; N];
+    bytes.copy_from_slice(&frame[at..at + N]);
+    bytes
 }
 
 #[cfg(test)]
@@ -161,7 +165,7 @@ mod tests {
         assert!(decode(&[]).is_err());
         assert!(decode(&[0u8; FRAME_LEN - 1]).is_err());
         assert!(decode(&[0u8; FRAME_LEN + 1]).is_err());
-        let mut bad_tag = encode(&push(1.0)).to_vec();
+        let mut bad_tag = encode(&push(1.0));
         bad_tag[0] = 9;
         let err = decode(&bad_tag).unwrap_err();
         assert!(err.to_string().contains("unknown message type"));
@@ -208,8 +212,8 @@ mod tests {
             // NaN payloads round-trip bit-exactly but compare unequal through
             // PartialEq, so compare the re-encoded frames instead.
             assert_eq!(
-                encode(&decoded).to_vec(),
-                encode(&msg).to_vec(),
+                encode(&decoded),
+                encode(&msg),
                 "case {case}: round trip altered the frame"
             );
             if !value.is_nan() {

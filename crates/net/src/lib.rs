@@ -9,9 +9,9 @@
 //! outside a simulator:
 //!
 //! * [`codec`] — a small explicit binary encoding of [`aggregate_core::GossipMessage`]
-//!   (33 bytes per message, no allocation on decode);
+//!   (a 33-byte array per message, no allocation either way);
 //! * [`Transport`] — the interface a message carrier must implement, with two
-//!   implementations: [`InMemoryNetwork`] (crossbeam channels carrying
+//!   implementations: [`InMemoryNetwork`] (`std::sync::mpsc` channels carrying
 //!   encoded wire frames, for tests and single-process demos) and
 //!   [`UdpTransport`] (UDP sockets, for LAN/localhost deployments);
 //! * [`NodeCore`] — the per-node protocol step both runtimes share: every
@@ -73,3 +73,28 @@ pub use runtime::{
 };
 pub use transport::Transport;
 pub use udp::UdpTransport;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a previous holder panicked, so a
+/// dead runtime thread never makes its node's state unreadable.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_recovers_the_guard_from_a_panicked_holder() {
+        let mutex = Mutex::new(7);
+        let died = std::panic::catch_unwind(|| {
+            let _guard = lock(&mutex);
+            panic!("holder dies while locked");
+        });
+        assert!(died.is_err() && mutex.is_poisoned());
+        *lock(&mutex) += 1;
+        assert_eq!(*lock(&mutex), 8);
+    }
+}

@@ -1,15 +1,23 @@
-//! In-process transport backed by crossbeam channels.
+//! In-process transport backed by `std::sync::mpsc` channels.
 
-use crate::{codec, NetError, Transport};
+use crate::codec::{self, FRAME_LEN};
+use crate::{NetError, Transport};
 use aggregate_core::GossipMessage;
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use overlay_topology::NodeId;
-use std::collections::HashMap; // lint-allow(nondeterminism): keyed lookup only; peers() sorts before iterating
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// A single-process "network": one channel pair per node, with every endpoint
-/// holding senders to all other endpoints.
+/// One encoded wire frame in flight.
+type Frame = [u8; FRAME_LEN];
+
+/// A single-process "network": one inbox per node, and one routing table of
+/// inbox senders, indexed by node id, shared by every endpoint.
+///
+/// A send to an id outside the network, or to the endpoint itself, is
+/// [`NetError::UnknownPeer`]; a send to a dropped endpoint is
+/// [`NetError::Disconnected`]. Because the table keeps every inbox's sender
+/// alive, a receive never disconnects: once the wait elapses it is `Ok(None)`.
 ///
 /// The channels carry *encoded wire frames* ([`codec::encode`] on send,
 /// [`codec::decode`] on receive), not in-process message structs, so every
@@ -43,28 +51,23 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct InMemoryNetwork {
     id: NodeId,
-    inbox: Receiver<Bytes>,
-    // lint-allow(nondeterminism): outboxes are looked up by key; peers() sorts its keys
-    outboxes: HashMap<u32, Sender<Bytes>>,
+    inbox: Receiver<Frame>,
+    /// Sender to every endpoint's inbox, this one's included, by node id.
+    routes: Arc<[Sender<Frame>]>,
 }
 
 impl InMemoryNetwork {
     /// Creates a fully connected in-memory network of `n` endpoints.
     pub fn create(n: usize) -> Vec<InMemoryNetwork> {
-        let channels: Vec<(Sender<Bytes>, Receiver<Bytes>)> = (0..n).map(|_| unbounded()).collect();
-        (0..n)
-            .map(|i| {
-                let outboxes = channels
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(j, (tx, _))| (j as u32, tx.clone()))
-                    .collect();
-                InMemoryNetwork {
-                    id: NodeId::new(i),
-                    inbox: channels[i].1.clone(),
-                    outboxes,
-                }
+        let (routes, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let routes: Arc<[Sender<Frame>]> = routes.into();
+        inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(i, inbox)| InMemoryNetwork {
+                id: NodeId::new(i),
+                inbox,
+                routes: Arc::clone(&routes),
             })
             .collect()
     }
@@ -76,31 +79,30 @@ impl Transport for InMemoryNetwork {
     }
 
     fn peers(&self) -> Vec<NodeId> {
-        let mut peers: Vec<NodeId> = self
-            .outboxes
-            .keys()
-            .map(|&raw| NodeId::from_u32(raw))
-            .collect();
-        peers.sort();
-        peers
+        (0..self.routes.len())
+            .map(NodeId::new)
+            .filter(|&node| node != self.id)
+            .collect()
     }
 
     fn send(&self, message: &GossipMessage) -> Result<(), NetError> {
         let to = message.recipient();
-        let sender = self
-            .outboxes
-            .get(&to.as_u32())
+        let route = self
+            .routes
+            .get(to.index())
+            .filter(|_| to != self.id)
             .ok_or(NetError::UnknownPeer { peer: to.as_u32() })?;
-        sender
+        route
             .send(codec::encode(message))
             .map_err(|_| NetError::Disconnected)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<GossipMessage>, NetError> {
+        // `routes` keeps a sender to this inbox alive, so a receive can only
+        // time out, never disconnect.
         match self.inbox.recv_timeout(timeout) {
             Ok(frame) => codec::decode(&frame).map(Some),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+            Err(_) => Ok(None),
         }
     }
 }
@@ -191,5 +193,47 @@ mod tests {
             endpoints[0].recv_timeout(Duration::from_millis(5)).unwrap(),
             None
         );
+    }
+
+    #[test]
+    fn a_blocked_receive_is_woken_by_a_send_from_another_thread() {
+        let mut endpoints = InMemoryNetwork::create(2).into_iter();
+        let (sender, receiver) = (endpoints.next().unwrap(), endpoints.next().unwrap());
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            ready_tx.send(()).unwrap();
+            receiver.recv_timeout(Duration::from_secs(5))
+        });
+        // The handshake orders the receive before the send; the pause makes
+        // it likely that the receive is already blocked when the frame lands.
+        ready_rx.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        sender.send(&push(0, 1, 42.0)).unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap(), Some(push(0, 1, 42.0)));
+    }
+
+    #[test]
+    fn frames_from_one_sender_arrive_in_send_order() {
+        let endpoints = InMemoryNetwork::create(2);
+        for i in 0..10 {
+            endpoints[0].send(&push(0, 1, f64::from(i))).unwrap();
+        }
+        for i in 0..10 {
+            assert_eq!(
+                endpoints[1].recv_timeout(Duration::ZERO).unwrap(),
+                Some(push(0, 1, f64::from(i)))
+            );
+        }
+    }
+
+    #[test]
+    fn sending_to_a_dropped_endpoint_is_disconnected() {
+        let mut endpoints = InMemoryNetwork::create(2);
+        drop(endpoints.pop());
+        let err = endpoints[0].send(&push(0, 1, 1.0)).unwrap_err();
+        assert!(matches!(err, NetError::Disconnected));
+        // The shared routing table keeps every inbox's sender alive, so the
+        // survivor's receive times out instead of reporting a disconnect.
+        assert_eq!(endpoints[0].recv_timeout(Duration::ZERO).unwrap(), None);
     }
 }

@@ -10,7 +10,7 @@
 //! against a live UDP cluster exactly as they do in the fault lab.
 
 use crate::node_core::{Delivery, NodeCore};
-use crate::{InMemoryNetwork, NetError, Transport};
+use crate::{lock, InMemoryNetwork, NetError, Transport};
 use aggregate_core::effects::{Clock, SeedSequence, SystemClock};
 use aggregate_core::node::ProtocolNode;
 use aggregate_core::sampler::UniformSampler;
@@ -21,11 +21,10 @@ use gossip_sim::instantiate_sampler;
 use gossip_sim::sampling::{ADVERSARY_STREAM, FAULTS_STREAM};
 use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink};
 use overlay_topology::NodeId;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -153,18 +152,18 @@ impl NodeHandle {
 
     /// The node's current estimate of the aggregate.
     pub fn estimate(&self) -> Option<f64> {
-        self.node.lock().estimate()
+        lock(&self.node).estimate()
     }
 
     /// The epoch the node is currently executing.
     pub fn current_epoch(&self) -> u64 {
-        self.node.lock().current_epoch()
+        lock(&self.node).current_epoch()
     }
 
     /// Updates the node's local attribute value (picked up at the next epoch
     /// restart, as in the paper's adaptive protocol).
     pub fn set_local_value(&self, value: f64) {
-        self.node.lock().set_local_value(value);
+        lock(&self.node).set_local_value(value);
     }
 
     /// A snapshot of the node's typed event counters.
@@ -178,7 +177,7 @@ impl NodeHandle {
     /// monitoring this serves).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let (epoch, estimate) = {
-            let core = self.node.lock();
+            let core = lock(&self.node);
             (core.current_epoch(), core.estimate())
         };
         let stats = self.stats.snapshot();
@@ -194,12 +193,12 @@ impl NodeHandle {
     /// unless the runtime was spawned with event recording enabled
     /// ([`NodeEnv::with_telemetry`]).
     pub fn drain_trace(&self) -> Vec<Event> {
-        self.telemetry.lock().drain_events() // lint-allow(observer-effect): post-hoc export accessor for observers, not protocol logic
+        lock(&self.telemetry).drain_events() // lint-allow(observer-effect): post-hoc export accessor for observers, not protocol logic
     }
 
     /// Renders the node's telemetry counters (post-hoc readout).
     pub fn telemetry_metrics(&self) -> String {
-        self.telemetry.lock().metrics().render() // lint-allow(observer-effect): post-hoc metrics accessor for observers, not protocol logic
+        lock(&self.telemetry).metrics().render() // lint-allow(observer-effect): post-hoc metrics accessor for observers, not protocol logic
     }
 }
 
@@ -444,7 +443,7 @@ fn run_node_loop<T: Transport>(
     stop: &AtomicBool,
 ) {
     // Cached once: with telemetry disabled every hook below is one branch.
-    let events = telemetry.lock().events_enabled();
+    let events = lock(&telemetry).events_enabled();
     // Per-node event ordinals: initiated exchanges and served pushes count
     // separately (an asynchronous node cannot know its peers' numbering).
     let mut init_seq: u64 = 0;
@@ -474,7 +473,7 @@ fn run_node_loop<T: Transport>(
     // the random initial phase staggers the first active exchanges so nodes
     // do not fire in lock-step.
     if events {
-        telemetry.lock().begin_cycle(0, env.clock.now_ms());
+        lock(&telemetry).begin_cycle(0, env.clock.now_ms());
     }
     enter_cycle(
         &mut env, cycle, &mut state, &node, local, &telemetry, events,
@@ -487,13 +486,11 @@ fn run_node_loop<T: Transport>(
         let now = env.clock.now_ms();
         if now < next_cycle {
             if now >= reply_deadline {
-                match node.lock().close_pending() {
+                match lock(&node).close_pending() {
                     Some(true) => {
                         StatsCell::bump(&stats.exchanges_completed);
                         if events {
-                            telemetry
-                                .lock()
-                                .exchange_completed(init_seq.wrapping_sub(1));
+                            lock(&telemetry).exchange_completed(init_seq.wrapping_sub(1));
                         }
                     }
                     Some(false) => StatsCell::bump(&stats.exchanges_timed_out),
@@ -536,14 +533,12 @@ fn run_node_loop<T: Transport>(
         // Cycle boundary: settle the in-flight exchange, advance the epoch
         // machinery, enter the next cycle and run the active half.
         let epoch_restart = {
-            let mut core = node.lock();
+            let mut core = lock(&node);
             match core.close_pending() {
                 Some(true) => {
                     StatsCell::bump(&stats.exchanges_completed);
                     if events {
-                        telemetry
-                            .lock()
-                            .exchange_completed(init_seq.wrapping_sub(1));
+                        lock(&telemetry).exchange_completed(init_seq.wrapping_sub(1));
                     }
                 }
                 Some(false) => StatsCell::bump(&stats.exchanges_timed_out),
@@ -557,15 +552,13 @@ fn run_node_loop<T: Transport>(
         };
         if events {
             if let Some(epoch) = epoch_restart {
-                telemetry.lock().epoch_restarted(epoch);
+                lock(&telemetry).epoch_restarted(epoch);
             }
         }
         cycle += 1;
         StatsCell::bump(&stats.cycles_run);
         if events {
-            telemetry
-                .lock()
-                .begin_cycle(cycle as u64, env.clock.now_ms());
+            lock(&telemetry).begin_cycle(cycle as u64, env.clock.now_ms());
         }
         enter_cycle(
             &mut env, cycle, &mut state, &node, local, &telemetry, events,
@@ -583,7 +576,7 @@ fn run_node_loop<T: Transport>(
                 &mut init_seq,
             );
         }
-        reply_deadline = if node.lock().is_pending() {
+        reply_deadline = if lock(&node).is_pending() {
             env.clock.now_ms().saturating_add(reply_timeout)
         } else {
             u64::MAX
@@ -619,7 +612,7 @@ fn enter_cycle<T: Transport>(
             // Each node's trace records only its own crash; merging per-node
             // traces therefore yields one departure event per victim.
             if events {
-                telemetry.lock().node_departed(u64::from(local.as_u32()));
+                lock(telemetry).node_departed(u64::from(local.as_u32()));
             }
         }
     }
@@ -628,9 +621,9 @@ fn enter_cycle<T: Transport>(
     // never double-corrupts a node the adversary is actively lying through.
     if env.adversary.is_colluder(local) {
         if let Some(value) = env.adversary.lie_at(cycle) {
-            node.lock().corrupt_estimate(value);
+            lock(node).corrupt_estimate(value);
             if events {
-                telemetry.lock().value_corrupted(u64::from(local.as_u32()));
+                lock(telemetry).value_corrupted(u64::from(local.as_u32()));
             }
         }
     }
@@ -638,9 +631,9 @@ fn enter_cycle<T: Transport>(
         if state.live_ids.get(pos) == Some(&local)
             && !env.adversary.overrides_injection(cycle, local)
         {
-            node.lock().corrupt_estimate(value);
+            lock(node).corrupt_estimate(value);
             if events {
-                telemetry.lock().value_corrupted(u64::from(local.as_u32()));
+                lock(telemetry).value_corrupted(u64::from(local.as_u32()));
             }
         }
     }
@@ -676,28 +669,24 @@ fn initiate<T: Transport>(
         env.sampler.peer_failed(local, peer);
         StatsCell::bump(&stats.exchanges_vetoed);
         if events {
-            telemetry
-                .lock()
-                .exchange_vetoed(u64::from(local.as_u32()), u64::from(peer.as_u32()));
+            lock(telemetry).exchange_vetoed(u64::from(local.as_u32()), u64::from(peer.as_u32()));
         }
         return;
     }
-    if !node.lock().begin(peer, pushes) {
+    if !lock(node).begin(peer, pushes) {
         return;
     }
     StatsCell::bump(&stats.exchanges_started);
     let seq = *init_seq;
     *init_seq += 1;
     if events {
-        telemetry
-            .lock()
-            .exchange_begun(seq, u64::from(local.as_u32()), u64::from(peer.as_u32()));
+        lock(telemetry).exchange_begun(seq, u64::from(local.as_u32()), u64::from(peer.as_u32()));
     }
     for push in pushes.iter() {
         if state.loss > 0.0 && env.rng.gen_bool(state.loss) {
             StatsCell::bump(&stats.messages_lost);
             if events {
-                telemetry.lock().message_lost(seq);
+                lock(telemetry).message_lost(seq);
             }
             continue;
         }
@@ -728,14 +717,14 @@ fn serve<T: Transport>(
     stats: &StatsCell,
     telemetry: ServeTelemetry<'_>,
 ) {
-    match node.lock().deliver(message) {
+    match lock(node).deliver(message) {
         Delivery::Reply(reply) => {
             let seq = *telemetry.serve_seq;
             *telemetry.serve_seq += 1;
             if state.loss > 0.0 && env.rng.gen_bool(state.loss) {
                 StatsCell::bump(&stats.messages_lost);
                 if telemetry.events {
-                    telemetry.sink.lock().message_lost(seq);
+                    lock(telemetry.sink).message_lost(seq);
                 }
             } else if env.transport.send(&reply).is_err() {
                 StatsCell::bump(&stats.send_errors);
@@ -744,10 +733,7 @@ fn serve<T: Transport>(
         Delivery::ExchangeComplete => {
             StatsCell::bump(&stats.exchanges_completed);
             if telemetry.events {
-                telemetry
-                    .sink
-                    .lock()
-                    .exchange_completed(telemetry.init_seq.wrapping_sub(1));
+                lock(telemetry.sink).exchange_completed(telemetry.init_seq.wrapping_sub(1));
             }
         }
         Delivery::RejectedOverlap => {
@@ -755,10 +741,7 @@ fn serve<T: Transport>(
             if telemetry.events {
                 let seq = *telemetry.serve_seq;
                 *telemetry.serve_seq += 1;
-                telemetry
-                    .sink
-                    .lock()
-                    .exchange_rejected(seq, u64::from(telemetry.local.as_u32()));
+                lock(telemetry.sink).exchange_rejected(seq, u64::from(telemetry.local.as_u32()));
             }
         }
         Delivery::Absorbed | Delivery::ReplyAbsorbed | Delivery::UnmatchedReply => {}

@@ -14,7 +14,8 @@ use std::time::Duration;
 ///
 /// Two implementations ship with the crate:
 ///
-/// * [`crate::InMemoryNetwork`] — crossbeam channels inside one process;
+/// * [`crate::InMemoryNetwork`] — `std::sync::mpsc` channels carrying
+///   frames encoded with [`crate::codec`] inside one process;
 /// * [`crate::UdpTransport`] — UDP datagrams encoded with [`crate::codec`].
 pub trait Transport: Send {
     /// The node this transport endpoint belongs to.

@@ -1,11 +1,11 @@
 //! UDP transport.
 
-use crate::{codec, NetError, Transport};
+use crate::{codec, lock, NetError, Transport};
 use aggregate_core::GossipMessage;
 use overlay_topology::NodeId;
-use parking_lot::Mutex;
 use std::collections::HashMap; // lint-allow(nondeterminism): keyed lookup only; peers() sorts before iterating
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// A UDP-based transport endpoint: one socket per node plus a static address
@@ -108,12 +108,15 @@ impl Transport for UdpTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<GossipMessage>, NetError> {
+        // std rejects a zero read timeout; the smallest non-zero one turns
+        // `Duration::ZERO` into the poll the `Transport` contract promises.
+        let timeout = timeout.max(Duration::from_nanos(1));
         // Only touch the socket option when the requested timeout changed.
-        // Timeouts that don't fit the cache key (0, or ≥ ~584 years) always
-        // take the syscall path, preserving the socket's error behaviour.
+        // Timeouts that don't fit the cache key (≥ ~584 years) always take
+        // the syscall path, preserving the socket's error behaviour.
         {
             let key = u64::try_from(timeout.as_nanos()).unwrap_or(0);
-            let mut cached = self.read_timeout_nanos.lock();
+            let mut cached = lock(&self.read_timeout_nanos);
             if key == 0 || *cached != key {
                 self.socket.set_read_timeout(Some(timeout))?;
                 *cached = key;
@@ -210,7 +213,7 @@ mod tests {
             assert_eq!(a.recv_timeout(Duration::from_millis(5)).unwrap(), None);
         }
         assert_eq!(
-            *a.read_timeout_nanos.lock(),
+            *lock(&a.read_timeout_nanos),
             Duration::from_millis(5).as_nanos() as u64
         );
         // Changing the timeout reprograms the socket and still delivers.
@@ -227,7 +230,7 @@ mod tests {
             Some(push)
         );
         assert_eq!(
-            *a.read_timeout_nanos.lock(),
+            *lock(&a.read_timeout_nanos),
             Duration::from_millis(500).as_nanos() as u64
         );
         // The cache must not cost the transport its shared-reference

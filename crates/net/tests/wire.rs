@@ -5,8 +5,9 @@
 
 use aggregate_core::{GossipMessage, InstanceTag};
 use gossip_net::codec::{decode, encode, FRAME_LEN};
-use gossip_net::{InMemoryNetwork, NetError, Transport};
+use gossip_net::{InMemoryNetwork, NetError, Transport, UdpTransport};
 use overlay_topology::NodeId;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// One message of each variant for every interesting field shape: default
@@ -142,12 +143,40 @@ fn unknown_type_tags_are_typed_decode_errors() {
     }
 }
 
-/// Every variant survives the full transport hop — encoded on send, framed
-/// through the channel, decoded on receive — bit-exactly. This is the same
-/// byte path the UDP transport ships.
+/// Both transports keep one contract: an idle receive is `Ok(None)` whether
+/// it waits (5 ms) or polls (`Duration::ZERO`), a send to an unknown peer is
+/// `UnknownPeer`, and every variant survives the full hop — encoded on send,
+/// carried by a channel or a loopback datagram, decoded on receive —
+/// bit-exactly, NaN, −0.0 and ±∞ included.
 #[test]
-fn every_variant_crosses_the_in_memory_transport_bit_exactly() {
+fn every_variant_crosses_both_transports_bit_exactly() {
     let endpoints = InMemoryNetwork::create(2);
+    check_transport_contract(&endpoints[0], &endpoints[1]);
+
+    let localhost = SocketAddr::from(([127, 0, 0, 1], 0));
+    let mut a = UdpTransport::bind(NodeId::new(0), localhost, vec![]).unwrap();
+    let mut b = UdpTransport::bind(NodeId::new(1), localhost, vec![]).unwrap();
+    a.register_peer(NodeId::new(1), b.local_address().unwrap());
+    b.register_peer(NodeId::new(0), a.local_address().unwrap());
+    check_transport_contract(&a, &b);
+}
+
+/// Runs the contract from node 0's endpoint `sender` to node 1's `receiver`.
+fn check_transport_contract(sender: &impl Transport, receiver: &impl Transport) {
+    for wait in [Duration::ZERO, Duration::from_millis(5)] {
+        assert_eq!(receiver.recv_timeout(wait).unwrap(), None, "idle {wait:?}");
+    }
+    let to_unknown = GossipMessage::Push {
+        from: NodeId::new(0),
+        to: NodeId::new(9),
+        instance: InstanceTag::DEFAULT,
+        epoch: 0,
+        value: 0.0,
+    };
+    assert!(matches!(
+        sender.send(&to_unknown),
+        Err(NetError::UnknownPeer { peer: 9 })
+    ));
     for message in every_variant() {
         // Rewrite the endpoints so routing targets endpoint 1.
         let routed = match message {
@@ -176,9 +205,9 @@ fn every_variant_crosses_the_in_memory_transport_bit_exactly() {
                 value,
             },
         };
-        endpoints[0].send(&routed).expect("send succeeds");
-        let received = endpoints[1]
-            .recv_timeout(Duration::from_millis(100))
+        sender.send(&routed).expect("send succeeds");
+        let received = receiver
+            .recv_timeout(Duration::from_secs(1))
             .expect("decode succeeds")
             .expect("frame was delivered");
         assert_eq!(encode(&received), encode(&routed), "{routed:?}");

@@ -1,7 +1,5 @@
 //! Churn models: how the set of live nodes changes over time.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic schedule of the *target* network size plus per-cycle
 /// fluctuation, matching the scenario of the paper's Figure 4:
 ///
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// The oscillation follows a triangle wave (linear growth then linear decline)
 /// whose period is expressed in cycles; the fluctuation adds a constant number
 /// of simultaneous joins and departures per cycle that cancel out in size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSchedule {
     /// Smallest network size reached by the oscillation.
     pub min_size: usize,

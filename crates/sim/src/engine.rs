@@ -44,7 +44,6 @@ use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Logical duration of one protocol cycle on the engines' virtual clocks.
 /// Flight-recorder timestamps advance by this per cycle — virtual time, so
@@ -117,7 +116,7 @@ impl SimulationConfig {
 }
 
 /// Summary of one simulated cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleSummary {
     /// Cycle index (0-based, global).
     pub cycle: usize,

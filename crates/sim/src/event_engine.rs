@@ -19,7 +19,6 @@ use gossip_faults::{FaultInjector, FaultPlan, PlanInjector};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -78,7 +77,7 @@ impl fmt::Display for AsyncConfigError {
 impl std::error::Error for AsyncConfigError {}
 
 /// How a node chooses the waiting time between its own exchange initiations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WakeupDistribution {
     /// Fixed period with a uniformly random initial phase — the paper's
     /// `GETWAITINGTIME` returning the constant `Δt`, desynchronised across
@@ -199,7 +198,7 @@ impl AsyncConfig {
 }
 
 /// A snapshot of the network state taken by [`AsyncSimulation::run_until`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSample {
     /// Simulated time of the snapshot.
     pub time: f64,

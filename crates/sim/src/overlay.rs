@@ -29,13 +29,12 @@ use aggregate_core::{theory, ProtocolConfig};
 use gossip_analysis::Table;
 use overlay_topology::TopologyKind;
 use peer_sampling::NewscastNetwork;
-use serde::{Deserialize, Serialize};
 
 /// A node-level convergence measurement under a configurable peer-sampling
 /// layer: `nodes` nodes holding uniform `[0, 1)` values run `cycles` cycles
 /// of the full protocol, and the per-cycle variance-reduction factors are
 /// averaged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlayExperiment {
     /// Network size.
     pub nodes: usize,
@@ -52,7 +51,7 @@ pub struct OverlayExperiment {
 }
 
 /// The measured outcome of one [`OverlayExperiment`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlayMeasurement {
     /// The sampler under test.
     pub sampler: SamplerConfig,

@@ -34,11 +34,10 @@ use aggregate_core::size_estimation::LeaderPolicy;
 use aggregate_core::{avg, theory, ProtocolConfig};
 use gossip_analysis::Table;
 use gossip_faults::{CrashBurst, ValueInjection};
-use serde::{Deserialize, Serialize};
 
 /// Shared parameters of a robustness sweep: one engine configuration probed
 /// at several fault rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessSweep {
     /// Network size.
     pub nodes: usize,
@@ -53,7 +52,7 @@ pub struct RobustnessSweep {
 }
 
 /// One measured point of a robustness curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessPoint {
     /// The fault family this point probes (`"link-failure"`,
     /// `"message-loss"`, `"value-injection"`).
@@ -244,7 +243,7 @@ impl RobustnessSweep {
 }
 
 /// One point of the crash-rate size-estimation experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashEstimationPoint {
     /// Fraction of nodes crashed at the start of the measured epoch.
     pub crash_fraction: f64,
@@ -353,7 +352,7 @@ pub fn crash_estimation_curve(
 /// One point of the attack-vs-defense size-estimation experiment: the same
 /// leader-capture attack measured against the undefended single-instance
 /// estimator and the median-of-k redundant-instance defense.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackDefensePoint {
     /// The state each captured counting instance is forced to every cycle —
     /// the attack amplitude (honest leaders hold 1.0, so larger values crush

@@ -13,10 +13,9 @@ use aggregate_core::size_estimation::LeaderPolicy;
 use aggregate_core::{AggregationError, ProtocolConfig, SelectorKind};
 use gossip_analysis::{Summary, Table};
 use overlay_topology::{TopologyBuilder, TopologyKind};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a variance-reduction experiment (the setting of Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VarianceExperiment {
     /// Network size.
     pub nodes: usize,
@@ -132,7 +131,7 @@ pub fn single_run_reports(
 
 /// One reported point of the Figure 4 reproduction: the true network size at
 /// the end of an epoch and the distribution of converged estimates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeEstimationPoint {
     /// Cycle at which the epoch completed.
     pub cycle: usize,
@@ -151,7 +150,7 @@ pub struct SizeEstimationPoint {
 }
 
 /// Parameters of the Figure 4 network-size-estimation scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeEstimationScenario {
     /// Churn schedule (oscillation + fluctuation).
     pub churn: ChurnSchedule,
@@ -236,7 +235,7 @@ impl SizeEstimationScenario {
 /// Aggregate result of one end-to-end churn run: the Figure 4 estimation
 /// points plus the engine-health telemetry (throughput and arena footprint)
 /// that the full-scale runs and the CI smoke job report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnReport {
     /// One point per completed epoch that produced size estimates.
     pub points: Vec<SizeEstimationPoint>,
@@ -350,7 +349,7 @@ impl ChurnReport {
 /// [`ChurnRunner::sharded`] drives the sharded engine, with
 /// joins routed to the least-loaded shard and departures to the victim's
 /// owning shard.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnRunner {
     /// The scenario to execute.
     pub scenario: SizeEstimationScenario,
@@ -516,7 +515,7 @@ struct EngineHooks<S> {
 }
 
 /// Result of a robustness run (benchmark A2): final accuracy under failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessResult {
     /// Mean absolute relative error of the final estimates w.r.t. the true
     /// average of the surviving nodes' values.

@@ -51,7 +51,6 @@ use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig, Teleme
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`ShardedSimulation`]: the engine-agnostic simulation
 /// parameters plus the shard count.
@@ -117,7 +116,7 @@ impl ShardedConfig {
 /// Unlike [`crate::CycleSummary`] this reports epoch results as streaming
 /// statistics instead of raw per-node vectors — at 10⁶ nodes a single
 /// epoch's estimate vector would be 8 MB per completing cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedCycleSummary {
     /// Cycle index (0-based, global).
     pub cycle: usize,

@@ -1,7 +1,6 @@
 //! Initial value distributions for experiments.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of the nodes' initial attribute values.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// averaging (maximal initial variance for a given mean) and is used by the
 /// robustness ablations; the linear ramp is a convenient deterministic
 /// baseline with known mean and variance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum ValueDistribution {
     /// Independent uniform values in `[lo, hi)`.

@@ -2,17 +2,16 @@
 
 use crate::{generators, CompleteTopology, Graph, Topology, TopologyError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declarative description of an overlay topology.
 ///
-/// `TopologyKind` is what experiment configurations store (it is `serde`
-/// serialisable); [`TopologyBuilder`] turns it into a concrete [`Topology`]
+/// `TopologyKind` is what experiment configurations store (a plain `Copy`
+/// value); [`TopologyBuilder`] turns it into a concrete [`Topology`]
 /// once a node count and an RNG are available. The two kinds used by the
 /// paper's evaluation are [`TopologyKind::Complete`] and
 /// [`TopologyKind::RandomRegular`] with `degree = 20`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum TopologyKind {
     /// Fully connected overlay (virtual, no materialised edges).

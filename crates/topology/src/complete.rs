@@ -2,7 +2,6 @@
 
 use crate::{sampling, NodeId, Topology};
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 
 /// A *virtual* complete graph over `n` nodes.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let peer = topo.random_neighbor(NodeId::new(42), &mut rng).unwrap();
 /// assert_ne!(peer, NodeId::new(42));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompleteTopology {
     nodes: usize,
 }

@@ -1,7 +1,6 @@
 //! Degree statistics.
 
 use crate::{Graph, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph's degree sequence.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.mean, 4.0);
 /// assert_eq!(stats.isolated, 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegreeStats {
     /// Minimum degree.
     pub min: usize,

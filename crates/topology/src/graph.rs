@@ -3,7 +3,6 @@
 use crate::{NodeId, Topology, TopologyError};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 
 /// An undirected simple graph stored as adjacency lists plus an edge list.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(g.contains_edge(NodeId::new(0), NodeId::new(1)));
 /// assert!(!g.contains_edge(NodeId::new(0), NodeId::new(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     adjacency: Vec<Vec<NodeId>>,
     edges: Vec<(NodeId, NodeId)>,

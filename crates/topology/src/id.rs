@@ -1,6 +1,5 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compact identifier for a node of the overlay network.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(id.index(), 41);
 /// assert_eq!(format!("{id}"), "n41");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -128,14 +127,5 @@ mod tests {
         set.insert(NodeId::new(1));
         set.insert(NodeId::new(2));
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn serde_round_trip_via_debug_shape() {
-        // serde is derived; a cheap smoke test that the impls exist and agree.
-        fn assert_serialize<T: serde::Serialize>() {}
-        fn assert_deserialize<T: for<'de> serde::Deserialize<'de>>() {}
-        assert_serialize::<NodeId>();
-        assert_deserialize::<NodeId>();
     }
 }
