@@ -12,8 +12,8 @@
 //! * the single-corruption rule — a one-shot [`ValueInjection`] composing
 //!   with an active colluder lie must not double-corrupt;
 //! * colluder membership as a pure position coin — identical across the
-//!   reference and sharded engines despite their different identifier
-//!   layouts;
+//!   reference engine, the wire cluster and the sharded engine despite their
+//!   different identifier layouts;
 //! * the stateful/one-shot contrast — dilution absorbs a one-shot injection
 //!   but never outruns a persistent lie.
 
@@ -180,8 +180,9 @@ fn value_injection_composes_with_colluders_without_double_corruption() {
 
 /// Colluder membership is a pure coin on initial-directory *positions*, so
 /// the realised set is identical across engines whose identifier layouts
-/// differ: the reference engine (ids are positions) and the sharded engine
-/// at any shard count (ids embed the shard layout) agree with the coin.
+/// differ: the reference engine and the wire cluster (ids are positions) and
+/// the sharded engine at any shard count (ids embed the shard layout) agree
+/// with the coin.
 #[test]
 fn colluder_sets_are_position_keyed_and_engine_invariant() {
     let n = 400usize;
@@ -214,6 +215,20 @@ fn colluder_sets_are_position_keyed_and_engine_invariant() {
     assert_eq!(
         reference_positions, expected,
         "reference-engine colluders must be exactly the coin's positions"
+    );
+
+    let wire = VirtualCluster::with_adversary(
+        SimulationConfig::averaging(protocol),
+        &values,
+        seed,
+        FaultPlan::none(),
+        plan,
+    )
+    .unwrap();
+    assert_eq!(
+        wire.adversary().colluders(),
+        reference.adversary().colluders(),
+        "the wire cluster must realise exactly the reference engine's colluders"
     );
 
     for shards in [1usize, 2, 4, 8] {

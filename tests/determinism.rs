@@ -1078,6 +1078,219 @@ fn thousand_node_wire_cluster_is_bit_identical_to_the_engine() {
     );
 }
 
+/// Values of the adversary-lab fences: 240 nodes, 4 epochs of 10 cycles.
+fn adversary_fence_values() -> Vec<f64> {
+    (0..240).map(|i| (i % 41) as f64).collect()
+}
+
+/// Fence configuration (a): leader-led COUNT under 5 % message loss, run
+/// against a drifting colluder lie plus a one-shot 10 % value injection that
+/// the lie overrides on colluding victims.
+fn drift_fence() -> (SimulationConfig, FaultPlan, AdversaryPlan) {
+    let config = SimulationConfig {
+        conditions: NetworkConditions::with_message_loss(0.05),
+        leader_policy: Some(LeaderPolicy::Fixed { probability: 0.02 }),
+        ..SimulationConfig::averaging(
+            ProtocolConfig::builder()
+                .cycles_per_epoch(10)
+                .build()
+                .unwrap(),
+        )
+    };
+    let plan = FaultPlan {
+        injections: vec![ValueInjection {
+            cycle: 3,
+            fraction: 0.1,
+            value: 1_000.0,
+        }],
+        ..FaultPlan::default()
+    };
+    let adversary = AdversaryPlan::with_strategy(
+        0.1,
+        AttackStrategy::Drift {
+            start: 5.0,
+            rate: 0.5,
+        },
+    );
+    (config, plan, adversary)
+}
+
+/// Fence configuration (b): one captured leader per epoch re-asserting a
+/// counting state 20× too large, against the median-of-3 defense.
+fn capture_fence() -> (SimulationConfig, FaultPlan, AdversaryPlan) {
+    let config = SimulationConfig {
+        redundancy: Some(RedundancyConfig::median_of(3)),
+        ..SimulationConfig::averaging(
+            ProtocolConfig::builder()
+                .cycles_per_epoch(10)
+                .build()
+                .unwrap(),
+        )
+    };
+    (
+        config,
+        FaultPlan::none(),
+        AdversaryPlan::leader_capture(1, 20.0),
+    )
+}
+
+/// The integer counters of one reference-engine cycle, as fingerprint words.
+fn cycle_counters(s: &gossip_sim::CycleSummary) -> [u64; 5] {
+    [
+        s.live_nodes as u64,
+        s.exchanges as u64,
+        s.exchanges_blocked as u64,
+        s.messages_lost as u64,
+        s.completed_epoch.unwrap_or(u64::MAX),
+    ]
+}
+
+/// FNV over 40 reference-engine cycles of a fence: every cycle's counters,
+/// the final node estimates and the last pooled size estimate.
+fn reference_fence_fingerprint(
+    (config, plan, adversary): (SimulationConfig, FaultPlan, AdversaryPlan),
+) -> u64 {
+    let mut sim =
+        GossipSimulation::with_adversary(config, &adversary_fence_values(), 4_242, plan, adversary)
+            .unwrap();
+    let summaries = sim.run(40);
+    let size = sim.last_size_estimate();
+    assert!(size.is_some(), "a COUNT epoch must have completed");
+    fnv1a(
+        summaries
+            .iter()
+            .flat_map(cycle_counters)
+            .chain(sim.estimates().iter().map(|v| v.to_bits()))
+            .chain(size.map(f64::to_bits)),
+    )
+}
+
+/// Absolute golden for fence (a) on the reference engine: colluder lies,
+/// an overridden injection, lossy exchanges and probabilistic elections
+/// drawn from the schedule stream, all in one run.
+#[test]
+fn reference_engine_under_drift_injection_loss_and_leaders_reproduces_its_golden() {
+    let fingerprint = reference_fence_fingerprint(drift_fence());
+    assert_eq!(
+        fingerprint, 0xbfe8_1b23_2b59_cb15,
+        "the drift/injection/loss/leader run drifted from its golden: {fingerprint:#x}"
+    );
+}
+
+/// Absolute golden for fence (b) on the reference engine: redundant
+/// elections from the `redundancy-leaders` stream, the first leader of each
+/// epoch captured and re-asserting its false state.
+#[test]
+fn reference_engine_under_leader_capture_and_median_of_three_reproduces_its_golden() {
+    let fingerprint = reference_fence_fingerprint(capture_fence());
+    assert_eq!(
+        fingerprint, 0x883a_4158_7c7e_b31e,
+        "the leader-capture run drifted from its golden: {fingerprint:#x}"
+    );
+}
+
+/// Fence (b) on the sharded engine: the untraced fingerprint, and with the
+/// flight recorder on, the same fingerprint plus an FNV over the merged
+/// JSONL trace.
+fn sharded_capture_fingerprints(shards: usize, traced: bool) -> (u64, Option<u64>) {
+    let (base, plan, adversary) = capture_fence();
+    let config = ShardedConfig {
+        base,
+        shards,
+        workers: None,
+    };
+    let mut sim = ShardedSimulation::with_adversary(
+        config,
+        &adversary_fence_values(),
+        4_242,
+        plan,
+        adversary,
+    )
+    .unwrap();
+    if traced {
+        sim.set_telemetry(TelemetryConfig::full());
+    }
+    let summaries = sim.run(40);
+    let size = sim.last_size_estimate();
+    assert!(size.is_some(), "a median-of-3 epoch must have completed");
+    let fingerprint = fnv1a(
+        summaries
+            .iter()
+            .flat_map(summary_counters)
+            .chain(sim.estimates().iter().map(|v| v.to_bits()))
+            .chain(size.map(f64::to_bits)),
+    );
+    let trace = traced.then(|| {
+        assert_eq!(sim.dropped_trace_events(), 0, "ring overflowed");
+        let jsonl = epidemic_aggregation::telemetry::trace::to_jsonl(&sim.drain_trace());
+        fnv1a(jsonl.bytes().map(u64::from))
+    });
+    (fingerprint, trace)
+}
+
+/// Absolute goldens for fence (c): fence (b) on the sharded engine at 1 and
+/// 4 shards, elections drawn over global directory positions. The two
+/// fingerprints differ only in the last bits of the pooled size estimate,
+/// which merges per-shard statistics in shard order. The traced runs leave
+/// the fingerprint unchanged, and their merged traces are byte-identical
+/// across the two shard counts.
+#[test]
+fn sharded_leader_capture_with_median_of_three_reproduces_its_goldens() {
+    for (shards, golden) in [(1, 0xc7e5_ae99_b770_4e24), (4, 0xc7e5_ce99_b770_518a)] {
+        let (fingerprint, _) = sharded_capture_fingerprints(shards, false);
+        assert_eq!(
+            fingerprint, golden,
+            "{shards}-shard leader-capture run drifted from its golden: {fingerprint:#x}"
+        );
+        let (traced, trace) = sharded_capture_fingerprints(shards, true);
+        assert_eq!(
+            traced, fingerprint,
+            "tracing changed the {shards}-shard run"
+        );
+        assert_eq!(
+            trace,
+            Some(0xadee_b0fb_da24_83dc),
+            "{shards}-shard leader-capture trace drifted from its golden: {trace:#x?}"
+        );
+    }
+}
+
+/// The identity holds against the stateful adversary: colluder lies, an
+/// overridden injection and probabilistic elections under loss (fence a),
+/// and leader capture against median-of-3 redundant elections (fence b).
+#[test]
+fn wire_cluster_matches_the_engine_under_an_adversary_and_median_of_k() {
+    let values = adversary_fence_values();
+    for fence in [drift_fence, capture_fence] {
+        let (config, plan, adversary) = fence();
+        let mut cluster =
+            VirtualCluster::with_adversary(config, &values, 4_242, plan.clone(), adversary)
+                .unwrap();
+        let mut sim =
+            GossipSimulation::with_adversary(config, &values, 4_242, plan, adversary).unwrap();
+        for _ in 0..40 {
+            assert_eq!(cluster.run_cycle(), sim.run_cycle());
+        }
+        assert_eq!(cluster.adversary().colluders(), sim.adversary().colluders());
+        assert_eq!(cluster.adversary().captured(), sim.adversary().captured());
+        assert_eq!(
+            cluster.last_size_estimate().map(f64::to_bits),
+            sim.last_size_estimate().map(f64::to_bits)
+        );
+        assert_eq!(
+            cluster
+                .estimates()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>(),
+            sim.estimates()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>(),
+        );
+    }
+}
+
 /// The experiment runners (used by the benches and the convergence-rate
 /// integration tests) are reproducible end to end: same seed, same Summary.
 #[test]
