@@ -5,31 +5,30 @@
 //! node stepping is the same [`NodeCore`] the threaded [`crate::GossipRuntime`]
 //! drives, every message crosses an [`InMemoryNetwork`] endpoint (and is
 //! therefore encoded and decoded through the 33-byte wire codec), time is a
-//! [`VirtualClock`] advanced one Δt per cycle, and all randomness comes from
-//! the labelled [`SeedSequence`] streams of one master seed.
+//! virtual clock advanced one `cycle_length_ms` per cycle, and all
+//! randomness comes from the labelled seed streams of one master seed.
 //!
-//! The cluster executes cycles in *lockstep*, mirroring
-//! [`gossip_sim::GossipSimulation`] draw for draw: same schedule shuffle,
-//! same sampler streams, same fault-injection streams, same loss-coin order
-//! inside each exchange. A seeded run is therefore not merely deterministic
-//! — it is **bit-identical** to the cycle engine for the same seed,
-//! membership and topology, which `tests/determinism.rs` pins. That identity
-//! is the strongest statement this repository can make that the deployed
-//! message path and the simulated one realise the same protocol.
+//! The cluster executes cycles in *lockstep* with
+//! [`gossip_sim::GossipSimulation`]: the epoch environment — fault lab,
+//! adversary, elections, telemetry and virtual time — is the same
+//! [`Coordinator`] the engine runs, and the exchange phase draws the same
+//! schedule shuffle, sampler picks and loss coins in the same order. A
+//! seeded run is therefore not merely deterministic — it is
+//! **bit-identical** to the cycle engine for the same seed, membership and
+//! topology, which `tests/determinism.rs` pins. That identity is the
+//! strongest statement this repository can make that the deployed message
+//! path and the simulated one realise the same protocol.
 
 use crate::node_core::{Delivery, NodeCore};
 use crate::{InMemoryNetwork, Transport};
-use aggregate_core::aggregate::CountInit;
-use aggregate_core::effects::{Clock, SeedSequence, VirtualClock};
+use aggregate_core::effects::Clock;
 use aggregate_core::node::ProtocolNode;
-use aggregate_core::redundancy::redundant_size_estimate_from_epoch;
-use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SamplerDirectory};
-use aggregate_core::{size_estimation, ExchangeTally, GossipMessage, InstanceTag};
-use gossip_analysis::OnlineStats;
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
-use gossip_sim::sampling::{ADVERSARY_STREAM, FAULTS_STREAM, REDUNDANCY_STREAM};
-use gossip_sim::{instantiate_sampler, CycleSummary, SimConfigError, SimulationConfig};
-use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink};
+use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
+use aggregate_core::{ExchangeTally, GossipMessage, InstanceTag};
+use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
+use gossip_sim::coordinator::{Coordinator, CycleNodes};
+use gossip_sim::{CycleSummary, SimConfigError, SimulationConfig};
+use gossip_telemetry::{Event, TelemetryConfig};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -40,18 +39,28 @@ use std::time::Duration;
 /// convention as the engine arena's internal map).
 const NOT_LIVE: u32 = u32::MAX;
 
-/// The live directory the peer sampler draws from: positions enumerate the
-/// dense live array, liveness is an O(1) map lookup. Mirrors the engine's
-/// `ArenaDirectory` exactly (same ordering, same answers); the generation
-/// check is unnecessary here because a [`VirtualCluster`] never rejoins a
-/// vacated slot, so every identifier in circulation is generation 0.
-#[derive(Debug, Clone, Copy)]
-struct LiveDirectory<'a> {
-    live: &'a [u32],
-    live_pos: &'a [u32],
+/// The cluster's membership: slot-indexed node state and the dense live
+/// order the sampler and the coordinator see. Positions and liveness answer
+/// exactly as the engine arena does; no generation check is needed because a
+/// [`VirtualCluster`] never rejoins a vacated slot, so every identifier in
+/// circulation is generation 0 and trace keys are identifiers.
+#[derive(Debug)]
+struct Members {
+    /// Slot-indexed node state; `None` marks a crashed node's vacated slot.
+    nodes: Vec<Option<NodeCore>>,
+    /// Dense array of live slot indices, in engine live order.
+    live: Vec<u32>,
+    /// Slot → position in `live`, [`NOT_LIVE`] for vacated slots.
+    live_pos: Vec<u32>,
 }
 
-impl SamplerDirectory for LiveDirectory<'_> {
+impl Members {
+    fn core_mut(&mut self, id: NodeId) -> Option<&mut NodeCore> {
+        self.nodes.get_mut(id.as_u32() as usize)?.as_mut()
+    }
+}
+
+impl SamplerDirectory for Members {
     fn len(&self) -> usize {
         self.live.len()
     }
@@ -63,6 +72,38 @@ impl SamplerDirectory for LiveDirectory<'_> {
     fn is_live(&self, id: NodeId) -> bool {
         let slot = id.as_u32() as usize;
         slot < self.live_pos.len() && self.live_pos[slot] != NOT_LIVE
+    }
+}
+
+impl CycleNodes for Members {
+    fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode> {
+        self.nodes[self.live[pos] as usize]
+            .as_mut()
+            .map(NodeCore::node_mut)
+    }
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) -> Option<u64> {
+        self.core_mut(id)?.corrupt_estimate(value);
+        Some(u64::from(id.as_u32()))
+    }
+
+    fn corrupt_instance(&mut self, id: NodeId, state: f64) {
+        if let Some(core) = self.core_mut(id) {
+            core.node_mut()
+                .corrupt_instance(InstanceTag::from_leader(id), state);
+        }
+    }
+
+    /// The engine arena's swap-remove bookkeeping, so crash bursts leave
+    /// both runtimes with identical live orders.
+    fn remove_at(&mut self, pos: usize) -> (NodeId, u64) {
+        let slot = self.live.swap_remove(pos);
+        if let Some(&moved) = self.live.get(pos) {
+            self.live_pos[moved as usize] = pos as u32;
+        }
+        self.live_pos[slot as usize] = NOT_LIVE;
+        self.nodes[slot as usize] = None;
+        (NodeId::from_u32(slot), u64::from(slot))
     }
 }
 
@@ -93,37 +134,16 @@ impl SamplerDirectory for LiveDirectory<'_> {
 /// ```
 #[derive(Debug)]
 pub struct VirtualCluster {
-    config: SimulationConfig,
-    /// Slot-indexed node state; `None` marks a crashed node's vacated slot.
-    nodes: Vec<Option<NodeCore>>,
+    members: Members,
     /// Wire endpoints, slot-indexed and immortal (a crashed node simply
     /// stops being scheduled; frames addressed to it are never sent because
     /// the sampler only returns live peers).
     endpoints: Vec<InMemoryNetwork>,
-    /// Dense array of live slot indices, in engine live order.
-    live: Vec<u32>,
-    /// Slot → position in `live`, [`NOT_LIVE`] for vacated slots.
-    live_pos: Vec<u32>,
-    cycle: usize,
-    clock: VirtualClock,
+    /// The schedule stream, drawn in the engine's order.
     rng: StdRng,
-    sampler: Box<dyn PeerSampler + Send>,
-    injector: Box<dyn FaultInjector + Send>,
-    /// The stateful adversary, mirroring the engine's: colluders re-assert
-    /// lies each cycle, captured leaders re-assert false instance states.
-    adversary: Adversary,
-    /// Master seed streams, kept for the per-epoch redundant leader draws.
-    seeds: SeedSequence,
-    /// Monotone counter keying the `redundancy-leaders` draws, in lockstep
-    /// with the engine's.
-    elections: u64,
-    last_size_estimate: Option<f64>,
+    /// The epoch environment, shared with the cycle engines.
+    coordinator: Coordinator,
     scratch_pushes: Vec<GossipMessage>,
-    /// The observability sink: same event schema as the cycle engines,
-    /// timestamped from this cluster's virtual clock. Disabled by default;
-    /// recording consumes no randomness, so enabling it never perturbs the
-    /// wire-path trajectory.
-    telemetry: TelemetrySink,
 }
 
 impl VirtualCluster {
@@ -157,13 +177,8 @@ impl VirtualCluster {
         master_seed: u64,
         plan: FaultPlan,
     ) -> Result<Self, SimConfigError> {
-        VirtualCluster::with_adversary(
-            config,
-            initial_values,
-            master_seed,
-            plan,
-            AdversaryPlan::none(),
-        )
+        let adversary = AdversaryPlan::none();
+        VirtualCluster::with_adversary(config, initial_values, master_seed, plan, adversary)
     }
 
     /// Creates the cluster executing a [`FaultPlan`] and a stateful
@@ -180,56 +195,34 @@ impl VirtualCluster {
         initial_values: &[f64],
         master_seed: u64,
         plan: FaultPlan,
-        adversary_plan: AdversaryPlan,
+        adversary: AdversaryPlan,
     ) -> Result<Self, SimConfigError> {
         config.validate(initial_values)?;
-        let plan = plan.absorb_conditions(config.conditions);
-        plan.validate()?;
-        adversary_plan.validate()?;
         let n = initial_values.len();
-        let nodes: Vec<Option<NodeCore>> = initial_values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                Some(NodeCore::new(ProtocolNode::new(
-                    NodeId::new(i),
-                    config.protocol,
-                    v,
-                )))
-            })
-            .collect();
-        let initial_ids: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        let seeds = SeedSequence::new(master_seed);
-        let sampler = instantiate_sampler(config.sampler, &initial_ids, &seeds)?;
-        let injector = Box::new(PlanInjector::new(
-            plan,
-            seeds.seed_for_labeled(0, FAULTS_STREAM),
-        ));
-        let adversary = Adversary::new(
-            adversary_plan,
-            seeds.seed_for_labeled(0, ADVERSARY_STREAM),
-            &initial_ids,
-        );
-        let mut cluster = VirtualCluster {
-            config,
-            nodes,
-            endpoints: InMemoryNetwork::create(n),
+        let mut members = Members {
+            nodes: initial_values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    let node = ProtocolNode::new(NodeId::new(i), config.protocol, v);
+                    Some(NodeCore::new(node))
+                })
+                .collect(),
             live: (0..n as u32).collect(),
             live_pos: (0..n as u32).collect(),
-            cycle: 0,
-            clock: VirtualClock::new(),
-            rng: seeds.rng_for_run(0),
-            sampler,
-            injector,
-            adversary,
-            seeds,
-            elections: 0,
-            last_size_estimate: None,
-            scratch_pushes: Vec::new(),
-            telemetry: TelemetrySink::new(TelemetryConfig::disabled()),
         };
-        cluster.elect_leaders();
-        Ok(cluster)
+        let initial_ids: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+        let mut coordinator =
+            Coordinator::build(&config, &initial_ids, master_seed, plan, adversary)?;
+        let mut rng = coordinator.seeds().rng_for_run(0);
+        coordinator.elect_leaders(&mut members, Some(&mut rng));
+        Ok(VirtualCluster {
+            members,
+            endpoints: InMemoryNetwork::create(n),
+            rng,
+            coordinator,
+            scratch_pushes: Vec::new(),
+        })
     }
 
     /// Installs (or replaces) the telemetry sink. With
@@ -237,67 +230,66 @@ impl VirtualCluster {
     /// is a single branch and the run stays bit-identical to the reference
     /// engine's trajectory.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry = TelemetrySink::new(config);
-        self.telemetry
-            .begin_cycle(self.cycle as u64, self.clock.now_ms());
+        self.coordinator.set_telemetry(config);
     }
 
     /// Drains the recorded events in canonical trace order.
     pub fn drain_trace(&mut self) -> Vec<Event> {
-        self.telemetry.drain_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.drain_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
     }
 
     /// The convergence watchdog's current verdict, if one is configured.
     pub fn watchdog_verdict(&self) -> Option<gossip_telemetry::WatchdogVerdict> {
-        self.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
     /// Every verdict transition the watchdog has diagnosed so far.
     pub fn watchdog_diagnoses(&self) -> &[gossip_telemetry::Diagnosis] {
-        self.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
     /// The accumulated telemetry counters (post-hoc readout).
     pub fn telemetry_metrics(&self) -> &gossip_telemetry::MetricsRegistry {
-        self.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
     }
 
     /// The peer-sampling configuration partners are drawn from.
     pub fn sampler_config(&self) -> SamplerConfig {
-        self.sampler.config()
+        self.coordinator.sampler.config()
     }
 
     /// The realised adversary (colluding set and per-epoch captures) — the
     /// cross-runtime tests inspect it to cross-check which nodes are lying.
     pub fn adversary(&self) -> &Adversary {
-        &self.adversary
+        &self.coordinator.adversary
     }
 
     /// Number of live nodes.
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.members.live.len()
     }
 
     /// The current cycle index.
     pub fn cycle(&self) -> usize {
-        self.cycle
+        self.coordinator.cycle()
     }
 
-    /// The cluster's virtual time in milliseconds (one Δt per cycle run).
+    /// The cluster's virtual time in milliseconds (one `cycle_length_ms` per
+    /// cycle run).
     pub fn now_ms(&self) -> u64 {
-        self.clock.now_ms()
+        self.coordinator.clock.now_ms()
     }
 
     /// The most recent pooled network-size estimate, if any epoch completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
-        self.last_size_estimate
+        self.coordinator.last_size_estimate
     }
 
     /// Current default-instance estimates of all live nodes, in live order.
     pub fn estimates(&self) -> Vec<f64> {
-        self.live
-            .iter()
-            .filter_map(|&slot| self.nodes[slot as usize].as_ref())
+        let Members { nodes, live, .. } = &self.members;
+        live.iter()
+            .filter_map(|&slot| nodes[slot as usize].as_ref())
             .filter_map(|core| core.estimate())
             .collect()
     }
@@ -307,115 +299,48 @@ impl VirtualCluster {
     pub fn run_cycle(&mut self) -> CycleSummary {
         let mut tally = ExchangeTally::default();
         let mut exchanges_blocked = 0usize;
-
-        // Fault lab first, exactly as the engine orders it: enter the cycle,
-        // fire scheduled crash bursts through the churn path, apply
-        // adversarial corruptions, then cache the loss rate.
-        self.injector.begin_cycle(self.cycle);
-        let crash_victims = self.injector.crash_count(self.live.len());
-        if crash_victims > 0 {
-            self.remove_random_nodes(crash_victims);
-        }
-        // The stateful adversary next, exactly as the engine orders it:
-        // colluders re-assert their lie at the start of every active cycle,
-        // captured leaders re-assert the false state into their instances.
-        // Pure — no RNG — so the empty plan stays bit-identical.
-        if let Some(value) = self.adversary.lie_at(self.cycle) {
-            let VirtualCluster {
-                adversary,
-                nodes,
-                telemetry,
-                ..
-            } = self;
-            let record = telemetry.events_enabled();
-            for &id in adversary.colluders() {
-                let slot = id.as_u32() as usize;
-                if slot < nodes.len() {
-                    if let Some(core) = nodes[slot].as_mut() {
-                        core.corrupt_estimate(value);
-                        if record {
-                            telemetry.value_corrupted(u64::from(id.as_u32()));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(state) = self.adversary.captured_state_at(self.cycle) {
-            for &id in self.adversary.captured() {
-                let slot = id.as_u32() as usize;
-                if slot < self.nodes.len() {
-                    if let Some(core) = self.nodes[slot].as_mut() {
-                        core.node_mut()
-                            .corrupt_instance(InstanceTag::from_leader(id), state);
-                    }
-                }
-            }
-        }
-        // One corruption per node per cycle: adversary lies win over the
-        // one-shot ValueInjection (same rule as the engine).
-        for (pos, value) in self.injector.corruptions(self.live.len()) {
-            let slot = self.live[pos] as usize;
-            let id = NodeId::from_u32(self.live[pos]);
-            if self.adversary.overrides_injection(self.cycle, id) {
-                continue;
-            }
-            if let Some(core) = self.nodes[slot].as_mut() {
-                core.corrupt_estimate(value);
-                if self.telemetry.events_enabled() {
-                    self.telemetry.value_corrupted(u64::from(id.as_u32()));
-                }
-            }
-        }
-        let loss = self.injector.loss_probability();
-
-        // Overlay maintenance in lockstep with the aggregation cycle.
-        self.sampler.begin_cycle(&LiveDirectory {
-            live: &self.live,
-            live_pos: &self.live_pos,
-        });
+        let loss = self
+            .coordinator
+            .enter_cycle(&mut self.members, &mut self.rng);
+        let Coordinator {
+            sampler,
+            injector,
+            telemetry,
+            ..
+        } = &mut self.coordinator;
+        let record = telemetry.events_enabled();
+        let members = &mut self.members;
 
         // Active phase: every live node initiates one exchange, in the same
         // shuffled order the engine draws — but here each exchange travels
         // as encoded wire frames through the in-memory transport and is
         // stepped through `NodeCore` message delivery.
-        let mut order = self.live.clone();
+        let mut order = members.live.clone();
         order.shuffle(&mut self.rng);
         for initiator_slot in order {
             let slot = initiator_slot as usize;
-            if self.nodes[slot].is_none() {
+            if members.nodes[slot].is_none() {
                 continue;
             }
-            let peer_id = {
-                let directory = LiveDirectory {
-                    live: &self.live,
-                    live_pos: &self.live_pos,
-                };
-                let initiator_pos = self.live_pos[slot] as usize;
-                sample_live_peer(
-                    self.sampler.as_mut(),
-                    &directory,
-                    initiator_pos,
-                    &mut self.rng,
-                )
-            };
-            let Some(peer_id) = peer_id else {
+            let initiator_pos = members.live_pos[slot] as usize;
+            let Some(peer_id) =
+                sample_live_peer(sampler.as_mut(), &*members, initiator_pos, &mut self.rng)
+            else {
                 continue;
             };
             let initiator_id = NodeId::from_u32(initiator_slot);
-            if self.injector.link_blocked(initiator_id, peer_id) {
-                self.sampler.peer_failed(initiator_id, peer_id);
+            let (initiator_key, peer_key) = (initiator_slot, peer_id.as_u32());
+            if injector.link_blocked(initiator_id, peer_id) {
+                sampler.peer_failed(initiator_id, peer_id);
                 exchanges_blocked += 1;
-                if self.telemetry.events_enabled() {
-                    self.telemetry.exchange_vetoed(
-                        u64::from(initiator_id.as_u32()),
-                        u64::from(peer_id.as_u32()),
-                    );
+                if record {
+                    telemetry.exchange_vetoed(initiator_key.into(), peer_key.into());
                 }
                 continue;
             }
             let peer_slot = peer_id.as_u32() as usize;
             let mut pushes = std::mem::take(&mut self.scratch_pushes);
-            let started = self.nodes[slot]
+            let started = members.nodes[slot]
                 .as_mut()
                 // lint-allow(unwrap): slot liveness checked when the schedule entry was drawn
                 .expect("checked above")
@@ -427,12 +352,8 @@ impl VirtualCluster {
             tally.exchanges += 1;
             let seq = (tally.exchanges - 1) as u64;
             let lost_before = tally.messages_lost;
-            if self.telemetry.events_enabled() {
-                self.telemetry.exchange_begun(
-                    seq,
-                    u64::from(initiator_id.as_u32()),
-                    u64::from(peer_id.as_u32()),
-                );
+            if record {
+                telemetry.exchange_begun(seq, initiator_key.into(), peer_key.into());
             }
             // Ship each push over the wire, delivering at the peer as it
             // lands; the loss coins are drawn in the exact order the
@@ -457,7 +378,7 @@ impl VirtualCluster {
                 // is nothing to ship back; a peer can never be mid-exchange
                 // here — the lockstep schedule completes each exchange
                 // before the next begins.
-                if let Delivery::Reply(reply) = self.nodes[peer_slot]
+                if let Delivery::Reply(reply) = members.nodes[peer_slot]
                     .as_mut()
                     // lint-allow(unwrap): peer liveness checked when the exchange was scheduled
                     .expect("sampled peer is live")
@@ -475,222 +396,32 @@ impl VirtualCluster {
             }
             // Absorb whatever replies made it back, then settle the
             // exchange.
-            while let Ok(Some(reply)) = self.endpoints[slot].recv_timeout(Duration::ZERO) {
-                self.nodes[slot]
-                    .as_mut()
-                    // lint-allow(unwrap): slot liveness checked when the schedule entry was drawn
-                    .expect("checked above")
-                    .deliver(reply);
-            }
-            self.nodes[slot]
+            let initiator = members.nodes[slot]
                 .as_mut()
                 // lint-allow(unwrap): slot liveness checked when the schedule entry was drawn
-                .expect("checked above")
-                .close_pending();
-            if self.telemetry.events_enabled() {
+                .expect("checked above");
+            while let Ok(Some(reply)) = self.endpoints[slot].recv_timeout(Duration::ZERO) {
+                initiator.deliver(reply);
+            }
+            initiator.close_pending();
+            if record {
                 let lost_now = tally.messages_lost - lost_before;
                 for _ in 0..lost_now {
-                    self.telemetry.message_lost(seq);
+                    telemetry.message_lost(seq);
                 }
                 if lost_now == 0 {
-                    self.telemetry.exchange_completed(seq);
+                    telemetry.exchange_completed(seq);
                 }
             }
             self.scratch_pushes = pushes;
         }
-        let ExchangeTally {
-            exchanges,
-            messages_lost,
-        } = tally;
-
-        // End-of-cycle phase: epoch book-keeping on every live node, in live
-        // order, exactly as the engine does.
-        let mut completed_epoch = None;
-        let mut epoch_estimates = Vec::new();
-        let mut epoch_size_estimates = Vec::new();
-        for pos in 0..self.live.len() {
-            let slot = self.live[pos] as usize;
-            let Some(core) = self.nodes[slot].as_mut() else {
-                continue;
-            };
-            if let Some(result) = core.end_cycle() {
-                completed_epoch = Some(result.epoch);
-                if result.full_participation {
-                    if let Some(estimate) = result.default_estimate() {
-                        epoch_estimates.push(estimate);
-                    }
-                    // The defended estimator merges per-instance estimates;
-                    // the undefended one pools instance states by averaging
-                    // (same selection as the engine).
-                    let size = match self.config.redundancy {
-                        Some(redundancy) => {
-                            redundant_size_estimate_from_epoch(&result, redundancy.merge).ok()
-                        }
-                        None => size_estimation::size_estimate_from_epoch(&result),
-                    };
-                    if let Some(size) = size {
-                        epoch_size_estimates.push(size);
-                    }
-                }
-            }
-        }
-
-        if !epoch_size_estimates.is_empty() {
-            let mean = epoch_size_estimates.iter().sum::<f64>() / epoch_size_estimates.len() as f64;
-            self.last_size_estimate = Some(mean);
-        }
-
-        if let Some(epoch) = completed_epoch {
-            if self.telemetry.events_enabled() {
-                self.telemetry.epoch_restarted(epoch);
-            }
-            self.elect_leaders();
-        }
-
-        let mut stats = OnlineStats::new();
-        for &slot in &self.live {
-            if let Some(estimate) = self.nodes[slot as usize]
-                .as_ref()
-                .and_then(|core| core.estimate())
-            {
-                stats.push(estimate);
-            }
-        }
-
-        let summary = CycleSummary {
-            cycle: self.cycle,
-            live_nodes: self.live.len(),
-            exchanges,
-            messages_lost,
-            exchanges_blocked,
-            estimate_variance: stats.sample_variance(),
-            estimate_mean: stats.mean(),
-            completed_epoch,
-            epoch_estimates,
-            epoch_size_estimates,
-        };
-        self.telemetry
-            .observe_variance(self.cycle as u64, summary.estimate_variance);
-        self.cycle += 1;
-        self.clock.advance(self.config.protocol.cycle_length_ms());
-        // Open the next cycle's recording context — inter-cycle churn lands
-        // in that cycle's start band, mirroring the reference engine.
-        self.telemetry
-            .begin_cycle(self.cycle as u64, self.clock.now_ms());
-        summary
+        self.coordinator
+            .close_cycle(&mut self.members, &mut self.rng, tally, exchanges_blocked)
     }
 
     /// Runs `cycles` consecutive cycles, returning all summaries.
     pub fn run(&mut self, cycles: usize) -> Vec<CycleSummary> {
         (0..cycles).map(|_| self.run_cycle()).collect()
-    }
-
-    /// Removes `count` uniformly random live nodes through the same draw
-    /// sequence and swap-remove bookkeeping as the engine arena's churn
-    /// path, so crash bursts leave both runtimes with identical live orders.
-    fn remove_random_nodes(&mut self, count: usize) {
-        for _ in 0..count {
-            if self.live.is_empty() {
-                break;
-            }
-            let position = self.rng.gen_range(0..self.live.len());
-            let slot = self.live[position];
-            let last = *self.live.last().expect("non-empty"); // lint-allow(unwrap): guarded by the is_empty break above
-            self.live.swap_remove(position);
-            if last != slot {
-                self.live_pos[last as usize] = position as u32;
-            }
-            self.live_pos[slot as usize] = NOT_LIVE;
-            self.nodes[slot as usize] = None;
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(u64::from(slot));
-            }
-            self.sampler.on_depart(NodeId::from_u32(slot));
-        }
-    }
-
-    /// Re-runs the leader election for the counting instances, mirroring the
-    /// engine (same iteration order, same RNG stream, same deterministic
-    /// fallback leader, same redundant-election draws).
-    fn elect_leaders(&mut self) {
-        // A new epoch starts: whatever leaders the adversary captured last
-        // epoch died with their instances.
-        self.adversary.begin_epoch();
-        if let Some(redundancy) = self.config.redundancy {
-            self.elect_redundant_leaders(redundancy.instances);
-            return;
-        }
-        let Some(policy) = self.config.leader_policy else {
-            return;
-        };
-        let previous = self.last_size_estimate;
-        let VirtualCluster {
-            nodes,
-            live,
-            rng,
-            adversary,
-            telemetry,
-            ..
-        } = self;
-        let record = telemetry.events_enabled();
-        let mut any_leader = false;
-        for &slot in live.iter() {
-            if let Some(core) = nodes[slot as usize].as_mut() {
-                if size_estimation::elect_leader(core.node_mut(), policy, previous, rng) {
-                    any_leader = true;
-                    adversary.observe_leader(core.id());
-                    if record {
-                        telemetry.leader_elected(u64::from(core.id().as_u32()));
-                    }
-                }
-            }
-        }
-        if !any_leader {
-            if let Some(&slot) = live.first() {
-                if let Some(core) = nodes[slot as usize].as_mut() {
-                    let tag = InstanceTag::from_leader(core.id());
-                    core.node_mut().start_led_instance(tag, 1.0);
-                    adversary.observe_leader(core.id());
-                    if record {
-                        telemetry.leader_elected(u64::from(core.id().as_u32()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The redundant-instance election, draw-for-draw identical to the
-    /// engine's: a partial Fisher–Yates over the live directory from the
-    /// `redundancy-leaders` stream, keyed by the same election counter.
-    fn elect_redundant_leaders(&mut self, instances: usize) {
-        let live_count = self.live.len();
-        if live_count == 0 {
-            return;
-        }
-        let k = instances.min(live_count);
-        let mut rng = self
-            .seeds
-            .rng_for_labeled(self.elections, REDUNDANCY_STREAM);
-        self.elections += 1;
-        let mut positions: Vec<u32> = (0..live_count as u32).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..live_count);
-            positions.swap(i, j);
-        }
-        for &pos in &positions[..k] {
-            let slot = self.live[pos as usize] as usize;
-            if let Some(core) = self.nodes[slot].as_mut() {
-                let id = core.id();
-                core.node_mut().start_led_instance(
-                    InstanceTag::from_leader(id),
-                    CountInit::initial_value(true),
-                );
-                self.adversary.observe_leader(id);
-                if self.telemetry.events_enabled() {
-                    self.telemetry.leader_elected(u64::from(id.as_u32()));
-                }
-            }
-        }
     }
 }
 

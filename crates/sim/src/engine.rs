@@ -6,6 +6,11 @@
 //! leader election for network-size estimation. It is the engine behind the
 //! Figure 4 reproduction and the robustness ablations.
 //!
+//! The epoch environment around the exchanges — the fault lab, the
+//! adversary, elections, telemetry and virtual time — is the shared
+//! [`Coordinator`]; this module supplies the node store (the arena, as
+//! [`CycleNodes`]), the schedule RNG and the message-path exchange phase.
+//!
 //! Node state lives in a slot-reclaiming [`crate::arena::NodeArena`]:
 //! departures free their slot for the next join, identifiers carry a per-slot
 //! generation so stale [`NodeId`]s cannot alias a slot's next occupant, and
@@ -28,27 +33,19 @@
 //! reference it is pinned against.
 
 use crate::arena::NodeArena;
-use crate::sampling::{instantiate_sampler, ArenaDirectory};
-use crate::{NetworkConditions, SeedSequence, SimConfigError};
-use aggregate_core::aggregate::CountInit;
-use aggregate_core::effects::{Clock, VirtualClock};
+use crate::coordinator::{Coordinator, CycleNodes};
+use crate::{NetworkConditions, SimConfigError};
 use aggregate_core::node::ProtocolNode;
-use aggregate_core::redundancy::{redundant_size_estimate_from_epoch, RedundancyConfig};
-use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig};
-use aggregate_core::size_estimation::{self, LeaderPolicy};
+use aggregate_core::redundancy::RedundancyConfig;
+use aggregate_core::sampler::{sample_live_peer, SamplerConfig};
+use aggregate_core::size_estimation::LeaderPolicy;
 use aggregate_core::{ExchangeCore, ExchangeTally, GossipMessage, InstanceTag, ProtocolConfig};
-use gossip_analysis::OnlineStats;
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
-use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink, WatchdogVerdict};
+use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
+use gossip_telemetry::{Event, TelemetryConfig, WatchdogVerdict};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-/// Logical duration of one protocol cycle on the engines' virtual clocks.
-/// Flight-recorder timestamps advance by this per cycle — virtual time, so
-/// traces are deterministic and no protocol crate ever reads a wall clock.
-pub(crate) const VIRTUAL_CYCLE_MS: u64 = 1_000;
 
 /// Configuration of a [`GossipSimulation`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,16 +99,20 @@ impl SimulationConfig {
     /// values and [`SimConfigError::InvalidConditions`] for failure
     /// parameters that are not probabilities.
     pub fn validate(&self, initial_values: &[f64]) -> Result<(), SimConfigError> {
-        if self.conditions.validate().is_err() {
-            return Err(SimConfigError::InvalidConditions {
-                message_loss: self.conditions.message_loss,
-                crash_fraction: self.conditions.crash_fraction,
-            });
-        }
+        self.validate_conditions()?;
         if let Some(redundancy) = self.redundancy {
             redundancy.validate()?;
         }
         crate::error::validate_initial_values(initial_values)
+    }
+
+    pub(crate) fn validate_conditions(&self) -> Result<(), SimConfigError> {
+        self.conditions
+            .validate()
+            .map_err(|_| SimConfigError::InvalidConditions {
+                message_loss: self.conditions.message_loss,
+                crash_fraction: self.conditions.crash_fraction,
+            })
     }
 }
 
@@ -145,9 +146,34 @@ pub struct CycleSummary {
     pub epoch_size_estimates: Vec<f64>,
 }
 
+/// The arena as the coordinator's node store: positions are the dense live
+/// order, trace keys are node identifiers.
+impl CycleNodes for NodeArena {
+    fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode> {
+        self.node_at_slot_mut(self.live_slots()[pos])
+    }
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) -> Option<u64> {
+        self.get_mut(id)?.corrupt_estimate(value);
+        Some(u64::from(id.as_u32()))
+    }
+
+    fn corrupt_instance(&mut self, id: NodeId, state: f64) {
+        if let Some(node) = self.get_mut(id) {
+            node.corrupt_instance(InstanceTag::from_leader(id), state);
+        }
+    }
+
+    fn remove_at(&mut self, pos: usize) -> (NodeId, u64) {
+        let id = self.id_at_slot(self.live_slots()[pos]);
+        self.remove_live_at(pos);
+        (id, u64::from(id.as_u32()))
+    }
+}
+
 /// A cycle-driven simulation of the full distributed protocol.
 ///
-/// Exchange partners are drawn through the configured [`PeerSampler`]. The
+/// Exchange partners are drawn through the configured sampler. The
 /// default, [`SamplerConfig::UniformComplete`], samples uniformly over the
 /// other live nodes — the complete-graph setting of the paper's Section 4
 /// experiment, bit-identical to the engine's historical behaviour. A
@@ -157,37 +183,17 @@ pub struct CycleSummary {
 /// the setting of the paper's overlay-dependence experiments.
 #[derive(Debug)]
 pub struct GossipSimulation {
-    config: SimulationConfig,
     arena: NodeArena,
-    cycle: usize,
+    /// The schedule stream: shuffle, peer picks, loss coins, churn victims
+    /// and probabilistic leader elections, interleaved.
     rng: StdRng,
-    sampler: Box<dyn PeerSampler>,
-    /// The fault lab. By default a [`PlanInjector`] over the run's
-    /// [`FaultPlan`] with the configured [`NetworkConditions`] absorbed
-    /// underneath, so every run — faulty or not — executes through one
-    /// injector path; the empty plan is bit-identical to the pre-fault-lab
-    /// engine (pinned by `tests/determinism.rs`).
-    injector: Box<dyn FaultInjector>,
-    /// The stateful adversary: colluders re-asserting lies every cycle and
-    /// captured counting-instance leaders. The empty plan never touches a
-    /// node and consumes no randomness, so it is bit-identical to no
-    /// adversary lab at all (pinned by `tests/determinism.rs`).
-    adversary: Adversary,
-    /// Master seed streams, kept for the per-epoch redundant leader draws.
-    seeds: SeedSequence,
-    /// Monotone counter keying the `redundancy-leaders` draws, one per
-    /// election, so every epoch's leader set is an independent stream.
-    elections: u64,
-    last_size_estimate: Option<f64>,
+    /// The epoch environment: fault lab, adversary, elections, telemetry and
+    /// virtual time. Its empty plans and disabled telemetry are pinned
+    /// bit-identical to the engine before each existed
+    /// (`tests/determinism.rs`).
+    coordinator: Coordinator,
     scratch_pushes: Vec<GossipMessage>,
     scratch_replies: Vec<GossipMessage>,
-    /// The observability layer: flight recorder, metrics and watchdog.
-    /// Disabled by default — the disabled path records nothing, consumes no
-    /// randomness and is pinned bit-identical to the pre-telemetry goldens.
-    telemetry: TelemetrySink,
-    /// Virtual time driving the flight-recorder timestamps; advances by
-    /// [`VIRTUAL_CYCLE_MS`] per cycle, never reads the wall clock.
-    clock: VirtualClock,
 }
 
 impl GossipSimulation {
@@ -230,14 +236,7 @@ impl GossipSimulation {
         initial_values: &[f64],
         master_seed: u64,
     ) -> Result<Self, SimConfigError> {
-        config.validate(initial_values)?;
-        GossipSimulation::build(
-            config,
-            initial_values,
-            master_seed,
-            FaultPlan::none(),
-            AdversaryPlan::none(),
-        )
+        GossipSimulation::with_faults(config, initial_values, master_seed, FaultPlan::none())
     }
 
     /// Creates a simulation executing the given [`FaultPlan`] (with the
@@ -255,14 +254,8 @@ impl GossipSimulation {
         master_seed: u64,
         plan: FaultPlan,
     ) -> Result<Self, SimConfigError> {
-        config.validate(initial_values)?;
-        GossipSimulation::build(
-            config,
-            initial_values,
-            master_seed,
-            plan,
-            AdversaryPlan::none(),
-        )
+        let adversary = AdversaryPlan::none();
+        GossipSimulation::with_adversary(config, initial_values, master_seed, plan, adversary)
     }
 
     /// Creates a simulation executing both a [`FaultPlan`] and a stateful
@@ -289,58 +282,30 @@ impl GossipSimulation {
         initial_values: &[f64],
         master_seed: u64,
         plan: FaultPlan,
-        adversary_plan: AdversaryPlan,
+        adversary: AdversaryPlan,
     ) -> Result<Self, SimConfigError> {
-        config
-            .conditions
-            .validate()
-            .map_err(|_| SimConfigError::InvalidConditions {
-                message_loss: config.conditions.message_loss,
-                crash_fraction: config.conditions.crash_fraction,
-            })?;
-        let plan = plan.absorb_conditions(config.conditions);
-        plan.validate()?;
-        adversary_plan.validate()?;
         let mut arena = NodeArena::new();
-        let mut initial_ids = Vec::with_capacity(initial_values.len());
-        for &v in initial_values {
-            initial_ids.push(arena.insert(|id| ProtocolNode::new(id, config.protocol, v)));
-        }
-        let seeds = SeedSequence::new(master_seed);
-        let sampler = instantiate_sampler(config.sampler, &initial_ids, &seeds)?;
-        let injector = Box::new(PlanInjector::new(
-            plan,
-            seeds.seed_for_labeled(0, crate::sampling::FAULTS_STREAM),
-        ));
-        let adversary = Adversary::new(
-            adversary_plan,
-            seeds.seed_for_labeled(0, crate::sampling::ADVERSARY_STREAM),
-            &initial_ids,
-        );
-        let mut sim = GossipSimulation {
-            config,
+        let initial_ids: Vec<NodeId> = initial_values
+            .iter()
+            .map(|&v| arena.insert(|id| ProtocolNode::new(id, config.protocol, v)))
+            .collect();
+        let mut coordinator =
+            Coordinator::build(&config, &initial_ids, master_seed, plan, adversary)?;
+        let mut rng = coordinator.seeds().rng_for_run(0);
+        coordinator.elect_leaders(&mut arena, Some(&mut rng));
+        Ok(GossipSimulation {
             arena,
-            cycle: 0,
-            rng: seeds.rng_for_run(0),
-            sampler,
-            injector,
-            adversary,
-            seeds,
-            elections: 0,
-            last_size_estimate: None,
+            rng,
+            coordinator,
             scratch_pushes: Vec::new(),
             scratch_replies: Vec::new(),
-            telemetry: TelemetrySink::new(TelemetryConfig::disabled()),
-            clock: VirtualClock::new(),
-        };
-        sim.elect_leaders();
-        Ok(sim)
+        })
     }
 
     /// The realised adversary (colluding set and per-epoch captures) — the
     /// test suites inspect it to cross-check which nodes are lying.
     pub fn adversary(&self) -> &Adversary {
-        &self.adversary
+        &self.coordinator.adversary
     }
 
     /// Installs an observability configuration (flight recorder, metrics,
@@ -349,43 +314,41 @@ impl GossipSimulation {
     /// bit-identical to the pre-telemetry engine. Recording consumes no
     /// randomness, so enabling it never changes node estimates either.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry = TelemetrySink::new(config);
-        self.telemetry
-            .begin_cycle(self.cycle as u64, self.clock.now_ms());
+        self.coordinator.set_telemetry(config);
     }
 
     /// Drains the flight recorder into canonical trace order (post-hoc
     /// export path — runners and tests only, never protocol code).
     pub fn drain_trace(&mut self) -> Vec<Event> {
-        self.telemetry.drain_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.drain_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
     }
 
     /// Events discarded because the flight-recorder ring was full; drain
     /// per cycle (or raise the capacity) to keep this at zero.
     pub fn dropped_trace_events(&self) -> u64 {
-        self.telemetry.dropped_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.dropped_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
     }
 
     /// The convergence watchdog's current verdict, if one is configured.
     pub fn watchdog_verdict(&self) -> Option<WatchdogVerdict> {
-        self.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
     /// Verdict transitions logged by the convergence watchdog.
     pub fn watchdog_diagnoses(&self) -> &[gossip_telemetry::Diagnosis] {
-        self.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
     /// The accumulated telemetry counters (post-hoc readout).
     pub fn telemetry_metrics(&self) -> &gossip_telemetry::MetricsRegistry {
-        self.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
     }
 
     /// The peer-sampling configuration this simulation draws partners from
     /// (surfaced by report tables so CSV artifacts distinguish
     /// complete-graph from overlay-constrained runs).
     pub fn sampler_config(&self) -> SamplerConfig {
-        self.sampler.config()
+        self.coordinator.sampler.config()
     }
 
     /// Number of live nodes.
@@ -407,13 +370,13 @@ impl GossipSimulation {
 
     /// The current cycle index.
     pub fn cycle(&self) -> usize {
-        self.cycle
+        self.coordinator.cycle()
     }
 
     /// The most recent pooled network-size estimate (mean over reporting
     /// nodes of the last completed epoch), if any epoch has completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
-        self.last_size_estimate
+        self.coordinator.last_size_estimate
     }
 
     /// Read access to a node. Returns `None` for departed nodes and for
@@ -455,19 +418,16 @@ impl GossipSimulation {
     /// identifier and the number of cycles left until that epoch starts,
     /// exactly as in Section 4.
     pub fn add_node(&mut self, local_value: f64) -> NodeId {
-        let cycles_per_epoch = self.config.protocol.cycles_per_epoch() as usize;
-        let cycle_in_epoch = self.cycle % cycles_per_epoch;
-        let cycles_until_start = (cycles_per_epoch - cycle_in_epoch) as u32;
-        let next_epoch = (self.cycle / cycles_per_epoch) as u64 + 1;
-        let protocol = self.config.protocol;
+        let protocol = self.coordinator.config().protocol;
+        let cycle = self.cycle();
+        let cycles_per_epoch = protocol.cycles_per_epoch() as usize;
+        let cycles_until_start = (cycles_per_epoch - cycle % cycles_per_epoch) as u32;
+        let next_epoch = (cycle / cycles_per_epoch) as u64 + 1;
         let id = self.arena.insert(|id| {
             ProtocolNode::joining(id, protocol, local_value, next_epoch, cycles_until_start)
         });
-        if self.telemetry.events_enabled() {
-            self.telemetry.node_joined(u64::from(id.as_u32()));
-        }
-        let GossipSimulation { sampler, arena, .. } = self;
-        sampler.on_join(id, &ArenaDirectory { arena });
+        self.coordinator
+            .joined(id, u64::from(id.as_u32()), &self.arena);
         id
     }
 
@@ -475,36 +435,18 @@ impl GossipSimulation {
     /// node was live; stale identifiers from a slot's previous occupant are
     /// rejected.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        if self.arena.remove(id) {
-            self.sampler.on_depart(id);
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(u64::from(id.as_u32()));
-            }
-            true
-        } else {
-            false
+        let removed = self.arena.remove(id);
+        if removed {
+            self.coordinator.departed(id, u64::from(id.as_u32()));
         }
+        removed
     }
 
     /// Removes `count` uniformly random live nodes (used by churn schedules
     /// and crash experiments). Returns the number actually removed.
     pub fn remove_random_nodes(&mut self, count: usize) -> usize {
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.arena.is_empty() {
-                break;
-            }
-            let position = self.rng.gen_range(0..self.arena.len());
-            let slot = self.arena.live_slots()[position];
-            let id = self.arena.id_at_slot(slot);
-            self.arena.remove_live_at(position);
-            self.sampler.on_depart(id);
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(u64::from(id.as_u32()));
-            }
-            removed += 1;
-        }
-        removed
+        self.coordinator
+            .remove_random(&mut self.arena, &mut self.rng, count)
     }
 
     /// Runs one full protocol cycle and returns its summary.
@@ -520,107 +462,29 @@ impl GossipSimulation {
     pub fn run_cycle(&mut self) -> CycleSummary {
         let mut tally = ExchangeTally::default();
         let mut exchanges_blocked = 0usize;
-
-        // Fault lab first: enter the cycle, fire any scheduled crash burst
-        // (victims drawn through the ordinary churn path, so arena free
-        // lists and sampler notifications behave exactly as under churn),
-        // then apply adversarial value injections. Under the empty plan all
-        // of this is a no-op that consumes no randomness.
-        self.injector.begin_cycle(self.cycle);
-        let crash_victims = self.injector.crash_count(self.arena.len());
-        if crash_victims > 0 {
-            self.remove_random_nodes(crash_victims);
-        }
-        // The stateful adversary next: colluders re-assert their lie at the
-        // start of every active cycle (this is what distinguishes them from
-        // the one-shot ValueInjection — dilution never wins while the attack
-        // runs), and captured counting-instance leaders re-assert the false
-        // state into the instances they lead. All of it is pure — no RNG —
-        // so the empty plan stays bit-identical.
-        {
-            let GossipSimulation {
-                adversary,
-                arena,
-                cycle,
-                telemetry,
-                ..
-            } = self;
-            let record = telemetry.events_enabled();
-            if let Some(value) = adversary.lie_at(*cycle) {
-                for &id in adversary.colluders() {
-                    if let Some(node) = arena.get_mut(id) {
-                        node.corrupt_estimate(value);
-                        if record {
-                            telemetry.value_corrupted(u64::from(id.as_u32()));
-                        }
-                    }
-                }
-            }
-            if let Some(state) = adversary.captured_state_at(*cycle) {
-                for &id in adversary.captured() {
-                    if let Some(node) = arena.get_mut(id) {
-                        node.corrupt_instance(InstanceTag::from_leader(id), state);
-                    }
-                }
-            }
-        }
-        // One corruption per node per cycle: a node the adversary is actively
-        // lying through keeps the adversary's value — the injection would be
-        // overwritten at the next cycle start anyway, and skipping it keeps
-        // the composed labs from double-corrupting (pinned by a regression
-        // test in tests/byzantine.rs).
-        for (pos, value) in self.injector.corruptions(self.arena.len()) {
-            let slot = self.arena.live_slots()[pos];
-            let id = self.arena.id_at_slot(slot);
-            if self.adversary.overrides_injection(self.cycle, id) {
-                continue;
-            }
-            if let Some(node) = self.arena.node_at_slot_mut(slot) {
-                node.corrupt_estimate(value);
-                if self.telemetry.events_enabled() {
-                    self.telemetry.value_corrupted(u64::from(id.as_u32()));
-                }
-            }
-        }
-        let loss = self.injector.loss_probability();
-
-        // Overlay maintenance next, in lockstep with the aggregation cycle:
-        // NEWSCAST exchanges and ages its views here (from its own labelled
-        // seed stream — the engine's schedule draws below are untouched, so
-        // the uniform configuration stays bit-identical to the pre-sampler
-        // engine).
-        {
-            let GossipSimulation { sampler, arena, .. } = self;
-            sampler.begin_cycle(&ArenaDirectory { arena });
-        }
+        let loss = self.coordinator.enter_cycle(&mut self.arena, &mut self.rng);
+        let Coordinator {
+            sampler,
+            injector,
+            telemetry,
+            ..
+        } = &mut self.coordinator;
+        let record = telemetry.events_enabled();
 
         // Active phase: every live node initiates one exchange, in random
         // order (the GETPAIR_SEQ schedule realised by a distributed system).
         let mut order = self.arena.live_slots().to_vec();
         order.shuffle(&mut self.rng);
         for initiator_slot in order {
-            if self.arena.node_at_slot(initiator_slot).is_none() {
+            let Some(initiator_pos) = self.arena.live_pos_of_slot(initiator_slot) else {
                 continue;
-            }
-            let peer_id = {
-                let GossipSimulation {
-                    sampler,
-                    arena,
-                    rng,
-                    ..
-                } = self;
-                let initiator_pos = arena
-                    .live_pos_of_slot(initiator_slot)
-                    // lint-allow(unwrap): initiator slot comes from this cycle's live snapshot
-                    .expect("checked above") as usize;
-                sample_live_peer(
-                    sampler.as_mut(),
-                    &ArenaDirectory { arena },
-                    initiator_pos,
-                    rng,
-                )
             };
-            let Some(peer_id) = peer_id else {
+            let Some(peer_id) = sample_live_peer(
+                sampler.as_mut(),
+                &self.arena,
+                initiator_pos as usize,
+                &mut self.rng,
+            ) else {
                 continue;
             };
             // The fault lab vetoes the contact attempt when the link is dead
@@ -630,14 +494,12 @@ impl GossipSimulation {
             // so cached views (NEWSCAST) tail-drop unreachable neighbours
             // and heal around dead links and partitions.
             let initiator_id = self.arena.id_at_slot(initiator_slot);
-            if self.injector.link_blocked(initiator_id, peer_id) {
-                self.sampler.peer_failed(initiator_id, peer_id);
+            let (initiator_key, peer_key) = (initiator_id.as_u32(), peer_id.as_u32());
+            if injector.link_blocked(initiator_id, peer_id) {
+                sampler.peer_failed(initiator_id, peer_id);
                 exchanges_blocked += 1;
-                if self.telemetry.events_enabled() {
-                    self.telemetry.exchange_vetoed(
-                        u64::from(initiator_id.as_u32()),
-                        u64::from(peer_id.as_u32()),
-                    );
+                if record {
+                    telemetry.exchange_vetoed(initiator_key.into(), peer_key.into());
                 }
                 continue;
             }
@@ -653,12 +515,8 @@ impl GossipSimulation {
             }
             tally.exchanges += 1;
             let seq = (tally.exchanges - 1) as u64;
-            if self.telemetry.events_enabled() {
-                self.telemetry.exchange_begun(
-                    seq,
-                    u64::from(initiator_id.as_u32()),
-                    u64::from(peer_id.as_u32()),
-                );
+            if record {
+                telemetry.exchange_begun(seq, initiator_key.into(), peer_key.into());
             }
             self.scratch_replies.clear();
             let mut lost = || loss > 0.0 && rng.gen_bool(loss);
@@ -679,189 +537,23 @@ impl GossipSimulation {
                 // lint-allow(unwrap): initiator slot comes from this cycle's live snapshot
                 .expect("checked above");
             ExchangeCore::complete(initiator, &self.scratch_replies);
-            if self.telemetry.events_enabled() {
+            if record {
                 let lost_now = tally.messages_lost - lost_before;
                 for _ in 0..lost_now {
-                    self.telemetry.message_lost(seq);
+                    telemetry.message_lost(seq);
                 }
                 if lost_now == 0 {
-                    self.telemetry.exchange_completed(seq);
+                    telemetry.exchange_completed(seq);
                 }
             }
         }
-        let ExchangeTally {
-            exchanges,
-            messages_lost,
-        } = tally;
-
-        // End-of-cycle phase: epoch book-keeping on every live node.
-        let mut completed_epoch = None;
-        let mut epoch_estimates = Vec::new();
-        let mut epoch_size_estimates = Vec::new();
-        for pos in 0..self.arena.len() {
-            let slot = self.arena.live_slots()[pos];
-            let Some(node) = self.arena.node_at_slot_mut(slot) else {
-                continue;
-            };
-            if let Some(result) = node.end_cycle() {
-                completed_epoch = Some(result.epoch);
-                if result.full_participation {
-                    if let Some(estimate) = result.default_estimate() {
-                        epoch_estimates.push(estimate);
-                    }
-                    // The defended estimator merges per-instance estimates
-                    // (median-of-k / trimmed mean); the undefended one pools
-                    // instance states by averaging.
-                    let size = match self.config.redundancy {
-                        Some(redundancy) => {
-                            redundant_size_estimate_from_epoch(&result, redundancy.merge).ok()
-                        }
-                        None => size_estimation::size_estimate_from_epoch(&result),
-                    };
-                    if let Some(size) = size {
-                        epoch_size_estimates.push(size);
-                    }
-                }
-            }
-        }
-
-        if !epoch_size_estimates.is_empty() {
-            let mean = epoch_size_estimates.iter().sum::<f64>() / epoch_size_estimates.len() as f64;
-            self.last_size_estimate = Some(mean);
-        }
-
-        // A completed epoch means the next cycle starts a new epoch: re-run
-        // the leader election for the counting instances.
-        if let Some(epoch) = completed_epoch {
-            if self.telemetry.events_enabled() {
-                self.telemetry.epoch_restarted(epoch);
-            }
-            self.elect_leaders();
-        }
-
-        // Per-cycle summary statistics in one streaming pass (Welford) —
-        // at the paper's 10⁵-node scale the old collect-then-two-pass path
-        // allocated an 800 kB vector and walked it twice every cycle.
-        let mut stats = OnlineStats::new();
-        for &slot in self.arena.live_slots() {
-            if let Some(estimate) = self
-                .arena
-                .node_at_slot(slot)
-                .and_then(|node| node.estimate())
-            {
-                stats.push(estimate);
-            }
-        }
-
-        let summary = CycleSummary {
-            cycle: self.cycle,
-            live_nodes: self.arena.len(),
-            exchanges,
-            messages_lost,
-            exchanges_blocked,
-            estimate_variance: stats.sample_variance(),
-            estimate_mean: stats.mean(),
-            completed_epoch,
-            epoch_estimates,
-            epoch_size_estimates,
-        };
-        self.telemetry
-            .observe_variance(self.cycle as u64, summary.estimate_variance);
-        self.cycle += 1;
-        // Advance virtual time and open the next cycle's recording context,
-        // so churn applied between run_cycle calls lands in the cycle-start
-        // band of the cycle it affects.
-        self.clock.advance(VIRTUAL_CYCLE_MS);
-        self.telemetry
-            .begin_cycle(self.cycle as u64, self.clock.now_ms());
-        summary
+        self.coordinator
+            .close_cycle(&mut self.arena, &mut self.rng, tally, exchanges_blocked)
     }
 
     /// Runs `cycles` consecutive cycles, returning all summaries.
     pub fn run(&mut self, cycles: usize) -> Vec<CycleSummary> {
         (0..cycles).map(|_| self.run_cycle()).collect()
-    }
-
-    fn elect_leaders(&mut self) {
-        // A new epoch starts: whatever leaders the adversary captured last
-        // epoch died with their instances.
-        self.adversary.begin_epoch();
-        if let Some(redundancy) = self.config.redundancy {
-            self.elect_redundant_leaders(redundancy.instances);
-            return;
-        }
-        let Some(policy) = self.config.leader_policy else {
-            return;
-        };
-        let previous = self.last_size_estimate;
-        let mut any_leader = false;
-        for pos in 0..self.arena.len() {
-            let slot = self.arena.live_slots()[pos];
-            let id = self.arena.id_at_slot(slot);
-            if let Some(node) = self.arena.node_at_slot_mut(slot) {
-                if size_estimation::elect_leader(node, policy, previous, &mut self.rng) {
-                    any_leader = true;
-                    self.adversary.observe_leader(id);
-                    if self.telemetry.events_enabled() {
-                        self.telemetry.leader_elected(u64::from(id.as_u32()));
-                    }
-                }
-            }
-        }
-        // Guarantee progress: if the random draw elected nobody (possible for
-        // small networks and small probabilities), promote one deterministic
-        // leader so the epoch still produces a size estimate.
-        if !any_leader {
-            if let Some(&slot) = self.arena.live_slots().first() {
-                let id = self.arena.id_at_slot(slot);
-                if let Some(node) = self.arena.node_at_slot_mut(slot) {
-                    node.start_led_instance(
-                        aggregate_core::InstanceTag::from_leader(node.id()),
-                        1.0,
-                    );
-                    self.adversary.observe_leader(id);
-                    if self.telemetry.events_enabled() {
-                        self.telemetry.leader_elected(u64::from(id.as_u32()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The redundant-instance election: exactly `min(k, live)` *distinct*
-    /// leaders per epoch, drawn by a partial Fisher–Yates over the live
-    /// directory from the dedicated `redundancy-leaders` stream — so the
-    /// defense's randomness never perturbs the schedule draws, and runs
-    /// without the defense are untouched.
-    fn elect_redundant_leaders(&mut self, instances: usize) {
-        let live = self.arena.len();
-        if live == 0 {
-            return;
-        }
-        let k = instances.min(live);
-        let mut rng = self
-            .seeds
-            .rng_for_labeled(self.elections, crate::sampling::REDUNDANCY_STREAM);
-        self.elections += 1;
-        let mut positions: Vec<u32> = (0..live as u32).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..live);
-            positions.swap(i, j);
-        }
-        for &pos in &positions[..k] {
-            let slot = self.arena.live_slots()[pos as usize];
-            let id = self.arena.id_at_slot(slot);
-            if let Some(node) = self.arena.node_at_slot_mut(slot) {
-                node.start_led_instance(
-                    InstanceTag::from_leader(id),
-                    CountInit::initial_value(true),
-                );
-                self.adversary.observe_leader(id);
-                if self.telemetry.events_enabled() {
-                    self.telemetry.leader_elected(u64::from(id.as_u32()));
-                }
-            }
-        }
     }
 }
 

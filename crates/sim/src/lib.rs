@@ -56,6 +56,7 @@
 
 pub mod arena;
 mod churn;
+pub mod coordinator;
 mod engine;
 mod error;
 mod event_engine;

@@ -13,9 +13,9 @@
 //!   randomness never interferes with the engines' schedule/pick draws —
 //!   which is what keeps the uniform configuration bit-identical to the
 //!   pre-sampler engines;
-//! * `ArenaDirectory` (crate-private) — the O(1) [`SamplerDirectory`] over
-//!   a [`NodeArena`]'s dense live array, used by the reference engine (the
-//!   sharded engine has its own directory over the global live list).
+//! * the O(1) [`SamplerDirectory`] over a [`NodeArena`]'s dense live array,
+//!   the reference engine's directory (the sharded engine has its own over
+//!   the global live list).
 
 use crate::arena::NodeArena;
 use crate::{SeedSequence, SimConfigError};
@@ -93,22 +93,17 @@ pub fn instantiate_sampler(
 /// The reference engine's [`SamplerDirectory`]: positions are the arena's
 /// dense live order, liveness is a generation-checked arena lookup — all
 /// O(1).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ArenaDirectory<'a> {
-    pub arena: &'a NodeArena,
-}
-
-impl SamplerDirectory for ArenaDirectory<'_> {
+impl SamplerDirectory for NodeArena {
     fn len(&self) -> usize {
-        self.arena.len()
+        NodeArena::len(self)
     }
 
     fn id_at(&self, pos: usize) -> NodeId {
-        self.arena.id_at_slot(self.arena.live_slots()[pos])
+        self.id_at_slot(self.live_slots()[pos])
     }
 
     fn is_live(&self, id: NodeId) -> bool {
-        self.arena.get(id).is_some()
+        self.get(id).is_some()
     }
 }
 
@@ -157,7 +152,7 @@ mod tests {
             })
             .collect();
         arena.remove(ids[1]);
-        let directory = ArenaDirectory { arena: &arena };
+        let directory: &dyn SamplerDirectory = &arena;
         assert_eq!(directory.len(), 3);
         assert!(!directory.is_empty());
         assert!(directory.is_live(ids[0]));

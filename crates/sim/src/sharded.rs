@@ -33,21 +33,25 @@
 //! Per-cycle telemetry is accumulated in per-shard [`OnlineStats`] and
 //! merged in shard order (Chan's parallel Welford update), so a million-node
 //! cycle streams no per-node vectors through a single accumulator.
+//!
+//! The epoch environment — fault lab, adversary, elections, telemetry and
+//! virtual time — is the shared [`Coordinator`], driven over the global
+//! directory: churn victims come from the `sharded-churn` stream, each
+//! election from its own `election` stream, and events are keyed by global
+//! directory position, so all of it is shard-count invariant.
 
 use crate::arena::{IdLayout, NodeArena, MAX_SHARDS};
-use crate::sampling::instantiate_sampler;
+use crate::coordinator::{epoch_size_estimate, Coordinator, CycleNodes};
 use crate::soa::{self, HotStore, WordBuffer};
 use crate::{SeedSequence, SimConfigError, SimulationConfig};
-use aggregate_core::aggregate::CountInit;
-use aggregate_core::effects::{Clock, VirtualClock};
+use aggregate_core::effects::Clock;
 use aggregate_core::node::{HotView, ProtocolNode};
-use aggregate_core::redundancy::{redundant_size_estimate_from_epoch, MergePolicy};
-use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SamplerDirectory};
-use aggregate_core::size_estimation;
+use aggregate_core::redundancy::MergePolicy;
+use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
 use aggregate_core::{AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag};
 use gossip_analysis::OnlineStats;
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
-use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig, TelemetrySink};
+use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
+use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,6 +202,84 @@ impl SamplerDirectory for GlobalDirectory<'_> {
     }
 }
 
+/// The sharded engine's node store as the [`Coordinator`] sees it:
+/// positions are the global live directory, and trace keys are those
+/// positions, not identifiers, which embed the shard layout.
+#[derive(Debug)]
+struct GlobalNodes<'a> {
+    live: &'a mut Vec<NodeId>,
+    shards: &'a mut [Shard],
+}
+
+impl SamplerDirectory for GlobalNodes<'_> {
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    fn id_at(&self, pos: usize) -> NodeId {
+        self.live[pos]
+    }
+
+    fn is_live(&self, id: NodeId) -> bool {
+        let (live, shards) = (&*self.live, &*self.shards);
+        GlobalDirectory { live, shards }.is_live(id)
+    }
+}
+
+impl CycleNodes for GlobalNodes<'_> {
+    /// Reads the arena node; callers flush the hot mirror first.
+    fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode> {
+        let id = self.live[pos];
+        self.shards[IdLayout::shard_of(id) as usize]
+            .arena
+            .get_mut(id)
+    }
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) -> Option<u64> {
+        let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
+        shard.arena.get(id)?;
+        let slot = IdLayout::sharded_slot_of(id) as usize;
+        // A hot node's authoritative state lives in the mirror;
+        // `corrupt_estimate` only overwrites the running approximation,
+        // which is exactly the mirrored word.
+        match shard.hot.slots.get_mut(slot).filter(|r| r.is_hot()) {
+            Some(record) => record.state = value,
+            None => shard.arena.get_mut(id)?.corrupt_estimate(value),
+        }
+        Some(u64::from(shard.global_pos[slot]))
+    }
+
+    fn corrupt_instance(&mut self, id: NodeId, state: f64) {
+        // A captured leader runs a led instance, so it is cold by
+        // construction — the arena node is authoritative.
+        let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
+        if let Some(node) = shard.arena.get_mut(id) {
+            node.corrupt_instance(InstanceTag::from_leader(id), state);
+        }
+    }
+
+    fn remove_at(&mut self, pos: usize) -> (NodeId, u64) {
+        let id = self.live[pos];
+        let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
+        let slot = IdLayout::sharded_slot_of(id);
+        shard.arena.remove_slot_checked(slot);
+        // The departed node's state vanishes with it: no flush, just hygiene.
+        shard.hot.mark_cold(slot);
+        self.live.swap_remove(pos);
+        if pos < self.live.len() {
+            let moved = self.live[pos];
+            let shard = IdLayout::shard_of(moved) as usize;
+            let slot = IdLayout::sharded_slot_of(moved) as usize;
+            self.shards[shard].global_pos[slot] = pos as u32;
+        }
+        (id, pos as u64)
+    }
+
+    fn trace_key(&self, pos: usize) -> u64 {
+        pos as u64
+    }
+}
+
 /// Global directory position of a (verified live) identifier.
 fn global_pos_of(shards: &[Shard], id: NodeId) -> u32 {
     let shard = IdLayout::shard_of(id) as usize;
@@ -293,11 +375,8 @@ pub struct ShardedSimulation {
     /// identically for every shard count — the root of the shard-count
     /// invariance of node values.
     global_live: Vec<NodeId>,
-    cycle: usize,
-    seeds: SeedSequence,
+    /// Random-victim departures under churn and crash bursts.
     churn_rng: StdRng,
-    elections: u64,
-    last_size_estimate: Option<f64>,
     shard_exchange_totals: Vec<usize>,
     /// Whether the per-shard [`HotStore`]s currently hold the authoritative
     /// state of the hot nodes. Set by the first cycle after construction or
@@ -315,36 +394,13 @@ pub struct ShardedSimulation {
     /// directory position) for candidate lookups — half the miss footprint of
     /// the 8-byte `NodeId` directory.
     soa_packed: Vec<u32>,
-    /// The peer-sampling layer. It sees only global directory positions and
-    /// identifiers, so one sampler serves every shard and its picks are
-    /// invariant across shard counts.
-    sampler: Box<dyn PeerSampler>,
-    /// The fault lab, consulted at cycle entry (crash bursts, value
-    /// injections, the cycle's scalar loss probability) and after every
-    /// peer pick (link vetoes). The loss/crash/injection schedules are
-    /// shard-count agnostic (scalar rates, churn-stream victims,
-    /// directory-position picks), but link and partition coins key on node
-    /// identifiers — which embed the shard layout — so a link-failure or
-    /// partition plan draws a *different (statistically equivalent) fault
-    /// map* per shard count; the shard-count bit-invariance of node values
-    /// holds only for plans without identity-keyed faults.
-    injector: Box<dyn FaultInjector>,
-    /// The stateful adversary, consulted at cycle entry (cycle-start lies,
-    /// captured-leader assertions, injection overrides). Colluder
-    /// membership keys on initial global-directory *positions* — not node
-    /// identifiers, which embed the shard layout — so the colluding set is
-    /// bit-identical across shard counts.
-    adversary: Adversary,
-    /// The coordinator-side observability sink: schedule-time events
-    /// (churn, corruption, vetoes, exchange starts — all keyed by global
-    /// directory positions, which are shard-count invariant), the metrics
-    /// registry and the convergence watchdog. Disabled by default;
-    /// recording consumes no randomness, so enabling it never perturbs the
-    /// trajectory.
-    telemetry: TelemetrySink,
-    /// Virtual time for flight-recorder timestamps; advances one logical
-    /// Δt per cycle, never reads a wall clock.
-    clock: VirtualClock,
+    /// The epoch environment over the global directory. Its sampler sees
+    /// only directory positions and identifiers, so one sampler serves every
+    /// shard. Colluder membership keys on initial directory positions, so
+    /// the colluding set is shard-count invariant; link and partition coins
+    /// key on identifiers, which embed the shard layout, so such plans draw
+    /// a different (statistically equivalent) fault map per shard count.
+    coordinator: Coordinator,
 }
 
 /// Lazily seeded per-exchange loss model: free when the loss probability is
@@ -418,9 +474,6 @@ impl ShardedSimulation {
         adversary_plan: AdversaryPlan,
     ) -> Result<Self, SimConfigError> {
         config.validate(initial_values)?;
-        let plan = plan.absorb_conditions(config.base.conditions);
-        plan.validate()?;
-        adversary_plan.validate()?;
         let shard_count = config.shards;
         let mut shards: Vec<Shard> = (0..shard_count)
             .map(|s| Shard {
@@ -441,39 +494,30 @@ impl ShardedSimulation {
             shard.set_global_pos(slot, global_live.len() as u32);
             global_live.push(id);
         }
-        let seeds = SeedSequence::new(master_seed);
-        let sampler = instantiate_sampler(config.base.sampler, &global_live, &seeds)?;
-        let injector = Box::new(PlanInjector::new(
-            plan,
-            seeds.seed_for_labeled(0, crate::sampling::FAULTS_STREAM),
-        ));
-        let adversary = Adversary::new(
-            adversary_plan,
-            seeds.seed_for_labeled(0, crate::sampling::ADVERSARY_STREAM),
+        let mut coordinator = Coordinator::build(
+            &config.base,
             &global_live,
-        );
-        let mut sim = ShardedSimulation {
+            master_seed,
+            plan,
+            adversary_plan,
+        )?;
+        let mut nodes = GlobalNodes {
+            live: &mut global_live,
+            shards: &mut shards,
+        };
+        coordinator.elect_leaders(&mut nodes, None);
+        Ok(ShardedSimulation {
             config,
             shards,
             global_live,
-            cycle: 0,
-            seeds,
             // stream: random-victim departures under churn
-            churn_rng: seeds.rng_for_labeled(0, "sharded-churn"),
-            elections: 0,
-            last_size_estimate: None,
+            churn_rng: coordinator.seeds().rng_for_labeled(0, "sharded-churn"),
             shard_exchange_totals: vec![0; shard_count],
             soa_resident: false,
             soa_order: Vec::new(),
             soa_packed: Vec::new(),
-            sampler,
-            injector,
-            adversary,
-            telemetry: TelemetrySink::new(TelemetryConfig::disabled()),
-            clock: VirtualClock::new(),
-        };
-        sim.elect_leaders();
-        Ok(sim)
+            coordinator,
+        })
     }
 
     /// Installs (or replaces) the telemetry sink and re-arms the per-shard
@@ -484,13 +528,18 @@ impl ShardedSimulation {
     /// global sequence numbers, so the merged trace is invariant across
     /// shard counts.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry = TelemetrySink::new(config);
-        self.telemetry
-            .begin_cycle(self.cycle as u64, self.clock.now_ms());
-        let now = self.clock.now_ms();
-        let cycle = self.cycle as u64;
+        self.coordinator.set_telemetry(config);
         for shard in &mut self.shards {
-            shard.recorder = self.telemetry.shard_recorder();
+            shard.recorder = self.coordinator.telemetry.shard_recorder();
+        }
+        self.set_shard_contexts();
+    }
+
+    /// Stamps every shard recorder with the current cycle and virtual time.
+    fn set_shard_contexts(&mut self) {
+        let now = self.coordinator.clock.now_ms();
+        let cycle = self.coordinator.cycle() as u64;
+        for shard in &mut self.shards {
             shard.recorder.set_context(cycle, now);
         }
     }
@@ -503,14 +552,14 @@ impl ShardedSimulation {
             .iter_mut()
             .map(|shard| shard.recorder.drain())
             .collect();
-        self.telemetry.drain_events_with(batches) // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.drain_events_with(batches) // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
     }
 
     /// Events evicted from any ring since the sink was installed — a
     /// nonzero value means the trace has holes and the ring capacity should
     /// be raised (or the trace drained more often).
     pub fn dropped_trace_events(&self) -> u64 {
-        self.telemetry.dropped_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.dropped_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
             + self
                 .shards
                 .iter()
@@ -520,27 +569,27 @@ impl ShardedSimulation {
 
     /// The convergence watchdog's current verdict, if one is configured.
     pub fn watchdog_verdict(&self) -> Option<gossip_telemetry::WatchdogVerdict> {
-        self.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
     /// Every verdict transition the watchdog has diagnosed so far.
     pub fn watchdog_diagnoses(&self) -> &[gossip_telemetry::Diagnosis] {
-        self.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
     /// The accumulated telemetry counters (post-hoc readout).
     pub fn telemetry_metrics(&self) -> &gossip_telemetry::MetricsRegistry {
-        self.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
     }
 
     /// The peer-sampling configuration exchange partners are drawn from.
     pub fn sampler_config(&self) -> SamplerConfig {
-        self.sampler.config()
+        self.coordinator.sampler.config()
     }
 
     /// The realised adversary (colluding set and per-epoch captures).
     pub fn adversary(&self) -> &Adversary {
-        &self.adversary
+        &self.coordinator.adversary
     }
 
     /// Number of live nodes.
@@ -550,7 +599,7 @@ impl ShardedSimulation {
 
     /// The current cycle index.
     pub fn cycle(&self) -> usize {
-        self.cycle
+        self.coordinator.cycle()
     }
 
     /// The configured shard count.
@@ -583,7 +632,7 @@ impl ShardedSimulation {
 
     /// The most recent pooled network-size estimate, if any epoch completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
-        self.last_size_estimate
+        self.coordinator.last_size_estimate
     }
 
     /// Read access to a node. Returns `None` for departed nodes and stale
@@ -637,11 +686,11 @@ impl ShardedSimulation {
     /// passively until the next epoch starts, exactly as in the reference
     /// engine.
     pub fn add_node(&mut self, local_value: f64) -> NodeId {
-        let cycles_per_epoch = self.config.base.protocol.cycles_per_epoch() as usize;
-        let cycle_in_epoch = self.cycle % cycles_per_epoch;
-        let cycles_until_start = (cycles_per_epoch - cycle_in_epoch) as u32;
-        let next_epoch = (self.cycle / cycles_per_epoch) as u64 + 1;
         let protocol = self.config.base.protocol;
+        let cycle = self.cycle();
+        let cycles_per_epoch = protocol.cycles_per_epoch() as usize;
+        let cycles_until_start = (cycles_per_epoch - cycle % cycles_per_epoch) as u32;
+        let next_epoch = (cycle / cycles_per_epoch) as u64 + 1;
         let shard_idx = (0..self.shards.len())
             .min_by_key(|&s| (self.shards[s].arena.len(), s))
             // lint-allow(unwrap): ShardedConfig::validate rejects zero shards
@@ -656,47 +705,25 @@ impl ShardedSimulation {
         shard.cold_live = true;
         shard.set_global_pos(slot, self.global_live.len() as u32);
         self.global_live.push(id);
-        if self.telemetry.events_enabled() {
-            // Positions — not identifiers, which embed the shard layout —
-            // keep the trace invariant across shard counts.
-            self.telemetry
-                .node_joined(self.global_live.len() as u64 - 1);
-        }
-        let ShardedSimulation {
-            sampler,
-            global_live,
-            shards,
-            ..
-        } = self;
-        sampler.on_join(
-            id,
-            &GlobalDirectory {
-                live: global_live,
-                shards,
-            },
-        );
+        let (live, shards) = (&self.global_live, &self.shards);
+        let key = live.len() as u64 - 1;
+        self.coordinator
+            .joined(id, key, &GlobalDirectory { live, shards });
         id
     }
 
     /// Removes a specific node. Returns `true` if the node was live; stale
     /// identifiers are rejected.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let shard = IdLayout::shard_of(id) as usize;
-        if shard >= self.shards.len() {
+        let mut nodes = GlobalNodes {
+            live: &mut self.global_live,
+            shards: &mut self.shards,
+        };
+        if !nodes.is_live(id) {
             return false;
         }
-        if !self.shards[shard].arena.remove(id) {
-            return false;
-        }
-        let slot = IdLayout::sharded_slot_of(id);
-        // The departed node's state vanishes with it: no flush, just hygiene.
-        self.shards[shard].hot.mark_cold(slot);
-        let pos = self.shards[shard].global_pos[slot as usize];
-        if self.telemetry.events_enabled() {
-            self.telemetry.node_departed(u64::from(pos));
-        }
-        self.remove_global_at(pos as usize);
-        self.sampler.on_depart(id);
+        let (_, key) = nodes.remove_at(global_pos_of(nodes.shards, id) as usize);
+        self.coordinator.departed(id, key);
         true
     }
 
@@ -704,35 +731,12 @@ impl ShardedSimulation {
     /// experiments). The victim sequence is drawn from a dedicated stream
     /// over the global directory, so it is identical for every shard count.
     pub fn remove_random_nodes(&mut self, count: usize) -> usize {
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.global_live.is_empty() {
-                break;
-            }
-            let pos = self.churn_rng.gen_range(0..self.global_live.len());
-            let id = self.global_live[pos];
-            let shard = IdLayout::shard_of(id) as usize;
-            let slot = IdLayout::sharded_slot_of(id);
-            self.shards[shard].arena.remove_slot_checked(slot);
-            self.shards[shard].hot.mark_cold(slot);
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(pos as u64);
-            }
-            self.remove_global_at(pos);
-            self.sampler.on_depart(id);
-            removed += 1;
-        }
-        removed
-    }
-
-    fn remove_global_at(&mut self, pos: usize) {
-        self.global_live.swap_remove(pos);
-        if pos < self.global_live.len() {
-            let moved = self.global_live[pos];
-            let shard = IdLayout::shard_of(moved) as usize;
-            let slot = IdLayout::sharded_slot_of(moved) as usize;
-            self.shards[shard].global_pos[slot] = pos as u32;
-        }
+        let mut nodes = GlobalNodes {
+            live: &mut self.global_live,
+            shards: &mut self.shards,
+        };
+        self.coordinator
+            .remove_random(&mut nodes, &mut self.churn_rng, count)
     }
 
     /// Runs `cycles` consecutive cycles, returning all summaries.
@@ -743,101 +747,13 @@ impl ShardedSimulation {
     /// Runs one full protocol cycle and returns its summary.
     pub fn run_cycle(&mut self) -> ShardedCycleSummary {
         let shard_count = self.config.shards;
-        // Fault lab first: enter the cycle, fire scheduled crash bursts
-        // through the ordinary churn path (shard-count-agnostic victim
-        // stream), apply adversarial value injections over the global
-        // directory. A run with the empty plan takes none of these branches
-        // and consumes no randomness.
-        self.injector.begin_cycle(self.cycle);
-        let crash_victims = self.injector.crash_count(self.global_live.len());
-        if crash_victims > 0 {
-            self.remove_random_nodes(crash_victims);
-        }
-        // The stateful adversary next (pure — no RNG, so the empty plan
-        // stays bit-identical): colluders re-assert their lie and captured
-        // counting-instance leaders re-assert the false state, both
-        // hot-aware like the injector path below.
-        {
-            let ShardedSimulation {
-                adversary,
-                shards,
-                cycle,
-                telemetry,
-                ..
-            } = self;
-            let record = telemetry.events_enabled();
-            if let Some(value) = adversary.lie_at(*cycle) {
-                for &id in adversary.colluders() {
-                    let shard = &mut shards[IdLayout::shard_of(id) as usize];
-                    if shard.arena.get(id).is_none() {
-                        continue; // colluder crashed or departed
-                    }
-                    let slot = IdLayout::sharded_slot_of(id) as usize;
-                    if record {
-                        telemetry.value_corrupted(u64::from(shard.global_pos[slot]));
-                    }
-                    match shard.hot.slots.get_mut(slot).filter(|r| r.is_hot()) {
-                        Some(record) => record.state = value,
-                        None => {
-                            if let Some(node) = shard.arena.get_mut(id) {
-                                node.corrupt_estimate(value);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(state) = adversary.captured_state_at(*cycle) {
-                for &id in adversary.captured() {
-                    // A captured leader runs a led instance, so it is cold by
-                    // construction — the arena node is authoritative.
-                    let shard = &mut shards[IdLayout::shard_of(id) as usize];
-                    if let Some(node) = shard.arena.get_mut(id) {
-                        node.corrupt_instance(InstanceTag::from_leader(id), state);
-                    }
-                }
-            }
-        }
-        for (pos, value) in self.injector.corruptions(self.global_live.len()) {
-            let id = self.global_live[pos];
-            // One corruption per node per cycle: the stateful adversary's
-            // lie wins over a one-shot injection on the same node (it would
-            // overwrite the injection next cycle anyway).
-            if self.adversary.overrides_injection(self.cycle, id) {
-                continue;
-            }
-            if self.telemetry.events_enabled() {
-                self.telemetry.value_corrupted(pos as u64);
-            }
-            let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-            let slot = IdLayout::sharded_slot_of(id) as usize;
-            // A hot node's authoritative state lives in the mirror;
-            // `corrupt_estimate` only overwrites the running approximation,
-            // which is exactly the mirrored word.
-            match shard.hot.slots.get_mut(slot).filter(|r| r.is_hot()) {
-                Some(record) => record.state = value,
-                None => {
-                    if let Some(node) = shard.arena.get_mut(id) {
-                        node.corrupt_estimate(value);
-                    }
-                }
-            }
-        }
-        let loss = self.injector.loss_probability();
-        // Overlay maintenance in lockstep with the aggregation cycle;
-        // NEWSCAST's randomness comes from its own labelled stream, so the
-        // schedule draws below are unaffected.
-        {
-            let ShardedSimulation {
-                sampler,
-                global_live,
-                shards,
-                ..
-            } = self;
-            sampler.begin_cycle(&GlobalDirectory {
-                live: global_live,
-                shards,
-            });
-        }
+        let mut nodes = GlobalNodes {
+            live: &mut self.global_live,
+            shards: &mut self.shards,
+        };
+        let loss = self
+            .coordinator
+            .enter_cycle(&mut nodes, &mut self.churn_rng);
         self.ensure_soa_resident();
         let (outs, exchanges_blocked) = self.run_cycle_sequential_soa(loss);
 
@@ -865,22 +781,30 @@ impl ShardedSimulation {
             };
         }
 
-        if self.telemetry.events_enabled() {
-            self.telemetry
+        if self.coordinator.telemetry.events_enabled() {
+            self.coordinator
+                .telemetry
                 .add_message_losses(tally.messages_lost as u64);
         }
         if size_stats.count() > 0 {
-            self.last_size_estimate = Some(size_stats.mean());
+            self.coordinator.last_size_estimate = Some(size_stats.mean());
         }
         if let Some(epoch) = completed_epoch {
-            if self.telemetry.events_enabled() {
-                self.telemetry.epoch_restarted(epoch);
+            // Elections read and mutate nodes directly; sync the mirror back
+            // first. Averaging-only runs elect nobody, so the hot store stays
+            // resident across their epoch boundaries.
+            if self.coordinator.elects_leaders() {
+                self.flush_soa();
             }
-            self.elect_leaders();
+            let mut nodes = GlobalNodes {
+                live: &mut self.global_live,
+                shards: &mut self.shards,
+            };
+            self.coordinator.epoch_restarted(epoch, &mut nodes, None);
         }
 
         let summary = ShardedCycleSummary {
-            cycle: self.cycle,
+            cycle: self.cycle(),
             live_nodes: self.global_live.len(),
             exchanges: tally.exchanges,
             messages_lost: tally.messages_lost,
@@ -892,21 +816,9 @@ impl ShardedSimulation {
             epoch_size_estimates: size_stats,
             shard_exchanges,
         };
-        self.telemetry
-            .observe_variance(self.cycle as u64, summary.estimate_variance);
-        self.cycle += 1;
-        self.clock.advance(crate::engine::VIRTUAL_CYCLE_MS);
-        // Open the next cycle's recording context — inter-cycle churn and
-        // fault-lab actions land in *that* cycle's start band, mirroring the
-        // reference engine.
-        self.telemetry
-            .begin_cycle(self.cycle as u64, self.clock.now_ms());
-        if self.telemetry.events_enabled() {
-            let now = self.clock.now_ms();
-            let cycle = self.cycle as u64;
-            for shard in &mut self.shards {
-                shard.recorder.set_context(cycle, now);
-            }
+        self.coordinator.end_cycle(summary.estimate_variance);
+        if self.coordinator.telemetry.events_enabled() {
+            self.set_shard_contexts();
         }
         summary
     }
@@ -971,14 +883,12 @@ impl ShardedSimulation {
         let kind = self.config.base.protocol.aggregate();
         let cycles_per_epoch = self.config.base.protocol.cycles_per_epoch();
         let lossy = loss > 0.0;
-        let loss_seeds =
-            // stream: per-exchange message-loss coins, re-derived each cycle
-            SeedSequence::new(self.seeds.seed_for_labeled(self.cycle as u64, "cycle-loss"));
+        let (seeds, cycle) = (self.coordinator.seeds(), self.coordinator.cycle() as u64);
+        // stream: per-exchange message-loss coins, re-derived each cycle
+        let loss_seeds = SeedSequence::new(seeds.seed_for_labeled(cycle, "cycle-loss"));
+        // stream: per-cycle initiator shuffle and peer picks
+        let mut rng = seeds.rng_for_labeled(cycle, "cycle-schedule");
         let n = self.global_live.len();
-        let mut rng = self
-            .seeds
-            // stream: per-cycle initiator shuffle and peer picks
-            .rng_for_labeled(self.cycle as u64, "cycle-schedule");
 
         // Packed directory mirror (candidate lookups touch 4 bytes per miss
         // instead of 8), then the shuffle entries: position in the high half
@@ -1008,9 +918,12 @@ impl ShardedSimulation {
         let mut scratch = ExchangeScratch::new();
         let shards = &mut self.shards;
         let global_live = &self.global_live;
-        let sampler = &mut self.sampler;
-        let injector = &self.injector;
-        let telemetry = &mut self.telemetry;
+        let Coordinator {
+            sampler,
+            injector,
+            telemetry,
+            ..
+        } = &mut self.coordinator;
         let record = telemetry.events_enabled();
 
         // Four stages per block of initiators, each a tight loop so dozens
@@ -1267,98 +1180,6 @@ impl ShardedSimulation {
             .collect();
         (outs, exchanges_blocked)
     }
-
-    /// Leader (re-)election for the counting instances, run over the global
-    /// directory with an election-ordinal-derived stream — identical draws
-    /// for every shard count.
-    fn elect_leaders(&mut self) {
-        // A new epoch starts: last epoch's captured leaders died with their
-        // instances.
-        self.adversary.begin_epoch();
-        if let Some(redundancy) = self.config.base.redundancy {
-            // Elections read and mutate nodes directly; sync the mirror back
-            // first.
-            self.flush_soa();
-            self.elect_redundant_leaders(redundancy.instances);
-            return;
-        }
-        let Some(policy) = self.config.base.leader_policy else {
-            return;
-        };
-        // Elections read and mutate nodes directly; sync the mirror back
-        // first. Averaging-only runs (no leader policy) never reach this, so
-        // the hot store stays resident across their epoch boundaries.
-        self.flush_soa();
-        let previous = self.last_size_estimate;
-        // stream: epoch-boundary leader elections
-        let mut rng = self.seeds.rng_for_labeled(self.elections, "election");
-        self.elections += 1;
-        let mut any_leader = false;
-        for pos in 0..self.global_live.len() {
-            let id = self.global_live[pos];
-            let shard = IdLayout::shard_of(id) as usize;
-            if let Some(node) = self.shards[shard].arena.get_mut(id) {
-                if size_estimation::elect_leader(node, policy, previous, &mut rng) {
-                    any_leader = true;
-                    self.adversary.observe_leader(id);
-                    if self.telemetry.events_enabled() {
-                        self.telemetry.leader_elected(pos as u64);
-                    }
-                }
-            }
-        }
-        // Guarantee progress exactly as the reference engine does: promote
-        // the first live node (global order — shard-count invariant).
-        if !any_leader {
-            if let Some(&id) = self.global_live.first() {
-                let shard = IdLayout::shard_of(id) as usize;
-                if let Some(node) = self.shards[shard].arena.get_mut(id) {
-                    node.start_led_instance(InstanceTag::from_leader(node.id()), 1.0);
-                    self.adversary.observe_leader(id);
-                    if self.telemetry.events_enabled() {
-                        self.telemetry.leader_elected(0);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The redundant-instance election, draw-for-draw identical to the
-    /// reference engine's: exactly `min(k, live)` distinct leaders per
-    /// epoch, chosen by a partial Fisher–Yates over global directory
-    /// positions from the `redundancy-leaders` stream. Positions — not
-    /// identifiers — feed the draws, so the elected positions are invariant
-    /// across shard counts.
-    fn elect_redundant_leaders(&mut self, instances: usize) {
-        let live = self.global_live.len();
-        if live == 0 {
-            return;
-        }
-        let k = instances.min(live);
-        let mut rng = self
-            .seeds
-            .rng_for_labeled(self.elections, crate::sampling::REDUNDANCY_STREAM);
-        self.elections += 1;
-        let mut positions: Vec<u32> = (0..live as u32).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..live);
-            positions.swap(i, j);
-        }
-        for &pos in &positions[..k] {
-            let id = self.global_live[pos as usize];
-            let shard = IdLayout::shard_of(id) as usize;
-            if let Some(node) = self.shards[shard].arena.get_mut(id) {
-                node.start_led_instance(
-                    InstanceTag::from_leader(id),
-                    CountInit::initial_value(true),
-                );
-                self.adversary.observe_leader(id);
-                if self.telemetry.events_enabled() {
-                    self.telemetry.leader_elected(u64::from(pos));
-                }
-            }
-        }
-    }
 }
 
 /// Renders a run's per-cycle telemetry as a [`gossip_analysis::Table`] —
@@ -1430,20 +1251,6 @@ fn shard_pair_mut(shards: &mut [Shard], a: usize, b: usize) -> (&mut Shard, &mut
     } else {
         let (lo, hi) = shards.split_at_mut(a);
         (&mut hi[0], &mut lo[b])
-    }
-}
-
-/// Per-node size-estimate extraction for [`ShardCycleOut::tick_node`]: the
-/// defended estimator (median-of-k / trimmed merge over per-instance
-/// estimates) when redundancy is configured, the undefended state-pooling
-/// estimator otherwise.
-fn epoch_size_estimate(
-    result: &aggregate_core::EpochResult,
-    redundancy: Option<MergePolicy>,
-) -> Option<f64> {
-    match redundancy {
-        Some(merge) => redundant_size_estimate_from_epoch(result, merge).ok(),
-        None => size_estimation::size_estimate_from_epoch(result),
     }
 }
 

@@ -1397,32 +1397,42 @@ fn same_seed_traced_runs_produce_byte_identical_jsonl() {
 
 /// Telemetry tentpole pin, part 3: the reference engine and the lockstep
 /// wire cluster both reproduce the golden seed-77 trajectory with full
-/// tracing enabled, and their watchdogs reach a verdict on the converged run.
+/// tracing enabled, their watchdogs reach a verdict on the converged run,
+/// and their drained traces are equal event for event — time stamps
+/// included, which advance one `cycle_length_ms` per cycle in both.
 #[test]
 fn tracing_leaves_reference_engine_and_wire_cluster_goldens_bit_identical() {
     let values: Vec<f64> = (0..400).map(|i| (i % 53) as f64).collect();
-    let protocol = || {
-        ProtocolConfig::builder()
-            .cycles_per_epoch(10)
-            .build()
-            .unwrap()
-    };
+    for cycle_length_ms in [1_000, 2_000] {
+        let config = SimulationConfig::averaging(
+            ProtocolConfig::builder()
+                .cycles_per_epoch(10)
+                .cycle_length_ms(cycle_length_ms)
+                .build()
+                .unwrap(),
+        );
 
-    let mut sim = GossipSimulation::new(SimulationConfig::averaging(protocol()), &values, 77);
-    sim.set_telemetry(TelemetryConfig::full());
-    let last = sim.run(25).pop().unwrap();
-    assert_eq!(last.estimate_mean.to_bits(), 0x4039_2147_ae14_7adf);
-    assert_eq!(last.estimate_variance.to_bits(), 0x3fe0_b58d_981d_4c54);
-    let engine_events = sim.drain_trace();
-    assert!(!engine_events.is_empty());
-    assert!(sim.watchdog_verdict().is_some());
+        let mut sim = GossipSimulation::new(config, &values, 77);
+        sim.set_telemetry(TelemetryConfig::full());
+        let last = sim.run(25).pop().unwrap();
+        assert_eq!(last.estimate_mean.to_bits(), 0x4039_2147_ae14_7adf);
+        assert_eq!(last.estimate_variance.to_bits(), 0x3fe0_b58d_981d_4c54);
+        let engine_events = sim.drain_trace();
+        assert!(!engine_events.is_empty());
+        assert!(sim.watchdog_verdict().is_some());
 
-    let mut cluster =
-        VirtualCluster::new(SimulationConfig::averaging(protocol()), &values, 77).unwrap();
-    cluster.set_telemetry(TelemetryConfig::full());
-    let last = cluster.run(25).pop().unwrap();
-    assert_eq!(last.estimate_mean.to_bits(), 0x4039_2147_ae14_7adf);
-    assert_eq!(last.estimate_variance.to_bits(), 0x3fe0_b58d_981d_4c54);
-    assert!(!cluster.drain_trace().is_empty());
-    assert!(cluster.watchdog_verdict().is_some());
+        let mut cluster = VirtualCluster::new(config, &values, 77).unwrap();
+        cluster.set_telemetry(TelemetryConfig::full());
+        let last = cluster.run(25).pop().unwrap();
+        assert_eq!(last.estimate_mean.to_bits(), 0x4039_2147_ae14_7adf);
+        assert_eq!(last.estimate_variance.to_bits(), 0x3fe0_b58d_981d_4c54);
+        assert!(cluster.watchdog_verdict().is_some());
+        let wire_events = cluster.drain_trace();
+        assert_eq!(wire_events.len(), engine_events.len());
+        for (wire, engine) in wire_events.iter().zip(&engine_events) {
+            assert_eq!(wire, engine, "traces diverge at {cycle_length_ms} ms");
+        }
+        let last_event = engine_events.last().unwrap();
+        assert_eq!(last_event.time_ms, 24 * cycle_length_ms);
+    }
 }
