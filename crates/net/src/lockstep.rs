@@ -21,7 +21,6 @@
 
 use crate::node_core::{Delivery, NodeCore};
 use crate::{InMemoryNetwork, Transport};
-use aggregate_core::effects::Clock;
 use aggregate_core::node::ProtocolNode;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
 use aggregate_core::{ExchangeTally, GossipMessage, InstanceTag};
@@ -261,7 +260,7 @@ impl VirtualCluster {
     /// The realised adversary (colluding set and per-epoch captures) — the
     /// cross-runtime tests inspect it to cross-check which nodes are lying.
     pub fn adversary(&self) -> &Adversary {
-        &self.coordinator.adversary
+        self.coordinator.adversary()
     }
 
     /// Number of live nodes.
@@ -277,12 +276,12 @@ impl VirtualCluster {
     /// The cluster's virtual time in milliseconds (one `cycle_length_ms` per
     /// cycle run).
     pub fn now_ms(&self) -> u64 {
-        self.coordinator.clock.now_ms()
+        self.coordinator.now_ms()
     }
 
     /// The most recent pooled network-size estimate, if any epoch completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
-        self.coordinator.last_size_estimate
+        self.coordinator.last_size_estimate()
     }
 
     /// Current default-instance estimates of all live nodes, in live order.

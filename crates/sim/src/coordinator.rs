@@ -19,8 +19,7 @@
 //!    maintenance; returns the cycle's loss probability;
 //! 2. its own exchange phase;
 //! 3. [`Coordinator::close_cycle`] (per-node runtimes) or, for the sharded
-//!    engine's struct-of-arrays pass, [`Coordinator::epoch_restarted`] and
-//!    [`Coordinator::end_cycle`].
+//!    engine's struct-of-arrays pass, `epoch_restarted` and `end_cycle`.
 //!
 //! Each runtime still supplies its own RNG and its own trace key. The
 //! reference engine and the wire cluster draw churn victims and
@@ -92,15 +91,14 @@ pub struct Coordinator {
     pub injector: Box<dyn FaultInjector + Send>,
     /// The stateful adversary. The empty plan touches no node and consumes
     /// no randomness.
-    pub adversary: Adversary,
+    adversary: Adversary,
     /// The observability sink; disabled by default. Recording consumes no
     /// randomness, so enabling it never changes a trajectory.
     pub telemetry: TelemetrySink,
     /// Virtual time for flight-recorder timestamps: one `cycle_length_ms`
     /// per cycle, never the wall clock.
-    pub clock: VirtualClock,
-    /// The most recent pooled network-size estimate, if any epoch completed.
-    pub last_size_estimate: Option<f64>,
+    clock: VirtualClock,
+    pub(crate) last_size_estimate: Option<f64>,
 }
 
 impl Coordinator {
@@ -146,7 +144,7 @@ impl Coordinator {
     }
 
     /// The simulation configuration the run was built with.
-    pub fn config(&self) -> &SimulationConfig {
+    pub(crate) fn config(&self) -> &SimulationConfig {
         &self.config
     }
 
@@ -160,8 +158,23 @@ impl Coordinator {
         self.cycle
     }
 
+    /// The virtual time in milliseconds.
+    pub fn now_ms(&self) -> u64 {
+        self.clock.now_ms()
+    }
+
+    /// The realised adversary (colluding set and per-epoch captures).
+    pub fn adversary(&self) -> &Adversary {
+        &self.adversary
+    }
+
+    /// The most recent pooled network-size estimate, if any epoch completed.
+    pub fn last_size_estimate(&self) -> Option<f64> {
+        self.last_size_estimate
+    }
+
     /// Whether epoch restarts elect counting-instance leaders at all.
-    pub fn elects_leaders(&self) -> bool {
+    pub(crate) fn elects_leaders(&self) -> bool {
         self.config.redundancy.is_some() || self.config.leader_policy.is_some()
     }
 
@@ -175,7 +188,7 @@ impl Coordinator {
 
     /// Reports a joined node to the flight recorder and the sampler;
     /// `nodes` already contains it.
-    pub fn joined(&mut self, id: NodeId, key: u64, nodes: &dyn SamplerDirectory) {
+    pub(crate) fn joined(&mut self, id: NodeId, key: u64, nodes: &dyn SamplerDirectory) {
         if self.telemetry.events_enabled() {
             self.telemetry.node_joined(key);
         }
@@ -183,7 +196,7 @@ impl Coordinator {
     }
 
     /// Reports a departed node to the sampler and the flight recorder.
-    pub fn departed(&mut self, id: NodeId, key: u64) {
+    pub(crate) fn departed(&mut self, id: NodeId, key: u64) {
         self.sampler.on_depart(id);
         if self.telemetry.events_enabled() {
             self.telemetry.node_departed(key);
@@ -192,7 +205,7 @@ impl Coordinator {
 
     /// Removes up to `count` uniformly random live nodes, each position
     /// drawn from `rng`. Returns the number removed.
-    pub fn remove_random(
+    pub(crate) fn remove_random(
         &mut self,
         nodes: &mut impl CycleNodes,
         rng: &mut StdRng,
@@ -257,28 +270,8 @@ impl Coordinator {
     pub fn elect_leaders(&mut self, nodes: &mut impl CycleNodes, schedule: Option<&mut StdRng>) {
         // Last epoch's captured leaders died with their instances.
         self.adversary.begin_epoch();
-        let live = nodes.len();
         if let Some(redundancy) = self.config.redundancy {
-            if live == 0 {
-                return;
-            }
-            let k = redundancy.instances.min(live);
-            let mut rng = self
-                .seeds
-                .rng_for_labeled(self.elections, REDUNDANCY_STREAM);
-            self.elections += 1;
-            let mut positions: Vec<u32> = (0..live as u32).collect();
-            for i in 0..k {
-                positions.swap(i, rng.gen_range(i..live));
-            }
-            for &pos in &positions[..k] {
-                let id = nodes.id_at(pos as usize);
-                if let Some(node) = nodes.node_mut(pos as usize) {
-                    let state = CountInit::initial_value(true);
-                    node.start_led_instance(InstanceTag::from_leader(id), state);
-                    self.leader_elected(nodes, pos as usize);
-                }
-            }
+            self.elect_redundant_leaders(nodes, redundancy.instances);
             return;
         }
         let Some(policy) = self.config.leader_policy else {
@@ -288,6 +281,7 @@ impl Coordinator {
         let mut own = self.seeds.rng_for_labeled(self.elections, "election");
         self.elections += 1;
         let rng = schedule.unwrap_or(&mut own);
+        let live = nodes.len();
         let previous = self.last_size_estimate;
         let mut any_leader = false;
         for pos in 0..live {
@@ -307,6 +301,33 @@ impl Coordinator {
         }
     }
 
+    /// Draws `min(instances, live)` distinct leaders by a partial
+    /// Fisher–Yates over live positions from this election's
+    /// `redundancy-leaders` stream.
+    fn elect_redundant_leaders(&mut self, nodes: &mut impl CycleNodes, instances: usize) {
+        let live = nodes.len();
+        if live == 0 {
+            return;
+        }
+        let k = instances.min(live);
+        let mut rng = self
+            .seeds
+            .rng_for_labeled(self.elections, REDUNDANCY_STREAM);
+        self.elections += 1;
+        let mut positions: Vec<u32> = (0..live as u32).collect();
+        for i in 0..k {
+            positions.swap(i, rng.gen_range(i..live));
+        }
+        for &pos in &positions[..k] {
+            let id = nodes.id_at(pos as usize);
+            if let Some(node) = nodes.node_mut(pos as usize) {
+                let state = CountInit::initial_value(true);
+                node.start_led_instance(InstanceTag::from_leader(id), state);
+                self.leader_elected(nodes, pos as usize);
+            }
+        }
+    }
+
     fn leader_elected(&mut self, nodes: &impl CycleNodes, pos: usize) {
         self.adversary.observe_leader(nodes.id_at(pos));
         if self.telemetry.events_enabled() {
@@ -314,9 +335,8 @@ impl Coordinator {
         }
     }
 
-    /// Records that `epoch` completed and elects the next epoch's leaders
-    /// (see [`Coordinator::elect_leaders`]).
-    pub fn epoch_restarted(
+    /// Records that `epoch` completed and elects the next epoch's leaders.
+    pub(crate) fn epoch_restarted(
         &mut self,
         epoch: u64,
         nodes: &mut impl CycleNodes,
@@ -332,7 +352,7 @@ impl Coordinator {
     /// advances virtual time by one `cycle_length_ms` and opens the next
     /// cycle's recording context, so churn applied between cycles lands in
     /// the cycle-start band of the cycle it affects.
-    pub fn end_cycle(&mut self, variance: f64) {
+    pub(crate) fn end_cycle(&mut self, variance: f64) {
         self.telemetry.observe_variance(self.cycle as u64, variance);
         self.cycle += 1;
         self.clock.advance(self.config.protocol.cycle_length_ms());

@@ -305,7 +305,7 @@ impl GossipSimulation {
     /// The realised adversary (colluding set and per-epoch captures) — the
     /// test suites inspect it to cross-check which nodes are lying.
     pub fn adversary(&self) -> &Adversary {
-        &self.coordinator.adversary
+        self.coordinator.adversary()
     }
 
     /// Installs an observability configuration (flight recorder, metrics,
@@ -376,7 +376,7 @@ impl GossipSimulation {
     /// The most recent pooled network-size estimate (mean over reporting
     /// nodes of the last completed epoch), if any epoch has completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
-        self.coordinator.last_size_estimate
+        self.coordinator.last_size_estimate()
     }
 
     /// Read access to a node. Returns `None` for departed nodes and for

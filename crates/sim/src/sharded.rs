@@ -44,7 +44,6 @@ use crate::arena::{IdLayout, NodeArena, MAX_SHARDS};
 use crate::coordinator::{epoch_size_estimate, Coordinator, CycleNodes};
 use crate::soa::{self, HotStore, WordBuffer};
 use crate::{SeedSequence, SimConfigError, SimulationConfig};
-use aggregate_core::effects::Clock;
 use aggregate_core::node::{HotView, ProtocolNode};
 use aggregate_core::redundancy::MergePolicy;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
@@ -537,7 +536,7 @@ impl ShardedSimulation {
 
     /// Stamps every shard recorder with the current cycle and virtual time.
     fn set_shard_contexts(&mut self) {
-        let now = self.coordinator.clock.now_ms();
+        let now = self.coordinator.now_ms();
         let cycle = self.coordinator.cycle() as u64;
         for shard in &mut self.shards {
             shard.recorder.set_context(cycle, now);
@@ -589,7 +588,7 @@ impl ShardedSimulation {
 
     /// The realised adversary (colluding set and per-epoch captures).
     pub fn adversary(&self) -> &Adversary {
-        &self.coordinator.adversary
+        self.coordinator.adversary()
     }
 
     /// Number of live nodes.
@@ -632,7 +631,7 @@ impl ShardedSimulation {
 
     /// The most recent pooled network-size estimate, if any epoch completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
-        self.coordinator.last_size_estimate
+        self.coordinator.last_size_estimate()
     }
 
     /// Read access to a node. Returns `None` for departed nodes and stale
