@@ -174,47 +174,6 @@ fn adversarial_runs_are_deterministic_across_repeated_runs() {
     assert_eq!(run(), (summaries, bits), "second identical run diverged");
 }
 
-/// Absolute golden for a `Drift` adversary under 5 % loss on the sharded
-/// engine: an FNV-1a over every cycle's counters and the final node
-/// estimates. Captured while a threaded executor still existed, with every
-/// worker count reaching the same constant.
-#[test]
-fn adversarial_sharded_run_reproduces_its_golden_fingerprint() {
-    let values: Vec<f64> = (0..300).map(|i| i as f64).collect();
-    let plan = AdversaryPlan::with_strategy(
-        0.15,
-        AttackStrategy::Drift {
-            start: 10.0,
-            rate: 4.0,
-        },
-    );
-    let config = ShardedConfig {
-        base: averaging_base(10, 0.05),
-        shards: 4,
-        workers: None,
-    };
-    let mut sim =
-        ShardedSimulation::with_adversary(config, &values, 41, FaultPlan::none(), plan).unwrap();
-    let counters = sim.run(12).into_iter().flat_map(|s| {
-        [
-            s.live_nodes,
-            s.exchanges,
-            s.exchanges_blocked,
-            s.messages_lost,
-        ]
-        .map(|c| c as u64)
-    });
-    let fingerprint = counters
-        .chain(sim.estimates().iter().map(|v| v.to_bits()))
-        .fold(0xcbf2_9ce4_8422_2325, |fnv: u64, word| {
-            (fnv ^ word).wrapping_mul(0x1000_0000_01b3)
-        });
-    assert_eq!(
-        fingerprint, 0x495d_8c8a_0947_443b,
-        "adversarial sharded run drifted from the golden: {fingerprint:#x}"
-    );
-}
-
 /// In the loss-free regime the sharded engine's node values are invariant
 /// across shard counts, and the colluding set — keyed on initial-directory
 /// positions, not layout-dependent identifiers — realises the same size

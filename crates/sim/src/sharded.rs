@@ -1661,33 +1661,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_run_reproduces_its_golden_fingerprint() {
-        // Captured while a threaded executor still existed, with every
-        // worker count reaching the same constant: an FNV-1a over every
-        // cycle's counters and the final estimate bits.
-        let (summaries, bits) = faulted_run(None);
-        assert!(summaries.iter().any(|s| s.exchanges_blocked > 0));
-        let counters = summaries.iter().flat_map(|s| {
-            [
-                s.live_nodes,
-                s.exchanges,
-                s.exchanges_blocked,
-                s.messages_lost,
-            ]
-            .map(|c| c as u64)
-        });
-        let fingerprint = counters
-            .chain(bits)
-            .fold(0xcbf2_9ce4_8422_2325, |fnv: u64, word| {
-                (fnv ^ word).wrapping_mul(0x1000_0000_01b3)
-            });
-        assert_eq!(
-            fingerprint, 0x5678_d62f_362f_0f21,
-            "faulted run drifted from the golden: {fingerprint:#x}"
-        );
-    }
-
-    #[test]
     fn workers_is_inert_apart_from_rejecting_zero() {
         let zero = ShardedConfig {
             workers: Some(0),
