@@ -18,13 +18,21 @@
 /// assert_eq!(stats.mean(), 4.0);
 /// assert_eq!(stats.sample_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+/// The empty accumulator, the same as [`OnlineStats::new`]: its `min` and
+/// `max` start at `+∞` and `−∞`, so the first observation sets both.
+impl Default for OnlineStats {
+    fn default() -> Self {
+        OnlineStats::new()
+    }
 }
 
 impl OnlineStats {
@@ -135,6 +143,12 @@ mod tests {
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
+        assert_eq!(OnlineStats::default(), s);
+        let mut negatives = OnlineStats::default();
+        negatives.push(-1.0);
+        negatives.push(-3.0);
+        assert_eq!(negatives.max(), Some(-1.0));
+        assert_eq!(negatives.min(), Some(-3.0));
     }
 
     #[test]
