@@ -6,7 +6,9 @@
 //! committed file drifts from the sources. Each row records the label, the
 //! const it travels through (if any), its purpose (const doc line or
 //! `// stream:` call-site comment) and every use site, so an experiment's
-//! randomness budget can be audited without running anything.
+//! randomness budget can be audited without running anything. Sites are
+//! named by file and enclosing `fn`, never by line, so an edit that only
+//! shifts lines leaves the registry as it is.
 
 use std::collections::BTreeMap;
 
@@ -40,16 +42,12 @@ pub fn render(catalog: &StreamCatalog) -> String {
         let const_cell = match via {
             Some(name) => {
                 let def = &catalog.consts[name];
-                format!("`{}` ({}:{})", name, def.file, def.line)
+                format!("`{}` ({})", name, def.file)
             }
             None => "—".to_string(),
         };
         let purpose = purpose_of(catalog, label, sites);
-        let site_cell = sites
-            .iter()
-            .map(|s| format!("{}:{}", s.file, s.line))
-            .collect::<Vec<_>>()
-            .join(", ");
+        let site_cell = site_names(sites).join(", ");
         out.push_str(&format!(
             "| `{label}` | {const_cell} | {purpose} | {site_cell} |\n"
         ));
@@ -72,16 +70,36 @@ pub fn render(catalog: &StreamCatalog) -> String {
         out.push_str("\n## Declared but currently unreferenced consts\n\n");
         for (name, def) in unused {
             out.push_str(&format!(
-                "- `{}` = `\"{}\"` ({}:{}) — {}\n",
+                "- `{}` = `\"{}\"` ({}) — {}\n",
                 name,
                 def.label,
                 def.file,
-                def.line,
                 def.doc.as_deref().unwrap_or("(undocumented)")
             ));
         }
     }
     out
+}
+
+/// Each site as `file (fn)`, or the bare file outside any `fn`; several
+/// sites in one `fn` collapse into one entry with a count.
+fn site_names(sites: &[&UseSite]) -> Vec<String> {
+    let mut names: Vec<(String, usize)> = Vec::new();
+    for site in sites {
+        let name = match &site.function {
+            Some(function) => format!("{} ({function})", site.file),
+            None => site.file.clone(),
+        };
+        match names.last_mut() {
+            Some((last, count)) if *last == name => *count += 1,
+            _ => names.push((name, 1)),
+        }
+    }
+    let counted = |(name, count): (String, usize)| match count {
+        1 => name,
+        n => format!("{name} ×{n}"),
+    };
+    names.into_iter().map(counted).collect()
 }
 
 /// Best-available purpose text for a label.
@@ -114,7 +132,7 @@ mod tests {
         let catalog = check_workspace(&files, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
         let md = render(&catalog);
-        assert!(md.contains("| `shuffle` | `S` (crates/sim/src/a.rs:2) | Per-cycle shuffle. |"));
+        assert!(md.contains("| `shuffle` | `S` (crates/sim/src/a.rs) | Per-cycle shuffle. |"));
         assert!(md.contains("| `values` | — | node value draws |"));
         assert!(md.contains("2 labels across 2 use sites."));
     }

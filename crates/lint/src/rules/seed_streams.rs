@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use super::{Finding, EFFECTS_MODULE};
-use crate::source::SourceFile;
+use crate::source::{find_token, SourceFile};
 
 /// Rule name as used in diagnostics and `lint-allow`.
 pub const NAME: &str = "seed-streams";
@@ -49,6 +49,10 @@ pub struct UseSite {
     pub file: String,
     /// 1-based line of the call.
     pub line: usize,
+    /// Name of the innermost `fn` around the call, if any: what the
+    /// registry shows, so that moving a call within its function leaves
+    /// the registry as it is.
+    pub function: Option<String>,
     /// Resolved label string.
     pub label: String,
     /// Const the label came through, if the argument was an identifier.
@@ -201,10 +205,12 @@ fn collect_uses(
             };
             let arg = arg.trim();
             let purpose = stream_comment(file, idx);
+            let function = enclosing_fn(file, idx, pos);
             if let Some(label) = string_literal(arg) {
                 catalog.uses.push(UseSite {
                     file: file.rel.clone(),
                     line: idx + 1,
+                    function,
                     label,
                     via_const: None,
                     purpose,
@@ -217,6 +223,7 @@ fn collect_uses(
                     Some(def) => catalog.uses.push(UseSite {
                         file: file.rel.clone(),
                         line: idx + 1,
+                        function,
                         label: def.label.clone(),
                         via_const: Some(def.name.clone()),
                         purpose,
@@ -346,6 +353,40 @@ fn second_argument(args: &str) -> Option<&str> {
     None
 }
 
+/// The innermost `fn` whose body holds column `col` of line `idx`, found by
+/// matching braces in the masked source from the top of the file. A `;` at
+/// bracket depth zero ends a bodyless `fn` declaration.
+fn enclosing_fn(file: &SourceFile, idx: usize, col: usize) -> Option<String> {
+    let mut open: Vec<Option<String>> = Vec::new();
+    let (mut pending, mut depth) = (None, 0i32);
+    let before = file.code[..idx].iter().map(String::as_str);
+    for line in before.chain([&file.code[idx][..col]]) {
+        for (at, c) in line.char_indices() {
+            match c {
+                '{' => open.push(pending.take()),
+                '}' => drop(open.pop()),
+                '(' | '[' => depth += 1,
+                ')' | ']' => depth -= 1,
+                ';' if depth == 0 => pending = None,
+                'f' if find_token(&line[at..], "fn") == Some(0)
+                    && !line[..at].ends_with(|p: char| p.is_alphanumeric() || p == '_') =>
+                {
+                    let name: String = line[at + 2..]
+                        .trim_start()
+                        .chars()
+                        .take_while(|c| c.is_alphanumeric() || *c == '_')
+                        .collect();
+                    if !name.is_empty() {
+                        pending = Some(name);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    open.into_iter().rev().flatten().next()
+}
+
 /// A `// stream: <purpose>` comment on the line or the line above.
 fn stream_comment(file: &SourceFile, idx: usize) -> Option<String> {
     for j in [Some(idx), idx.checked_sub(1)].into_iter().flatten() {
@@ -428,6 +469,32 @@ mod tests {
         ]);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].message.contains("multiple crates"));
+    }
+
+    #[test]
+    fn use_sites_name_their_enclosing_fn() {
+        let (catalog, findings) = run(&[(
+            "crates/sim/src/a.rs",
+            "trait T {\n    fn decl(&self, x: [u8; 4]);\n}\nimpl S {\n    fn outer(&self, q: &Q) {\n        let f = |x: u64| { x };\n        q.rng_for_labeled(0, \"a\");\n        fn inner(q: &Q) { q.rng_for_labeled(1, \"b\"); }\n    }\n}\n",
+        )]);
+        assert!(findings.is_empty(), "{findings:?}");
+        let functions: Vec<_> = catalog.uses.iter().map(|u| u.function.as_deref()).collect();
+        assert_eq!(functions, [Some("outer"), Some("inner")]);
+    }
+
+    #[test]
+    fn a_blank_line_above_a_call_leaves_the_registry_unchanged() {
+        let source = "/// Shuffle stream.\npub const S: &str = \"shuffle\";\nfn f(q: &Q) {\n  // stream: per-cycle schedule\n  let r = q.rng_for_labeled(0, \"sched\");\n  let s = q.seed_for_labeled(1, S);\n}\n";
+        let render = |text: &str| {
+            let (catalog, findings) = run(&[("crates/sim/src/a.rs", text)]);
+            assert!(findings.is_empty(), "{findings:?}");
+            crate::registry::render(&catalog)
+        };
+        let shifted = source.replace("fn f(q: &Q) {\n", "fn f(q: &Q) {\n\n");
+        assert_eq!(render(&shifted), render(source));
+        let shifted = format!("\n\n{source}");
+        assert_eq!(render(&shifted), render(source));
+        assert!(render(source).contains("crates/sim/src/a.rs (f)"));
     }
 
     #[test]
