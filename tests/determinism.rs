@@ -21,7 +21,9 @@ const GOLDENS: &str = include_str!("../GOLDENS.md");
 const HEADER: &str = "# Goldens
 
 Generated by `tests/determinism.rs`; DESIGN.md (Goldens) explains the columns,
-the relations and how to re-pin. Do not edit by hand.
+the relations and how to re-pin. Do not edit by hand. A cell is named
+`scenario@seed/runtime`, with `/full` when traced. Node `i` starts at `i % m`,
+and `churn` nodes join and as many random nodes leave before every cycle.
 
 | cell | nodes | cycles | churn | config | faults | adversary | exchanges | lost | blocked | epochs | last size | fingerprint | relations |
 |---|---|---|---|---|---|---|---|---|---|---|---|---|---|
@@ -430,11 +432,12 @@ fn row(index: usize) -> String {
     let config = [
         Some(format!("epoch {}", p.cycles_per_epoch())),
         (p.cycle_length_ms() != 1_000).then(|| format!("{} ms", p.cycle_length_ms())),
-        (p.late_join() != LateJoinPolicy::LocalValue).then(|| format!("late {:?}", p.late_join())),
+        (p.late_join() != LateJoinPolicy::LocalValue)
+            .then(|| format!("late join {:?}", p.late_join())),
         (c.sampler != SamplerConfig::UniformComplete).then(|| format!("{:?}", c.sampler)),
         (c.conditions.message_loss > 0.0).then(|| format!("loss {}", c.conditions.message_loss)),
         (c.conditions.crash_at_cycle.is_some()).then(|| format!("{:?}", c.conditions)),
-        c.leader_policy.map(|l| format!("{l:?}")),
+        c.leader_policy.map(|l| format!("leaders {l:?}")),
         c.redundancy.map(|r| format!("{r:?}")),
     ];
     let faults = [
@@ -465,7 +468,7 @@ fn row(index: usize) -> String {
             column([size])
         ),
         format!("`{:#018x}`", fingerprint(d)),
-        relations.collect::<Vec<_>>().join("; "),
+        column(relations.map(Some)),
     ];
     format!("| {} |", columns.join(" | "))
 }
