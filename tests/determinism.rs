@@ -213,6 +213,7 @@ fn matrix() -> Vec<Cell> {
         c.faults = FaultPlan::with_link_failure(0.1);
     });
     let partitioned = links(0.2, 0.05, FaultPlan::with_partition(3, 8, 0.3));
+    let faulted = cell("faulted", (300, 300), (12, 0), 41).protocol(epoch(50)).with(|c| c.faults = partitioned);
     let lie = AttackStrategy::Drift { start: 10.0, rate: 4.0 };
     m.extend([
         churn_loss(7).with(full),
@@ -221,11 +222,24 @@ fn matrix() -> Vec<Cell> {
         }),
         dead_links("newscast-links", newscast),
         dead_links("static-links", static10),
-        cell("faulted", (300, 300), (12, 0), 41).protocol(epoch(50)).with(|c| c.faults = partitioned),
+        faulted.clone(),
         cell("drift", (300, 300), (12, 0), 41).protocol(epoch(10)).with(|c| {
             (c.config.conditions.message_loss, c.adversary) = (0.05, AdversaryPlan::with_strategy(0.15, lie));
         }),
     ].map(|c| c.on(Sharded(4))));
+
+    // Traced twins of the runs behind dead links. Each cycle the coordinator
+    // ring records the vetoes between the exchange starts, so these traces pin
+    // the merge of a ring that is out of key order. Dead links are drawn on
+    // node ids, which carry shard bits, so each twin is held to its own
+    // untraced run rather than across shard counts.
+    m.push(dead_links("newscast-links", newscast).on(Sharded(1)));
+    m.extend([
+        dead_links("newscast-links", newscast).on(Sharded(1)),
+        dead_links("newscast-links", newscast).on(Sharded(4)),
+        dead_links("static-links", static10).on(Sharded(4)),
+        faulted.on(Sharded(4)),
+    ].map(|c| c.with(full).rel(IdenticalToUntraced)));
     m
 }
 
@@ -598,6 +612,9 @@ checks! {
     tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers:
         "churn-loss@2024/shards{1,2,4,8}/full";
     same_seed_traced_runs_produce_byte_identical_jsonl: "churn-loss@7/shards4/full";
+    traced_runs_with_link_vetoes_reproduce_their_goldens:
+        "newscast-links@2718/shards{1,4}/full", "static-links@2718/shards4/full",
+        "faulted@41/shards4/full";
     tracing_leaves_reference_engine_and_wire_cluster_goldens_bit_identical:
         "avg@77/{ref,wire}/full", "avg-2s@77/{ref,wire}{,/full}";
 }
