@@ -546,12 +546,8 @@ impl ShardedSimulation {
     /// Drains the coordinator's ring and every shard's ring into one
     /// canonically ordered trace (see [`gossip_telemetry::merge_events`]).
     pub fn drain_trace(&mut self) -> Vec<Event> {
-        let batches: Vec<Vec<Event>> = self
-            .shards
-            .iter_mut()
-            .map(|shard| shard.recorder.drain())
-            .collect();
-        self.coordinator.telemetry.drain_events_with(batches) // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
+        let rings = self.shards.iter_mut().map(|shard| &mut shard.recorder);
+        self.coordinator.telemetry.drain_events_with(rings) // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
     }
 
     /// Events evicted from any ring since the sink was installed — a

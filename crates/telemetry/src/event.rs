@@ -11,14 +11,20 @@
 //! ## Merge order
 //!
 //! Recording is distributed (per shard, per node), so a canonical trace is
-//! restored by sorting on [`Event::sort_key`]: `(cycle, phase, seq, rank,
-//! payload)`. The *phase* groups events within a cycle into cycle-start
-//! (churn, corruption), veto, exchange and cycle-end (epoch restarts,
-//! elections) bands; within the exchange band the global exchange sequence
-//! number `seq` — identical across shard counts by the sharded engine's
-//! schedule construction — provides the total order, and the rank orders
-//! begun < lost < completed within one exchange. The result: the merged
-//! trace of a seeded run is byte-identical across repeats and shard counts.
+//! restored by ordering on [`Event::sort_key`]: `(cycle, phase, seq, rank,
+//! payload, time)`. The *phase* groups events within a cycle into
+//! cycle-start (churn, corruption), veto, exchange and cycle-end (epoch
+//! restarts, elections) bands; within the exchange band the global exchange
+//! sequence number `seq` — identical across shard counts by the sharded
+//! engine's schedule construction — provides the total order, and the rank
+//! orders begun < lost < completed within one exchange. The injected-clock
+//! time breaks the last ties: the live runtime's per-node ordinals can give
+//! two nodes' events the same key otherwise. Every field of an event is in
+//! its key, so equal keys mean equal events, and the merged trace of a
+//! seeded run is byte-identical across repeats and shard counts.
+//!
+//! Each recorder's ring is almost always in key order already, so
+//! [`merge_events`] merges the runs rather than sorting their union.
 
 /// Sentinel for "no node attached to this event".
 pub const NO_NODE: u64 = u64::MAX;
@@ -170,9 +176,12 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// The key [`Event::sort_key`] returns.
+pub type SortKey = (u64, u8, u64, u8, u64, u64, u64);
+
 impl Event {
     /// The canonical total-order key (see the module docs on merge order).
-    pub fn sort_key(&self) -> (u64, u8, u64, u8, u64, u64) {
+    pub fn sort_key(&self) -> SortKey {
         let (a, b) = self.kind.payload();
         (
             self.cycle,
@@ -181,18 +190,112 @@ impl Event {
             self.kind.rank(),
             a,
             b,
+            self.time_ms,
         )
     }
 }
 
 /// Merges per-shard / per-node event batches into the canonical trace
-/// order by sorting on [`Event::sort_key`]. The result is independent of
-/// how the events were distributed across recorders, which is what makes
-/// merged traces bit-identical across shard counts.
+/// order of [`Event::sort_key`]. The result is independent of how the
+/// events were distributed across recorders, which is what makes merged
+/// traces bit-identical across shard counts.
+///
+/// Batches already in key order are merged as they are, in O(E log k) for
+/// E events in k batches; should the merge meet a batch out of order, every
+/// batch is sorted and merged again.
 pub fn merge_events(batches: impl IntoIterator<Item = Vec<Event>>) -> Vec<Event> {
-    let mut merged: Vec<Event> = batches.into_iter().flatten().collect();
-    merged.sort_unstable_by_key(Event::sort_key);
+    let mut batches: Vec<Vec<Event>> = batches.into_iter().collect();
+    merge_runs(
+        &mut batches
+            .iter_mut()
+            .map(Vec::as_mut_slice)
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// Merges `runs` into one trace in key order, in O(E log k) for E events in
+/// k runs. Recorders almost always leave their runs in key order — every
+/// sharded-engine shard ring, and the coordinator ring of a run without
+/// dead links — so the runs are merged as they are, and the merge itself
+/// notices a run out of order. Only then is every run sorted in place and
+/// the merge done again.
+pub(crate) fn merge_runs(runs: &mut [&mut [Event]]) -> Vec<Event> {
+    let mut merged = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+    if !merge_into(runs, &mut merged) {
+        merged.clear();
+        for run in runs.iter_mut() {
+            run.sort_unstable_by_key(Event::sort_key);
+        }
+        merge_into(runs, &mut merged);
+    }
+    debug_assert!(
+        merged
+            .windows(2)
+            .all(|w| w[0].sort_key() <= w[1].sort_key()),
+        "a merge of sorted runs is sorted"
+    );
     merged
+}
+
+/// A run's head in the merge: `(exhausted, key)`, so an exhausted run
+/// orders after every run that still has events.
+type Head = (bool, SortKey);
+
+/// The head of a run with no events left.
+const EXHAUSTED: Head = (true, (0, 0, 0, 0, 0, 0, 0));
+
+/// Appends the loser-tree merge of `runs` to `merged` and returns whether
+/// it came out in key order, which it does exactly when every run is.
+///
+/// The tree is a tournament over the runs' heads: leaf `i` (run `i`) is
+/// node `k + i`, node `n`'s parent is `n / 2`, and each inner node keeps
+/// the loser of the match played there. Replacing the winner's head then
+/// replays only its own path to the root: ⌈log₂ k⌉ comparisons an event.
+fn merge_into(runs: &[&mut [Event]], merged: &mut Vec<Event>) -> bool {
+    let runs: Vec<&[Event]> = runs
+        .iter()
+        .map(|r| &**r)
+        .filter(|r| !r.is_empty())
+        .collect();
+    let k = runs.len();
+    if k == 0 {
+        return true;
+    }
+    let head = |run: &[Event], at: usize| run.get(at).map_or(EXHAUSTED, |e| (false, e.sort_key()));
+    let mut tree = vec![(EXHAUSTED, 0); 2 * k];
+    for (i, run) in runs.iter().enumerate() {
+        tree[k + i] = (head(run, 0), i);
+    }
+    // Play the opening tournament bottom-up: a match's winner moves up to
+    // its parent's slot for now; its loser stays at the node.
+    let mut winners = tree.clone();
+    for n in (1..k).rev() {
+        let (left, right) = (winners[2 * n], winners[2 * n + 1]);
+        (winners[n], tree[n]) = if right.0 < left.0 {
+            (right, left)
+        } else {
+            (left, right)
+        };
+    }
+    let (mut winner, mut next) = (winners[1], vec![0; k]);
+    let (mut in_order, mut last) = (true, SortKey::default());
+    for _ in 0..runs.iter().map(|r| r.len()).sum::<usize>() {
+        let ((_, key), run) = winner;
+        in_order &= last <= key;
+        last = key;
+        let at = next[run];
+        merged.push(runs[run][at]);
+        next[run] = at + 1;
+        winner = (head(runs[run], at + 1), run);
+        let mut node = (k + run) / 2;
+        while node > 0 {
+            if tree[node].0 < winner.0 {
+                std::mem::swap(&mut tree[node], &mut winner);
+            }
+            node /= 2;
+        }
+    }
+    in_order
 }
 
 #[cfg(test)]
@@ -290,5 +393,63 @@ mod tests {
             }
         );
         assert_eq!(one_way[4].kind, EventKind::MessageLost);
+    }
+
+    #[test]
+    fn equal_keys_but_for_the_time_merge_in_time_order() {
+        // Two live nodes' first completed exchanges of one cycle: per-node
+        // ordinals give both seq 0, and only the wall time tells them apart.
+        let at = |time_ms| Event {
+            cycle: 3,
+            time_ms,
+            seq: 0,
+            kind: EventKind::ExchangeCompleted,
+        };
+        let times = |events: Vec<Event>| events.iter().map(|e| e.time_ms).collect::<Vec<_>>();
+        let (a, b) = (vec![at(3_007)], vec![at(3_001)]);
+        assert_eq!(times(merge_events([a.clone(), b.clone()])), [3_001, 3_007]);
+        assert_eq!(times(merge_events([b, a])), [3_001, 3_007]);
+    }
+
+    #[test]
+    fn runs_out_of_key_order_are_sorted_before_the_merge() {
+        // The coordinator ring of a run behind dead links: a veto recorded
+        // between two exchange starts.
+        let begun = |seq| {
+            ev(
+                0,
+                seq,
+                EventKind::ExchangeBegun {
+                    initiator: seq,
+                    peer: 9,
+                },
+            )
+        };
+        let vetoed = ev(
+            0,
+            0,
+            EventKind::ExchangeVetoed {
+                initiator: 4,
+                peer: 5,
+            },
+        );
+        let coordinator = vec![begun(0), vetoed, begun(1)];
+        let shard = vec![
+            ev(0, 0, EventKind::ExchangeCompleted),
+            ev(0, 1, EventKind::ExchangeCompleted),
+        ];
+        let merged = merge_events([coordinator, shard]);
+        let names: Vec<_> = merged.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "exchange_vetoed",
+                "exchange_begun",
+                "exchange_completed",
+                "exchange_begun",
+                "exchange_completed"
+            ]
+        );
+        assert!(merge_events(Vec::new()).is_empty());
     }
 }

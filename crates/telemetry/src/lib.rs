@@ -20,8 +20,10 @@
 //! 2. **Merged traces are bit-identical across executors.** Events carry a
 //!    total-order key ([`Event::sort_key`]) built from shard-count-agnostic
 //!    identifiers (global directory positions, global exchange sequence
-//!    numbers), so draining per-shard rings and sorting yields the same
-//!    byte stream at any shard count.
+//!    numbers), so draining per-shard rings and merging them on that key
+//!    yields the same byte stream at any shard count. The rings are
+//!    already in key order as recorded, so the drain is a k-way merge of
+//!    sorted runs; a ring out of order is sorted first.
 //!
 //! Timestamps come from the runtime's injected clock (virtual time in the
 //! simulators, the `NodeEnv` clock in the live runtime) — never from a

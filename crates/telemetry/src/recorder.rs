@@ -10,8 +10,8 @@ use crate::event::{Event, EventKind};
 /// shard in [`ShardedSimulation`], one per node in the live runtime, one
 /// for the whole engine in the single-threaded simulators). Recording is
 /// append-only and never read back by protocol code; the engine drains the
-/// rings after the fact and merges them with
-/// [`merge_events`](crate::event::merge_events).
+/// rings after the fact, merging them in place with
+/// [`TelemetrySink::drain_events_with`](crate::sink::TelemetrySink::drain_events_with).
 ///
 /// A recorder built with capacity 0 is disabled: every call is a no-op, so
 /// the disabled path stays branch-cheap on the hot loops.
@@ -92,6 +92,16 @@ impl FlightRecorder {
     /// Removes and returns all buffered events in recording order.
     pub fn drain(&mut self) -> Vec<Event> {
         self.ring.drain(..).collect()
+    }
+
+    /// The buffered events as one slice, in recording order.
+    pub(crate) fn events_mut(&mut self) -> &mut [Event] {
+        self.ring.make_contiguous()
+    }
+
+    /// Empties the ring, keeping its allocation for the next events.
+    pub(crate) fn clear(&mut self) {
+        self.ring.clear();
     }
 }
 

@@ -1,6 +1,6 @@
 //! The recording facade the runtimes write through.
 
-use crate::event::{merge_events, Event, EventKind};
+use crate::event::{merge_runs, Event, EventKind};
 use crate::recorder::FlightRecorder;
 use crate::registry::{CounterId, MetricError, MetricsRegistry};
 use crate::watchdog::{ConvergenceWatchdog, Diagnosis, WatchdogConfig, WatchdogVerdict};
@@ -72,7 +72,7 @@ impl Default for TelemetryConfig {
 /// protocol decisions.
 ///
 /// Sharded engines keep additional per-shard [`FlightRecorder`]s for the
-/// exchange-outcome events and hand their drained batches to
+/// exchange-outcome events and hand them to
 /// [`drain_events_with`](TelemetrySink::drain_events_with).
 #[derive(Debug)]
 pub struct TelemetrySink {
@@ -241,17 +241,26 @@ impl TelemetrySink {
 
     /// Drains this sink's own recorder into canonical trace order.
     pub fn drain_events(&mut self) -> Vec<Event> {
-        merge_events([self.recorder.drain()])
+        self.drain_events_with([])
     }
 
-    /// Drains this sink's recorder plus externally recorded per-shard /
-    /// per-node batches, merged into canonical trace order.
-    pub fn drain_events_with(
+    /// Drains this sink's recorder plus the per-shard / per-node
+    /// `recorders`, merged into canonical trace order. The merge reads each
+    /// ring in place and then empties it, so the rings keep their capacity
+    /// for the next events.
+    pub fn drain_events_with<'a>(
         &mut self,
-        batches: impl IntoIterator<Item = Vec<Event>>,
+        recorders: impl IntoIterator<Item = &'a mut FlightRecorder>,
     ) -> Vec<Event> {
-        let own = self.recorder.drain();
-        merge_events(std::iter::once(own).chain(batches))
+        let mut rings: Vec<&mut FlightRecorder> = std::iter::once(&mut self.recorder)
+            .chain(recorders.into_iter().map(|r| &mut *r))
+            .collect();
+        let mut runs: Vec<&mut [Event]> = rings.iter_mut().map(|r| r.events_mut()).collect();
+        let merged = merge_runs(&mut runs);
+        for ring in rings {
+            ring.clear();
+        }
+        merged
     }
 
     /// Events evicted from this sink's own ring (overflow indicator).
@@ -339,7 +348,7 @@ mod tests {
         let mut shard = sink.shard_recorder();
         shard.set_context(2, 20);
         shard.record(0, EventKind::MessageLost);
-        let events = sink.drain_events_with([shard.drain()]);
+        let events = sink.drain_events_with([&mut shard]);
         let names: Vec<_> = events.iter().map(|e| e.kind.name()).collect();
         assert_eq!(names, ["exchange_begun", "message_lost"]);
     }
