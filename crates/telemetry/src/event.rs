@@ -410,46 +410,4 @@ mod tests {
         assert_eq!(times(merge_events([a.clone(), b.clone()])), [3_001, 3_007]);
         assert_eq!(times(merge_events([b, a])), [3_001, 3_007]);
     }
-
-    #[test]
-    fn runs_out_of_key_order_are_sorted_before_the_merge() {
-        // The coordinator ring of a run behind dead links: a veto recorded
-        // between two exchange starts.
-        let begun = |seq| {
-            ev(
-                0,
-                seq,
-                EventKind::ExchangeBegun {
-                    initiator: seq,
-                    peer: 9,
-                },
-            )
-        };
-        let vetoed = ev(
-            0,
-            0,
-            EventKind::ExchangeVetoed {
-                initiator: 4,
-                peer: 5,
-            },
-        );
-        let coordinator = vec![begun(0), vetoed, begun(1)];
-        let shard = vec![
-            ev(0, 0, EventKind::ExchangeCompleted),
-            ev(0, 1, EventKind::ExchangeCompleted),
-        ];
-        let merged = merge_events([coordinator, shard]);
-        let names: Vec<_> = merged.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "exchange_vetoed",
-                "exchange_begun",
-                "exchange_completed",
-                "exchange_begun",
-                "exchange_completed"
-            ]
-        );
-        assert!(merge_events(Vec::new()).is_empty());
-    }
 }
