@@ -139,6 +139,7 @@ fn matrix() -> Vec<Cell> {
     let static10 = SamplerConfig::StaticOverlay { topology: TopologyKind::RandomRegular { degree: 10 } };
     let leaders = Some(LeaderPolicy::Fixed { probability: 0.02 });
     let median3 = Some(RedundancyConfig::median_of(3));
+    let median4_loss = |c: &mut Cell| (c.config.conditions.message_loss, c.config.redundancy) = (0.05, Some(RedundancyConfig::median_of(4)));
     let links = |link_failure, base_loss, rest| FaultPlan { link_failure, base_loss, ..rest };
     let full = |c: &mut Cell| c.traced = true;
     let mut m = Vec::new();
@@ -160,13 +161,16 @@ fn matrix() -> Vec<Cell> {
         cell("faulted", (250, 29), (20, 0), 505).protocol(epoch(9)).with(|c| c.faults = partitioned),
         cell("newscast-churn", (300, 37), (30, 5), 404).protocol(epoch(8)).with(|c| c.config.sampler = newscast),
         cell("static", (200, 23), (10, 0), 7).protocol(epoch(30)).with(|c| c.config.sampler = static10),
+        cell("fig4-mini", (300, 37), (40, 6), 2_004).protocol(late0(10)).with(median4_loss),
     ].map(|c| c.rel(Differs)));
 
     // The wire cluster against the reference engine under faults, NEWSCAST,
-    // leader-led COUNT and both adversary fences.
+    // leader-led COUNT, both adversary fences and four led COUNT instances
+    // that late-join at zero under loss, the last also traced.
     let crash = FaultPlan { partitions: FaultPlan::with_partition(6, 12, 0.3).partitions, ..links(0.1, 0.05, FaultPlan::with_crash_burst(4, 0.2)) };
     let injection = ValueInjection { cycle: 3, fraction: 0.1, value: 1_000.0 };
     let lie = AttackStrategy::Drift { start: 5.0, rate: 0.5 };
+    let median4 = cell("median4-loss", (240, 41), (40, 0), 3_141).protocol(late0(10)).with(median4_loss);
     let capture = cell("capture", (240, 41), (40, 0), 4_242).protocol(epoch(10)).with(|c| {
         (c.config.redundancy, c.adversary) = (median3, AdversaryPlan::leader_capture(1, 20.0));
     });
@@ -183,10 +187,13 @@ fn matrix() -> Vec<Cell> {
         cell("thousand", (1_000, 101), (30, 0), 1_234).protocol(epoch(10)).with(|c| {
             (c.config.sampler, c.faults, c.slow) = (newscast, links(0.05, 0.02, FaultPlan::none()), true);
         }),
+        median4.clone(),
     ] {
         m.push(pair.clone());
         m.push(pair.on(Wire).rel(IdenticalToReference));
     }
+    m.push(median4.clone().with(full).rel(IdenticalToUntraced));
+    m.push(median4.on(Wire).with(full).rel(IdenticalToReference));
 
     // Shard-count sweeps: every count beyond one is `same_nodes` as one shard.
     let churn_loss = |seed| cell("churn-loss", (300, 37), (30, 5), seed).protocol(epoch(8)).with(|c| c.config.conditions.message_loss = 0.1);
@@ -617,6 +624,8 @@ checks! {
         "faulted@41/shards4/full";
     tracing_leaves_reference_engine_and_wire_cluster_goldens_bit_identical:
         "avg@77/{ref,wire}/full", "avg-2s@77/{ref,wire}{,/full}";
+    led_count_instances_under_loss_and_churn_reproduce_their_goldens:
+        "median4-loss@3141/{ref,wire}{,/full}", "fig4-mini@2004/ref";
 }
 
 // ---------------------------------------------------------------------------
