@@ -527,8 +527,9 @@ fn expand(pattern: &str) -> Vec<String> {
 }
 
 /// Runs the cells the patterns name and holds each one's committed
-/// `GOLDENS.md` row and declared relations. On drift it writes the
-/// regenerated table and names every cell that moved.
+/// `GOLDENS.md` row and declared relations. On any failure it writes the
+/// regenerated table and fails once, naming every cell that moved and every
+/// relation that broke.
 fn check(patterns: &[&str]) {
     let (mut moved, mut broken) = (Vec::new(), Vec::new());
     for name in patterns.iter().flat_map(|p| expand(p)) {
@@ -547,14 +548,12 @@ fn check(patterns: &[&str]) {
             }
         }
     }
-    if !moved.is_empty() {
-        let names: Vec<String> = moved.iter().map(|(name, _)| name.clone()).collect();
-        panic!(
-            "cells moved: {names:?}; regenerated {:?}",
-            regenerate(moved)
-        );
+    if moved.is_empty() && broken.is_empty() {
+        return;
     }
-    assert!(broken.is_empty(), "relations broken: {broken:?}");
+    let names: Vec<String> = moved.iter().map(|(name, _)| name.clone()).collect();
+    let path = regenerate(moved);
+    panic!("cells moved: {names:?}; relations broken: {broken:?}; regenerated {path:?}");
 }
 
 /// The whole matrix: every cell but the CI-scale ones holds its row and
