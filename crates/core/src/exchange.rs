@@ -12,16 +12,18 @@
 //!
 //! The core is deliberately split into resumable halves —
 //! [`ExchangeCore::begin`], [`ExchangeCore::respond`] and
-//! [`ExchangeCore::complete`] — because message-passing runtimes (the
-//! reference engine's message path, the event engine, the live runtime)
-//! execute the two sides of an exchange with a message hop in between.
-//! [`ExchangeCore::exchange`] fuses all three and additionally takes a
-//! message-free fast path when both nodes are in the common steady state
-//! (one default instance, same epoch, both participating). The fast path
-//! performs bit-identical arithmetic and draws loss decisions in
-//! bit-identical order, so an engine may mix fused and split execution
-//! freely without perturbing results — the determinism suite in
-//! `gossip-sim` pins this.
+//! [`ExchangeCore::complete`] — because message-passing runtimes (the wire
+//! cluster, the event engine, the live runtime) execute the two sides of an
+//! exchange with a message hop in between. [`ExchangeCore::exchange`]
+//! fuses all three: when both nodes participate and share an epoch it runs
+//! every instance of the exchange — the default one, then the led COUNT
+//! instances in tag order — without building a message, and otherwise it
+//! falls back to the message path. The fused kernel performs bit-identical
+//! arithmetic and draws loss decisions in bit-identical order, so an engine
+//! may mix fused and split execution freely without perturbing results.
+//! A proptest below holds the two equal, and the determinism suite's
+//! `/wire ≡ /ref` cells pin the reference engine's fused run to the wire
+//! cluster's message path.
 //!
 //! Message loss is injected through a `FnMut() -> bool` closure so the core
 //! stays independent of any particular RNG or failure model; the closure is
@@ -125,10 +127,10 @@ impl ExchangeCore {
     ///
     /// Equivalent to [`ExchangeCore::begin`] → [`ExchangeCore::respond`] →
     /// [`ExchangeCore::complete`] — and bit-identical to that sequence in
-    /// both arithmetic and loss-draw order — but takes a message-free fast
-    /// path in the common steady state: initiator and peer in the same epoch,
-    /// both allowed to participate, and the initiator running only the
-    /// default instance.
+    /// both arithmetic and loss-draw order — but takes a message-free fused
+    /// path whenever initiator and peer are distinct, both allowed to
+    /// participate and in the same epoch, however many led instances either
+    /// carries.
     pub fn exchange(
         initiator: &mut ProtocolNode,
         peer: &mut ProtocolNode,
@@ -184,17 +186,20 @@ impl ExchangeCore {
         *initiator_exchanges += 1;
     }
 
-    /// The fused single-instance fast path. Returns `false` (doing nothing)
-    /// when the preconditions do not hold and the caller must run the message
+    /// The fused multi-instance path. Returns `false` (doing nothing) when
+    /// the preconditions do not hold and the caller must run the message
     /// path.
     ///
-    /// Preconditions: both nodes participate, both are in the same epoch, and
-    /// the initiator's only instance is the default one (the peer may carry
-    /// extra led instances — only its default instance is touched, exactly as
-    /// in the message path). Under these conditions the message path performs
-    /// no epoch transition and no instance creation, so the exchange reduces
-    /// to `initiate` → `absorb_push` → `absorb_reply` on the two default
-    /// instances, with the two loss draws in the same order.
+    /// Preconditions: the nodes are distinct, both participate and both are
+    /// in the same epoch. Then the message path performs no epoch transition
+    /// and drops no push as stale, so the exchange reduces to one step per
+    /// initiator instance, default first and then the led ones in tag order:
+    /// a loss draw for the push, the peer's absorb (creating a missing led
+    /// instance under its late-join policy), a loss draw for the reply and
+    /// the initiator's absorb. Instances are independent, so running each
+    /// instance's reply right after its push leaves the state and the draw
+    /// order of `respond` followed by `complete`. The peer's led instances
+    /// the initiator does not carry are untouched, as in the message path.
     fn try_fused(
         initiator: &mut ProtocolNode,
         peer: &mut ProtocolNode,
@@ -204,24 +209,56 @@ impl ExchangeCore {
         if !initiator.can_participate()
             || !peer.can_participate()
             || initiator.current_epoch() != peer.current_epoch()
-            || !initiator.has_only_default_instance()
             || initiator.id() == peer.id()
         {
             return false;
         }
         tally.exchanges += 1;
-        if lost() {
-            tally.messages_lost += 1;
-            return true;
-        }
         let pushed = initiator.default_instance().initiate();
-        let replied = peer.default_instance_mut().absorb_push(pushed);
+        Self::fused_instance(
+            lost,
+            tally,
+            || peer.default_instance_mut().absorb_push(pushed),
+            |replied| initiator.default_instance_mut().absorb_reply(replied),
+        );
+        let kind = initiator.default_instance().kind();
+        // A merge cursor over the peer's store: both stores are sorted by tag.
+        let mut from = 0;
+        for slot in initiator.led_slots_mut() {
+            let (tag, pushed) = (slot.tag, slot.state);
+            let push = || {
+                let position = peer.led_position_from(from, tag);
+                let (Ok(index) | Err(index)) = position;
+                from = index + 1;
+                peer.absorb_led_push(position, tag, pushed)
+            };
+            Self::fused_instance(lost, tally, push, |replied| {
+                slot.absorb_reply(kind, replied)
+            });
+        }
+        true
+    }
+
+    /// One instance of a fused exchange: the push's loss draw, `push` (the
+    /// peer absorbs and returns its pre-update state), the reply's loss draw
+    /// and `reply` (the initiator absorbs).
+    #[inline]
+    fn fused_instance(
+        lost: &mut impl FnMut() -> bool,
+        tally: &mut ExchangeTally,
+        push: impl FnOnce() -> f64,
+        reply: impl FnOnce(f64),
+    ) {
         if lost() {
             tally.messages_lost += 1;
-            return true;
+            return;
         }
-        initiator.default_instance_mut().absorb_reply(replied);
-        true
+        let replied = push();
+        if lost() {
+            tally.messages_lost += 1;
+            return;
+        }
+        reply(replied);
     }
 }
 
@@ -230,6 +267,7 @@ mod tests {
     use super::*;
     use crate::config::{LateJoinPolicy, ProtocolConfig};
     use crate::protocol::InstanceTag;
+    use proptest::prelude::*;
 
     fn node(id: u32, value: f64) -> ProtocolNode {
         ProtocolNode::new(NodeId::new(id as usize), ProtocolConfig::default(), value)
@@ -379,6 +417,9 @@ mod tests {
         assert_eq!(a.estimate(), b.estimate());
     }
 
+    /// An initiator carrying a led instance once fell back to the message
+    /// path; the fused multi-instance path now runs it, with the message
+    /// path's result.
     #[test]
     fn initiator_with_led_instances_uses_the_message_path() {
         let config = ProtocolConfig::builder()
@@ -401,6 +442,92 @@ mod tests {
         // Both instances travelled: the led instance reached the other node.
         assert_eq!(other.instance_estimate(tag), Some(0.5));
         assert_eq!(tally.exchanges, 1);
+    }
+
+    /// One node of `fused_exchange_equals_the_message_path` after `epochs`
+    /// epoch restarts: local value `states[8]`, default state `states[9]`
+    /// and, for every set bit `t` of `led`, led tag `t + 1` at `states[t]`.
+    fn drawn_node(
+        id: usize,
+        config: ProtocolConfig,
+        epochs: u32,
+        led: u32,
+        states: &[f64],
+    ) -> ProtocolNode {
+        let mut node = ProtocolNode::new(NodeId::new(id), config, states[8]);
+        for _ in 0..epochs * config.cycles_per_epoch() {
+            node.end_cycle();
+        }
+        node.corrupt_estimate(states[9]);
+        for (bit, &state) in states[..8].iter().enumerate() {
+            if led & (1 << bit) != 0 {
+                node.start_led_instance(InstanceTag(bit as u64 + 1), state);
+            }
+        }
+        node
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `exchange` equals `begin` → `respond` → `complete` on two nodes
+        /// with any led tags, states, aggregate, late-join policy and loss
+        /// coins: node state bit for bit, tallies and coins drawn. One case
+        /// in three puts the nodes in different epochs, so the message-path
+        /// fallback is held to the same contract.
+        #[test]
+        fn fused_exchange_equals_the_message_path(
+            setup in (0usize..4, proptest::bool::ANY, 0usize..3),
+            led in (0u32..256, 0u32..256),
+            initiator_states in proptest::collection::vec(0.5f64..100.0, 10..11),
+            peer_states in proptest::collection::vec(0.5f64..100.0, 10..11),
+            coins in proptest::collection::vec(0u8..3, 18..19),
+        ) {
+            let ((kind, fixed_late_join, epochs), (initiator_led, peer_led)) = (setup, led);
+            let kind = [
+                AggregateKind::Average,
+                AggregateKind::Maximum,
+                AggregateKind::Minimum,
+                AggregateKind::GeometricMean,
+            ][kind];
+            let late_join = if fixed_late_join {
+                LateJoinPolicy::FixedState(0.0)
+            } else {
+                LateJoinPolicy::LocalValue
+            };
+            let config = ProtocolConfig::builder()
+                .aggregate(kind)
+                .cycles_per_epoch(2)
+                .late_join(late_join)
+                .build()
+                .unwrap();
+            // 0: same epoch; 1: the peer one epoch ahead; 2: the initiator.
+            let (ahead_i, ahead_p) = (u32::from(epochs == 2), u32::from(epochs == 1));
+            let a = drawn_node(0, config, ahead_i, initiator_led, &initiator_states);
+            let b = drawn_node(1, config, ahead_p, peer_led, &peer_states);
+            let run = |fused: bool| {
+                let (mut a, mut b) = (a.clone(), b.clone());
+                let (mut tally, mut drawn) = (ExchangeTally::default(), 0);
+                let mut lost = || {
+                    drawn += 1;
+                    coins[drawn - 1] == 0
+                };
+                if fused {
+                    let mut scratch = ExchangeScratch::new();
+                    ExchangeCore::exchange(&mut a, &mut b, &mut scratch, &mut lost, &mut tally);
+                } else {
+                    let (mut pushes, mut replies) = (Vec::new(), Vec::new());
+                    if ExchangeCore::begin(&mut a, b.id(), &mut pushes) {
+                        tally.exchanges += 1;
+                        ExchangeCore::respond(&mut b, &pushes, &mut replies, &mut lost, &mut tally);
+                        ExchangeCore::complete(&mut a, &replies);
+                    }
+                }
+                // `Debug` prints every float in exact round-trip form.
+                (format!("{a:?}"), format!("{b:?}"), tally, drawn)
+            };
+            prop_assert_eq!(run(true), run(false));
+        }
     }
 
     #[test]

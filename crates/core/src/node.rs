@@ -13,11 +13,11 @@
 //! 3. at the end of each cycle the runtime calls [`ProtocolNode::end_cycle`],
 //!    which advances the epoch machinery and reports converged epoch results.
 
+use crate::aggregate::AggregateKind;
 use crate::config::{LateJoinPolicy, ProtocolConfig};
 use crate::epoch::{EpochManager, EpochTransition};
 use crate::protocol::{AggregationInstance, GossipMessage, InstanceTag};
 use overlay_topology::NodeId;
-use std::collections::BTreeMap;
 
 /// Converged result of one finished epoch on one node.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +60,44 @@ pub struct HotView {
     pub exchanges: u32,
 }
 
+/// One leader-led instance in a node's compact store: its tag, running
+/// state and exchange count. Aggregate kind, local value and epoch are the
+/// node's own: a led instance is created in the node's current epoch and
+/// every epoch restart drops it, so it never differs from its node in them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LedSlot {
+    pub(crate) tag: InstanceTag,
+    pub(crate) state: f64,
+    exchanges: u32,
+}
+
+impl LedSlot {
+    /// A fresh instance: `state`, no exchanges yet.
+    fn new(tag: InstanceTag, state: f64) -> Self {
+        LedSlot {
+            tag,
+            state,
+            exchanges: 0,
+        }
+    }
+
+    /// Passive side, as [`AggregationInstance::absorb_push`].
+    #[inline]
+    fn absorb_push(&mut self, kind: AggregateKind, pushed: f64) -> f64 {
+        let reply = self.state;
+        self.state = kind.merge_values(self.state, pushed);
+        self.exchanges += 1;
+        reply
+    }
+
+    /// Active side, as [`AggregationInstance::absorb_reply`].
+    #[inline]
+    pub(crate) fn absorb_reply(&mut self, kind: AggregateKind, replied: f64) {
+        self.state = kind.merge_values(self.state, replied);
+        self.exchanges += 1;
+    }
+}
+
 /// The complete protocol state of one node.
 ///
 /// # Example
@@ -86,19 +124,21 @@ pub struct HotView {
 /// ```
 ///
 /// The default aggregation instance is stored inline (every node always has
-/// one); only the extra leader-led instances of the network-size estimator
-/// live in the [`BTreeMap`]. In the common single-instance configuration a
-/// node therefore owns no heap allocation at all, which is what lets the
-/// sharded cycle engine keep millions of nodes contiguous in its arenas.
+/// one). The extra leader-led instances of the network-size estimator are
+/// `(tag, state, exchanges)` slots in one vector sorted by tag, whose
+/// capacity survives epoch restarts, so a node that ever carries led
+/// instances allocates once in its life. In the common single-instance
+/// configuration a node owns no heap allocation at all, which is what lets
+/// the sharded cycle engine keep millions of nodes contiguous in its arenas.
 #[derive(Debug, Clone, PartialEq)]
 #[repr(C)] // hot-first field order: everything the fused exchange fast path
-           // reads (epoch state, default instance, led-instance root, id)
-           // lives in the leading ~96 bytes, so an exchange costs the
-           // engines two cache lines per node, not three
+           // reads (epoch state, default instance, led slots, id) lives in
+           // the leading ~96 bytes, so an exchange costs the engines two
+           // cache lines per node, not three
 pub struct ProtocolNode {
     epochs: EpochManager,
     default_instance: AggregationInstance,
-    led_instances: BTreeMap<InstanceTag, AggregationInstance>,
+    led: Vec<LedSlot>,
     id: NodeId,
     local_value: f64,
     config: ProtocolConfig,
@@ -114,7 +154,7 @@ impl ProtocolNode {
             epochs: EpochManager::new(config.cycles_per_epoch(), 0),
             local_value,
             default_instance: AggregationInstance::new(config.aggregate(), local_value, 0),
-            led_instances: BTreeMap::new(),
+            led: Vec::new(),
         }
     }
 
@@ -138,7 +178,7 @@ impl ProtocolNode {
             ),
             local_value,
             default_instance: AggregationInstance::new(config.aggregate(), local_value, next_epoch),
-            led_instances: BTreeMap::new(),
+            led: Vec::new(),
         }
     }
 
@@ -165,9 +205,6 @@ impl ProtocolNode {
     pub fn set_local_value(&mut self, value: f64) {
         self.local_value = value;
         self.default_instance.set_local_value(value);
-        for instance in self.led_instances.values_mut() {
-            instance.set_local_value(value);
-        }
     }
 
     /// Current estimate of the default aggregation instance.
@@ -178,33 +215,59 @@ impl ProtocolNode {
 
     /// Estimate of an arbitrary instance.
     pub fn instance_estimate(&self, tag: InstanceTag) -> Option<f64> {
-        self.instance(tag).map(|i| i.estimate())
+        if tag == InstanceTag::DEFAULT {
+            return Some(self.default_instance.estimate());
+        }
+        let index = self.led_position(tag).ok()?;
+        Some(self.kind().estimate_value(self.led[index].state))
     }
 
-    /// Read access to a specific instance.
-    pub fn instance(&self, tag: InstanceTag) -> Option<&AggregationInstance> {
-        if tag == InstanceTag::DEFAULT {
-            Some(&self.default_instance)
-        } else {
-            self.led_instances.get(&tag)
+    /// Estimates of all live instances, default instance first and then the
+    /// led ones in tag order ([`InstanceTag::DEFAULT`] sorts before every
+    /// leader-derived tag).
+    fn instance_estimates(&self) -> impl Iterator<Item = (InstanceTag, f64)> + '_ {
+        let kind = self.kind();
+        let led = self
+            .led
+            .iter()
+            .map(move |s| (s.tag, kind.estimate_value(s.state)));
+        std::iter::once((InstanceTag::DEFAULT, self.default_instance.estimate())).chain(led)
+    }
+
+    /// The aggregate every instance of this node computes: the
+    /// configuration's, read from the default instance, which sits in the
+    /// node's first cache line.
+    #[inline]
+    fn kind(&self) -> AggregateKind {
+        self.default_instance.kind()
+    }
+
+    /// Where led instance `tag` sits in the sorted store, or where it would
+    /// be inserted.
+    #[inline]
+    fn led_position(&self, tag: InstanceTag) -> Result<usize, usize> {
+        self.led.binary_search_by_key(&tag, |s| s.tag)
+    }
+
+    /// [`ProtocolNode::led_position`] as a merge cursor: scans forward from
+    /// `from`, for a caller that visits tags in increasing order and knows
+    /// every slot before `from` holds a smaller tag.
+    #[inline]
+    pub(crate) fn led_position_from(&self, from: usize, tag: InstanceTag) -> Result<usize, usize> {
+        let index = from + self.led[from..].iter().take_while(|s| s.tag < tag).count();
+        match self.led.get(index) {
+            Some(slot) if slot.tag == tag => Ok(index),
+            _ => Err(index),
         }
     }
 
-    /// Iterates over all live instances, default instance first (the same
-    /// order the old all-in-one `BTreeMap` produced, since
-    /// [`InstanceTag::DEFAULT`] sorts before every leader-derived tag).
-    pub fn instances(&self) -> impl Iterator<Item = (&InstanceTag, &AggregationInstance)> {
-        std::iter::once((&InstanceTag::DEFAULT, &self.default_instance))
-            .chain(self.led_instances.iter())
-    }
-
-    /// Whether the default instance is the node's only live instance — the
-    /// precondition for the fused exchange fast path in
-    /// [`crate::exchange::ExchangeCore`] (and a cheap single-line read for
-    /// engines that warm node state ahead of a batch of exchanges).
+    /// Whether the default instance is the node's only live instance — one
+    /// condition of a hot node ([`ProtocolNode::hot_view`]), and a cheap
+    /// single-line read for engines that warm node state ahead of a batch
+    /// of exchanges.
     #[inline]
     pub fn has_only_default_instance(&self) -> bool {
-        self.led_instances.is_empty()
+        self.led.is_empty()
     }
 
     /// Direct access to the default instance (fused exchange fast path).
@@ -217,6 +280,39 @@ impl ProtocolNode {
     #[inline]
     pub(crate) fn default_instance_mut(&mut self) -> &mut AggregationInstance {
         &mut self.default_instance
+    }
+
+    /// The led instances in tag order, for the initiator side of the fused
+    /// multi-instance exchange.
+    #[inline]
+    pub(crate) fn led_slots_mut(&mut self) -> &mut [LedSlot] {
+        &mut self.led
+    }
+
+    /// Passive side of one led instance's exchange: absorbs `pushed` into
+    /// instance `tag`, found at `position` in the store, and returns its
+    /// pre-update state. A missing instance is first created at its sorted
+    /// position under the late-join policy.
+    #[inline]
+    pub(crate) fn absorb_led_push(
+        &mut self,
+        position: Result<usize, usize>,
+        tag: InstanceTag,
+        pushed: f64,
+    ) -> f64 {
+        let kind = self.kind();
+        let index = match position {
+            Ok(index) => index,
+            Err(index) => {
+                let state = match self.config.late_join() {
+                    LateJoinPolicy::LocalValue => kind.init_value(self.local_value),
+                    LateJoinPolicy::FixedState(state) => state,
+                };
+                self.led.insert(index, LedSlot::new(tag, state));
+                index
+            }
+        };
+        self.led[index].absorb_push(kind, pushed)
     }
 
     /// Overwrites the default instance's running approximation — the
@@ -238,12 +334,12 @@ impl ProtocolNode {
             self.default_instance.corrupt_state(value);
             return true;
         }
-        match self.led_instances.get_mut(&tag) {
-            Some(instance) => {
-                instance.corrupt_state(value);
+        match self.led_position(tag) {
+            Ok(index) => {
+                self.led[index].state = value;
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
@@ -277,7 +373,7 @@ impl ProtocolNode {
     pub fn hot_view(&self) -> Option<HotView> {
         if self.epochs.can_participate()
             && self.epochs.participated_from_epoch_start()
-            && self.led_instances.is_empty()
+            && self.led.is_empty()
         {
             Some(HotView {
                 state: self.default_instance.state(),
@@ -305,16 +401,19 @@ impl ProtocolNode {
     /// seeded with an explicit initial state. The network-size estimator uses
     /// this with state `1.0` on the elected leader.
     pub fn start_led_instance(&mut self, tag: InstanceTag, initial_state: f64) {
-        let instance = AggregationInstance::with_initial_state(
-            self.config.aggregate(),
-            self.local_value,
-            initial_state,
-            self.epochs.current_epoch(),
-        );
         if tag == InstanceTag::DEFAULT {
-            self.default_instance = instance;
-        } else {
-            self.led_instances.insert(tag, instance);
+            self.default_instance = AggregationInstance::with_initial_state(
+                self.config.aggregate(),
+                self.local_value,
+                initial_state,
+                self.epochs.current_epoch(),
+            );
+            return;
+        }
+        let slot = LedSlot::new(tag, initial_state);
+        match self.led_position(tag) {
+            Ok(index) => self.led[index] = slot,
+            Err(index) => self.led.insert(index, slot),
         }
     }
 
@@ -337,13 +436,19 @@ impl ProtocolNode {
             return;
         }
         let epoch = self.epochs.current_epoch();
-        pushes.extend(self.instances().map(|(tag, instance)| GossipMessage::Push {
-            from: self.id,
-            to: peer,
-            instance: *tag,
-            epoch,
-            value: instance.initiate(),
-        }));
+        let default = (InstanceTag::DEFAULT, self.default_instance.initiate());
+        let led = self.led.iter().map(|s| (s.tag, s.state));
+        pushes.extend(
+            std::iter::once(default)
+                .chain(led)
+                .map(|(instance, value)| GossipMessage::Push {
+                    from: self.id,
+                    to: peer,
+                    instance,
+                    epoch,
+                    value,
+                }),
+        );
     }
 
     /// Handles an incoming message, returning the reply to send (for pushes)
@@ -369,30 +474,11 @@ impl ProtocolNode {
                 value,
                 ..
             } => {
-                let late_join = self.config.late_join();
-                let local_value = self.local_value;
-                let aggregate = self.config.aggregate();
-                let current_epoch = self.epochs.current_epoch();
-                let instance = if tag == InstanceTag::DEFAULT {
-                    &mut self.default_instance
+                let reply_value = if tag == InstanceTag::DEFAULT {
+                    self.default_instance.absorb_push(value)
                 } else {
-                    self.led_instances
-                        .entry(tag)
-                        .or_insert_with(|| match late_join {
-                            LateJoinPolicy::LocalValue => {
-                                AggregationInstance::new(aggregate, local_value, current_epoch)
-                            }
-                            LateJoinPolicy::FixedState(state) => {
-                                AggregationInstance::with_initial_state(
-                                    aggregate,
-                                    local_value,
-                                    state,
-                                    current_epoch,
-                                )
-                            }
-                        })
+                    self.absorb_led_push(self.led_position(tag), tag, value)
                 };
-                let reply_value = instance.absorb_push(value);
                 Some(GossipMessage::Reply {
                     from: self.id,
                     to: from,
@@ -406,13 +492,11 @@ impl ProtocolNode {
                 value,
                 ..
             } => {
-                let instance = if tag == InstanceTag::DEFAULT {
-                    Some(&mut self.default_instance)
-                } else {
-                    self.led_instances.get_mut(&tag)
-                };
-                if let Some(instance) = instance {
-                    instance.absorb_reply(value);
+                if tag == InstanceTag::DEFAULT {
+                    self.default_instance.absorb_reply(value);
+                } else if let Ok(index) = self.led_position(tag) {
+                    let kind = self.kind();
+                    self.led[index].absorb_reply(kind, value);
                 }
                 None
             }
@@ -429,10 +513,7 @@ impl ProtocolNode {
             EpochTransition::Completed {
                 finished, current, ..
             } => {
-                let estimates = self
-                    .instances()
-                    .map(|(tag, inst)| (*tag, inst.estimate()))
-                    .collect();
+                let estimates = self.instance_estimates().collect();
                 self.restart_instances(current);
                 Some(EpochResult {
                     epoch: finished,
@@ -445,9 +526,10 @@ impl ProtocolNode {
     }
 
     /// Restarts the default instance for `epoch` and drops all extra led
-    /// instances (they are per-epoch by construction).
+    /// instances (they are per-epoch by construction), keeping the store's
+    /// capacity for the next epoch's.
     fn restart_instances(&mut self, epoch: u64) {
-        self.led_instances.clear();
+        self.led.clear();
         self.default_instance.set_local_value(self.local_value);
         self.default_instance.restart(epoch);
     }
@@ -605,8 +687,8 @@ mod tests {
             .estimates
             .iter()
             .any(|(t, v)| *t == tag && (*v - 0.5).abs() < 1e-12));
-        assert!(leader.instance(tag).is_none());
-        assert!(leader.instance(InstanceTag::DEFAULT).is_some());
+        assert_eq!(leader.instance_estimate(tag), None);
+        assert_eq!(leader.instance_estimate(InstanceTag::DEFAULT), Some(0.0));
     }
 
     #[test]
@@ -643,7 +725,7 @@ mod tests {
         let node = ProtocolNode::new(NodeId::new(3), config, 2.0);
         assert_eq!(node.id(), NodeId::new(3));
         assert_eq!(node.config().cycles_per_epoch(), 30);
-        assert_eq!(node.instances().count(), 1);
+        assert_eq!(node.instance_estimates().count(), 1);
         assert_eq!(node.instance_estimate(InstanceTag::DEFAULT), Some(2.0));
         assert_eq!(node.instance_estimate(InstanceTag(5)), None);
         assert!(node.participated_from_epoch_start());

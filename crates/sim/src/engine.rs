@@ -9,7 +9,7 @@
 //! The epoch environment around the exchanges — the fault lab, the
 //! adversary, elections, telemetry and virtual time — is the shared
 //! [`Coordinator`]; this module supplies the node store (the arena, as
-//! [`CycleNodes`]), the schedule RNG and the message-path exchange phase.
+//! [`CycleNodes`]), the schedule RNG and the exchange phase.
 //!
 //! Node state lives in a slot-reclaiming [`crate::arena::NodeArena`]:
 //! departures free their slot for the next join, identifiers carry a per-slot
@@ -23,12 +23,15 @@
 //! whole-network `AVG` algorithm in [`aggregate_core::avg`] is used instead
 //! (same mathematics, no message objects); see [`crate::runner`].
 //!
-//! This engine deliberately stays on the per-node message path and does
-//! *not* adopt the struct-of-arrays fast path of the sharded engine
-//! ([`crate::soa`]): its role is to exercise the exact `begin` → `respond`
-//! → `complete` code a live transport runs (the wire-path identity pins in
-//! `tests/determinism.rs` depend on that), and message-object construction
-//! is precisely what the SoA layout batches away. Scale runs belong to
+//! Every exchange goes through [`ExchangeCore::exchange`] on the two
+//! [`ProtocolNode`]s: the fused kernel that runs the default and every led
+//! COUNT instance without building a message, falling back to the message
+//! path across epochs. The engine does *not* adopt the struct-of-arrays
+//! store of the sharded engine ([`crate::soa`]). The message path a live
+//! transport runs (`begin` → `respond` → `complete`, then `NodeCore`) is
+//! exercised by the wire cluster, the live runtime and the event engine, and
+//! the `/wire ≡ /ref` cells of `tests/determinism.rs` pin it bit for bit to
+//! this engine. Scale runs belong to
 //! [`crate::sharded::ShardedSimulation`]; this engine is the semantic
 //! reference it is pinned against.
 
@@ -39,7 +42,7 @@ use aggregate_core::node::ProtocolNode;
 use aggregate_core::redundancy::RedundancyConfig;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig};
 use aggregate_core::size_estimation::LeaderPolicy;
-use aggregate_core::{ExchangeCore, ExchangeTally, GossipMessage, InstanceTag, ProtocolConfig};
+use aggregate_core::{ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag, ProtocolConfig};
 use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
 use gossip_telemetry::{Event, TelemetryConfig, WatchdogVerdict};
 use overlay_topology::NodeId;
@@ -192,8 +195,7 @@ pub struct GossipSimulation {
     /// bit-identical to the engine before each existed
     /// (`tests/determinism.rs`).
     coordinator: Coordinator,
-    scratch_pushes: Vec<GossipMessage>,
-    scratch_replies: Vec<GossipMessage>,
+    scratch: ExchangeScratch,
 }
 
 impl GossipSimulation {
@@ -297,8 +299,7 @@ impl GossipSimulation {
             arena,
             rng,
             coordinator,
-            scratch_pushes: Vec::new(),
-            scratch_replies: Vec::new(),
+            scratch: ExchangeScratch::new(),
         })
     }
 
@@ -451,14 +452,14 @@ impl GossipSimulation {
 
     /// Runs one full protocol cycle and returns its summary.
     ///
-    /// The per-exchange node stepping is [`ExchangeCore`] — the same
-    /// implementation the event-driven and sharded engines drive. This
-    /// reference engine deliberately runs the full message path
-    /// ([`ExchangeCore::begin`]/[`ExchangeCore::respond`]/
-    /// [`ExchangeCore::complete`], the code a live transport exercises)
-    /// rather than the fused fast path; the loss-draw order and arithmetic
-    /// are bit-identical to the pre-extraction engine, which
-    /// `tests/determinism.rs` pins.
+    /// The per-exchange node stepping is [`ExchangeCore::exchange`], the
+    /// fused kernel the sharded engine's cold path drives too. Its
+    /// arithmetic and loss-draw order equal the message path's
+    /// ([`ExchangeCore::begin`] → [`ExchangeCore::respond`] →
+    /// [`ExchangeCore::complete`]), which the wire cluster runs; the
+    /// `/wire ≡ /ref` cells of `tests/determinism.rs` pin the two bit for
+    /// bit. Telemetry records the exchange's start, its lost messages and
+    /// its completion from the tally deltas.
     pub fn run_cycle(&mut self) -> CycleSummary {
         let mut tally = ExchangeTally::default();
         let mut exchanges_blocked = 0usize;
@@ -504,41 +505,22 @@ impl GossipSimulation {
                 continue;
             }
             let peer_slot = self.arena.slot_of(peer_id).expect("sampled peer is live"); // lint-allow(unwrap): sampler returned it from the live directory this cycle
-            let arena = &mut self.arena;
-            let rng = &mut self.rng;
-            let initiator = arena
-                .node_at_slot_mut(initiator_slot)
-                // lint-allow(unwrap): initiator slot comes from this cycle's live snapshot
-                .expect("checked above");
-            if !ExchangeCore::begin(initiator, peer_id, &mut self.scratch_pushes) {
+            if peer_slot == initiator_slot {
+                // A node never exchanges with itself (`begin` pushes nothing).
                 continue;
             }
-            tally.exchanges += 1;
-            let seq = (tally.exchanges - 1) as u64;
-            if record {
-                telemetry.exchange_begun(seq, initiator_key.into(), peer_key.into());
-            }
-            self.scratch_replies.clear();
+            let (Some(initiator), Some(peer)) = self.arena.pair_mut(initiator_slot, peer_slot)
+            else {
+                continue;
+            };
+            let rng = &mut self.rng;
             let mut lost = || loss > 0.0 && rng.gen_bool(loss);
-            let peer = arena
-                .node_at_slot_mut(peer_slot)
-                // lint-allow(unwrap): peer_slot resolved from a live id above; no churn mid-cycle
-                .expect("live within cycle");
-            let lost_before = tally.messages_lost;
-            ExchangeCore::respond(
-                peer,
-                &self.scratch_pushes,
-                &mut self.scratch_replies,
-                &mut lost,
-                &mut tally,
-            );
-            let initiator = arena
-                .node_at_slot_mut(initiator_slot)
-                // lint-allow(unwrap): initiator slot comes from this cycle's live snapshot
-                .expect("checked above");
-            ExchangeCore::complete(initiator, &self.scratch_replies);
-            if record {
-                let lost_now = tally.messages_lost - lost_before;
+            let before = tally;
+            ExchangeCore::exchange(initiator, peer, &mut self.scratch, &mut lost, &mut tally);
+            if record && tally.exchanges > before.exchanges {
+                let seq = (tally.exchanges - 1) as u64;
+                telemetry.exchange_begun(seq, initiator_key.into(), peer_key.into());
+                let lost_now = tally.messages_lost - before.messages_lost;
                 for _ in 0..lost_now {
                     telemetry.message_lost(seq);
                 }

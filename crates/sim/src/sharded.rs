@@ -318,7 +318,7 @@ impl Shard {
     }
 
     /// Reads one word per cache line an exchange at `slot` needs — the hot
-    /// record, or the node's epoch state, instance state and led-map root
+    /// record, or the node's epoch state, instance state and led slots
     /// when the record is cold — so the execute pass hits L1.
     #[inline]
     fn touch(&self, slot: u32) -> u64 {
