@@ -170,20 +170,17 @@ impl ExchangeCore {
         tally: &mut ExchangeTally,
     ) {
         tally.exchanges += 1;
-        if lost() {
-            tally.messages_lost += 1;
-            return;
-        }
         let pushed = *initiator_state;
-        let replied = *peer_state;
-        *peer_state = kind.merge_values(*peer_state, pushed);
-        *peer_exchanges += 1;
-        if lost() {
-            tally.messages_lost += 1;
-            return;
-        }
-        *initiator_state = kind.merge_values(*initiator_state, replied);
-        *initiator_exchanges += 1;
+        let push = || {
+            let replied = *peer_state;
+            *peer_state = kind.merge_values(replied, pushed);
+            *peer_exchanges += 1;
+            replied
+        };
+        Self::fused_instance(lost, tally, push, |replied| {
+            *initiator_state = kind.merge_values(*initiator_state, replied);
+            *initiator_exchanges += 1;
+        });
     }
 
     /// The fused multi-instance path. Returns `false` (doing nothing) when
