@@ -677,23 +677,27 @@ fn view_order_fingerprint<'a>(
     }))
 }
 
-/// [`NewscastSampler`] views (c = 20, 300 sparse ids, 30 cycles): four
-/// departures and four joins a cycle, one pick per member, and `peer_failed`
-/// for every pick on a departed node or a simulated dead link.
-#[test]
-fn newscast_sampler_views_reproduce_their_golden_order() {
+/// The view-order fingerprint of a [`NewscastSampler`] run with c = 20 over
+/// `members` sparse ids: before every cycle `churn` random departures and
+/// `churn` joins, then one pick per member, and `peer_failed` for every pick
+/// on a departed node or a simulated dead link.
+fn sampler_view_order(members: usize, cycles: usize, churn: usize) -> u64 {
     use rand::Rng;
-    let mut live: Vec<NodeId> = (0..300).map(|i| NodeId::new(3 * i + 1)).collect();
+    let mut live: Vec<NodeId> = (0..members).map(|i| NodeId::new(3 * i + 1)).collect();
+    let mut members_now: std::collections::BTreeSet<NodeId> = live.iter().copied().collect();
     let mut sampler = NewscastSampler::new(20, &live, 0x5eed);
-    let mut churn = rand::rngs::StdRng::seed_from_u64(31);
+    let mut churn_rng = rand::rngs::StdRng::seed_from_u64(31);
     let mut picks = rand::rngs::StdRng::seed_from_u64(32);
-    let (mut next_id, mut failed) = (3 * 300 + 1, 0);
-    for cycle in 0..30 {
-        for _ in 0..4 {
-            sampler.on_depart(live.remove(churn.gen_range(0..live.len())));
+    let (mut next_id, mut failed) = (3 * members + 1, 0);
+    for cycle in 0..cycles {
+        for _ in 0..churn {
+            let departed = live.remove(churn_rng.gen_range(0..live.len()));
+            members_now.remove(&departed);
+            sampler.on_depart(departed);
         }
-        for _ in 0..4 {
+        for _ in 0..churn {
             live.push(NodeId::new(next_id));
+            members_now.insert(NodeId::new(next_id));
             sampler.on_join(NodeId::new(next_id), &SliceDirectory::new(&live));
             next_id += 3;
         }
@@ -703,21 +707,42 @@ fn newscast_sampler_views_reproduce_their_golden_order() {
             let Some(peer) = sampler.sample(&directory, pos, &mut picks) else {
                 continue;
             };
-            if !live.contains(&peer) || (pos + cycle) % 13 == 0 {
+            if !members_now.contains(&peer) || (pos + cycle) % 13 == 0 {
                 sampler.peer_failed(initiator, peer);
                 failed += 1;
             }
         }
     }
     assert!(
-        failed > 300,
+        failed > members,
         "departed peers and dead links must be reported"
     );
     live.sort();
     let views = live
         .iter()
         .map(|&id| (id, sampler.view_of(id).expect("live member")));
-    assert_eq!(view_order_fingerprint(views), 0xa9bc_1ad6_d461_a64f);
+    view_order_fingerprint(views)
+}
+
+/// [`NewscastSampler`] views: 300 members, 30 cycles, 4 joins and 4
+/// departures a cycle.
+#[test]
+fn newscast_sampler_views_reproduce_their_golden_order() {
+    assert_eq!(sampler_view_order(300, 30, 4), 0xa9bc_1ad6_d461_a64f);
+}
+
+/// [`NewscastSampler`] views at 3,000 members, 40 cycles, 30 joins and 30
+/// departures a cycle: every view full, so most admits overwrite a victim.
+#[test]
+fn newscast_sampler_views_at_3k_reproduce_their_golden_order() {
+    assert_eq!(sampler_view_order(3_000, 40, 30), 0x2e77_47b8_4d84_c066);
+}
+
+/// The 30,000-member twin of the 3,000-member run, at the same churn rate.
+#[test]
+#[ignore = "CI-scale: 30k NEWSCAST members x 40 cycles"]
+fn newscast_sampler_views_at_30k_reproduce_their_golden_order() {
+    assert_eq!(sampler_view_order(30_000, 40, 300), 0xad16_f901_0326_5cc5);
 }
 
 /// [`NewscastNetwork`] views: a 400-node ring bootstrap with c = 20 after
