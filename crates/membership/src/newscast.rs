@@ -46,11 +46,8 @@ impl NewscastNode {
     /// Panics if `view_size` is zero.
     pub fn new(id: NodeId, view_size: usize, bootstrap: &[NodeId]) -> Self {
         let mut view = PartialView::new(view_size);
-        for &peer in bootstrap {
-            if peer != id {
-                view.insert(NodeDescriptor::fresh(peer));
-            }
-        }
+        let contacts = bootstrap.iter().filter(|&&peer| peer != id);
+        view.admit_all(contacts.map(|&peer| NodeDescriptor::fresh(peer)));
         NewscastNode { id, view }
     }
 
@@ -65,7 +62,11 @@ impl NewscastNode {
     }
 
     /// Chooses the peer to exchange views with this cycle: the *oldest* known
-    /// peer (newscast's heuristic; falls back to `None` on an empty view).
+    /// peer, the last of them on an age tie, or `None` on an empty view.
+    ///
+    /// Oldest-first is CYCLON's partner rule; NEWSCAST as published picks a
+    /// random cache entry. The fidelity check of item 4 in `ROADMAP.md`
+    /// makes the policy explicit and defaults to the paper's.
     pub fn exchange_partner(&self) -> Option<NodeId> {
         self.view.oldest_peer()
     }
@@ -163,6 +164,8 @@ impl PeerSampling for NewscastNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::oracle_merge;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -256,5 +259,64 @@ mod tests {
         }
         let mut empty = NewscastNode::new(NodeId::new(9), 4, &[]);
         assert!(empty.select_peer(&mut r).is_none());
+    }
+
+    /// Node `id` with its view `pairs` merged by the oracle. Drawn ages from
+    /// 5 up move to 30 and over, so the merge's shared last age bucket (31
+    /// and older) comes up beside the ties of small ages.
+    fn drawn_node(id: usize, capacity: usize, pairs: &[(usize, u32)]) -> NewscastNode {
+        let age = |drawn: u32| if drawn < 5 { drawn } else { drawn + 25 };
+        let incoming: Vec<NodeDescriptor> = pairs
+            .iter()
+            .map(|&(node, drawn)| NodeDescriptor::with_age(NodeId::new(node), age(drawn)))
+            .collect();
+        let mut view = PartialView::new(capacity);
+        oracle_merge(&mut view, &incoming, NodeId::new(id));
+        NewscastNode {
+            id: NodeId::new(id),
+            view,
+        }
+    }
+
+    /// The oracle's oldest peer: the last entry of maximum age.
+    fn oracle_oldest(node: &NewscastNode) -> Option<NodeId> {
+        node.view.iter().max_by_key(|d| d.age).map(|d| d.node)
+    }
+
+    proptest! {
+        /// `ExchangeBuffers::exchange` leaves both nodes as both
+        /// `write_payload`s followed by `oracle_merge` each way: the same
+        /// entries at the same positions, and the same oldest peer. Twelve
+        /// ids make shared ids and duplicates common and few ages make ties
+        /// common; views are drawn full and part-full, capacity 1 included,
+        /// and the initiator (node 0) is often in the partner's view.
+        #[test]
+        fn prop_exchange_matches_payloads_then_oracle_merges(
+            capacity in 1usize..7,
+            initiator_view in proptest::collection::vec((0usize..12, 0u32..10), 0..12),
+            partner_view in proptest::collection::vec((0usize..12, 0u32..10), 0..12),
+            partner_knows_initiator in proptest::bool::ANY,
+            initiator_age in 0u32..10,
+        ) {
+            let mut partner_view = partner_view;
+            if partner_knows_initiator {
+                partner_view.insert(0, (0, initiator_age));
+            }
+            let initiator = drawn_node(0, capacity, &initiator_view);
+            let partner = drawn_node(1, capacity, &partner_view);
+            let (mut a, mut b) = (initiator.clone(), partner.clone());
+            ExchangeBuffers::default().exchange(&mut a, &mut b);
+
+            let (mut offer, mut response) = (Vec::new(), Vec::new());
+            initiator.write_payload(&mut offer);
+            partner.write_payload(&mut response);
+            let (mut expected_a, mut expected_b) = (initiator, partner);
+            oracle_merge(&mut expected_b.view, &offer, expected_b.id);
+            oracle_merge(&mut expected_a.view, &response, expected_a.id);
+            prop_assert_eq!(&a, &expected_a);
+            prop_assert_eq!(&b, &expected_b);
+            prop_assert_eq!(a.exchange_partner(), oracle_oldest(&expected_a));
+            prop_assert_eq!(b.exchange_partner(), oracle_oldest(&expected_b));
+        }
     }
 }

@@ -63,8 +63,7 @@ impl PartialView {
     /// Inserts a descriptor, keeping only the youngest descriptor per node and
     /// evicting the oldest entry when the capacity would be exceeded.
     pub fn insert(&mut self, descriptor: NodeDescriptor) {
-        let oldest = self.last_oldest();
-        self.admit(descriptor, oldest);
+        self.admit_all([descriptor]);
     }
 
     /// Merges the descriptors received from a peer (the newscast merge): take
@@ -72,64 +71,73 @@ impl PartialView {
     /// freshest entries. `exclude` (normally the merging node itself) is never
     /// admitted into the view.
     ///
-    /// Equivalent to [`PartialView::insert`] of each descriptor in turn. The
-    /// eviction victim is carried from one descriptor to the next, so the
-    /// view is rescanned for it only after the victim itself changed.
+    /// Equivalent to [`PartialView::insert`] of each descriptor in turn.
     pub fn merge(&mut self, incoming: &[NodeDescriptor], exclude: NodeId) {
-        let mut oldest = self.last_oldest();
-        for &descriptor in incoming {
-            if descriptor.node != exclude {
-                oldest = self.admit(descriptor, oldest);
-            }
-        }
+        self.admit_all(incoming.iter().copied().filter(|d| d.node != exclude));
     }
 
-    /// Position and age of the *last* entry of maximum age, the eviction
-    /// victim; `(0, 0)` for an empty view.
-    fn last_oldest(&self) -> (usize, u32) {
-        let mut oldest = (0, 0);
-        for (i, entry) in self.entries.iter().enumerate() {
-            if entry.age >= oldest.1 {
-                oldest = (i, entry.age);
-            }
-        }
-        oldest
-    }
-
-    /// Inserts `descriptor` given the current [`PartialView::last_oldest`]
-    /// and returns the updated one.
+    /// Admits each descriptor in turn, the one merge rule behind
+    /// [`PartialView::insert`] and [`PartialView::merge`].
     ///
-    /// A newcomer is appended while the view has room. Once it is full, the
-    /// newcomer overwrites the victim in place if strictly younger and is
-    /// dropped otherwise. That is exactly where pushing it and then
-    /// `swap_remove`-ing the last maximum-age entry of the overfull view
-    /// would leave every entry.
-    fn admit(&mut self, descriptor: NodeDescriptor, oldest: (usize, u32)) -> (usize, u32) {
-        let (victim, victim_age) = oldest;
-        match self.entries.iter().position(|d| d.node == descriptor.node) {
-            Some(i) if descriptor.age < self.entries[i].age => {
-                self.entries[i].age = descriptor.age;
-                // Lowering any other age leaves the last maximum in place.
-                if i == victim {
-                    self.last_oldest()
-                } else {
-                    oldest
-                }
-            }
-            Some(_) => oldest,
-            None if self.entries.len() < self.capacity => {
+    /// A newcomer already in the view only ever lowers that entry's age. Any
+    /// other newcomer is appended while the view has room. Once it is full,
+    /// the newcomer overwrites the victim, the last entry of maximum age, in
+    /// place if strictly younger and is dropped otherwise. That is exactly
+    /// where pushing it and then `swap_remove`-ing the last maximum-age entry
+    /// of the overfull view would leave every entry.
+    ///
+    /// One pass over the view at the start fills an [`IdFilter`] and an
+    /// [`AgeIndex`]. After that a newcomer costs a filter probe, a scan of
+    /// the view only on a filter hit, and a constant number of mask updates.
+    pub(crate) fn admit_all(&mut self, incoming: impl IntoIterator<Item = NodeDescriptor>) {
+        let shift = self
+            .capacity
+            .div_ceil(64)
+            .next_power_of_two()
+            .trailing_zeros();
+        if shift == 0 {
+            // Views of up to 64 entries, every NEWSCAST cache in this
+            // workspace, get a copy with a constant shift and an inline index.
+            self.admit_with(incoming, &mut [0; AGE_BUCKETS], 0);
+        } else {
+            self.admit_with(incoming, &mut vec![0; AGE_BUCKETS << shift], shift);
+        }
+    }
+
+    /// [`PartialView::admit_all`] with the index in `masks`, zeroed, of
+    /// `AGE_BUCKETS << shift` words.
+    #[inline(always)]
+    fn admit_with(
+        &mut self,
+        incoming: impl IntoIterator<Item = NodeDescriptor>,
+        masks: &mut [u64],
+        shift: u32,
+    ) {
+        let mut ids = IdFilter::default();
+        let mut ages = AgeIndex::new(masks, shift, &self.entries, &mut ids);
+        let mut incoming = incoming.into_iter();
+        while self.entries.len() < self.capacity {
+            let Some(descriptor) = incoming.next() else {
+                return;
+            };
+            if !refresh(&mut self.entries, &mut ages, &ids, descriptor) {
+                ids.note(descriptor.node);
+                ages.insert(self.entries.len(), descriptor.age);
                 self.entries.push(descriptor);
-                if descriptor.age >= victim_age {
-                    (self.entries.len() - 1, descriptor.age)
-                } else {
-                    oldest
-                }
             }
-            None if descriptor.age < victim_age => {
-                self.entries[victim] = descriptor;
-                self.last_oldest()
+        }
+        // Full from here on, and a slice: nothing below can reallocate.
+        let entries = self.entries.as_mut_slice();
+        for descriptor in incoming {
+            if refresh(entries, &mut ages, &ids, descriptor) {
+                continue;
             }
-            None => oldest,
+            let (victim, victim_age) = ages.victim(entries);
+            if descriptor.age < victim_age {
+                ids.note(descriptor.node);
+                ages.lower(victim, victim_age, descriptor.age);
+                entries[victim] = descriptor;
+            }
         }
     }
 
@@ -157,11 +165,194 @@ impl PartialView {
         }
     }
 
-    /// Picks the *oldest* descriptor's node (newscast's partner-selection
-    /// heuristic that speeds up the removal of stale descriptors); among
-    /// equally old entries, the last one, which is also the eviction victim.
+    /// Picks the *oldest* descriptor's node (the partner rule of
+    /// [`crate::NewscastNode::exchange_partner`], which speeds up the removal
+    /// of stale descriptors); among equally old entries, the last one, which
+    /// is also the eviction victim.
     pub fn oldest_peer(&self) -> Option<NodeId> {
-        self.entries.get(self.last_oldest().0).map(|d| d.node)
+        self.entries.get(last_oldest(&self.entries)).map(|d| d.node)
+    }
+}
+
+/// When `descriptor` names a node already in `entries`, lowers that entry's
+/// age to the descriptor's if younger and returns `true`; `ids` holds every
+/// node in `entries`, so a filter miss skips the scan.
+#[inline(always)]
+fn refresh(
+    entries: &mut [NodeDescriptor],
+    ages: &mut AgeIndex<'_>,
+    ids: &IdFilter,
+    descriptor: NodeDescriptor,
+) -> bool {
+    if !ids.may_contain(descriptor.node) {
+        return false;
+    }
+    let Some(pos) = entries.iter().position(|d| d.node == descriptor.node) else {
+        return false;
+    };
+    let entry = &mut entries[pos];
+    if descriptor.age < entry.age {
+        ages.lower(pos, entry.age, descriptor.age);
+        entry.age = descriptor.age;
+    }
+    true
+}
+
+/// Ages from this one up share the last [`AgeIndex`] bucket. Steady views
+/// stay far younger: every age is below 5 in a NEWSCAST run with c = 20.
+const AGE_BUCKETS: usize = 32;
+
+/// A view's positions by eviction key, for one merge.
+///
+/// Each bucket has `1 << shift` words, enough for every position, and bit
+/// `pos % 64` of word `(bucket << shift) + pos / 64` of `masks` is set when
+/// position `pos` holds an entry in age bucket `bucket`: its age, or
+/// `AGE_BUCKETS - 1` for anything older. Read as one bitset, a higher bit is a
+/// larger `(age, position)` key, so the victim is the highest set bit. A merge
+/// only lowers keys or adds positions, so that bit's word, `hi`, mostly moves
+/// down; it is kept out of `masks` in `top`, and every word above it is zero.
+struct AgeIndex<'a> {
+    masks: &'a mut [u64],
+    shift: u32,
+    hi: usize,
+    top: u64,
+}
+
+impl<'a> AgeIndex<'a> {
+    /// The index of `entries` in `masks`, which must be zero.
+    fn new(
+        masks: &'a mut [u64],
+        shift: u32,
+        entries: &[NodeDescriptor],
+        ids: &mut IdFilter,
+    ) -> Self {
+        let mut index = AgeIndex {
+            masks,
+            shift,
+            hi: 0,
+            top: 0,
+        };
+        for (pos, entry) in entries.iter().enumerate() {
+            let (word, bit) = index.slot(pos, entry.age);
+            ids.note(entry.node);
+            index.masks[word] |= bit;
+            index.hi = index.hi.max(word);
+        }
+        index.top = std::mem::take(&mut index.masks[index.hi]);
+        index
+    }
+
+    /// The word and bit of position `pos` at age `age`.
+    fn slot(&self, pos: usize, age: u32) -> (usize, u64) {
+        let bucket = (age as usize).min(AGE_BUCKETS - 1);
+        ((bucket << self.shift) + pos / 64, 1 << (pos % 64))
+    }
+
+    fn insert(&mut self, pos: usize, age: u32) {
+        let (word, bit) = self.slot(pos, age);
+        if word > self.hi {
+            self.masks[self.hi] = self.top;
+            self.hi = word;
+            self.top = 0;
+        }
+        if word == self.hi {
+            self.top |= bit;
+        } else {
+            self.masks[word] |= bit;
+        }
+    }
+
+    /// Moves position `pos` from age `old` down to age `new`.
+    #[inline]
+    fn lower(&mut self, pos: usize, old: u32, new: u32) {
+        let (from, bit) = self.slot(pos, old);
+        let to = self.slot(pos, new).0;
+        // `to <= from <= hi`. Clear first: both ages may share the last bucket.
+        if from == self.hi {
+            self.top &= !bit;
+        } else {
+            self.masks[from] &= !bit;
+        }
+        if to == self.hi {
+            self.top |= bit;
+        } else {
+            self.masks[to] |= bit;
+        }
+        while self.top == 0 && self.hi > 0 {
+            self.hi -= 1;
+            self.top = std::mem::take(&mut self.masks[self.hi]);
+        }
+    }
+
+    /// Position and age of the last entry of maximum age: the highest set
+    /// bit, unless that is in the shared last bucket, which holds the oldest
+    /// entries of all, so a scan of `entries` finds the victim among them.
+    fn victim(&self, entries: &[NodeDescriptor]) -> (usize, u32) {
+        let bucket = self.hi >> self.shift;
+        if bucket == AGE_BUCKETS - 1 {
+            let pos = last_oldest(entries);
+            return (pos, entries.get(pos).map_or(0, |entry| entry.age));
+        }
+        let word = self.hi - (bucket << self.shift);
+        (word * 64 + (self.top | 1).ilog2() as usize, bucket as u32)
+    }
+}
+
+/// Position of the *last* entry of maximum age, the eviction victim: the
+/// largest `(age, position)` key. 0 for no entries.
+fn last_oldest(entries: &[NodeDescriptor]) -> usize {
+    let keys = entries.iter().enumerate();
+    let key = |(pos, d): (usize, &NodeDescriptor)| (u64::from(d.age) << 32) | pos as u64;
+    keys.map(key).max().map_or(0, |key| key as u32 as usize)
+}
+
+/// A per-merge filter over the ids in the view: 512 bits, one per id hash.
+/// A miss proves the id absent; a hit asks for a scan.
+#[derive(Default)]
+struct IdFilter([u64; 8]);
+
+impl IdFilter {
+    fn slot(node: NodeId) -> (usize, u64) {
+        let hash = node.as_u32().wrapping_mul(0x9e37_79b9) >> 23;
+        ((hash >> 6) as usize, 1 << (hash & 63))
+    }
+
+    fn note(&mut self, node: NodeId) {
+        let (word, bit) = Self::slot(node);
+        self.0[word] |= bit;
+    }
+
+    fn may_contain(&self, node: NodeId) -> bool {
+        let (word, bit) = Self::slot(node);
+        self.0[word] & bit != 0
+    }
+}
+
+/// The merge rule in its plainest form, the tests' oracle: append a
+/// newcomer, then `swap_remove` the last maximum-age entry while the view is
+/// over capacity.
+#[cfg(test)]
+pub(crate) fn oracle_merge(view: &mut PartialView, incoming: &[NodeDescriptor], exclude: NodeId) {
+    for descriptor in incoming.iter().filter(|d| d.node != exclude) {
+        match view.entries.iter_mut().find(|d| d.node == descriptor.node) {
+            Some(existing) => {
+                if descriptor.age < existing.age {
+                    existing.age = descriptor.age;
+                }
+            }
+            None => {
+                view.entries.push(*descriptor);
+                while view.entries.len() > view.capacity {
+                    let (idx, _) = view
+                        .entries
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|(_, d)| d.age)
+                        .unwrap();
+                    view.entries.swap_remove(idx);
+                }
+            }
+        }
     }
 }
 
@@ -266,33 +457,6 @@ mod tests {
         assert!(!view.is_empty());
     }
 
-    /// The merge as it was before the eviction victim was carried between
-    /// descriptors: append a newcomer, then `swap_remove` the last
-    /// maximum-age entry while the view is over capacity.
-    fn oracle_merge(view: &mut PartialView, incoming: &[NodeDescriptor], exclude: NodeId) {
-        for descriptor in incoming.iter().filter(|d| d.node != exclude) {
-            match view.entries.iter_mut().find(|d| d.node == descriptor.node) {
-                Some(existing) => {
-                    if descriptor.age < existing.age {
-                        existing.age = descriptor.age;
-                    }
-                }
-                None => {
-                    view.entries.push(*descriptor);
-                    while view.entries.len() > view.capacity {
-                        let (idx, _) = view
-                            .entries
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(_, d)| d.age)
-                            .unwrap();
-                        view.entries.swap_remove(idx);
-                    }
-                }
-            }
-        }
-    }
-
     fn descriptors(pairs: &[(usize, u32)]) -> Vec<NodeDescriptor> {
         pairs
             .iter()
@@ -366,6 +530,17 @@ mod tests {
             NodeId::new(0),
         );
         assert_eq!(kept, descriptors(&[(3, 2)]));
+    }
+
+    #[test]
+    fn refreshes_that_empty_the_oldest_ages_leave_no_stale_victim() {
+        let mut view = PartialView::new(4);
+        view.merge(&descriptors(&[(1, 3), (2, 2)]), NodeId::new(0));
+        // Both refreshes empty the view's oldest age, the two pushes fill it
+        // above them, and the evictions then walk back down past both.
+        let incoming = descriptors(&[(1, 1), (2, 0), (3, 5), (4, 4), (5, 0), (6, 0), (7, 2)]);
+        let merged = merge_against_oracle(&view, &incoming, NodeId::new(0));
+        assert_eq!(merged, descriptors(&[(1, 1), (2, 0), (5, 0), (6, 0)]));
     }
 
     proptest! {
