@@ -41,17 +41,19 @@ impl NewscastNetwork {
     }
 
     /// Bootstraps `n` nodes whose initial views contain `contacts_per_node`
-    /// uniformly random contacts.
+    /// uniformly random contacts, or all `n - 1` other nodes when there are
+    /// fewer.
     pub fn bootstrap_random<R: Rng + ?Sized>(
         n: usize,
         view_size: usize,
         contacts_per_node: usize,
         rng: &mut R,
     ) -> Self {
+        let contacts_per_node = contacts_per_node.min(n.saturating_sub(1));
         let nodes = (0..n)
             .map(|i| {
                 let mut contacts = Vec::with_capacity(contacts_per_node);
-                while contacts.len() < contacts_per_node && n > 1 {
+                while contacts.len() < contacts_per_node {
                     let candidate = NodeId::new(rng.gen_range(0..n));
                     if candidate != NodeId::new(i) && !contacts.contains(&candidate) {
                         contacts.push(candidate);
@@ -161,6 +163,19 @@ mod tests {
             assert_eq!(peers.len(), 3);
             assert!(!peers.contains(&NodeId::new(i)));
         }
+    }
+
+    #[test]
+    fn random_bootstrap_asks_for_at_most_every_other_node() {
+        let network = NewscastNetwork::bootstrap_random(3, 8, 5, &mut rng());
+        for i in 0..3 {
+            let mut peers = network.node(NodeId::new(i)).known_peers();
+            peers.sort();
+            let others: Vec<NodeId> = (0..3).filter(|&j| j != i).map(NodeId::new).collect();
+            assert_eq!(peers, others);
+        }
+        let single = NewscastNetwork::bootstrap_random(1, 8, 5, &mut rng());
+        assert!(single.node(NodeId::new(0)).known_peers().is_empty());
     }
 
     #[test]
