@@ -59,5 +59,5 @@ pub use descriptor::NodeDescriptor;
 pub use network::NewscastNetwork;
 pub use newscast::NewscastNode;
 pub use sampler::{NewscastSampler, StaticOverlaySampler};
-pub use service::{PeerSampling, StaticPeerList};
+pub use service::PeerSampling;
 pub use view::PartialView;

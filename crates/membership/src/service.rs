@@ -7,11 +7,11 @@ use rand::RngCore;
 /// gossip partners, independent of how neighbourhood information is
 /// maintained.
 ///
-/// Implementations include [`crate::NewscastNode`] (a real membership
-/// protocol) and — trivially — any static neighbour list. The aggregation
-/// paper's model corresponds to a service whose samples are uniformly random
-/// over the whole network; newscast approximates this closely, which is why
-/// the paper's convergence rates carry over to membership-fed deployments.
+/// [`crate::NewscastNode`] (a real membership protocol) implements it. The
+/// aggregation paper's model corresponds to a service whose samples are
+/// uniformly random over the whole network; newscast approximates this
+/// closely, which is why the paper's convergence rates carry over to
+/// membership-fed deployments.
 pub trait PeerSampling {
     /// Returns a peer to gossip with, approximately uniformly random over the
     /// service's current view of the network, or `None` when no peer is known.
@@ -21,67 +21,18 @@ pub trait PeerSampling {
     fn known_peers(&self) -> Vec<NodeId>;
 }
 
-/// A trivial peer-sampling service backed by a fixed list of peers.
-///
-/// Useful for tests, for bootstrapping, and as the adapter from a static
-/// overlay graph to the [`PeerSampling`] interface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticPeerList {
-    peers: Vec<NodeId>,
-}
-
-impl StaticPeerList {
-    /// Creates the service from a list of peers (duplicates are kept; they
-    /// simply get proportionally more weight).
-    pub fn new(peers: Vec<NodeId>) -> Self {
-        StaticPeerList { peers }
-    }
-}
-
-impl PeerSampling for StaticPeerList {
-    fn select_peer(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {
-        use rand::Rng;
-        if self.peers.is_empty() {
-            None
-        } else {
-            Some(self.peers[rng.gen_range(0..self.peers.len())])
-        }
-    }
-
-    fn known_peers(&self) -> Vec<NodeId> {
-        self.peers.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NewscastNode;
     use rand::SeedableRng;
-
-    #[test]
-    fn static_list_samples_only_its_members() {
-        let peers = vec![NodeId::new(1), NodeId::new(5), NodeId::new(9)];
-        let mut service = StaticPeerList::new(peers.clone());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        for _ in 0..100 {
-            let peer = service.select_peer(&mut rng).unwrap();
-            assert!(peers.contains(&peer));
-        }
-        assert_eq!(service.known_peers(), peers);
-    }
-
-    #[test]
-    fn empty_list_returns_none() {
-        let mut service = StaticPeerList::new(vec![]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        assert!(service.select_peer(&mut rng).is_none());
-        assert!(service.known_peers().is_empty());
-    }
 
     #[test]
     fn trait_is_object_safe() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let mut boxed: Box<dyn PeerSampling> = Box::new(StaticPeerList::new(vec![NodeId::new(2)]));
+        let node = NewscastNode::new(NodeId::new(1), 4, &[NodeId::new(2)]);
+        let mut boxed: Box<dyn PeerSampling> = Box::new(node);
         assert_eq!(boxed.select_peer(&mut rng), Some(NodeId::new(2)));
+        assert_eq!(boxed.known_peers(), vec![NodeId::new(2)]);
     }
 }
