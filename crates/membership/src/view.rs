@@ -88,7 +88,8 @@ impl PartialView {
     ///
     /// One pass over the view at the start fills an [`IdFilter`] and an
     /// [`AgeIndex`]. After that a newcomer costs a filter probe, a scan of
-    /// the view only on a filter hit, and a constant number of mask updates.
+    /// the view only on a filter hit, and a constant number of mask updates;
+    /// in a full view, one at least as old as the victim costs a comparison.
     pub(crate) fn admit_all(&mut self, incoming: impl IntoIterator<Item = NodeDescriptor>) {
         let shift = self
             .capacity
@@ -129,15 +130,15 @@ impl PartialView {
         // Full from here on, and a slice: nothing below can reallocate.
         let entries = self.entries.as_mut_slice();
         for descriptor in incoming {
-            if refresh(entries, &mut ages, &ids, descriptor) {
+            let (victim, victim_age) = ages.victim(entries);
+            // No entry is older than the victim, so a newcomer at least as
+            // old would neither be admitted nor refresh its duplicate.
+            if descriptor.age >= victim_age || refresh(entries, &mut ages, &ids, descriptor) {
                 continue;
             }
-            let (victim, victim_age) = ages.victim(entries);
-            if descriptor.age < victim_age {
-                ids.note(descriptor.node);
-                ages.lower(victim, victim_age, descriptor.age);
-                entries[victim] = descriptor;
-            }
+            ids.note(descriptor.node);
+            ages.lower(victim, victim_age, descriptor.age);
+            entries[victim] = descriptor;
         }
     }
 
@@ -219,7 +220,8 @@ struct AgeIndex<'a> {
 }
 
 impl<'a> AgeIndex<'a> {
-    /// The index of `entries` in `masks`, which must be zero.
+    /// The index of `entries` in `masks`, which must be zero. The same pass
+    /// notes every entry's node in `ids`.
     fn new(
         masks: &'a mut [u64],
         shift: u32,
@@ -537,8 +539,9 @@ mod tests {
         let mut view = PartialView::new(4);
         view.merge(&descriptors(&[(1, 3), (2, 2)]), NodeId::new(0));
         // Both refreshes empty the view's oldest age, the two pushes fill it
-        // above them, and the evictions then walk back down past both.
-        let incoming = descriptors(&[(1, 1), (2, 0), (3, 5), (4, 4), (5, 0), (6, 0), (7, 2)]);
+        // above them, and the evictions then walk back down past both, to
+        // where node 7 is as old as the victim, node 1, and is dropped.
+        let incoming = descriptors(&[(1, 1), (2, 0), (3, 5), (4, 4), (5, 0), (6, 0), (7, 1)]);
         let merged = merge_against_oracle(&view, &incoming, NodeId::new(0));
         assert_eq!(merged, descriptors(&[(1, 1), (2, 0), (5, 0), (6, 0)]));
     }
