@@ -156,11 +156,12 @@ fn matrix() -> Vec<Cell> {
 
     // Reference-engine runs, each against its seed + 1.
     let partitioned = links(0.15, 0.05, FaultPlan::with_partition(5, 12, 0.4));
+    let static7 = cell("static", (200, 23), (10, 0), 7).protocol(epoch(30)).with(|c| c.config.sampler = static10);
     m.extend([
         cell("churn", (300, 37), (30, 5), 99).protocol(epoch(8)),
         cell("faulted", (250, 29), (20, 0), 505).protocol(epoch(9)).with(|c| c.faults = partitioned),
         cell("newscast-churn", (300, 37), (30, 5), 404).protocol(epoch(8)).with(|c| c.config.sampler = newscast),
-        cell("static", (200, 23), (10, 0), 7).protocol(epoch(30)).with(|c| c.config.sampler = static10),
+        static7.clone(),
         cell("fig4-mini", (300, 37), (40, 6), 2_004).protocol(late0(10)).with(median4_loss),
     ].map(|c| c.rel(Differs)));
 
@@ -195,15 +196,20 @@ fn matrix() -> Vec<Cell> {
     m.push(median4.clone().with(full).rel(IdenticalToUntraced));
     m.push(median4.on(Wire).with(full).rel(IdenticalToReference));
 
+    // The static overlay on the wire cluster.
+    m.push(static7.on(Wire).rel(IdenticalToReference));
+
     // Shard-count sweeps: every count beyond one is `same_nodes` as one shard.
     let churn_loss = |seed| cell("churn-loss", (300, 37), (30, 5), seed).protocol(epoch(8)).with(|c| c.config.conditions.message_loss = 0.1);
-    let sweeps: [(Cell, &[usize]); 7] = [
+    let static_churn = cell("static-churn", (300, 37), (30, 5), 606).protocol(epoch(8)).with(|c| c.config.sampler = static10);
+    let sweeps: [(Cell, &[usize]); 8] = [
         (capture.clone(), &[1, 4]),
         (capture.with(full).rel(IdenticalToUntraced), &[1, 4]),
         (churn_loss(2_024).rel(Differs), &[1, 2, 3, 4, 8]),
         (churn_loss(2_024).with(full).rel(IdenticalToUntraced), &[1, 2, 4, 8]),
         (churn_loss(77), &[1, 2, 4, 8]),
         (churn_loss(56).with(|c| (c.scenario, c.config.sampler) = ("newscast-churn-loss", newscast)), &[1, 2, 4, 8]),
+        (static_churn, &[1, 2, 4, 8]),
         (cell("size", (200, 1), (20, 0), 99).protocol(late0(10)).with(|c| c.config.leader_policy = leaders), &[1, 2, 5]),
     ];
     for (base, shards) in sweeps {
@@ -601,9 +607,12 @@ checks! {
         "leaders-loss-churn@404/shards4";
     newscast_sharded_run_reproduces_its_golden_fingerprint: "newscast-links@2718/shards4";
     static_overlay_sharded_run_reproduces_its_golden_fingerprint: "static-links@2718/shards4";
+    static_overlay_shard_count_changes_only_telemetry_summation_order:
+        "static-churn@606/shards{1,2,4,8}";
     wire_cluster_is_bit_identical_to_the_cycle_engine: "avg@77/{ref,wire}";
     wire_cluster_matches_the_engine_under_a_fault_plan: "crash@505/{ref,wire}";
     wire_cluster_matches_the_engine_under_newscast_sampling: "newscast@404/{ref,wire}";
+    wire_cluster_matches_the_engine_on_a_static_overlay: "static@7/{ref,wire}";
     wire_cluster_matches_the_engine_with_leader_led_size_estimation: "leaders@99/{ref,wire}";
     #[ignore = "CI-scale: ~1k nodes x 30 cycles on the framed wire path"]
     thousand_node_wire_cluster_is_bit_identical_to_the_engine: "thousand@1234/{ref,wire}";
