@@ -35,6 +35,14 @@ impl CompleteTopology {
     pub const fn new(nodes: usize) -> Self {
         CompleteTopology { nodes }
     }
+
+    fn assert_in_range(&self, node: NodeId) {
+        assert!(
+            node.index() < self.nodes,
+            "node {node} out of range for complete topology of {} nodes",
+            self.nodes
+        );
+    }
 }
 
 impl Topology for CompleteTopology {
@@ -43,11 +51,7 @@ impl Topology for CompleteTopology {
     }
 
     fn degree(&self, node: NodeId) -> usize {
-        assert!(
-            node.index() < self.nodes,
-            "node {node} out of range for complete topology of {} nodes",
-            self.nodes
-        );
+        self.assert_in_range(node);
         self.nodes - 1
     }
 
@@ -63,6 +67,7 @@ impl Topology for CompleteTopology {
     }
 
     fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
+        self.assert_in_range(node);
         (0..self.nodes)
             .filter(|&i| i != node.index())
             .map(NodeId::new)
@@ -106,6 +111,13 @@ mod tests {
     fn degree_panics_out_of_range() {
         let t = CompleteTopology::new(3);
         let _ = t.degree(NodeId::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn neighbors_panics_out_of_range() {
+        let t = CompleteTopology::new(3);
+        let _ = t.neighbors(NodeId::new(3));
     }
 
     #[test]

@@ -112,6 +112,10 @@ pub trait Topology {
     /// For virtual topologies (e.g. the complete graph) this allocates a vector
     /// of size `degree(node)`; prefer [`Topology::random_neighbor`] in hot
     /// paths.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `node` is out of range.
     fn neighbors(&self, node: NodeId) -> Vec<NodeId>;
 
     /// Returns `true` if the undirected edge `{a, b}` is part of the overlay.
