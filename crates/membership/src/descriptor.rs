@@ -21,17 +21,12 @@ pub struct NodeDescriptor {
 
 impl NodeDescriptor {
     /// Creates a brand-new (age 0) descriptor for `node`.
-    pub fn fresh(node: NodeId) -> Self {
+    pub(crate) fn fresh(node: NodeId) -> Self {
         NodeDescriptor { node, age: 0 }
     }
 
-    /// Creates a descriptor with an explicit age.
-    pub fn with_age(node: NodeId, age: u32) -> Self {
-        NodeDescriptor { node, age }
-    }
-
     /// Returns a copy of the descriptor aged by one cycle (saturating).
-    pub fn aged(self) -> Self {
+    pub(crate) fn aged(self) -> Self {
         NodeDescriptor {
             node: self.node,
             age: self.age.saturating_add(1),
@@ -52,21 +47,20 @@ mod tests {
 
     #[test]
     fn aging_increments_and_saturates() {
-        let d = NodeDescriptor::with_age(NodeId::new(1), 4);
+        let node = NodeId::new(1);
+        let d = NodeDescriptor { node, age: 4 };
         assert_eq!(d.aged().age, 5);
-        let old = NodeDescriptor::with_age(NodeId::new(1), u32::MAX);
+        let old = NodeDescriptor {
+            node,
+            age: u32::MAX,
+        };
         assert_eq!(old.aged().age, u32::MAX);
     }
 
     #[test]
     fn descriptors_compare_by_value() {
-        assert_eq!(
-            NodeDescriptor::fresh(NodeId::new(2)),
-            NodeDescriptor::with_age(NodeId::new(2), 0)
-        );
-        assert_ne!(
-            NodeDescriptor::fresh(NodeId::new(2)),
-            NodeDescriptor::with_age(NodeId::new(2), 1)
-        );
+        let node = NodeId::new(2);
+        assert_eq!(NodeDescriptor::fresh(node), NodeDescriptor { node, age: 0 });
+        assert_ne!(NodeDescriptor::fresh(node), NodeDescriptor { node, age: 1 });
     }
 }

@@ -14,10 +14,11 @@
 //!
 //! The crate offers three layers:
 //!
-//! * [`NodeDescriptor`] / [`PartialView`] — the data structures;
-//! * [`NewscastNode`] — the per-node protocol state machine;
-//! * [`NewscastNetwork`] — a whole-network driver that runs membership cycles
-//!   and exports the instantaneous communication graph as an
+//! * [`NodeDescriptor`] / [`PartialView`] — the data structures, which
+//!   callers read through the two layers below;
+//! * [`NewscastNetwork`] — a whole-network driver over one [`NewscastNode`]
+//!   state machine per node: it runs membership cycles and exports the
+//!   instantaneous communication graph as an
 //!   [`overlay_topology::ViewTopology`], ready to be consumed by the
 //!   aggregation protocol or the simulator;
 //! * [`NewscastSampler`] / [`StaticOverlaySampler`] — implementations of the
@@ -47,17 +48,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod descriptor;
 mod network;
 mod newscast;
 mod sampler;
-mod service;
 mod view;
 
 pub use descriptor::NodeDescriptor;
 pub use network::NewscastNetwork;
 pub use newscast::NewscastNode;
 pub use sampler::{NewscastSampler, StaticOverlaySampler};
-pub use service::PeerSampling;
 pub use view::PartialView;

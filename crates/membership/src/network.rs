@@ -1,7 +1,7 @@
 //! Whole-network newscast driver.
 
 use crate::newscast::{pair_mut, ExchangeBuffers};
-use crate::{NewscastNode, PeerSampling};
+use crate::NewscastNode;
 use overlay_topology::{NodeId, ViewTopology};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -18,7 +18,6 @@ use rand::Rng;
 pub struct NewscastNetwork {
     /// Node `i` is `NodeId::new(i)`.
     nodes: Vec<NewscastNode>,
-    view_size: usize,
     exchange: ExchangeBuffers,
 }
 
@@ -35,53 +34,8 @@ impl NewscastNetwork {
             .collect();
         NewscastNetwork {
             nodes,
-            view_size,
             exchange: ExchangeBuffers::default(),
         }
-    }
-
-    /// Bootstraps `n` nodes whose initial views contain `contacts_per_node`
-    /// uniformly random contacts, or all `n - 1` other nodes when there are
-    /// fewer.
-    pub fn bootstrap_random<R: Rng + ?Sized>(
-        n: usize,
-        view_size: usize,
-        contacts_per_node: usize,
-        rng: &mut R,
-    ) -> Self {
-        let contacts_per_node = contacts_per_node.min(n.saturating_sub(1));
-        let nodes = (0..n)
-            .map(|i| {
-                let mut contacts = Vec::with_capacity(contacts_per_node);
-                while contacts.len() < contacts_per_node {
-                    let candidate = NodeId::new(rng.gen_range(0..n));
-                    if candidate != NodeId::new(i) && !contacts.contains(&candidate) {
-                        contacts.push(candidate);
-                    }
-                }
-                NewscastNode::new(NodeId::new(i), view_size, &contacts)
-            })
-            .collect();
-        NewscastNetwork {
-            nodes,
-            view_size,
-            exchange: ExchangeBuffers::default(),
-        }
-    }
-
-    /// Number of nodes in the network.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` when the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The configured view size.
-    pub fn view_size(&self) -> usize {
-        self.view_size
     }
 
     /// Read access to a node.
@@ -111,22 +65,9 @@ impl NewscastNetwork {
     pub fn view_topology(&self) -> ViewTopology {
         let mut topology = ViewTopology::new(self.nodes.len());
         for node in &self.nodes {
-            topology.set_view(node.id(), node.known_peers());
+            topology.set_view(node.id(), node.view().node_ids());
         }
         topology
-    }
-
-    /// In-degree of every node in the current views: how many other nodes list
-    /// it. A healthy peer-sampling service keeps this distribution narrow
-    /// (no node is systematically over- or under-represented).
-    pub fn in_degrees(&self) -> Vec<usize> {
-        let mut degrees = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for peer in node.known_peers() {
-                degrees[peer.index()] += 1;
-            }
-        }
-        degrees
     }
 }
 
@@ -143,39 +84,13 @@ mod tests {
     #[test]
     fn ring_bootstrap_creates_one_contact_per_node() {
         let network = NewscastNetwork::bootstrap_ring(10, 5);
-        assert_eq!(network.len(), 10);
-        assert!(!network.is_empty());
-        assert_eq!(network.view_size(), 5);
+        assert_eq!(network.nodes.len(), 10);
         for i in 0..10 {
             assert_eq!(
-                network.node(NodeId::new(i)).known_peers(),
+                network.node(NodeId::new(i)).view().node_ids(),
                 vec![NodeId::new((i + 1) % 10)]
             );
         }
-    }
-
-    #[test]
-    fn random_bootstrap_gives_requested_contacts() {
-        let mut r = rng();
-        let network = NewscastNetwork::bootstrap_random(50, 8, 3, &mut r);
-        for i in 0..50 {
-            let peers = network.node(NodeId::new(i)).known_peers();
-            assert_eq!(peers.len(), 3);
-            assert!(!peers.contains(&NodeId::new(i)));
-        }
-    }
-
-    #[test]
-    fn random_bootstrap_asks_for_at_most_every_other_node() {
-        let network = NewscastNetwork::bootstrap_random(3, 8, 5, &mut rng());
-        for i in 0..3 {
-            let mut peers = network.node(NodeId::new(i)).known_peers();
-            peers.sort();
-            let others: Vec<NodeId> = (0..3).filter(|&j| j != i).map(NodeId::new).collect();
-            assert_eq!(peers, others);
-        }
-        let single = NewscastNetwork::bootstrap_random(1, 8, 5, &mut rng());
-        assert!(single.node(NodeId::new(0)).known_peers().is_empty());
     }
 
     #[test]
@@ -204,7 +119,12 @@ mod tests {
         }
         // The union (undirected) graph of the views must be connected; check
         // via the in-degree distribution and a reachability walk over views.
-        let in_degrees = network.in_degrees();
+        let mut in_degrees = vec![0usize; 300];
+        for node in &network.nodes {
+            for descriptor in node.view().iter() {
+                in_degrees[descriptor.node.index()] += 1;
+            }
+        }
         assert!(
             in_degrees.iter().all(|&d| d > 0),
             "no node may be forgotten"
@@ -237,9 +157,9 @@ mod tests {
         let mut r = rng();
         let mut empty = NewscastNetwork::bootstrap_ring(0, 3);
         empty.run_cycle(&mut r);
-        assert!(empty.is_empty());
+        assert!(empty.nodes.is_empty());
         let mut single = NewscastNetwork::bootstrap_ring(1, 3);
         single.run_cycle(&mut r);
-        assert_eq!(single.len(), 1);
+        assert_eq!(single.nodes.len(), 1);
     }
 }

@@ -1,8 +1,7 @@
 //! The per-node newscast protocol state machine.
 
-use crate::{NodeDescriptor, PartialView, PeerSampling};
+use crate::{NodeDescriptor, PartialView};
 use overlay_topology::NodeId;
-use rand::RngCore;
 
 /// The membership state of one node running the newscast protocol.
 ///
@@ -15,21 +14,23 @@ use rand::RngCore;
 /// # Example
 ///
 /// ```
-/// use peer_sampling::{NewscastNode, PeerSampling};
 /// use overlay_topology::NodeId;
+/// use peer_sampling::NewscastNetwork;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let mut a = NewscastNode::new(NodeId::new(0), 4, &[NodeId::new(1)]);
-/// let mut b = NewscastNode::new(NodeId::new(1), 4, &[NodeId::new(0)]);
+/// // Three nodes, each knowing only its successor on a ring.
+/// let mut network = NewscastNetwork::bootstrap_ring(3, 4);
+/// assert_eq!(network.node(NodeId::new(0)).view().len(), 1);
 ///
-/// // One exchange initiated by a.
-/// let offer = a.prepare_exchange();
-/// let response = b.accept_exchange(&offer);
-/// a.complete_exchange(&response);
-///
-/// assert!(a.select_peer(&mut rng).is_some());
-/// assert!(b.known_peers().contains(&NodeId::new(0)));
+/// // One cycle: every node exchanges views with its oldest peer, so each
+/// // learns of the third node, and then every descriptor ages by one.
+/// network.run_cycle(&mut rng);
+/// for i in 0..3 {
+///     let view = network.node(NodeId::new(i)).view();
+///     assert_eq!(view.len(), 2);
+///     assert!(view.iter().all(|d| d.node != NodeId::new(i) && d.age >= 1));
+/// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NewscastNode {
@@ -44,7 +45,7 @@ impl NewscastNode {
     /// # Panics
     ///
     /// Panics if `view_size` is zero.
-    pub fn new(id: NodeId, view_size: usize, bootstrap: &[NodeId]) -> Self {
+    pub(crate) fn new(id: NodeId, view_size: usize, bootstrap: &[NodeId]) -> Self {
         let mut view = PartialView::new(view_size);
         let contacts = bootstrap.iter().filter(|&&peer| peer != id);
         view.admit_all(contacts.map(|&peer| NodeDescriptor::fresh(peer)));
@@ -52,7 +53,7 @@ impl NewscastNode {
     }
 
     /// This node's identifier.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
@@ -67,48 +68,32 @@ impl NewscastNode {
     /// Oldest-first is CYCLON's partner rule; NEWSCAST as published picks a
     /// random cache entry. The fidelity check of item 4 in `ROADMAP.md`
     /// makes the policy explicit and defaults to the paper's.
-    pub fn exchange_partner(&self) -> Option<NodeId> {
+    pub(crate) fn exchange_partner(&self) -> Option<NodeId> {
         self.view.oldest_peer()
     }
 
-    /// Produces the descriptor list this node sends in an exchange: its whole
-    /// view plus a fresh descriptor of itself.
-    pub fn prepare_exchange(&self) -> Vec<NodeDescriptor> {
-        let mut payload = Vec::with_capacity(self.view.len() + 1);
-        self.write_payload(&mut payload);
-        payload
-    }
-
-    /// [`NewscastNode::prepare_exchange`] into a caller-owned buffer, which
-    /// is cleared first, so one buffer serves every exchange.
+    /// Writes the descriptor list this node sends in an exchange, its whole
+    /// view plus a fresh descriptor of itself, into `payload`, which is
+    /// cleared first, so one buffer serves every exchange.
     pub(crate) fn write_payload(&self, payload: &mut Vec<NodeDescriptor>) {
         payload.clear();
         payload.extend(self.view.iter());
         payload.push(NodeDescriptor::fresh(self.id));
     }
 
-    /// Passive side of an exchange: merges the received descriptors and
-    /// returns this node's own payload (computed *before* the merge, so both
-    /// sides see each other's pre-exchange views — mirroring the push–pull
-    /// structure of the aggregation exchange).
-    pub fn accept_exchange(&mut self, incoming: &[NodeDescriptor]) -> Vec<NodeDescriptor> {
-        let response = self.prepare_exchange();
-        self.view.merge(incoming, self.id);
-        response
-    }
-
-    /// Active side, final step: merges the peer's response into the view.
-    pub fn complete_exchange(&mut self, response: &[NodeDescriptor]) {
-        self.view.merge(response, self.id);
+    /// Merges the payload a peer sent into the view; both sides of an
+    /// exchange end with it.
+    pub(crate) fn complete_exchange(&mut self, payload: &[NodeDescriptor]) {
+        self.view.merge(payload, self.id);
     }
 
     /// Ends the membership cycle: ages every descriptor by one.
-    pub fn end_cycle(&mut self) {
+    pub(crate) fn end_cycle(&mut self) {
         self.view.age_all();
     }
 
     /// Drops a peer from the view (used when an exchange attempt failed).
-    pub fn evict(&mut self, peer: NodeId) -> bool {
+    pub(crate) fn evict(&mut self, peer: NodeId) -> bool {
         self.view.remove(peer)
     }
 }
@@ -124,10 +109,10 @@ pub(crate) struct ExchangeBuffers {
 }
 
 impl ExchangeBuffers {
-    /// One membership exchange initiated by `initiator` with `partner`:
-    /// the same views as `prepare_exchange`, `accept_exchange` and
-    /// `complete_exchange` in turn, since both payloads are taken before
-    /// either side merges.
+    /// One membership exchange initiated by `initiator` with `partner`.
+    /// Both payloads are taken before either side merges, so each side
+    /// merges the other's pre-exchange view, mirroring the push–pull
+    /// structure of the aggregation exchange.
     pub(crate) fn exchange(&mut self, initiator: &mut NewscastNode, partner: &mut NewscastNode) {
         initiator.write_payload(&mut self.offer);
         partner.write_payload(&mut self.response);
@@ -151,16 +136,6 @@ pub(crate) fn pair_mut<T>(items: &mut [T], a: usize, b: usize) -> Option<(&mut T
     })
 }
 
-impl PeerSampling for NewscastNode {
-    fn select_peer(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {
-        self.view.random_peer(rng)
-    }
-
-    fn known_peers(&self) -> Vec<NodeId> {
-        self.view.node_ids()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +150,7 @@ mod tests {
     #[test]
     fn bootstrap_excludes_self_references() {
         let node = NewscastNode::new(NodeId::new(0), 5, &[NodeId::new(0), NodeId::new(1)]);
-        assert_eq!(node.known_peers(), vec![NodeId::new(1)]);
+        assert_eq!(node.view().node_ids(), vec![NodeId::new(1)]);
         assert_eq!(node.id(), NodeId::new(0));
     }
 
@@ -184,28 +159,13 @@ mod tests {
         // a knows b, b knows c; after one a<->b exchange a must know c too.
         let mut a = NewscastNode::new(NodeId::new(0), 5, &[NodeId::new(1)]);
         let mut b = NewscastNode::new(NodeId::new(1), 5, &[NodeId::new(2)]);
-        let offer = a.prepare_exchange();
-        let response = b.accept_exchange(&offer);
-        a.complete_exchange(&response);
-        assert!(a.known_peers().contains(&NodeId::new(2)));
-        assert!(a.known_peers().contains(&NodeId::new(1)));
-        assert!(b.known_peers().contains(&NodeId::new(0)));
+        ExchangeBuffers::default().exchange(&mut a, &mut b);
+        assert!(a.view().node_ids().contains(&NodeId::new(2)));
+        assert!(a.view().node_ids().contains(&NodeId::new(1)));
+        assert!(b.view().node_ids().contains(&NodeId::new(0)));
         // Neither node ever lists itself.
-        assert!(!a.known_peers().contains(&NodeId::new(0)));
-        assert!(!b.known_peers().contains(&NodeId::new(1)));
-    }
-
-    #[test]
-    fn buffered_exchange_matches_the_allocating_three_step_exchange() {
-        let a = NewscastNode::new(NodeId::new(0), 3, &[NodeId::new(1), NodeId::new(5)]);
-        let b = NewscastNode::new(NodeId::new(1), 3, &[NodeId::new(2), NodeId::new(3)]);
-        let (mut a1, mut b1) = (a.clone(), b.clone());
-        let response = b1.accept_exchange(&a1.prepare_exchange());
-        a1.complete_exchange(&response);
-        let (mut a2, mut b2) = (a, b);
-        let mut buffers = ExchangeBuffers::default();
-        buffers.exchange(&mut a2, &mut b2);
-        assert_eq!((a1, b1), (a2, b2));
+        assert!(!a.view().node_ids().contains(&NodeId::new(0)));
+        assert!(!b.view().node_ids().contains(&NodeId::new(1)));
     }
 
     #[test]
@@ -220,7 +180,9 @@ mod tests {
     #[test]
     fn payload_contains_a_fresh_self_descriptor() {
         let node = NewscastNode::new(NodeId::new(4), 3, &[NodeId::new(1)]);
-        let payload = node.prepare_exchange();
+        let mut payload = vec![NodeDescriptor::fresh(NodeId::new(8))];
+        node.write_payload(&mut payload);
+        assert_eq!(payload.len(), 2, "the buffer is cleared first");
         assert!(payload
             .iter()
             .any(|d| d.node == NodeId::new(4) && d.age == 0));
@@ -241,24 +203,29 @@ mod tests {
         let mut node = NewscastNode::new(NodeId::new(0), 4, &[NodeId::new(1), NodeId::new(2)]);
         assert!(node.evict(NodeId::new(1)));
         assert!(!node.evict(NodeId::new(1)));
-        assert_eq!(node.known_peers(), vec![NodeId::new(2)]);
+        assert_eq!(node.view().node_ids(), vec![NodeId::new(2)]);
     }
 
     #[test]
-    fn peer_sampling_interface_draws_from_the_view() {
-        let mut node = NewscastNode::new(
+    fn random_peers_come_from_the_view_and_never_name_the_node_itself() {
+        let node = NewscastNode::new(
             NodeId::new(0),
             4,
-            &[NodeId::new(1), NodeId::new(2), NodeId::new(3)],
+            &[
+                NodeId::new(0),
+                NodeId::new(1),
+                NodeId::new(2),
+                NodeId::new(3),
+            ],
         );
         let mut r = rng();
         for _ in 0..50 {
-            let peer = node.select_peer(&mut r).unwrap();
-            assert!(node.known_peers().contains(&peer));
+            let peer = node.view().random_peer(&mut r).unwrap();
+            assert!(node.view().node_ids().contains(&peer));
             assert_ne!(peer, NodeId::new(0));
         }
-        let mut empty = NewscastNode::new(NodeId::new(9), 4, &[]);
-        assert!(empty.select_peer(&mut r).is_none());
+        let empty = NewscastNode::new(NodeId::new(9), 4, &[]);
+        assert!(empty.view().random_peer(&mut r).is_none());
     }
 
     /// Node `id` with its view `pairs` merged by the oracle. Drawn ages from
@@ -268,7 +235,10 @@ mod tests {
         let age = |drawn: u32| if drawn < 5 { drawn } else { drawn + 25 };
         let incoming: Vec<NodeDescriptor> = pairs
             .iter()
-            .map(|&(node, drawn)| NodeDescriptor::with_age(NodeId::new(node), age(drawn)))
+            .map(|&(node, drawn)| NodeDescriptor {
+                node: NodeId::new(node),
+                age: age(drawn),
+            })
             .collect();
         let mut view = PartialView::new(capacity);
         oracle_merge(&mut view, &incoming, NodeId::new(id));

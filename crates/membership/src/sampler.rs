@@ -203,11 +203,6 @@ impl NewscastSampler {
         self.slots.iter().flatten()
     }
 
-    /// The configured per-node view capacity `c`.
-    pub fn cache_size(&self) -> usize {
-        self.cache_size
-    }
-
     /// Number of nodes currently holding membership state.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -405,16 +400,6 @@ impl StaticOverlaySampler {
             vacant: Vec::new(),
         })
     }
-
-    /// The generated overlay (vertex space, not current occupants).
-    pub fn topology(&self) -> &BuiltTopology {
-        &self.topology
-    }
-
-    /// The vertex currently bound to `id`, if any.
-    pub fn vertex_of(&self, id: NodeId) -> Option<usize> {
-        self.vertex_of.get(&id).copied()
-    }
 }
 
 impl PeerSampler for StaticOverlaySampler {
@@ -480,7 +465,7 @@ mod tests {
             let peer = sample_live_peer(&mut sampler, &directory, pos, &mut r).unwrap();
             assert_ne!(peer, own);
         }
-        assert_eq!(sampler.cache_size(), 10);
+        assert_eq!(sampler.cache_size, 10);
         assert_eq!(sampler.len(), 200);
     }
 
@@ -549,7 +534,11 @@ mod tests {
         let initiator = live[0];
         let peer = sampler.view_of(initiator).unwrap().node_ids()[0];
         sampler.peer_failed(initiator, peer);
-        assert!(!sampler.view_of(initiator).unwrap().contains(peer));
+        assert!(!sampler
+            .view_of(initiator)
+            .unwrap()
+            .node_ids()
+            .contains(&peer));
     }
 
     #[test]
@@ -640,15 +629,15 @@ mod tests {
             StaticOverlaySampler::new(TopologyKind::RandomRegular { degree: 4 }, &live, 13)
                 .unwrap();
         sampler.on_depart(live[7]);
-        assert_eq!(sampler.vertex_of(live[7]), None);
+        assert_eq!(sampler.vertex_of.get(&live[7]), None);
         // The vacated vertex's neighbours now occasionally fail the attempt.
         let newcomer = NodeId::new(500);
         sampler.on_join(newcomer, &directory);
-        assert_eq!(sampler.vertex_of(newcomer), Some(7));
+        assert_eq!(sampler.vertex_of.get(&newcomer), Some(&7));
         // A join without a vacancy stays overlay-isolated.
         let extra = NodeId::new(501);
         sampler.on_join(extra, &directory);
-        assert_eq!(sampler.vertex_of(extra), None);
+        assert_eq!(sampler.vertex_of.get(&extra), None);
         let mut r = rng();
         assert!(sampler.sample(&directory, 0, &mut r).is_some());
     }

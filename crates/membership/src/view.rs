@@ -22,17 +22,12 @@ impl PartialView {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "view capacity must be positive");
         PartialView {
             capacity,
             entries: Vec::with_capacity(capacity),
         }
-    }
-
-    /// The maximum number of descriptors the view can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The number of descriptors currently held.
@@ -51,33 +46,20 @@ impl PartialView {
     }
 
     /// The node identifiers currently in the view.
-    pub fn node_ids(&self) -> Vec<NodeId> {
+    pub(crate) fn node_ids(&self) -> Vec<NodeId> {
         self.entries.iter().map(|d| d.node).collect()
-    }
-
-    /// Returns `true` if the view holds a descriptor for `node`.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.entries.iter().any(|d| d.node == node)
-    }
-
-    /// Inserts a descriptor, keeping only the youngest descriptor per node and
-    /// evicting the oldest entry when the capacity would be exceeded.
-    pub fn insert(&mut self, descriptor: NodeDescriptor) {
-        self.admit_all([descriptor]);
     }
 
     /// Merges the descriptors received from a peer (the newscast merge): take
     /// the union, deduplicate keeping the youngest, keep the `capacity`
     /// freshest entries. `exclude` (normally the merging node itself) is never
     /// admitted into the view.
-    ///
-    /// Equivalent to [`PartialView::insert`] of each descriptor in turn.
-    pub fn merge(&mut self, incoming: &[NodeDescriptor], exclude: NodeId) {
+    pub(crate) fn merge(&mut self, incoming: &[NodeDescriptor], exclude: NodeId) {
         self.admit_all(incoming.iter().copied().filter(|d| d.node != exclude));
     }
 
     /// Admits each descriptor in turn, the one merge rule behind
-    /// [`PartialView::insert`] and [`PartialView::merge`].
+    /// [`PartialView::merge`] and [`crate::NewscastNode::new`]'s bootstrap.
     ///
     /// A newcomer already in the view only ever lowers that entry's age. Any
     /// other newcomer is appended while the view has room. Once it is full,
@@ -143,7 +125,7 @@ impl PartialView {
     }
 
     /// Increments the age of every descriptor by one cycle.
-    pub fn age_all(&mut self) {
+    pub(crate) fn age_all(&mut self) {
         for descriptor in &mut self.entries {
             *descriptor = descriptor.aged();
         }
@@ -151,14 +133,14 @@ impl PartialView {
 
     /// Removes the descriptor of `node` (e.g. when an exchange with it failed
     /// and it is suspected to have crashed). Returns `true` if it was present.
-    pub fn remove(&mut self, node: NodeId) -> bool {
+    pub(crate) fn remove(&mut self, node: NodeId) -> bool {
         let before = self.entries.len();
         self.entries.retain(|d| d.node != node);
         before != self.entries.len()
     }
 
     /// Picks a uniformly random node from the view.
-    pub fn random_peer<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
+    pub(crate) fn random_peer<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
         if self.entries.is_empty() {
             None
         } else {
@@ -170,7 +152,7 @@ impl PartialView {
     /// [`crate::NewscastNode::exchange_partner`], which speeds up the removal
     /// of stale descriptors); among equally old entries, the last one, which
     /// is also the eviction victim.
-    pub fn oldest_peer(&self) -> Option<NodeId> {
+    pub(crate) fn oldest_peer(&self) -> Option<NodeId> {
         self.entries.get(last_oldest(&self.entries)).map(|d| d.node)
     }
 }
@@ -368,6 +350,13 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(5)
     }
 
+    fn descriptor(node: usize, age: u32) -> NodeDescriptor {
+        NodeDescriptor {
+            node: NodeId::new(node),
+            age,
+        }
+    }
+
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_is_rejected() {
@@ -377,9 +366,9 @@ mod tests {
     #[test]
     fn insert_deduplicates_keeping_the_youngest() {
         let mut view = PartialView::new(4);
-        view.insert(NodeDescriptor::with_age(NodeId::new(1), 5));
-        view.insert(NodeDescriptor::with_age(NodeId::new(1), 2));
-        view.insert(NodeDescriptor::with_age(NodeId::new(1), 9));
+        view.admit_all([descriptor(1, 5)]);
+        view.admit_all([descriptor(1, 2)]);
+        view.admit_all([descriptor(1, 9)]);
         assert_eq!(view.len(), 1);
         assert_eq!(view.iter().next().unwrap().age, 2);
     }
@@ -387,33 +376,33 @@ mod tests {
     #[test]
     fn capacity_is_enforced_by_evicting_the_oldest() {
         let mut view = PartialView::new(2);
-        view.insert(NodeDescriptor::with_age(NodeId::new(1), 7));
-        view.insert(NodeDescriptor::with_age(NodeId::new(2), 1));
-        view.insert(NodeDescriptor::with_age(NodeId::new(3), 3));
+        view.admit_all([descriptor(1, 7)]);
+        view.admit_all([descriptor(2, 1)]);
+        view.admit_all([descriptor(3, 3)]);
         assert_eq!(view.len(), 2);
         assert!(
-            !view.contains(NodeId::new(1)),
+            !view.node_ids().contains(&NodeId::new(1)),
             "oldest entry must be evicted"
         );
-        assert!(view.contains(NodeId::new(2)));
-        assert!(view.contains(NodeId::new(3)));
+        assert!(view.node_ids().contains(&NodeId::new(2)));
+        assert!(view.node_ids().contains(&NodeId::new(3)));
     }
 
     #[test]
     fn merge_excludes_self_and_respects_capacity() {
         let mut view = PartialView::new(3);
         let incoming = vec![
-            NodeDescriptor::with_age(NodeId::new(0), 0), // self, must be excluded
-            NodeDescriptor::with_age(NodeId::new(1), 4),
-            NodeDescriptor::with_age(NodeId::new(2), 1),
-            NodeDescriptor::with_age(NodeId::new(3), 2),
-            NodeDescriptor::with_age(NodeId::new(4), 9),
+            descriptor(0, 0), // self, must be excluded
+            descriptor(1, 4),
+            descriptor(2, 1),
+            descriptor(3, 2),
+            descriptor(4, 9),
         ];
         view.merge(&incoming, NodeId::new(0));
         assert_eq!(view.len(), 3);
-        assert!(!view.contains(NodeId::new(0)));
+        assert!(!view.node_ids().contains(&NodeId::new(0)));
         assert!(
-            !view.contains(NodeId::new(4)),
+            !view.node_ids().contains(&NodeId::new(4)),
             "the oldest descriptor loses"
         );
     }
@@ -421,8 +410,8 @@ mod tests {
     #[test]
     fn aging_and_removal() {
         let mut view = PartialView::new(3);
-        view.insert(NodeDescriptor::fresh(NodeId::new(1)));
-        view.insert(NodeDescriptor::with_age(NodeId::new(2), 3));
+        view.admit_all([NodeDescriptor::fresh(NodeId::new(1))]);
+        view.admit_all([descriptor(2, 3)]);
         view.age_all();
         let ages: Vec<u32> = view.iter().map(|d| d.age).collect();
         assert!(ages.contains(&1) && ages.contains(&4));
@@ -436,33 +425,32 @@ mod tests {
         let mut view = PartialView::new(4);
         assert!(view.random_peer(&mut rng()).is_none());
         assert!(view.oldest_peer().is_none());
-        view.insert(NodeDescriptor::with_age(NodeId::new(1), 0));
-        view.insert(NodeDescriptor::with_age(NodeId::new(2), 8));
-        view.insert(NodeDescriptor::with_age(NodeId::new(3), 3));
+        view.admit_all([descriptor(1, 0)]);
+        view.admit_all([descriptor(2, 8)]);
+        view.admit_all([descriptor(3, 3)]);
         assert_eq!(view.oldest_peer(), Some(NodeId::new(2)));
         let mut r = rng();
         for _ in 0..50 {
             let peer = view.random_peer(&mut r).unwrap();
-            assert!(view.contains(peer));
+            assert!(view.node_ids().contains(&peer));
         }
     }
 
     #[test]
     fn node_ids_lists_current_members() {
         let mut view = PartialView::new(4);
-        view.insert(NodeDescriptor::fresh(NodeId::new(7)));
-        view.insert(NodeDescriptor::fresh(NodeId::new(9)));
+        view.admit_all([NodeDescriptor::fresh(NodeId::new(7))]);
+        view.admit_all([NodeDescriptor::fresh(NodeId::new(9))]);
         let mut ids = view.node_ids();
         ids.sort();
         assert_eq!(ids, vec![NodeId::new(7), NodeId::new(9)]);
-        assert_eq!(view.capacity(), 4);
         assert!(!view.is_empty());
     }
 
     fn descriptors(pairs: &[(usize, u32)]) -> Vec<NodeDescriptor> {
         pairs
             .iter()
-            .map(|&(node, age)| NodeDescriptor::with_age(NodeId::new(node), age))
+            .map(|&(node, age)| descriptor(node, age))
             .collect()
     }
 
@@ -572,7 +560,7 @@ mod tests {
         ) {
             let mut view = PartialView::new(capacity);
             for (node, age) in inserts {
-                view.insert(NodeDescriptor::with_age(NodeId::new(node as usize), age));
+                view.admit_all([descriptor(node as usize, age)]);
                 prop_assert!(view.len() <= capacity);
                 let mut ids = view.node_ids();
                 ids.sort();

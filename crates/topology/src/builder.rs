@@ -163,11 +163,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Returns the configured topology kind.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
-    }
-
     /// Builds the topology.
     ///
     /// # Errors
@@ -297,11 +292,5 @@ mod tests {
             .unwrap();
         assert_eq!(ring.degree(NodeId::new(0)), 2);
         assert!(ring.random_edge(&mut r).is_some());
-    }
-
-    #[test]
-    fn kind_accessor_returns_configuration() {
-        let b = TopologyBuilder::new(TopologyKind::Star).nodes(3);
-        assert_eq!(b.kind(), TopologyKind::Star);
     }
 }

@@ -10,17 +10,7 @@ use crate::{Graph, NodeId, TopologyError};
 ///
 /// Degenerate inputs are handled gracefully: `nodes < 2` produces a graph with
 /// no edges, `nodes == 2` a single edge.
-///
-/// # Example
-///
-/// ```
-/// use overlay_topology::{generators, Topology};
-///
-/// let ring = generators::ring(8);
-/// assert_eq!(ring.num_edges(), 8);
-/// assert!(ring.is_regular());
-/// ```
-pub fn ring(nodes: usize) -> Graph {
+pub(crate) fn ring(nodes: usize) -> Graph {
     let mut g = Graph::with_nodes_and_degree(nodes, 2);
     if nodes == 2 {
         g.add_edge_unchecked(NodeId::new(0), NodeId::new(1));
@@ -44,18 +34,7 @@ pub fn ring(nodes: usize) -> Graph {
 /// Returns [`TopologyError::InvalidParameter`] when either dimension is zero
 /// or when a dimension is smaller than 3 (wrap-around would create duplicate
 /// edges).
-///
-/// # Example
-///
-/// ```
-/// use overlay_topology::{generators, Topology};
-///
-/// let lattice = generators::lattice2d(5, 4).unwrap();
-/// assert_eq!(lattice.len(), 20);
-/// assert!(lattice.is_regular());
-/// assert_eq!(lattice.num_edges(), 2 * 20); // 4-regular
-/// ```
-pub fn lattice2d(rows: usize, cols: usize) -> Result<Graph, TopologyError> {
+pub(crate) fn lattice2d(rows: usize, cols: usize) -> Result<Graph, TopologyError> {
     if rows < 3 || cols < 3 {
         return Err(TopologyError::InvalidParameter {
             reason: format!("torus lattice requires both dimensions >= 3, got {rows}x{cols}"),
@@ -101,13 +80,13 @@ pub fn star(nodes: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{estimate_diameter, DegreeStats, Topology};
-    use rand::SeedableRng;
+    use crate::Topology;
 
     #[test]
     fn ring_structure() {
         let g = ring(6);
         assert_eq!(g.num_edges(), 6);
+        assert!(g.is_regular_with_degree(2));
         assert!(g.is_connected());
         assert!(g.contains_edge(NodeId::new(0), NodeId::new(5)));
         assert!(g.contains_edge(NodeId::new(0), NodeId::new(1)));
@@ -128,13 +107,12 @@ mod tests {
     #[test]
     fn lattice_is_four_regular_torus() {
         let g = lattice2d(4, 5).unwrap();
-        let stats = DegreeStats::from_graph(&g);
-        assert!(stats.is_regular_with_degree(4));
+        assert_eq!(g.len(), 20);
+        assert!(g.is_regular_with_degree(4));
+        assert_eq!(g.num_edges(), 2 * 20);
         assert!(g.is_connected());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let diameter = estimate_diameter(&g, 20, &mut rng).unwrap();
         // Torus diameter = floor(rows/2) + floor(cols/2) = 2 + 2.
-        assert_eq!(diameter, 4);
+        assert_eq!(g.diameter(), Some(4));
     }
 
     #[test]

@@ -2,15 +2,22 @@
 //!
 //! The paper evaluates the protocol on the **complete graph** (see
 //! [`crate::CompleteTopology`]) and on **k-regular random graphs** with a fixed
-//! view size of 20 ([`random_regular`]). The remaining generators are provided
-//! so that downstream users can study the protocol on the overlay structures
-//! that real membership services or applications produce:
+//! view size of 20 ([`random_regular`]). The remaining generators let the
+//! protocol be studied on the overlay structures that real membership
+//! services or applications produce. Every generator is reached through a
+//! [`crate::TopologyKind`] and [`crate::TopologyBuilder`]:
 //!
-//! * [`erdos_renyi`] — classic `G(n, p)` random graphs;
-//! * [`ring`], [`lattice2d`], [`star`] — deterministic reference structures;
-//! * [`watts_strogatz`] — small-world graphs (high clustering, low diameter);
-//! * [`barabasi_albert`] — scale-free graphs with hub nodes, the worst case for
-//!   correlation accumulation discussed in Section 3.3 of the paper.
+//! * [`ErdosRenyi`](crate::TopologyKind::ErdosRenyi) — classic `G(n, p)`
+//!   random graphs;
+//! * [`Ring`](crate::TopologyKind::Ring),
+//!   [`Lattice`](crate::TopologyKind::Lattice) and
+//!   [`Star`](crate::TopologyKind::Star) ([`star`]) — deterministic reference
+//!   structures;
+//! * [`SmallWorld`](crate::TopologyKind::SmallWorld) — Watts–Strogatz
+//!   small-world graphs (high clustering, low diameter);
+//! * [`ScaleFree`](crate::TopologyKind::ScaleFree) — Barabási–Albert
+//!   scale-free graphs with hub nodes, the worst case for correlation
+//!   accumulation discussed in Section 3.3 of the paper.
 //!
 //! All random generators take a caller-provided RNG so experiments remain
 //! reproducible under a fixed seed.
@@ -21,16 +28,17 @@ mod regular;
 mod scale_free;
 mod small_world;
 
-pub use deterministic::{lattice2d, ring, star};
-pub use random::erdos_renyi;
+pub use deterministic::star;
+pub(crate) use deterministic::{lattice2d, ring};
+pub(crate) use random::erdos_renyi;
 pub use regular::random_regular;
-pub use scale_free::barabasi_albert;
-pub use small_world::watts_strogatz;
+pub(crate) use scale_free::barabasi_albert;
+pub(crate) use small_world::watts_strogatz;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DegreeStats, Topology};
+    use crate::Topology;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -60,8 +68,7 @@ mod tests {
     fn paper_topology_twenty_regular_graph_is_regular_and_connected() {
         // The exact overlay used for Figure 3's "20-reg. random" curves.
         let g = random_regular(2_000, 20, &mut rng()).unwrap();
-        let stats = DegreeStats::from_graph(&g);
-        assert!(stats.is_regular_with_degree(20));
+        assert!(g.is_regular_with_degree(20));
         assert!(g.is_connected());
         assert_eq!(g.num_edges(), 2_000 * 20 / 2);
     }

@@ -15,20 +15,7 @@ use rand::Rng;
 ///
 /// Returns [`TopologyError::InvalidProbability`] when `p` is outside `[0, 1]`
 /// or not finite.
-///
-/// # Example
-///
-/// ```
-/// use overlay_topology::{generators, Topology};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let g = generators::erdos_renyi(1_000, 0.01, &mut rng)?;
-/// // Expected number of edges: p * n(n-1)/2 ≈ 4995.
-/// assert!(g.num_edges() > 4_000 && g.num_edges() < 6_000);
-/// # Ok::<(), overlay_topology::TopologyError>(())
-/// ```
-pub fn erdos_renyi<R: Rng + ?Sized>(
+pub(crate) fn erdos_renyi<R: Rng + ?Sized>(
     nodes: usize,
     p: f64,
     rng: &mut R,

@@ -20,7 +20,7 @@ const MAX_CONSECUTIVE_REJECTIONS: usize = 5_000;
 /// For the degrees of interest (constant, ≥ 3) the produced graphs are
 /// connected with overwhelming probability; the generator retries the pairing
 /// until a simple graph is obtained, and callers that additionally require
-/// connectivity can check [`Graph::is_connected`] (the crate's tests do).
+/// connectivity must check it themselves (the crate's tests do).
 ///
 /// # Errors
 ///
@@ -32,12 +32,12 @@ const MAX_CONSECUTIVE_REJECTIONS: usize = 5_000;
 /// # Example
 ///
 /// ```
-/// use overlay_topology::{generators, DegreeStats};
+/// use overlay_topology::{generators, NodeId, Topology};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(20);
 /// let g = generators::random_regular(500, 20, &mut rng)?;
-/// assert!(DegreeStats::from_graph(&g).is_regular_with_degree(20));
+/// assert!((0..500).all(|i| g.degree(NodeId::new(i)) == 20));
 /// # Ok::<(), overlay_topology::TopologyError>(())
 /// ```
 pub fn random_regular<R: Rng + ?Sized>(
@@ -116,7 +116,7 @@ fn try_stub_matching<R: Rng + ?Sized>(nodes: usize, degree: usize, rng: &mut R) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DegreeStats, Topology};
+    use crate::Topology;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -130,7 +130,7 @@ mod tests {
             let g = random_regular(n, k, &mut r).unwrap();
             assert_eq!(g.len(), n);
             assert!(
-                DegreeStats::from_graph(&g).is_regular_with_degree(k),
+                g.is_regular_with_degree(k),
                 "graph with n={n}, k={k} is not {k}-regular"
             );
             assert_eq!(g.num_edges(), n * k / 2);

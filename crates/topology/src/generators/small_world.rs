@@ -20,20 +20,7 @@ use rand::Rng;
 ///
 /// * [`TopologyError::InvalidDegree`] if `k` is odd, zero, or `k >= nodes`;
 /// * [`TopologyError::InvalidProbability`] if `beta` is outside `[0, 1]`.
-///
-/// # Example
-///
-/// ```
-/// use overlay_topology::{generators, Topology};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-/// let g = generators::watts_strogatz(200, 6, 0.1, &mut rng)?;
-/// assert_eq!(g.len(), 200);
-/// assert_eq!(g.num_edges(), 200 * 3);
-/// # Ok::<(), overlay_topology::TopologyError>(())
-/// ```
-pub fn watts_strogatz<R: Rng + ?Sized>(
+pub(crate) fn watts_strogatz<R: Rng + ?Sized>(
     nodes: usize,
     k: usize,
     beta: f64,
@@ -98,7 +85,6 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate_diameter;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -121,7 +107,7 @@ mod tests {
         let mut r = rng();
         let g = watts_strogatz(20, 4, 0.0, &mut r).unwrap();
         assert_eq!(g.num_edges(), 20 * 2);
-        assert!(g.is_regular());
+        assert!(g.is_regular_with_degree(4));
         assert!(g.is_connected());
         // node 0 connected to 1, 2, 18, 19
         for j in [1usize, 2, 18, 19] {
@@ -134,9 +120,8 @@ mod tests {
         let mut r = rng();
         let lattice = watts_strogatz(400, 4, 0.0, &mut r).unwrap();
         let rewired = watts_strogatz(400, 4, 0.3, &mut r).unwrap();
-        let mut r2 = rng();
-        let d_lattice = estimate_diameter(&lattice, 8, &mut r2).unwrap();
-        if let Some(d_rewired) = estimate_diameter(&rewired, 8, &mut r2) {
+        let d_lattice = lattice.diameter().unwrap();
+        if let Some(d_rewired) = rewired.diameter() {
             assert!(
                 d_rewired < d_lattice,
                 "rewiring should shrink diameter: {d_rewired} vs {d_lattice}"

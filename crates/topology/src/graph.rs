@@ -1,7 +1,6 @@
 //! Explicit adjacency-list graphs.
 
 use crate::{NodeId, Topology, TopologyError};
-use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
 /// An undirected simple graph stored as adjacency lists plus an edge list.
@@ -25,7 +24,6 @@ use rand::{Rng, RngCore};
 /// let mut g = Graph::with_nodes(3);
 /// g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
 /// g.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
-/// assert_eq!(g.num_edges(), 2);
 /// assert_eq!(g.degree(NodeId::new(1)), 2);
 /// assert!(g.contains_edge(NodeId::new(0), NodeId::new(1)));
 /// assert!(!g.contains_edge(NodeId::new(0), NodeId::new(2)));
@@ -48,28 +46,13 @@ impl Graph {
     /// Creates a graph with `nodes` vertices, pre-allocating adjacency lists
     /// of capacity `expected_degree` (a small optimisation for generators that
     /// know the target degree in advance).
-    pub fn with_nodes_and_degree(nodes: usize, expected_degree: usize) -> Self {
+    pub(crate) fn with_nodes_and_degree(nodes: usize, expected_degree: usize) -> Self {
         Graph {
             adjacency: (0..nodes)
                 .map(|_| Vec::with_capacity(expected_degree))
                 .collect(),
             edges: Vec::with_capacity(nodes * expected_degree / 2),
         }
-    }
-
-    /// Number of edges in the graph.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Iterates over all edges as `(smaller, larger)` pairs in insertion order.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edges.iter().copied()
-    }
-
-    /// Iterates over all node identifiers, `0..len()`.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.adjacency.len()).map(NodeId::new)
     }
 
     /// Adds the undirected edge `{a, b}`.
@@ -115,65 +98,17 @@ impl Graph {
         self.edges.push((lo, hi));
     }
 
-    /// Returns the neighbour list of `node` as a slice (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn neighbors_slice(&self, node: NodeId) -> &[NodeId] {
-        &self.adjacency[node.index()]
-    }
-
-    /// Returns `true` if every node has the same degree `k`.
-    pub fn is_regular(&self) -> bool {
-        match self.adjacency.first() {
-            None => true,
-            Some(first) => {
-                let k = first.len();
-                self.adjacency.iter().all(|adj| adj.len() == k)
-            }
-        }
-    }
-
-    /// Returns `true` if the graph is connected (an empty graph counts as
-    /// connected).
-    pub fn is_connected(&self) -> bool {
-        crate::connectivity::is_connected(self)
-    }
-
-    /// Returns per-degree statistics for the graph.
-    pub fn degree_stats(&self) -> crate::DegreeStats {
-        crate::DegreeStats::from_graph(self)
-    }
-
     /// Produces a complete graph over `nodes` vertices with explicit edges.
     ///
-    /// This materialises `nodes·(nodes−1)/2` edges, so it is only suitable for
-    /// small networks (tests, examples). For large complete overlays use
-    /// [`crate::CompleteTopology`], which is virtual.
-    pub fn complete(nodes: usize) -> Self {
+    /// This materialises `nodes·(nodes−1)/2` edges (Erdős–Rényi at `p = 1`
+    /// uses it); for large complete overlays use [`crate::CompleteTopology`],
+    /// which is virtual.
+    pub(crate) fn complete(nodes: usize) -> Self {
         let mut g = Graph::with_nodes_and_degree(nodes, nodes.saturating_sub(1));
         for i in 0..nodes {
             for j in (i + 1)..nodes {
                 g.add_edge_unchecked(NodeId::new(i), NodeId::new(j));
             }
-        }
-        g
-    }
-
-    /// Rewires the graph into a random permutation of node labels, preserving
-    /// structure. Useful in tests that must show label-invariance of the
-    /// protocol.
-    pub fn relabelled<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
-        let n = self.len();
-        let mut permutation: Vec<usize> = (0..n).collect();
-        permutation.shuffle(rng);
-        let mut g = Graph::with_nodes(n);
-        for (a, b) in self.edges() {
-            g.add_edge_unchecked(
-                NodeId::new(permutation[a.index()]),
-                NodeId::new(permutation[b.index()]),
-            );
         }
         g
     }
@@ -225,6 +160,60 @@ impl Topology for Graph {
     }
 }
 
+/// Structural queries the generator tests assert.
+#[cfg(test)]
+impl Graph {
+    /// Number of edges.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Every edge as a `(smaller, larger)` pair, in insertion order.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.edges.iter().copied()
+    }
+
+    /// Whether every node has exactly `k` neighbours.
+    pub(crate) fn is_regular_with_degree(&self, k: usize) -> bool {
+        self.adjacency.iter().all(|adj| adj.len() == k)
+    }
+
+    /// Hop distance from `source` to every node, `None` where unreachable.
+    fn distances_from(&self, source: usize) -> Vec<Option<usize>> {
+        let mut distances = vec![None; self.len()];
+        distances[source] = Some(0);
+        let mut queue = std::collections::VecDeque::from([(source, 0)]);
+        while let Some((node, d)) = queue.pop_front() {
+            for next in &self.adjacency[node] {
+                if distances[next.index()].is_none() {
+                    distances[next.index()] = Some(d + 1);
+                    queue.push_back((next.index(), d + 1));
+                }
+            }
+        }
+        distances
+    }
+
+    /// Whether every node is reachable from node 0; the empty graph is.
+    pub(crate) fn is_connected(&self) -> bool {
+        self.is_empty() || self.distances_from(0).iter().all(Option::is_some)
+    }
+
+    /// The longest shortest path, or `None` when the graph is empty or
+    /// disconnected.
+    pub(crate) fn diameter(&self) -> Option<usize> {
+        let eccentricity = |source| {
+            let distances = self.distances_from(source).into_iter();
+            distances.collect::<Option<Vec<_>>>()?.into_iter().max()
+        };
+        let eccentricities = (0..self.len()).map(eccentricity);
+        eccentricities
+            .collect::<Option<Vec<_>>>()?
+            .into_iter()
+            .max()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,7 +230,6 @@ mod tests {
         assert_eq!(g.len(), 0);
         assert!(g.is_empty());
         assert_eq!(g.num_edges(), 0);
-        assert!(g.is_regular());
         assert!(g.is_connected());
     }
 
@@ -343,7 +331,7 @@ mod tests {
     fn complete_graph_has_all_edges() {
         let g = Graph::complete(6);
         assert_eq!(g.num_edges(), 15);
-        assert!(g.is_regular());
+        assert!(g.is_regular_with_degree(5));
         assert!(g.is_connected());
         for i in 0..6 {
             assert_eq!(g.degree(NodeId::new(i)), 5);
@@ -361,48 +349,5 @@ mod tests {
         g.add_edge(NodeId::new(2), NodeId::new(0)).unwrap();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(NodeId::new(0), NodeId::new(2))]);
-    }
-
-    #[test]
-    fn relabelled_preserves_structure() {
-        let g = Graph::complete(8);
-        let mut r = rng();
-        let h = g.relabelled(&mut r);
-        assert_eq!(h.len(), g.len());
-        assert_eq!(h.num_edges(), g.num_edges());
-        assert!(h.is_regular());
-    }
-
-    #[test]
-    fn node_ids_iterates_densely() {
-        let g = Graph::with_nodes(4);
-        let ids: Vec<_> = g.node_ids().collect();
-        assert_eq!(
-            ids,
-            vec![
-                NodeId::new(0),
-                NodeId::new(1),
-                NodeId::new(2),
-                NodeId::new(3)
-            ]
-        );
-    }
-
-    #[test]
-    fn neighbors_slice_matches_neighbors() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-        g.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
-        assert_eq!(
-            g.neighbors_slice(NodeId::new(0)),
-            &g.neighbors(NodeId::new(0))[..]
-        );
-    }
-
-    #[test]
-    fn is_regular_detects_irregularity() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert!(!g.is_regular());
     }
 }

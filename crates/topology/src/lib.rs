@@ -11,10 +11,11 @@
 //! * **k-regular random graphs** (the paper uses a fixed view size of 20),
 //!   which approximate what a peer-sampling / membership service provides.
 //!
-//! Beyond those two, the crate ships the generators a practitioner needs to
-//! study the protocol on more realistic structures: Erdős–Rényi random graphs,
-//! rings, two-dimensional lattices, Watts–Strogatz small worlds, Barabási–Albert
-//! scale-free graphs and stars.
+//! Beyond those two, [`TopologyKind`] names the generators a practitioner
+//! needs to study the protocol on more realistic structures: Erdős–Rényi
+//! random graphs, rings, two-dimensional lattices, Watts–Strogatz small
+//! worlds, Barabási–Albert scale-free graphs and stars. [`TopologyBuilder`]
+//! builds any of them for a node count and an RNG.
 //!
 //! ## Design
 //!
@@ -24,7 +25,7 @@
 //! exist:
 //!
 //! * [`Graph`] — an explicit adjacency-list graph, produced by the generators in
-//!   [`generators`];
+//!   [`generators`] that [`TopologyBuilder`] calls;
 //! * [`CompleteTopology`] — a *virtual* complete graph that never materialises
 //!   its `N·(N−1)/2` edges, so experiments with `N = 100 000` nodes (Figure 3 of
 //!   the paper) stay cheap.
@@ -40,7 +41,7 @@
 //! // The overlay used throughout the paper's Figure 3: 20-regular random graph.
 //! let graph = generators::random_regular(1_000, 20, &mut rng)?;
 //! assert_eq!(graph.len(), 1_000);
-//! assert!(graph.is_connected());
+//! assert!((0..1_000).all(|i| graph.degree(NodeId::new(i)) == 20));
 //!
 //! let neighbour = graph.random_neighbor(NodeId::new(0), &mut rng);
 //! assert!(neighbour.is_some());
@@ -51,11 +52,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod builder;
 mod complete;
-mod connectivity;
-mod degree;
 mod error;
 mod graph;
 mod id;
@@ -66,12 +66,9 @@ pub mod generators;
 
 pub use builder::{BuiltTopology, TopologyBuilder, TopologyKind};
 pub use complete::CompleteTopology;
-pub use connectivity::{bfs_distances, connected_components, estimate_diameter};
-pub use degree::DegreeStats;
 pub use error::TopologyError;
 pub use graph::Graph;
 pub use id::NodeId;
-pub use sampling::{sample_distinct_pair, sample_nodes_without_replacement};
 pub use view::ViewTopology;
 
 use rand::RngCore;

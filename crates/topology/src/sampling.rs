@@ -6,19 +6,7 @@ use rand::{Rng, RngCore};
 ///
 /// Returns `None` if `n < 2`. The pair is returned with the smaller index
 /// first so that callers can use it directly as a normalised undirected edge.
-///
-/// # Example
-///
-/// ```
-/// use overlay_topology::sample_distinct_pair;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let (a, b) = sample_distinct_pair(10, &mut rng).unwrap();
-/// assert!(a < b);
-/// assert!(b < 10);
-/// ```
-pub fn sample_distinct_pair(n: usize, rng: &mut dyn RngCore) -> Option<(usize, usize)> {
+pub(crate) fn sample_distinct_pair(n: usize, rng: &mut dyn RngCore) -> Option<(usize, usize)> {
     if n < 2 {
         return None;
     }
@@ -32,45 +20,6 @@ pub fn sample_distinct_pair(n: usize, rng: &mut dyn RngCore) -> Option<(usize, u
     } else {
         (second, first)
     })
-}
-
-/// Draws `k` distinct indices uniformly without replacement from `0..n`.
-///
-/// Uses Floyd's algorithm, which needs `O(k)` memory and `O(k)` RNG calls, so
-/// it stays cheap even when `n` is very large (e.g. sampling 20 contacts out
-/// of a 100 000-node overlay).
-///
-/// Returns `None` if `k > n`.
-///
-/// # Example
-///
-/// ```
-/// use overlay_topology::sample_nodes_without_replacement;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let picks = sample_nodes_without_replacement(1_000, 20, &mut rng).unwrap();
-/// assert_eq!(picks.len(), 20);
-/// ```
-pub fn sample_nodes_without_replacement(
-    n: usize,
-    k: usize,
-    rng: &mut dyn RngCore,
-) -> Option<Vec<usize>> {
-    if k > n {
-        return None;
-    }
-    // Robert Floyd's sampling algorithm.
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.gen_range(0..=j);
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
-        }
-    }
-    Some(chosen)
 }
 
 #[cfg(test)]
@@ -128,48 +77,6 @@ mod tests {
             assert!(
                 (count as f64 - expected).abs() < expected * 0.1,
                 "pair {pair:?} count {count} deviates from expected {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn without_replacement_returns_distinct_in_range() {
-        let mut r = rng();
-        for _ in 0..100 {
-            let picks = sample_nodes_without_replacement(50, 12, &mut r).unwrap();
-            assert_eq!(picks.len(), 12);
-            let set: HashSet<_> = picks.iter().copied().collect();
-            assert_eq!(set.len(), 12, "picks must be distinct");
-            assert!(picks.iter().all(|&p| p < 50));
-        }
-    }
-
-    #[test]
-    fn without_replacement_edge_cases() {
-        let mut r = rng();
-        assert_eq!(sample_nodes_without_replacement(5, 0, &mut r), Some(vec![]));
-        assert!(sample_nodes_without_replacement(3, 4, &mut r).is_none());
-        let all = sample_nodes_without_replacement(4, 4, &mut r).unwrap();
-        let set: HashSet<_> = all.into_iter().collect();
-        assert_eq!(set, (0..4).collect());
-    }
-
-    #[test]
-    fn without_replacement_each_element_equally_likely() {
-        // Sampling 2 from 5: every element should be included with probability 2/5.
-        let mut r = rng();
-        let draws = 25_000;
-        let mut counts = [0usize; 5];
-        for _ in 0..draws {
-            for p in sample_nodes_without_replacement(5, 2, &mut r).unwrap() {
-                counts[p] += 1;
-            }
-        }
-        let expected = draws as f64 * 2.0 / 5.0;
-        for &c in &counts {
-            assert!(
-                (c as f64 - expected).abs() < expected * 0.08,
-                "count {c} deviates from expected {expected}"
             );
         }
     }

@@ -66,19 +66,6 @@ impl ViewTopology {
     pub fn view(&self, node: NodeId) -> &[NodeId] {
         &self.views[node.index()]
     }
-
-    /// Adds a single entry to the view of `node` (ignoring self references,
-    /// duplicates and out-of-range peers).
-    pub fn add_to_view(&mut self, node: NodeId, peer: NodeId) {
-        let n = self.views.len();
-        if node.index() >= n || peer.index() >= n || node == peer {
-            return;
-        }
-        let view = &mut self.views[node.index()];
-        if !view.contains(&peer) {
-            view.push(peer);
-        }
-    }
 }
 
 impl Topology for ViewTopology {
@@ -156,16 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn add_to_view_ignores_duplicates_and_self() {
-        let mut t = ViewTopology::new(3);
-        t.add_to_view(NodeId::new(0), NodeId::new(1));
-        t.add_to_view(NodeId::new(0), NodeId::new(1));
-        t.add_to_view(NodeId::new(0), NodeId::new(0));
-        t.add_to_view(NodeId::new(0), NodeId::new(7));
-        assert_eq!(t.view(NodeId::new(0)), &[NodeId::new(1)]);
-    }
-
-    #[test]
     fn random_neighbor_draws_from_view_only() {
         let mut t = ViewTopology::new(5);
         t.set_view(NodeId::new(2), vec![NodeId::new(0), NodeId::new(4)]);
@@ -180,7 +157,7 @@ mod tests {
     #[test]
     fn contains_edge_is_true_for_either_direction() {
         let mut t = ViewTopology::new(3);
-        t.add_to_view(NodeId::new(0), NodeId::new(1));
+        t.set_view(NodeId::new(0), vec![NodeId::new(1)]);
         assert!(t.contains_edge(NodeId::new(0), NodeId::new(1)));
         assert!(t.contains_edge(NodeId::new(1), NodeId::new(0)));
         assert!(!t.contains_edge(NodeId::new(1), NodeId::new(2)));
@@ -190,8 +167,8 @@ mod tests {
     #[test]
     fn random_edge_respects_views() {
         let mut t = ViewTopology::new(4);
-        t.add_to_view(NodeId::new(0), NodeId::new(1));
-        t.add_to_view(NodeId::new(2), NodeId::new(3));
+        t.set_view(NodeId::new(0), vec![NodeId::new(1)]);
+        t.set_view(NodeId::new(2), vec![NodeId::new(3)]);
         let mut r = rng();
         for _ in 0..50 {
             let (from, to) = t.random_edge(&mut r).unwrap();

@@ -93,7 +93,7 @@ pub mod prelude {
     pub use overlay_topology::{
         generators, CompleteTopology, Graph, NodeId, Topology, TopologyBuilder, TopologyKind,
     };
-    pub use peer_sampling::{NewscastNetwork, NewscastSampler, PeerSampling, StaticOverlaySampler};
+    pub use peer_sampling::{NewscastNetwork, NewscastSampler, StaticOverlaySampler};
 }
 
 #[cfg(test)]
