@@ -253,6 +253,20 @@ fn matrix() -> Vec<Cell> {
         dead_links("static-links", static10).on(Sharded(4)),
         faulted.on(Sharded(4)),
     ].map(|c| c.with(full).rel(IdenticalToUntraced)));
+
+    // Sharded paths that write node state outside the exchange: value
+    // injections into running estimates under churn, and adaptive leader
+    // elections, which visit every node, with joiners that late-join the led
+    // instances at their local value. One and four shards, plus a traced twin.
+    let injections = [(3, 0.1, 1_000.0), (11, 0.2, -500.0)].map(|(cycle, fraction, value)| ValueInjection { cycle, fraction, value });
+    let adaptive = Some(LeaderPolicy::Adaptive { target_leaders: 3.0, fallback_probability: 0.02 });
+    let inject = cell("inject", (300, 37), (20, 3), 808).protocol(epoch(8)).with(|c| c.faults.injections.extend(injections));
+    let adaptive_churn = cell("adaptive-churn", (300, 37), (30, 5), 909).protocol(epoch(8)).with(|c| c.config.leader_policy = adaptive);
+    for base in [inject, adaptive_churn.clone()] {
+        m.push(base.clone().on(Sharded(1)));
+        m.push(base.on(Sharded(4)).rel(SameNodes));
+    }
+    m.push(adaptive_churn.on(Sharded(4)).with(full).rel(IdenticalToUntraced));
     m
 }
 
@@ -634,6 +648,8 @@ checks! {
         "avg@77/{ref,wire}/full", "avg-2s@77/{ref,wire}{,/full}";
     led_count_instances_under_loss_and_churn_reproduce_their_goldens:
         "median4-loss@3141/{ref,wire}{,/full}", "fig4-mini@2004/ref";
+    sharded_injections_and_adaptive_elections_under_churn_reproduce_their_goldens:
+        "inject@808/shards{1,4}", "adaptive-churn@909/shards{1,4}", "adaptive-churn@909/shards4/full";
 }
 
 // ---------------------------------------------------------------------------
