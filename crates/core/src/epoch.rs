@@ -134,10 +134,10 @@ impl EpochManager {
         self.waiting_cycles == 0 && !self.entered_mid_epoch
     }
 
-    /// Writes back an epoch position recorded by an external dense mirror
+    /// Writes back an epoch position recorded by an external dense store
     /// (the sharded engine's struct-of-arrays hot store ticks epochs for
-    /// steady-state nodes outside the `ProtocolNode` and syncs through this
-    /// on demand). The caller guarantees the manager is in the participating
+    /// steady-state nodes outside the `ProtocolNode` and rebuilds one
+    /// through this on demand). The caller guarantees the manager is in the participating
     /// steady state — not waiting, not entered mid-epoch — so only the
     /// position fields need restoring.
     pub fn restore_position(&mut self, epoch: u64, cycle_in_epoch: u32) {

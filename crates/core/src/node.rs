@@ -46,8 +46,9 @@ impl EpochResult {
 /// The four words of state that completely describe a *hot* node — one that
 /// participates, has been in its current epoch from the first cycle, and runs
 /// only the default aggregation instance. The sharded engine's
-/// struct-of-arrays store keeps exactly this per node and syncs it back into
-/// the full [`ProtocolNode`] only when the node leaves the hot set.
+/// struct-of-arrays store keeps exactly this per node (with the local value
+/// beside it) and rebuilds the full [`ProtocolNode`] with
+/// [`ProtocolNode::from_hot_view`] only when the node leaves the hot set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotView {
     /// Running approximation of the default instance.
@@ -156,6 +157,24 @@ impl ProtocolNode {
             default_instance: AggregationInstance::new(config.aggregate(), local_value, 0),
             led: Vec::new(),
         }
+    }
+
+    /// Rebuilds a hot node from its [`HotView`]: the inverse of
+    /// [`ProtocolNode::hot_view`]. Whenever `node.hot_view()` is `Some(view)`,
+    /// `ProtocolNode::from_hot_view(node.id(), *node.config(),
+    /// node.local_value(), view)` equals `node`.
+    pub fn from_hot_view(
+        id: NodeId,
+        config: ProtocolConfig,
+        local_value: f64,
+        view: HotView,
+    ) -> Self {
+        let mut node = ProtocolNode::new(id, config, local_value);
+        node.default_instance
+            .restore_hot(view.epoch, view.state, view.exchanges);
+        node.epochs
+            .restore_position(view.epoch, view.cycle_in_epoch);
+        node
     }
 
     /// Creates a node that joins a running network: it was told by its contact
@@ -362,8 +381,9 @@ impl ProtocolNode {
         self.epochs.participated_from_epoch_start()
     }
 
-    /// Snapshot of the state a dense struct-of-arrays mirror needs to take a
-    /// steady-state node out of the `ProtocolNode` representation entirely.
+    /// Snapshot of the state a dense struct-of-arrays store needs to take a
+    /// steady-state node out of the `ProtocolNode` representation entirely;
+    /// [`ProtocolNode::from_hot_view`] is its inverse.
     ///
     /// Returns `Some` exactly when the node is *hot*: participating, present
     /// since the start of its current epoch, and running only the default
@@ -384,17 +404,6 @@ impl ProtocolNode {
         } else {
             None
         }
-    }
-
-    /// Writes a [`HotView`] back into the node, restoring the default
-    /// instance's running state and the epoch position that the dense mirror
-    /// advanced on the node's behalf. Only valid on a node whose last
-    /// synchronised state was hot (the mirror never adopts any other kind).
-    pub fn restore_hot_view(&mut self, view: HotView) {
-        self.default_instance
-            .restore_hot(view.epoch, view.state, view.exchanges);
-        self.epochs
-            .restore_position(view.epoch, view.cycle_in_epoch);
     }
 
     /// Starts (or restarts) an extra aggregation instance led by this node,
@@ -729,5 +738,84 @@ mod tests {
         assert_eq!(node.instance_estimate(InstanceTag::DEFAULT), Some(2.0));
         assert_eq!(node.instance_estimate(InstanceTag(5)), None);
         assert!(node.participated_from_epoch_start());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random histories of four nodes — joins under either
+        /// late-join policy, exchanges across epochs (jumps), led instances
+        /// started and then dropped at a restart, and corruptions —
+        /// `from_hot_view` rebuilds every node whose `hot_view` is `Some`.
+        #[test]
+        fn from_hot_view_inverts_hot_view_over_random_histories(
+            setup in (0usize..4, proptest::bool::ANY, 1u32..5),
+            steps in proptest::collection::vec((0u8..6, 0usize..4, 0usize..4, -50.0f64..50.0), 0..80),
+        ) {
+            let (kind, fixed_late_join, cycles) = setup;
+            let kind = [
+                AggregateKind::Average,
+                AggregateKind::Maximum,
+                AggregateKind::Minimum,
+                AggregateKind::GeometricMean,
+            ][kind];
+            let late_join = if fixed_late_join {
+                LateJoinPolicy::FixedState(0.0)
+            } else {
+                LateJoinPolicy::LocalValue
+            };
+            let config = ProtocolConfig::builder()
+                .aggregate(kind)
+                .cycles_per_epoch(cycles)
+                .late_join(late_join)
+                .build()
+                .unwrap();
+            let local = |i: usize| 1.0 + i as f64;
+            let mut nodes: Vec<ProtocolNode> = (0..4)
+                .map(|i| ProtocolNode::new(NodeId::new(i), config, local(i)))
+                .collect();
+            for (op, a, b, value) in steps {
+                match op {
+                    0 if a != b => {
+                        let (x, y) = if a < b {
+                            let (lo, hi) = nodes.split_at_mut(b);
+                            (&mut lo[a], &mut hi[0])
+                        } else {
+                            let (lo, hi) = nodes.split_at_mut(a);
+                            (&mut hi[0], &mut lo[b])
+                        };
+                        exchange(x, y);
+                    }
+                    1 => {
+                        nodes[a].end_cycle();
+                    }
+                    2 => {
+                        let tag = InstanceTag::from_leader(NodeId::new(b));
+                        nodes[a].start_led_instance(tag, 1.0);
+                    }
+                    3 => nodes[a].corrupt_estimate(value),
+                    4 => {
+                        let tag = InstanceTag::from_leader(NodeId::new(b));
+                        nodes[a].corrupt_instance(tag, value);
+                    }
+                    5 => {
+                        let next = nodes[b].current_epoch() + 1;
+                        let wait = value.abs() as u32 % (cycles + 1);
+                        let id = NodeId::new(a);
+                        nodes[a] = ProtocolNode::joining(id, config, local(a) + value.abs(), next, wait);
+                    }
+                    _ => {}
+                }
+                for node in &nodes {
+                    if let Some(view) = node.hot_view() {
+                        let rebuilt =
+                            ProtocolNode::from_hot_view(node.id(), *node.config(), node.local_value(), view);
+                        prop_assert_eq!(&rebuilt, node);
+                    }
+                }
+            }
+        }
     }
 }

@@ -222,10 +222,10 @@ impl AggregationInstance {
         self.exchanges = 0;
     }
 
-    /// Writes back the hot fields mirrored by an external dense store (see
-    /// [`crate::node::ProtocolNode::restore_hot_view`]): running state, epoch
+    /// Writes back the hot fields kept by an external dense store (see
+    /// [`crate::node::ProtocolNode::from_hot_view`]): running state, epoch
     /// and exchange counter in one call, leaving the kind and local value
-    /// untouched. Equivalent to replaying the mirrored exchanges and epoch
+    /// untouched. Equivalent to replaying the stored exchanges and epoch
     /// restarts on this instance.
     pub fn restore_hot(&mut self, epoch: u64, state: f64, exchanges: u32) {
         self.epoch = epoch;

@@ -153,30 +153,48 @@ impl Default for IdLayout {
 }
 
 #[derive(Debug)]
-struct Slot {
+struct Slot<T> {
     generation: u32,
-    node: Option<ProtocolNode>,
+    node: Option<T>,
 }
 
-/// A generational arena of [`ProtocolNode`]s with O(1) insert, remove and
-/// uniform sampling over the live set.
+/// A generational arena of node payloads — [`ProtocolNode`]s unless stated
+/// otherwise — with O(1) insert, remove and uniform sampling over the live
+/// set. The reference engine stores its nodes inline; the sharded engine
+/// stores `Option<Box<ProtocolNode>>`, a node only while it is cold.
 ///
-/// * `slots` owns the node state; a departed slot keeps its generation and
+/// * `slots` owns the payloads; a departed slot keeps its generation and
 ///   goes on `free` for reuse.
 /// * `live` is a dense array of the currently live slot indices — the
 ///   iteration and sampling surface for the per-cycle active phase.
 /// * `live_pos` maps a slot index back to its position in `live` so removal
 ///   by identifier is O(1) swap-remove rather than a linear scan.
-#[derive(Debug, Default)]
-pub struct NodeArena {
+#[derive(Debug)]
+pub struct NodeArena<T = ProtocolNode> {
     layout: IdLayout,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<T>>,
     free: Vec<u32>,
     live: Vec<u32>,
     live_pos: Vec<u32>,
 }
 
-impl NodeArena {
+impl<T> Default for NodeArena<T> {
+    fn default() -> Self {
+        NodeArena {
+            layout: IdLayout::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: Vec::new(),
+            live_pos: Vec::new(),
+        }
+    }
+}
+
+impl<T> NodeArena<T> {
+    /// Resident bytes of one allocated slot.
+    #[cfg(test)]
+    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// Creates an empty arena with the single-engine layout.
     pub fn new() -> Self {
         NodeArena::default()
@@ -259,12 +277,12 @@ impl NodeArena {
     }
 
     /// Read access to the live occupant of `slot`, if any.
-    pub fn node_at_slot(&self, slot: u32) -> Option<&ProtocolNode> {
+    pub fn node_at_slot(&self, slot: u32) -> Option<&T> {
         self.slots.get(slot as usize)?.node.as_ref()
     }
 
     /// Mutable access to the live occupant of `slot`, if any.
-    pub fn node_at_slot_mut(&mut self, slot: u32) -> Option<&mut ProtocolNode> {
+    pub fn node_at_slot_mut(&mut self, slot: u32) -> Option<&mut T> {
         self.slots.get_mut(slot as usize)?.node.as_mut()
     }
 
@@ -275,11 +293,7 @@ impl NodeArena {
     ///
     /// Panics when `a == b` (an exchange needs two distinct nodes; the
     /// schedulers guarantee this).
-    pub fn pair_mut(
-        &mut self,
-        a: u32,
-        b: u32,
-    ) -> (Option<&mut ProtocolNode>, Option<&mut ProtocolNode>) {
+    pub fn pair_mut(&mut self, a: u32, b: u32) -> (Option<&mut T>, Option<&mut T>) {
         assert_ne!(a, b, "pair_mut requires two distinct slots");
         let (lo, hi, swapped) = if a < b { (a, b, false) } else { (b, a, true) };
         let (head, tail) = self.slots.split_at_mut(hi as usize);
@@ -295,7 +309,7 @@ impl NodeArena {
     /// Resolves an identifier to its node — `None` when the slot is dead,
     /// the identifier's generation is stale (a previous occupant), or the
     /// identifier was minted by a different shard's arena.
-    pub fn get(&self, id: NodeId) -> Option<&ProtocolNode> {
+    pub fn get(&self, id: NodeId) -> Option<&T> {
         let (slot, tag, generation) = self.layout.unpack(id);
         if tag != self.layout.tag {
             return None;
@@ -308,7 +322,7 @@ impl NodeArena {
     }
 
     /// Mutable variant of [`NodeArena::get`].
-    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut ProtocolNode> {
+    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut T> {
         let (slot, tag, generation) = self.layout.unpack(id);
         if tag != self.layout.tag {
             return None;
@@ -329,7 +343,7 @@ impl NodeArena {
     /// # Panics
     ///
     /// Panics when all of the layout's slots are simultaneously live.
-    pub fn insert_at(&mut self, make_node: impl FnOnce(NodeId) -> ProtocolNode) -> (NodeId, u32) {
+    pub fn insert_at(&mut self, make_node: impl FnOnce(NodeId) -> T) -> (NodeId, u32) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 // Recycled slot: bump the generation so identifiers of the
@@ -361,7 +375,7 @@ impl NodeArena {
     }
 
     /// [`NodeArena::insert_at`] returning only the identifier.
-    pub fn insert(&mut self, make_node: impl FnOnce(NodeId) -> ProtocolNode) -> NodeId {
+    pub fn insert(&mut self, make_node: impl FnOnce(NodeId) -> T) -> NodeId {
         self.insert_at(make_node).0
     }
 

@@ -50,7 +50,8 @@ use rand::Rng;
 /// operations whose implementation differs per runtime.
 pub trait CycleNodes: SamplerDirectory {
     /// The protocol node at live-directory position `pos`. The sharded
-    /// engine flushes its hot mirror before handing nodes out.
+    /// engine demotes a hot node to hand it out and promotes it back on its
+    /// next call or after the election.
     fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode>;
 
     /// Overwrites live node `id`'s running default-instance estimate with
@@ -171,11 +172,6 @@ impl Coordinator {
     /// The most recent pooled network-size estimate, if any epoch completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
         self.last_size_estimate
-    }
-
-    /// Whether epoch restarts elect counting-instance leaders at all.
-    pub(crate) fn elects_leaders(&self) -> bool {
-        self.config.redundancy.is_some() || self.config.leader_policy.is_some()
     }
 
     /// Installs (or replaces) the telemetry sink and opens the current

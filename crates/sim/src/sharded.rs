@@ -30,6 +30,12 @@
 //! ([`ExchangeCore::exchange`]). The pipeline may batch draws but never
 //! reorders exchanges: two exchanges that share an endpoint do not commute.
 //!
+//! Each live node has one representation. A *hot* node is only its
+//! [`HotStore`] record; a *cold* one (a joiner, a mid-epoch jumper, a node
+//! carrying led COUNT instances) is only a boxed [`ProtocolNode`] in its
+//! arena slot. The node path demotes a hot endpoint — rebuilds its node from
+//! the record — and promotes it back, dropping the node, once it is hot again.
+//!
 //! Per-cycle telemetry is accumulated in per-shard [`OnlineStats`] and
 //! merged in shard order (Chan's parallel Welford update), so a million-node
 //! cycle streams no per-node vectors through a single accumulator.
@@ -47,7 +53,9 @@ use crate::{SeedSequence, SimConfigError, SimulationConfig};
 use aggregate_core::node::{HotView, ProtocolNode};
 use aggregate_core::redundancy::MergePolicy;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
-use aggregate_core::{AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag};
+use aggregate_core::{
+    AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag, ProtocolConfig,
+};
 use gossip_analysis::OnlineStats;
 use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
 use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig};
@@ -151,21 +159,24 @@ pub struct ShardedCycleSummary {
     pub shard_exchanges: Vec<usize>,
 }
 
+/// A shard's arena: per live slot, `None` while the occupant is hot and its
+/// node while it is cold.
+pub(crate) type ShardArena = NodeArena<Option<Box<ProtocolNode>>>;
+
 /// Node state owned by one shard.
 #[derive(Debug)]
 struct Shard {
-    arena: NodeArena,
+    arena: ShardArena,
     /// Per slot: position of the occupant in the global live directory.
     global_pos: Vec<u32>,
-    /// The struct-of-arrays mirror of this shard's *hot* nodes (see
-    /// [`crate::soa`]): while the mirror is resident — from the first cycle
-    /// after construction or a flush until the next flush — hot records are
-    /// authoritative and the matching `ProtocolNode`s are stale until synced
-    /// back. Empty until the first cycle runs.
+    /// The struct-of-arrays records of this shard's *hot* nodes (see
+    /// [`crate::soa`]), [`soa::COLD`]-keyed at every other slot.
     hot: HotStore,
+    /// The protocol every node runs, for rebuilding demoted nodes.
+    protocol: ProtocolConfig,
     /// Whether a live node of this shard may be cold: exact after every full
-    /// pass over the shard, `true` after a join. A prefetch hint for the
-    /// block pipeline's touch stage; it never changes a result.
+    /// pass over the shard, `true` after a join or a demotion. A prefetch
+    /// hint for the block pipeline's touch stage; it never changes a result.
     cold_live: bool,
     /// This shard's slice of the flight recorder: the outcomes
     /// (`MessageLost` / `ExchangeCompleted`) of exchanges its nodes
@@ -208,6 +219,28 @@ impl SamplerDirectory for GlobalDirectory<'_> {
 struct GlobalNodes<'a> {
     live: &'a mut Vec<NodeId>,
     shards: &'a mut [Shard],
+    /// The node `node_mut` handed out last, promoted back by the next call
+    /// or by [`GlobalNodes::settle`] if it is still hot.
+    demoted: Option<NodeId>,
+}
+
+impl<'a> GlobalNodes<'a> {
+    fn new(live: &'a mut Vec<NodeId>, shards: &'a mut [Shard]) -> Self {
+        GlobalNodes {
+            live,
+            shards,
+            demoted: None,
+        }
+    }
+
+    /// Promotes the node `node_mut` handed out last if it is still hot, so
+    /// an election that visits every node holds one demoted node at a time.
+    fn settle(&mut self) {
+        if let Some(id) = self.demoted.take() {
+            let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
+            shard.settle(IdLayout::sharded_slot_of(id));
+        }
+    }
 }
 
 impl SamplerDirectory for GlobalNodes<'_> {
@@ -226,33 +259,32 @@ impl SamplerDirectory for GlobalNodes<'_> {
 }
 
 impl CycleNodes for GlobalNodes<'_> {
-    /// Reads the arena node; callers flush the hot mirror first.
+    /// Demotes the node at `pos`, after promoting the one handed out last.
     fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode> {
+        self.settle();
         let id = self.live[pos];
-        self.shards[IdLayout::shard_of(id) as usize]
-            .arena
-            .get_mut(id)
+        self.demoted = Some(id);
+        let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
+        shard.demote(IdLayout::sharded_slot_of(id))
     }
 
     fn corrupt_estimate(&mut self, id: NodeId, value: f64) -> Option<u64> {
         let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-        shard.arena.get(id)?;
-        let slot = IdLayout::sharded_slot_of(id) as usize;
-        // A hot node's authoritative state lives in the mirror;
-        // `corrupt_estimate` only overwrites the running approximation,
-        // which is exactly the mirrored word.
-        match shard.hot.slots.get_mut(slot).filter(|r| r.is_hot()) {
-            Some(record) => record.state = value,
-            None => shard.arena.get_mut(id)?.corrupt_estimate(value),
+        let slot = shard.arena.slot_of(id)?;
+        // A hot node is its record; `corrupt_estimate` only overwrites the
+        // running approximation, which is exactly the record's state.
+        match shard.arena.get_mut(id)? {
+            Some(node) => node.corrupt_estimate(value),
+            None => shard.hot.slots[slot as usize].state = value,
         }
-        Some(u64::from(shard.global_pos[slot]))
+        Some(u64::from(shard.global_pos[slot as usize]))
     }
 
     fn corrupt_instance(&mut self, id: NodeId, state: f64) {
         // A captured leader runs a led instance, so it is cold by
-        // construction — the arena node is authoritative.
+        // construction; a hot node runs no led instance to corrupt.
         let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-        if let Some(node) = shard.arena.get_mut(id) {
+        if let Some(Some(node)) = shard.arena.get_mut(id) {
             node.corrupt_instance(InstanceTag::from_leader(id), state);
         }
     }
@@ -262,7 +294,7 @@ impl CycleNodes for GlobalNodes<'_> {
         let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
         let slot = IdLayout::sharded_slot_of(id);
         shard.arena.remove_slot_checked(slot);
-        // The departed node's state vanishes with it: no flush, just hygiene.
+        // The departed node's state vanishes with it.
         shard.hot.mark_cold(slot);
         self.live.swap_remove(pos);
         if pos < self.live.len() {
@@ -295,16 +327,31 @@ impl Shard {
         self.global_pos[slot] = pos;
     }
 
-    /// Writes a hot record back into its `ProtocolNode`, bringing the node in
-    /// sync with the mirror. The record stays hot (it still equals the node);
-    /// callers that are about to mutate the node must [`Shard::resync_slot`]
-    /// afterwards.
-    fn flush_hot_slot(&mut self, slot: u32) {
-        let Some(view) = self.hot.view(slot) else {
+    /// The node at live `slot`, demoting a hot occupant first: its node is
+    /// rebuilt from the record, which goes cold. `None` for a dead slot.
+    fn demote(&mut self, slot: u32) -> Option<&mut ProtocolNode> {
+        if let Some(view) = self.hot.view(slot) {
+            let (id, local) = (self.arena.id_at_slot(slot), self.hot.local[slot as usize]);
+            let node = ProtocolNode::from_hot_view(id, self.protocol, local, view);
+            *self.arena.node_at_slot_mut(slot)? = Some(Box::new(node));
+            self.hot.mark_cold(slot);
+            self.cold_live = true;
+        }
+        self.arena.node_at_slot_mut(slot)?.as_deref_mut()
+    }
+
+    /// Promotes `slot`'s cold occupant, dropping its node, when it is hot
+    /// again and its epoch fits the record; otherwise it stays cold.
+    fn settle(&mut self, slot: u32) {
+        let Some(entry) = self.arena.node_at_slot_mut(slot) else {
             return;
         };
-        if let Some(node) = self.arena.node_at_slot_mut(slot) {
-            node.restore_hot_view(view);
+        let Some(node) = entry.as_deref() else {
+            return;
+        };
+        match node.hot_view() {
+            Some(view) if self.hot.promote(slot, view, node.local_value()) => *entry = None,
+            _ => self.cold_live = true,
         }
     }
 
@@ -324,30 +371,15 @@ impl Shard {
     fn touch(&self, slot: u32) -> u64 {
         match self.hot.slots.get(slot as usize) {
             Some(record) if record.is_hot() => u64::from(record.key),
-            _ => self.arena.node_at_slot(slot).map_or(0, |node| {
-                node.current_epoch()
-                    ^ node.estimate().unwrap_or(0.0).to_bits()
-                    ^ u64::from(node.has_only_default_instance())
-            }),
-        }
-    }
-
-    /// Re-derives `slot`'s mirror record from its `ProtocolNode`: promoted if
-    /// the node is currently hot, demoted to cold otherwise.
-    fn resync_slot(&mut self, slot: u32, kind: AggregateKind) {
-        let Some(node) = self.arena.node_at_slot(slot) else {
-            self.hot.mark_cold(slot);
-            return;
-        };
-        match node.hot_view() {
-            Some(view) => {
-                let restart = kind.init_value(node.local_value());
-                self.hot.promote(slot, view, restart);
-            }
-            None => {
-                self.hot.mark_cold(slot);
-                self.cold_live = true;
-            }
+            _ => self
+                .arena
+                .node_at_slot(slot)
+                .and_then(Option::as_deref)
+                .map_or(0, |node| {
+                    node.current_epoch()
+                        ^ node.estimate().unwrap_or(0.0).to_bits()
+                        ^ u64::from(node.has_only_default_instance())
+                }),
         }
     }
 }
@@ -377,12 +409,6 @@ pub struct ShardedSimulation {
     /// Random-victim departures under churn and crash bursts.
     churn_rng: StdRng,
     shard_exchange_totals: Vec<usize>,
-    /// Whether the per-shard [`HotStore`]s currently hold the authoritative
-    /// state of the hot nodes. Set by the first cycle after construction or
-    /// a flush; while `true`, every read or node-path mutation of a hot node
-    /// must go through a flush/resync. Only leader elections call
-    /// `flush_soa`, which drops back to the all-node representation.
-    soa_resident: bool,
     /// Reusable shuffle buffer: one `u64` per live node carrying
     /// `directory_position << 32 | packed_endpoint`, so after the shuffle
     /// both the rejection compare (high half) and the initiator's shard/slot
@@ -474,22 +500,31 @@ impl ShardedSimulation {
     ) -> Result<Self, SimConfigError> {
         config.validate(initial_values)?;
         let shard_count = config.shards;
+        let protocol = config.base.protocol;
         let mut shards: Vec<Shard> = (0..shard_count)
             .map(|s| Shard {
                 arena: NodeArena::with_layout(IdLayout::sharded(s as u32)),
                 global_pos: Vec::new(),
                 hot: HotStore::default(),
+                protocol,
                 cold_live: false,
                 recorder: FlightRecorder::new(0),
             })
             .collect();
         let mut global_live = Vec::with_capacity(initial_values.len());
-        let protocol = config.base.protocol;
+        let kind = protocol.aggregate();
         for (i, &value) in initial_values.iter().enumerate() {
             let shard = &mut shards[i % shard_count];
-            let (id, slot) = shard
-                .arena
-                .insert_at(|id| ProtocolNode::new(id, protocol, value));
+            let (id, slot) = shard.arena.insert_at(|_| None);
+            // `ProtocolNode::new(id, protocol, value).hot_view()`, written
+            // straight into the record: every initial node starts hot.
+            let view = HotView {
+                state: kind.init_value(value),
+                epoch: 0,
+                cycle_in_epoch: 0,
+                exchanges: 0,
+            };
+            shard.hot.promote(slot, view, value);
             shard.set_global_pos(slot, global_live.len() as u32);
             global_live.push(id);
         }
@@ -500,11 +535,9 @@ impl ShardedSimulation {
             plan,
             adversary_plan,
         )?;
-        let mut nodes = GlobalNodes {
-            live: &mut global_live,
-            shards: &mut shards,
-        };
+        let mut nodes = GlobalNodes::new(&mut global_live, &mut shards);
         coordinator.elect_leaders(&mut nodes, None);
+        nodes.settle();
         Ok(ShardedSimulation {
             config,
             shards,
@@ -512,7 +545,6 @@ impl ShardedSimulation {
             // stream: random-victim departures under churn
             churn_rng: coordinator.seeds().rng_for_labeled(0, "sharded-churn"),
             shard_exchange_totals: vec![0; shard_count],
-            soa_resident: false,
             soa_order: Vec::new(),
             soa_packed: Vec::new(),
             coordinator,
@@ -633,45 +665,49 @@ impl ShardedSimulation {
     /// Read access to a node. Returns `None` for departed nodes and stale
     /// identifiers.
     ///
-    /// Takes `&mut self` because the node may currently be mirrored in the
-    /// struct-of-arrays hot store; the mirror is flushed into the node first
-    /// so the returned view is never stale.
+    /// Takes `&mut self` because a hot node is only its struct-of-arrays
+    /// record: reading it demotes it, rebuilding its `ProtocolNode`, and the
+    /// node stays cold until the end of the cycle promotes it back. The read
+    /// changes no result.
     pub fn node(&mut self, id: NodeId) -> Option<&ProtocolNode> {
-        let shard = IdLayout::shard_of(id) as usize;
-        let shard = self.shards.get_mut(shard)?;
-        shard.flush_hot_slot(IdLayout::sharded_slot_of(id));
-        shard.arena.get(id)
+        let shard = self.shards.get_mut(IdLayout::shard_of(id) as usize)?;
+        let slot = shard.arena.slot_of(id)?;
+        shard.demote(slot).map(|node| &*node)
     }
 
     /// Current default-instance estimates of all live nodes, in global
     /// directory order — a shard-count invariant ordering, which is what
     /// lets the determinism suite compare runs across shard counts
-    /// bit-for-bit. Hot nodes are read straight from the dense mirror
-    /// (`estimate_value` over the mirrored state is bit-identical to the
-    /// node-side estimate).
+    /// bit-for-bit. Hot nodes are read from their records (`estimate_value`
+    /// over the record's state is bit-identical to the node-side estimate).
     pub fn estimates(&self) -> Vec<f64> {
         let kind = self.config.base.protocol.aggregate();
         self.global_live
             .iter()
             .filter_map(|&id| {
                 let shard = self.shards.get(IdLayout::shard_of(id) as usize)?;
-                if let Some(record) = shard.hot.hot(IdLayout::sharded_slot_of(id)) {
-                    return Some(kind.estimate_value(record.state));
+                let slot = IdLayout::sharded_slot_of(id) as usize;
+                match shard.arena.get(id)? {
+                    Some(node) => node.estimate(),
+                    None => Some(kind.estimate_value(shard.hot.slots[slot].state)),
                 }
-                shard.arena.get(id).and_then(|node| node.estimate())
             })
             .collect()
     }
 
     /// Current local attribute values of all live nodes, in global directory
-    /// order. Local values are never mirrored (the engine exposes no way to
-    /// change them), so this reads the nodes directly.
+    /// order: a cold node's own, a hot node's from its shard's `local`
+    /// column (the engine exposes no way to change them).
     pub fn local_values(&self) -> Vec<f64> {
         self.global_live
             .iter()
             .filter_map(|&id| {
                 let shard = self.shards.get(IdLayout::shard_of(id) as usize)?;
-                shard.arena.get(id).map(|node| node.local_value())
+                let slot = IdLayout::sharded_slot_of(id) as usize;
+                match shard.arena.get(id)? {
+                    Some(node) => Some(node.local_value()),
+                    None => Some(shard.hot.local[slot]),
+                }
             })
             .collect()
     }
@@ -692,7 +728,9 @@ impl ShardedSimulation {
             .expect("at least one shard");
         let shard = &mut self.shards[shard_idx];
         let (id, slot) = shard.arena.insert_at(|id| {
-            ProtocolNode::joining(id, protocol, local_value, next_epoch, cycles_until_start)
+            let node =
+                ProtocolNode::joining(id, protocol, local_value, next_epoch, cycles_until_start);
+            Some(Box::new(node))
         });
         // A joining node waits for its epoch — never hot; the slot may be a
         // reused one carrying a stale hot record.
@@ -710,10 +748,7 @@ impl ShardedSimulation {
     /// Removes a specific node. Returns `true` if the node was live; stale
     /// identifiers are rejected.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let mut nodes = GlobalNodes {
-            live: &mut self.global_live,
-            shards: &mut self.shards,
-        };
+        let mut nodes = GlobalNodes::new(&mut self.global_live, &mut self.shards);
         if !nodes.is_live(id) {
             return false;
         }
@@ -726,10 +761,7 @@ impl ShardedSimulation {
     /// experiments). The victim sequence is drawn from a dedicated stream
     /// over the global directory, so it is identical for every shard count.
     pub fn remove_random_nodes(&mut self, count: usize) -> usize {
-        let mut nodes = GlobalNodes {
-            live: &mut self.global_live,
-            shards: &mut self.shards,
-        };
+        let mut nodes = GlobalNodes::new(&mut self.global_live, &mut self.shards);
         self.coordinator
             .remove_random(&mut nodes, &mut self.churn_rng, count)
     }
@@ -742,14 +774,10 @@ impl ShardedSimulation {
     /// Runs one full protocol cycle and returns its summary.
     pub fn run_cycle(&mut self) -> ShardedCycleSummary {
         let shard_count = self.config.shards;
-        let mut nodes = GlobalNodes {
-            live: &mut self.global_live,
-            shards: &mut self.shards,
-        };
+        let mut nodes = GlobalNodes::new(&mut self.global_live, &mut self.shards);
         let loss = self
             .coordinator
             .enter_cycle(&mut nodes, &mut self.churn_rng);
-        self.ensure_soa_resident();
         let (outs, exchanges_blocked) = self.run_cycle_sequential_soa(loss);
 
         // Merge the per-shard outputs in shard order: integer counters sum
@@ -785,17 +813,10 @@ impl ShardedSimulation {
             self.coordinator.last_size_estimate = Some(size_stats.mean());
         }
         if let Some(epoch) = completed_epoch {
-            // Elections read and mutate nodes directly; sync the mirror back
-            // first. Averaging-only runs elect nobody, so the hot store stays
-            // resident across their epoch boundaries.
-            if self.coordinator.elects_leaders() {
-                self.flush_soa();
-            }
-            let mut nodes = GlobalNodes {
-                live: &mut self.global_live,
-                shards: &mut self.shards,
-            };
+            // An election demotes each node it visits and promotes it back.
+            let mut nodes = GlobalNodes::new(&mut self.global_live, &mut self.shards);
             self.coordinator.epoch_restarted(epoch, &mut nodes, None);
+            nodes.settle();
         }
 
         let summary = ShardedCycleSummary {
@@ -818,42 +839,6 @@ impl ShardedSimulation {
         summary
     }
 
-    /// Loads every currently-hot node into the per-shard dense mirrors and
-    /// marks the mirrors authoritative. One streaming pass; a no-op while
-    /// already resident.
-    fn ensure_soa_resident(&mut self) {
-        if self.soa_resident {
-            return;
-        }
-        let kind = self.config.base.protocol.aggregate();
-        for shard in &mut self.shards {
-            shard.cold_live = false;
-            for pos in 0..shard.arena.len() {
-                let slot = shard.arena.live_slots()[pos];
-                shard.resync_slot(slot, kind);
-            }
-        }
-        self.soa_resident = true;
-    }
-
-    /// Writes every hot record back into its `ProtocolNode` and drops to the
-    /// all-node representation, so a leader election can read and mutate
-    /// nodes directly.
-    fn flush_soa(&mut self) {
-        if !self.soa_resident {
-            return;
-        }
-        for shard in &mut self.shards {
-            for slot in 0..shard.hot.slots.len() as u32 {
-                if shard.hot.slots[slot as usize].is_hot() {
-                    shard.flush_hot_slot(slot);
-                    shard.hot.mark_cold(slot);
-                }
-            }
-        }
-        self.soa_resident = false;
-    }
-
     /// The executor: draws the cycle's schedule and applies it in global
     /// sequence order, returning the per-shard outputs and the number of
     /// vetoed picks. The steady-state work runs over the dense per-shard
@@ -869,9 +854,10 @@ impl ShardedSimulation {
     ///   exchange's coins still come from its own `seed_for_run(seq)`
     ///   stream, in draw order — bit-identical to the lazy closure);
     /// * an exchange between two hot nodes in the same epoch runs
-    ///   [`ExchangeCore::exchange_fused_raw`] over two 24-byte records — one
+    ///   [`ExchangeCore::exchange_fused_raw`] over two 16-byte records — one
     ///   cache line per endpoint instead of two-plus; any other exchange
-    ///   flushes its endpoints and takes the node path, then resyncs.
+    ///   demotes its hot endpoints, takes the node path, then promotes
+    ///   whichever is hot again.
     fn run_cycle_sequential_soa(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
         let shard_count = self.config.shards;
         let redundancy = self.config.base.redundancy.map(|r| r.merge);
@@ -1117,12 +1103,12 @@ impl ShardedSimulation {
                         );
                     }
                 } else {
-                    // Cold or cross-epoch endpoint: sync the nodes, run the
+                    // Cold or cross-epoch endpoint: demote both, run the
                     // ordinary node-path exchange (which takes its own fused
                     // fast path when the preconditions hold — bit-identical
-                    // arithmetic either way), then re-derive both records.
-                    shards[shard_a].flush_hot_slot(slot_a);
-                    shards[shard_b].flush_hot_slot(slot_b);
+                    // arithmetic either way), then promote either if hot.
+                    shards[shard_a].demote(slot_a);
+                    shards[shard_b].demote(slot_b);
                     let (initiator, peer) = if shard_a == shard_b {
                         shards[shard_a].arena.pair_mut(slot_a, slot_b)
                     } else {
@@ -1132,7 +1118,7 @@ impl ShardedSimulation {
                             sb.arena.node_at_slot_mut(slot_b),
                         )
                     };
-                    let (Some(initiator), Some(peer)) = (initiator, peer) else {
+                    let (Some(Some(initiator)), Some(Some(peer))) = (initiator, peer) else {
                         continue;
                     };
                     let seed = if lossy {
@@ -1158,8 +1144,8 @@ impl ShardedSimulation {
                             tallies[shard_a].messages_lost - lost_before,
                         );
                     }
-                    shards[shard_a].resync_slot(slot_a, kind);
-                    shards[shard_b].resync_slot(slot_b, kind);
+                    shards[shard_a].settle(slot_a);
+                    shards[shard_b].settle(slot_b);
                 }
             }
             next_seq += survivors;
@@ -1294,10 +1280,10 @@ impl ShardCycleOut {
 }
 
 /// End-of-cycle phase of one shard: hot nodes tick, restart and report
-/// entirely inside the dense mirror; cold nodes take
-/// [`ShardCycleOut::tick_node`] and are re-examined for promotion
-/// afterwards (joining nodes whose epoch just started, ex-leaders whose led
-/// instances just cleared). Iteration order, stat-push order and epoch
+/// entirely inside their records; cold nodes take
+/// [`ShardCycleOut::tick_node`] and are promoted afterwards if hot again
+/// (joining nodes whose epoch just started, ex-leaders whose led instances
+/// just cleared). Iteration order, stat-push order and epoch
 /// book-keeping replicate `ProtocolNode::end_cycle` exactly:
 ///
 /// * a hot node participates from its epoch's start by definition, so a
@@ -1320,7 +1306,6 @@ fn end_of_cycle_pass_soa(
         let slot = shard.arena.live_slots()[pos];
         let hot = shard.hot.hot(slot).is_some();
         if hot {
-            let restart = shard.hot.restart[slot as usize];
             let cycle = &mut shard.hot.cycles[slot as usize];
             *cycle += 1;
             let completing = *cycle >= cycles_per_epoch;
@@ -1332,7 +1317,7 @@ fn end_of_cycle_pass_soa(
             if completing {
                 out.epoch_completed(u64::from(record.key));
                 out.epoch_stats.push(kind.estimate_value(record.state));
-                record.state = restart;
+                record.state = kind.init_value(shard.hot.local[slot as usize]);
                 record.exchanges = 0;
                 record.key += 1;
                 overflow = record.key == soa::COLD;
@@ -1340,25 +1325,28 @@ fn end_of_cycle_pass_soa(
             out.estimate_stats.push(kind.estimate_value(record.state));
             if overflow {
                 // The new epoch is not representable in the 16-byte record
-                // (u32 epochs): hand the node back to the cold path.
-                // Unreachable in any real run, but cheap to keep correct.
+                // (u32 epochs), whose key now reads cold: the node continues
+                // cold. Unreachable in any real run, but cheap to keep correct.
+                let local = shard.hot.local[slot as usize];
                 let view = HotView {
-                    state: restart,
+                    state: kind.init_value(local),
                     epoch: u64::from(soa::COLD),
                     cycle_in_epoch: 0,
                     exchanges: 0,
                 };
-                shard.hot.mark_cold(slot);
-                if let Some(node) = shard.arena.node_at_slot_mut(slot) {
-                    node.restore_hot_view(view);
+                let id = shard.arena.id_at_slot(slot);
+                let node = ProtocolNode::from_hot_view(id, shard.protocol, local, view);
+                if let Some(entry) = shard.arena.node_at_slot_mut(slot) {
+                    *entry = Some(Box::new(node));
                 }
+                shard.cold_live = true;
             }
         } else {
-            let Some(node) = shard.arena.node_at_slot_mut(slot) else {
+            let Some(Some(node)) = shard.arena.node_at_slot_mut(slot) else {
                 continue;
             };
             out.tick_node(node, redundancy);
-            shard.resync_slot(slot, kind);
+            shard.settle(slot);
         }
     }
     out
@@ -1388,10 +1376,11 @@ fn record_exchange_outcome(recorder: &mut FlightRecorder, seq: u64, began: bool,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetworkConditions;
+    use crate::soa::HotSlot;
+    use crate::{NetworkConditions, RedundancyConfig};
     use aggregate_core::config::LateJoinPolicy;
     use aggregate_core::size_estimation::LeaderPolicy;
-    use aggregate_core::ProtocolConfig;
+    use std::collections::HashMap;
 
     fn averaging(shards: usize, cycles_per_epoch: u32) -> ShardedConfig {
         ShardedConfig::averaging(
@@ -1734,6 +1723,106 @@ mod tests {
              0,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,-,30|40|30\n\
              1,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,7,100\n"
         );
+    }
+
+    #[test]
+    fn reading_nodes_changes_nothing() {
+        // A churned COUNT run: four led instances an epoch keep most nodes
+        // cold for part of each epoch, and joiners wait cold. Reading a hot
+        // node demotes it until the end of the cycle.
+        let protocol = ProtocolConfig::builder()
+            .cycles_per_epoch(6)
+            .late_join(LateJoinPolicy::FixedState(0.0))
+            .build()
+            .unwrap();
+        let config = ShardedConfig {
+            base: SimulationConfig {
+                redundancy: Some(RedundancyConfig::median_of(4)),
+                ..SimulationConfig::averaging(protocol)
+            },
+            shards: 3,
+            workers: None,
+        };
+        let values: Vec<f64> = (0..200).map(|i| (i % 13) as f64).collect();
+        let run = |reads: bool| {
+            let mut sim = ShardedSimulation::new(config, &values, 5).unwrap();
+            let mut inputs: HashMap<NodeId, f64> = sim
+                .global_live
+                .iter()
+                .copied()
+                .zip(values.iter().copied())
+                .collect();
+            let mut picks = StdRng::seed_from_u64(9);
+            let (mut hot_reads, mut cold_reads) = (0, 0);
+            let mut summaries = Vec::new();
+            for cycle in 0..30 {
+                for j in 0..3 {
+                    let value = 1_000.0 + (cycle * 3 + j) as f64;
+                    inputs.insert(sim.add_node(value), value);
+                }
+                sim.remove_random_nodes(3);
+                let expected: Vec<f64> = sim.global_live.iter().map(|id| inputs[id]).collect();
+                assert_eq!(sim.local_values(), expected, "cycle {cycle}");
+                for _ in 0..(if reads { 20 } else { 0 }) {
+                    let id = sim.global_live[picks.gen_range(0..sim.live_count())];
+                    let shard = &sim.shards[IdLayout::shard_of(id) as usize];
+                    match shard.hot.hot(IdLayout::sharded_slot_of(id)) {
+                        Some(_) => hot_reads += 1,
+                        None => cold_reads += 1,
+                    }
+                    assert_eq!(
+                        sim.node(id).map(ProtocolNode::local_value),
+                        Some(inputs[&id])
+                    );
+                }
+                summaries.push(sim.run_cycle());
+            }
+            assert!(!reads || (hot_reads > 100 && cold_reads > 100));
+            let estimates: Vec<u64> = sim.estimates().iter().map(|v| v.to_bits()).collect();
+            (summaries, estimates)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn a_restart_past_the_u32_epoch_range_continues_cold_with_its_state() {
+        let mut sim = ShardedSimulation::new(averaging(1, 3), &[4.0], 3).unwrap();
+        let id = sim.global_live[0];
+        let slot = IdLayout::sharded_slot_of(id);
+        // A hot record one epoch short of the record's range, about to
+        // restart.
+        let shard = &mut sim.shards[0];
+        shard.hot.slots[slot as usize] = HotSlot {
+            state: 9.0,
+            key: u32::MAX - 1,
+            exchanges: 2,
+        };
+        shard.hot.cycles[slot as usize] = 2;
+        let summary = sim.run_cycle();
+        assert_eq!(summary.completed_epoch, Some(u64::from(u32::MAX - 1)));
+        assert_eq!(summary.epoch_estimates.mean(), 9.0);
+        assert_eq!(
+            sim.shards[0].hot.hot(slot),
+            None,
+            "the epoch overflows the record"
+        );
+        let restarted = HotView {
+            state: 4.0,
+            epoch: u64::from(u32::MAX),
+            cycle_in_epoch: 0,
+            exchanges: 0,
+        };
+        assert_eq!(
+            sim.node(id).and_then(ProtocolNode::hot_view),
+            Some(restarted)
+        );
+        // Every later promotion fails, and the node runs on cold.
+        sim.run(4);
+        assert_eq!(sim.shards[0].hot.hot(slot), None);
+        let node = sim.node(id).expect("a failed promotion keeps the node");
+        assert_eq!(node.current_epoch(), u64::from(u32::MAX) + 1);
+        assert_eq!(sim.estimates(), vec![4.0]);
+        assert_eq!(sim.local_values(), vec![4.0]);
     }
 
     #[test]

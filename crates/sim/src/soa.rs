@@ -5,18 +5,18 @@
 //! structs (epoch manager, instance, led-instance map root, config) spread
 //! over several cache lines each, and every peer pick pays a virtual
 //! `dyn PeerSampler` + `dyn RngCore` dispatch. This module provides the dense
-//! mirror that fixes both:
+//! store that fixes both:
 //!
 //! * [`HotSlot`] — 16 bytes of state that completely describe a *hot* node
 //!   (participating, present since its epoch's first cycle, default instance
-//!   only — [`aggregate_core::node::HotView`] is the sync format). One slot
-//!   per arena slot, indexed identically, so the existing `NodeId` layout maps
-//!   straight into the dense array. A fused exchange touches exactly one cache
-//!   line per endpoint, and the whole store is 16 B per node — at 10⁷ nodes a
-//!   160 MB random-access footprint instead of the multi-GB node arena.
+//!   only — [`aggregate_core::node::HotView`] is the exchange format). One
+//!   slot per arena slot, indexed identically, so the existing `NodeId`
+//!   layout maps straight into the dense array. A fused exchange touches
+//!   exactly one cache line per endpoint, and the whole record array is
+//!   16 B per node — at 10⁷ nodes a 160 MB random-access footprint.
 //! * [`HotStore`] — the per-shard arrays: the hot slots plus the per-slot
-//!   epoch-restart values (`init_value(local_value)`, constant per node), so
-//!   an epoch restart is a single dense load instead of a `ProtocolNode`
+//!   cycle position and local value, so an epoch restart is
+//!   `init_value(local)` over a dense load instead of a `ProtocolNode`
 //!   round-trip.
 //! * [`shuffle_batched`] / [`WordBuffer`] / the draw mirrors — batched RNG:
 //!   raw `u64` words are pre-drawn in blocks and mapped onto ranges/coins with
@@ -26,18 +26,19 @@
 //!   the draws the unbatched code makes. Unit tests below pin each mirror
 //!   against the vendored implementation.
 //!
-//! Everything cold — joining nodes, mid-epoch jumpers, leaders carrying led
-//! size-estimation instances — stays on the `ProtocolNode` path; the sharded
-//! engine syncs a slot between the two representations at well-defined points
-//! (see `sharded.rs`). Correctness therefore never depends on *which* nodes
-//! are hot: demoting everything merely loses the speed.
+//! A live node is in exactly one representation. Everything cold — joining
+//! nodes, mid-epoch jumpers, nodes carrying led size-estimation instances —
+//! is a `ProtocolNode` and has no hot record; the sharded engine demotes and
+//! promotes a node between the two at well-defined points (see
+//! `sharded.rs`). Correctness therefore never depends on *which* nodes are
+//! hot: demoting everything merely loses the speed.
 
 use aggregate_core::node::HotView;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
 /// Sentinel in [`HotSlot::key`] marking a slot whose occupant (if any) is
-/// represented by its `ProtocolNode`, not by the dense mirror.
+/// represented by its `ProtocolNode`, not by the dense record.
 pub const COLD: u32 = u32::MAX;
 
 /// Dense per-node hot state: a 16-byte, never-line-straddling record per
@@ -51,7 +52,7 @@ pub const COLD: u32 = u32::MAX;
 /// epoch does not fit stays on the node path ([`HotStore::promote`] rejects
 /// it), which is a correctness-preserving demotion — and would take over a
 /// century of millisecond-long cycles to reach. Per-slot state the exchange
-/// does *not* touch (cycle position, restart value) lives in parallel arrays
+/// does *not* touch (cycle position, local value) lives in parallel arrays
 /// read only by the engine's sequential end-of-cycle pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(16))]
@@ -74,7 +75,7 @@ impl HotSlot {
         }
     }
 
-    /// Whether the record currently mirrors its node.
+    /// Whether the record currently is its node.
     #[inline]
     pub fn is_hot(&self) -> bool {
         self.key != COLD
@@ -91,11 +92,11 @@ pub struct HotStore {
     /// epochs completes them offset from the crowd forever after. Split out
     /// of [`HotSlot`] because only the end-of-cycle pass reads it.
     pub cycles: Vec<u32>,
-    /// Per-slot epoch-restart state: `kind.init_value(local_value)` of the
-    /// occupant. Valid only while the matching record is hot (it is written
-    /// on every promotion); the sharded engine never changes a node's local
-    /// value, so it stays valid for the whole residency.
-    pub restart: Vec<f64>,
+    /// Per-slot local value of the occupant; an epoch restart sets the
+    /// record's state to `kind.init_value(local)`. Valid only while the
+    /// matching record is hot (it is written on every promotion); the
+    /// sharded engine never changes a node's local value.
+    pub local: Vec<f64>,
 }
 
 impl HotStore {
@@ -105,7 +106,7 @@ impl HotStore {
         if self.slots.len() < needed {
             self.slots.resize(needed, HotSlot::cold());
             self.cycles.resize(needed, 0);
-            self.restart.resize(needed, 0.0);
+            self.local.resize(needed, 0.0);
         }
     }
 
@@ -122,7 +123,7 @@ impl HotStore {
         self.slots.get(slot as usize).filter(|r| r.is_hot())
     }
 
-    /// The node-facing sync format of the hot record at `slot`.
+    /// The node-facing format of the hot record at `slot`.
     #[inline]
     pub fn view(&self, slot: u32) -> Option<HotView> {
         self.hot(slot).map(|record| HotView {
@@ -133,11 +134,11 @@ impl HotStore {
         })
     }
 
-    /// Installs a hot record and its restart value at `slot`. Returns
-    /// whether the snapshot was representable (epochs beyond `u32` stay on
-    /// the node path).
+    /// Installs a hot record and its local value at `slot`. Returns whether
+    /// the snapshot was representable (epochs beyond `u32` stay on the node
+    /// path, and the slot is left cold).
     #[inline]
-    pub fn promote(&mut self, slot: u32, view: HotView, restart: f64) -> bool {
+    pub fn promote(&mut self, slot: u32, view: HotView, local: f64) -> bool {
         if view.epoch >= u64::from(COLD) {
             self.mark_cold(slot);
             return false;
@@ -149,7 +150,7 @@ impl HotStore {
             exchanges: view.exchanges,
         };
         self.cycles[slot as usize] = view.cycle_in_epoch;
-        self.restart[slot as usize] = restart;
+        self.local[slot as usize] = local;
         true
     }
 
@@ -362,7 +363,23 @@ mod tests {
     }
 
     #[test]
-    fn hot_store_promote_flush_roundtrip_and_pairing() {
+    fn sharded_slot_keeps_no_node_resident() {
+        // Per slot the sharded engine keeps the arena slot (a generation and
+        // an empty node box while hot), the record, and the `cycles` and
+        // `local` columns. A `ProtocolNode` back in the slot adds ≥ 144 B.
+        let arena = crate::sharded::ShardArena::SLOT_BYTES;
+        assert!(arena <= 24, "arena slot {arena} B");
+        let mut store = HotStore::default();
+        store.ensure_slot(0);
+        let columns = std::mem::size_of_val(&store.slots[..])
+            + std::mem::size_of_val(&store.cycles[..])
+            + std::mem::size_of_val(&store.local[..]);
+        assert_eq!(columns, 16 + 4 + 8);
+        assert!(arena + columns <= 52);
+    }
+
+    #[test]
+    fn hot_store_promote_view_roundtrip_and_pairing() {
         let mut store = HotStore::default();
         let view = HotView {
             state: 2.5,
@@ -375,7 +392,7 @@ mod tests {
         assert_eq!(store.hot(3), None);
         assert_eq!(store.view(7), Some(view));
         assert_eq!(store.view(3), None);
-        assert_eq!(store.restart[7], 1.25);
+        assert_eq!(store.local[7], 1.25);
         // An epoch beyond u32 is not representable: the slot stays cold and
         // the occupant stays on the node path.
         assert!(!store.promote(

@@ -91,6 +91,14 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
+/// This process's peak resident set in KiB, read from `VmHWM` in
+/// `/proc/self/status`; `None` where that file is missing.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args().unwrap_or_else(|message| {
         eprintln!("{message}\n{USAGE}");
@@ -124,6 +132,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({sharded_rate:.2} cycles/s, {:.1} M exchanges/s)",
         exchanges as f64 / elapsed / 1e6
     );
+
+    // Peak RSS before `--baseline` builds the reference engine: the sharded
+    // engine's resident footprint, in the ledger's MB (KiB / 1024).
+    match peak_rss_kib() {
+        Some(kib) => println!(
+            "peak RSS {:.1} MB ({:.0} B/node)",
+            kib as f64 / 1024.0,
+            kib as f64 * 1024.0 / nodes as f64
+        ),
+        None => println!("peak RSS n/a"),
+    }
 
     if args.full {
         let budget = env_f64("GOSSIP_FULL_BUDGET_S", 90.0);
