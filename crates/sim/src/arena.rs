@@ -180,13 +180,7 @@ pub struct NodeArena<T = ProtocolNode> {
 
 impl<T> Default for NodeArena<T> {
     fn default() -> Self {
-        NodeArena {
-            layout: IdLayout::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: Vec::new(),
-            live_pos: Vec::new(),
-        }
+        NodeArena::with_layout(IdLayout::default())
     }
 }
 
@@ -205,7 +199,10 @@ impl<T> NodeArena<T> {
     pub fn with_layout(layout: IdLayout) -> Self {
         NodeArena {
             layout,
-            ..NodeArena::default()
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: Vec::new(),
+            live_pos: Vec::new(),
         }
     }
 
