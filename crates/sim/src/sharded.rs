@@ -1825,6 +1825,60 @@ mod tests {
         assert_eq!(sim.local_values(), vec![4.0]);
     }
 
+    /// FNV-1a over a text's bytes.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |fnv, byte| {
+            (fnv ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn traced_runs_under_loss_churn_and_dead_links_keep_their_pinned_trace() {
+        // The JSONL of each run's per-cycle drains, pinned from the k-way
+        // merge of per-shard rings: an independent way to the same trace.
+        for (shards, pinned) in [(1, 0xd13a_bd71_e2cb_6dcb), (4, 0x3e6a_d74b_4b79_cace)] {
+            let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
+            let mut config = averaging(shards, 8);
+            config.base.conditions = NetworkConditions::with_message_loss(0.1);
+            let plan = FaultPlan::with_link_failure(0.1);
+            let mut sim = ShardedSimulation::with_faults(config, &values, 4_040, plan).unwrap();
+            sim.set_telemetry(TelemetryConfig::trace());
+            let (mut jsonl, mut lost) = (String::new(), 0);
+            let mut counts = HashMap::new();
+            for cycle in 0..24 {
+                for i in 0..5 {
+                    sim.add_node((cycle * 5 + i) as f64);
+                }
+                sim.remove_random_nodes(5);
+                lost += sim.run_cycle().messages_lost as u64;
+                let events = sim.drain_trace();
+                assert!(events
+                    .windows(2)
+                    .all(|w| w[0].sort_key() <= w[1].sort_key()));
+                for event in &events {
+                    *counts.entry(event.kind.name()).or_insert(0u64) += 1;
+                }
+                jsonl.push_str(&gossip_telemetry::trace::to_jsonl(&events));
+            }
+            let count = |name| counts.get(name).copied().unwrap_or(0);
+            for name in [
+                "exchange_vetoed",
+                "message_lost",
+                "node_joined",
+                "epoch_restarted",
+            ] {
+                assert!(count(name) > 0, "{shards} shards: no {name} event");
+            }
+            // Outcomes are recorded without counting, so each counter counts
+            // once.
+            let counter = |name| sim.telemetry_metrics().counter_value(name).unwrap();
+            assert_eq!(counter("exchanges"), count("exchange_begun"));
+            assert_eq!(counter("messages_lost"), lost);
+            assert_eq!(count("message_lost"), lost);
+            assert_eq!(fnv1a(&jsonl), pinned, "{shards} shards: the trace moved");
+        }
+    }
+
     #[test]
     fn tiny_networks_do_not_panic() {
         let mut sim = ShardedSimulation::new(averaging(2, 3), &[1.0], 29).unwrap();
