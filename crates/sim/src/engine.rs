@@ -1014,7 +1014,17 @@ mod tests {
         };
         let plan = FaultPlan::with_link_failure(0.2);
         let mut sim = GossipSimulation::with_faults(config, &values, 21, plan).unwrap();
-        let summaries = sim.run(30);
+        sim.set_telemetry(TelemetryConfig::trace());
+        let summaries: Vec<CycleSummary> = (0..30)
+            .map(|_| {
+                let summary = sim.run_cycle();
+                // Vetoes have a ring of their own, so the exchange ring
+                // stays in key order and a drain without vetoes hands it
+                // over.
+                assert!(sim.coordinator.telemetry.exchange_ring_in_key_order());
+                summary
+            })
+            .collect();
         let blocked: usize = summaries.iter().map(|s| s.exchanges_blocked).sum();
         let attempted: usize = summaries.iter().map(|s| s.exchanges).sum::<usize>() + blocked;
         let blocked_rate = blocked as f64 / attempted as f64;

@@ -58,7 +58,7 @@ use aggregate_core::{
 };
 use gossip_analysis::OnlineStats;
 use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
-use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig};
+use gossip_telemetry::{Event, TelemetryConfig};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -178,12 +178,6 @@ struct Shard {
     /// pass over the shard, `true` after a join or a demotion. A prefetch
     /// hint for the block pipeline's touch stage; it never changes a result.
     cold_live: bool,
-    /// This shard's slice of the flight recorder: the outcomes
-    /// (`MessageLost` / `ExchangeCompleted`) of exchanges its nodes
-    /// initiate, keyed by global sequence number only — no node identity —
-    /// so the seq-sorted merge of all rings is invariant across shard
-    /// counts. Capacity 0 (the default) disables recording entirely.
-    recorder: FlightRecorder,
 }
 
 /// The sharded engine's [`SamplerDirectory`]: positions are the global live
@@ -508,7 +502,6 @@ impl ShardedSimulation {
                 hot: HotStore::default(),
                 protocol,
                 cold_live: false,
-                recorder: FlightRecorder::new(0),
             })
             .collect();
         let mut global_live = Vec::with_capacity(initial_values.len());
@@ -551,35 +544,23 @@ impl ShardedSimulation {
         })
     }
 
-    /// Installs (or replaces) the telemetry sink and re-arms the per-shard
-    /// flight-recorder rings. With [`TelemetryConfig::disabled`] — the
-    /// construction default — every hook is a single branch and the run is
-    /// bit-identical to the pre-telemetry engine. Recording consumes no
-    /// randomness, and events are keyed by global directory positions plus
-    /// global sequence numbers, so the merged trace is invariant across
-    /// shard counts.
+    /// Installs (or replaces) the telemetry sink. With
+    /// [`TelemetryConfig::disabled`] — the construction default — every
+    /// hook is a single branch and the run is bit-identical to the
+    /// pre-telemetry engine. Recording consumes no randomness, and events
+    /// are keyed by global directory positions plus global sequence
+    /// numbers, so the trace is invariant across shard counts.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
         self.coordinator.set_telemetry(config);
-        for shard in &mut self.shards {
-            shard.recorder = self.coordinator.telemetry.shard_recorder();
-        }
-        self.set_shard_contexts();
     }
 
-    /// Stamps every shard recorder with the current cycle and virtual time.
-    fn set_shard_contexts(&mut self) {
-        let now = self.coordinator.now_ms();
-        let cycle = self.coordinator.cycle() as u64;
-        for shard in &mut self.shards {
-            shard.recorder.set_context(cycle, now);
-        }
-    }
-
-    /// Drains the coordinator's ring and every shard's ring into one
-    /// canonically ordered trace (see [`gossip_telemetry::merge_events`]).
+    /// Drains the trace recorded since the last drain, in canonical order
+    /// ([`gossip_telemetry::Event::sort_key`]). Every event goes through the
+    /// coordinator's sink, the exchange band in sequence order, so the
+    /// exchange ring is in key order already: with no vetoes pending, its
+    /// buffer is handed over as the trace, with no merge and no copy.
     pub fn drain_trace(&mut self) -> Vec<Event> {
-        let rings = self.shards.iter_mut().map(|shard| &mut shard.recorder);
-        self.coordinator.telemetry.drain_events_with(rings) // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
+        self.coordinator.telemetry.drain_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
     }
 
     /// Events evicted from any ring since the sink was installed — a
@@ -587,11 +568,6 @@ impl ShardedSimulation {
     /// be raised (or the trace drained more often).
     pub fn dropped_trace_events(&self) -> u64 {
         self.coordinator.telemetry.dropped_events() // lint-allow(observer-effect): post-hoc export accessor for runners/tests, not protocol logic
-            + self
-                .shards
-                .iter()
-                .map(|shard| shard.recorder.dropped())
-                .sum::<u64>()
     }
 
     /// The convergence watchdog's current verdict, if one is configured.
@@ -833,9 +809,6 @@ impl ShardedSimulation {
             shard_exchanges,
         };
         self.coordinator.end_cycle(summary.estimate_variance);
-        if self.coordinator.telemetry.events_enabled() {
-            self.set_shard_contexts();
-        }
         summary
     }
 
@@ -926,6 +899,9 @@ impl ShardedSimulation {
         let mut words = WordBuffer::new();
         let mut cand = [0u32; BLOCK];
         let mut block_pairs = [(0u32, 0u32); BLOCK];
+        // Per survivor, when recording: the (initiator, peer) global
+        // directory positions its `ExchangeBegun` carries.
+        let mut block_ends = [(0u32, 0u32); BLOCK];
         let mut coin_seeds = [0u64; BLOCK];
         let mut coins = [(false, false); BLOCK];
         let mut next_seq = 0usize;
@@ -934,7 +910,7 @@ impl ShardedSimulation {
             let end = (start + BLOCK).min(n);
             let count = end - start;
             // Stage 1: the block's surviving pairs, packed into
-            // `block_pairs`, with veto and begun events.
+            // `block_pairs`, with veto events.
             let mut survivors = 0usize;
             if uniform {
                 // The uniform sampler's rejection loop inlined over buffered
@@ -977,11 +953,7 @@ impl ShardedSimulation {
                         }
                     }
                     if record {
-                        telemetry.exchange_begun(
-                            (next_seq + survivors) as u64,
-                            entry >> 32,
-                            u64::from(cand[k]),
-                        );
+                        block_ends[survivors] = ((entry >> 32) as u32, cand[k]);
                     }
                     block_pairs[survivors] = (initiator, peer);
                     survivors += 1;
@@ -1003,7 +975,7 @@ impl ShardedSimulation {
                     };
                     let initiator_id = global_live[ipos];
                     let ppos = if record {
-                        u64::from(global_pos_of(shards, peer_id))
+                        global_pos_of(shards, peer_id)
                     } else {
                         0
                     };
@@ -1011,13 +983,12 @@ impl ShardedSimulation {
                         sampler.peer_failed(initiator_id, peer_id);
                         exchanges_blocked += 1;
                         if record {
-                            telemetry.exchange_vetoed(ipos as u64, ppos);
+                            telemetry.exchange_vetoed(ipos as u64, u64::from(ppos));
                         }
                         continue;
                     }
                     if record {
-                        let seq = (next_seq + survivors) as u64;
-                        telemetry.exchange_begun(seq, ipos as u64, ppos);
+                        block_ends[survivors] = (ipos as u32, ppos);
                     }
                     block_pairs[survivors] = (entry as u32, pack_endpoint(peer_id));
                     survivors += 1;
@@ -1052,9 +1023,15 @@ impl ShardedSimulation {
                     coins[k] = (coin_rng.gen_bool(loss), coin_rng.gen_bool(loss));
                 }
             }
-            // Stage 4: execute from cache.
+            // Stage 4: execute from cache. When recording, each exchange's
+            // `ExchangeBegun` and outcome go to the sink in sequence order,
+            // so the sink's exchange ring stays in key order.
             for (k, &(a, b)) in block_pairs[..survivors].iter().enumerate() {
                 let seq = next_seq + k;
+                if record {
+                    let (ipos, ppos) = block_ends[k];
+                    telemetry.exchange_begun(seq as u64, ipos.into(), ppos.into());
+                }
                 let (shard_a, slot_a) = unpack_endpoint(a);
                 let (shard_b, slot_b) = unpack_endpoint(b);
                 let fused = {
@@ -1095,12 +1072,8 @@ impl ShardedSimulation {
                     if record {
                         // The fused path always begins (both endpoints hot ⇒
                         // active in the same epoch).
-                        record_exchange_outcome(
-                            &mut shards[shard_a].recorder,
-                            seq as u64,
-                            true,
-                            tallies[shard_a].messages_lost - lost_before,
-                        );
+                        let lost = tallies[shard_a].messages_lost - lost_before;
+                        telemetry.exchange_outcome(seq as u64, lost);
                     }
                 } else {
                     // Cold or cross-epoch endpoint: demote both, run the
@@ -1136,13 +1109,11 @@ impl ShardedSimulation {
                         &mut lost,
                         &mut tallies[shard_a],
                     );
-                    if record {
-                        record_exchange_outcome(
-                            &mut shards[shard_a].recorder,
-                            seq as u64,
-                            tallies[shard_a].exchanges > exch_before,
-                            tallies[shard_a].messages_lost - lost_before,
-                        );
+                    // A delta of zero exchanges means the exchange never
+                    // began (e.g. a joining initiator): no outcome.
+                    if record && tallies[shard_a].exchanges > exch_before {
+                        let lost = tallies[shard_a].messages_lost - lost_before;
+                        telemetry.exchange_outcome(seq as u64, lost);
                     }
                     shards[shard_a].settle(slot_a);
                     shards[shard_b].settle(slot_b);
@@ -1350,27 +1321,6 @@ fn end_of_cycle_pass_soa(
         }
     }
     out
-}
-
-/// Records exchange `seq`'s outcome — per-message loss events, or a single
-/// completion event when every message survived — from the [`ExchangeTally`]
-/// deltas around the `ExchangeCore` call. The deltas are a pure function of
-/// the exchange's private loss-coin stream and the events carry no
-/// identity, so the seq-sorted merge of all rings yields the same trace
-/// whichever shard's ring receives them.
-/// A delta of zero exchanges means the exchange never began (e.g. a joining
-/// initiator) and nothing is recorded.
-fn record_exchange_outcome(recorder: &mut FlightRecorder, seq: u64, began: bool, lost: usize) {
-    if !recorder.is_enabled() || !began {
-        return;
-    }
-    if lost == 0 {
-        recorder.record(seq, EventKind::ExchangeCompleted);
-    } else {
-        for _ in 0..lost {
-            recorder.record(seq, EventKind::MessageLost);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1851,6 +1801,9 @@ mod tests {
                 }
                 sim.remove_random_nodes(5);
                 lost += sim.run_cycle().messages_lost as u64;
+                // Vetoes, joins and losses included, the exchange ring is in
+                // key order, so a drain with no vetoes hands it over.
+                assert!(sim.coordinator.telemetry.exchange_ring_in_key_order());
                 let events = sim.drain_trace();
                 assert!(events
                     .windows(2)

@@ -10,9 +10,8 @@
 //!
 //! ## Merge order
 //!
-//! Recording is distributed (per shard, per node), so a canonical trace is
-//! restored by ordering on [`Event::sort_key`]: `(cycle, phase, seq, rank,
-//! payload, time)`. The *phase* groups events within a cycle into
+//! A canonical trace is ordered on [`Event::sort_key`]: `(cycle, phase,
+//! seq, rank, payload, time)`. The *phase* groups events within a cycle into
 //! cycle-start (churn, corruption), veto, exchange and cycle-end (epoch
 //! restarts, elections) bands; within the exchange band the global exchange
 //! sequence number `seq` — identical across shard counts by the sharded
@@ -23,8 +22,11 @@
 //! its key, so equal keys mean equal events, and the merged trace of a
 //! seeded run is byte-identical across repeats and shard counts.
 //!
-//! Each recorder's ring is almost always in key order already, so
-//! [`merge_events`] merges the runs rather than sorting their union.
+//! The cycle runtimes record in key order into one ring, with the veto band
+//! in a ring of its own, so a drain usually hands that ring over as it is.
+//! The live runtime records one ring per node, not in key order; its traces
+//! meet in [`merge_events`], which merges sorted runs rather than sorting
+//! their union.
 
 /// Sentinel for "no node attached to this event".
 pub const NO_NODE: u64 = u64::MAX;
@@ -193,6 +195,16 @@ impl Event {
             self.time_ms,
         )
     }
+
+    /// Whether `self` sorts before `next` or ties with it, by
+    /// [`sort_key`](Self::sort_key): the prefix `(cycle, phase, seq, rank)`
+    /// decides almost every pair, so the rest of the key is compared only
+    /// when it ties.
+    #[inline]
+    pub(crate) fn precedes(&self, next: &Event) -> bool {
+        let prefix = |e: &Event| (e.cycle, e.kind.phase(), e.seq, e.kind.rank());
+        prefix(self) < prefix(next) || self.sort_key() <= next.sort_key()
+    }
 }
 
 /// Merges per-shard / per-node event batches into the canonical trace
@@ -214,11 +226,10 @@ pub fn merge_events(batches: impl IntoIterator<Item = Vec<Event>>) -> Vec<Event>
 }
 
 /// Merges `runs` into one trace in key order, in O(E log k) for E events in
-/// k runs. Recorders almost always leave their runs in key order — every
-/// sharded-engine shard ring, and the coordinator ring of a run without
-/// dead links — so the runs are merged as they are, and the merge itself
-/// notices a run out of order. Only then is every run sorted in place and
-/// the merge done again.
+/// k runs. The cycle runtimes' rings are in key order — a sink's exchange
+/// ring and its veto ring — so the runs are merged as they are, and the
+/// merge itself notices a run out of order (a live node's ring). Only then
+/// is every run sorted in place and the merge done again.
 pub(crate) fn merge_runs(runs: &mut [&mut [Event]]) -> Vec<Event> {
     let mut merged = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
     if !merge_into(runs, &mut merged) {
@@ -336,6 +347,50 @@ mod tests {
         assert!(
             EventKind::ExchangeCompleted.phase() < EventKind::EpochRestarted { epoch: 0 }.phase()
         );
+    }
+
+    #[test]
+    fn precedes_is_the_sort_key_order() {
+        let kinds = [
+            EventKind::NodeJoined { node: 4 },
+            EventKind::NodeDeparted { node: 4 },
+            EventKind::ExchangeVetoed {
+                initiator: 0,
+                peer: 1,
+            },
+            EventKind::ExchangeBegun {
+                initiator: 1,
+                peer: 3,
+            },
+            EventKind::ExchangeBegun {
+                initiator: 1,
+                peer: 2,
+            },
+            EventKind::ExchangeBegun {
+                initiator: 0,
+                peer: 9,
+            },
+            EventKind::MessageLost,
+            EventKind::ExchangeCompleted,
+        ];
+        let mut events = Vec::new();
+        for cycle in 0..2 {
+            for seq in 0..2 {
+                for time_ms in [0, 5] {
+                    events.extend(kinds.map(|kind| Event {
+                        cycle,
+                        time_ms,
+                        seq,
+                        kind,
+                    }));
+                }
+            }
+        }
+        for a in &events {
+            for b in &events {
+                assert_eq!(a.precedes(b), a.sort_key() <= b.sort_key(), "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]

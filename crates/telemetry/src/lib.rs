@@ -17,13 +17,14 @@
 //!    methods; the read side is lint-enforced (`observer-effect`) to stay
 //!    out of protocol code, so measurements cannot feed back into
 //!    decisions.
-//! 2. **Merged traces are bit-identical across executors.** Events carry a
+//! 2. **Traces are bit-identical across executors.** Events carry a
 //!    total-order key ([`Event::sort_key`]) built from shard-count-agnostic
 //!    identifiers (global directory positions, global exchange sequence
-//!    numbers), so draining per-shard rings and merging them on that key
-//!    yields the same byte stream at any shard count. The rings are
-//!    already in key order as recorded, so the drain is a k-way merge of
-//!    sorted runs; a ring out of order is sorted first.
+//!    numbers), and a drain returns them in that order, so it yields the
+//!    same byte stream at any shard count. The cycle runtimes write their
+//!    exchange ring in key order and vetoes to a ring of their own, so a
+//!    drain usually hands the one ring over as it is; otherwise it is a
+//!    k-way merge of sorted runs, and a ring out of order is sorted first.
 //!
 //! Timestamps come from the runtime's injected clock (virtual time in the
 //! simulators, the `NodeEnv` clock in the live runtime) — never from a

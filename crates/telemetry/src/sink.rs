@@ -13,7 +13,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 pub struct TelemetryConfig {
     /// Record flight-recorder events (exchange lifecycle, churn, epochs).
     pub events: bool,
-    /// Ring capacity per recorder when `events` is on.
+    /// Ring capacity per recorder when `events` is on. The exchange ring
+    /// holds every event but the vetoes: about 2 events an exchange (its
+    /// `ExchangeBegun` and its outcome) plus the churn and epoch events,
+    /// so a drain interval of E exchanges wants a capacity of about 2·E.
     pub ring_capacity: usize,
     /// Run the convergence watchdog over the per-cycle variance.
     pub watchdog: Option<WatchdogConfig>,
@@ -60,8 +63,8 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// The engine-side telemetry sink: one coordinator-owned recorder, a
-/// metrics registry of core protocol counters, and the optional watchdog.
+/// The engine-side telemetry sink: the flight-recorder rings, a metrics
+/// registry of core protocol counters, and the optional watchdog.
 ///
 /// Protocol code only ever calls the *recording* methods (`begin_cycle`,
 /// the `record_*` family, `observe_variance`); the *read* side
@@ -71,13 +74,18 @@ impl Default for TelemetryConfig {
 /// protocol crates are flagged, so measurements can never feed back into
 /// protocol decisions.
 ///
-/// Sharded engines keep additional per-shard [`FlightRecorder`]s for the
-/// exchange-outcome events and hand them to
-/// [`drain_events_with`](TelemetrySink::drain_events_with).
+/// The sink keeps two rings. Vetoes (the veto band) go to their own, and
+/// every other event to the exchange ring. Each runtime records the other
+/// bands in key order, so the exchange ring stays in key order even when
+/// dead links veto exchanges between exchange starts, and a drain with no
+/// vetoes pending hands the exchange ring over without a merge or a copy.
 #[derive(Debug)]
 pub struct TelemetrySink {
     config: TelemetryConfig,
+    /// Every event but the vetoes.
     recorder: FlightRecorder,
+    /// The veto band.
+    veto_recorder: FlightRecorder,
     watchdog: Option<ConvergenceWatchdog>,
     metrics: MetricsRegistry,
     exchanges: CounterId,
@@ -105,12 +113,14 @@ impl TelemetrySink {
         let churn_events = metrics.counter("churn_events").unwrap_or(fallback);
         let corruptions = metrics.counter("values_corrupted").unwrap_or(fallback);
         let epochs = metrics.counter("epochs_completed").unwrap_or(fallback);
+        let capacity = if config.events {
+            config.ring_capacity
+        } else {
+            0
+        };
         TelemetrySink {
-            recorder: FlightRecorder::new(if config.events {
-                config.ring_capacity
-            } else {
-                0
-            }),
+            recorder: FlightRecorder::new(capacity),
+            veto_recorder: FlightRecorder::new(capacity),
             watchdog: config.watchdog.map(ConvergenceWatchdog::new),
             metrics,
             exchanges,
@@ -135,21 +145,13 @@ impl TelemetrySink {
         self.config.events
     }
 
-    /// Makes a fresh per-shard recorder matching this sink's capacity.
-    pub fn shard_recorder(&self) -> FlightRecorder {
-        FlightRecorder::new(if self.config.events {
-            self.config.ring_capacity
-        } else {
-            0
-        })
-    }
-
-    /// Starts a new cycle: stamps the recorder context and resets the
+    /// Starts a new cycle: stamps the recorders' context and resets the
     /// per-cycle ordinal counters.
     pub fn begin_cycle(&mut self, cycle: u64, time_ms: u64) {
         self.aux_seq = 0;
         self.veto_seq = 0;
         self.recorder.set_context(cycle, time_ms);
+        self.veto_recorder.set_context(cycle, time_ms);
     }
 
     fn record_aux(&mut self, kind: EventKind) {
@@ -181,11 +183,12 @@ impl TelemetrySink {
         self.metrics.incr(self.vetoes);
         let seq = self.veto_seq;
         self.veto_seq += 1;
-        self.recorder
+        self.veto_recorder
             .record(seq, EventKind::ExchangeVetoed { initiator, peer });
     }
 
     /// Records the start of exchange `seq` (exchange band).
+    #[inline]
     pub fn exchange_begun(&mut self, seq: u64, initiator: u64, peer: u64) {
         self.metrics.incr(self.exchanges);
         self.recorder
@@ -198,10 +201,22 @@ impl TelemetrySink {
         self.recorder.record(seq, EventKind::MessageLost);
     }
 
+    /// Records exchange `seq`'s outcome without counting it: one
+    /// `MessageLost` per lost message, or `ExchangeCompleted` when none was
+    /// lost (exchange band). The sharded engine records its outcomes this
+    /// way and feeds the loss counter from its cycle tally with
+    /// [`add_message_losses`](Self::add_message_losses).
+    #[inline]
+    pub fn exchange_outcome(&mut self, seq: u64, lost: usize) {
+        if lost == 0 {
+            self.recorder.record(seq, EventKind::ExchangeCompleted);
+        }
+        for _ in 0..lost {
+            self.recorder.record(seq, EventKind::MessageLost);
+        }
+    }
+
     /// Bumps the message-loss counter by `count` without recording events.
-    /// Sharded engines record per-exchange loss events into per-shard
-    /// [`FlightRecorder`]s (identity-free), so the metric is
-    /// fed separately from the cycle's merged tally.
     pub fn add_message_losses(&mut self, count: u64) {
         self.metrics.add(self.messages_lost, count);
     }
@@ -239,22 +254,21 @@ impl TelemetrySink {
     // --- read side (post-hoc; flagged in protocol crates by the
     // observer-effect lint rule) ---
 
-    /// Drains this sink's own recorder into canonical trace order.
+    /// Drains this sink's rings in canonical trace order, and leaves them
+    /// empty with their capacity kept.
+    ///
+    /// When one ring alone holds events and they came in key order, its
+    /// buffer is handed over as the result: no merge and no copy. Otherwise
+    /// the rings are merged in place (see
+    /// [`merge_events`](crate::event::merge_events)).
     pub fn drain_events(&mut self) -> Vec<Event> {
-        self.drain_events_with([])
-    }
-
-    /// Drains this sink's recorder plus the per-shard / per-node
-    /// `recorders`, merged into canonical trace order. The merge reads each
-    /// ring in place and then empties it, so the rings keep their capacity
-    /// for the next events.
-    pub fn drain_events_with<'a>(
-        &mut self,
-        recorders: impl IntoIterator<Item = &'a mut FlightRecorder>,
-    ) -> Vec<Event> {
-        let mut rings: Vec<&mut FlightRecorder> = std::iter::once(&mut self.recorder)
-            .chain(recorders.into_iter().map(|r| &mut *r))
-            .collect();
+        let mut rings = [&mut self.recorder, &mut self.veto_recorder];
+        let mut holding = rings.iter_mut().filter(|ring| !ring.is_empty());
+        if let (Some(only), None) = (holding.next(), holding.next()) {
+            if let Some(events) = only.take_if_in_key_order() {
+                return events;
+            }
+        }
         let mut runs: Vec<&mut [Event]> = rings.iter_mut().map(|r| r.events_mut()).collect();
         let merged = merge_runs(&mut runs);
         for ring in rings {
@@ -263,9 +277,15 @@ impl TelemetrySink {
         merged
     }
 
-    /// Events evicted from this sink's own ring (overflow indicator).
+    /// Whether the exchange ring's events came in key order since the last
+    /// drain. A drain with no vetoes pending hands that ring over whole.
+    pub fn exchange_ring_in_key_order(&self) -> bool {
+        self.recorder.in_key_order()
+    }
+
+    /// Events evicted from this sink's rings (overflow indicator).
     pub fn dropped_events(&self) -> u64 {
-        self.recorder.dropped()
+        self.recorder.dropped() + self.veto_recorder.dropped()
     }
 
     /// The watchdog's current verdict, if a watchdog is configured.
@@ -341,16 +361,45 @@ mod tests {
     }
 
     #[test]
-    fn shard_batches_merge_with_coordinator_events() {
+    fn outcomes_are_recorded_without_counting() {
         let mut sink = TelemetrySink::new(TelemetryConfig::trace());
-        sink.begin_cycle(2, 20);
+        sink.begin_cycle(0, 0);
         sink.exchange_begun(0, 1, 2);
-        let mut shard = sink.shard_recorder();
-        shard.set_context(2, 20);
-        shard.record(0, EventKind::MessageLost);
-        let events = sink.drain_events_with([&mut shard]);
-        let names: Vec<_> = events.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(names, ["exchange_begun", "message_lost"]);
+        sink.exchange_outcome(0, 0);
+        sink.exchange_begun(1, 3, 4);
+        sink.exchange_outcome(1, 2);
+        let names: Vec<_> = sink.drain_events().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "exchange_begun",
+                "exchange_completed",
+                "exchange_begun",
+                "message_lost",
+                "message_lost"
+            ]
+        );
+        assert_eq!(sink.metrics().counter_value("exchanges"), Ok(2));
+        assert_eq!(sink.metrics().counter_value("messages_lost"), Ok(0));
+        sink.add_message_losses(2);
+        assert_eq!(sink.metrics().counter_value("messages_lost"), Ok(2));
+    }
+
+    #[test]
+    fn vetoes_keep_the_exchange_ring_in_key_order() {
+        let mut sink = TelemetrySink::new(TelemetryConfig::trace());
+        sink.begin_cycle(0, 0);
+        sink.exchange_begun(0, 1, 2);
+        sink.exchange_vetoed(3, 4);
+        sink.exchange_begun(1, 5, 6);
+        assert!(sink.exchange_ring_in_key_order());
+        assert_eq!(sink.veto_recorder.len(), 1);
+        let names: Vec<_> = sink.drain_events().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(
+            names,
+            ["exchange_vetoed", "exchange_begun", "exchange_begun"]
+        );
+        assert!(sink.recorder.is_empty() && sink.veto_recorder.is_empty());
     }
 
     #[test]

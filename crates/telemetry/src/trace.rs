@@ -19,8 +19,14 @@ use crate::event::{Event, EventKind};
 /// Serializes one event as its canonical JSONL line (no trailing newline).
 pub fn to_json_line(event: &Event) -> String {
     let mut line = String::with_capacity(96);
+    write_json_line(&mut line, event);
+    line
+}
+
+/// Appends `event`'s canonical JSONL line (no trailing newline) to `out`.
+fn write_json_line(out: &mut String, event: &Event) {
     let _ = write!(
-        line,
+        out,
         "{{\"cycle\":{},\"time_ms\":{},\"seq\":{},\"kind\":\"{}\"",
         event.cycle,
         event.time_ms,
@@ -33,27 +39,26 @@ pub fn to_json_line(event: &Event) -> String {
         | EventKind::ValueCorrupted { node }
         | EventKind::ExchangeRejected { node }
         | EventKind::LeaderElected { node } => {
-            let _ = write!(line, ",\"a\":{node}");
+            let _ = write!(out, ",\"a\":{node}");
         }
         EventKind::ExchangeVetoed { initiator, peer }
         | EventKind::ExchangeBegun { initiator, peer } => {
-            let _ = write!(line, ",\"a\":{initiator},\"b\":{peer}");
+            let _ = write!(out, ",\"a\":{initiator},\"b\":{peer}");
         }
         EventKind::EpochRestarted { epoch } => {
-            let _ = write!(line, ",\"a\":{epoch}");
+            let _ = write!(out, ",\"a\":{epoch}");
         }
         EventKind::MessageLost | EventKind::MessageDelivered | EventKind::ExchangeCompleted => {}
     }
-    line.push('}');
-    line
+    out.push('}');
 }
 
 /// Serializes a merged event stream as a JSONL document (one line per
-/// event, each newline-terminated).
+/// event, each newline-terminated), written straight into one `String`.
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 80);
     for event in events {
-        out.push_str(&to_json_line(event));
+        write_json_line(&mut out, event);
         out.push('\n');
     }
     out

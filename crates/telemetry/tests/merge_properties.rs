@@ -1,11 +1,10 @@
 //! Property tests for the trace merge: however events are split across
 //! batches or recorder rings — in key order or not, some empty, some rings
 //! overflowed — the merged trace is exactly the events sorted on their full
-//! key.
+//! key. A sink drains the same trace, whether it merges its rings or, fed
+//! in key order, hands its exchange ring over.
 
-use gossip_telemetry::{
-    merge_events, Event, EventKind, FlightRecorder, TelemetryConfig, TelemetrySink,
-};
+use gossip_telemetry::{merge_events, Event, EventKind, TelemetryConfig, TelemetrySink};
 use proptest::prelude::*;
 
 /// One sampled event: `((cycle, time), seq, kind, (a, b), batch)`. The
@@ -70,6 +69,152 @@ fn split(raw: &[Raw], count: usize, sorted: &[bool]) -> Vec<Vec<Event>> {
     batches
 }
 
+/// Feeds each sampled event to `sink` through the recording method of its
+/// kind, each under its own `begin_cycle`, so cycles and sequence numbers
+/// arrive in any order. Returns the events each of its two rings receives,
+/// the exchange ring's first. (`MessageDelivered` has no recording method;
+/// it stands for an uncounted outcome of two lost messages.)
+fn feed_any(sink: &mut TelemetrySink, raw: &[Raw]) -> [Vec<Event>; 2] {
+    let (mut exchange_ring, mut veto_ring) = (Vec::new(), Vec::new());
+    for &r in raw {
+        let mut e = event(r);
+        sink.begin_cycle(e.cycle, e.time_ms);
+        let ((a, b), seq) = (r.3, e.seq);
+        match e.kind {
+            EventKind::NodeJoined { .. } => sink.node_joined(a),
+            EventKind::NodeDeparted { .. } => sink.node_departed(a),
+            EventKind::ValueCorrupted { .. } => sink.value_corrupted(a),
+            EventKind::ExchangeVetoed { .. } => sink.exchange_vetoed(a, b),
+            EventKind::ExchangeBegun { .. } => sink.exchange_begun(seq, a, b),
+            EventKind::MessageLost => sink.message_lost(seq),
+            EventKind::MessageDelivered => sink.exchange_outcome(seq, 2),
+            EventKind::ExchangeCompleted => sink.exchange_completed(seq),
+            EventKind::ExchangeRejected { .. } => sink.exchange_rejected(seq, a),
+            EventKind::EpochRestarted { .. } => sink.epoch_restarted(a),
+            EventKind::LeaderElected { .. } => sink.leader_elected(a),
+        }
+        match e.kind {
+            EventKind::ExchangeBegun { .. }
+            | EventKind::MessageLost
+            | EventKind::ExchangeCompleted
+            | EventKind::ExchangeRejected { .. } => exchange_ring.push(e),
+            EventKind::MessageDelivered => {
+                e.kind = EventKind::MessageLost;
+                exchange_ring.extend([e, e]);
+            }
+            EventKind::ExchangeVetoed { .. } => {
+                // The first veto since its `begin_cycle`.
+                e.seq = 0;
+                veto_ring.push(e);
+            }
+            _ => {
+                // The first cycle-start or cycle-end event since its
+                // `begin_cycle`.
+                e.seq = 0;
+                exchange_ring.push(e);
+            }
+        }
+    }
+    [exchange_ring, veto_ring]
+}
+
+/// One cycle of a sink's input: the cycle-start events `(kind, node)`,
+/// the exchanges `(vetoes just before it, messages lost, outcome recorded
+/// uncounted)`, and the epoch restarts.
+type RawCycle = (Vec<(u8, u64)>, Vec<(u8, u8, bool)>, Vec<u64>);
+
+fn raw_cycles() -> impl Strategy<Value = Vec<RawCycle>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec((0u8..3, 0u64..50), 0..4),
+            proptest::collection::vec((0u8..3, 0u8..3, proptest::bool::ANY), 0..12),
+            proptest::collection::vec(0u64..5, 0..3),
+        ),
+        0..6,
+    )
+}
+
+/// Feeds `cycles`, numbered from `first`, to `sink` the way the cycle
+/// runtimes do: every band in key order but the vetoes, which come between
+/// exchange starts. Returns the events each of its two rings receives, the
+/// exchange ring's first.
+fn feed_in_order(sink: &mut TelemetrySink, first: u64, cycles: &[RawCycle]) -> [Vec<Event>; 2] {
+    let (mut exchange_ring, mut veto_ring) = (Vec::new(), Vec::new());
+    for (c, (starts, exchanges, epochs)) in cycles.iter().enumerate() {
+        let cycle = first + c as u64;
+        let at = |seq, kind| Event {
+            cycle,
+            time_ms: cycle * 1_000,
+            seq,
+            kind,
+        };
+        sink.begin_cycle(cycle, cycle * 1_000);
+        let (mut aux, mut veto_seq) = (0, 0);
+        for &(kind, node) in starts {
+            let kind = match kind {
+                0 => {
+                    sink.node_joined(node);
+                    EventKind::NodeJoined { node }
+                }
+                1 => {
+                    sink.node_departed(node);
+                    EventKind::NodeDeparted { node }
+                }
+                _ => {
+                    sink.value_corrupted(node);
+                    EventKind::ValueCorrupted { node }
+                }
+            };
+            exchange_ring.push(at(aux, kind));
+            aux += 1;
+        }
+        for (seq, &(vetoes, lost, uncounted)) in exchanges.iter().enumerate() {
+            let seq = seq as u64;
+            for _ in 0..vetoes {
+                let (initiator, peer) = (seq, veto_seq + 7);
+                sink.exchange_vetoed(initiator, peer);
+                veto_ring.push(at(veto_seq, EventKind::ExchangeVetoed { initiator, peer }));
+                veto_seq += 1;
+            }
+            sink.exchange_begun(seq, seq, seq + 1);
+            exchange_ring.push(at(
+                seq,
+                EventKind::ExchangeBegun {
+                    initiator: seq,
+                    peer: seq + 1,
+                },
+            ));
+            if uncounted {
+                sink.exchange_outcome(seq, usize::from(lost));
+            } else if lost == 0 {
+                sink.exchange_completed(seq);
+            } else {
+                (0..lost).for_each(|_| sink.message_lost(seq));
+            }
+            let outcome = if lost == 0 {
+                vec![EventKind::ExchangeCompleted]
+            } else {
+                vec![EventKind::MessageLost; usize::from(lost)]
+            };
+            exchange_ring.extend(outcome.into_iter().map(|kind| at(seq, kind)));
+        }
+        for &epoch in epochs {
+            sink.epoch_restarted(epoch);
+            exchange_ring.push(at(aux, EventKind::EpochRestarted { epoch }));
+            aux += 1;
+        }
+    }
+    [exchange_ring, veto_ring]
+}
+
+/// What rings of `capacity` keep of the streams `rings`: the newest events.
+fn newest(rings: &[Vec<Event>], capacity: usize) -> Vec<Vec<Event>> {
+    rings
+        .iter()
+        .map(|ring| ring[ring.len().saturating_sub(capacity)..].to_vec())
+        .collect()
+}
+
 /// The reference: every event of every batch, sorted on the full key.
 fn flatten_and_sort(batches: &[Vec<Event>]) -> Vec<Event> {
     let mut all: Vec<Event> = batches.concat();
@@ -95,38 +240,49 @@ proptest! {
         prop_assert_eq!(merge_events(batches.into_iter().rev()), expected);
     }
 
-    /// `drain_events_with` over 0–64 recorder rings equals the flattened
-    /// ring contents sorted on the full key, leaves every ring empty, and
-    /// the drained rings record and drain again. A ring smaller than its
-    /// batch keeps the batch's newest events, wrapped around its buffer.
+    /// A sink fed events in any order — cycles going back and forth, exchange
+    /// sequence numbers shuffled — drains exactly what its rings kept,
+    /// sorted on the full key, and leaves both rings empty and reusable. A
+    /// ring smaller than its stream keeps the newest events, wrapped around
+    /// its buffer.
     #[test]
-    fn draining_recorders_equals_flatten_then_sort(
+    fn a_sink_fed_in_any_order_drains_flatten_then_sort(
         raw in raw_events(),
-        count in 0usize..65,
-        sorted in proptest::collection::vec(proptest::bool::ANY, 64..65),
         capacity in 1usize..12,
     ) {
-        let batches = split(&raw, count, &sorted);
-        let mut sink = TelemetrySink::new(TelemetryConfig::trace());
-        let mut rings: Vec<FlightRecorder> = (0..count).map(|_| FlightRecorder::new(capacity)).collect();
-        let mut kept = Vec::new();
-        for (ring, batch) in rings.iter_mut().zip(&batches) {
-            for e in batch {
-                ring.set_context(e.cycle, e.time_ms);
-                ring.record(e.seq, e.kind);
-            }
-            kept.push(batch[batch.len().saturating_sub(capacity)..].to_vec());
+        let mut sink = TelemetrySink::new(TelemetryConfig {
+            ring_capacity: capacity,
+            ..TelemetryConfig::trace()
+        });
+        for raw in [&raw[..], &raw[..raw.len().min(capacity)]] {
+            let rings = feed_any(&mut sink, raw);
+            prop_assert_eq!(sink.drain_events(), flatten_and_sort(&newest(&rings, capacity)));
+            prop_assert!(sink.drain_events().is_empty());
         }
-        prop_assert_eq!(sink.drain_events_with(rings.iter_mut()), flatten_and_sort(&kept));
-        prop_assert!(rings.iter().all(FlightRecorder::is_empty));
+    }
 
-        for (ring, batch) in rings.iter_mut().zip(&batches) {
-            for e in batch.iter().take(capacity) {
-                ring.set_context(e.cycle, e.time_ms);
-                ring.record(e.seq, e.kind);
-            }
+    /// A sink fed in key order, vetoes mixed in, its rings overflowing or
+    /// not, drains exactly what its rings kept sorted on the full key, and
+    /// does so twice in a row: the rings are reusable after a hand-off and
+    /// the drop count is kept across drains.
+    #[test]
+    fn a_sink_fed_in_key_order_drains_flatten_then_sort_twice(
+        first in raw_cycles(),
+        second in raw_cycles(),
+        capacity in 1usize..48,
+    ) {
+        let mut sink = TelemetrySink::new(TelemetryConfig {
+            ring_capacity: capacity,
+            ..TelemetryConfig::trace()
+        });
+        let mut dropped = 0;
+        for (start, cycles) in [(0, &first), (first.len() as u64, &second)] {
+            let rings = feed_in_order(&mut sink, start, cycles);
+            prop_assert!(sink.exchange_ring_in_key_order());
+            dropped += rings.iter().map(|ring| ring.len().saturating_sub(capacity) as u64).sum::<u64>();
+            prop_assert_eq!(sink.drain_events(), flatten_and_sort(&newest(&rings, capacity)));
+            prop_assert_eq!(sink.dropped_events(), dropped);
+            prop_assert!(sink.drain_events().is_empty());
         }
-        let again: Vec<Vec<Event>> = batches.iter().map(|b| b.iter().take(capacity).copied().collect()).collect();
-        prop_assert_eq!(sink.drain_events_with(rings.iter_mut()), flatten_and_sort(&again));
     }
 }
