@@ -267,6 +267,21 @@ fn matrix() -> Vec<Cell> {
         m.push(base.on(Sharded(4)).rel(SameNodes));
     }
     m.push(adaptive_churn.on(Sharded(4)).with(full).rel(IdenticalToUntraced));
+
+    // Nodes that carry many led instances: a 5 % leader draw elects about
+    // twelve leaders an epoch, under churn, and every other node late-joins
+    // each instance at zero. Instance tags carry shard bits, so under loss
+    // the instances meet their loss coins in another order at another shard
+    // count: the lossy run is pinned at one and four shards plus a traced
+    // twin, and its loss-free twin is held across shard counts.
+    let many = Some(LeaderPolicy::Fixed { probability: 0.05 });
+    let many_leaders = cell("many-leaders", (240, 31), (25, 4), 1_212).protocol(late0(8)).with(|c| c.config.leader_policy = many);
+    let many_lossy = many_leaders.clone().with(|c| (c.scenario, c.config.conditions.message_loss) = ("many-leaders-loss", 0.05));
+    m.push(many_lossy.clone().on(Sharded(1)));
+    m.push(many_lossy.clone().on(Sharded(4)));
+    m.push(many_lossy.on(Sharded(4)).with(full).rel(IdenticalToUntraced));
+    m.push(many_leaders.clone().on(Sharded(1)));
+    m.push(many_leaders.on(Sharded(4)).rel(SameNodes));
     m
 }
 
@@ -650,6 +665,9 @@ checks! {
         "median4-loss@3141/{ref,wire}{,/full}", "fig4-mini@2004/ref";
     sharded_injections_and_adaptive_elections_under_churn_reproduce_their_goldens:
         "inject@808/shards{1,4}", "adaptive-churn@909/shards{1,4}", "adaptive-churn@909/shards4/full";
+    sharded_nodes_with_many_led_instances_reproduce_their_goldens:
+        "many-leaders-loss@1212/shards{1,4}", "many-leaders-loss@1212/shards4/full",
+        "many-leaders@1212/shards{1,4}";
 }
 
 // ---------------------------------------------------------------------------
