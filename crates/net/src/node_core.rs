@@ -15,6 +15,9 @@
 //! initiator simply times out and retries next cycle, exactly as it would
 //! after a lost message — and drops replies that match no pending exchange
 //! ([`Delivery::UnmatchedReply`]), so a late reply cannot be absorbed twice.
+//! A push or reply carrying a NaN or infinite value is dropped unprocessed
+//! ([`Delivery::RejectedNonFinite`]): one such value, absorbed, would spread
+//! to every node.
 
 use aggregate_core::node::{EpochResult, ProtocolNode};
 use aggregate_core::{ExchangeCore, GossipMessage};
@@ -41,6 +44,10 @@ pub enum Delivery {
     /// A reply that matches no pending exchange (late, duplicate, or from a
     /// peer this node never pushed to). Dropped unprocessed.
     UnmatchedReply,
+    /// A push or reply whose value is NaN or infinite. Dropped unprocessed:
+    /// the node's state is untouched, and a pending exchange stays pending
+    /// until [`NodeCore::close_pending`].
+    RejectedNonFinite,
 }
 
 /// State of one pending (awaiting-reply) exchange.
@@ -113,8 +120,13 @@ impl NodeCore {
     }
 
     /// Delivers one received message through [`ExchangeCore::deliver`],
-    /// enforcing the no-overlap rule documented on [`Delivery`].
+    /// enforcing the finiteness and no-overlap rules documented on
+    /// [`Delivery`].
     pub fn deliver(&mut self, message: GossipMessage) -> Delivery {
+        let (GossipMessage::Push { value, .. } | GossipMessage::Reply { value, .. }) = message;
+        if !value.is_finite() {
+            return Delivery::RejectedNonFinite;
+        }
         match message {
             GossipMessage::Push { .. } => {
                 if self.pending.is_some() {
@@ -265,6 +277,39 @@ mod tests {
         };
         assert_eq!(a.deliver(stray), Delivery::UnmatchedReply);
         assert_eq!(a.estimate(), Some(2.0));
+    }
+
+    /// A NaN or infinite value, in a push or in a reply, is rejected and
+    /// leaves the node as it was: a rejected reply leaves the exchange
+    /// pending until `close_pending`.
+    #[test]
+    fn non_finite_pushes_and_replies_are_rejected_unprocessed() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (mut a, mut b) = (core(0, 2.0), core(1, 6.0));
+            let mut pushes = Vec::new();
+            assert!(a.begin(NodeId::new(1), &mut pushes));
+            let GossipMessage::Push { value, .. } = &mut pushes[0] else {
+                panic!("begin forms pushes");
+            };
+            *value = bad;
+            let before = format!("{:?}", b.node());
+            assert_eq!(b.deliver(pushes[0]), Delivery::RejectedNonFinite, "{bad}");
+            assert_eq!(format!("{:?}", b.node()), before, "{bad}: push");
+            assert!(!b.is_pending());
+
+            let reply = GossipMessage::Reply {
+                from: NodeId::new(1),
+                to: NodeId::new(0),
+                instance: aggregate_core::InstanceTag::DEFAULT,
+                epoch: 0,
+                value: bad,
+            };
+            let before = format!("{:?}", a.node());
+            assert_eq!(a.deliver(reply), Delivery::RejectedNonFinite, "{bad}");
+            assert_eq!(format!("{:?}", a.node()), before, "{bad}: reply");
+            assert!(a.is_pending(), "{bad}: the exchange stays pending");
+            assert_eq!(a.close_pending(), Some(false));
+        }
     }
 
     #[test]

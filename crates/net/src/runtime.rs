@@ -56,6 +56,9 @@ pub struct RuntimeStats {
     pub pushes_rejected: u64,
     /// Messages dropped by the fault lab's loss model before sending.
     pub messages_lost: u64,
+    /// Incoming pushes and replies dropped unprocessed because their value
+    /// was NaN or infinite ([`crate::Delivery::RejectedNonFinite`]).
+    pub non_finite_rejected: u64,
     /// Transport send failures.
     pub send_errors: u64,
     /// Transport receive failures other than decode errors.
@@ -77,6 +80,7 @@ impl RuntimeStats {
         self.exchanges_vetoed += other.exchanges_vetoed;
         self.pushes_rejected += other.pushes_rejected;
         self.messages_lost += other.messages_lost;
+        self.non_finite_rejected += other.non_finite_rejected;
         self.send_errors += other.send_errors;
         self.recv_errors += other.recv_errors;
         self.decode_errors += other.decode_errors;
@@ -93,6 +97,7 @@ struct StatsCell {
     exchanges_vetoed: AtomicU64,
     pushes_rejected: AtomicU64,
     messages_lost: AtomicU64,
+    non_finite_rejected: AtomicU64,
     send_errors: AtomicU64,
     recv_errors: AtomicU64,
     decode_errors: AtomicU64,
@@ -112,6 +117,7 @@ impl StatsCell {
             exchanges_vetoed: self.exchanges_vetoed.load(Ordering::Relaxed),
             pushes_rejected: self.pushes_rejected.load(Ordering::Relaxed),
             messages_lost: self.messages_lost.load(Ordering::Relaxed),
+            non_finite_rejected: self.non_finite_rejected.load(Ordering::Relaxed),
             send_errors: self.send_errors.load(Ordering::Relaxed),
             recv_errors: self.recv_errors.load(Ordering::Relaxed),
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
@@ -744,6 +750,7 @@ fn serve<T: Transport>(
                 lock(telemetry.sink).exchange_rejected(seq, u64::from(telemetry.local.as_u32()));
             }
         }
+        Delivery::RejectedNonFinite => StatsCell::bump(&stats.non_finite_rejected),
         Delivery::Absorbed | Delivery::ReplyAbsorbed | Delivery::UnmatchedReply => {}
     }
 }
