@@ -109,6 +109,38 @@ impl EpochManager {
         self.current_epoch
     }
 
+    /// Rebuilds a manager from its parts, as an engine that keeps them in
+    /// columns stores them (the cycle length is the configuration's): the
+    /// inverse of the accessors [`EpochManager::current_epoch`],
+    /// [`EpochManager::cycle_in_epoch`], [`EpochManager::waiting_cycles`]
+    /// and [`EpochManager::entered_mid_epoch`].
+    pub fn from_parts(
+        cycles_per_epoch: u32,
+        current_epoch: u64,
+        cycle_in_epoch: u32,
+        waiting_cycles: u32,
+        entered_mid_epoch: bool,
+    ) -> Self {
+        EpochManager {
+            current_epoch,
+            cycle_in_epoch,
+            cycles_per_epoch,
+            waiting_cycles,
+            entered_mid_epoch,
+        }
+    }
+
+    /// Cycles this node must still wait before it may participate.
+    pub fn waiting_cycles(&self) -> u32 {
+        self.waiting_cycles
+    }
+
+    /// Whether the current epoch was entered part-way through (an epoch
+    /// jump).
+    pub fn entered_mid_epoch(&self) -> bool {
+        self.entered_mid_epoch
+    }
+
     /// Number of cycles completed in the current epoch.
     pub fn cycle_in_epoch(&self) -> u32 {
         self.cycle_in_epoch
@@ -132,18 +164,6 @@ impl EpochManager {
     /// nodes).
     pub fn participated_from_epoch_start(&self) -> bool {
         self.waiting_cycles == 0 && !self.entered_mid_epoch
-    }
-
-    /// Writes back an epoch position recorded by an external dense store
-    /// (the sharded engine's struct-of-arrays hot store ticks epochs for
-    /// steady-state nodes outside the `ProtocolNode` and rebuilds one
-    /// through this on demand). The caller guarantees the manager is in the participating
-    /// steady state — not waiting, not entered mid-epoch — so only the
-    /// position fields need restoring.
-    pub fn restore_position(&mut self, epoch: u64, cycle_in_epoch: u32) {
-        debug_assert!(self.waiting_cycles == 0 && !self.entered_mid_epoch);
-        self.current_epoch = epoch;
-        self.cycle_in_epoch = cycle_in_epoch;
     }
 
     /// Registers the completion of one protocol cycle.

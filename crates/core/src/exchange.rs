@@ -14,15 +14,15 @@
 //! [`ExchangeCore::begin`], [`ExchangeCore::respond`] and
 //! [`ExchangeCore::complete`] — because message-passing runtimes (the wire
 //! cluster, the event engine, the live runtime) execute the two sides of an
-//! exchange with a message hop in between. [`ExchangeCore::exchange`]
-//! fuses all three: when both nodes participate and share an epoch it runs
-//! every instance of the exchange — the default one, then the led COUNT
-//! instances in tag order — without building a message, and otherwise it
-//! falls back to the message path. The fused kernel performs bit-identical
+//! exchange with a message hop in between. With both nodes in hand, an
+//! engine runs the one kernel, [`ExchangeCore::exchange_instances`], without
+//! building a message: the initiator's instances as slices, the peer as a
+//! [`NodeState`] — a [`ProtocolNode`] ([`ExchangeCore::exchange`]) or an
+//! engine's columns for one node. The kernel performs bit-identical
 //! arithmetic and draws loss decisions in bit-identical order, so an engine
-//! may mix fused and split execution freely without perturbing results.
-//! A proptest below holds the two equal, and the determinism suite's
-//! `/wire ≡ /ref` cells pin the reference engine's fused run to the wire
+//! may mix kernel and split execution freely without perturbing results. A
+//! proptest below holds the two equal, and the determinism suite's
+//! `/wire ≡ /ref` cells pin the reference engine's kernel run to the wire
 //! cluster's message path.
 //!
 //! Message loss is injected through a `FnMut() -> bool` closure so the core
@@ -30,8 +30,8 @@
 //! consulted once per push and once per produced reply, in message order.
 
 use crate::aggregate::AggregateKind;
-use crate::node::ProtocolNode;
-use crate::protocol::GossipMessage;
+use crate::node::{LedSlot, NodeState, ProtocolNode};
+use crate::protocol::{GossipMessage, InstanceTag};
 use overlay_topology::NodeId;
 
 /// Running counters over one or more exchanges.
@@ -43,12 +43,13 @@ pub struct ExchangeTally {
     pub messages_lost: usize,
 }
 
-/// Reusable scratch buffers for [`ExchangeCore::exchange`], so engines that
-/// drive millions of exchanges per cycle perform no steady-state allocation.
+/// Reusable scratch for engines that drive millions of exchanges per cycle:
+/// a buffer an engine copies an initiator's led instances into when they
+/// live in storage the peer's side of the exchange borrows too.
 #[derive(Debug, Default)]
 pub struct ExchangeScratch {
-    pushes: Vec<GossipMessage>,
-    replies: Vec<GossipMessage>,
+    /// The buffer.
+    pub led: Vec<LedSlot>,
 }
 
 impl ExchangeScratch {
@@ -58,10 +59,43 @@ impl ExchangeScratch {
     }
 }
 
+/// One side's absorb, the arithmetic every exchange path shares: merges
+/// `value` into `state`, counts the exchange and returns the pre-update
+/// state (what a passive side replies).
+#[inline]
+pub(crate) fn absorb(kind: AggregateKind, state: &mut f64, exchanges: &mut u32, value: f64) -> f64 {
+    let before = *state;
+    *state = kind.merge_values(before, value);
+    *exchanges += 1;
+    before
+}
+
+/// Passive side of one led instance: finds `tag` in the peer's store from
+/// merge cursor `from` (every slot before it holds a smaller tag), creates
+/// it under the late-join policy when missing, absorbs `pushed` and returns
+/// the pre-update state. Leaves the cursor just past the instance.
+#[inline]
+pub(crate) fn absorb_led_push(
+    peer: &mut impl NodeState,
+    from: &mut usize,
+    kind: AggregateKind,
+    tag: InstanceTag,
+    pushed: f64,
+) -> f64 {
+    let led = peer.led();
+    let index = *from + led[*from..].iter().take_while(|s| s.tag < tag).count();
+    if led.get(index).map(|s| s.tag) != Some(tag) {
+        peer.join_led(index, tag);
+    }
+    *from = index + 1;
+    let slot = &mut peer.led()[index];
+    absorb(kind, &mut slot.state, &mut slot.exchanges, pushed)
+}
+
 /// The one push–pull exchange implementation shared by every engine.
 ///
 /// `ExchangeCore` is a stateless namespace (`Send + Sync` trivially); all
-/// node state lives in the [`ProtocolNode`]s handed to each step.
+/// node state lives in the nodes or columns handed to each step.
 #[derive(Debug, Clone, Copy)]
 pub struct ExchangeCore;
 
@@ -123,42 +157,37 @@ impl ExchangeCore {
         node.handle_message(message)
     }
 
-    /// One full push–pull exchange with both nodes in hand.
+    /// One full push–pull exchange with both nodes in hand: the kernel
+    /// ([`ExchangeCore::exchange_instances`]) when the initiator may
+    /// participate and the nodes are distinct, nothing otherwise.
     ///
     /// Equivalent to [`ExchangeCore::begin`] → [`ExchangeCore::respond`] →
-    /// [`ExchangeCore::complete`] — and bit-identical to that sequence in
-    /// both arithmetic and loss-draw order — but takes a message-free fused
-    /// path whenever initiator and peer are distinct, both allowed to
-    /// participate and in the same epoch, however many led instances either
-    /// carries.
+    /// [`ExchangeCore::complete`], and bit-identical to that sequence in
+    /// both arithmetic and loss-draw order, whatever the nodes' epochs and
+    /// led instances. `scratch` is not used: both nodes own their state.
     pub fn exchange(
         initiator: &mut ProtocolNode,
         peer: &mut ProtocolNode,
-        scratch: &mut ExchangeScratch,
+        _scratch: &mut ExchangeScratch,
         lost: &mut impl FnMut() -> bool,
         tally: &mut ExchangeTally,
     ) {
-        if Self::try_fused(initiator, peer, lost, tally) {
+        if !initiator.can_participate() || initiator.id() == peer.id() {
             return;
         }
-        if !Self::begin(initiator, peer.id(), &mut scratch.pushes) {
-            return;
-        }
-        tally.exchanges += 1;
-        scratch.replies.clear();
-        Self::respond(peer, &scratch.pushes, &mut scratch.replies, lost, tally);
-        Self::complete(initiator, &scratch.replies);
+        let (epoch, kind, state, exchanges, led) = initiator.exchange_parts();
+        Self::exchange_instances(kind, epoch, state, exchanges, led, peer, lost, tally);
     }
 
     /// The fused fast path over raw state words, for engines that keep hot
     /// nodes in dense struct-of-arrays storage instead of [`ProtocolNode`]s.
     ///
-    /// Performs exactly the post-precondition body of the fused path inside
-    /// [`ExchangeCore::exchange`] — same arithmetic, same loss-draw order,
-    /// same tallies — on `(state, exchanges)` pairs the caller has already
-    /// verified to belong to two *distinct* nodes that both participate, share
-    /// an epoch, and (for the initiator) run only the default instance. The
-    /// determinism suite pins this bit-identical to the node-based path.
+    /// Performs exactly the kernel's step for one instance — same arithmetic,
+    /// same loss-draw order, same tallies — on `(state, exchanges)` pairs the
+    /// caller has already verified to belong to two *distinct* nodes that
+    /// both participate, share an epoch, and (for the initiator) run only
+    /// the default instance. The determinism suite pins this bit-identical
+    /// to the node-based path.
     #[inline]
     pub fn exchange_fused_raw(
         kind: AggregateKind,
@@ -171,86 +200,88 @@ impl ExchangeCore {
     ) {
         tally.exchanges += 1;
         let pushed = *initiator_state;
-        let push = || {
-            let replied = *peer_state;
-            *peer_state = kind.merge_values(replied, pushed);
-            *peer_exchanges += 1;
-            replied
-        };
+        let push = || Some(absorb(kind, peer_state, peer_exchanges, pushed));
         Self::fused_instance(lost, tally, push, |replied| {
-            *initiator_state = kind.merge_values(*initiator_state, replied);
-            *initiator_exchanges += 1;
+            absorb(kind, initiator_state, initiator_exchanges, replied);
         });
     }
 
-    /// The fused multi-instance path. Returns `false` (doing nothing) when
-    /// the preconditions do not hold and the caller must run the message
-    /// path.
-    ///
-    /// Preconditions: the nodes are distinct, both participate and both are
-    /// in the same epoch. Then the message path performs no epoch transition
-    /// and drops no push as stale, so the exchange reduces to one step per
-    /// initiator instance, default first and then the led ones in tag order:
+    /// The exchange kernel: one exchange from an initiator in `epoch` —
+    /// default-instance `state` and `exchanges`, led instances `led` sorted
+    /// by tag — to `peer`, one step per initiator instance, default first:
     /// a loss draw for the push, the peer's absorb (creating a missing led
     /// instance under its late-join policy), a loss draw for the reply and
-    /// the initiator's absorb. Instances are independent, so running each
-    /// instance's reply right after its push leaves the state and the draw
-    /// order of `respond` followed by `complete`. The peer's led instances
-    /// the initiator does not carry are untouched, as in the message path.
-    fn try_fused(
-        initiator: &mut ProtocolNode,
-        peer: &mut ProtocolNode,
+    /// the initiator's absorb.
+    ///
+    /// The caller guarantees the initiator may participate and is not the
+    /// peer. The first push the peer receives settles the epochs, as in the
+    /// message path: a stale push leaves the peer untouched and draws no
+    /// reply coin, so every later push is stale too; a newer epoch restarts
+    /// the peer before it absorbs, and every later push then shares its
+    /// epoch. The initiator is untouched until its replies, which are
+    /// independent across instances, so running each instance's reply right
+    /// after its push leaves the state and the draw order of `respond`
+    /// followed by `complete`. The peer's led instances the initiator does
+    /// not carry are untouched.
+    #[allow(clippy::too_many_arguments)] // the initiator's parts are the kernel's slices
+    #[inline]
+    pub fn exchange_instances(
+        kind: AggregateKind,
+        epoch: u64,
+        state: &mut f64,
+        exchanges: &mut u32,
+        led: &mut [LedSlot],
+        peer: &mut impl NodeState,
         lost: &mut impl FnMut() -> bool,
         tally: &mut ExchangeTally,
-    ) -> bool {
-        if !initiator.can_participate()
-            || !peer.can_participate()
-            || initiator.current_epoch() != peer.current_epoch()
-            || initiator.id() == peer.id()
-        {
-            return false;
-        }
+    ) {
         tally.exchanges += 1;
-        let pushed = initiator.default_instance().initiate();
-        Self::fused_instance(
-            lost,
-            tally,
-            || peer.default_instance_mut().absorb_push(pushed),
-            |replied| initiator.default_instance_mut().absorb_reply(replied),
-        );
-        let kind = initiator.default_instance().kind();
+        let mut accepted = None;
+        let pushed = *state;
+        let push = || {
+            if !*accepted.get_or_insert_with(|| peer.accept(epoch)) {
+                return None;
+            }
+            let (peer_state, peer_exchanges) = peer.default_state();
+            Some(absorb(kind, peer_state, peer_exchanges, pushed))
+        };
+        Self::fused_instance(lost, tally, push, |replied| {
+            absorb(kind, state, exchanges, replied);
+        });
         // A merge cursor over the peer's store: both stores are sorted by tag.
         let mut from = 0;
-        for slot in initiator.led_slots_mut() {
+        for slot in led {
             let (tag, pushed) = (slot.tag, slot.state);
             let push = || {
-                let position = peer.led_position_from(from, tag);
-                let (Ok(index) | Err(index)) = position;
-                from = index + 1;
-                peer.absorb_led_push(position, tag, pushed)
+                if !*accepted.get_or_insert_with(|| peer.accept(epoch)) {
+                    return None;
+                }
+                Some(absorb_led_push(peer, &mut from, kind, tag, pushed))
             };
             Self::fused_instance(lost, tally, push, |replied| {
-                slot.absorb_reply(kind, replied)
+                absorb(kind, &mut slot.state, &mut slot.exchanges, replied);
             });
         }
-        true
     }
 
-    /// One instance of a fused exchange: the push's loss draw, `push` (the
-    /// peer absorbs and returns its pre-update state), the reply's loss draw
-    /// and `reply` (the initiator absorbs).
+    /// One instance of an exchange: the push's loss draw, `push` (the peer
+    /// absorbs and returns its pre-update state, or `None` for a stale
+    /// push, which draws no reply coin), the reply's loss draw and `reply`
+    /// (the initiator absorbs).
     #[inline]
     fn fused_instance(
         lost: &mut impl FnMut() -> bool,
         tally: &mut ExchangeTally,
-        push: impl FnOnce() -> f64,
+        push: impl FnOnce() -> Option<f64>,
         reply: impl FnOnce(f64),
     ) {
         if lost() {
             tally.messages_lost += 1;
             return;
         }
-        let replied = push();
+        let Some(replied) = push() else {
+            return;
+        };
         if lost() {
             tally.messages_lost += 1;
             return;

@@ -93,7 +93,7 @@ pub use config::{LateJoinPolicy, ProtocolConfig};
 pub use effects::{Clock, EntropySource, SeedSequence, SystemClock, VirtualClock};
 pub use error::AggregationError;
 pub use exchange::{ExchangeCore, ExchangeScratch, ExchangeTally};
-pub use node::{EpochResult, HotView, ProtocolNode};
+pub use node::{EpochResult, HotView, LedSlot, NodeState, ProtocolNode};
 pub use protocol::{AggregationInstance, GossipMessage, InstanceTag};
 pub use redundancy::{
     merge_estimates, redundant_size_estimate_from_epoch, MergePolicy, RedundancyConfig, ReportError,

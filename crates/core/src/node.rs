@@ -16,6 +16,7 @@
 use crate::aggregate::AggregateKind;
 use crate::config::{LateJoinPolicy, ProtocolConfig};
 use crate::epoch::{EpochManager, EpochTransition};
+use crate::exchange::{absorb, absorb_led_push};
 use crate::protocol::{AggregationInstance, GossipMessage, InstanceTag};
 use overlay_topology::NodeId;
 
@@ -34,6 +35,26 @@ pub struct EpochResult {
 }
 
 impl EpochResult {
+    /// The report of a node finishing `epoch` with default-instance state
+    /// `state` and led instances `led`: the default estimate first, then the
+    /// led ones in tag order ([`InstanceTag::DEFAULT`] sorts before every
+    /// leader-derived tag).
+    pub fn report(
+        epoch: u64,
+        kind: AggregateKind,
+        state: f64,
+        led: &[LedSlot],
+        full_participation: bool,
+    ) -> Self {
+        let led = led.iter().map(|s| (s.tag, kind.estimate_value(s.state)));
+        let default = (InstanceTag::DEFAULT, kind.estimate_value(state));
+        EpochResult {
+            epoch,
+            estimates: std::iter::once(default).chain(led).collect(),
+            full_participation,
+        }
+    }
+
     /// The estimate of the default instance, if it was live.
     pub fn default_estimate(&self) -> Option<f64> {
         self.estimates
@@ -46,9 +67,8 @@ impl EpochResult {
 /// The four words of state that completely describe a *hot* node — one that
 /// participates, has been in its current epoch from the first cycle, and runs
 /// only the default aggregation instance. The sharded engine's
-/// struct-of-arrays store keeps exactly this per node (with the local value
-/// beside it) and rebuilds the full [`ProtocolNode`] with
-/// [`ProtocolNode::from_hot_view`] only when the node leaves the hot set.
+/// struct-of-arrays store keeps exactly this per hot node, with the local
+/// value beside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotView {
     /// Running approximation of the default instance.
@@ -61,41 +81,30 @@ pub struct HotView {
     pub exchanges: u32,
 }
 
-/// One leader-led instance in a node's compact store: its tag, running
-/// state and exchange count. Aggregate kind, local value and epoch are the
-/// node's own: a led instance is created in the node's current epoch and
-/// every epoch restart drops it, so it never differs from its node in them.
+/// One leader-led instance of a node: its tag, running state and exchange
+/// count. Aggregate kind, local value and epoch are the node's own: a led
+/// instance is created in the node's current epoch and every epoch restart
+/// drops it, so it never differs from its node in them. A node keeps its
+/// led instances sorted by tag, in a [`ProtocolNode`]'s own vector or in an
+/// engine's per-shard table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct LedSlot {
-    pub(crate) tag: InstanceTag,
-    pub(crate) state: f64,
-    exchanges: u32,
+pub struct LedSlot {
+    /// The instance.
+    pub tag: InstanceTag,
+    /// Its running approximation.
+    pub state: f64,
+    /// Exchanges it has completed this epoch.
+    pub exchanges: u32,
 }
 
 impl LedSlot {
     /// A fresh instance: `state`, no exchanges yet.
-    fn new(tag: InstanceTag, state: f64) -> Self {
+    pub fn new(tag: InstanceTag, state: f64) -> Self {
         LedSlot {
             tag,
             state,
             exchanges: 0,
         }
-    }
-
-    /// Passive side, as [`AggregationInstance::absorb_push`].
-    #[inline]
-    fn absorb_push(&mut self, kind: AggregateKind, pushed: f64) -> f64 {
-        let reply = self.state;
-        self.state = kind.merge_values(self.state, pushed);
-        self.exchanges += 1;
-        reply
-    }
-
-    /// Active side, as [`AggregationInstance::absorb_reply`].
-    #[inline]
-    pub(crate) fn absorb_reply(&mut self, kind: AggregateKind, replied: f64) {
-        self.state = kind.merge_values(self.state, replied);
-        self.exchanges += 1;
     }
 }
 
@@ -126,11 +135,10 @@ impl LedSlot {
 ///
 /// The default aggregation instance is stored inline (every node always has
 /// one). The extra leader-led instances of the network-size estimator are
-/// `(tag, state, exchanges)` slots in one vector sorted by tag, whose
-/// capacity survives epoch restarts, so a node that ever carries led
-/// instances allocates once in its life. In the common single-instance
-/// configuration a node owns no heap allocation at all, which is what lets
-/// the sharded cycle engine keep millions of nodes contiguous in its arenas.
+/// [`LedSlot`]s in one vector sorted by tag, whose capacity survives epoch
+/// restarts, so a node that ever carries led instances allocates once in its
+/// life. In the common single-instance configuration a node owns no heap
+/// allocation at all.
 #[derive(Debug, Clone, PartialEq)]
 #[repr(C)] // hot-first field order: everything the fused exchange fast path
            // reads (epoch state, default instance, led slots, id) lives in
@@ -159,22 +167,29 @@ impl ProtocolNode {
         }
     }
 
-    /// Rebuilds a hot node from its [`HotView`]: the inverse of
-    /// [`ProtocolNode::hot_view`]. Whenever `node.hot_view()` is `Some(view)`,
-    /// `ProtocolNode::from_hot_view(node.id(), *node.config(),
-    /// node.local_value(), view)` equals `node`.
-    pub fn from_hot_view(
+    /// Rebuilds a node from the parts an engine keeps in columns: its epoch
+    /// machinery, the default instance's running state and exchange count,
+    /// and its led instances sorted by tag.
+    pub fn from_parts(
         id: NodeId,
         config: ProtocolConfig,
         local_value: f64,
-        view: HotView,
+        epochs: EpochManager,
+        state: f64,
+        exchanges: u32,
+        led: &[LedSlot],
     ) -> Self {
-        let mut node = ProtocolNode::new(id, config, local_value);
-        node.default_instance
-            .restore_hot(view.epoch, view.state, view.exchanges);
-        node.epochs
-            .restore_position(view.epoch, view.cycle_in_epoch);
-        node
+        let epoch = epochs.current_epoch();
+        let mut default_instance = AggregationInstance::new(config.aggregate(), local_value, epoch);
+        default_instance.restore_hot(epoch, state, exchanges);
+        ProtocolNode {
+            epochs,
+            default_instance,
+            led: led.to_vec(),
+            id,
+            local_value,
+            config,
+        }
     }
 
     /// Creates a node that joins a running network: it was told by its contact
@@ -241,18 +256,6 @@ impl ProtocolNode {
         Some(self.kind().estimate_value(self.led[index].state))
     }
 
-    /// Estimates of all live instances, default instance first and then the
-    /// led ones in tag order ([`InstanceTag::DEFAULT`] sorts before every
-    /// leader-derived tag).
-    fn instance_estimates(&self) -> impl Iterator<Item = (InstanceTag, f64)> + '_ {
-        let kind = self.kind();
-        let led = self
-            .led
-            .iter()
-            .map(move |s| (s.tag, kind.estimate_value(s.state)));
-        std::iter::once((InstanceTag::DEFAULT, self.default_instance.estimate())).chain(led)
-    }
-
     /// The aggregate every instance of this node computes: the
     /// configuration's, read from the default instance, which sits in the
     /// node's first cache line.
@@ -268,70 +271,15 @@ impl ProtocolNode {
         self.led.binary_search_by_key(&tag, |s| s.tag)
     }
 
-    /// [`ProtocolNode::led_position`] as a merge cursor: scans forward from
-    /// `from`, for a caller that visits tags in increasing order and knows
-    /// every slot before `from` holds a smaller tag.
+    /// The initiator's side of the exchange kernel: its epoch, aggregate,
+    /// default-instance state and exchange count, and led instances.
     #[inline]
-    pub(crate) fn led_position_from(&self, from: usize, tag: InstanceTag) -> Result<usize, usize> {
-        let index = from + self.led[from..].iter().take_while(|s| s.tag < tag).count();
-        match self.led.get(index) {
-            Some(slot) if slot.tag == tag => Ok(index),
-            _ => Err(index),
-        }
-    }
-
-    /// Whether the default instance is the node's only live instance — one
-    /// condition of a hot node ([`ProtocolNode::hot_view`]), and a cheap
-    /// single-line read for engines that warm node state ahead of a batch
-    /// of exchanges.
-    #[inline]
-    pub fn has_only_default_instance(&self) -> bool {
-        self.led.is_empty()
-    }
-
-    /// Direct access to the default instance (fused exchange fast path).
-    #[inline]
-    pub(crate) fn default_instance(&self) -> &AggregationInstance {
-        &self.default_instance
-    }
-
-    /// Mutable access to the default instance (fused exchange fast path).
-    #[inline]
-    pub(crate) fn default_instance_mut(&mut self) -> &mut AggregationInstance {
-        &mut self.default_instance
-    }
-
-    /// The led instances in tag order, for the initiator side of the fused
-    /// multi-instance exchange.
-    #[inline]
-    pub(crate) fn led_slots_mut(&mut self) -> &mut [LedSlot] {
-        &mut self.led
-    }
-
-    /// Passive side of one led instance's exchange: absorbs `pushed` into
-    /// instance `tag`, found at `position` in the store, and returns its
-    /// pre-update state. A missing instance is first created at its sorted
-    /// position under the late-join policy.
-    #[inline]
-    pub(crate) fn absorb_led_push(
+    pub(crate) fn exchange_parts(
         &mut self,
-        position: Result<usize, usize>,
-        tag: InstanceTag,
-        pushed: f64,
-    ) -> f64 {
-        let kind = self.kind();
-        let index = match position {
-            Ok(index) => index,
-            Err(index) => {
-                let state = match self.config.late_join() {
-                    LateJoinPolicy::LocalValue => kind.init_value(self.local_value),
-                    LateJoinPolicy::FixedState(state) => state,
-                };
-                self.led.insert(index, LedSlot::new(tag, state));
-                index
-            }
-        };
-        self.led[index].absorb_push(kind, pushed)
+    ) -> (u64, AggregateKind, &mut f64, &mut u32, &mut [LedSlot]) {
+        let (epoch, kind) = (self.epochs.current_epoch(), self.kind());
+        let (state, exchanges) = self.default_instance.parts_mut();
+        (epoch, kind, state, exchanges, &mut self.led)
     }
 
     /// Overwrites the default instance's running approximation — the
@@ -353,13 +301,7 @@ impl ProtocolNode {
             self.default_instance.corrupt_state(value);
             return true;
         }
-        match self.led_position(tag) {
-            Ok(index) => {
-                self.led[index].state = value;
-                true
-            }
-            Err(_) => false,
-        }
+        self.corrupt_led(tag, value)
     }
 
     /// The epoch this node is currently executing.
@@ -381,15 +323,14 @@ impl ProtocolNode {
         self.epochs.participated_from_epoch_start()
     }
 
-    /// Snapshot of the state a dense struct-of-arrays store needs to take a
-    /// steady-state node out of the `ProtocolNode` representation entirely;
-    /// [`ProtocolNode::from_hot_view`] is its inverse.
+    /// Snapshot of the state a dense struct-of-arrays store keeps of a
+    /// steady-state node.
     ///
     /// Returns `Some` exactly when the node is *hot*: participating, present
     /// since the start of its current epoch, and running only the default
     /// instance. Such a node's per-cycle behaviour is fully described by four
-    /// words — everything else (join waits, mid-epoch jumps, led
-    /// size-estimation instances) stays on the cold `ProtocolNode` path.
+    /// words; a cold node also needs its join wait, mid-epoch flag and led
+    /// instances.
     pub fn hot_view(&self) -> Option<HotView> {
         if self.epochs.can_participate()
             && self.epochs.participated_from_epoch_start()
@@ -419,11 +360,7 @@ impl ProtocolNode {
             );
             return;
         }
-        let slot = LedSlot::new(tag, initial_state);
-        match self.led_position(tag) {
-            Ok(index) => self.led[index] = slot,
-            Err(index) => self.led.insert(index, slot),
-        }
+        self.start_led(tag, initial_state);
     }
 
     /// Active half of the protocol (Figure 1's "active process"): produces the
@@ -467,14 +404,10 @@ impl ProtocolNode {
     /// first trigger the epoch jump (restarting all instances) and are then
     /// processed inside the new epoch.
     pub fn handle_message(&mut self, message: GossipMessage) -> Option<GossipMessage> {
-        let epoch = message.epoch();
-        if self.epochs.is_stale(epoch) {
+        if !self.accept(message.epoch()) {
             return None;
         }
-        if let EpochTransition::Jumped { to, .. } = self.epochs.observe_remote_epoch(epoch) {
-            self.restart_instances(to);
-        }
-
+        let kind = self.kind();
         match message {
             GossipMessage::Push {
                 from,
@@ -486,7 +419,7 @@ impl ProtocolNode {
                 let reply_value = if tag == InstanceTag::DEFAULT {
                     self.default_instance.absorb_push(value)
                 } else {
-                    self.absorb_led_push(self.led_position(tag), tag, value)
+                    absorb_led_push(self, &mut 0, kind, tag, value)
                 };
                 Some(GossipMessage::Reply {
                     from: self.id,
@@ -504,8 +437,8 @@ impl ProtocolNode {
                 if tag == InstanceTag::DEFAULT {
                     self.default_instance.absorb_reply(value);
                 } else if let Ok(index) = self.led_position(tag) {
-                    let kind = self.kind();
-                    self.led[index].absorb_reply(kind, value);
+                    let slot = &mut self.led[index];
+                    absorb(kind, &mut slot.state, &mut slot.exchanges, value);
                 }
                 None
             }
@@ -517,30 +450,151 @@ impl ProtocolNode {
     /// new epoch (extra led instances are dropped — their leaders re-elect
     /// themselves at the start of the next epoch if required).
     pub fn end_cycle(&mut self) -> Option<EpochResult> {
-        let full_participation = self.epochs.participated_from_epoch_start();
-        match self.epochs.tick_cycle() {
-            EpochTransition::Completed {
-                finished, current, ..
-            } => {
-                let estimates = self.instance_estimates().collect();
-                self.restart_instances(current);
-                Some(EpochResult {
-                    epoch: finished,
-                    estimates,
-                    full_participation,
-                })
-            }
-            _ => None,
+        self.tick()
+    }
+}
+
+/// One node's protocol state, wherever it is kept: a [`ProtocolNode`]'s own
+/// fields, or an engine's columns for one node. The node's semantics are
+/// written once, as the provided methods, over the required accessors: the
+/// passive side of the exchange kernel ([`NodeState::accept`],
+/// [`NodeState::join_led`]), a leader's start, a capture and the end of a
+/// cycle.
+pub trait NodeState {
+    /// The protocol the node runs.
+    fn protocol(&self) -> ProtocolConfig;
+
+    /// The node's local value.
+    fn local(&self) -> f64;
+
+    /// The node's epoch machinery.
+    fn epochs(&self) -> EpochManager;
+
+    /// Writes the node's epoch machinery.
+    fn set_epochs(&mut self, epochs: EpochManager);
+
+    /// The default instance's running state and exchange count.
+    fn default_state(&mut self) -> (&mut f64, &mut u32);
+
+    /// The led instances, sorted by tag.
+    fn led(&mut self) -> &mut [LedSlot];
+
+    /// Inserts `slot` at `index` of [`NodeState::led`].
+    fn insert_led(&mut self, index: usize, slot: LedSlot);
+
+    /// Drops every led instance, keeping the store's room.
+    fn clear_led(&mut self);
+
+    /// Whether a message stamped `epoch` is processed: `false` when it is
+    /// stale (older than the node's epoch). A newer epoch first restarts the
+    /// node (the epoch jump), and the epoch a joiner waits for ends its wait.
+    #[inline]
+    fn accept(&mut self, epoch: u64) -> bool {
+        let mut epochs = self.epochs();
+        if epochs.is_stale(epoch) {
+            return false;
+        }
+        let transition = epochs.observe_remote_epoch(epoch);
+        self.set_epochs(epochs);
+        if let EpochTransition::Jumped { .. } = transition {
+            self.restart();
+        }
+        true
+    }
+
+    /// Inserts led instance `tag` at `index` of [`NodeState::led`], in the
+    /// state the late-join policy gives it.
+    fn join_led(&mut self, index: usize, tag: InstanceTag) {
+        let protocol = self.protocol();
+        let state = match protocol.late_join() {
+            LateJoinPolicy::LocalValue => protocol.aggregate().init_value(self.local()),
+            LateJoinPolicy::FixedState(state) => state,
+        };
+        self.insert_led(index, LedSlot::new(tag, state));
+    }
+
+    /// Starts (or restarts) led instance `tag`, which is not
+    /// [`InstanceTag::DEFAULT`], at `state`.
+    fn start_led(&mut self, tag: InstanceTag, state: f64) {
+        let slot = LedSlot::new(tag, state);
+        match self.led().binary_search_by_key(&tag, |s| s.tag) {
+            Ok(index) => self.led()[index] = slot,
+            Err(index) => self.insert_led(index, slot),
         }
     }
 
-    /// Restarts the default instance for `epoch` and drops all extra led
-    /// instances (they are per-epoch by construction), keeping the store's
-    /// capacity for the next epoch's.
-    fn restart_instances(&mut self, epoch: u64) {
+    /// Overwrites led instance `tag`'s state; `false` when the node runs no
+    /// such instance.
+    fn corrupt_led(&mut self, tag: InstanceTag, state: f64) -> bool {
+        let led = self.led();
+        let found = led.binary_search_by_key(&tag, |s| s.tag);
+        found.map(|index| led[index].state = state).is_ok()
+    }
+
+    /// Ends one protocol cycle: ticks the epoch machinery and, when that
+    /// completes an epoch, reports it and restarts the instances.
+    fn tick(&mut self) -> Option<EpochResult> {
+        let mut epochs = self.epochs();
+        let full_participation = epochs.participated_from_epoch_start();
+        let transition = epochs.tick_cycle();
+        self.set_epochs(epochs);
+        let EpochTransition::Completed { finished, .. } = transition else {
+            return None;
+        };
+        let (kind, state) = (self.protocol().aggregate(), *self.default_state().0);
+        let result = EpochResult::report(finished, kind, state, self.led(), full_participation);
+        self.restart();
+        Some(result)
+    }
+
+    /// Restarts the instances for the node's (already advanced) epoch: no led
+    /// instance (they are per-epoch by construction), the default one from
+    /// the local value.
+    fn restart(&mut self) {
+        self.clear_led();
+        let state = self.protocol().aggregate().init_value(self.local());
+        let (default, exchanges) = self.default_state();
+        (*default, *exchanges) = (state, 0);
+    }
+}
+
+impl NodeState for ProtocolNode {
+    fn protocol(&self) -> ProtocolConfig {
+        self.config
+    }
+
+    fn local(&self) -> f64 {
+        self.local_value
+    }
+
+    #[inline]
+    fn epochs(&self) -> EpochManager {
+        self.epochs
+    }
+
+    #[inline]
+    fn set_epochs(&mut self, epochs: EpochManager) {
+        self.epochs = epochs;
+        // The default instance carries its node's epoch.
+        self.default_instance.set_epoch(epochs.current_epoch());
+    }
+
+    #[inline]
+    fn default_state(&mut self) -> (&mut f64, &mut u32) {
+        self.default_instance.parts_mut()
+    }
+
+    #[inline]
+    fn led(&mut self) -> &mut [LedSlot] {
+        &mut self.led
+    }
+
+    fn insert_led(&mut self, index: usize, slot: LedSlot) {
+        self.led.insert(index, slot);
+    }
+
+    fn clear_led(&mut self) {
         self.led.clear();
-        self.default_instance.set_local_value(self.local_value);
-        self.default_instance.restart(epoch);
     }
 }
 
@@ -734,88 +788,8 @@ mod tests {
         let node = ProtocolNode::new(NodeId::new(3), config, 2.0);
         assert_eq!(node.id(), NodeId::new(3));
         assert_eq!(node.config().cycles_per_epoch(), 30);
-        assert_eq!(node.instance_estimates().count(), 1);
         assert_eq!(node.instance_estimate(InstanceTag::DEFAULT), Some(2.0));
         assert_eq!(node.instance_estimate(InstanceTag(5)), None);
         assert!(node.participated_from_epoch_start());
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Over random histories of four nodes — joins under either
-        /// late-join policy, exchanges across epochs (jumps), led instances
-        /// started and then dropped at a restart, and corruptions —
-        /// `from_hot_view` rebuilds every node whose `hot_view` is `Some`.
-        #[test]
-        fn from_hot_view_inverts_hot_view_over_random_histories(
-            setup in (0usize..4, proptest::bool::ANY, 1u32..5),
-            steps in proptest::collection::vec((0u8..6, 0usize..4, 0usize..4, -50.0f64..50.0), 0..80),
-        ) {
-            let (kind, fixed_late_join, cycles) = setup;
-            let kind = [
-                AggregateKind::Average,
-                AggregateKind::Maximum,
-                AggregateKind::Minimum,
-                AggregateKind::GeometricMean,
-            ][kind];
-            let late_join = if fixed_late_join {
-                LateJoinPolicy::FixedState(0.0)
-            } else {
-                LateJoinPolicy::LocalValue
-            };
-            let config = ProtocolConfig::builder()
-                .aggregate(kind)
-                .cycles_per_epoch(cycles)
-                .late_join(late_join)
-                .build()
-                .unwrap();
-            let local = |i: usize| 1.0 + i as f64;
-            let mut nodes: Vec<ProtocolNode> = (0..4)
-                .map(|i| ProtocolNode::new(NodeId::new(i), config, local(i)))
-                .collect();
-            for (op, a, b, value) in steps {
-                match op {
-                    0 if a != b => {
-                        let (x, y) = if a < b {
-                            let (lo, hi) = nodes.split_at_mut(b);
-                            (&mut lo[a], &mut hi[0])
-                        } else {
-                            let (lo, hi) = nodes.split_at_mut(a);
-                            (&mut hi[0], &mut lo[b])
-                        };
-                        exchange(x, y);
-                    }
-                    1 => {
-                        nodes[a].end_cycle();
-                    }
-                    2 => {
-                        let tag = InstanceTag::from_leader(NodeId::new(b));
-                        nodes[a].start_led_instance(tag, 1.0);
-                    }
-                    3 => nodes[a].corrupt_estimate(value),
-                    4 => {
-                        let tag = InstanceTag::from_leader(NodeId::new(b));
-                        nodes[a].corrupt_instance(tag, value);
-                    }
-                    5 => {
-                        let next = nodes[b].current_epoch() + 1;
-                        let wait = value.abs() as u32 % (cycles + 1);
-                        let id = NodeId::new(a);
-                        nodes[a] = ProtocolNode::joining(id, config, local(a) + value.abs(), next, wait);
-                    }
-                    _ => {}
-                }
-                for node in &nodes {
-                    if let Some(view) = node.hot_view() {
-                        let rebuilt =
-                            ProtocolNode::from_hot_view(node.id(), *node.config(), node.local_value(), view);
-                        prop_assert_eq!(&rebuilt, node);
-                    }
-                }
-            }
-        }
     }
 }

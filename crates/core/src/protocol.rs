@@ -222,9 +222,9 @@ impl AggregationInstance {
         self.exchanges = 0;
     }
 
-    /// Writes back the hot fields kept by an external dense store (see
-    /// [`crate::node::ProtocolNode::from_hot_view`]): running state, epoch
-    /// and exchange counter in one call, leaving the kind and local value
+    /// Writes back the fields an engine keeps in columns (see
+    /// [`crate::node::ProtocolNode::from_parts`]): running state, epoch and
+    /// exchange counter in one call, leaving the kind and local value
     /// untouched. Equivalent to replaying the stored exchanges and epoch
     /// restarts on this instance.
     pub fn restore_hot(&mut self, epoch: u64, state: f64, exchanges: u32) {
@@ -257,17 +257,24 @@ impl AggregationInstance {
     /// node `n_j` first sends `x_j` and then sets `x_j := aggregate(x_j, x_i)`).
     #[inline]
     pub fn absorb_push(&mut self, pushed: f64) -> f64 {
-        let reply = self.state;
-        self.state = self.kind.merge_values(self.state, pushed);
-        self.exchanges += 1;
-        reply
+        crate::exchange::absorb(self.kind, &mut self.state, &mut self.exchanges, pushed)
     }
 
     /// Active side, step 2: absorbs the reply and completes the exchange.
     #[inline]
     pub fn absorb_reply(&mut self, replied: f64) {
-        self.state = self.kind.merge_values(self.state, replied);
-        self.exchanges += 1;
+        crate::exchange::absorb(self.kind, &mut self.state, &mut self.exchanges, replied);
+    }
+
+    /// Moves the instance to its node's `epoch`.
+    pub(crate) fn set_epoch(&mut self, epoch: u64) {
+        self.epoch = epoch;
+    }
+
+    /// The running state and exchange count, for the exchange kernel.
+    #[inline]
+    pub(crate) fn parts_mut(&mut self) -> (&mut f64, &mut u32) {
+        (&mut self.state, &mut self.exchanges)
     }
 }
 

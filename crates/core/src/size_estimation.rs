@@ -130,11 +130,7 @@ pub fn elect_leader<R: Rng + ?Sized>(
     previous_estimate: Option<f64>,
     rng: &mut R,
 ) -> bool {
-    if !node.can_participate() {
-        return false;
-    }
-    let p = policy.probability(previous_estimate);
-    if p > 0.0 && rng.gen_bool(p) {
+    if node.can_participate() && wins_election(policy, previous_estimate, rng) {
         node.start_led_instance(
             InstanceTag::from_leader(node.id()),
             CountInit::initial_value(true),
@@ -143,6 +139,17 @@ pub fn elect_leader<R: Rng + ?Sized>(
     } else {
         false
     }
+}
+
+/// The election draw of one participating node: `true` with the policy's
+/// probability. A probability of zero draws nothing.
+pub fn wins_election<R: Rng + ?Sized>(
+    policy: LeaderPolicy,
+    previous_estimate: Option<f64>,
+    rng: &mut R,
+) -> bool {
+    let p = policy.probability(previous_estimate);
+    p > 0.0 && rng.gen_bool(p)
 }
 
 /// Combines the converged states of the counting instances a node observed

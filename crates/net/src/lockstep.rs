@@ -23,9 +23,9 @@ use crate::node_core::{Delivery, NodeCore};
 use crate::{InMemoryNetwork, Transport};
 use aggregate_core::node::ProtocolNode;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
-use aggregate_core::{ExchangeTally, GossipMessage, InstanceTag};
+use aggregate_core::{EpochResult, ExchangeTally, GossipMessage, InstanceTag};
 use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
-use gossip_sim::coordinator::{Coordinator, CycleNodes};
+use gossip_sim::coordinator::{Coordinator, CycleNodes, NodeTicks};
 use gossip_sim::{CycleSummary, SimConfigError, SimulationConfig};
 use gossip_telemetry::{Event, TelemetryConfig};
 use overlay_topology::NodeId;
@@ -75,10 +75,15 @@ impl SamplerDirectory for Members {
 }
 
 impl CycleNodes for Members {
-    fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode> {
-        self.nodes[self.live[pos] as usize]
-            .as_mut()
-            .map(NodeCore::node_mut)
+    fn can_participate(&self, pos: usize) -> bool {
+        let core = self.nodes[self.live[pos] as usize].as_ref();
+        core.is_some_and(|core| core.node().can_participate())
+    }
+
+    fn start_led_instance(&mut self, pos: usize, tag: InstanceTag, state: f64) {
+        if let Some(core) = self.nodes[self.live[pos] as usize].as_mut() {
+            core.node_mut().start_led_instance(tag, state);
+        }
     }
 
     fn corrupt_estimate(&mut self, id: NodeId, value: f64) -> Option<u64> {
@@ -103,6 +108,16 @@ impl CycleNodes for Members {
         self.live_pos[slot as usize] = NOT_LIVE;
         self.nodes[slot as usize] = None;
         (NodeId::from_u32(slot), u64::from(slot))
+    }
+}
+
+impl NodeTicks for Members {
+    fn end_cycle(&mut self, pos: usize) -> Option<EpochResult> {
+        self.nodes[self.live[pos] as usize].as_mut()?.end_cycle()
+    }
+
+    fn estimate(&self, pos: usize) -> Option<f64> {
+        self.nodes[self.live[pos] as usize].as_ref()?.estimate()
     }
 }
 

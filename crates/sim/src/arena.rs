@@ -161,7 +161,7 @@ struct Slot<T> {
 /// A generational arena of node payloads — [`ProtocolNode`]s unless stated
 /// otherwise — with O(1) insert, remove and uniform sampling over the live
 /// set. The reference engine stores its nodes inline; the sharded engine
-/// stores `Option<Box<ProtocolNode>>`, a node only while it is cold.
+/// stores `()` and keeps its node state in columns beside the arena.
 ///
 /// * `slots` owns the payloads; a departed slot keeps its generation and
 ///   goes on `free` for reuse.

@@ -37,7 +37,7 @@ use aggregate_core::effects::{Clock, VirtualClock};
 use aggregate_core::redundancy::{redundant_size_estimate_from_epoch, MergePolicy};
 use aggregate_core::sampler::{PeerSampler, SamplerDirectory};
 use aggregate_core::size_estimation;
-use aggregate_core::{EpochResult, ExchangeTally, InstanceTag, ProtocolNode};
+use aggregate_core::{EpochResult, ExchangeTally, InstanceTag};
 use gossip_analysis::OnlineStats;
 use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
 use gossip_telemetry::{TelemetryConfig, TelemetrySink};
@@ -47,12 +47,18 @@ use rand::Rng;
 
 /// A runtime's node store as the [`Coordinator`] sees it: the live
 /// directory (positions in the runtime's live order) plus the few node
-/// operations whose implementation differs per runtime.
+/// operations elections, corruptions and the end-of-cycle pass need, each
+/// implemented where the runtime keeps the state: on its `ProtocolNode`s or
+/// in its columns.
 pub trait CycleNodes: SamplerDirectory {
-    /// The protocol node at live-directory position `pos`. The sharded
-    /// engine demotes a hot node to hand it out and promotes it back on its
-    /// next call or after the election.
-    fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode>;
+    /// Whether the node at live-directory position `pos` may take part in
+    /// exchanges: a joiner waits for its first epoch, and only a
+    /// participating node stands in an election.
+    fn can_participate(&self, pos: usize) -> bool;
+
+    /// Starts (or restarts) led instance `tag` at `state` on the node at
+    /// `pos`: an elected leader's counting instance.
+    fn start_led_instance(&mut self, pos: usize, tag: InstanceTag, state: f64);
 
     /// Overwrites live node `id`'s running default-instance estimate with
     /// `value` (wherever the runtime keeps it authoritative), returning the
@@ -71,6 +77,18 @@ pub trait CycleNodes: SamplerDirectory {
     fn trace_key(&self, pos: usize) -> u64 {
         u64::from(self.id_at(pos).as_u32())
     }
+}
+
+/// The end-of-cycle pass of a runtime that keeps one `ProtocolNode` per
+/// node, which [`Coordinator::close_cycle`] drives; the sharded engine runs
+/// its own over its columns.
+pub trait NodeTicks: CycleNodes {
+    /// Ticks the node at `pos` through the end of a cycle, returning its
+    /// report when that completes an epoch.
+    fn end_cycle(&mut self, pos: usize) -> Option<EpochResult>;
+
+    /// The default-instance estimate of the node at `pos`.
+    fn estimate(&self, pos: usize) -> Option<f64>;
 }
 
 /// Everything a cycle runtime coordinates apart from node storage. See the
@@ -281,19 +299,13 @@ impl Coordinator {
         let previous = self.last_size_estimate;
         let mut any_leader = false;
         for pos in 0..live {
-            let Some(node) = nodes.node_mut(pos) else {
-                continue;
-            };
-            if size_estimation::elect_leader(node, policy, previous, rng) {
+            if nodes.can_participate(pos) && size_estimation::wins_election(policy, previous, rng) {
                 any_leader = true;
-                self.leader_elected(nodes, pos);
+                self.start_leader(nodes, pos);
             }
         }
         if !any_leader && live > 0 {
-            if let Some(node) = nodes.node_mut(0) {
-                node.start_led_instance(InstanceTag::from_leader(node.id()), 1.0);
-                self.leader_elected(nodes, 0);
-            }
+            self.start_leader(nodes, 0);
         }
     }
 
@@ -315,16 +327,15 @@ impl Coordinator {
             positions.swap(i, rng.gen_range(i..live));
         }
         for &pos in &positions[..k] {
-            let id = nodes.id_at(pos as usize);
-            if let Some(node) = nodes.node_mut(pos as usize) {
-                let state = CountInit::initial_value(true);
-                node.start_led_instance(InstanceTag::from_leader(id), state);
-                self.leader_elected(nodes, pos as usize);
-            }
+            self.start_leader(nodes, pos as usize);
         }
     }
 
-    fn leader_elected(&mut self, nodes: &impl CycleNodes, pos: usize) {
+    /// Starts the counting instance of the leader at `pos`, seeded with
+    /// `1.0` and tagged with its identity.
+    fn start_leader(&mut self, nodes: &mut impl CycleNodes, pos: usize) {
+        let tag = InstanceTag::from_leader(nodes.id_at(pos));
+        nodes.start_led_instance(pos, tag, CountInit::initial_value(true));
         self.adversary.observe_leader(nodes.id_at(pos));
         if self.telemetry.events_enabled() {
             self.telemetry.leader_elected(nodes.trace_key(pos));
@@ -363,7 +374,7 @@ impl Coordinator {
     /// summary's variance.
     pub fn close_cycle(
         &mut self,
-        nodes: &mut impl CycleNodes,
+        nodes: &mut impl NodeTicks,
         schedule: &mut StdRng,
         tally: ExchangeTally,
         exchanges_blocked: usize,
@@ -373,7 +384,7 @@ impl Coordinator {
         let mut epoch_estimates = Vec::new();
         let mut epoch_size_estimates = Vec::new();
         for pos in 0..nodes.len() {
-            let Some(result) = nodes.node_mut(pos).and_then(ProtocolNode::end_cycle) else {
+            let Some(result) = nodes.end_cycle(pos) else {
                 continue;
             };
             completed_epoch = Some(result.epoch);
@@ -391,7 +402,7 @@ impl Coordinator {
         }
         let mut stats = OnlineStats::new();
         for pos in 0..nodes.len() {
-            if let Some(estimate) = nodes.node_mut(pos).and_then(|node| node.estimate()) {
+            if let Some(estimate) = nodes.estimate(pos) {
                 stats.push(estimate);
             }
         }

@@ -36,13 +36,15 @@
 //! reference it is pinned against.
 
 use crate::arena::NodeArena;
-use crate::coordinator::{Coordinator, CycleNodes};
+use crate::coordinator::{Coordinator, CycleNodes, NodeTicks};
 use crate::{NetworkConditions, SimConfigError};
 use aggregate_core::node::ProtocolNode;
 use aggregate_core::redundancy::RedundancyConfig;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig};
 use aggregate_core::size_estimation::LeaderPolicy;
-use aggregate_core::{ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag, ProtocolConfig};
+use aggregate_core::{
+    EpochResult, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag, ProtocolConfig,
+};
 use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
 use gossip_telemetry::{Event, TelemetryConfig, WatchdogVerdict};
 use overlay_topology::NodeId;
@@ -152,8 +154,15 @@ pub struct CycleSummary {
 /// The arena as the coordinator's node store: positions are the dense live
 /// order, trace keys are node identifiers.
 impl CycleNodes for NodeArena {
-    fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode> {
-        self.node_at_slot_mut(self.live_slots()[pos])
+    fn can_participate(&self, pos: usize) -> bool {
+        let node = self.node_at_slot(self.live_slots()[pos]);
+        node.is_some_and(ProtocolNode::can_participate)
+    }
+
+    fn start_led_instance(&mut self, pos: usize, tag: InstanceTag, state: f64) {
+        if let Some(node) = self.node_at_slot_mut(self.live_slots()[pos]) {
+            node.start_led_instance(tag, state);
+        }
     }
 
     fn corrupt_estimate(&mut self, id: NodeId, value: f64) -> Option<u64> {
@@ -171,6 +180,16 @@ impl CycleNodes for NodeArena {
         let id = self.id_at_slot(self.live_slots()[pos]);
         self.remove_live_at(pos);
         (id, u64::from(id.as_u32()))
+    }
+}
+
+impl NodeTicks for NodeArena {
+    fn end_cycle(&mut self, pos: usize) -> Option<EpochResult> {
+        self.node_at_slot_mut(self.live_slots()[pos])?.end_cycle()
+    }
+
+    fn estimate(&self, pos: usize) -> Option<f64> {
+        self.node_at_slot(self.live_slots()[pos])?.estimate()
     }
 }
 

@@ -582,10 +582,91 @@ pub fn robustness_run(
     })
 }
 
+/// Renders a run's per-cycle telemetry as a [`gossip_analysis::Table`] —
+/// one row per cycle with the peer-sampling layer the run drew partners
+/// from, throughput-relevant counters, the merged estimate statistics and
+/// the per-shard load split. `Table::to_csv` / `Table::write_csv` turn it
+/// into the artifact the bench harness and the million-node example record
+/// (the `sampler` column is what keeps complete-graph and NEWSCAST runs
+/// distinguishable in archived CSVs).
+pub fn cycle_telemetry_table(
+    summaries: &[crate::ShardedCycleSummary],
+    sampler: aggregate_core::sampler::SamplerConfig,
+) -> gossip_analysis::Table {
+    let mut table = gossip_analysis::Table::new(vec![
+        "cycle",
+        "sampler",
+        "live_nodes",
+        "exchanges",
+        "messages_lost",
+        "exchanges_blocked",
+        "estimate_mean",
+        "estimate_variance",
+        "completed_epoch",
+        "shard_exchanges",
+    ]);
+    for summary in summaries {
+        table.add_row(vec![
+            summary.cycle.to_string(),
+            sampler.to_string(),
+            summary.live_nodes.to_string(),
+            summary.exchanges.to_string(),
+            summary.messages_lost.to_string(),
+            summary.exchanges_blocked.to_string(),
+            format!("{:.9e}", summary.estimate_mean),
+            format!("{:.9e}", summary.estimate_variance),
+            summary
+                .completed_epoch
+                .map_or_else(|| "-".to_string(), |e| e.to_string()),
+            summary
+                .shard_exchanges
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("|"),
+        ]);
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use aggregate_core::theory;
+
+    #[test]
+    fn cycle_telemetry_table_pins_the_csv_artifact_format() {
+        let summary =
+            |cycle, completed_epoch, shard_exchanges: Vec<usize>| crate::ShardedCycleSummary {
+                cycle,
+                live_nodes: 100,
+                exchanges: shard_exchanges.iter().sum(),
+                messages_lost: 3,
+                exchanges_blocked: 1,
+                estimate_mean: 499.5,
+                estimate_variance: 0.25,
+                completed_epoch,
+                epoch_estimates: gossip_analysis::OnlineStats::new(),
+                epoch_size_estimates: gossip_analysis::OnlineStats::new(),
+                shard_exchanges,
+            };
+        let summaries = [
+            summary(0, None, vec![30, 40, 30]),
+            summary(1, Some(7), vec![100]),
+        ];
+        let csv = cycle_telemetry_table(
+            &summaries,
+            aggregate_core::sampler::SamplerConfig::UniformComplete,
+        )
+        .to_csv();
+        assert_eq!(
+            csv,
+            "cycle,sampler,live_nodes,exchanges,messages_lost,exchanges_blocked,\
+             estimate_mean,estimate_variance,completed_epoch,shard_exchanges\n\
+             0,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,-,30|40|30\n\
+             1,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,7,100\n"
+        );
+    }
 
     #[test]
     fn figure3_point_matches_theory_for_random_selector() {

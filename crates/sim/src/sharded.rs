@@ -24,21 +24,16 @@
 //! `GETPAIR_SEQ`, against a peer drawn by the sampler; a fault-lab link veto
 //! drops the pick. A block pipeline applies the resulting schedule in
 //! sequence order, 128 initiators at a time: pick peers and resolve vetoes,
-//! touch the endpoints, pre-draw loss coins, then execute. An exchange
-//! between two hot nodes in the same epoch runs fused over the dense
-//! [`HotStore`] records; any other takes the node path
-//! ([`ExchangeCore::exchange`]). The pipeline may batch draws but never
-//! reorders exchanges: two exchanges that share an endpoint do not commute.
+//! touch the endpoints, pre-draw loss coins, then execute. The pipeline may
+//! batch draws but never reorders exchanges: two exchanges that share an
+//! endpoint do not commute.
 //!
-//! Each live node has one representation. A *hot* node is only its
-//! [`HotStore`] record; a *cold* one (a joiner, a mid-epoch jumper, a node
-//! carrying led COUNT instances) is only a boxed [`ProtocolNode`] in its
-//! arena slot. The node path demotes a hot endpoint — rebuilds its node from
-//! the record — and promotes it back, dropping the node, once it is hot again.
-//!
-//! Per-cycle telemetry is accumulated in per-shard [`OnlineStats`] and
-//! merged in shard order (Chan's parallel Welford update), so a million-node
-//! cycle streams no per-node vectors through a single accumulator.
+//! Each live node has one copy of its state, in its shard's columns
+//! ([`crate::soa`]). An exchange between two hot nodes in the same epoch
+//! runs fused over their 16-byte records; any other runs the exchange kernel
+//! ([`ExchangeCore::exchange_instances`]) over the columns. Per-cycle
+//! telemetry is accumulated in per-shard [`OnlineStats`] and merged in shard
+//! order (Chan's parallel Welford update).
 //!
 //! The epoch environment — fault lab, adversary, elections, telemetry and
 //! virtual time — is the shared [`Coordinator`], driven over the global
@@ -48,14 +43,13 @@
 
 use crate::arena::{IdLayout, NodeArena, MAX_SHARDS};
 use crate::coordinator::{epoch_size_estimate, Coordinator, CycleNodes};
-use crate::soa::{self, HotStore, WordBuffer};
+use crate::soa::{self, Columns, WordBuffer};
 use crate::{SeedSequence, SimConfigError, SimulationConfig};
-use aggregate_core::node::{HotView, ProtocolNode};
+use aggregate_core::epoch::EpochManager;
+use aggregate_core::node::{LedSlot, NodeState, ProtocolNode};
 use aggregate_core::redundancy::MergePolicy;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
-use aggregate_core::{
-    AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag, ProtocolConfig,
-};
+use aggregate_core::{AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag};
 use gossip_analysis::OnlineStats;
 use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
 use gossip_telemetry::{Event, TelemetryConfig};
@@ -159,9 +153,8 @@ pub struct ShardedCycleSummary {
     pub shard_exchanges: Vec<usize>,
 }
 
-/// A shard's arena: per live slot, `None` while the occupant is hot and its
-/// node while it is cold.
-pub(crate) type ShardArena = NodeArena<Option<Box<ProtocolNode>>>;
+/// A shard's arena: identifiers and liveness; the state is in its columns.
+pub(crate) type ShardArena = NodeArena<()>;
 
 /// Node state owned by one shard.
 #[derive(Debug)]
@@ -169,15 +162,8 @@ struct Shard {
     arena: ShardArena,
     /// Per slot: position of the occupant in the global live directory.
     global_pos: Vec<u32>,
-    /// The struct-of-arrays records of this shard's *hot* nodes (see
-    /// [`crate::soa`]), [`soa::COLD`]-keyed at every other slot.
-    hot: HotStore,
-    /// The protocol every node runs, for rebuilding demoted nodes.
-    protocol: ProtocolConfig,
-    /// Whether a live node of this shard may be cold: exact after every full
-    /// pass over the shard, `true` after a join or a demotion. A prefetch
-    /// hint for the block pipeline's touch stage; it never changes a result.
-    cold_live: bool,
+    /// Every live node's state, one column per field (see [`crate::soa`]).
+    cols: Columns,
 }
 
 /// The sharded engine's [`SamplerDirectory`]: positions are the global live
@@ -213,27 +199,11 @@ impl SamplerDirectory for GlobalDirectory<'_> {
 struct GlobalNodes<'a> {
     live: &'a mut Vec<NodeId>,
     shards: &'a mut [Shard],
-    /// The node `node_mut` handed out last, promoted back by the next call
-    /// or by [`GlobalNodes::settle`] if it is still hot.
-    demoted: Option<NodeId>,
 }
 
 impl<'a> GlobalNodes<'a> {
     fn new(live: &'a mut Vec<NodeId>, shards: &'a mut [Shard]) -> Self {
-        GlobalNodes {
-            live,
-            shards,
-            demoted: None,
-        }
-    }
-
-    /// Promotes the node `node_mut` handed out last if it is still hot, so
-    /// an election that visits every node holds one demoted node at a time.
-    fn settle(&mut self) {
-        if let Some(id) = self.demoted.take() {
-            let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-            shard.settle(IdLayout::sharded_slot_of(id));
-        }
+        GlobalNodes { live, shards }
     }
 }
 
@@ -253,43 +223,49 @@ impl SamplerDirectory for GlobalNodes<'_> {
 }
 
 impl CycleNodes for GlobalNodes<'_> {
-    /// Demotes the node at `pos`, after promoting the one handed out last.
-    fn node_mut(&mut self, pos: usize) -> Option<&mut ProtocolNode> {
-        self.settle();
+    fn can_participate(&self, pos: usize) -> bool {
         let id = self.live[pos];
-        self.demoted = Some(id);
+        let shard = &self.shards[IdLayout::shard_of(id) as usize];
+        shard
+            .cols
+            .epochs(IdLayout::sharded_slot_of(id))
+            .can_participate()
+    }
+
+    fn start_led_instance(&mut self, pos: usize, tag: InstanceTag, state: f64) {
+        let id = self.live[pos];
         let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-        shard.demote(IdLayout::sharded_slot_of(id))
+        shard
+            .cols
+            .node(IdLayout::sharded_slot_of(id))
+            .start_led(tag, state);
     }
 
     fn corrupt_estimate(&mut self, id: NodeId, value: f64) -> Option<u64> {
+        // The record holds every node's running approximation, hot or cold.
         let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-        let slot = shard.arena.slot_of(id)?;
-        // A hot node is its record; `corrupt_estimate` only overwrites the
-        // running approximation, which is exactly the record's state.
-        match shard.arena.get_mut(id)? {
-            Some(node) => node.corrupt_estimate(value),
-            None => shard.hot.slots[slot as usize].state = value,
-        }
-        Some(u64::from(shard.global_pos[slot as usize]))
+        let slot = shard.arena.slot_of(id)? as usize;
+        shard.cols.hot.slots[slot].state = value;
+        Some(u64::from(shard.global_pos[slot]))
     }
 
     fn corrupt_instance(&mut self, id: NodeId, state: f64) {
-        // A captured leader runs a led instance, so it is cold by
-        // construction; a hot node runs no led instance to corrupt.
         let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-        if let Some(Some(node)) = shard.arena.get_mut(id) {
-            node.corrupt_instance(InstanceTag::from_leader(id), state);
+        if let Some(slot) = shard.arena.slot_of(id) {
+            shard
+                .cols
+                .node(slot)
+                .corrupt_led(InstanceTag::from_leader(id), state);
         }
     }
 
     fn remove_at(&mut self, pos: usize) -> (NodeId, u64) {
         let id = self.live[pos];
         let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-        let slot = IdLayout::sharded_slot_of(id);
-        shard.arena.remove_slot_checked(slot);
-        // The departed node's state vanishes with it.
-        shard.hot.mark_cold(slot);
+        // The departed node's columns are dead until a join overwrites them.
+        shard
+            .arena
+            .remove_slot_checked(IdLayout::sharded_slot_of(id));
         self.live.swap_remove(pos);
         if pos < self.live.len() {
             let moved = self.live[pos];
@@ -319,62 +295,6 @@ impl Shard {
             self.global_pos.resize(slot + 1, u32::MAX);
         }
         self.global_pos[slot] = pos;
-    }
-
-    /// The node at live `slot`, demoting a hot occupant first: its node is
-    /// rebuilt from the record, which goes cold. `None` for a dead slot.
-    fn demote(&mut self, slot: u32) -> Option<&mut ProtocolNode> {
-        if let Some(view) = self.hot.view(slot) {
-            let (id, local) = (self.arena.id_at_slot(slot), self.hot.local[slot as usize]);
-            let node = ProtocolNode::from_hot_view(id, self.protocol, local, view);
-            *self.arena.node_at_slot_mut(slot)? = Some(Box::new(node));
-            self.hot.mark_cold(slot);
-            self.cold_live = true;
-        }
-        self.arena.node_at_slot_mut(slot)?.as_deref_mut()
-    }
-
-    /// Promotes `slot`'s cold occupant, dropping its node, when it is hot
-    /// again and its epoch fits the record; otherwise it stays cold.
-    fn settle(&mut self, slot: u32) {
-        let Some(entry) = self.arena.node_at_slot_mut(slot) else {
-            return;
-        };
-        let Some(node) = entry.as_deref() else {
-            return;
-        };
-        match node.hot_view() {
-            Some(view) if self.hot.promote(slot, view, node.local_value()) => *entry = None,
-            _ => self.cold_live = true,
-        }
-    }
-
-    /// Reads `slot`'s hot record, if any, so the execute pass hits L1.
-    #[inline]
-    fn touch_record(&self, slot: u32) -> u64 {
-        self.hot
-            .slots
-            .get(slot as usize)
-            .map_or(0, |r| u64::from(r.key))
-    }
-
-    /// Reads one word per cache line an exchange at `slot` needs — the hot
-    /// record, or the node's epoch state, instance state and led slots
-    /// when the record is cold — so the execute pass hits L1.
-    #[inline]
-    fn touch(&self, slot: u32) -> u64 {
-        match self.hot.slots.get(slot as usize) {
-            Some(record) if record.is_hot() => u64::from(record.key),
-            _ => self
-                .arena
-                .node_at_slot(slot)
-                .and_then(Option::as_deref)
-                .map_or(0, |node| {
-                    node.current_epoch()
-                        ^ node.estimate().unwrap_or(0.0).to_bits()
-                        ^ u64::from(node.has_only_default_instance())
-                }),
-        }
     }
 }
 
@@ -420,22 +340,6 @@ pub struct ShardedSimulation {
     /// key on identifiers, which embed the shard layout, so such plans draw
     /// a different (statistically equivalent) fault map per shard count.
     coordinator: Coordinator,
-}
-
-/// Lazily seeded per-exchange loss model: free when the loss probability is
-/// zero, and a deterministic function of the exchange's sequence number
-/// otherwise. The probability is the cycle's effective loss rate as
-/// computed by the fault injector (a plain `NetworkConditions` run feeds its
-/// constant rate through the same path).
-fn exchange_loss(loss: f64, seed: u64) -> impl FnMut() -> bool {
-    let mut rng: Option<StdRng> = None;
-    move || {
-        if loss <= 0.0 {
-            return false;
-        }
-        let rng = rng.get_or_insert_with(|| StdRng::seed_from_u64(seed));
-        rng.gen_bool(loss)
-    }
 }
 
 impl ShardedSimulation {
@@ -494,30 +398,18 @@ impl ShardedSimulation {
     ) -> Result<Self, SimConfigError> {
         config.validate(initial_values)?;
         let shard_count = config.shards;
-        let protocol = config.base.protocol;
         let mut shards: Vec<Shard> = (0..shard_count)
             .map(|s| Shard {
                 arena: NodeArena::with_layout(IdLayout::sharded(s as u32)),
                 global_pos: Vec::new(),
-                hot: HotStore::default(),
-                protocol,
-                cold_live: false,
+                cols: Columns::new(config.base.protocol),
             })
             .collect();
         let mut global_live = Vec::with_capacity(initial_values.len());
-        let kind = protocol.aggregate();
         for (i, &value) in initial_values.iter().enumerate() {
             let shard = &mut shards[i % shard_count];
-            let (id, slot) = shard.arena.insert_at(|_| None);
-            // `ProtocolNode::new(id, protocol, value).hot_view()`, written
-            // straight into the record: every initial node starts hot.
-            let view = HotView {
-                state: kind.init_value(value),
-                epoch: 0,
-                cycle_in_epoch: 0,
-                exchanges: 0,
-            };
-            shard.hot.promote(slot, view, value);
+            let (id, slot) = shard.arena.insert_at(|_| ());
+            shard.cols.insert_initial(slot, value);
             shard.set_global_pos(slot, global_live.len() as u32);
             global_live.push(id);
         }
@@ -530,7 +422,6 @@ impl ShardedSimulation {
         )?;
         let mut nodes = GlobalNodes::new(&mut global_live, &mut shards);
         coordinator.elect_leaders(&mut nodes, None);
-        nodes.settle();
         Ok(ShardedSimulation {
             config,
             shards,
@@ -638,54 +529,39 @@ impl ShardedSimulation {
         self.coordinator.last_size_estimate()
     }
 
-    /// Read access to a node. Returns `None` for departed nodes and stale
-    /// identifiers.
-    ///
-    /// Takes `&mut self` because a hot node is only its struct-of-arrays
-    /// record: reading it demotes it, rebuilding its `ProtocolNode`, and the
-    /// node stays cold until the end of the cycle promotes it back. The read
-    /// changes no result.
-    pub fn node(&mut self, id: NodeId) -> Option<&ProtocolNode> {
-        let shard = self.shards.get_mut(IdLayout::shard_of(id) as usize)?;
+    /// A snapshot of a node, built from its shard's columns. Returns `None`
+    /// for departed nodes and stale identifiers.
+    pub fn node(&self, id: NodeId) -> Option<ProtocolNode> {
+        let shard = self.shards.get(IdLayout::shard_of(id) as usize)?;
         let slot = shard.arena.slot_of(id)?;
-        shard.demote(slot).map(|node| &*node)
+        Some(shard.cols.snapshot(slot, id))
     }
 
     /// Current default-instance estimates of all live nodes, in global
     /// directory order — a shard-count invariant ordering, which is what
     /// lets the determinism suite compare runs across shard counts
-    /// bit-for-bit. Hot nodes are read from their records (`estimate_value`
-    /// over the record's state is bit-identical to the node-side estimate).
+    /// bit-for-bit.
     pub fn estimates(&self) -> Vec<f64> {
-        let kind = self.config.base.protocol.aggregate();
-        self.global_live
-            .iter()
-            .filter_map(|&id| {
-                let shard = self.shards.get(IdLayout::shard_of(id) as usize)?;
-                let slot = IdLayout::sharded_slot_of(id) as usize;
-                match shard.arena.get(id)? {
-                    Some(node) => node.estimate(),
-                    None => Some(kind.estimate_value(shard.hot.slots[slot].state)),
-                }
-            })
-            .collect()
+        self.gather(|cols, slot| cols.estimate(slot))
     }
 
     /// Current local attribute values of all live nodes, in global directory
-    /// order: a cold node's own, a hot node's from its shard's `local`
-    /// column (the engine exposes no way to change them).
+    /// order (the engine exposes no way to change them).
     pub fn local_values(&self) -> Vec<f64> {
-        self.global_live
-            .iter()
-            .filter_map(|&id| {
-                let shard = self.shards.get(IdLayout::shard_of(id) as usize)?;
-                let slot = IdLayout::sharded_slot_of(id) as usize;
-                match shard.arena.get(id)? {
-                    Some(node) => Some(node.local_value()),
-                    None => Some(shard.hot.local[slot]),
-                }
-            })
-            .collect()
+        self.gather(|cols, slot| cols.hot.local[slot as usize])
+    }
+
+    /// `value` of every live node, in global directory order: each shard's
+    /// live slots walked in arena order, each value written to its node's
+    /// directory position.
+    fn gather(&self, value: impl Fn(&Columns, u32) -> f64) -> Vec<f64> {
+        let mut out = vec![0.0; self.global_live.len()];
+        for shard in &self.shards {
+            for &slot in shard.arena.live_slots() {
+                out[shard.global_pos[slot as usize] as usize] = value(&shard.cols, slot);
+            }
+        }
+        out
     }
 
     /// Adds a node with the given local value. The node is routed to the
@@ -703,15 +579,10 @@ impl ShardedSimulation {
             // lint-allow(unwrap): ShardedConfig::validate rejects zero shards
             .expect("at least one shard");
         let shard = &mut self.shards[shard_idx];
-        let (id, slot) = shard.arena.insert_at(|id| {
-            let node =
-                ProtocolNode::joining(id, protocol, local_value, next_epoch, cycles_until_start);
-            Some(Box::new(node))
-        });
-        // A joining node waits for its epoch — never hot; the slot may be a
-        // reused one carrying a stale hot record.
-        shard.hot.mark_cold(slot);
-        shard.cold_live = true;
+        let (id, slot) = shard.arena.insert_at(|_| ());
+        // A joining node waits for its epoch: it starts cold.
+        let cols = &mut shard.cols;
+        cols.insert_joiner(slot, local_value, next_epoch, cycles_until_start);
         shard.set_global_pos(slot, self.global_live.len() as u32);
         self.global_live.push(id);
         let (live, shards) = (&self.global_live, &self.shards);
@@ -789,10 +660,8 @@ impl ShardedSimulation {
             self.coordinator.last_size_estimate = Some(size_stats.mean());
         }
         if let Some(epoch) = completed_epoch {
-            // An election demotes each node it visits and promotes it back.
             let mut nodes = GlobalNodes::new(&mut self.global_live, &mut self.shards);
             self.coordinator.epoch_restarted(epoch, &mut nodes, None);
-            nodes.settle();
         }
 
         let summary = ShardedCycleSummary {
@@ -814,23 +683,12 @@ impl ShardedSimulation {
 
     /// The executor: draws the cycle's schedule and applies it in global
     /// sequence order, returning the per-shard outputs and the number of
-    /// vetoed picks. The steady-state work runs over the dense per-shard
-    /// [`HotStore`]s:
-    ///
-    /// * the initiator shuffle consumes the `cycle-schedule` stream through
-    ///   block-buffered raw words ([`soa::shuffle_batched`]); under the
-    ///   uniform sampler the peer picks do too ([`WordBuffer`], with the
-    ///   sampler's pick loop inlined — zero virtual calls per pick), while
-    ///   every other sampler is asked once per initiator;
-    /// * per-exchange loss coins are pre-drawn per block from the
-    ///   `cycle-loss` stream via [`SeedSequence::fill_block`] (each
-    ///   exchange's coins still come from its own `seed_for_run(seq)`
-    ///   stream, in draw order — bit-identical to the lazy closure);
-    /// * an exchange between two hot nodes in the same epoch runs
-    ///   [`ExchangeCore::exchange_fused_raw`] over two 16-byte records — one
-    ///   cache line per endpoint instead of two-plus; any other exchange
-    ///   demotes its hot endpoints, takes the node path, then promotes
-    ///   whichever is hot again.
+    /// vetoed picks. The initiator shuffle, and under the uniform sampler the
+    /// peer picks, consume the `cycle-schedule` stream through block-buffered
+    /// raw words ([`soa::shuffle_batched`], [`WordBuffer`]); every other
+    /// sampler is asked once per initiator. Each exchange's loss coins come
+    /// from its own `seed_for_run(seq)` stream of `cycle-loss`, pre-drawn per
+    /// block for the fused path ([`SeedSequence::fill_block`]).
     fn run_cycle_sequential_soa(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
         let shard_count = self.config.shards;
         let redundancy = self.config.base.redundancy.map(|r| r.merge);
@@ -895,7 +753,6 @@ impl ShardedSimulation {
         const BLOCK: usize = 128;
         let uniform = matches!(sampler.config(), SamplerConfig::UniformComplete);
         let check_links = injector.links_can_block();
-        let touch_nodes = shards.iter().any(|shard| shard.cold_live);
         let mut words = WordBuffer::new();
         let mut cand = [0u32; BLOCK];
         let mut block_pairs = [(0u32, 0u32); BLOCK];
@@ -994,23 +851,17 @@ impl ShardedSimulation {
                     survivors += 1;
                 }
             }
-            // Stage 2: touch every endpoint's hot record — plus, in a cycle
-            // that may have cold nodes, the `ProtocolNode` of each cold
-            // endpoint (it takes the node path). The record-only loop has no
+            // Stage 2: touch every endpoint's record. The loop has no
             // hot/cold check: that check cost `epoch_1m` ≈3 %. The loads'
             // values are discarded, so they can never go stale.
-            let pairs = block_pairs[..survivors].iter().map(|&(a, b)| {
-                let (shard_a, slot_a) = unpack_endpoint(a);
-                let (shard_b, slot_b) = unpack_endpoint(b);
-                (&shards[shard_a], slot_a, &shards[shard_b], slot_b)
-            });
-            let warm: u64 = if touch_nodes {
-                pairs.fold(0, |w, (sa, a, sb, b)| w ^ sa.touch(a) ^ sb.touch(b))
-            } else {
-                pairs.fold(0, |w, (sa, a, sb, b)| {
-                    w ^ sa.touch_record(a) ^ sb.touch_record(b)
-                })
+            let touch = |(shard, slot): (usize, u32)| {
+                let record = shards[shard].cols.hot.slots.get(slot as usize);
+                record.map_or(0, |r| u64::from(r.key))
             };
+            let pairs = block_pairs[..survivors].iter();
+            let warm = pairs.fold(0, |w, &(a, b)| {
+                w ^ touch(unpack_endpoint(a)) ^ touch(unpack_endpoint(b))
+            });
             std::hint::black_box(warm);
             // Stage 3: the block's loss coins. Exchange sequence numbers are
             // dense over survivors.
@@ -1035,18 +886,19 @@ impl ShardedSimulation {
                 let (shard_a, slot_a) = unpack_endpoint(a);
                 let (shard_b, slot_b) = unpack_endpoint(b);
                 let fused = {
-                    let ra = shards[shard_a].hot.hot(slot_a);
-                    let rb = shards[shard_b].hot.hot(slot_b);
+                    let ra = shards[shard_a].cols.hot.hot(slot_a);
+                    let rb = shards[shard_b].cols.hot.hot(slot_b);
                     matches!((ra, rb), (Some(x), Some(y)) if x.key == y.key)
                 };
-                if fused {
+                let lost_before = tallies[shard_a].messages_lost;
+                let begun = if fused {
                     let (initiator, peer) = if shard_a == shard_b {
-                        shards[shard_a].hot.pair_mut(slot_a, slot_b)
+                        shards[shard_a].cols.hot.pair_mut(slot_a, slot_b)
                     } else {
                         let (sa, sb) = shard_pair_mut(shards, shard_a, shard_b);
                         (
-                            &mut sa.hot.slots[slot_a as usize],
-                            &mut sb.hot.slots[slot_b as usize],
+                            &mut sa.cols.hot.slots[slot_a as usize],
+                            &mut sb.cols.hot.slots[slot_b as usize],
                         )
                     };
                     let (c1, c2) = coins[k];
@@ -1059,7 +911,6 @@ impl ShardedSimulation {
                             c2
                         }
                     };
-                    let lost_before = tallies[shard_a].messages_lost;
                     ExchangeCore::exchange_fused_raw(
                         kind,
                         &mut initiator.state,
@@ -1069,54 +920,26 @@ impl ShardedSimulation {
                         &mut lost,
                         &mut tallies[shard_a],
                     );
-                    if record {
-                        // The fused path always begins (both endpoints hot ⇒
-                        // active in the same epoch).
-                        let lost = tallies[shard_a].messages_lost - lost_before;
-                        telemetry.exchange_outcome(seq as u64, lost);
-                    }
+                    // Both endpoints hot: both active in the same epoch.
+                    true
                 } else {
-                    // Cold or cross-epoch endpoint: demote both, run the
-                    // ordinary node-path exchange (which takes its own fused
-                    // fast path when the preconditions hold — bit-identical
-                    // arithmetic either way), then promote either if hot.
-                    shards[shard_a].demote(slot_a);
-                    shards[shard_b].demote(slot_b);
-                    let (initiator, peer) = if shard_a == shard_b {
-                        shards[shard_a].arena.pair_mut(slot_a, slot_b)
-                    } else {
-                        let (sa, sb) = shard_pair_mut(shards, shard_a, shard_b);
-                        (
-                            sa.arena.node_at_slot_mut(slot_a),
-                            sb.arena.node_at_slot_mut(slot_b),
-                        )
+                    // The exchange's own loss stream, seeded only if drawn.
+                    let (seed, mut stream) = (loss_seeds.seed_for_run(seq as u64), None);
+                    let lost = move || {
+                        lossy
+                            && stream
+                                .get_or_insert_with(|| StdRng::seed_from_u64(seed))
+                                .gen_bool(loss)
                     };
-                    let (Some(Some(initiator)), Some(Some(peer))) = (initiator, peer) else {
-                        continue;
-                    };
-                    let seed = if lossy {
-                        loss_seeds.seed_for_run(seq as u64)
-                    } else {
-                        0
-                    };
-                    let mut lost = exchange_loss(loss, seed);
-                    let exch_before = tallies[shard_a].exchanges;
-                    let lost_before = tallies[shard_a].messages_lost;
-                    ExchangeCore::exchange(
-                        initiator,
-                        peer,
-                        &mut scratch,
-                        &mut lost,
-                        &mut tallies[shard_a],
-                    );
-                    // A delta of zero exchanges means the exchange never
-                    // began (e.g. a joining initiator): no outcome.
-                    if record && tallies[shard_a].exchanges > exch_before {
-                        let lost = tallies[shard_a].messages_lost - lost_before;
-                        telemetry.exchange_outcome(seq as u64, lost);
-                    }
-                    shards[shard_a].settle(slot_a);
-                    shards[shard_b].settle(slot_b);
+                    let ends = ((shard_a, slot_a), (shard_b, slot_b));
+                    let (led, tally) = (&mut scratch.led, &mut tallies[shard_a]);
+                    exchange_cold(shards, ends, kind, led, lost, tally)
+                };
+                // An exchange that never began (a waiting initiator) has no
+                // outcome.
+                if record && begun {
+                    let lost = tallies[shard_a].messages_lost - lost_before;
+                    telemetry.exchange_outcome(seq as u64, lost);
                 }
             }
             next_seq += survivors;
@@ -1134,53 +957,6 @@ impl ShardedSimulation {
     }
 }
 
-/// Renders a run's per-cycle telemetry as a [`gossip_analysis::Table`] —
-/// one row per cycle with the peer-sampling layer the run drew partners
-/// from, throughput-relevant counters, the merged estimate statistics and
-/// the per-shard load split. `Table::to_csv` / `Table::write_csv` turn it
-/// into the artifact the bench harness and the million-node example record
-/// (the `sampler` column is what keeps complete-graph and NEWSCAST runs
-/// distinguishable in archived CSVs).
-pub fn cycle_telemetry_table(
-    summaries: &[ShardedCycleSummary],
-    sampler: SamplerConfig,
-) -> gossip_analysis::Table {
-    let mut table = gossip_analysis::Table::new(vec![
-        "cycle",
-        "sampler",
-        "live_nodes",
-        "exchanges",
-        "messages_lost",
-        "exchanges_blocked",
-        "estimate_mean",
-        "estimate_variance",
-        "completed_epoch",
-        "shard_exchanges",
-    ]);
-    for summary in summaries {
-        table.add_row(vec![
-            summary.cycle.to_string(),
-            sampler.to_string(),
-            summary.live_nodes.to_string(),
-            summary.exchanges.to_string(),
-            summary.messages_lost.to_string(),
-            summary.exchanges_blocked.to_string(),
-            format!("{:.9e}", summary.estimate_mean),
-            format!("{:.9e}", summary.estimate_variance),
-            summary
-                .completed_epoch
-                .map_or_else(|| "-".to_string(), |e| e.to_string()),
-            summary
-                .shard_exchanges
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("|"),
-        ]);
-    }
-    table
-}
-
 /// Packs a node identifier's `(shard, slot)` into one word for the SoA
 /// executor's pair list: shard in the high byte, slot (20 bits) below.
 #[inline]
@@ -1192,6 +968,30 @@ fn pack_endpoint(id: NodeId) -> u32 {
 #[inline]
 fn unpack_endpoint(packed: u32) -> (usize, u32) {
     ((packed >> 24) as usize, packed & 0x00ff_ffff)
+}
+
+/// A cold or cross-epoch exchange between the endpoints `(shard, slot)`:
+/// the kernel over the shards' columns. Returns `false`, doing nothing,
+/// while the initiator waits for its first epoch. Kept out of line, so the
+/// fused loop stays small.
+#[inline(never)]
+fn exchange_cold(
+    shards: &mut [Shard],
+    ((shard_a, slot_a), (shard_b, slot_b)): ((usize, u32), (usize, u32)),
+    kind: AggregateKind,
+    led: &mut Vec<LedSlot>,
+    mut lost: impl FnMut() -> bool,
+    tally: &mut ExchangeTally,
+) -> bool {
+    let Some((epoch, mut initiator)) = shards[shard_a].cols.initiator(slot_a, led) else {
+        return false;
+    };
+    let (state, exchanges) = (&mut initiator.state, &mut initiator.exchanges);
+    let peer = &mut shards[shard_b].cols.node(slot_b);
+    ExchangeCore::exchange_instances(kind, epoch, state, exchanges, led, peer, &mut lost, tally);
+    shards[shard_b].cols.reheat(slot_b);
+    shards[shard_a].cols.write_back(slot_a, initiator, led);
+    true
 }
 
 /// Disjoint mutable borrows of two distinct shards.
@@ -1207,33 +1007,19 @@ fn shard_pair_mut(shards: &mut [Shard], a: usize, b: usize) -> (&mut Shard, &mut
 }
 
 impl ShardCycleOut {
-    /// An output with the shard's exchange tally and nothing observed yet.
-    fn new(tally: ExchangeTally) -> Self {
-        ShardCycleOut {
-            tally,
-            completed_epoch: None,
-            epoch_stats: OnlineStats::new(),
-            size_stats: OnlineStats::new(),
-            estimate_stats: OnlineStats::new(),
-        }
-    }
-
     /// Notes that `epoch` completed on this shard; the latest epoch wins.
     fn epoch_completed(&mut self, epoch: u64) {
         self.completed_epoch = Some(self.completed_epoch.map_or(epoch, |e| e.max(epoch)));
     }
 
-    /// The end-of-cycle tick of one node-represented node: tick its epoch
-    /// machinery, then read the (post-restart) estimate while the node is
-    /// cache-hot. Per-node independence makes this bit-identical to a
-    /// tick-all-then-read-all split in live order.
-    ///
-    /// Kept out of line: inlined into [`end_of_cycle_pass_soa`], its only
-    /// caller, it slowed the churned NEWSCAST workload (`overlay_churn_30k`)
-    /// by ≈5 %.
+    /// The end-of-cycle tick of one cold node, then its (post-restart)
+    /// estimate, then its promotion if it is hot again. Kept out of line:
+    /// inlined into [`end_of_cycle_pass_soa`], its only caller, the node
+    /// tick slowed the churned NEWSCAST workload (`overlay_churn_30k`) by
+    /// ≈5 %.
     #[inline(never)]
-    fn tick_node(&mut self, node: &mut ProtocolNode, redundancy: Option<MergePolicy>) {
-        if let Some(result) = node.end_cycle() {
+    fn tick_cold(&mut self, cols: &mut Columns, slot: u32, redundancy: Option<MergePolicy>) {
+        if let Some(result) = cols.node(slot).tick() {
             self.epoch_completed(result.epoch);
             if result.full_participation {
                 if let Some(estimate) = result.default_estimate() {
@@ -1244,18 +1030,14 @@ impl ShardCycleOut {
                 }
             }
         }
-        if let Some(estimate) = node.estimate() {
-            self.estimate_stats.push(estimate);
-        }
+        self.estimate_stats.push(cols.estimate(slot));
+        cols.reheat(slot);
     }
 }
 
-/// End-of-cycle phase of one shard: hot nodes tick, restart and report
-/// entirely inside their records; cold nodes take
-/// [`ShardCycleOut::tick_node`] and are promoted afterwards if hot again
-/// (joining nodes whose epoch just started, ex-leaders whose led instances
-/// just cleared). Iteration order, stat-push order and epoch
-/// book-keeping replicate `ProtocolNode::end_cycle` exactly:
+/// End-of-cycle phase of one shard, in live order: cold nodes take
+/// [`ShardCycleOut::tick_cold`]; hot nodes tick, restart and report inside
+/// their records, replicating `ProtocolNode::end_cycle` exactly:
 ///
 /// * a hot node participates from its epoch's start by definition, so a
 ///   completing epoch always pushes its (pre-restart) default estimate;
@@ -1271,53 +1053,39 @@ fn end_of_cycle_pass_soa(
     cycles_per_epoch: u32,
     redundancy: Option<MergePolicy>,
 ) -> ShardCycleOut {
-    let mut out = ShardCycleOut::new(tally);
-    shard.cold_live = false;
-    for pos in 0..shard.arena.len() {
-        let slot = shard.arena.live_slots()[pos];
-        let hot = shard.hot.hot(slot).is_some();
-        if hot {
-            let cycle = &mut shard.hot.cycles[slot as usize];
-            *cycle += 1;
-            let completing = *cycle >= cycles_per_epoch;
-            if completing {
-                *cycle = 0;
-            }
-            let record = &mut shard.hot.slots[slot as usize];
-            let mut overflow = false;
-            if completing {
-                out.epoch_completed(u64::from(record.key));
-                out.epoch_stats.push(kind.estimate_value(record.state));
-                record.state = kind.init_value(shard.hot.local[slot as usize]);
-                record.exchanges = 0;
-                record.key += 1;
-                overflow = record.key == soa::COLD;
-            }
-            out.estimate_stats.push(kind.estimate_value(record.state));
-            if overflow {
-                // The new epoch is not representable in the 16-byte record
-                // (u32 epochs), whose key now reads cold: the node continues
-                // cold. Unreachable in any real run, but cheap to keep correct.
-                let local = shard.hot.local[slot as usize];
-                let view = HotView {
-                    state: kind.init_value(local),
-                    epoch: u64::from(soa::COLD),
-                    cycle_in_epoch: 0,
-                    exchanges: 0,
-                };
-                let id = shard.arena.id_at_slot(slot);
-                let node = ProtocolNode::from_hot_view(id, shard.protocol, local, view);
-                if let Some(entry) = shard.arena.node_at_slot_mut(slot) {
-                    *entry = Some(Box::new(node));
-                }
-                shard.cold_live = true;
-            }
-        } else {
-            let Some(Some(node)) = shard.arena.node_at_slot_mut(slot) else {
-                continue;
-            };
-            out.tick_node(node, redundancy);
-            shard.settle(slot);
+    let mut out = ShardCycleOut {
+        tally,
+        ..ShardCycleOut::default()
+    };
+    let (arena, cols) = (&shard.arena, &mut shard.cols);
+    for &slot in arena.live_slots() {
+        if cols.hot.hot(slot).is_none() {
+            out.tick_cold(cols, slot, redundancy);
+            continue;
+        }
+        let cycle = &mut cols.hot.cycles[slot as usize];
+        *cycle += 1;
+        let completing = *cycle >= cycles_per_epoch;
+        if completing {
+            *cycle = 0;
+        }
+        let record = &mut cols.hot.slots[slot as usize];
+        let mut overflow = false;
+        if completing {
+            out.epoch_completed(u64::from(record.key));
+            out.epoch_stats.push(kind.estimate_value(record.state));
+            record.state = kind.init_value(cols.hot.local[slot as usize]);
+            record.exchanges = 0;
+            record.key += 1;
+            overflow = record.key == soa::COLD;
+        }
+        out.estimate_stats.push(kind.estimate_value(record.state));
+        if overflow {
+            // The new epoch is not representable in the 16-byte record (u32
+            // epochs), whose key now reads cold: the node continues cold.
+            // Unreachable in any real run, but cheap to keep correct.
+            let epochs = EpochManager::new(cycles_per_epoch, u64::from(soa::COLD));
+            cols.set_epochs(slot, epochs);
         }
     }
     out
@@ -1329,7 +1097,9 @@ mod tests {
     use crate::soa::HotSlot;
     use crate::{NetworkConditions, RedundancyConfig};
     use aggregate_core::config::LateJoinPolicy;
+    use aggregate_core::node::HotView;
     use aggregate_core::size_estimation::LeaderPolicy;
+    use aggregate_core::ProtocolConfig;
     use std::collections::HashMap;
 
     fn averaging(shards: usize, cycles_per_epoch: u32) -> ShardedConfig {
@@ -1647,39 +1417,10 @@ mod tests {
     }
 
     #[test]
-    fn cycle_telemetry_table_pins_the_csv_artifact_format() {
-        let summary = |cycle, completed_epoch, shard_exchanges: Vec<usize>| ShardedCycleSummary {
-            cycle,
-            live_nodes: 100,
-            exchanges: shard_exchanges.iter().sum(),
-            messages_lost: 3,
-            exchanges_blocked: 1,
-            estimate_mean: 499.5,
-            estimate_variance: 0.25,
-            completed_epoch,
-            epoch_estimates: OnlineStats::new(),
-            epoch_size_estimates: OnlineStats::new(),
-            shard_exchanges,
-        };
-        let summaries = [
-            summary(0, None, vec![30, 40, 30]),
-            summary(1, Some(7), vec![100]),
-        ];
-        let csv = cycle_telemetry_table(&summaries, SamplerConfig::UniformComplete).to_csv();
-        assert_eq!(
-            csv,
-            "cycle,sampler,live_nodes,exchanges,messages_lost,exchanges_blocked,\
-             estimate_mean,estimate_variance,completed_epoch,shard_exchanges\n\
-             0,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,-,30|40|30\n\
-             1,uniform-complete,100,100,3,1,4.995000000e2,2.500000000e-1,7,100\n"
-        );
-    }
-
-    #[test]
     fn reading_nodes_changes_nothing() {
         // A churned COUNT run: four led instances an epoch keep most nodes
-        // cold for part of each epoch, and joiners wait cold. Reading a hot
-        // node demotes it until the end of the cycle.
+        // cold for part of each epoch, and joiners wait cold. Reading a node
+        // builds a snapshot from the columns, hot or cold.
         let protocol = ProtocolConfig::builder()
             .cycles_per_epoch(6)
             .late_join(LateJoinPolicy::FixedState(0.0))
@@ -1716,12 +1457,12 @@ mod tests {
                 for _ in 0..(if reads { 20 } else { 0 }) {
                     let id = sim.global_live[picks.gen_range(0..sim.live_count())];
                     let shard = &sim.shards[IdLayout::shard_of(id) as usize];
-                    match shard.hot.hot(IdLayout::sharded_slot_of(id)) {
+                    match shard.cols.hot.hot(IdLayout::sharded_slot_of(id)) {
                         Some(_) => hot_reads += 1,
                         None => cold_reads += 1,
                     }
                     assert_eq!(
-                        sim.node(id).map(ProtocolNode::local_value),
+                        sim.node(id).as_ref().map(ProtocolNode::local_value),
                         Some(inputs[&id])
                     );
                 }
@@ -1742,17 +1483,17 @@ mod tests {
         // A hot record one epoch short of the record's range, about to
         // restart.
         let shard = &mut sim.shards[0];
-        shard.hot.slots[slot as usize] = HotSlot {
+        shard.cols.hot.slots[slot as usize] = HotSlot {
             state: 9.0,
             key: u32::MAX - 1,
             exchanges: 2,
         };
-        shard.hot.cycles[slot as usize] = 2;
+        shard.cols.hot.cycles[slot as usize] = 2;
         let summary = sim.run_cycle();
         assert_eq!(summary.completed_epoch, Some(u64::from(u32::MAX - 1)));
         assert_eq!(summary.epoch_estimates.mean(), 9.0);
         assert_eq!(
-            sim.shards[0].hot.hot(slot),
+            sim.shards[0].cols.hot.hot(slot),
             None,
             "the epoch overflows the record"
         );
@@ -1763,12 +1504,12 @@ mod tests {
             exchanges: 0,
         };
         assert_eq!(
-            sim.node(id).and_then(ProtocolNode::hot_view),
+            sim.node(id).as_ref().and_then(ProtocolNode::hot_view),
             Some(restarted)
         );
         // Every later promotion fails, and the node runs on cold.
         sim.run(4);
-        assert_eq!(sim.shards[0].hot.hot(slot), None);
+        assert_eq!(sim.shards[0].cols.hot.hot(slot), None);
         let node = sim.node(id).expect("a failed promotion keeps the node");
         assert_eq!(node.current_epoch(), u64::from(u32::MAX) + 1);
         assert_eq!(sim.estimates(), vec![4.0]);
@@ -1829,6 +1570,191 @@ mod tests {
             assert_eq!(counter("messages_lost"), lost);
             assert_eq!(count("message_lost"), lost);
             assert_eq!(fnv1a(&jsonl), pinned, "{shards} shards: the trace moved");
+        }
+    }
+
+    /// The loss model of one side of `columns_follow_protocol_nodes`: coin
+    /// `k` of the cycled `coins` is a loss when it is zero.
+    fn coin_stream<'a>(coins: &'a [u8], drawn: &'a mut usize) -> impl FnMut() -> bool + 'a {
+        move || {
+            *drawn += 1;
+            coins[(*drawn - 1) % coins.len()] == 0
+        }
+    }
+
+    /// One random history of two nodes, applied to two `ProtocolNode`s and
+    /// to the same nodes in columns, in one shard or in two, through the
+    /// paths the engine takes: an exchange runs fused when both records are
+    /// hot in one epoch and through `exchange_cold` otherwise, and
+    /// `end_cycle` is the cold tick followed by a promotion. The history
+    /// joins nodes with a wait, starts led instances, exchanges under loss,
+    /// ends cycles across epoch restarts and corrupts estimates and
+    /// instances. After every step the estimates, instance estimates,
+    /// epoch reports, tallies, loss draws and whole nodes agree.
+    fn columns_follow_protocol_nodes(
+        setup: (usize, bool, u32, bool),
+        locals: &[f64],
+        steps: &[(u8, usize, u64, f64)],
+        coins: &[u8],
+    ) {
+        let (kind, fixed_late_join, cycles, one_shard) = setup;
+        let kinds = [
+            AggregateKind::Average,
+            AggregateKind::Maximum,
+            AggregateKind::Minimum,
+            AggregateKind::GeometricMean,
+        ];
+        let (kind, late_join) = match fixed_late_join {
+            true => (kinds[kind], LateJoinPolicy::FixedState(0.0)),
+            false => (kinds[kind], LateJoinPolicy::LocalValue),
+        };
+        let protocol = ProtocolConfig::builder()
+            .aggregate(kind)
+            .cycles_per_epoch(cycles)
+            .late_join(late_join)
+            .build()
+            .unwrap();
+        let ids = [NodeId::new(0), NodeId::new(1)];
+        let mut nodes = ids.map(|id| ProtocolNode::new(id, protocol, locals[id.index()]));
+        let mut shards: Vec<Shard> = (0..2 - u32::from(one_shard))
+            .map(|s| Shard {
+                arena: NodeArena::with_layout(IdLayout::sharded(s)),
+                global_pos: Vec::new(),
+                cols: Columns::new(protocol),
+            })
+            .collect();
+        // Node i sits at (shard, slot) (0, i) in one shard, (i, 0) in two.
+        let at = |i: usize| if one_shard { (0, i as u32) } else { (i, 0) };
+        for (i, &local) in locals.iter().enumerate() {
+            let (shard, slot) = at(i);
+            shards[shard].cols.insert_initial(slot, local);
+        }
+        let (mut tally, mut column_tally) = (ExchangeTally::default(), ExchangeTally::default());
+        let (mut drawn, mut column_drawn) = (0, 0);
+        let mut scratch = ExchangeScratch::new();
+        let tag = |t: u64| InstanceTag(1 + t % 5);
+        for (step, &(op, i, t, value)) in steps.iter().enumerate() {
+            let ((shard, slot), (peer_shard, peer_slot)) = (at(i), at(1 - i));
+            match op {
+                0..=2 => {
+                    let [a, b] = &mut nodes;
+                    let (initiator, peer) = if i == 0 { (a, b) } else { (b, a) };
+                    let mut lost = coin_stream(coins, &mut drawn);
+                    ExchangeCore::exchange(initiator, peer, &mut scratch, &mut lost, &mut tally);
+                    let lost = coin_stream(coins, &mut column_drawn);
+                    let hot = |(s, x): (usize, u32)| shards[s].cols.hot.hot(x).map(|r| r.key);
+                    let fused =
+                        matches!((hot(at(i)), hot(at(1 - i))), (Some(x), Some(y)) if x == y);
+                    if fused {
+                        let (ra, rb) = if one_shard {
+                            shards[0].cols.hot.pair_mut(slot, peer_slot)
+                        } else {
+                            let (x, y) = shard_pair_mut(&mut shards, shard, peer_shard);
+                            (&mut x.cols.hot.slots[0], &mut y.cols.hot.slots[0])
+                        };
+                        let (state, exchanges) = (&mut ra.state, &mut ra.exchanges);
+                        let (peer_state, peer_exchanges) = (&mut rb.state, &mut rb.exchanges);
+                        let (lost, tally) = (&mut { lost }, &mut column_tally);
+                        ExchangeCore::exchange_fused_raw(
+                            kind,
+                            state,
+                            exchanges,
+                            peer_state,
+                            peer_exchanges,
+                            lost,
+                            tally,
+                        );
+                    } else {
+                        let ends = ((shard, slot), (peer_shard, peer_slot));
+                        exchange_cold(
+                            &mut shards,
+                            ends,
+                            kind,
+                            &mut scratch.led,
+                            lost,
+                            &mut column_tally,
+                        );
+                    }
+                }
+                3 => {
+                    let expected = nodes[i].end_cycle();
+                    let got = shards[shard].cols.node(slot).tick();
+                    shards[shard].cols.reheat(slot);
+                    assert_eq!(got, expected, "step {step}: epoch report");
+                }
+                4 => {
+                    nodes[i].start_led_instance(tag(t), value);
+                    shards[shard].cols.node(slot).start_led(tag(t), value);
+                }
+                5 => {
+                    nodes[i].corrupt_estimate(value);
+                    shards[shard].cols.hot.slots[slot as usize].state = value;
+                }
+                6 => {
+                    nodes[i].corrupt_instance(tag(t), value);
+                    shards[shard].cols.node(slot).corrupt_led(tag(t), value);
+                }
+                _ => {
+                    // A join: the epoch the other node runs or the next, and
+                    // a wait of up to an epoch.
+                    let next = nodes[1 - i].current_epoch() + t % 2;
+                    let (wait, local) = ((t / 2 % u64::from(cycles + 1)) as u32, 1.0 + value.abs());
+                    nodes[i] = ProtocolNode::joining(ids[i], protocol, local, next, wait);
+                    shards[shard].cols.insert_joiner(slot, local, next, wait);
+                }
+            }
+            assert_eq!(
+                (tally, drawn),
+                (column_tally, column_drawn),
+                "step {step}: tallies"
+            );
+            for (i, node) in nodes.iter().enumerate() {
+                let (shard, slot) = at(i);
+                let cols = &shards[shard].cols;
+                let snapshot = cols.snapshot(slot, ids[i]);
+                assert_eq!(Some(cols.estimate(slot)), node.estimate(), "step {step}");
+                for t in 0..5 {
+                    let estimate = snapshot.instance_estimate(tag(t));
+                    assert_eq!(estimate, node.instance_estimate(tag(t)), "step {step}");
+                }
+                // `Debug` prints every float in exact round-trip form.
+                assert_eq!(format!("{snapshot:?}"), format!("{node:?}"), "step {step}");
+                if let Some(view) = cols.hot.view(slot) {
+                    assert_eq!(node.hot_view(), Some(view), "step {step}: a hot record");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// [`columns_follow_protocol_nodes`] over short random histories.
+        #[test]
+        fn columns_follow_protocol_nodes_over_random_histories(
+            setup in (0usize..4, proptest::bool::ANY, 1u32..5, proptest::bool::ANY),
+            locals in proptest::collection::vec(0.5f64..100.0, 2..3),
+            steps in proptest::collection::vec((0u8..8, 0usize..2, 0u64..64, -50.0f64..50.0), 0..60),
+            coins in proptest::collection::vec(0u8..4, 1..16),
+        ) {
+            columns_follow_protocol_nodes(setup, &locals, &steps, &coins);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        /// The deep run of [`columns_follow_protocol_nodes`]: more and
+        /// longer histories.
+        #[test]
+        #[ignore = "deep run: 20 000 histories of up to 400 steps"]
+        fn columns_follow_protocol_nodes_over_long_random_histories(
+            setup in (0usize..4, proptest::bool::ANY, 1u32..5, proptest::bool::ANY),
+            locals in proptest::collection::vec(0.5f64..100.0, 2..3),
+            steps in proptest::collection::vec((0u8..8, 0usize..2, 0u64..64, -50.0f64..50.0), 0..400),
+            coins in proptest::collection::vec(0u8..4, 1..16),
+        ) {
+            columns_follow_protocol_nodes(setup, &locals, &steps, &coins);
         }
     }
 

@@ -1,23 +1,24 @@
-//! Struct-of-arrays hot store for the sharded engine's fused fast path.
+//! The sharded engine's node store — every live node's state in per-shard
+//! columns indexed by arena slot — and the batched RNG of its fast path.
 //!
-//! At 10⁷ nodes the cost of a cycle is memory, not arithmetic: a fused
-//! exchange through two [`aggregate_core::ProtocolNode`]s touches two ~200-byte
-//! structs (epoch manager, instance, led-instance map root, config) spread
-//! over several cache lines each, and every peer pick pays a virtual
-//! `dyn PeerSampler` + `dyn RngCore` dispatch. This module provides the dense
-//! store that fixes both:
+//! At 10⁷ nodes the cost of a cycle is memory, not arithmetic, so the store
+//! keeps what an exchange touches dense:
 //!
-//! * [`HotSlot`] — 16 bytes of state that completely describe a *hot* node
-//!   (participating, present since its epoch's first cycle, default instance
-//!   only — [`aggregate_core::node::HotView`] is the exchange format). One
-//!   slot per arena slot, indexed identically, so the existing `NodeId`
-//!   layout maps straight into the dense array. A fused exchange touches
-//!   exactly one cache line per endpoint, and the whole record array is
-//!   16 B per node — at 10⁷ nodes a 160 MB random-access footprint.
-//! * [`HotStore`] — the per-shard arrays: the hot slots plus the per-slot
-//!   cycle position and local value, so an epoch restart is
-//!   `init_value(local)` over a dense load instead of a `ProtocolNode`
-//!   round-trip.
+//! * [`HotSlot`] — a 16-byte record per slot: the default instance's state
+//!   and exchange count and, while the node is *hot* (participating, in its
+//!   epoch since the first cycle, default instance only), its epoch. A fused
+//!   exchange touches one cache line per endpoint.
+//! * [`HotStore`] — the records plus each slot's cycle position and local
+//!   value, which only the end-of-cycle pass reads.
+//! * `Columns` — a shard's whole store: the [`HotStore`] plus what only a
+//!   *cold* node needs (a joiner, a mid-epoch jumper, a node carrying led
+//!   COUNT instances): its epoch, join wait and mid-epoch flag, one column
+//!   each, and its led instances in one side table keyed by slot. A cold
+//!   node runs [`NodeState`] over the columns, and the exchange kernel with
+//!   it as the peer; going cold and hot again moves the epoch between the
+//!   record's key and its column and allocates nothing per node.
+//!   Correctness never depends on which nodes are hot: keeping everything
+//!   cold merely loses the speed.
 //! * [`shuffle_batched`] / [`WordBuffer`] / the draw mirrors — batched RNG:
 //!   raw `u64` words are pre-drawn in blocks and mapped onto ranges/coins with
 //!   the exact arithmetic of the vendored `rand` (`gen_range` is one
@@ -25,43 +26,35 @@
 //!   `next_u64` → 53-bit float compare), so the batched draws are bit-for-bit
 //!   the draws the unbatched code makes. Unit tests below pin each mirror
 //!   against the vendored implementation.
-//!
-//! A live node is in exactly one representation. Everything cold — joining
-//! nodes, mid-epoch jumpers, nodes carrying led size-estimation instances —
-//! is a `ProtocolNode` and has no hot record; the sharded engine demotes and
-//! promotes a node between the two at well-defined points (see
-//! `sharded.rs`). Correctness therefore never depends on *which* nodes are
-//! hot: demoting everything merely loses the speed.
 
-use aggregate_core::node::HotView;
+use aggregate_core::epoch::EpochManager;
+use aggregate_core::node::{HotView, LedSlot, NodeState};
+use aggregate_core::{InstanceTag, ProtocolConfig, ProtocolNode};
+use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
 /// Sentinel in [`HotSlot::key`] marking a slot whose occupant (if any) is
-/// represented by its `ProtocolNode`, not by the dense record.
+/// cold: its epoch is in the cold columns, not in the record.
 pub const COLD: u32 = u32::MAX;
 
-/// Dense per-node hot state: a 16-byte, never-line-straddling record per
-/// arena slot — the *only* state an exchange touches, so the random-access
-/// footprint of a cycle is exactly one line per endpoint over
-/// `16 B × slots`.
+/// A node's 16-byte, never-line-straddling record: the *only* state a fused
+/// exchange touches.
 ///
 /// `key` doubles as the hot flag ([`COLD`]) and, when hot, the node's current
 /// epoch — the fused-exchange precondition "both hot, same epoch" is a single
 /// compare. Epochs are kept as `u32` here to halve the record: a node whose
-/// epoch does not fit stays on the node path ([`HotStore::promote`] rejects
-/// it), which is a correctness-preserving demotion — and would take over a
-/// century of millisecond-long cycles to reach. Per-slot state the exchange
-/// does *not* touch (cycle position, local value) lives in parallel arrays
-/// read only by the engine's sequential end-of-cycle pass.
+/// epoch does not fit stays cold ([`HotStore::promote`] rejects it), which
+/// is correct, only slower — and would take over a century of
+/// millisecond-long cycles to reach.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(16))]
 pub struct HotSlot {
-    /// Running approximation of the default instance.
+    /// Running approximation of the default instance, hot or cold.
     pub state: f64,
     /// Current epoch, or [`COLD`].
     pub key: u32,
-    /// Exchanges completed by the default instance this epoch.
+    /// Exchanges completed by the default instance this epoch, hot or cold.
     pub exchanges: u32,
 }
 
@@ -75,17 +68,17 @@ impl HotSlot {
         }
     }
 
-    /// Whether the record currently is its node.
+    /// Whether the record holds its node's epoch (the node is hot).
     #[inline]
     pub fn is_hot(&self) -> bool {
         self.key != COLD
     }
 }
 
-/// One shard's struct-of-arrays node store, indexed by arena slot.
+/// One shard's struct-of-arrays records, indexed by arena slot.
 #[derive(Debug, Default)]
 pub struct HotStore {
-    /// Hot records, [`COLD`]-keyed where the occupant is node-represented.
+    /// Records, [`COLD`]-keyed where the occupant is cold.
     pub slots: Vec<HotSlot>,
     /// Cycles completed in the occupant's current epoch. Per-slot because
     /// hot nodes need not share an epoch position: a node that once jumped
@@ -93,9 +86,8 @@ pub struct HotStore {
     /// of [`HotSlot`] because only the end-of-cycle pass reads it.
     pub cycles: Vec<u32>,
     /// Per-slot local value of the occupant; an epoch restart sets the
-    /// record's state to `kind.init_value(local)`. Valid only while the
-    /// matching record is hot (it is written on every promotion); the
-    /// sharded engine never changes a node's local value.
+    /// record's state to `kind.init_value(local)`. The sharded engine never
+    /// changes a node's local value.
     pub local: Vec<f64>,
 }
 
@@ -110,7 +102,8 @@ impl HotStore {
         }
     }
 
-    /// Marks `slot` cold (no-op for never-touched slots beyond the arrays).
+    /// Marks `slot` cold, keeping its state (no-op for never-touched slots
+    /// beyond the arrays).
     pub fn mark_cold(&mut self, slot: u32) {
         if let Some(record) = self.slots.get_mut(slot as usize) {
             record.key = COLD;
@@ -135,8 +128,8 @@ impl HotStore {
     }
 
     /// Installs a hot record and its local value at `slot`. Returns whether
-    /// the snapshot was representable (epochs beyond `u32` stay on the node
-    /// path, and the slot is left cold).
+    /// the snapshot was representable (an epoch beyond `u32` leaves the slot
+    /// cold).
     #[inline]
     pub fn promote(&mut self, slot: u32, view: HotView, local: f64) -> bool {
         if view.epoch >= u64::from(COLD) {
@@ -171,6 +164,241 @@ impl HotStore {
             let (lo, hi) = self.slots.split_at_mut(a);
             (&mut hi[0], &mut lo[b])
         }
+    }
+}
+
+/// A shard's led instances: slot `s` holds `len[s]` of them, sorted by tag,
+/// at `slots[s * stride..]`. A run outgrowing the stride doubles it for all,
+/// so the table allocates a handful of times a run, never per node.
+#[derive(Debug, Default)]
+struct LedTable {
+    stride: usize,
+    slots: Vec<LedSlot>,
+    len: Vec<u32>,
+}
+
+impl LedTable {
+    fn range(&self, slot: u32) -> std::ops::Range<usize> {
+        let (at, len) = (slot as usize * self.stride, self.len.get(slot as usize));
+        at..at + len.map_or(0, |&len| len as usize)
+    }
+
+    fn run(&self, slot: u32) -> &[LedSlot] {
+        self.slots.get(self.range(slot)).unwrap_or_default()
+    }
+
+    fn run_mut(&mut self, slot: u32) -> &mut [LedSlot] {
+        let range = self.range(slot);
+        self.slots.get_mut(range).unwrap_or_default()
+    }
+
+    fn clear(&mut self, slot: u32) {
+        if let Some(len) = self.len.get_mut(slot as usize) {
+            *len = 0;
+        }
+    }
+
+    /// Inserts `led` at `index` of `slot`'s run.
+    fn insert(&mut self, slot: u32, index: usize, led: LedSlot) {
+        let (s, fill) = (slot as usize, LedSlot::new(InstanceTag::DEFAULT, 0.0));
+        if self.len.len() <= s {
+            self.len.resize(s + 1, 0);
+        }
+        let len = self.len[s] as usize;
+        if len == self.stride {
+            let stride = (2 * self.stride).max(1);
+            let mut slots = vec![fill; self.len.len() * stride];
+            for (s, &len) in self.len.iter().enumerate() {
+                let run = self.range(s as u32);
+                slots[s * stride..][..len as usize].copy_from_slice(&self.slots[run]);
+            }
+            (self.slots, self.stride) = (slots, stride);
+        }
+        if self.slots.len() < (s + 1) * self.stride {
+            self.slots.resize((s + 1) * self.stride, fill);
+        }
+        let run = &mut self.slots[s * self.stride..][..=len];
+        run.copy_within(index..len, index + 1);
+        run[index] = led;
+        self.len[s] += 1;
+    }
+}
+
+/// One shard's node store, indexed by arena slot (see the module
+/// documentation). `epoch`, `wait` (cycles before the node may initiate)
+/// and `mid` (entered its epoch part-way) are read only while the record is
+/// cold; a hot node waits for nothing, was in its epoch from the start and
+/// carries no led instance.
+#[derive(Debug)]
+pub(crate) struct Columns {
+    /// The records, cycle positions and local values.
+    pub(crate) hot: HotStore,
+    epoch: Vec<u64>,
+    wait: Vec<u32>,
+    mid: Vec<bool>,
+    led: LedTable,
+    protocol: ProtocolConfig,
+}
+
+impl Columns {
+    /// An empty store for nodes running `protocol`.
+    pub(crate) fn new(protocol: ProtocolConfig) -> Self {
+        Columns {
+            hot: HotStore::default(),
+            epoch: Vec::new(),
+            wait: Vec::new(),
+            mid: Vec::new(),
+            led: LedTable::default(),
+            protocol,
+        }
+    }
+
+    /// Installs a node present from the start of epoch 0 at `slot`: hot.
+    pub(crate) fn insert_initial(&mut self, slot: u32, local: f64) {
+        let view = HotView {
+            state: self.protocol.aggregate().init_value(local),
+            epoch: 0,
+            cycle_in_epoch: 0,
+            exchanges: 0,
+        };
+        self.hot.promote(slot, view, local);
+    }
+
+    /// Installs a joiner at `slot`, cold, waiting `wait` cycles for
+    /// `next_epoch` (`ProtocolNode::joining`).
+    pub(crate) fn insert_joiner(&mut self, slot: u32, local: f64, next_epoch: u64, wait: u32) {
+        self.insert_initial(slot, local);
+        self.hot.mark_cold(slot);
+        let cycles = self.protocol.cycles_per_epoch();
+        self.set_epochs(slot, EpochManager::joining(cycles, next_epoch, wait));
+        self.led.clear(slot);
+    }
+
+    /// The epoch machinery of the node at `slot`.
+    pub(crate) fn epochs(&self, slot: u32) -> EpochManager {
+        let (s, cycles) = (slot as usize, self.protocol.cycles_per_epoch());
+        let at = self.hot.cycles[s];
+        match self.hot.hot(slot) {
+            Some(record) => EpochManager::from_parts(cycles, record.key.into(), at, 0, false),
+            None => EpochManager::from_parts(cycles, self.epoch[s], at, self.wait[s], self.mid[s]),
+        }
+    }
+
+    /// Writes the epoch machinery of the cold node at `slot`.
+    pub(crate) fn set_epochs(&mut self, slot: u32, epochs: EpochManager) {
+        let s = slot as usize;
+        if self.epoch.len() <= s {
+            self.epoch.resize(s + 1, 0);
+            self.wait.resize(s + 1, 0);
+            self.mid.resize(s + 1, false);
+        }
+        self.epoch[s] = epochs.current_epoch();
+        self.hot.cycles[s] = epochs.cycle_in_epoch();
+        self.wait[s] = epochs.waiting_cycles();
+        self.mid[s] = epochs.entered_mid_epoch();
+    }
+
+    /// Takes the node at `slot` off the fused path: its epoch moves from the
+    /// record's key into its column.
+    fn cool(&mut self, slot: u32) {
+        if self.hot.hot(slot).is_some() {
+            let epochs = self.epochs(slot);
+            self.hot.mark_cold(slot);
+            self.set_epochs(slot, epochs);
+        }
+    }
+
+    /// Puts the cold node at `slot` back on the fused path if it is hot
+    /// again and its epoch fits the record.
+    pub(crate) fn reheat(&mut self, slot: u32) {
+        let epochs = self.epochs(slot);
+        let hot = epochs.participated_from_epoch_start() && self.led.run(slot).is_empty();
+        if hot && epochs.current_epoch() < u64::from(COLD) {
+            self.hot.slots[slot as usize].key = epochs.current_epoch() as u32;
+        }
+    }
+
+    /// The default-instance estimate of the node at `slot`.
+    pub(crate) fn estimate(&self, slot: u32) -> f64 {
+        let kind = self.protocol.aggregate();
+        kind.estimate_value(self.hot.slots[slot as usize].state)
+    }
+
+    /// The node at `slot` as a `ProtocolNode` with identifier `id`.
+    pub(crate) fn snapshot(&self, slot: u32, id: NodeId) -> ProtocolNode {
+        let (record, local) = (self.hot.slots[slot as usize], self.hot.local[slot as usize]);
+        let (epochs, led) = (self.epochs(slot), self.led.run(slot));
+        let (state, exchanges) = (record.state, record.exchanges);
+        ProtocolNode::from_parts(id, self.protocol, local, epochs, state, exchanges, led)
+    }
+
+    /// The initiator's side of a kernel exchange, copied out (its epoch and
+    /// record, its led instances into `led`) so that the peer's side may
+    /// borrow these columns. `None` while it waits for its first epoch.
+    pub(crate) fn initiator(&self, slot: u32, led: &mut Vec<LedSlot>) -> Option<(u64, HotSlot)> {
+        let epochs = self.epochs(slot);
+        if !epochs.can_participate() {
+            return None;
+        }
+        led.clear();
+        led.extend_from_slice(self.led.run(slot));
+        Some((epochs.current_epoch(), self.hot.slots[slot as usize]))
+    }
+
+    /// Writes back what the kernel changed on the initiator at `slot`.
+    pub(crate) fn write_back(&mut self, slot: u32, record: HotSlot, led: &[LedSlot]) {
+        self.hot.slots[slot as usize] = record;
+        self.led.run_mut(slot).copy_from_slice(led);
+    }
+
+    /// The node at `slot`, which goes cold, as a [`NodeState`] over these
+    /// columns: the kernel's peer, a leader's start, a capture, the cold
+    /// tick. [`Columns::reheat`] may promote it afterwards.
+    pub(crate) fn node(&mut self, slot: u32) -> ColumnNode<'_> {
+        self.cool(slot);
+        ColumnNode { cols: self, slot }
+    }
+}
+
+/// A cold node in its [`Columns`].
+#[derive(Debug)]
+pub(crate) struct ColumnNode<'a> {
+    cols: &'a mut Columns,
+    slot: u32,
+}
+
+impl NodeState for ColumnNode<'_> {
+    fn protocol(&self) -> ProtocolConfig {
+        self.cols.protocol
+    }
+
+    fn local(&self) -> f64 {
+        self.cols.hot.local[self.slot as usize]
+    }
+
+    fn epochs(&self) -> EpochManager {
+        self.cols.epochs(self.slot)
+    }
+
+    fn set_epochs(&mut self, epochs: EpochManager) {
+        self.cols.set_epochs(self.slot, epochs);
+    }
+
+    fn default_state(&mut self) -> (&mut f64, &mut u32) {
+        let record = &mut self.cols.hot.slots[self.slot as usize];
+        (&mut record.state, &mut record.exchanges)
+    }
+
+    fn led(&mut self) -> &mut [LedSlot] {
+        self.cols.led.run_mut(self.slot)
+    }
+
+    fn insert_led(&mut self, index: usize, slot: LedSlot) {
+        self.cols.led.insert(self.slot, index, slot);
+    }
+
+    fn clear_led(&mut self) {
+        self.cols.led.clear(self.slot);
     }
 }
 
@@ -365,17 +593,19 @@ mod tests {
     #[test]
     fn sharded_slot_keeps_no_node_resident() {
         // Per slot the sharded engine keeps the arena slot (a generation and
-        // an empty node box while hot), the record, and the `cycles` and
-        // `local` columns. A `ProtocolNode` back in the slot adds ≥ 144 B.
+        // a liveness flag), the record, and the `cycles` and `local`
+        // columns; a slot that was never cold has no cold column.
         let arena = crate::sharded::ShardArena::SLOT_BYTES;
-        assert!(arena <= 24, "arena slot {arena} B");
-        let mut store = HotStore::default();
-        store.ensure_slot(0);
+        assert!(arena <= 8, "arena slot {arena} B");
+        let mut cols = Columns::new(ProtocolConfig::default());
+        cols.insert_initial(0, 1.0);
+        let store = &cols.hot;
         let columns = std::mem::size_of_val(&store.slots[..])
             + std::mem::size_of_val(&store.cycles[..])
             + std::mem::size_of_val(&store.local[..]);
         assert_eq!(columns, 16 + 4 + 8);
-        assert!(arena + columns <= 52);
+        assert!(arena + columns <= 36);
+        assert!(cols.epoch.is_empty() && cols.led.len.is_empty());
     }
 
     #[test]
@@ -394,7 +624,7 @@ mod tests {
         assert_eq!(store.view(3), None);
         assert_eq!(store.local[7], 1.25);
         // An epoch beyond u32 is not representable: the slot stays cold and
-        // the occupant stays on the node path.
+        // the occupant stays cold.
         assert!(!store.promote(
             5,
             HotView {

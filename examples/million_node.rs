@@ -26,7 +26,7 @@
 //! with `GOSSIP_FULL_BUDGET_S`).
 
 use epidemic_aggregation::prelude::*;
-use gossip_sim::sharded::cycle_telemetry_table;
+use gossip_sim::runner::cycle_telemetry_table;
 use std::time::Instant;
 
 struct Args {
