@@ -494,6 +494,10 @@ pub trait NodeState {
         if epochs.is_stale(epoch) {
             return false;
         }
+        if epoch == epochs.current_epoch() && epochs.can_participate() {
+            // Nothing to observe: the common case costs no write-back.
+            return true;
+        }
         let transition = epochs.observe_remote_epoch(epoch);
         self.set_epochs(epochs);
         if let EpochTransition::Jumped { .. } = transition {
