@@ -720,15 +720,23 @@ fn view_order_fingerprint<'a>(
     }))
 }
 
-/// The view-order fingerprint of a [`NewscastSampler`] run with c = 20 over
-/// `members` sparse ids: before every cycle `churn` random departures and
-/// `churn` joins, then one pick per member, and `peer_failed` for every pick
-/// on a departed node or a simulated dead link.
-fn sampler_view_order(members: usize, cycles: usize, churn: usize) -> u64 {
+/// The view-order fingerprint of a [`NewscastSampler`] run with cache size
+/// `cache` over `members` sparse ids: before every cycle `churn` random
+/// departures, `churn` joins and `rejoins` joins of random live members
+/// (each replaces that member's state in place), then one pick per member,
+/// and `peer_failed` for every pick on a departed node or a simulated dead
+/// link.
+fn sampler_view_order(
+    cache: usize,
+    members: usize,
+    cycles: usize,
+    churn: usize,
+    rejoins: usize,
+) -> u64 {
     use rand::Rng;
     let mut live: Vec<NodeId> = (0..members).map(|i| NodeId::new(3 * i + 1)).collect();
     let mut members_now: std::collections::BTreeSet<NodeId> = live.iter().copied().collect();
-    let mut sampler = NewscastSampler::new(20, &live, 0x5eed);
+    let mut sampler = NewscastSampler::new(cache, &live, 0x5eed);
     let mut churn_rng = rand::rngs::StdRng::seed_from_u64(31);
     let mut picks = rand::rngs::StdRng::seed_from_u64(32);
     let (mut next_id, mut failed) = (3 * members + 1, 0);
@@ -743,6 +751,10 @@ fn sampler_view_order(members: usize, cycles: usize, churn: usize) -> u64 {
             members_now.insert(NodeId::new(next_id));
             sampler.on_join(NodeId::new(next_id), &SliceDirectory::new(&live));
             next_id += 3;
+        }
+        for _ in 0..rejoins {
+            let member = live[churn_rng.gen_range(0..live.len())];
+            sampler.on_join(member, &SliceDirectory::new(&live));
         }
         let directory = SliceDirectory::new(&live);
         sampler.begin_cycle(&directory);
@@ -771,21 +783,49 @@ fn sampler_view_order(members: usize, cycles: usize, churn: usize) -> u64 {
 /// departures a cycle.
 #[test]
 fn newscast_sampler_views_reproduce_their_golden_order() {
-    assert_eq!(sampler_view_order(300, 30, 4), 0xa9bc_1ad6_d461_a64f);
+    assert_eq!(sampler_view_order(20, 300, 30, 4, 0), 0xa9bc_1ad6_d461_a64f);
+}
+
+/// [`NewscastSampler`] views with c = 80, above the 64 entries an inline age
+/// index covers: 500 members, 30 cycles, 5 joins and 5 departures a cycle.
+#[test]
+fn newscast_sampler_views_above_64_entries_reproduce_their_golden_order() {
+    assert_eq!(sampler_view_order(80, 500, 30, 5, 0), 0x9054_ef30_2c04_7037);
+}
+
+/// [`NewscastSampler`] views with c = 3 and 30 joins and 30 departures a
+/// cycle: 129 of the 300 final views are part-full, so admits run the
+/// fill phase of the merge as often as the full one.
+#[test]
+fn newscast_sampler_part_full_views_reproduce_their_golden_order() {
+    assert_eq!(sampler_view_order(3, 300, 30, 30, 0), 0x13e0_5e8f_04bd_16ef);
+}
+
+/// [`NewscastSampler`] views when 6 joins a cycle re-admit a live member's
+/// id, each replacing that member's view with a one-contact bootstrap.
+#[test]
+fn newscast_sampler_rejoins_reproduce_their_golden_order() {
+    assert_eq!(sampler_view_order(20, 300, 30, 4, 6), 0x7928_84b7_12eb_866c);
 }
 
 /// [`NewscastSampler`] views at 3,000 members, 40 cycles, 30 joins and 30
 /// departures a cycle: every view full, so most admits overwrite a victim.
 #[test]
 fn newscast_sampler_views_at_3k_reproduce_their_golden_order() {
-    assert_eq!(sampler_view_order(3_000, 40, 30), 0x2e77_47b8_4d84_c066);
+    assert_eq!(
+        sampler_view_order(20, 3_000, 40, 30, 0),
+        0x2e77_47b8_4d84_c066
+    );
 }
 
 /// The 30,000-member twin of the 3,000-member run, at the same churn rate.
 #[test]
 #[ignore = "CI-scale: 30k NEWSCAST members x 40 cycles"]
 fn newscast_sampler_views_at_30k_reproduce_their_golden_order() {
-    assert_eq!(sampler_view_order(30_000, 40, 300), 0xad16_f901_0326_5cc5);
+    assert_eq!(
+        sampler_view_order(20, 30_000, 40, 300, 0),
+        0xad16_f901_0326_5cc5
+    );
 }
 
 /// [`NewscastNetwork`] views: a 400-node ring bootstrap with c = 20 after
