@@ -14,13 +14,14 @@
 //!
 //! The crate offers three layers:
 //!
-//! * [`NodeDescriptor`] / [`PartialView`] — the data structures, which
-//!   callers read through the two layers below;
-//! * [`NewscastNetwork`] — a whole-network driver over one [`NewscastNode`]
-//!   state machine per node: it runs membership cycles and exports the
-//!   instantaneous communication graph as an
-//!   [`overlay_topology::ViewTopology`], ready to be consumed by the
-//!   aggregation protocol or the simulator;
+//! * [`NodeDescriptor`] — the unit of a view; callers read a view as a
+//!   `&[NodeDescriptor]` through the two layers below, both of which keep
+//!   every node's view as a row of one flat table and run the one merge
+//!   rule on it;
+//! * [`NewscastNetwork`] — a whole-network driver, node `i` in row `i`: it
+//!   runs membership cycles and exports the instantaneous communication
+//!   graph as an [`overlay_topology::ViewTopology`], ready to be consumed by
+//!   the aggregation protocol or the simulator;
 //! * [`NewscastSampler`] / [`StaticOverlaySampler`] — implementations of the
 //!   engine-facing [`aggregate_core::sampler::PeerSampler`] interface, which
 //!   is how the `gossip-sim` engines draw their exchange partners from a
@@ -52,12 +53,9 @@
 
 mod descriptor;
 mod network;
-mod newscast;
 mod sampler;
 mod view;
 
 pub use descriptor::NodeDescriptor;
 pub use network::NewscastNetwork;
-pub use newscast::NewscastNode;
 pub use sampler::{NewscastSampler, StaticOverlaySampler};
-pub use view::PartialView;

@@ -1,7 +1,7 @@
 //! Whole-network newscast driver.
 
-use crate::newscast::{pair_mut, ExchangeBuffers};
-use crate::NewscastNode;
+use crate::view::ViewTable;
+use crate::NodeDescriptor;
 use overlay_topology::{NodeId, ViewTopology};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -14,58 +14,75 @@ use rand::Rng;
 /// `view_size`-out-degree graph, which [`NewscastNetwork::view_topology`]
 /// exports as an [`overlay_topology::ViewTopology`] for the aggregation
 /// protocol or the simulator.
+///
+/// # Example
+///
+/// ```
+/// use overlay_topology::NodeId;
+/// use peer_sampling::NewscastNetwork;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// // Three nodes, each knowing only its successor on a ring.
+/// let mut network = NewscastNetwork::bootstrap_ring(3, 4);
+/// assert_eq!(network.view(NodeId::new(0)).len(), 1);
+///
+/// // One cycle: every node exchanges views with its oldest peer, so each
+/// // learns of the third node, and then every descriptor ages by one.
+/// network.run_cycle(&mut rng);
+/// for i in 0..3 {
+///     let view = network.view(NodeId::new(i));
+///     assert_eq!(view.len(), 2);
+///     assert!(view.iter().all(|d| d.node != NodeId::new(i) && d.age >= 1));
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub struct NewscastNetwork {
-    /// Node `i` is `NodeId::new(i)`.
-    nodes: Vec<NewscastNode>,
-    exchange: ExchangeBuffers,
+    /// Slot `i` is node `NodeId::new(i)`.
+    views: ViewTable,
 }
 
 impl NewscastNetwork {
     /// Bootstraps `n` nodes whose initial views contain only their successor
     /// on a ring — the weakest sensible starting point; a handful of cycles
     /// suffices to randomise it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `view_size` is zero.
     pub fn bootstrap_ring(n: usize, view_size: usize) -> Self {
-        let nodes = (0..n)
-            .map(|i| {
-                let successor = NodeId::new((i + 1) % n.max(1));
-                NewscastNode::new(NodeId::new(i), view_size, &[successor])
-            })
-            .collect();
-        NewscastNetwork {
-            nodes,
-            exchange: ExchangeBuffers::default(),
+        let mut views = ViewTable::with_capacity(view_size, n);
+        for i in 0..n {
+            views.reset(i, NodeId::new(i), &[NodeId::new((i + 1) % n)]);
         }
+        NewscastNetwork { views }
     }
 
-    /// Read access to a node.
-    pub fn node(&self, id: NodeId) -> &NewscastNode {
-        &self.nodes[id.index()]
+    /// Node `id`'s current view, in entry order.
+    pub fn view(&self, id: NodeId) -> &[NodeDescriptor] {
+        self.views.view(id.index())
     }
 
     /// Runs one membership cycle: every node (in random order) exchanges views
     /// with its oldest known peer, then all views age by one.
     pub fn run_cycle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
+        let mut order: Vec<usize> = (0..self.views.slots()).collect();
         order.shuffle(rng);
         for initiator in order {
-            let Some(partner) = self.nodes[initiator].exchange_partner() else {
-                continue;
-            };
-            if let Some((a, b)) = pair_mut(&mut self.nodes, initiator, partner.index()) {
-                self.exchange.exchange(a, b);
+            if let Some(partner) = self.views.oldest_peer(initiator) {
+                self.views.exchange(initiator, partner.index());
             }
         }
-        for node in &mut self.nodes {
-            node.end_cycle();
-        }
+        self.views.age_all();
     }
 
     /// Exports the current directed views as a [`ViewTopology`].
     pub fn view_topology(&self) -> ViewTopology {
-        let mut topology = ViewTopology::new(self.nodes.len());
-        for node in &self.nodes {
-            topology.set_view(node.id(), node.view().node_ids());
+        let n = self.views.slots();
+        let mut topology = ViewTopology::new(n);
+        for slot in 0..n {
+            let peers = self.views.view(slot).iter().map(|d| d.node).collect();
+            topology.set_view(NodeId::new(slot), peers);
         }
         topology
     }
@@ -84,12 +101,10 @@ mod tests {
     #[test]
     fn ring_bootstrap_creates_one_contact_per_node() {
         let network = NewscastNetwork::bootstrap_ring(10, 5);
-        assert_eq!(network.nodes.len(), 10);
+        assert_eq!(network.views.slots(), 10);
         for i in 0..10 {
-            assert_eq!(
-                network.node(NodeId::new(i)).view().node_ids(),
-                vec![NodeId::new((i + 1) % 10)]
-            );
+            let successor = NodeDescriptor::fresh(NodeId::new((i + 1) % 10));
+            assert_eq!(network.view(NodeId::new(i)), [successor]);
         }
     }
 
@@ -120,8 +135,8 @@ mod tests {
         // The union (undirected) graph of the views must be connected; check
         // via the in-degree distribution and a reachability walk over views.
         let mut in_degrees = vec![0usize; 300];
-        for node in &network.nodes {
-            for descriptor in node.view().iter() {
+        for i in 0..300 {
+            for descriptor in network.view(NodeId::new(i)) {
                 in_degrees[descriptor.node.index()] += 1;
             }
         }
@@ -157,9 +172,9 @@ mod tests {
         let mut r = rng();
         let mut empty = NewscastNetwork::bootstrap_ring(0, 3);
         empty.run_cycle(&mut r);
-        assert!(empty.nodes.is_empty());
+        assert_eq!(empty.views.slots(), 0);
         let mut single = NewscastNetwork::bootstrap_ring(1, 3);
         single.run_cycle(&mut r);
-        assert_eq!(single.nodes.len(), 1);
+        assert!(single.view(NodeId::new(0)).is_empty());
     }
 }

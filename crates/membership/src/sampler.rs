@@ -8,8 +8,8 @@
 //! for a realistic membership service is a one-line configuration change
 //! ([`aggregate_core::sampler::SamplerConfig`]).
 
-use crate::newscast::{pair_mut, ExchangeBuffers};
-use crate::{NewscastNode, NodeDescriptor, PartialView};
+use crate::view::ViewTable;
+use crate::NodeDescriptor;
 use aggregate_core::sampler::{PeerSampler, SamplerConfig, SamplerDirectory};
 use overlay_topology::{
     BuiltTopology, NodeId, Topology, TopologyBuilder, TopologyError, TopologyKind,
@@ -41,11 +41,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// and stale counts) treats each member on its own, so the trajectory is a
 /// pure function of the seeds whatever order members are stored in.
 ///
-/// Layout: members live in a dense slab of slots (`Vec<Option<…>>`), and a
-/// departure frees its slot for the next join. An id → slot hash index is
-/// used for keyed lookups only and is never iterated. An exchange performs
-/// two index lookups and refills two buffers the sampler owns, so it does
-/// not allocate.
+/// Layout: every member's view is a row of one flat table, the slot's
+/// `cache_size` descriptors beside the slot's id and view length, so no
+/// member has a heap allocation of its own. A departure empties its slot for
+/// the next join. An id → slot hash index is used for keyed lookups only and
+/// is never iterated. An exchange performs two index lookups and refills two
+/// buffers the table owns, so it does not allocate.
 ///
 /// # Example
 ///
@@ -71,18 +72,20 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// ```
 #[derive(Debug, Clone)]
 pub struct NewscastSampler {
-    cache_size: usize,
-    /// Member state by slot; `None` marks a free slot.
-    slots: Vec<Option<NewscastNode>>,
+    /// Every view by slot; a free slot's view is empty.
+    views: ViewTable,
     /// Free slots, reused last-freed first.
     free: Vec<u32>,
     /// Member id → slot.
     index: SlotIndex,
     rng: StdRng,
-    /// Scratch buffer for the per-cycle exchange order.
-    order: Vec<NodeId>,
-    exchange: ExchangeBuffers,
+    /// Scratch buffer for the per-cycle exchange order, as slots.
+    order: Vec<u32>,
 }
+
+/// The exchange order's mark for a directory entry that is not a member. No
+/// slot reaches it: that would take a row for each of the 2³² ids.
+const NOT_A_MEMBER: u32 = u32::MAX;
 
 // lint-allow(nondeterminism): keyed lookups only; every pass over members walks the slots
 type SlotIndex = HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>;
@@ -133,17 +136,14 @@ impl NewscastSampler {
     ///
     /// Panics if `cache_size` is zero.
     pub fn new(cache_size: usize, initial: &[NodeId], membership_seed: u64) -> Self {
-        assert!(cache_size > 0, "newscast cache size must be positive");
         let n = initial.len();
         let contacts_per_node = cache_size.min(n.saturating_sub(1));
         let mut sampler = NewscastSampler {
-            cache_size,
-            slots: Vec::with_capacity(n),
+            views: ViewTable::with_capacity(cache_size, n),
             free: Vec::new(),
             index: SlotIndex::with_capacity_and_hasher(n, BuildHasherDefault::default()),
             rng: StdRng::seed_from_u64(membership_seed),
             order: Vec::new(),
-            exchange: ExchangeBuffers::default(),
         };
         let mut contacts: Vec<NodeId> = Vec::with_capacity(contacts_per_node);
         for (i, &id) in initial.iter().enumerate() {
@@ -157,25 +157,21 @@ impl NewscastSampler {
                     contacts.push(candidate);
                 }
             }
-            sampler.admit(NewscastNode::new(id, cache_size, &contacts));
+            sampler.admit(id, &contacts);
         }
         sampler
     }
 
-    /// Stores `node` as a member: in place of its previous state if its id
-    /// is already a member, else in the most recently freed slot or a new
-    /// one.
-    fn admit(&mut self, node: NewscastNode) {
-        let id = node.id();
+    /// Makes `id` a member with a view of fresh descriptors of `contacts`:
+    /// in place of its previous view if it is already a member, else in the
+    /// most recently freed slot or a new one.
+    fn admit(&mut self, id: NodeId, contacts: &[NodeId]) {
         let slot = match self.index.get(&id) {
             Some(&slot) => slot as usize,
             None => {
                 let slot = match self.free.pop() {
                     Some(slot) => slot as usize,
-                    None => {
-                        self.slots.push(None);
-                        self.slots.len() - 1
-                    }
+                    None => self.views.slots(),
                 };
                 // lint-allow(unwrap): at most one slot per distinct u32 NodeId, so slots fit a u32
                 let key = u32::try_from(slot).expect("slot fits u32");
@@ -183,24 +179,18 @@ impl NewscastSampler {
                 slot
             }
         };
-        self.slots[slot] = Some(node);
+        self.views.reset(slot, id, contacts);
     }
 
-    /// The member state of `id`, if it is a member.
-    fn member(&self, id: NodeId) -> Option<&NewscastNode> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot as usize].as_ref()
+    /// The slot of `id`, if it is a member.
+    fn slot(&self, id: NodeId) -> Option<usize> {
+        self.index.get(&id).map(|&slot| slot as usize)
     }
 
-    /// Mutable member state of `id`, if it is a member.
-    fn member_mut(&mut self, id: NodeId) -> Option<&mut NewscastNode> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot as usize].as_mut()
-    }
-
-    /// Every member's state, in slot order.
-    fn members(&self) -> impl Iterator<Item = &NewscastNode> {
-        self.slots.iter().flatten()
+    /// Every member's slot, in slot order.
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        let slots = 0..self.views.slots();
+        slots.filter(|&slot| self.slot(self.views.id(slot)) == Some(slot))
     }
 
     /// Number of nodes currently holding membership state.
@@ -213,18 +203,20 @@ impl NewscastSampler {
         self.index.is_empty()
     }
 
-    /// Read access to a node's current partial view, if the node is known.
-    pub fn view_of(&self, id: NodeId) -> Option<&PartialView> {
-        self.member(id).map(NewscastNode::view)
+    /// A node's current partial view in entry order, if the node is known.
+    pub fn view_of(&self, id: NodeId) -> Option<&[NodeDescriptor]> {
+        self.slot(id).map(|slot| self.views.view(slot))
     }
 
     /// In-degree of every member: how many *other* members currently list it
     /// in their view. A healthy peer-sampling service keeps this
     /// distribution narrow; the view-dynamics tests bound it.
     pub fn in_degrees(&self) -> BTreeMap<NodeId, usize> {
-        let mut degrees: BTreeMap<NodeId, usize> =
-            self.members().map(|node| (node.id(), 0)).collect();
-        for descriptor in self.members().flat_map(|node| node.view().iter()) {
+        let mut degrees: BTreeMap<NodeId, usize> = self
+            .members()
+            .map(|slot| (self.views.id(slot), 0))
+            .collect();
+        for descriptor in self.members().flat_map(|slot| self.views.view(slot)) {
             if let Some(count) = degrees.get_mut(&descriptor.node) {
                 *count += 1;
             }
@@ -237,7 +229,7 @@ impl NewscastSampler {
     /// zero after a failure burst; the dynamics tests assert it.
     pub fn stale_descriptors(&self) -> usize {
         self.members()
-            .flat_map(|node| node.view().iter())
+            .flat_map(|slot| self.views.view(slot))
             .filter(|descriptor| !self.index.contains_key(&descriptor.node))
             .count()
     }
@@ -246,7 +238,7 @@ impl NewscastSampler {
 impl PeerSampler for NewscastSampler {
     fn config(&self) -> SamplerConfig {
         SamplerConfig::Newscast {
-            cache_size: self.cache_size,
+            cache_size: self.views.cache_size(),
         }
     }
 
@@ -261,42 +253,32 @@ impl PeerSampler for NewscastSampler {
     /// iterating positionally is what keeps NEWSCAST-sampled node
     /// trajectories bit-identical across 1/2/4/8 shards.
     fn begin_cycle(&mut self, directory: &dyn SamplerDirectory) {
+        // The slot of every directory entry, then shuffled: the permutation
+        // depends on the length alone, so this is the order of the ids.
         let mut order = std::mem::take(&mut self.order);
         order.clear();
-        order.extend((0..directory.len()).map(|pos| directory.id_at(pos)));
+        order.extend((0..directory.len()).map(|pos| {
+            let slot = self.index.get(&directory.id_at(pos));
+            slot.map_or(NOT_A_MEMBER, |&slot| slot)
+        }));
         order.shuffle(&mut self.rng);
-        for initiator in &order {
-            let Some(&slot) = self.index.get(initiator) else {
+        for &slot in &order {
+            if slot == NOT_A_MEMBER {
                 continue;
-            };
+            }
             let slot = slot as usize;
-            let Some(partner) = self.slots[slot]
-                .as_ref()
-                .and_then(NewscastNode::exchange_partner)
-            else {
+            let Some(partner) = self.views.oldest_peer(slot) else {
                 continue;
             };
             match self.index.get(&partner) {
-                Some(&partner_slot) => {
-                    if let Some((Some(a), Some(b))) =
-                        pair_mut(&mut self.slots, slot, partner_slot as usize)
-                    {
-                        self.exchange.exchange(a, b);
-                    }
-                }
+                Some(&partner_slot) => self.views.exchange(slot, partner_slot as usize),
                 // The oldest entry points at a departed node: heal the view
                 // (no failure detector — the failed contact attempt is the
                 // detection) and skip this cycle's membership exchange.
-                None => {
-                    if let Some(node) = self.slots[slot].as_mut() {
-                        node.evict(partner);
-                    }
-                }
+                None => self.views.evict(slot, partner),
             }
         }
-        for node in self.slots.iter_mut().flatten() {
-            node.end_cycle();
-        }
+        self.views.age_all();
         self.order = order;
     }
 
@@ -306,9 +288,8 @@ impl PeerSampler for NewscastSampler {
         initiator_pos: usize,
         rng: &mut dyn RngCore,
     ) -> Option<NodeId> {
-        self.member(directory.id_at(initiator_pos))?
-            .view()
-            .random_peer(rng)
+        let slot = self.slot(directory.id_at(initiator_pos))?;
+        self.views.random_peer(slot, rng)
     }
 
     /// A joining node learns one uniformly random live contact (the paper's
@@ -328,26 +309,24 @@ impl PeerSampler for NewscastSampler {
                 }
             }
         }
-        self.admit(NewscastNode::new(id, self.cache_size, &bootstrap));
+        self.admit(id, &bootstrap);
         // Tell the contact about the newcomer as well (the join handshake's
         // other half), so isolated newcomers cannot linger unreferenced.
-        if let Some(&contact) = bootstrap.first() {
-            if let Some(node) = self.member_mut(contact) {
-                node.complete_exchange(&[NodeDescriptor::fresh(id)]);
-            }
+        if let Some(slot) = bootstrap.first().and_then(|&contact| self.slot(contact)) {
+            self.views.merge(slot, &[NodeDescriptor::fresh(id)]);
         }
     }
 
     fn on_depart(&mut self, id: NodeId) {
         if let Some(slot) = self.index.remove(&id) {
-            self.slots[slot as usize] = None;
+            self.views.clear(slot as usize);
             self.free.push(slot);
         }
     }
 
     fn peer_failed(&mut self, initiator: NodeId, peer: NodeId) {
-        if let Some(node) = self.member_mut(initiator) {
-            node.evict(peer);
+        if let Some(slot) = self.slot(initiator) {
+            self.views.evict(slot, peer);
         }
     }
 }
@@ -441,6 +420,7 @@ impl PeerSampler for StaticOverlaySampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::oracle_merge;
     use aggregate_core::sampler::{sample_live_peer, SliceDirectory};
 
     fn ids(n: usize) -> Vec<NodeId> {
@@ -465,7 +445,7 @@ mod tests {
             let peer = sample_live_peer(&mut sampler, &directory, pos, &mut r).unwrap();
             assert_ne!(peer, own);
         }
-        assert_eq!(sampler.cache_size, 10);
+        assert_eq!(sampler.views.cache_size(), 10);
         assert_eq!(sampler.len(), 200);
     }
 
@@ -532,13 +512,10 @@ mod tests {
         let mut sampler = NewscastSampler::new(4, &live, 1);
         sampler.begin_cycle(&directory);
         let initiator = live[0];
-        let peer = sampler.view_of(initiator).unwrap().node_ids()[0];
+        let peer = sampler.view_of(initiator).unwrap()[0].node;
         sampler.peer_failed(initiator, peer);
-        assert!(!sampler
-            .view_of(initiator)
-            .unwrap()
-            .node_ids()
-            .contains(&peer));
+        let view = sampler.view_of(initiator).unwrap();
+        assert!(view.iter().all(|d| d.node != peer));
     }
 
     #[test]
@@ -559,7 +536,7 @@ mod tests {
             "a re-join starts from a one-contact view, as a map insert would"
         );
         assert_eq!(sampler.index[&member], slot, "state replaced in place");
-        assert_eq!(sampler.slots.len(), 30, "no slot leaked");
+        assert_eq!(sampler.views.slots(), 30, "no slot leaked");
         assert_eq!(sampler.len(), 30);
     }
 
@@ -590,13 +567,221 @@ mod tests {
             sampler.on_depart(dead);
         }
         assert_eq!(sampler.len(), 6);
-        assert_eq!(sampler.slots.len(), 10, "freed slots stay in the slab");
+        assert_eq!(sampler.views.slots(), 10, "freed slots stay in the slab");
         assert_eq!(sampler.in_degrees().len(), 6);
         for dead in live.drain(..) {
             sampler.on_depart(dead);
         }
         assert!(sampler.is_empty());
         assert_eq!(sampler.stale_descriptors(), 0);
+    }
+
+    /// [`NewscastSampler`] in its plainest form: one `Vec` per member, keyed
+    /// by id, merged by [`oracle_merge`], with the sampler's internal draws
+    /// replayed from a twin of its RNG.
+    struct Model {
+        cache_size: usize,
+        views: BTreeMap<NodeId, Vec<NodeDescriptor>>,
+        rng: StdRng,
+    }
+
+    impl Model {
+        fn new(cache_size: usize, initial: &[NodeId], seed: u64) -> Self {
+            let mut model = Model {
+                cache_size,
+                views: BTreeMap::new(),
+                rng: StdRng::seed_from_u64(seed),
+            };
+            let n = initial.len();
+            for (i, &id) in initial.iter().enumerate() {
+                let mut contacts = Vec::new();
+                while contacts.len() < cache_size.min(n - 1) {
+                    let pos = model.rng.gen_range(0..n);
+                    if pos != i && !contacts.contains(&initial[pos]) {
+                        contacts.push(initial[pos]);
+                    }
+                }
+                model.admit(id, &contacts);
+            }
+            model
+        }
+
+        fn admit(&mut self, id: NodeId, contacts: &[NodeId]) {
+            let fresh: Vec<NodeDescriptor> =
+                contacts.iter().map(|&c| NodeDescriptor::fresh(c)).collect();
+            let mut view = Vec::new();
+            oracle_merge(&mut view, self.cache_size, &fresh, id);
+            self.views.insert(id, view);
+        }
+
+        fn join(&mut self, id: NodeId, directory: &[NodeId]) {
+            let n = directory.len();
+            let mut contact = None;
+            while n > 1 && contact.is_none() {
+                contact = Some(directory[self.rng.gen_range(0..n)]).filter(|&c| c != id);
+            }
+            self.admit(id, contact.as_slice());
+            if let Some(view) = contact.and_then(|c| self.views.get_mut(&c)) {
+                let contact = contact.unwrap_or(id);
+                oracle_merge(view, self.cache_size, &[NodeDescriptor::fresh(id)], contact);
+            }
+        }
+
+        fn begin_cycle(&mut self, directory: &[NodeId]) {
+            let mut order = directory.to_vec();
+            order.shuffle(&mut self.rng);
+            for initiator in order {
+                let Some(view) = self.views.get(&initiator) else {
+                    continue;
+                };
+                let Some(partner) = view.iter().max_by_key(|d| d.age).map(|d| d.node) else {
+                    continue;
+                };
+                let Some(partner_view) = self.views.get(&partner) else {
+                    self.peer_failed(initiator, partner);
+                    continue;
+                };
+                let payload = |view: &[NodeDescriptor], id| {
+                    let mut payload = view.to_vec();
+                    payload.push(NodeDescriptor::fresh(id));
+                    payload
+                };
+                let (offer, response) = (payload(view, initiator), payload(partner_view, partner));
+                for (id, incoming) in [(partner, offer), (initiator, response)] {
+                    let view = self.views.get_mut(&id).unwrap();
+                    oracle_merge(view, self.cache_size, &incoming, id);
+                }
+            }
+            for descriptor in self.views.values_mut().flatten() {
+                descriptor.age = descriptor.age.saturating_add(1);
+            }
+        }
+
+        fn peer_failed(&mut self, initiator: NodeId, peer: NodeId) {
+            if let Some(view) = self.views.get_mut(&initiator) {
+                view.retain(|d| d.node != peer);
+            }
+        }
+
+        fn sample(&self, id: NodeId, rng: &mut StdRng) -> Option<NodeId> {
+            let view = self.views.get(&id).filter(|view| !view.is_empty())?;
+            Some(view[rng.gen_range(0..view.len())].node)
+        }
+    }
+
+    /// Drives a [`NewscastSampler`] and its [`Model`] through one history
+    /// and asserts after every step that every view, of members and of
+    /// departed ids alike, is equal entry for entry, and so is every pick.
+    ///
+    /// `steps` are `(op, a, b)`: 0 a cycle; 1 a newcomer joins; 2 the
+    /// directory entry `a` joins again (a live member's in-place re-join,
+    /// or a departed id's return); 3 and 4 member `a` departs, with 4
+    /// leaving it in the directory; 5 member `a` reports its `b`-th view
+    /// entry, or a made-up id, as failed; 6 a pick for every directory
+    /// entry.
+    fn sampler_follows_its_model(
+        cache_size: usize,
+        members: usize,
+        seed: u64,
+        steps: &[(u8, usize, usize)],
+    ) {
+        let mut directory: Vec<NodeId> = (0..members).map(|i| NodeId::new(3 * i + 1)).collect();
+        let mut sampler = NewscastSampler::new(cache_size, &directory, seed);
+        let mut model = Model::new(cache_size, &directory, seed);
+        let (mut picks, mut model_picks) =
+            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let mut next_id = 3 * members + 1;
+        for (step, &(op, a, b)) in steps.iter().enumerate() {
+            let live: Vec<NodeId> = directory
+                .iter()
+                .copied()
+                .filter(|id| model.views.contains_key(id))
+                .collect();
+            match op {
+                0 => {
+                    sampler.begin_cycle(&SliceDirectory::new(&directory));
+                    model.begin_cycle(&directory);
+                }
+                1 | 2 => {
+                    let id = if op == 1 || directory.is_empty() {
+                        next_id += 3;
+                        directory.push(NodeId::new(next_id));
+                        NodeId::new(next_id)
+                    } else {
+                        directory[a % directory.len()]
+                    };
+                    sampler.on_join(id, &SliceDirectory::new(&directory));
+                    model.join(id, &directory);
+                }
+                3 | 4 if !live.is_empty() => {
+                    let id = live[a % live.len()];
+                    sampler.on_depart(id);
+                    model.views.remove(&id);
+                    if op == 3 {
+                        directory.retain(|&d| d != id);
+                    }
+                }
+                5 if !live.is_empty() => {
+                    let id = live[a % live.len()];
+                    let view = &model.views[&id];
+                    let peer = view
+                        .get(b % (view.len() + 1))
+                        .map_or(NodeId::new(b), |d| d.node);
+                    sampler.peer_failed(id, peer);
+                    model.peer_failed(id, peer);
+                }
+                6 => {
+                    let directory_now = SliceDirectory::new(&directory);
+                    for (pos, &id) in directory.iter().enumerate() {
+                        let pick = sampler.sample(&directory_now, pos, &mut picks);
+                        assert_eq!(
+                            pick,
+                            model.sample(id, &mut model_picks),
+                            "step {step}: pick"
+                        );
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(sampler.len(), model.views.len(), "step {step}: members");
+            for id in (0..=next_id).map(NodeId::new) {
+                let expected = model.views.get(&id).map(Vec::as_slice);
+                assert_eq!(sampler.view_of(id), expected, "step {step}: view of {id}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// [`sampler_follows_its_model`] over short random histories. Cache
+        /// sizes run past 64, where the merge's age index leaves the stack,
+        /// and populations run past the cache size, so views of every size
+        /// fill.
+        #[test]
+        fn sampler_follows_its_model_over_random_histories(
+            cache_size in 1usize..71,
+            members in 0usize..90,
+            seed in 0u64..1_000,
+            steps in proptest::collection::vec((0u8..7, 0usize..100, 0usize..100), 0..24),
+        ) {
+            sampler_follows_its_model(cache_size, members, seed, &steps);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8_000))]
+
+        /// The deep run of [`sampler_follows_its_model`]: more and longer
+        /// histories.
+        #[test]
+        #[ignore = "deep run: 8 000 histories of up to 200 steps"]
+        fn sampler_follows_its_model_over_long_random_histories(
+            cache_size in 1usize..71,
+            members in 0usize..90,
+            seed in 0u64..1_000,
+            steps in proptest::collection::vec((0u8..7, 0usize..100, 0usize..100), 0..200),
+        ) {
+            sampler_follows_its_model(cache_size, members, seed, &steps);
+        }
     }
 
     #[test]
