@@ -206,22 +206,6 @@ impl AggregationInstance {
         self.kind.estimate_value(self.state)
     }
 
-    /// Restarts the instance for a new epoch: the approximation is re-seeded
-    /// from the local value and the exchange counter is reset.
-    pub fn restart(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.state = self.kind.init_value(self.local_value);
-        self.exchanges = 0;
-    }
-
-    /// Restarts the instance for a new epoch with an explicit initial state
-    /// (network-size estimation restart).
-    pub fn restart_with_state(&mut self, epoch: u64, state: f64) {
-        self.epoch = epoch;
-        self.state = state;
-        self.exchanges = 0;
-    }
-
     /// Writes back the fields an engine keeps in columns (see
     /// [`crate::node::ProtocolNode::from_parts`]): running state, epoch and
     /// exchange counter in one call, leaving the kind and local value
@@ -362,33 +346,6 @@ mod tests {
         a.absorb_reply(replied);
         assert_eq!(a.estimate(), 9.0);
         assert_eq!(b.estimate(), 9.0);
-    }
-
-    #[test]
-    fn restart_reseeds_from_local_value() {
-        let mut inst = AggregationInstance::new(AggregateKind::Average, 5.0, 0);
-        let replied = inst.absorb_push(25.0);
-        assert_eq!(replied, 5.0);
-        assert_eq!(inst.estimate(), 15.0);
-        inst.set_local_value(8.0);
-        // The running estimate is untouched until the epoch restart.
-        assert_eq!(inst.estimate(), 15.0);
-        inst.restart(1);
-        assert_eq!(inst.epoch(), 1);
-        assert_eq!(inst.estimate(), 8.0);
-        assert_eq!(inst.exchanges(), 0);
-    }
-
-    #[test]
-    fn with_initial_state_and_restart_with_state() {
-        let mut inst =
-            AggregationInstance::with_initial_state(AggregateKind::Average, 42.0, 1.0, 3);
-        assert_eq!(inst.local_value(), 42.0);
-        assert_eq!(inst.state(), 1.0);
-        assert_eq!(inst.epoch(), 3);
-        inst.restart_with_state(4, 0.0);
-        assert_eq!(inst.state(), 0.0);
-        assert_eq!(inst.epoch(), 4);
     }
 
     #[test]
