@@ -313,7 +313,7 @@ impl PeerSampler for NewscastSampler {
         // Tell the contact about the newcomer as well (the join handshake's
         // other half), so isolated newcomers cannot linger unreferenced.
         if let Some(slot) = bootstrap.first().and_then(|&contact| self.slot(contact)) {
-            self.views.merge(slot, &[NodeDescriptor::fresh(id)]);
+            self.views.merge(slot, [NodeDescriptor::fresh(id)]);
         }
     }
 

@@ -22,7 +22,9 @@ use rand::Rng;
 pub(crate) struct ViewTable {
     cache_size: usize,
     ids: Vec<NodeId>,
-    lens: Vec<usize>,
+    /// `u32` keeps the column small: it is read at random, once a side
+    /// per exchange.
+    lens: Vec<u32>,
     entries: Vec<NodeDescriptor>,
     /// Index words of the merge's [`AgeIndex`] above 64 entries a view
     /// (`shift > 0`), reused by every merge; empty otherwise.
@@ -90,11 +92,10 @@ impl ViewTable {
             self.ids[slot] = id;
             self.lens[slot] = 0;
         }
-        let mut offer = std::mem::take(&mut self.offer);
-        offer.clear();
-        offer.extend(contacts.iter().map(|&peer| NodeDescriptor::fresh(peer)));
-        self.merge(slot, &offer);
-        self.offer = offer;
+        self.merge(
+            slot,
+            contacts.iter().map(|&peer| NodeDescriptor::fresh(peer)),
+        );
     }
 
     /// Empties slot `slot`'s view; its node has left and the slot awaits
@@ -105,7 +106,7 @@ impl ViewTable {
 
     /// Slot `slot`'s view, in entry order.
     pub(crate) fn view(&self, slot: usize) -> &[NodeDescriptor] {
-        &self.entries[slot * self.cache_size..][..self.lens[slot]]
+        &self.entries[slot * self.cache_size..][..self.lens[slot] as usize]
     }
 
     /// The exchange partner of slot `slot`'s node: the *oldest* peer in its
@@ -144,8 +145,8 @@ impl ViewTable {
         let mut response = std::mem::take(&mut self.response);
         self.write_payload(initiator, &mut offer);
         self.write_payload(partner, &mut response);
-        self.merge(partner, &offer);
-        self.merge(initiator, &response);
+        self.merge(partner, offer.iter().copied());
+        self.merge(initiator, response.iter().copied());
         (self.offer, self.response) = (offer, response);
     }
 
@@ -160,17 +161,24 @@ impl ViewTable {
     /// Merges `incoming` into slot `slot`'s view (the newscast merge): the
     /// union, deduplicated keeping the youngest, cut to the `cache_size`
     /// freshest entries, never admitting the slot's own node.
-    pub(crate) fn merge(&mut self, slot: usize, incoming: &[NodeDescriptor]) {
+    pub(crate) fn merge(
+        &mut self,
+        slot: usize,
+        incoming: impl IntoIterator<Item = NodeDescriptor>,
+    ) {
         let exclude = self.ids[slot];
-        let incoming = incoming.iter().copied().filter(|d| d.node != exclude);
+        let incoming = incoming.into_iter().filter(|d| d.node != exclude);
         let row = &mut self.entries[slot * self.cache_size..][..self.cache_size];
-        let len = self.lens[slot];
-        self.lens[slot] = if self.shift == 0 {
+        let len = self.lens[slot] as usize;
+        let len = if self.shift == 0 {
             admit(row, len, incoming, &mut [0; AGE_BUCKETS], 0)
         } else {
             self.masks.fill(0);
             admit(row, len, incoming, &mut self.masks, self.shift)
         };
+        // At most `cache_size`: a row past `u32::MAX` entries would not fit
+        // in memory.
+        self.lens[slot] = len as u32;
     }
 
     /// Drops `peer` from slot `slot`'s view (an exchange with it failed, so
@@ -180,7 +188,7 @@ impl ViewTable {
             return;
         };
         let start = slot * self.cache_size;
-        let end = start + self.lens[slot];
+        let end = start + self.lens[slot] as usize;
         self.entries.copy_within(start + pos + 1..end, start + pos);
         self.lens[slot] -= 1;
     }
@@ -189,7 +197,7 @@ impl ViewTable {
     pub(crate) fn age_all(&mut self) {
         let rows = self.entries.chunks_exact_mut(self.cache_size);
         for (row, &len) in rows.zip(&self.lens) {
-            for descriptor in &mut row[..len] {
+            for descriptor in &mut row[..len as usize] {
                 *descriptor = descriptor.aged();
             }
         }
@@ -461,7 +469,7 @@ mod tests {
         for (slot, (&owner, view)) in owners.iter().zip(views).enumerate() {
             table.reset(slot, NodeId::new(owner), &[]);
             table.entries[slot * capacity..][..view.len()].copy_from_slice(view);
-            table.lens[slot] = view.len();
+            table.lens[slot] = view.len() as u32;
         }
         table
     }
@@ -503,7 +511,7 @@ mod tests {
     fn merge_deduplicates_keeping_the_youngest() {
         let mut table = table_of(4, &[0], &[&[]]);
         for age in [5, 2, 9] {
-            table.merge(0, &[descriptor(1, age)]);
+            table.merge(0, [descriptor(1, age)]);
         }
         assert_eq!(table.view(0), descriptors(&[(1, 2)]));
     }
@@ -512,7 +520,7 @@ mod tests {
     fn merge_excludes_self_and_evicts_the_oldest() {
         let mut table = table_of(3, &[0], &[&[]]);
         let incoming = descriptors(&[(0, 0), (1, 4), (2, 1), (3, 2), (4, 9)]);
-        table.merge(0, &incoming);
+        table.merge(0, incoming);
         assert_eq!(table.view(0), descriptors(&[(1, 4), (2, 1), (3, 2)]));
     }
 
@@ -534,7 +542,7 @@ mod tests {
         let mut r = rng();
         assert!(table.random_peer(0, &mut r).is_none());
         assert!(table.oldest_peer(0).is_none());
-        table.merge(0, &descriptors(&[(1, 0), (2, 8), (3, 3), (0, 9)]));
+        table.merge(0, descriptors(&[(1, 0), (2, 8), (3, 3), (0, 9)]));
         assert_eq!(table.oldest_peer(0), Some(NodeId::new(2)));
         for _ in 0..50 {
             let peer = table.random_peer(0, &mut r).unwrap();
@@ -572,7 +580,7 @@ mod tests {
         incoming: &[NodeDescriptor],
     ) -> Vec<NodeDescriptor> {
         let mut table = table_of(capacity, &[owner], &[start]);
-        table.merge(0, incoming);
+        table.merge(0, incoming.iter().copied());
         let mut expected = start.to_vec();
         oracle_merge(&mut expected, capacity, incoming, NodeId::new(owner));
         assert_eq!(table.view(0), expected);
@@ -662,7 +670,7 @@ mod tests {
         ) {
             let mut table = table_of(capacity, &[99], &[&[]]);
             for (node, age) in inserts {
-                table.merge(0, &[descriptor(node, age)]);
+                table.merge(0, [descriptor(node, age)]);
                 prop_assert!(table.view(0).len() <= capacity);
                 let mut ids = node_ids(&table, 0);
                 ids.sort();
