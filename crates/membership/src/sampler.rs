@@ -45,8 +45,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `cache_size` descriptors beside the slot's id and view length, so no
 /// member has a heap allocation of its own. A departure empties its slot for
 /// the next join. An id → slot hash index is used for keyed lookups only and
-/// is never iterated. An exchange performs two index lookups and refills two
-/// buffers the table owns, so it does not allocate.
+/// is never iterated. A cycle looks every initiator's slot up once, in
+/// directory order, before it shuffles them; an exchange then performs one
+/// index lookup (the partner's) and refills two buffers the table owns, so
+/// it does not allocate.
 ///
 /// # Example
 ///

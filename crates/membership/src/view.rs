@@ -135,12 +135,8 @@ impl ViewTable {
     /// One membership exchange between the nodes of two distinct slots: each
     /// sends its whole view plus a fresh descriptor of itself, and merges the
     /// other's. Both payloads are taken before either side merges, mirroring
-    /// the push–pull structure of the aggregation exchange. A slot paired
-    /// with itself does nothing.
+    /// the push–pull structure of the aggregation exchange.
     pub(crate) fn exchange(&mut self, initiator: usize, partner: usize) {
-        if initiator == partner {
-            return;
-        }
         let mut offer = std::mem::take(&mut self.offer);
         let mut response = std::mem::take(&mut self.response);
         self.write_payload(initiator, &mut offer);
@@ -557,8 +553,6 @@ mod tests {
         let mut table = table_of(5, &[0, 1], &[&[descriptor(1, 0)], &[descriptor(2, 0)]]);
         table.exchange(0, 1);
         assert_eq!(table.view(0), descriptors(&[(1, 0), (2, 0)]));
-        assert_eq!(table.view(1), descriptors(&[(2, 0), (0, 0)]));
-        table.exchange(1, 1);
         assert_eq!(table.view(1), descriptors(&[(2, 0), (0, 0)]));
     }
 
