@@ -59,6 +59,10 @@ impl NewscastNetwork {
     }
 
     /// Node `id`'s current view, in entry order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not one of the network's nodes.
     pub fn view(&self, id: NodeId) -> &[NodeDescriptor] {
         self.views.view(id.index())
     }
