@@ -15,19 +15,8 @@ use super::Aggregate;
 /// Averaging is also the building block for derived aggregates: counting
 /// (network size), sums, higher moments and variances are all computed by
 /// averaging transformed values; see [`crate::derived`].
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::aggregate::{Aggregate, Average};
-///
-/// let avg = Average;
-/// assert_eq!(avg.merge(10.0, 20.0), 15.0);
-/// // mass conservation: 10 + 20 == 15 + 15
-/// assert_eq!(avg.merge(10.0, 20.0) * 2.0, 30.0);
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Average;
+pub(crate) struct Average;
 
 impl Aggregate for Average {
     fn merge(&self, local: f64, remote: f64) -> f64 {
@@ -54,6 +43,7 @@ mod tests {
         assert_eq!(avg.merge(1.0, 3.0), 2.0);
         assert_eq!(avg.merge(-5.0, 5.0), 0.0);
         assert_eq!(avg.merge(2.5, 2.5), 2.5);
+        assert_eq!(avg.merge(10.0, 20.0), 15.0);
     }
 
     #[test]

@@ -9,17 +9,8 @@ use super::Aggregate;
 /// aggregate; operationally it behaves exactly like an epidemic broadcast of
 /// the bit, which the paper identifies as the well-studied special case of
 /// `AGGREGATE_MAX`.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::aggregate::{Aggregate, BooleanOr};
-///
-/// assert_eq!(BooleanOr.merge(0.0, 1.0), 1.0);
-/// assert_eq!(BooleanOr.init(0.2), 1.0); // any non-zero value counts as true
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BooleanOr;
+pub(crate) struct BooleanOr;
 
 impl Aggregate for BooleanOr {
     fn merge(&self, local: f64, remote: f64) -> f64 {
@@ -41,16 +32,8 @@ impl Aggregate for BooleanOr {
 
 /// Boolean AND: over indicator values in `{0, 1}`, both peers adopt the
 /// minimum, so a single `0` anywhere in the network spreads to everyone.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::aggregate::{Aggregate, BooleanAnd};
-///
-/// assert_eq!(BooleanAnd.merge(1.0, 0.0), 0.0);
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BooleanAnd;
+pub(crate) struct BooleanAnd;
 
 impl Aggregate for BooleanAnd {
     fn merge(&self, local: f64, remote: f64) -> f64 {
@@ -94,6 +77,7 @@ mod tests {
     fn init_coerces_to_indicator() {
         assert_eq!(BooleanOr.init(0.0), 0.0);
         assert_eq!(BooleanOr.init(3.7), 1.0);
+        assert_eq!(BooleanOr.init(0.2), 1.0);
         assert_eq!(BooleanOr.init(-2.0), 1.0);
         assert_eq!(BooleanAnd.init(0.0), 0.0);
         assert_eq!(BooleanAnd.init(0.0001), 1.0);

@@ -10,16 +10,8 @@ use super::Aggregate;
 /// probability. Unlike averaging, the extremal aggregates are *monotone*: a
 /// node's estimate never moves away from the true extremum, and crashed nodes
 /// or lost messages can only delay (never corrupt) convergence.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::aggregate::{Aggregate, Maximum};
-///
-/// assert_eq!(Maximum.merge(3.0, 8.0), 8.0);
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Maximum;
+pub(crate) struct Maximum;
 
 impl Aggregate for Maximum {
     fn merge(&self, local: f64, remote: f64) -> f64 {
@@ -35,16 +27,8 @@ impl Aggregate for Maximum {
 ///
 /// The mirror image of [`Maximum`]; useful e.g. for finding the smallest free
 /// capacity or the earliest timestamp in the system.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::aggregate::{Aggregate, Minimum};
-///
-/// assert_eq!(Minimum.merge(3.0, 8.0), 3.0);
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Minimum;
+pub(crate) struct Minimum;
 
 impl Aggregate for Minimum {
     fn merge(&self, local: f64, remote: f64) -> f64 {
@@ -67,6 +51,8 @@ mod tests {
         assert_eq!(Maximum.merge(5.0, 5.0), 5.0);
         assert_eq!(Minimum.merge(-1.0, 1.0), -1.0);
         assert_eq!(Minimum.merge(5.0, 5.0), 5.0);
+        assert_eq!(Maximum.merge(3.0, 8.0), 8.0);
+        assert_eq!(Minimum.merge(3.0, 8.0), 3.0);
     }
 
     #[test]

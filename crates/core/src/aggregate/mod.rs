@@ -7,14 +7,14 @@
 //!
 //! | function | converges to | implementation |
 //! |---|---|---|
-//! | `(x + y) / 2` | global average | [`Average`] |
-//! | `max(x, y)` | global maximum | [`Maximum`] |
-//! | `min(x, y)` | global minimum | [`Minimum`] |
-//! | average of `xᵏ` | k-th raw moment | [`Moment`] |
-//! | average of leader indicator | `1/N` → network size | [`CountInit`] + [`Average`] |
-//! | `max(x, y)` on {0, 1} | boolean OR | [`BooleanOr`] |
-//! | `min(x, y)` on {0, 1} | boolean AND | [`BooleanAnd`] |
-//! | average of `ln x` | geometric mean | [`GeometricMean`] |
+//! | `(x + y) / 2` | global average | [`AggregateKind::Average`] |
+//! | `max(x, y)` | global maximum | [`AggregateKind::Maximum`] |
+//! | `min(x, y)` | global minimum | [`AggregateKind::Minimum`] |
+//! | average of `xᵏ` | k-th raw moment | [`AggregateKind::Moment`] |
+//! | average of leader indicator | `1/N` → network size | [`CountInit`] + [`AggregateKind::Average`] |
+//! | `max(x, y)` on {0, 1} | boolean OR | [`AggregateKind::BooleanOr`] |
+//! | `min(x, y)` on {0, 1} | boolean AND | [`AggregateKind::BooleanAnd`] |
+//! | average of `ln x` | geometric mean | [`AggregateKind::GeometricMean`] |
 //!
 //! Derived quantities (sums, variances, standard deviations, network size) are
 //! obtained by running several instances in parallel and combining their
@@ -25,10 +25,13 @@ mod boolean;
 mod extrema;
 mod moments;
 
-pub use average::Average;
-pub use boolean::{BooleanAnd, BooleanOr};
-pub use extrema::{Maximum, Minimum};
-pub use moments::{GeometricMean, Moment};
+pub(crate) use average::Average;
+pub(crate) use boolean::BooleanAnd;
+pub(crate) use boolean::BooleanOr;
+pub(crate) use extrema::Maximum;
+pub(crate) use extrema::Minimum;
+pub(crate) use moments::GeometricMean;
+pub(crate) use moments::Moment;
 
 use std::fmt::Debug;
 
@@ -58,7 +61,7 @@ pub trait Aggregate: Debug + Send + Sync {
 
     /// Transforms a node's internal state into the user-facing estimate.
     ///
-    /// The default is the identity; [`Moment`] uses it to undo its power
+    /// The default is the identity; the `Moment` aggregate uses it to undo its power
     /// transform and the network-size estimator inverts the average.
     fn estimate(&self, state: f64) -> f64 {
         state
@@ -66,8 +69,8 @@ pub trait Aggregate: Debug + Send + Sync {
 
     /// Prepares a node's *initial* state from its local attribute value.
     ///
-    /// The default is the identity. [`Moment`] raises the value to the k-th
-    /// power, [`GeometricMean`] takes the logarithm.
+    /// The default is the identity. The `Moment` aggregate raises the value
+    /// to the k-th power, the `GeometricMean` aggregate takes the logarithm.
     fn init(&self, local_value: f64) -> f64 {
         local_value
     }
@@ -123,7 +126,7 @@ impl AggregateKind {
     /// rather than a boxed trait object, so that simulations with hundreds of
     /// thousands of nodes stay allocation-free on the hot path; this helper
     /// and its siblings provide the trait's behaviour without boxing.
-    pub fn merge_values(self, local: f64, remote: f64) -> f64 {
+    pub(crate) fn merge_values(self, local: f64, remote: f64) -> f64 {
         match self {
             AggregateKind::Average => Average.merge(local, remote),
             AggregateKind::Maximum => Maximum.merge(local, remote),
@@ -166,7 +169,8 @@ impl AggregateKind {
 /// the elected leader starts from `1.0`, every other node from `0.0`; the
 /// averaging protocol then converges to `1/N` at every node.
 ///
-/// This is not an [`Aggregate`] by itself — it is combined with [`Average`] —
+/// This is not an [`Aggregate`] by itself — it is combined with
+/// [`AggregateKind::Average`] —
 /// but it is kept here so the initialisation rule is documented next to the
 /// functions it feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +190,7 @@ impl CountInit {
     ///
     /// Returns `f64::INFINITY` when the average is zero or negative (no leader
     /// was present in the epoch), which callers should treat as "unknown".
-    pub fn size_estimate(average: f64) -> f64 {
+    pub(crate) fn size_estimate(average: f64) -> f64 {
         if average > 0.0 {
             1.0 / average
         } else {

@@ -14,18 +14,8 @@ use super::Aggregate;
 /// [`Aggregate::estimate`] reports the raw moment itself; combining the second
 /// moment with the plain average yields the variance, see
 /// [`crate::derived::variance_from_moments`].
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::aggregate::{Aggregate, Moment};
-///
-/// let second = Moment::new(2);
-/// assert_eq!(second.init(3.0), 9.0);
-/// assert_eq!(second.merge(9.0, 25.0), 17.0); // still plain averaging of states
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Moment {
+pub(crate) struct Moment {
     order: u32,
 }
 
@@ -36,14 +26,9 @@ impl Moment {
     ///
     /// Panics if `order == 0`; the zeroth moment is identically 1 and carries
     /// no information.
-    pub fn new(order: u32) -> Self {
+    pub(crate) fn new(order: u32) -> Self {
         assert!(order >= 1, "moment order must be at least 1");
         Moment { order }
-    }
-
-    /// The order of this moment.
-    pub fn order(&self) -> u32 {
-        self.order
     }
 }
 
@@ -67,21 +52,8 @@ impl Aggregate for Moment {
 /// are mapped to `ln` of a tiny positive constant so the protocol stays
 /// numerically defined (documented behaviour rather than a panic, because a
 /// single bad value should not crash an entire overlay).
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::aggregate::{Aggregate, GeometricMean};
-///
-/// let g = GeometricMean;
-/// let state_a = g.init(1.0);
-/// let state_b = g.init(100.0);
-/// let merged = g.merge(state_a, state_b);
-/// let estimate = g.estimate(merged);
-/// assert!((estimate - 10.0).abs() < 1e-9); // sqrt(1 * 100)
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GeometricMean;
+pub(crate) struct GeometricMean;
 
 /// Smallest value substituted for non-positive inputs of the geometric mean.
 const GEOMEAN_FLOOR: f64 = 1e-300;
@@ -114,7 +86,9 @@ mod tests {
         assert_eq!(Moment::new(1).init(4.0), 4.0);
         assert_eq!(Moment::new(2).init(4.0), 16.0);
         assert_eq!(Moment::new(3).init(-2.0), -8.0);
-        assert_eq!(Moment::new(2).order(), 2);
+        // Still plain averaging of the transformed states.
+        assert_eq!(Moment::new(2).init(3.0), 9.0);
+        assert_eq!(Moment::new(2).merge(9.0, 25.0), 17.0);
     }
 
     #[test]
@@ -142,6 +116,8 @@ mod tests {
         let g = GeometricMean;
         let merged = g.merge(g.init(2.0), g.init(8.0));
         assert!((g.estimate(merged) - 4.0).abs() < 1e-9);
+        let merged = g.merge(g.init(1.0), g.init(100.0));
+        assert!((g.estimate(merged) - 10.0).abs() < 1e-9);
     }
 
     #[test]

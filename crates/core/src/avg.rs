@@ -56,13 +56,13 @@ pub struct CycleReport {
     pub cycle: usize,
     /// Number of elementary exchanges actually performed (slots for which the
     /// selector produced a valid pair).
-    pub exchanges: usize,
+    pub(crate) exchanges: usize,
     /// Empirical variance before the cycle, `σ²_i`.
     pub variance_before: f64,
     /// Empirical variance after the cycle, `σ²_{i+1}`.
     pub variance_after: f64,
     /// Empirical mean after the cycle (must stay constant for averaging).
-    pub mean_after: f64,
+    pub(crate) mean_after: f64,
     /// Per-node contact counts during this cycle — the realisation of the
     /// random variable `φ` of Theorem 1.
     pub contacts: Vec<u32>,
@@ -78,20 +78,6 @@ impl CycleReport {
         } else {
             None
         }
-    }
-
-    /// The empirical value of `E(2^-φ)` for this cycle, i.e. the average of
-    /// `2^-contacts` over all nodes — Theorem 1 predicts the variance
-    /// reduction factor from this quantity.
-    pub fn empirical_phi_reduction(&self) -> f64 {
-        if self.contacts.is_empty() {
-            return 1.0;
-        }
-        self.contacts
-            .iter()
-            .map(|&c| 2.0f64.powi(-(c as i32)))
-            .sum::<f64>()
-            / self.contacts.len() as f64
     }
 }
 
@@ -156,7 +142,7 @@ pub fn run_cycle_with(
 /// Runs one cycle of plain anti-entropy *averaging* (the paper's `AVG`).
 ///
 /// Equivalent to [`run_cycle_with`] with the [`Average`] aggregate.
-pub fn run_avg_cycle(
+pub(crate) fn run_avg_cycle(
     values: &mut [f64],
     topology: &dyn Topology,
     selector: &mut dyn PairSelector,
@@ -219,6 +205,22 @@ mod tests {
     use overlay_topology::{generators, CompleteTopology};
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    impl CycleReport {
+        /// The empirical value of `E(2^-φ)` for this cycle, i.e. the average
+        /// of `2^-contacts` over all nodes — Theorem 1 predicts the variance
+        /// reduction factor from this quantity.
+        fn empirical_phi_reduction(&self) -> f64 {
+            if self.contacts.is_empty() {
+                return 1.0;
+            }
+            self.contacts
+                .iter()
+                .map(|&c| 2.0f64.powi(-(c as i32)))
+                .sum::<f64>()
+                / self.contacts.len() as f64
+        }
+    }
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(1234)

@@ -16,21 +16,8 @@ use crate::aggregate::CountInit;
 /// The result is clamped at zero: with finite precision (or before full
 /// convergence) the difference can dip slightly negative, and a negative
 /// variance is never meaningful to report.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::derived::variance_from_moments;
-/// // Values {1, 3}: mean 2, second moment 5, variance 1.
-/// assert_eq!(variance_from_moments(2.0, 5.0), 1.0);
-/// ```
-pub fn variance_from_moments(mean: f64, second_moment: f64) -> f64 {
+pub(crate) fn variance_from_moments(mean: f64, second_moment: f64) -> f64 {
     (second_moment - mean * mean).max(0.0)
-}
-
-/// Standard deviation from mean and second raw moment.
-pub fn std_dev_from_moments(mean: f64, second_moment: f64) -> f64 {
-    variance_from_moments(mean, second_moment).sqrt()
 }
 
 /// Sum of the value set from its mean and the network size: `Σx = N · E[x]`.
@@ -38,7 +25,7 @@ pub fn std_dev_from_moments(mean: f64, second_moment: f64) -> f64 {
 /// The network size itself comes from a counting instance
 /// ([`crate::size_estimation`]), so a complete "total free storage in the
 /// system" query is two concurrent instances plus this one multiplication.
-pub fn sum_from_mean_and_size(mean: f64, size: f64) -> f64 {
+pub(crate) fn sum_from_mean_and_size(mean: f64, size: f64) -> f64 {
     mean * size
 }
 
@@ -46,17 +33,8 @@ pub fn sum_from_mean_and_size(mean: f64, size: f64) -> f64 {
 /// (`1` at the leader, `0` elsewhere). Convenience re-export of
 /// [`CountInit::size_estimate`] so that all derived quantities live in one
 /// module.
-pub fn size_from_count_average(average: f64) -> f64 {
+pub(crate) fn size_from_count_average(average: f64) -> f64 {
     CountInit::size_estimate(average)
-}
-
-/// Fraction of nodes satisfying a predicate, from the converged average of an
-/// indicator value (1 where the predicate holds, 0 elsewhere).
-///
-/// Combined with the network size this also yields the *count* of such nodes:
-/// `count = fraction · N`.
-pub fn fraction_from_indicator_average(average: f64) -> f64 {
-    average.clamp(0.0, 1.0)
 }
 
 /// A bundle of global statistics assembled from converged instance estimates.
@@ -109,18 +87,16 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn variance_and_std_dev_from_moments() {
+    fn variance_from_moments_of_small_value_sets() {
+        // Values {1, 3}: mean 2, second moment 5, variance 1.
+        assert_eq!(variance_from_moments(2.0, 5.0), 1.0);
         // Values {2, 4, 6}: mean 4, second moment 56/3, variance 8/3.
-        let mean = 4.0;
-        let m2 = 56.0 / 3.0;
-        assert!((variance_from_moments(mean, m2) - 8.0 / 3.0).abs() < 1e-12);
-        assert!((std_dev_from_moments(mean, m2) - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert!((variance_from_moments(4.0, 56.0 / 3.0) - 8.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn variance_is_clamped_at_zero() {
         assert_eq!(variance_from_moments(10.0, 99.9999), 0.0);
-        assert_eq!(std_dev_from_moments(10.0, 99.9999), 0.0);
     }
 
     #[test]
@@ -128,13 +104,6 @@ mod tests {
         assert_eq!(sum_from_mean_and_size(2.5, 1_000.0), 2_500.0);
         assert_eq!(size_from_count_average(0.001), 1_000.0);
         assert!(size_from_count_average(0.0).is_infinite());
-    }
-
-    #[test]
-    fn indicator_fractions_are_clamped() {
-        assert_eq!(fraction_from_indicator_average(0.25), 0.25);
-        assert_eq!(fraction_from_indicator_average(-0.1), 0.0);
-        assert_eq!(fraction_from_indicator_average(1.2), 1.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! machine; everything environmental — *when* a cycle boundary occurs and
 //! *which* random draws are made — reaches it through the traits in this
 //! module. A runtime is therefore parameterised by a ([`Clock`],
-//! [`EntropySource`], transport) triple: bind a [`SystemClock`] and an
+//! [`SeedSequence`], transport) triple: bind a [`SystemClock`] and an
 //! operating-system socket and the node runs live; bind a [`VirtualClock`]
 //! and an in-memory channel and the very same loop becomes a deterministic,
 //! replayable execution.
@@ -111,31 +111,6 @@ impl Clock for VirtualClock {
     }
 }
 
-/// A deterministic source of labelled 64-bit seeds.
-///
-/// Runtimes never call `rand::thread_rng()`; every stream of randomness they
-/// use (protocol schedule, overlay construction, membership gossip, fault
-/// injection) is derived from an `EntropySource` by `(run, label)`, so an
-/// entire execution replays from one master seed. [`SeedSequence`] is the
-/// canonical implementation.
-pub trait EntropySource: fmt::Debug {
-    /// The raw 64-bit seed for run number `run`.
-    fn seed_for_run(&self, run: u64) -> u64;
-
-    /// The raw 64-bit seed for a named sub-stream of a run.
-    fn seed_for_labeled(&self, run: u64, label: &str) -> u64;
-
-    /// Returns the RNG for run number `run`.
-    fn rng_for_run(&self, run: u64) -> StdRng {
-        StdRng::seed_from_u64(self.seed_for_run(run))
-    }
-
-    /// Returns the RNG for a named sub-stream of a run.
-    fn rng_for_labeled(&self, run: u64, label: &str) -> StdRng {
-        StdRng::seed_from_u64(self.seed_for_labeled(run, label))
-    }
-}
-
 /// Derives per-run random number generators from a single master seed, so that
 /// a whole experiment (e.g. "50 independent runs for every point of
 /// Figure 3(a)") is reproducible from one number while every run still gets an
@@ -165,11 +140,6 @@ impl SeedSequence {
     /// Creates a sequence from a master seed.
     pub fn new(master_seed: u64) -> Self {
         SeedSequence { master_seed }
-    }
-
-    /// The master seed.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
     }
 
     /// Returns the RNG for run number `run`.
@@ -206,16 +176,6 @@ impl SeedSequence {
         }
     }
 
-    /// Batched labelled draw: fills `out[i]` with
-    /// `seed_for_labeled(start + i, label)`, hashing the label once for the
-    /// whole block instead of once per element.
-    pub fn fill_block_labeled(&self, label: &str, start: u64, out: &mut [u64]) {
-        let seed = self.master_seed ^ Self::label_hash(label);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = Self::mix(seed, start.wrapping_add(i as u64));
-        }
-    }
-
     /// FNV-1a over the label bytes — the sub-stream identity mixed into the
     /// master seed by every labelled draw.
     fn label_hash(label: &str) -> u64 {
@@ -238,16 +198,6 @@ impl SeedSequence {
     }
 }
 
-impl EntropySource for SeedSequence {
-    fn seed_for_run(&self, run: u64) -> u64 {
-        SeedSequence::seed_for_run(self, run)
-    }
-
-    fn seed_for_labeled(&self, run: u64, label: &str) -> u64 {
-        SeedSequence::seed_for_labeled(self, run, label)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +209,6 @@ mod tests {
         let a: Vec<u32> = (0..5).map(|_| s.rng_for_run(3).gen()).collect();
         let b: Vec<u32> = (0..5).map(|_| s.rng_for_run(3).gen()).collect();
         assert_eq!(a, b);
-        assert_eq!(s.master_seed(), 7);
     }
 
     #[test]
@@ -292,25 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn entropy_source_object_matches_inherent_methods() {
-        let s = SeedSequence::new(11);
-        let dynamic: &dyn EntropySource = &s;
-        assert_eq!(dynamic.seed_for_run(4), s.seed_for_run(4));
-        assert_eq!(
-            dynamic.seed_for_labeled(0, "overlay"),
-            s.seed_for_labeled(0, "overlay")
-        );
-        assert_eq!(
-            dynamic.rng_for_run(2).gen::<u64>(),
-            s.rng_for_run(2).gen::<u64>()
-        );
-        assert_eq!(
-            dynamic.rng_for_labeled(1, "x").gen::<u64>(),
-            s.rng_for_labeled(1, "x").gen::<u64>()
-        );
-    }
-
-    #[test]
     fn fill_block_equals_sequential_draws_bit_for_bit() {
         let s = SeedSequence::new(0xdead_beef);
         for start in [0u64, 1, 17, u64::MAX - 5] {
@@ -323,23 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn fill_block_labeled_equals_sequential_labeled_draws_bit_for_bit() {
-        let s = SeedSequence::new(20040102);
-        for label in ["cycle-loss", "cycle-schedule", ""] {
-            let mut block = [0u64; 64];
-            s.fill_block_labeled(label, 5, &mut block);
-            for (i, &drawn) in block.iter().enumerate() {
-                assert_eq!(drawn, s.seed_for_labeled(5 + i as u64, label));
-            }
-        }
-    }
-
-    #[test]
     fn fill_block_handles_empty_output() {
         let s = SeedSequence::new(3);
         let mut empty: [u64; 0] = [];
         s.fill_block(0, &mut empty);
-        s.fill_block_labeled("x", 0, &mut empty);
     }
 
     #[test]

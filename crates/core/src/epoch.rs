@@ -14,7 +14,7 @@
 /// What happened to the epoch state as a result of a cycle tick or a received
 /// message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochTransition {
+pub(crate) enum EpochTransition {
     /// The node stayed in the same epoch.
     None,
     /// The node finished its quota of cycles and moved to the next epoch.
@@ -36,21 +36,6 @@ pub enum EpochTransition {
 
 /// Tracks which epoch a node is in and how far through it the node has
 /// progressed.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::epoch::{EpochManager, EpochTransition};
-///
-/// let mut epochs = EpochManager::new(3, 0);
-/// assert_eq!(epochs.tick_cycle(), EpochTransition::None);
-/// assert_eq!(epochs.tick_cycle(), EpochTransition::None);
-/// assert_eq!(
-///     epochs.tick_cycle(),
-///     EpochTransition::Completed { finished: 0, current: 1 }
-/// );
-/// assert_eq!(epochs.current_epoch(), 1);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochManager {
     current_epoch: u64,
@@ -146,11 +131,6 @@ impl EpochManager {
         self.cycle_in_epoch
     }
 
-    /// Number of cycles each epoch lasts.
-    pub fn cycles_per_epoch(&self) -> u32 {
-        self.cycles_per_epoch
-    }
-
     /// Whether the node may actively initiate exchanges right now. A joining
     /// node is passive until the epoch it was told to wait for starts.
     #[inline]
@@ -172,7 +152,7 @@ impl EpochManager {
     /// down the wait; afterwards it advances the position inside the epoch and
     /// reports [`EpochTransition::Completed`] when the epoch's cycle quota is
     /// reached.
-    pub fn tick_cycle(&mut self) -> EpochTransition {
+    pub(crate) fn tick_cycle(&mut self) -> EpochTransition {
         if self.waiting_cycles > 0 {
             self.waiting_cycles -= 1;
             return EpochTransition::None;
@@ -199,7 +179,7 @@ impl EpochManager {
     /// larger than its current one, it switches to the new epoch
     /// immediately"). A message carrying exactly the epoch a joining node is
     /// waiting for ends the wait: the new epoch has evidently started.
-    pub fn observe_remote_epoch(&mut self, remote_epoch: u64) -> EpochTransition {
+    pub(crate) fn observe_remote_epoch(&mut self, remote_epoch: u64) -> EpochTransition {
         if remote_epoch > self.current_epoch {
             let from = self.current_epoch;
             self.current_epoch = remote_epoch;
@@ -222,7 +202,7 @@ impl EpochManager {
     /// Whether a message stamped with `remote_epoch` is stale (older than the
     /// local epoch) and should be ignored.
     #[inline]
-    pub fn is_stale(&self, remote_epoch: u64) -> bool {
+    pub(crate) fn is_stale(&self, remote_epoch: u64) -> bool {
         remote_epoch < self.current_epoch
     }
 }
@@ -244,6 +224,21 @@ mod tests {
     }
 
     #[test]
+    fn three_cycle_epoch_completes_on_its_third_tick() {
+        let mut m = EpochManager::new(3, 0);
+        assert_eq!(m.tick_cycle(), EpochTransition::None);
+        assert_eq!(m.tick_cycle(), EpochTransition::None);
+        assert_eq!(
+            m.tick_cycle(),
+            EpochTransition::Completed {
+                finished: 0,
+                current: 1
+            }
+        );
+        assert_eq!(m.current_epoch(), 1);
+    }
+
+    #[test]
     fn epoch_advances_after_the_configured_number_of_cycles() {
         let mut m = EpochManager::new(30, 0);
         for cycle in 0..29 {
@@ -258,7 +253,6 @@ mod tests {
         );
         assert_eq!(m.current_epoch(), 1);
         assert_eq!(m.cycle_in_epoch(), 0);
-        assert_eq!(m.cycles_per_epoch(), 30);
     }
 
     #[test]

@@ -13,19 +13,6 @@ pub enum AggregationError {
         /// Human readable explanation.
         reason: String,
     },
-    /// An exchange referenced an epoch that this node has already completed.
-    StaleEpoch {
-        /// Epoch carried by the message.
-        message_epoch: u64,
-        /// Epoch the node is currently in.
-        local_epoch: u64,
-    },
-    /// An operation referenced an aggregation instance that does not exist on
-    /// this node.
-    UnknownInstance {
-        /// Identifier of the missing instance.
-        instance: u64,
-    },
     /// The value vector handed to a whole-network algorithm was empty.
     EmptyNetwork,
     /// A numeric argument was not finite (NaN or infinite).
@@ -52,16 +39,6 @@ impl fmt::Display for AggregationError {
             AggregationError::InvalidConfig { reason } => {
                 write!(f, "invalid configuration: {reason}")
             }
-            AggregationError::StaleEpoch {
-                message_epoch,
-                local_epoch,
-            } => write!(
-                f,
-                "stale epoch {message_epoch} (local epoch is {local_epoch})"
-            ),
-            AggregationError::UnknownInstance { instance } => {
-                write!(f, "unknown aggregation instance {instance}")
-            }
             AggregationError::EmptyNetwork => write!(f, "the network contains no nodes"),
             AggregationError::NonFiniteValue { value, what } => {
                 write!(f, "{what} must be finite, got {value}")
@@ -81,15 +58,6 @@ mod tests {
         assert!(AggregationError::invalid_config("cycle length is zero")
             .to_string()
             .contains("cycle length is zero"));
-        assert!(AggregationError::StaleEpoch {
-            message_epoch: 3,
-            local_epoch: 7
-        }
-        .to_string()
-        .contains("stale epoch 3"));
-        assert!(AggregationError::UnknownInstance { instance: 9 }
-            .to_string()
-            .contains("instance 9"));
         assert!(AggregationError::EmptyNetwork
             .to_string()
             .contains("no nodes"));

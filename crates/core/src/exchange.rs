@@ -11,8 +11,8 @@
 //! never in protocol semantics.
 //!
 //! The core is deliberately split into resumable halves —
-//! [`ExchangeCore::begin`], [`ExchangeCore::respond`] and
-//! [`ExchangeCore::complete`] — because message-passing runtimes (the wire
+//! [`ExchangeCore::begin`] on the initiator and [`ExchangeCore::deliver`]
+//! for each message in flight — because message-passing runtimes (the wire
 //! cluster, the event engine, the live runtime) execute the two sides of an
 //! exchange with a message hop in between. With both nodes in hand, an
 //! engine runs the one kernel, [`ExchangeCore::exchange_instances`], without
@@ -115,42 +115,6 @@ impl ExchangeCore {
         !pushes.is_empty()
     }
 
-    /// Passive step: the peer absorbs each push and produces replies.
-    ///
-    /// For every push the loss model is consulted once for the push itself
-    /// and — when the peer produced a reply — once for the reply; surviving
-    /// replies are appended to `replies` in push order. Lost messages are
-    /// counted in `tally`.
-    pub fn respond(
-        peer: &mut ProtocolNode,
-        pushes: &[GossipMessage],
-        replies: &mut Vec<GossipMessage>,
-        lost: &mut impl FnMut() -> bool,
-        tally: &mut ExchangeTally,
-    ) {
-        for &push in pushes {
-            if lost() {
-                tally.messages_lost += 1;
-                continue;
-            }
-            let Some(reply) = peer.handle_message(push) else {
-                continue;
-            };
-            if lost() {
-                tally.messages_lost += 1;
-                continue;
-            }
-            replies.push(reply);
-        }
-    }
-
-    /// Final step: the initiator absorbs the surviving replies.
-    pub fn complete(initiator: &mut ProtocolNode, replies: &[GossipMessage]) {
-        for &reply in replies {
-            initiator.handle_message(reply);
-        }
-    }
-
     /// Delivers one in-flight message to a node, returning the reply to send
     /// back, if any. This is the entry point for engines that model message
     /// transit explicitly (the event-driven engine, live transports).
@@ -162,10 +126,11 @@ impl ExchangeCore {
     /// ([`ExchangeCore::exchange_instances`]) when the initiator may
     /// participate and the nodes are distinct, nothing otherwise.
     ///
-    /// Equivalent to [`ExchangeCore::begin`] → [`ExchangeCore::respond`] →
-    /// [`ExchangeCore::complete`], and bit-identical to that sequence in
-    /// both arithmetic and loss-draw order, whatever the nodes' epochs and
-    /// led instances. `scratch` is not used: both nodes own their state.
+    /// Equivalent to [`ExchangeCore::begin`], then [`ExchangeCore::deliver`]
+    /// of each push to the peer and of each surviving reply back to the
+    /// initiator, with the loss model consulted once per push and once per
+    /// produced reply — and bit-identical to that sequence in both arithmetic
+    /// and loss-draw order, whatever the nodes' epochs and led instances. `scratch` is not used: both nodes own their state.
     pub fn exchange(
         initiator: &mut ProtocolNode,
         peer: &mut ProtocolNode,
@@ -221,8 +186,8 @@ impl ExchangeCore {
     /// the peer before it absorbs, and every later push then shares its
     /// epoch. The initiator is untouched until its replies, which are
     /// independent across instances, so running each instance's reply right
-    /// after its push leaves the state and the draw order of `respond`
-    /// followed by `complete`. The peer's led instances the initiator does
+    /// after its push leaves the state and the draw order of the message
+    /// path. The peer's led instances the initiator does
     /// not carry are untouched.
     #[allow(clippy::too_many_arguments)] // the initiator's parts are the kernel's slices
     #[inline]
@@ -297,6 +262,46 @@ mod tests {
     use crate::config::{LateJoinPolicy, ProtocolConfig};
     use crate::protocol::InstanceTag;
     use proptest::prelude::*;
+
+    /// The message path of one exchange, the reference the kernel is held
+    /// to: the passive and final halves of `begin` → `respond` → `complete`.
+    impl ExchangeCore {
+        /// Passive step: the peer absorbs each push and produces replies.
+        ///
+        /// For every push the loss model is consulted once for the push itself
+        /// and — when the peer produced a reply — once for the reply; surviving
+        /// replies are appended to `replies` in push order. Lost messages are
+        /// counted in `tally`.
+        fn respond(
+            peer: &mut ProtocolNode,
+            pushes: &[GossipMessage],
+            replies: &mut Vec<GossipMessage>,
+            lost: &mut impl FnMut() -> bool,
+            tally: &mut ExchangeTally,
+        ) {
+            for &push in pushes {
+                if lost() {
+                    tally.messages_lost += 1;
+                    continue;
+                }
+                let Some(reply) = peer.handle_message(push) else {
+                    continue;
+                };
+                if lost() {
+                    tally.messages_lost += 1;
+                    continue;
+                }
+                replies.push(reply);
+            }
+        }
+
+        /// Final step: the initiator absorbs the surviving replies.
+        fn complete(initiator: &mut ProtocolNode, replies: &[GossipMessage]) {
+            for &reply in replies {
+                initiator.handle_message(reply);
+            }
+        }
+    }
 
     fn node(id: u32, value: f64) -> ProtocolNode {
         ProtocolNode::new(NodeId::new(id as usize), ProtocolConfig::default(), value)
@@ -581,7 +586,8 @@ mod tests {
     fn deliver_matches_handle_message() {
         let mut a = node(0, 2.0);
         let mut b = node(1, 6.0);
-        let pushes = a.begin_exchange(b.id());
+        let mut pushes = Vec::new();
+        assert!(ExchangeCore::begin(&mut a, b.id(), &mut pushes));
         let reply = ExchangeCore::deliver(&mut b, pushes[0]).expect("push produces a reply");
         assert!(ExchangeCore::deliver(&mut a, reply).is_none());
         assert_eq!(a.estimate(), Some(4.0));

@@ -22,18 +22,21 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`aggregate`] | the `AGGREGATE` functions: average, min/max, moments, booleans |
-//! | [`selectors`] | the `GETPAIR` strategies: PM, RAND, SEQ, PMRAND |
+//! | [`aggregate`] | the `AGGREGATE` functions, chosen by [`AggregateKind`]: average, min/max, moments, booleans |
+//! | [`selectors`] | the `GETPAIR` strategies, chosen by [`SelectorKind`]: PM, RAND, SEQ, PMRAND |
 //! | [`sampler`] | pluggable peer sampling: uniform-complete, static overlays, live NEWSCAST |
-//! | [`effects`] | injected runtime effects: clocks and labelled entropy streams |
+//! | [`effects`] | injected runtime effects: clocks and the [`SeedSequence`] |
 //! | [`avg`] | the whole-network `AVG` algorithm (Figure 2) and its per-cycle reports |
 //! | [`theory`] | closed-form convergence rates (Section 3) |
-//! | [`protocol`] | node-level push–pull state machine and wire messages (Figure 1) |
 //! | [`epoch`] | restart/termination/join machinery (Section 4) |
-//! | [`node`] | [`node::ProtocolNode`]: epochs + instances + message handling |
-//! | [`size_estimation`] | network size estimation by anti-entropy counting (Section 4) |
-//! | [`derived`] | variances, sums, counts derived from converged instances |
+//! | [`node`] | [`ProtocolNode`]: epochs + instances + message handling |
+//! | [`size_estimation`] | leader election and network size estimation by anti-entropy counting (Section 4) |
+//! | [`redundancy`] | redundant concurrent instances and the robust merge of their reports (Section 4) |
+//! | [`derived`] | [`derived::NetworkStatistics`]: variance, size and sum from converged instances |
 //! | [`config`] | protocol configuration builder |
+//!
+//! At the crate root, [`ExchangeCore`] is the one push–pull exchange every
+//! engine runs, over the wire messages of Figure 1 ([`GossipMessage`]).
 //!
 //! ## Quick start
 //!
@@ -71,6 +74,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod aggregate;
 pub mod avg;
@@ -79,27 +83,25 @@ pub mod derived;
 pub mod effects;
 pub mod epoch;
 mod error;
-pub mod exchange;
+pub(crate) mod exchange;
 pub mod node;
-pub mod protocol;
+pub(crate) mod protocol;
 pub mod redundancy;
 pub mod sampler;
 pub mod selectors;
 pub mod size_estimation;
 pub mod theory;
 
-pub use aggregate::{Aggregate, AggregateKind};
+pub use aggregate::AggregateKind;
 pub use config::{LateJoinPolicy, ProtocolConfig};
-pub use effects::{Clock, EntropySource, SeedSequence, SystemClock, VirtualClock};
+pub use effects::SeedSequence;
 pub use error::AggregationError;
 pub use exchange::{ExchangeCore, ExchangeScratch, ExchangeTally};
-pub use node::{EpochResult, HotView, LedSlot, NodeState, ProtocolNode};
-pub use protocol::{AggregationInstance, GossipMessage, InstanceTag};
-pub use redundancy::{
-    merge_estimates, redundant_size_estimate_from_epoch, MergePolicy, RedundancyConfig, ReportError,
-};
-pub use sampler::{PeerSampler, SamplerConfig, SamplerDirectory, UniformSampler};
-pub use selectors::{PairSelector, SelectorKind};
+pub use node::{EpochResult, HotView, ProtocolNode};
+pub use protocol::{GossipMessage, InstanceTag};
+pub use redundancy::ReportError;
+pub use sampler::SamplerConfig;
+pub use selectors::SelectorKind;
 
 #[cfg(test)]
 mod crate_level_tests {

@@ -1,14 +1,13 @@
 //! Per-node protocol driver: epochs, instances and message handling combined.
 //!
 //! [`ProtocolNode`] glues together the pieces defined elsewhere in this crate —
-//! [`crate::protocol::AggregationInstance`] state
-//! machines, the [`crate::epoch::EpochManager`] and the
-//! [`crate::config::ProtocolConfig`] — into the object a
-//! runtime (simulator or live transport) drives:
+//! per-instance `AggregationInstance` state machines, the
+//! [`crate::epoch::EpochManager`] and the [`crate::config::ProtocolConfig`] —
+//! into the object a runtime (simulator or live transport) drives:
 //!
 //! 1. once per cycle the runtime picks a peer and calls
-//!    [`ProtocolNode::begin_exchange`], sending the returned messages;
-//! 2. every received message goes through [`ProtocolNode::handle_message`],
+//!    [`crate::ExchangeCore::begin`], sending the returned messages;
+//! 2. every received message goes through [`crate::ExchangeCore::deliver`],
 //!    and any returned reply is sent back;
 //! 3. at the end of each cycle the runtime calls [`ProtocolNode::end_cycle`],
 //!    which advances the epoch machinery and reports converged epoch results.
@@ -28,7 +27,7 @@ pub struct EpochResult {
     /// Estimates of every instance that was live during the epoch, keyed by
     /// instance tag, already passed through the aggregate's estimate
     /// transform.
-    pub estimates: Vec<(InstanceTag, f64)>,
+    pub(crate) estimates: Vec<(InstanceTag, f64)>,
     /// Whether this node participated in the epoch from its first cycle; only
     /// then is the estimate a converged, trustworthy value.
     pub full_participation: bool,
@@ -39,7 +38,7 @@ impl EpochResult {
     /// `state` and led instances `led`: the default estimate first, then the
     /// led ones in tag order ([`InstanceTag::DEFAULT`] sorts before every
     /// leader-derived tag).
-    pub fn report(
+    pub(crate) fn report(
         epoch: u64,
         kind: AggregateKind,
         state: f64,
@@ -90,11 +89,11 @@ pub struct HotView {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LedSlot {
     /// The instance.
-    pub tag: InstanceTag,
+    pub(crate) tag: InstanceTag,
     /// Its running approximation.
-    pub state: f64,
+    pub(crate) state: f64,
     /// Exchanges it has completed this epoch.
-    pub exchanges: u32,
+    pub(crate) exchanges: u32,
 }
 
 impl LedSlot {
@@ -117,6 +116,7 @@ impl LedSlot {
 /// ```
 /// use aggregate_core::node::ProtocolNode;
 /// use aggregate_core::config::ProtocolConfig;
+/// use aggregate_core::ExchangeCore;
 /// use overlay_topology::NodeId;
 ///
 /// let config = ProtocolConfig::default();
@@ -124,9 +124,11 @@ impl LedSlot {
 /// let mut b = ProtocolNode::new(NodeId::new(1), config, 20.0);
 ///
 /// // One push–pull exchange initiated by a towards b.
-/// for push in a.begin_exchange(NodeId::new(1)) {
-///     if let Some(reply) = b.handle_message(push) {
-///         a.handle_message(reply);
+/// let mut pushes = Vec::new();
+/// assert!(ExchangeCore::begin(&mut a, NodeId::new(1), &mut pushes));
+/// for push in pushes {
+///     if let Some(reply) = ExchangeCore::deliver(&mut b, push) {
+///         ExchangeCore::deliver(&mut a, reply);
 ///     }
 /// }
 /// assert_eq!(a.estimate(), Some(15.0));
@@ -222,11 +224,6 @@ impl ProtocolNode {
         self.id
     }
 
-    /// The protocol configuration.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
     /// The node's local attribute value `a_i`.
     #[inline]
     pub fn local_value(&self) -> f64 {
@@ -317,12 +314,6 @@ impl ProtocolNode {
         self.epochs.can_participate()
     }
 
-    /// Whether the node has participated in the current epoch since its first
-    /// cycle.
-    pub fn participated_from_epoch_start(&self) -> bool {
-        self.epochs.participated_from_epoch_start()
-    }
-
     /// Snapshot of the state a dense struct-of-arrays store keeps of a
     /// steady-state node.
     ///
@@ -363,21 +354,12 @@ impl ProtocolNode {
         self.start_led(tag, initial_state);
     }
 
-    /// Active half of the protocol (Figure 1's "active process"): produces the
-    /// push messages for one exchange with `peer`, one per live instance.
-    ///
-    /// Returns an empty vector when the node is not yet allowed to
-    /// participate.
-    pub fn begin_exchange(&mut self, peer: NodeId) -> Vec<GossipMessage> {
-        let mut pushes = Vec::new();
-        self.begin_exchange_into(peer, &mut pushes);
-        pushes
-    }
-
-    /// Allocation-free variant of [`ProtocolNode::begin_exchange`]: appends
-    /// the push messages to a caller-owned buffer, so engines driving millions
-    /// of exchanges per cycle can reuse one scratch vector.
-    pub fn begin_exchange_into(&mut self, peer: NodeId, pushes: &mut Vec<GossipMessage>) {
+    /// Active half of the protocol (Figure 1's "active process"): appends the
+    /// push messages for one exchange with `peer`, one per live instance, to
+    /// a caller-owned buffer, so engines driving millions of exchanges per
+    /// cycle can reuse one scratch vector. Appends nothing when the node is
+    /// not yet allowed to participate.
+    pub(crate) fn begin_exchange_into(&mut self, peer: NodeId, pushes: &mut Vec<GossipMessage>) {
         if !self.epochs.can_participate() || peer == self.id {
             return;
         }
@@ -403,7 +385,7 @@ impl ProtocolNode {
     /// Stale messages (older epoch) are dropped; messages from a newer epoch
     /// first trigger the epoch jump (restarting all instances) and are then
     /// processed inside the new epoch.
-    pub fn handle_message(&mut self, message: GossipMessage) -> Option<GossipMessage> {
+    pub(crate) fn handle_message(&mut self, message: GossipMessage) -> Option<GossipMessage> {
         if !self.accept(message.epoch()) {
             return None;
         }
@@ -614,8 +596,15 @@ mod tests {
             .unwrap()
     }
 
+    /// The push messages `node` sends `peer` to begin one exchange.
+    fn pushes(node: &mut ProtocolNode, peer: NodeId) -> Vec<GossipMessage> {
+        let mut pushes = Vec::new();
+        node.begin_exchange_into(peer, &mut pushes);
+        pushes
+    }
+
     fn exchange(a: &mut ProtocolNode, b: &mut ProtocolNode) {
-        for push in a.begin_exchange(b.id()) {
+        for push in pushes(a, b.id()) {
             if let Some(reply) = b.handle_message(push) {
                 a.handle_message(reply);
             }
@@ -636,7 +625,7 @@ mod tests {
     fn self_exchange_is_a_no_op() {
         let config = ProtocolConfig::default();
         let mut a = ProtocolNode::new(NodeId::new(0), config, 5.0);
-        assert!(a.begin_exchange(NodeId::new(0)).is_empty());
+        assert!(pushes(&mut a, NodeId::new(0)).is_empty());
     }
 
     #[test]
@@ -648,9 +637,9 @@ mod tests {
         // still tagged with epoch 0.
         b.end_cycle();
         assert_eq!(b.current_epoch(), 1);
-        let pushes = a.begin_exchange(b.id());
-        assert_eq!(pushes.len(), 1);
-        assert!(b.handle_message(pushes[0]).is_none());
+        let sent = pushes(&mut a, b.id());
+        assert_eq!(sent.len(), 1);
+        assert!(b.handle_message(sent[0]).is_none());
         // b's estimate is untouched.
         assert_eq!(b.estimate(), Some(3.0));
     }
@@ -671,7 +660,7 @@ mod tests {
         // local value and then absorb the push.
         exchange(&mut b, &mut a);
         assert_eq!(a.current_epoch(), 1);
-        assert!(!a.participated_from_epoch_start());
+        assert!(!a.epochs.participated_from_epoch_start());
         // After restart a's state was 1.0 (its local value), b pushed 3.0.
         assert_eq!(a.estimate(), Some(2.0));
         assert_eq!(b.estimate(), Some(2.0));
@@ -711,10 +700,10 @@ mod tests {
         let mut veteran = ProtocolNode::new(NodeId::new(0), config, 4.0);
         let mut newcomer = ProtocolNode::joining(NodeId::new(1), config, 100.0, 1, 3);
         assert!(!newcomer.can_participate());
-        assert!(newcomer.begin_exchange(veteran.id()).is_empty());
+        assert!(pushes(&mut newcomer, veteran.id()).is_empty());
         // Pushes from the running epoch 0 are stale for the newcomer.
-        let pushes = veteran.begin_exchange(newcomer.id());
-        assert!(newcomer.handle_message(pushes[0]).is_none());
+        let sent = pushes(&mut veteran, newcomer.id());
+        assert!(newcomer.handle_message(sent[0]).is_none());
         assert_eq!(newcomer.estimate(), Some(100.0));
         // A message tagged with the awaited epoch activates it.
         let mut future_peer = ProtocolNode::new(NodeId::new(2), config, 8.0);
@@ -722,8 +711,8 @@ mod tests {
             future_peer.end_cycle();
         }
         assert_eq!(future_peer.current_epoch(), 1);
-        let pushes = future_peer.begin_exchange(newcomer.id());
-        assert!(newcomer.handle_message(pushes[0]).is_some());
+        let sent = pushes(&mut future_peer, newcomer.id());
+        assert!(newcomer.handle_message(sent[0]).is_some());
         assert!(newcomer.can_participate());
         assert_eq!(newcomer.estimate(), Some(54.0)); // (100 + 8) / 2
     }
@@ -791,9 +780,9 @@ mod tests {
         let config = ProtocolConfig::default();
         let node = ProtocolNode::new(NodeId::new(3), config, 2.0);
         assert_eq!(node.id(), NodeId::new(3));
-        assert_eq!(node.config().cycles_per_epoch(), 30);
+        assert_eq!(node.config.cycles_per_epoch(), 30);
         assert_eq!(node.instance_estimate(InstanceTag::DEFAULT), Some(2.0));
         assert_eq!(node.instance_estimate(InstanceTag(5)), None);
-        assert!(node.participated_from_epoch_start());
+        assert!(node.epochs.participated_from_epoch_start());
     }
 }

@@ -87,45 +87,17 @@ impl GossipMessage {
     }
 
     /// The epoch stamped on this message.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         match self {
             GossipMessage::Push { epoch, .. } | GossipMessage::Reply { epoch, .. } => *epoch,
-        }
-    }
-
-    /// The instance tag stamped on this message.
-    pub fn instance(&self) -> InstanceTag {
-        match self {
-            GossipMessage::Push { instance, .. } | GossipMessage::Reply { instance, .. } => {
-                *instance
-            }
         }
     }
 }
 
 /// Per-instance protocol state of one node: the local attribute value `a_i`,
 /// the current approximation `x_i` and book-keeping for epochs.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::protocol::AggregationInstance;
-/// use aggregate_core::aggregate::AggregateKind;
-///
-/// // Two nodes holding 10 and 30.
-/// let mut a = AggregationInstance::new(AggregateKind::Average, 10.0, 0);
-/// let mut b = AggregationInstance::new(AggregateKind::Average, 30.0, 0);
-///
-/// // a initiates: sends its estimate, b replies with its own pre-update value.
-/// let push_value = a.initiate();
-/// let reply_value = b.absorb_push(push_value);
-/// a.absorb_reply(reply_value);
-///
-/// assert_eq!(a.estimate(), 20.0);
-/// assert_eq!(b.estimate(), 20.0);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggregationInstance {
+pub(crate) struct AggregationInstance {
     kind: AggregateKind,
     local_value: f64,
     state: f64,
@@ -136,7 +108,7 @@ pub struct AggregationInstance {
 impl AggregationInstance {
     /// Creates an instance for `kind`, initialising the approximation from the
     /// node's local attribute value (`x_i := a_i`, the paper's time-0 state).
-    pub fn new(kind: AggregateKind, local_value: f64, epoch: u64) -> Self {
+    pub(crate) fn new(kind: AggregateKind, local_value: f64, epoch: u64) -> Self {
         AggregationInstance {
             kind,
             local_value,
@@ -150,7 +122,7 @@ impl AggregationInstance {
     /// than derived from the local value. Used by the network-size estimator,
     /// where non-leader nodes start from `0.0` regardless of their local
     /// attribute.
-    pub fn with_initial_state(
+    pub(crate) fn with_initial_state(
         kind: AggregateKind,
         local_value: f64,
         state: f64,
@@ -167,42 +139,32 @@ impl AggregationInstance {
 
     /// The aggregate this instance computes.
     #[inline]
-    pub fn kind(&self) -> AggregateKind {
+    pub(crate) fn kind(&self) -> AggregateKind {
         self.kind
-    }
-
-    /// The node's local attribute value `a_i`.
-    pub fn local_value(&self) -> f64 {
-        self.local_value
     }
 
     /// Updates the local attribute value. The running approximation is *not*
     /// touched — the new value takes effect when the next epoch restarts the
     /// instance, which is exactly how the paper makes the protocol adaptive.
-    pub fn set_local_value(&mut self, value: f64) {
+    pub(crate) fn set_local_value(&mut self, value: f64) {
         self.local_value = value;
     }
 
-    /// The epoch this instance is currently executing.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of exchanges this instance has completed in the current epoch.
-    pub fn exchanges(&self) -> u32 {
+    pub(crate) fn exchanges(&self) -> u32 {
         self.exchanges
     }
 
     /// The raw internal state `x_i` (before the aggregate's estimate
     /// transform). This is the value that travels in messages.
     #[inline]
-    pub fn state(&self) -> f64 {
+    pub(crate) fn state(&self) -> f64 {
         self.state
     }
 
     /// The user-facing estimate of the aggregate.
     #[inline]
-    pub fn estimate(&self) -> f64 {
+    pub(crate) fn estimate(&self) -> f64 {
         self.kind.estimate_value(self.state)
     }
 
@@ -211,7 +173,7 @@ impl AggregationInstance {
     /// exchange counter in one call, leaving the kind and local value
     /// untouched. Equivalent to replaying the stored exchanges and epoch
     /// restarts on this instance.
-    pub fn restore_hot(&mut self, epoch: u64, state: f64, exchanges: u32) {
+    pub(crate) fn restore_hot(&mut self, epoch: u64, state: f64, exchanges: u32) {
         self.epoch = epoch;
         self.state = state;
         self.exchanges = exchanges;
@@ -226,13 +188,13 @@ impl AggregationInstance {
     /// attribute — so subsequent exchanges dilute the corruption and the
     /// next epoch restart flushes it, exactly the recovery behaviour the
     /// robustness experiments measure.
-    pub fn corrupt_state(&mut self, state: f64) {
+    pub(crate) fn corrupt_state(&mut self, state: f64) {
         self.state = state;
     }
 
     /// Active side, step 1: returns the approximation to push to the peer.
     #[inline]
-    pub fn initiate(&self) -> f64 {
+    pub(crate) fn initiate(&self) -> f64 {
         self.state
     }
 
@@ -240,13 +202,13 @@ impl AggregationInstance {
     /// send back (the *pre-update* local approximation, as in Figure 1 where
     /// node `n_j` first sends `x_j` and then sets `x_j := aggregate(x_j, x_i)`).
     #[inline]
-    pub fn absorb_push(&mut self, pushed: f64) -> f64 {
+    pub(crate) fn absorb_push(&mut self, pushed: f64) -> f64 {
         crate::exchange::absorb(self.kind, &mut self.state, &mut self.exchanges, pushed)
     }
 
     /// Active side, step 2: absorbs the reply and completes the exchange.
     #[inline]
-    pub fn absorb_reply(&mut self, replied: f64) {
+    pub(crate) fn absorb_reply(&mut self, replied: f64) {
         crate::exchange::absorb(self.kind, &mut self.state, &mut self.exchanges, replied);
     }
 
@@ -287,7 +249,6 @@ mod tests {
         assert_eq!(push.sender(), NodeId::new(1));
         assert_eq!(push.recipient(), NodeId::new(2));
         assert_eq!(push.epoch(), 3);
-        assert_eq!(push.instance(), InstanceTag(7));
 
         let reply = GossipMessage::Reply {
             from: NodeId::new(2),

@@ -163,12 +163,12 @@ pub trait PeerSampler: fmt::Debug {
 
 /// Upper bound on the stale picks [`sample_live_peer`] heals per exchange
 /// attempt before giving up on the initiator for this cycle.
-pub const MAX_SAMPLE_ATTEMPTS: usize = 8;
+pub(crate) const MAX_SAMPLE_ATTEMPTS: usize = 8;
 
 /// Samples a *live* peer for the initiator at `initiator_pos`, healing stale
 /// picks along the way.
 ///
-/// Up to [`MAX_SAMPLE_ATTEMPTS`] times: ask the sampler for a peer; if the
+/// Up to `MAX_SAMPLE_ATTEMPTS` (8) times: ask the sampler for a peer; if the
 /// directory confirms it live, return it; otherwise report the failure
 /// (so cached views evict the dead descriptor) and retry. Returns `None`
 /// when the sampler runs out of candidates — the engine simply skips this

@@ -8,10 +8,10 @@
 //!
 //! | selector | paper name | per-cycle variance reduction `E(2^-φ)` |
 //! |---|---|---|
-//! | [`PerfectMatchingSelector`] | `GETPAIR_PM` | 1/4 (optimal) |
+//! | [`SelectorKind::PerfectMatching`] | `GETPAIR_PM` | 1/4 (optimal) |
 //! | [`RandomEdgeSelector`] | `GETPAIR_RAND` | 1/e ≈ 0.368 |
 //! | [`SequentialSelector`] | `GETPAIR_SEQ` | ≈ 1/(2√e) ≈ 0.303 |
-//! | [`PmRandSelector`] | `GETPAIR_PMRAND` | 1/(2√e) (analysis proxy for SEQ) |
+//! | [`SelectorKind::PmRand`] | `GETPAIR_PMRAND` | 1/(2√e) (analysis proxy for SEQ) |
 //!
 //! All selectors are *value blind*: they never look at the numbers stored at
 //! the nodes, only at the overlay topology, exactly as required by the paper's
@@ -23,8 +23,8 @@ mod pmrand;
 mod random_edge;
 mod sequential;
 
-pub use perfect_matching::PerfectMatchingSelector;
-pub use pmrand::PmRandSelector;
+pub(crate) use perfect_matching::PerfectMatchingSelector;
+pub(crate) use pmrand::PmRandSelector;
 pub use random_edge::RandomEdgeSelector;
 pub use sequential::SequentialSelector;
 
@@ -123,29 +123,6 @@ impl std::fmt::Display for SelectorKind {
     }
 }
 
-/// Counts how many times each node participates in the pairs produced during
-/// one cycle — the random variable `φ` of Theorem 1.
-///
-/// Helper shared by tests and benchmarks that validate selector behaviour
-/// against the distributions assumed in the paper (φ ≡ 2 for PM, Poisson(2)
-/// for RAND, 1 + Poisson(1) for SEQ).
-pub fn contact_counts(
-    selector: &mut dyn PairSelector,
-    topology: &dyn Topology,
-    rng: &mut dyn RngCore,
-) -> Vec<u32> {
-    let n = topology.len();
-    let mut counts = vec![0u32; n];
-    selector.begin_cycle(topology, rng);
-    for _ in 0..n {
-        if let Some((a, b)) = selector.next_pair(topology, rng) {
-            counts[a.index()] += 1;
-            counts[b.index()] += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,6 +131,29 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(1)
+    }
+
+    /// Counts how many times each node participates in the pairs produced during
+    /// one cycle — the random variable `φ` of Theorem 1.
+    ///
+    /// Shared by the selector tests that validate selector behaviour against the
+    /// distributions assumed in the paper (φ ≡ 2 for PM, Poisson(2)
+    /// for RAND, 1 + Poisson(1) for SEQ).
+    pub(crate) fn contact_counts(
+        selector: &mut dyn PairSelector,
+        topology: &dyn Topology,
+        rng: &mut dyn RngCore,
+    ) -> Vec<u32> {
+        let n = topology.len();
+        let mut counts = vec![0u32; n];
+        selector.begin_cycle(topology, rng);
+        for _ in 0..n {
+            if let Some((a, b)) = selector.next_pair(topology, rng) {
+                counts[a.index()] += 1;
+                counts[b.index()] += 1;
+            }
+        }
+        counts
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 ///   albeit without the optimality guarantee, which only holds for complete
 ///   overlays anyway.
 #[derive(Debug, Default)]
-pub struct PerfectMatchingSelector {
+pub(crate) struct PerfectMatchingSelector {
     /// Pairs remaining in the current matching.
     queue: VecDeque<(NodeId, NodeId)>,
     /// The shuffled permutation behind the current matching (complete-topology
@@ -41,7 +41,7 @@ pub struct PerfectMatchingSelector {
 
 impl PerfectMatchingSelector {
     /// Creates a new perfect-matching selector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -165,7 +165,7 @@ impl PairSelector for PerfectMatchingSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selectors::contact_counts;
+    use crate::selectors::tests::contact_counts;
     use overlay_topology::{generators, CompleteTopology};
     use rand::SeedableRng;
     use std::collections::HashSet;

@@ -17,7 +17,7 @@ use rand::RngCore;
 /// substitution step of the analysis can itself be validated empirically
 /// (benchmark E1 compares SEQ and PMRAND side by side).
 #[derive(Debug, Default)]
-pub struct PmRandSelector {
+pub(crate) struct PmRandSelector {
     pm: PerfectMatchingSelector,
     rand: RandomEdgeSelector,
     calls_in_cycle: usize,
@@ -26,7 +26,7 @@ pub struct PmRandSelector {
 
 impl PmRandSelector {
     /// Creates a new PM+RAND composite selector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -62,7 +62,7 @@ impl PairSelector for PmRandSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selectors::contact_counts;
+    use crate::selectors::tests::contact_counts;
     use crate::theory;
     use overlay_topology::CompleteTopology;
     use rand::SeedableRng;

@@ -59,7 +59,7 @@ impl PairSelector for RandomEdgeSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selectors::contact_counts;
+    use crate::selectors::tests::contact_counts;
     use crate::theory;
     use overlay_topology::{generators, CompleteTopology};
     use rand::SeedableRng;

@@ -77,7 +77,7 @@ impl PairSelector for SequentialSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selectors::contact_counts;
+    use crate::selectors::tests::contact_counts;
     use crate::theory;
     use overlay_topology::{generators, CompleteTopology, Graph};
     use rand::SeedableRng;

@@ -7,13 +7,16 @@
 //! leader at the beginning of an epoch with a small probability — and every
 //! instance is tagged with its leader's identity so the exchanges never mix.
 //!
-//! This module provides the leader-election policies, the glue that installs a
-//! counting instance on a [`ProtocolNode`] and the combination of concurrent
-//! instances into a single size estimate.
+//! This module provides the leader-election policies, the election draw and
+//! the combination of concurrent instances into a single size estimate. A
+//! winning node installs its counting instance with
+//! [`ProtocolNode::start_led_instance`], tagged by [`InstanceTag::from_leader`]
+//! and seeded with `1.0`.
+//!
+//! [`ProtocolNode::start_led_instance`]: crate::node::ProtocolNode::start_led_instance
 
 use crate::aggregate::CountInit;
-use crate::config::{LateJoinPolicy, ProtocolConfig};
-use crate::node::{EpochResult, ProtocolNode};
+use crate::node::EpochResult;
 use crate::protocol::InstanceTag;
 use crate::AggregationError;
 use rand::Rng;
@@ -46,7 +49,7 @@ pub enum LeaderPolicy {
 impl LeaderPolicy {
     /// The election probability for a node, given the previous size estimate
     /// (if any).
-    pub fn probability(&self, previous_estimate: Option<f64>) -> f64 {
+    pub(crate) fn probability(&self, previous_estimate: Option<f64>) -> f64 {
         match *self {
             LeaderPolicy::Fixed { probability } => probability.clamp(0.0, 1.0),
             LeaderPolicy::Adaptive {
@@ -107,40 +110,6 @@ impl Default for LeaderPolicy {
     }
 }
 
-/// Returns the [`ProtocolConfig`] appropriate for network-size estimation:
-/// averaging aggregate and, crucially, a `FixedState(0.0)` late-join policy so
-/// that every node other than the leader contributes `0` to a counting
-/// instance it first hears about from a peer.
-pub fn size_estimation_config(cycles_per_epoch: u32) -> Result<ProtocolConfig, AggregationError> {
-    ProtocolConfig::builder()
-        .cycles_per_epoch(cycles_per_epoch)
-        .late_join(LateJoinPolicy::FixedState(0.0))
-        .build()
-}
-
-/// Runs the per-epoch leader election on `node`: with the policy's probability
-/// the node starts a counting instance tagged with its own identity and seeded
-/// with `1.0`. Returns `true` if the node became a leader.
-///
-/// Call this at the beginning of every epoch, after the previous epoch's
-/// instances have been dropped.
-pub fn elect_leader<R: Rng + ?Sized>(
-    node: &mut ProtocolNode,
-    policy: LeaderPolicy,
-    previous_estimate: Option<f64>,
-    rng: &mut R,
-) -> bool {
-    if node.can_participate() && wins_election(policy, previous_estimate, rng) {
-        node.start_led_instance(
-            InstanceTag::from_leader(node.id()),
-            CountInit::initial_value(true),
-        );
-        true
-    } else {
-        false
-    }
-}
-
 /// The election draw of one participating node: `true` with the policy's
 /// probability. A probability of zero draws nothing.
 pub fn wins_election<R: Rng + ?Sized>(
@@ -162,7 +131,7 @@ pub fn wins_election<R: Rng + ?Sized>(
 ///
 /// Returns `None` when the node observed no counting instance or when the
 /// pooled average is non-positive.
-pub fn combine_size_estimates(instance_states: &[f64]) -> Option<f64> {
+pub(crate) fn combine_size_estimates(instance_states: &[f64]) -> Option<f64> {
     if instance_states.is_empty() {
         return None;
     }
@@ -198,6 +167,8 @@ pub fn size_estimate_from_epoch(result: &EpochResult) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{LateJoinPolicy, ProtocolConfig};
+    use crate::node::ProtocolNode;
     use overlay_topology::NodeId;
     use rand::SeedableRng;
 
@@ -253,42 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn elect_leader_installs_a_counting_instance() {
-        let config = size_estimation_config(30).unwrap();
-        let mut node = ProtocolNode::new(NodeId::new(7), config, 3.0);
-        let mut r = rng();
-        let became_leader = elect_leader(
-            &mut node,
-            LeaderPolicy::Fixed { probability: 1.0 },
-            None,
-            &mut r,
-        );
-        assert!(became_leader);
-        let tag = InstanceTag::from_leader(NodeId::new(7));
-        assert_eq!(node.instance_estimate(tag), Some(1.0));
-    }
-
-    #[test]
-    fn elect_leader_respects_probability_zero_and_passivity() {
-        let config = size_estimation_config(30).unwrap();
-        let mut r = rng();
-        let mut node = ProtocolNode::new(NodeId::new(1), config, 0.0);
-        assert!(!elect_leader(
-            &mut node,
-            LeaderPolicy::Fixed { probability: 0.0 },
-            None,
-            &mut r
-        ));
-        let mut joining = ProtocolNode::joining(NodeId::new(2), config, 0.0, 1, 10);
-        assert!(!elect_leader(
-            &mut joining,
-            LeaderPolicy::Fixed { probability: 1.0 },
-            None,
-            &mut r
-        ));
-    }
-
-    #[test]
     fn combine_size_estimates_pools_instances() {
         // Two instances, both converged to exactly 1/100.
         assert!((combine_size_estimates(&[0.01, 0.01]).unwrap() - 100.0).abs() < 1e-9);
@@ -331,29 +266,33 @@ mod tests {
     fn two_node_network_estimates_its_size() {
         // End-to-end miniature: leader + one other node, enough exchanges to
         // converge, then the epoch result yields N ≈ 2.
-        let config = size_estimation_config(4).unwrap();
+        // A peer that first hears of the counting instance joins it with 0.
+        let config = ProtocolConfig::builder()
+            .cycles_per_epoch(4)
+            .late_join(LateJoinPolicy::FixedState(0.0))
+            .build()
+            .unwrap();
         let mut leader = ProtocolNode::new(NodeId::new(0), config, 0.0);
         let mut other = ProtocolNode::new(NodeId::new(1), config, 0.0);
-        let mut r = rng();
-        assert!(elect_leader(
-            &mut leader,
+        assert!(wins_election(
             LeaderPolicy::Fixed { probability: 1.0 },
             None,
-            &mut r
+            &mut rng()
         ));
-        for _ in 0..3 {
-            for push in leader.begin_exchange(other.id()) {
+        leader.start_led_instance(InstanceTag::from_leader(leader.id()), 1.0);
+        let mut pushes = Vec::new();
+        for cycle in 0..4 {
+            pushes.clear();
+            leader.begin_exchange_into(other.id(), &mut pushes);
+            for &push in &pushes {
                 if let Some(reply) = other.handle_message(push) {
                     leader.handle_message(reply);
                 }
             }
-            leader.end_cycle();
-            other.end_cycle();
-        }
-        // Fourth cycle completes the epoch.
-        for push in leader.begin_exchange(other.id()) {
-            if let Some(reply) = other.handle_message(push) {
-                leader.handle_message(reply);
+            // The fourth cycle completes the epoch.
+            if cycle < 3 {
+                leader.end_cycle();
+                other.end_cycle();
             }
         }
         let result = leader.end_cycle().unwrap();

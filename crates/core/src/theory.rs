@@ -3,15 +3,14 @@
 //! The central quantity is the per-cycle variance-reduction factor
 //! `ρ = E(2^-φ)`, where `φ` is the number of exchanges a node participates in
 //! during one cycle (Theorem 1): `E(σ²_{i+1}) ≈ ρ · E(σ²_i)`. This module
-//! provides the paper's closed forms, the distributions of `φ` and utility
-//! functions (cycles needed for a target accuracy, predicted variance decay)
-//! used throughout the benchmarks (see the workspace `DESIGN.md` for the
-//! paper-to-bench mapping).
+//! provides the paper's closed forms of `ρ` for the pair selectors, `E(2^-φ)`
+//! for the distributions of `φ` the analysis assumes, and the number of
+//! cycles a target accuracy takes at a given rate. Selectors report their
+//! rate through [`crate::SelectorKind::theoretical_rate`]; the convergence
+//! tests and the `gossip-bench` targets compare measured reductions with
+//! these rates.
 
 use crate::AggregationError;
-
-/// Euler's number, re-exported for readability of the formulas below.
-pub const E: f64 = std::f64::consts::E;
 
 /// Per-cycle variance-reduction factor of `GETPAIR_PM` (perfect matching):
 /// every node is selected exactly twice per cycle, so `E(2^-φ) = 2⁻² = 1/4`.
@@ -35,15 +34,7 @@ pub fn seq_rate() -> f64 {
 /// `E(2^-φ)` for `φ ~ Poisson(λ)`.
 ///
 /// Closed form: `Σ_j 2^-j λ^j e^-λ / j! = e^-λ · e^(λ/2) = e^(-λ/2)`.
-///
-/// # Example
-///
-/// ```
-/// use aggregate_core::theory::expected_reduction_poisson;
-/// // The paper's GETPAIR_RAND case: λ = 2 gives 1/e.
-/// assert!((expected_reduction_poisson(2.0) - 1.0 / std::f64::consts::E).abs() < 1e-12);
-/// ```
-pub fn expected_reduction_poisson(lambda: f64) -> f64 {
+pub(crate) fn expected_reduction_poisson(lambda: f64) -> f64 {
     (-lambda / 2.0).exp()
 }
 
@@ -51,20 +42,8 @@ pub fn expected_reduction_poisson(lambda: f64) -> f64 {
 ///
 /// Closed form: `½ · e^(-λ/2)`. The paper's `GETPAIR_SEQ`/`GETPAIR_PMRAND`
 /// case is `λ = 1`, giving `1/(2√e)`.
-pub fn expected_reduction_shifted_poisson(lambda: f64) -> f64 {
+pub(crate) fn expected_reduction_shifted_poisson(lambda: f64) -> f64 {
     0.5 * (-lambda / 2.0).exp()
-}
-
-/// Probability mass function of the Poisson(λ) distribution at `k`.
-///
-/// Used by the φ-distribution validation tests and by the benchmark that
-/// reports the empirical distribution of per-node contacts next to the model.
-pub fn poisson_pmf(lambda: f64, k: u32) -> f64 {
-    let mut log_factorial = 0.0;
-    for i in 1..=k {
-        log_factorial += f64::from(i).ln();
-    }
-    (f64::from(k) * lambda.ln() - lambda - log_factorial).exp()
 }
 
 /// Number of cycles needed to reduce the variance to `target_ratio` of its
@@ -104,36 +83,27 @@ pub fn cycles_for_accuracy(rate: f64, target_ratio: f64) -> Result<u32, Aggregat
     Ok((ratio - 1e-9).ceil().max(0.0) as u32)
 }
 
-/// Predicted ratio `σ²_k / σ²_0` after `cycles` cycles at per-cycle reduction
-/// factor `rate` (pure geometric decay, equation (7) of the paper applied
-/// repeatedly).
-pub fn predicted_variance_ratio(rate: f64, cycles: u32) -> f64 {
-    rate.powi(cycles as i32)
-}
-
-/// Expected variance reduction of a single elementary exchange between two
-/// uncorrelated participants, relative to their contribution (Lemma 1).
-///
-/// For uncorrelated values with zero mean, replacing both `a_i` and `a_j` by
-/// their average removes, in expectation, half of each one's contribution to
-/// the empirical variance:
-/// `E(σ²_a − σ²_a') = (E(a_i²) + E(a_j²)) / (2(N−1))`.
-///
-/// This helper returns that expected reduction for given second moments and
-/// network size, and is used by tests validating Lemma 1 empirically.
-pub fn lemma1_expected_reduction(second_moment_i: f64, second_moment_j: f64, n: usize) -> f64 {
-    assert!(n >= 2, "Lemma 1 needs at least two nodes");
-    (second_moment_i + second_moment_j) / (2.0 * (n as f64 - 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::E;
+
+    /// Probability mass function of the Poisson(λ) distribution at `k`: the
+    /// law of `φ` the series evaluations below sum over.
+    fn poisson_pmf(lambda: f64, k: u32) -> f64 {
+        let mut log_factorial = 0.0;
+        for i in 1..=k {
+            log_factorial += f64::from(i).ln();
+        }
+        (f64::from(k) * lambda.ln() - lambda - log_factorial).exp()
+    }
 
     #[test]
     fn closed_forms_match_paper_constants() {
         assert!((PM_RATE - 0.25).abs() < 1e-15);
         assert!((rand_rate() - 1.0 / E).abs() < 1e-15);
+        // The paper's GETPAIR_RAND case: λ = 2 gives 1/e.
+        assert!((expected_reduction_poisson(2.0) - 1.0 / E).abs() < 1e-12);
         assert!((seq_rate() - 1.0 / (2.0 * E.sqrt())).abs() < 1e-15);
         // Numerical values quoted in the paper's Figure 3 caption.
         assert!((rand_rate() - 0.368).abs() < 1e-3);
@@ -206,27 +176,5 @@ mod tests {
         assert!(cycles_for_accuracy(-0.5, 0.5).is_err());
         assert!(cycles_for_accuracy(0.5, 0.0).is_err());
         assert!(cycles_for_accuracy(0.5, 1.5).is_err());
-    }
-
-    #[test]
-    fn predicted_variance_ratio_decays_geometrically() {
-        assert_eq!(predicted_variance_ratio(0.25, 0), 1.0);
-        assert_eq!(predicted_variance_ratio(0.25, 1), 0.25);
-        assert_eq!(predicted_variance_ratio(0.25, 2), 0.0625);
-        assert!((predicted_variance_ratio(rand_rate(), 7) - 1e-3).abs() < 2e-4);
-    }
-
-    #[test]
-    fn lemma1_reduction_scales_with_moments_and_network_size() {
-        let r = lemma1_expected_reduction(4.0, 4.0, 101);
-        assert!((r - 8.0 / 200.0).abs() < 1e-12);
-        let larger_network = lemma1_expected_reduction(4.0, 4.0, 1001);
-        assert!(larger_network < r);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two nodes")]
-    fn lemma1_requires_two_nodes() {
-        let _ = lemma1_expected_reduction(1.0, 1.0, 1);
     }
 }

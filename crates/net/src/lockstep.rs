@@ -442,6 +442,7 @@ impl VirtualCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggregate_core::size_estimation::LeaderPolicy;
     use aggregate_core::ProtocolConfig;
     use gossip_sim::GossipSimulation;
 
@@ -505,6 +506,28 @@ mod tests {
             VirtualCluster::new(bad_sampler, &[1.0, 2.0], 1).err(),
             Some(SimConfigError::Sampler { .. })
         ));
+        for policy in [
+            LeaderPolicy::Fixed { probability: 1.5 },
+            LeaderPolicy::Fixed {
+                probability: f64::NAN,
+            },
+            LeaderPolicy::Adaptive {
+                target_leaders: -3.0,
+                fallback_probability: 0.01,
+            },
+        ] {
+            let bad_policy = SimulationConfig {
+                leader_policy: Some(policy),
+                ..config
+            };
+            assert!(
+                matches!(
+                    VirtualCluster::new(bad_policy, &[1.0, 2.0], 1).err(),
+                    Some(SimConfigError::LeaderPolicy { .. })
+                ),
+                "{policy:?} must be rejected"
+            );
+        }
     }
 
     #[test]

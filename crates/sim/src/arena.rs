@@ -4,7 +4,7 @@
 //! `Vec<Option<Node>>` arena that always appends on join and leaves a `None`
 //! hole on departure leaks one slot per departure (≈100 000 dead slots per
 //! 500-cycle oscillation period) and its node indices grow without bound.
-//! [`NodeArena`] fixes both: departed slots go on a free list and are reused
+//! `NodeArena` fixes both: departed slots go on a free list and are reused
 //! by the next join, so capacity stays bounded by the peak number of
 //! simultaneously live nodes (plus the joins that land before the same
 //! cycle's departures).
@@ -15,11 +15,11 @@
 //! low bits of the raw `u32` are the slot index, the high bits count how many
 //! times the slot has been recycled.
 //!
-//! The exact bit split is an [`IdLayout`]. The single-threaded engine uses
-//! [`IdLayout::single`] — [`SLOT_BITS`] slot bits, the rest generation, so
+//! The exact bit split is an `IdLayout`. The single-threaded engine uses
+//! `IdLayout::single` — `SLOT_BITS` (21) slot bits, the rest generation, so
 //! identifiers of the initial population are plain indices and existing
 //! `NodeId::new(i)` call sites keep working. The sharded engine gives each
-//! shard its own sub-arena with [`IdLayout::sharded`], which additionally
+//! shard its own sub-arena with `IdLayout::sharded`, which additionally
 //! packs the owning shard's index between the slot and generation bits:
 //!
 //! ```text
@@ -41,14 +41,10 @@ use overlay_topology::NodeId;
 /// paper's 110 000-node peak — leaving 11 generation bits (2 048 reuses per
 /// slot before the counter wraps; with departures spread uniformly over the
 /// arena this covers hundreds of millions of churn events per run).
-pub const SLOT_BITS: u32 = 21;
-
-/// Maximum number of simultaneously allocated slots in the single-engine
-/// layout.
-pub const MAX_SLOTS: usize = 1 << SLOT_BITS;
+pub(crate) const SLOT_BITS: u32 = 21;
 
 /// Number of shard-index bits in the sharded layout ([`IdLayout::sharded`]).
-pub const SHARD_BITS: u32 = 4;
+pub(crate) const SHARD_BITS: u32 = 4;
 
 /// Maximum number of shards the sharded layout can address.
 pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
@@ -58,7 +54,7 @@ pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
 /// the million-node workload, and 8 generation bits remain (256 reuses per
 /// slot — at the Figure 4 churn rate of 200 events/cycle spread over ≥ 90 000
 /// slots this covers > 100 000 cycles per run).
-pub const SHARDED_SLOT_BITS: u32 = 20;
+pub(crate) const SHARDED_SLOT_BITS: u32 = 20;
 
 /// Sentinel for "slot is not live" in the slot → live-position map.
 const NOT_LIVE: u32 = u32::MAX;
@@ -66,7 +62,7 @@ const NOT_LIVE: u32 = u32::MAX;
 /// How a raw `u32` [`NodeId`] is split into slot, tag (shard) and generation
 /// bits: `[ generation | tag | slot ]`, lowest bits first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdLayout {
+pub(crate) struct IdLayout {
     slot_bits: u32,
     tag_bits: u32,
     tag: u32,
@@ -75,7 +71,7 @@ pub struct IdLayout {
 impl IdLayout {
     /// The single-engine layout: [`SLOT_BITS`] slot bits, no tag, 11
     /// generation bits. Generation-0 identifiers are plain indices.
-    pub const fn single() -> Self {
+    pub(crate) const fn single() -> Self {
         IdLayout {
             slot_bits: SLOT_BITS,
             tag_bits: 0,
@@ -90,7 +86,7 @@ impl IdLayout {
     /// # Panics
     ///
     /// Panics when `shard` does not fit in [`SHARD_BITS`] bits.
-    pub const fn sharded(shard: u32) -> Self {
+    pub(crate) const fn sharded(shard: u32) -> Self {
         assert!((shard as usize) < MAX_SHARDS, "shard index out of range");
         IdLayout {
             slot_bits: SHARDED_SLOT_BITS,
@@ -100,18 +96,13 @@ impl IdLayout {
     }
 
     /// Maximum number of simultaneously allocated slots under this layout.
-    pub const fn max_slots(&self) -> usize {
+    pub(crate) const fn max_slots(&self) -> usize {
         1 << self.slot_bits
     }
 
     /// Number of generation values before the per-slot counter wraps.
     const fn generation_limit(&self) -> u32 {
         1 << (32 - self.slot_bits - self.tag_bits)
-    }
-
-    /// The tag (shard index) this layout stamps into every identifier.
-    pub const fn tag(&self) -> u32 {
-        self.tag
     }
 
     /// Packs a slot index and generation (plus this layout's tag) into a
@@ -134,14 +125,14 @@ impl IdLayout {
     /// Extracts the shard index from an identifier minted under the sharded
     /// layout (any shard's instance decodes any sharded identifier).
     #[inline]
-    pub fn shard_of(id: NodeId) -> u32 {
+    pub(crate) fn shard_of(id: NodeId) -> u32 {
         (id.as_u32() >> SHARDED_SLOT_BITS) & ((1 << SHARD_BITS) - 1)
     }
 
     /// Extracts the slot index from an identifier minted under the sharded
     /// layout.
     #[inline]
-    pub fn sharded_slot_of(id: NodeId) -> u32 {
+    pub(crate) fn sharded_slot_of(id: NodeId) -> u32 {
         id.as_u32() & ((1 << SHARDED_SLOT_BITS) - 1)
     }
 }
@@ -170,7 +161,7 @@ struct Slot<T> {
 /// * `live_pos` maps a slot index back to its position in `live` so removal
 ///   by identifier is O(1) swap-remove rather than a linear scan.
 #[derive(Debug)]
-pub struct NodeArena<T = ProtocolNode> {
+pub(crate) struct NodeArena<T = ProtocolNode> {
     layout: IdLayout,
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
@@ -190,13 +181,13 @@ impl<T> NodeArena<T> {
     pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
 
     /// Creates an empty arena with the single-engine layout.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NodeArena::default()
     }
 
     /// Creates an empty arena minting identifiers under `layout` (the sharded
     /// engine passes [`IdLayout::sharded`] per sub-arena).
-    pub fn with_layout(layout: IdLayout) -> Self {
+    pub(crate) fn with_layout(layout: IdLayout) -> Self {
         NodeArena {
             layout,
             slots: Vec::new(),
@@ -206,41 +197,31 @@ impl<T> NodeArena<T> {
         }
     }
 
-    /// The identifier layout of this arena.
-    pub fn layout(&self) -> IdLayout {
-        self.layout
-    }
-
     /// Number of live nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live.len()
-    }
-
-    /// Whether no node is live.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
     }
 
     /// Number of allocated slots (live + reusable). This is the resident
     /// footprint of the arena; the churn tests assert it stays bounded by the
     /// peak live size plus the per-cycle churn.
-    pub fn slot_capacity(&self) -> usize {
+    pub(crate) fn slot_capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Number of dead slots currently awaiting reuse.
-    pub fn free_slots(&self) -> usize {
+    pub(crate) fn free_slots(&self) -> usize {
         self.free.len()
     }
 
     /// The dense array of live slot indices, in arena order.
-    pub fn live_slots(&self) -> &[u32] {
+    pub(crate) fn live_slots(&self) -> &[u32] {
         &self.live
     }
 
     /// The position of `slot` in the dense live array, or `None` when the
     /// slot is dead or out of range.
-    pub fn live_pos_of_slot(&self, slot: u32) -> Option<u32> {
+    pub(crate) fn live_pos_of_slot(&self, slot: u32) -> Option<u32> {
         match self.live_pos.get(slot as usize) {
             Some(&pos) if pos != NOT_LIVE => Some(pos),
             _ => None,
@@ -250,7 +231,7 @@ impl<T> NodeArena<T> {
     /// The slot of the live node with identifier `id` — `None` when the
     /// identifier is stale, foreign (minted by another shard's arena) or its
     /// slot is dead. The id-addressed analogue of [`NodeArena::id_at_slot`].
-    pub fn slot_of(&self, id: NodeId) -> Option<u32> {
+    pub(crate) fn slot_of(&self, id: NodeId) -> Option<u32> {
         let (slot, tag, generation) = self.layout.unpack(id);
         if tag != self.layout.tag {
             return None;
@@ -269,17 +250,17 @@ impl<T> NodeArena<T> {
     /// Panics when `slot` is out of bounds; returns a stale-generation id
     /// only if the caller raced an arena mutation, which the engine never
     /// does within a cycle.
-    pub fn id_at_slot(&self, slot: u32) -> NodeId {
+    pub(crate) fn id_at_slot(&self, slot: u32) -> NodeId {
         self.layout.pack(slot, self.slots[slot as usize].generation)
     }
 
     /// Read access to the live occupant of `slot`, if any.
-    pub fn node_at_slot(&self, slot: u32) -> Option<&T> {
+    pub(crate) fn node_at_slot(&self, slot: u32) -> Option<&T> {
         self.slots.get(slot as usize)?.node.as_ref()
     }
 
     /// Mutable access to the live occupant of `slot`, if any.
-    pub fn node_at_slot_mut(&mut self, slot: u32) -> Option<&mut T> {
+    pub(crate) fn node_at_slot_mut(&mut self, slot: u32) -> Option<&mut T> {
         self.slots.get_mut(slot as usize)?.node.as_mut()
     }
 
@@ -290,7 +271,7 @@ impl<T> NodeArena<T> {
     ///
     /// Panics when `a == b` (an exchange needs two distinct nodes; the
     /// schedulers guarantee this).
-    pub fn pair_mut(&mut self, a: u32, b: u32) -> (Option<&mut T>, Option<&mut T>) {
+    pub(crate) fn pair_mut(&mut self, a: u32, b: u32) -> (Option<&mut T>, Option<&mut T>) {
         assert_ne!(a, b, "pair_mut requires two distinct slots");
         let (lo, hi, swapped) = if a < b { (a, b, false) } else { (b, a, true) };
         let (head, tail) = self.slots.split_at_mut(hi as usize);
@@ -306,7 +287,7 @@ impl<T> NodeArena<T> {
     /// Resolves an identifier to its node — `None` when the slot is dead,
     /// the identifier's generation is stale (a previous occupant), or the
     /// identifier was minted by a different shard's arena.
-    pub fn get(&self, id: NodeId) -> Option<&T> {
+    pub(crate) fn get(&self, id: NodeId) -> Option<&T> {
         let (slot, tag, generation) = self.layout.unpack(id);
         if tag != self.layout.tag {
             return None;
@@ -319,7 +300,7 @@ impl<T> NodeArena<T> {
     }
 
     /// Mutable variant of [`NodeArena::get`].
-    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, id: NodeId) -> Option<&mut T> {
         let (slot, tag, generation) = self.layout.unpack(id);
         if tag != self.layout.tag {
             return None;
@@ -340,7 +321,7 @@ impl<T> NodeArena<T> {
     /// # Panics
     ///
     /// Panics when all of the layout's slots are simultaneously live.
-    pub fn insert_at(&mut self, make_node: impl FnOnce(NodeId) -> T) -> (NodeId, u32) {
+    pub(crate) fn insert_at(&mut self, make_node: impl FnOnce(NodeId) -> T) -> (NodeId, u32) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 // Recycled slot: bump the generation so identifiers of the
@@ -372,24 +353,8 @@ impl<T> NodeArena<T> {
     }
 
     /// [`NodeArena::insert_at`] returning only the identifier.
-    pub fn insert(&mut self, make_node: impl FnOnce(NodeId) -> T) -> NodeId {
+    pub(crate) fn insert(&mut self, make_node: impl FnOnce(NodeId) -> T) -> NodeId {
         self.insert_at(make_node).0
-    }
-
-    /// Removes the node with the given identifier. Returns `false` when the
-    /// identifier is stale or the slot is already dead.
-    pub fn remove(&mut self, id: NodeId) -> bool {
-        let (slot, tag, generation) = self.layout.unpack(id);
-        if tag != self.layout.tag {
-            return false;
-        }
-        match self.slots.get(slot as usize) {
-            Some(entry) if entry.generation == generation && entry.node.is_some() => {
-                self.remove_slot(slot);
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Removes the live node at position `pos` of the dense live array
@@ -398,14 +363,14 @@ impl<T> NodeArena<T> {
     /// # Panics
     ///
     /// Panics when `pos` is out of bounds.
-    pub fn remove_live_at(&mut self, pos: usize) {
+    pub(crate) fn remove_live_at(&mut self, pos: usize) {
         let slot = self.live[pos];
         self.remove_slot(slot);
     }
 
     /// Removes the live occupant of `slot`. Returns `false` when the slot is
     /// dead or out of bounds.
-    pub fn remove_slot_checked(&mut self, slot: u32) -> bool {
+    pub(crate) fn remove_slot_checked(&mut self, slot: u32) -> bool {
         match self.slots.get(slot as usize) {
             Some(entry) if entry.node.is_some() => {
                 self.remove_slot(slot);
@@ -438,6 +403,14 @@ mod tests {
         ProtocolNode::new(id, ProtocolConfig::default(), value)
     }
 
+    /// Removes the live node `id` names: `false` when `id` is stale,
+    /// foreign (minted by another shard's arena) or its slot is dead.
+    fn remove(arena: &mut NodeArena, id: NodeId) -> bool {
+        arena
+            .slot_of(id)
+            .is_some_and(|slot| arena.remove_slot_checked(slot))
+    }
+
     fn arena_with(n: usize) -> (NodeArena, Vec<NodeId>) {
         let mut arena = NodeArena::new();
         let ids = (0..n)
@@ -461,15 +434,15 @@ mod tests {
     #[test]
     fn removal_feeds_the_free_list_and_insert_reuses_it() {
         let (mut arena, ids) = arena_with(3);
-        assert!(arena.remove(ids[1]));
-        assert!(!arena.remove(ids[1]), "double removal is rejected");
+        assert!(remove(&mut arena, ids[1]));
+        assert!(!remove(&mut arena, ids[1]), "double removal is rejected");
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.free_slots(), 1);
 
         let newcomer = arena.insert(|id| make(id, 42.0));
         assert_eq!(arena.slot_capacity(), 3, "slot was reused, not appended");
         assert_eq!(arena.free_slots(), 0);
-        let (slot, tag, generation) = arena.layout().unpack(newcomer);
+        let (slot, tag, generation) = arena.layout.unpack(newcomer);
         assert_eq!(slot, 1);
         assert_eq!(tag, 0);
         assert_eq!(generation, 1);
@@ -480,12 +453,12 @@ mod tests {
     fn stale_ids_do_not_alias_the_new_occupant() {
         let (mut arena, ids) = arena_with(2);
         let stale = ids[0];
-        arena.remove(stale);
+        remove(&mut arena, stale);
         let fresh = arena.insert(|id| make(id, 7.0));
         assert_ne!(stale, fresh);
         assert!(arena.get(stale).is_none(), "stale id must not resolve");
         assert!(
-            !arena.remove(stale),
+            !remove(&mut arena, stale),
             "stale id must not remove the newcomer"
         );
         assert!(arena.get(fresh).is_some());
@@ -495,8 +468,8 @@ mod tests {
     #[test]
     fn live_positions_stay_consistent_under_swap_remove() {
         let (mut arena, ids) = arena_with(6);
-        arena.remove(ids[0]);
-        arena.remove(ids[3]);
+        remove(&mut arena, ids[0]);
+        remove(&mut arena, ids[3]);
         arena.remove_live_at(0);
         assert_eq!(arena.len(), 3);
         // Every live slot maps back to its own position.
@@ -540,7 +513,7 @@ mod tests {
         let mut arena = NodeArena::new();
         let mut id = arena.insert(|id| make(id, 0.0));
         for _ in 0..IdLayout::single().generation_limit() {
-            arena.remove(id);
+            remove(&mut arena, id);
             id = arena.insert(|id| make(id, 0.0));
         }
         // After the generation limit the counter is back to its start value
@@ -583,14 +556,14 @@ mod tests {
         // Same slot index, different shard tag: must not alias.
         assert!(a.get(id_b).is_none());
         assert!(b.get(id_a).is_none());
-        assert!(!a.remove(id_b));
+        assert!(!remove(&mut a, id_b));
         assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn pair_mut_returns_disjoint_borrows_in_caller_order() {
         let (mut arena, ids) = arena_with(3);
-        arena.remove(ids[1]);
+        remove(&mut arena, ids[1]);
         {
             let (x, y) = arena.pair_mut(2, 0);
             assert_eq!(x.unwrap().local_value(), 2.0);
@@ -613,7 +586,7 @@ mod tests {
         let (mut arena, ids) = arena_with(4);
         assert_eq!(arena.slot_of(ids[2]), Some(2));
         assert_eq!(arena.live_pos_of_slot(2), Some(2));
-        assert!(arena.remove(ids[2]));
+        assert!(remove(&mut arena, ids[2]));
         assert_eq!(arena.slot_of(ids[2]), None, "dead slot does not resolve");
         assert_eq!(arena.live_pos_of_slot(2), None);
         assert_eq!(arena.live_pos_of_slot(99), None, "out of range");

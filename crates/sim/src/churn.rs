@@ -13,11 +13,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSchedule {
     /// Smallest network size reached by the oscillation.
-    pub min_size: usize,
+    pub(crate) min_size: usize,
     /// Largest network size reached by the oscillation.
     pub max_size: usize,
     /// Full oscillation period in cycles (grow to max and shrink back to min).
-    pub period_cycles: usize,
+    pub(crate) period_cycles: usize,
     /// Additional simultaneous joins *and* departures per cycle.
     pub fluctuation_per_cycle: usize,
 }

@@ -427,7 +427,10 @@ impl Coordinator {
 /// estimator (median-of-k / trimmed merge over per-instance estimates) when
 /// redundancy is configured, the undefended state-pooling estimator
 /// otherwise.
-pub fn epoch_size_estimate(result: &EpochResult, redundancy: Option<MergePolicy>) -> Option<f64> {
+pub(crate) fn epoch_size_estimate(
+    result: &EpochResult,
+    redundancy: Option<MergePolicy>,
+) -> Option<f64> {
     match redundancy {
         Some(merge) => redundant_size_estimate_from_epoch(result, merge).ok(),
         None => size_estimation::size_estimate_from_epoch(result),

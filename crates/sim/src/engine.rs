@@ -101,12 +101,22 @@ impl SimulationConfig {
     ///
     /// [`SimConfigError::ZeroNodes`] for an empty population,
     /// [`SimConfigError::NonFiniteInitialValue`] for NaN/infinite initial
-    /// values and [`SimConfigError::InvalidConditions`] for failure
-    /// parameters that are not probabilities.
+    /// values, [`SimConfigError::InvalidConditions`] for failure
+    /// parameters that are not probabilities,
+    /// [`SimConfigError::Redundancy`] for a degenerate redundancy
+    /// configuration and [`SimConfigError::LeaderPolicy`] for a leader
+    /// policy whose probability or target is out of range.
     pub fn validate(&self, initial_values: &[f64]) -> Result<(), SimConfigError> {
         self.validate_conditions()?;
         if let Some(redundancy) = self.redundancy {
             redundancy.validate()?;
+        }
+        if let Some(policy) = self.leader_policy {
+            policy
+                .validate()
+                .map_err(|e| SimConfigError::LeaderPolicy {
+                    reason: e.to_string(),
+                })?;
         }
         crate::error::validate_initial_values(initial_values)
     }
@@ -359,18 +369,6 @@ impl GossipSimulation {
         self.coordinator.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
-    /// The accumulated telemetry counters (post-hoc readout).
-    pub fn telemetry_metrics(&self) -> &gossip_telemetry::MetricsRegistry {
-        self.coordinator.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
-    }
-
-    /// The peer-sampling configuration this simulation draws partners from
-    /// (surfaced by report tables so CSV artifacts distinguish
-    /// complete-graph from overlay-constrained runs).
-    pub fn sampler_config(&self) -> SamplerConfig {
-        self.coordinator.sampler.config()
-    }
-
     /// Number of live nodes.
     pub fn live_count(&self) -> usize {
         self.arena.len()
@@ -389,7 +387,7 @@ impl GossipSimulation {
     }
 
     /// The current cycle index.
-    pub fn cycle(&self) -> usize {
+    pub(crate) fn cycle(&self) -> usize {
         self.coordinator.cycle()
     }
 
@@ -451,17 +449,6 @@ impl GossipSimulation {
         id
     }
 
-    /// Removes a specific node (crash or departure). Returns `true` if the
-    /// node was live; stale identifiers from a slot's previous occupant are
-    /// rejected.
-    pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let removed = self.arena.remove(id);
-        if removed {
-            self.coordinator.departed(id, u64::from(id.as_u32()));
-        }
-        removed
-    }
-
     /// Removes `count` uniformly random live nodes (used by churn schedules
     /// and crash experiments). Returns the number actually removed.
     pub fn remove_random_nodes(&mut self, count: usize) -> usize {
@@ -474,8 +461,8 @@ impl GossipSimulation {
     /// The per-exchange node stepping is [`ExchangeCore::exchange`], the
     /// fused kernel the sharded engine's cold path drives too. Its
     /// arithmetic and loss-draw order equal the message path's
-    /// ([`ExchangeCore::begin`] → [`ExchangeCore::respond`] →
-    /// [`ExchangeCore::complete`]), which the wire cluster runs; the
+    /// ([`ExchangeCore::begin`], then [`ExchangeCore::deliver`] of each
+    /// message), which the wire cluster runs; the
     /// `/wire ≡ /ref` cells of `tests/determinism.rs` pin the two bit for
     /// bit. Telemetry records the exchange's start, its lost messages and
     /// its completion from the tally deltas.
@@ -562,6 +549,20 @@ impl GossipSimulation {
 mod tests {
     use super::*;
     use aggregate_core::config::LateJoinPolicy;
+
+    impl GossipSimulation {
+        /// Removes a specific node (a targeted crash). Returns `true` if the
+        /// node was live; stale identifiers from a slot's previous occupant
+        /// are rejected.
+        fn remove_node(&mut self, id: NodeId) -> bool {
+            let Some(slot) = self.arena.slot_of(id) else {
+                return false;
+            };
+            self.arena.remove_slot_checked(slot);
+            self.coordinator.departed(id, u64::from(id.as_u32()));
+            true
+        }
+    }
 
     fn averaging_config(cycles_per_epoch: u32) -> SimulationConfig {
         SimulationConfig::averaging(
@@ -914,6 +915,28 @@ mod tests {
             GossipSimulation::try_new(bad_conditions, &[1.0], 1).err(),
             Some(SimConfigError::InvalidConditions { .. })
         ));
+        for policy in [
+            LeaderPolicy::Fixed { probability: 1.5 },
+            LeaderPolicy::Fixed {
+                probability: f64::NAN,
+            },
+            LeaderPolicy::Adaptive {
+                target_leaders: -3.0,
+                fallback_probability: 0.01,
+            },
+        ] {
+            let bad_policy = SimulationConfig {
+                leader_policy: Some(policy),
+                ..config
+            };
+            assert!(
+                matches!(
+                    GossipSimulation::try_new(bad_policy, &[1.0], 1).err(),
+                    Some(SimConfigError::LeaderPolicy { .. })
+                ),
+                "{policy:?} must be rejected"
+            );
+        }
         // A valid configuration behaves exactly like the permissive
         // constructor (same seed, same trajectory).
         let mut checked = GossipSimulation::try_new(config, &[1.0, 5.0], 7).unwrap();

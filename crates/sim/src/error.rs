@@ -34,8 +34,8 @@ pub enum SimConfigError {
     ZeroShards,
     /// An explicit worker-thread count of zero was requested.
     ZeroWorkers,
-    /// More shards than the [`crate::arena::IdLayout`] shard bits can
-    /// address.
+    /// More shards than the identifier layout's shard bits can address
+    /// ([`crate::arena::MAX_SHARDS`]).
     TooManyShards {
         /// The rejected shard count.
         shards: usize,
@@ -75,6 +75,14 @@ pub enum SimConfigError {
     Redundancy {
         /// Human-readable rejection reason (from
         /// [`aggregate_core::ReportError`]).
+        reason: String,
+    },
+    /// The leader-election policy is degenerate (a probability outside
+    /// `[0, 1]` or NaN, a target leader count that is not positive and
+    /// finite).
+    LeaderPolicy {
+        /// Human-readable rejection reason (from
+        /// [`aggregate_core::size_estimation::LeaderPolicy::validate`]).
         reason: String,
     },
 }
@@ -147,6 +155,9 @@ impl fmt::Display for SimConfigError {
             }
             SimConfigError::Redundancy { ref reason } => {
                 write!(f, "redundancy configuration rejected: {reason}")
+            }
+            SimConfigError::LeaderPolicy { ref reason } => {
+                write!(f, "leader policy rejected: {reason}")
             }
         }
     }
@@ -274,6 +285,9 @@ mod tests {
             },
             SimConfigError::Redundancy {
                 reason: "no instance reports to merge".to_string(),
+            },
+            SimConfigError::LeaderPolicy {
+                reason: "leader probability 1.5 outside [0, 1]".to_string(),
             },
         ] {
             assert!(!error.to_string().is_empty());

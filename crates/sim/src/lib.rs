@@ -9,8 +9,8 @@
 //!   [`aggregate_core::node::ProtocolNode`] state machines over a simulated
 //!   network with message loss, churn (joins/departures), epochs and
 //!   leader election — the engine behind the Figure 4 reproduction. Node
-//!   state lives in a slot-reclaiming, generation-tagged [`arena::NodeArena`],
-//!   so indefinite churn runs in memory bounded by the peak live size;
+//!   state lives in a slot-reclaiming, generation-tagged node arena, so
+//!   indefinite churn runs in memory bounded by the peak live size;
 //! * a **sharded engine** ([`ShardedSimulation`]) that partitions the arena
 //!   into per-shard sub-arenas and applies each cycle's schedule in sequence
 //!   order through a struct-of-arrays block pipeline — bit-identical per
@@ -26,6 +26,19 @@
 //!   churn schedules ([`ChurnSchedule`]), failure conditions
 //!   ([`NetworkConditions`]) and deterministic seed management
 //!   ([`SeedSequence`]).
+//!
+//! The engines, their configurations and errors and the value and churn
+//! models are re-exported at the crate root. The public modules:
+//!
+//! | module | contents |
+//! |---|---|
+//! | [`runner`] | the experiment runners above, and the per-cycle CSV table of a sharded run |
+//! | [`robustness`] | convergence under link failure, loss, value injection, crashes and attacks |
+//! | [`overlay`] | convergence under each peer-sampling layer (Figure 3(b)) |
+//! | [`coordinator`] | the epoch environment every cycle runtime shares, which `gossip-net`'s lockstep cluster drives too |
+//! | [`sampling`] | sampler instantiation and the labelled seed streams the runtimes share |
+//! | [`soa`] | the sharded engine's struct-of-arrays records and batched draws |
+//! | [`arena`] | the node arena's shard limit, [`arena::MAX_SHARDS`] |
 //!
 //! ## Example: one point of Figure 3(a)
 //!
@@ -53,6 +66,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod arena;
 mod churn;
@@ -64,7 +78,7 @@ pub mod overlay;
 pub mod robustness;
 pub mod runner;
 pub mod sampling;
-pub mod sharded;
+pub(crate) mod sharded;
 pub mod soa;
 mod values;
 
@@ -77,11 +91,8 @@ pub use error::{SimConfigError, SimError};
 pub use event_engine::{
     AsyncConfig, AsyncConfigError, AsyncSimulation, TimeSample, WakeupDistribution,
 };
-pub use gossip_faults::{
-    Adversary, AdversaryPlan, AdversaryPlanError, AttackStrategy, ConditionsError, FaultInjector,
-    FaultPlan, NetworkConditions, PlanInjector,
-};
-pub use overlay::{OverlayExperiment, OverlayMeasurement};
+pub use gossip_faults::NetworkConditions;
+pub(crate) use gossip_faults::{AdversaryPlan, FaultPlan};
 // `SeedSequence` moved to `aggregate-core`'s effects module (it now seeds
 // the live runtime too); re-exported here so existing imports keep working.
 pub use aggregate_core::effects::SeedSequence;

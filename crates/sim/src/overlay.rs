@@ -6,7 +6,7 @@
 //! per-cycle variance-reduction factor as sampling from the complete graph.
 //! This module packages that experiment at both levels of the stack:
 //!
-//! * [`OverlayExperiment`] drives a *node-level* engine
+//! * `OverlayExperiment` drives a *node-level* engine
 //!   ([`crate::GossipSimulation`] or [`crate::ShardedSimulation`], which
 //!   realise the `GETPAIR_SEQ` schedule) through any
 //!   [`SamplerConfig`] — uniform-complete, static overlay families, or the
@@ -35,65 +35,55 @@ use peer_sampling::NewscastNetwork;
 /// of the full protocol, and the per-cycle variance-reduction factors are
 /// averaged.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverlayExperiment {
+pub(crate) struct OverlayExperiment {
     /// Network size.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Cycles to run (the epoch is sized to outlast them, so no restart
     /// perturbs the variance trajectory).
-    pub cycles: usize,
+    pub(crate) cycles: usize,
     /// The peer-sampling layer under test.
-    pub sampler: SamplerConfig,
+    pub(crate) sampler: SamplerConfig,
     /// Shard count; `0` selects the single-threaded reference engine. The
     /// sharded engine makes the 10⁵–10⁶-node points practical.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Master seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
-/// The measured outcome of one [`OverlayExperiment`].
+/// The measured outcome of one overlay experiment: one sampler at one
+/// network size.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlayMeasurement {
     /// The sampler under test.
     pub sampler: SamplerConfig,
     /// Network size.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Number of per-cycle factors that entered the mean (cycles whose
     /// predecessor variance was above numerical noise).
-    pub cycles_measured: usize,
+    pub(crate) cycles_measured: usize,
     /// Mean per-cycle variance-reduction factor `σ²ᵢ / σ²ᵢ₋₁`.
     pub mean_factor: f64,
     /// Estimate variance after the final cycle.
-    pub final_variance: f64,
+    pub(crate) final_variance: f64,
 }
 
 impl OverlayMeasurement {
     /// Ratio of the measured factor to the `GETPAIR_SEQ` theoretical rate
     /// `1/(2√e)` — the engines realise the SEQ schedule, so 1.0 means "the
     /// overlay costs nothing against uniform sampling".
-    pub fn ratio_to_seq_rate(&self) -> f64 {
+    pub(crate) fn ratio_to_seq_rate(&self) -> f64 {
         self.mean_factor / theory::seq_rate()
     }
 }
 
 impl OverlayExperiment {
-    /// The standard sweep point: `nodes` nodes, 20 cycles, reference engine.
-    pub fn new(nodes: usize, sampler: SamplerConfig, seed: u64) -> Self {
-        OverlayExperiment {
-            nodes,
-            cycles: 20,
-            sampler,
-            shards: 0,
-            seed,
-        }
-    }
-
     /// Runs the experiment.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors (invalid overlay parameters, bad
     /// shard counts, …).
-    pub fn run(&self) -> Result<OverlayMeasurement, SimError> {
+    pub(crate) fn run(&self) -> Result<OverlayMeasurement, SimError> {
         let protocol = ProtocolConfig::builder()
             .cycles_per_epoch(u32::try_from(self.cycles + 1).unwrap_or(u32::MAX))
             .build()?;
@@ -195,7 +185,7 @@ pub fn newscast_snapshot_factor(
 /// The overlay families the sweep probes alongside uniform sampling, chosen
 /// to match the paper's Figure 3(b) selection (random, small-world,
 /// scale-free) at view-size-20 density.
-pub fn sweep_samplers(cache_sizes: &[usize]) -> Vec<SamplerConfig> {
+pub(crate) fn sweep_samplers(cache_sizes: &[usize]) -> Vec<SamplerConfig> {
     let mut samplers = vec![
         SamplerConfig::UniformComplete,
         SamplerConfig::StaticOverlay {
@@ -219,7 +209,7 @@ pub fn sweep_samplers(cache_sizes: &[usize]) -> Vec<SamplerConfig> {
     samplers
 }
 
-/// Runs the full overlay sweep — every [`sweep_samplers`] family at
+/// Runs the full overlay sweep — every sampler family at
 /// `nodes`/`cycles` — and renders the results as a [`Table`] (one row per
 /// sampler, with the measured factor and its ratio to the SEQ rate).
 ///
@@ -252,7 +242,7 @@ pub fn overlay_sweep(
 /// column carries [`SamplerConfig::paper_name`] and the `detail` column the
 /// parameterised form, so CSV artifacts distinguish complete-graph from
 /// NEWSCAST runs at a glance.
-pub fn overlay_sweep_table(measurements: &[OverlayMeasurement]) -> Table {
+pub(crate) fn overlay_sweep_table(measurements: &[OverlayMeasurement]) -> Table {
     let mut table = Table::new(vec![
         "sampler",
         "detail",
@@ -279,6 +269,19 @@ pub fn overlay_sweep_table(measurements: &[OverlayMeasurement]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OverlayExperiment {
+        /// The standard sweep point: `nodes` nodes, 20 cycles, reference engine.
+        fn new(nodes: usize, sampler: SamplerConfig, seed: u64) -> Self {
+            OverlayExperiment {
+                nodes,
+                cycles: 20,
+                sampler,
+                shards: 0,
+                seed,
+            }
+        }
+    }
 
     #[test]
     fn uniform_experiment_measures_the_seq_rate() {

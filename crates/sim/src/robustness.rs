@@ -61,9 +61,9 @@ pub struct RobustnessPoint {
     /// fraction).
     pub rate: f64,
     /// Network size the point ran at.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Number of per-cycle factors that entered the mean.
-    pub cycles_measured: usize,
+    pub(crate) cycles_measured: usize,
     /// Mean per-cycle variance-reduction factor `σ²ᵢ / σ²ᵢ₋₁` — the
     /// convergence-factor axis of the Section 4 curves.
     pub mean_factor: f64,
@@ -76,7 +76,7 @@ pub struct RobustnessPoint {
     /// Total exchange attempts vetoed by dead links/partitions.
     pub exchanges_blocked: usize,
     /// Total messages dropped by the loss model.
-    pub messages_lost: usize,
+    pub(crate) messages_lost: usize,
 }
 
 impl RobustnessPoint {
@@ -88,16 +88,6 @@ impl RobustnessPoint {
 }
 
 impl RobustnessSweep {
-    /// A sweep at `nodes`/20 cycles on the reference engine.
-    pub fn new(nodes: usize, seed: u64) -> Self {
-        RobustnessSweep {
-            nodes,
-            cycles: 20,
-            shards: 0,
-            seed,
-        }
-    }
-
     /// Convergence factor vs persistent link-failure probability.
     ///
     /// # Errors
@@ -249,7 +239,7 @@ pub struct CrashEstimationPoint {
     pub crash_fraction: f64,
     /// Live nodes after the burst (what the estimate *should* report once
     /// the protocol re-counts).
-    pub surviving_nodes: usize,
+    pub(crate) surviving_nodes: usize,
     /// Mean network-size estimate reported at the end of the crashed epoch.
     pub estimate_mean: f64,
     /// `|estimate − survivors| / survivors` — the error axis of the paper's
@@ -257,7 +247,7 @@ pub struct CrashEstimationPoint {
     /// upward; the *next* epoch re-counts correctly.
     pub relative_error: f64,
     /// Nodes that reported an estimate for the crashed epoch.
-    pub reporting_nodes: usize,
+    pub(crate) reporting_nodes: usize,
 }
 
 /// Network-size-estimation error vs crash rate at the start of an epoch: for
@@ -359,15 +349,15 @@ pub struct AttackDefensePoint {
     /// the estimate harder).
     pub reported_state: f64,
     /// Network size the point ran at.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Redundant instances `k` the defense ran per epoch.
-    pub instances: usize,
+    pub(crate) instances: usize,
     /// Leaders the adversary captured per epoch (`f`).
-    pub captured: usize,
+    pub(crate) captured: usize,
     /// Mean size estimate of the undefended single-instance run.
     pub undefended_estimate: f64,
     /// Mean size estimate of the defended (median-of-k) run.
-    pub defended_estimate: f64,
+    pub(crate) defended_estimate: f64,
     /// `|undefended − n| / n`.
     pub undefended_error: f64,
     /// `|defended − n| / n`.
@@ -375,7 +365,7 @@ pub struct AttackDefensePoint {
     /// The defense's overhead factor: `k` concurrent counting instances per
     /// node instead of one — state, exchange payload and merge work all
     /// scale linearly in it.
-    pub defense_cost: f64,
+    pub(crate) defense_cost: f64,
 }
 
 /// Runs one counting epoch and returns the mean of the size estimates its
@@ -552,6 +542,18 @@ pub fn crash_table(points: &[CrashEstimationPoint]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RobustnessSweep {
+        /// A sweep at `nodes`/20 cycles on the reference engine.
+        fn new(nodes: usize, seed: u64) -> Self {
+            RobustnessSweep {
+                nodes,
+                cycles: 20,
+                shards: 0,
+                seed,
+            }
+        }
+    }
 
     #[test]
     fn fault_free_point_measures_the_seq_rate() {

@@ -3,34 +3,34 @@
 //! integration tests.
 
 use crate::{
-    ChurnSchedule, GossipSimulation, NetworkConditions, SeedSequence, ShardedConfig,
-    ShardedSimulation, SimConfigError, SimError, SimulationConfig, ValueDistribution,
+    ChurnSchedule, GossipSimulation, NetworkConditions, SeedSequence, SimConfigError, SimError,
+    SimulationConfig, ValueDistribution,
 };
 use aggregate_core::avg::{self, CycleReport};
 use aggregate_core::config::LateJoinPolicy;
 use aggregate_core::sampler::SamplerConfig;
 use aggregate_core::size_estimation::LeaderPolicy;
 use aggregate_core::{AggregationError, ProtocolConfig, SelectorKind};
-use gossip_analysis::{Summary, Table};
+use gossip_analysis::Summary;
 use overlay_topology::{TopologyBuilder, TopologyKind};
 
 /// Parameters of a variance-reduction experiment (the setting of Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VarianceExperiment {
     /// Network size.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Overlay topology.
-    pub topology: TopologyKind,
+    pub(crate) topology: TopologyKind,
     /// Pair-selection strategy.
-    pub selector: SelectorKind,
+    pub(crate) selector: SelectorKind,
     /// Number of cycles of `AVG` to iterate.
-    pub cycles: usize,
+    pub(crate) cycles: usize,
     /// Number of independent runs to average over (the paper uses 50).
-    pub runs: usize,
+    pub(crate) runs: usize,
     /// Initial value distribution.
-    pub values: ValueDistribution,
+    pub(crate) values: ValueDistribution,
     /// Master seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl VarianceExperiment {
@@ -239,17 +239,6 @@ impl SizeEstimationScenario {
 pub struct ChurnReport {
     /// One point per completed epoch that produced size estimates.
     pub points: Vec<SizeEstimationPoint>,
-    /// The peer-sampling layer the run drew partners from — surfaced in the
-    /// telemetry CSV so complete-graph and NEWSCAST runs stay
-    /// distinguishable in recorded artifacts.
-    pub sampler: SamplerConfig,
-    /// Number of shards the run executed on; `0` for the single-threaded
-    /// reference engine.
-    pub shards: usize,
-    /// Total exchanges initiated per shard over the whole run — the
-    /// load-balance column of the CSV artifacts. Empty for the reference
-    /// engine.
-    pub shard_load: Vec<usize>,
     /// Number of cycles simulated.
     pub cycles: usize,
     /// Total joins applied by the schedule.
@@ -273,55 +262,6 @@ pub struct ChurnReport {
 }
 
 impl ChurnReport {
-    /// Renders the run's engine-health telemetry as a one-row [`Table`]
-    /// (engine, cycles/sec, peak resident slots, per-shard load) —
-    /// `Table::to_csv` / `Table::write_csv` turn it into the artifact the
-    /// bench harness records.
-    pub fn telemetry_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "engine",
-            "sampler",
-            "shards",
-            "cycles",
-            "cycles_per_sec",
-            "peak_live_nodes",
-            "peak_resident_slots",
-            "total_joins",
-            "total_departures",
-            "mean_tracking_error",
-            "shard_load",
-        ]);
-        table.add_row(self.telemetry_row());
-        table
-    }
-
-    /// The row behind [`ChurnReport::telemetry_table`], so sweeps can stack
-    /// several runs into one table.
-    pub fn telemetry_row(&self) -> Vec<String> {
-        vec![
-            if self.shards == 0 {
-                "reference".to_string()
-            } else {
-                "sharded".to_string()
-            },
-            self.sampler.to_string(),
-            self.shards.to_string(),
-            self.cycles.to_string(),
-            format!("{:.3}", self.cycles_per_second),
-            self.peak_live_nodes.to_string(),
-            self.peak_slot_capacity.to_string(),
-            self.total_joins.to_string(),
-            self.total_departures.to_string(),
-            self.mean_tracking_error()
-                .map_or_else(|| "-".to_string(), |e| format!("{e:.4}")),
-            self.shard_load
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("|"),
-        ]
-    }
-
     /// Mean absolute relative error of the size estimate against the true
     /// live size, skipping the bootstrap epoch (the paper's Figure 4 shows
     /// the same one-epoch warm-up). `None` when fewer than two points exist.
@@ -340,35 +280,20 @@ impl ChurnReport {
     }
 }
 
-/// Drives a [`ChurnSchedule`] end-to-end through a cycle engine: per-cycle
-/// joins (through the arena free lists), uniform random departures, epoch
-/// restarts and size-estimate collection — the procedure behind Figure 4 at
-/// both scaled and full (90 000–110 000 node) scale.
-///
-/// [`ChurnRunner::new`] drives the single-threaded reference engine;
-/// [`ChurnRunner::sharded`] drives the sharded engine, with
-/// joins routed to the least-loaded shard and departures to the victim's
-/// owning shard.
+/// Drives a [`ChurnSchedule`] end-to-end through the reference engine:
+/// per-cycle joins (through the arena free list), uniform random departures,
+/// epoch restarts and size-estimate collection — the procedure behind
+/// Figure 4 at both scaled and full (90 000–110 000 node) scale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnRunner {
     /// The scenario to execute.
-    pub scenario: SizeEstimationScenario,
-    /// Shard count; `0` selects the single-threaded reference engine.
-    pub shards: usize,
+    pub(crate) scenario: SizeEstimationScenario,
 }
 
 impl ChurnRunner {
-    /// Creates a runner driving the single-threaded reference engine.
+    /// Creates a runner for `scenario`.
     pub fn new(scenario: SizeEstimationScenario) -> Self {
-        ChurnRunner {
-            scenario,
-            shards: 0,
-        }
-    }
-
-    /// Creates a runner driving the sharded engine with `shards` shards.
-    pub fn sharded(scenario: SizeEstimationScenario, shards: usize) -> Self {
-        ChurnRunner { scenario, shards }
+        ChurnRunner { scenario }
     }
 
     /// Runs the scenario to completion.
@@ -376,7 +301,7 @@ impl ChurnRunner {
     /// # Errors
     ///
     /// [`SimError::Config`] when the scenario is empty (zero cycles or an
-    /// initial population of zero) or the shard count is unusable;
+    /// initial population of zero) or its configuration is rejected;
     /// [`SimError::Protocol`] when the protocol configuration is invalid.
     pub fn run(&self) -> Result<ChurnReport, SimError> {
         let scenario = &self.scenario;
@@ -386,99 +311,43 @@ impl ChurnRunner {
         let config = scenario.simulation_config()?;
         let initial_size = scenario.churn.target_size(0);
         let values = vec![0.0; initial_size];
-        if self.shards == 0 {
-            let sim = GossipSimulation::try_new(config, &values, scenario.seed)?;
-            self.drive(
-                sim,
-                EngineHooks {
-                    add: GossipSimulation::add_node,
-                    remove_random: GossipSimulation::remove_random_nodes,
-                    live: GossipSimulation::live_count,
-                    capacity: GossipSimulation::slot_capacity,
-                    step: |sim: &mut GossipSimulation, cycle| {
-                        let summary = sim.run_cycle();
-                        summary.completed_epoch.and_then(|epoch| {
-                            if summary.epoch_size_estimates.is_empty() {
-                                return None;
-                            }
-                            let stats = Summary::from_slice(&summary.epoch_size_estimates);
-                            Some(SizeEstimationPoint {
-                                cycle,
-                                epoch,
-                                actual_size: summary.live_nodes,
-                                estimate_mean: stats.mean,
-                                estimate_min: stats.min,
-                                estimate_max: stats.max,
-                                reporting_nodes: stats.count,
-                            })
-                        })
-                    },
-                    shard_load: |_| Vec::new(),
-                },
-            )
-        } else {
-            let sharded = ShardedConfig {
-                base: config,
-                shards: self.shards,
-                workers: None,
-            };
-            let sim = ShardedSimulation::new(sharded, &values, scenario.seed)?;
-            self.drive(
-                sim,
-                EngineHooks {
-                    add: ShardedSimulation::add_node,
-                    remove_random: ShardedSimulation::remove_random_nodes,
-                    live: ShardedSimulation::live_count,
-                    capacity: ShardedSimulation::slot_capacity,
-                    step: |sim: &mut ShardedSimulation, cycle| {
-                        let summary = sim.run_cycle();
-                        summary.completed_epoch.and_then(|epoch| {
-                            let stats = summary.epoch_size_estimates;
-                            let (Some(min), Some(max)) = (stats.min(), stats.max()) else {
-                                return None;
-                            };
-                            Some(SizeEstimationPoint {
-                                cycle,
-                                epoch,
-                                actual_size: summary.live_nodes,
-                                estimate_mean: stats.mean(),
-                                estimate_min: min,
-                                estimate_max: max,
-                                reporting_nodes: stats.count() as usize,
-                            })
-                        })
-                    },
-                    shard_load: |sim| sim.shard_exchange_totals().to_vec(),
-                },
-            )
-        }
-    }
-
-    /// The engine-agnostic churn loop.
-    fn drive<S>(&self, mut sim: S, hooks: EngineHooks<S>) -> Result<ChurnReport, SimError> {
-        let scenario = &self.scenario;
+        let mut sim = GossipSimulation::try_new(config, &values, scenario.seed)?;
         let mut points = Vec::new();
         let mut total_joins = 0usize;
         let mut total_departures = 0usize;
-        let mut peak_live_nodes = (hooks.live)(&sim);
+        let mut peak_live_nodes = sim.live_count();
         let started = std::time::Instant::now(); // lint-allow(nondeterminism): wall-clock cycles/sec telemetry only; no protocol decision reads it
         for cycle in 0..scenario.total_cycles {
             // Apply churn before the cycle runs (joins wait for the next
             // epoch, departures are immediate).
             let (joins, departures) = scenario.churn.changes_at(cycle);
             for _ in 0..joins {
-                (hooks.add)(&mut sim, 0.0);
+                sim.add_node(0.0);
             }
             total_joins += joins;
             // Joins land before departures, so this is the cycle's
             // high-water mark for the live set. (Arena capacity is monotone;
             // reading it once after the loop captures its peak.)
-            peak_live_nodes = peak_live_nodes.max((hooks.live)(&sim));
-            total_departures += (hooks.remove_random)(&mut sim, departures);
+            peak_live_nodes = peak_live_nodes.max(sim.live_count());
+            total_departures += sim.remove_random_nodes(departures);
 
-            if let Some(point) = (hooks.step)(&mut sim, cycle) {
-                points.push(point);
+            let summary = sim.run_cycle();
+            let Some(epoch) = summary.completed_epoch else {
+                continue;
+            };
+            if summary.epoch_size_estimates.is_empty() {
+                continue;
             }
+            let stats = Summary::from_slice(&summary.epoch_size_estimates);
+            points.push(SizeEstimationPoint {
+                cycle,
+                epoch,
+                actual_size: summary.live_nodes,
+                estimate_mean: stats.mean,
+                estimate_min: stats.min,
+                estimate_max: stats.max,
+                reporting_nodes: stats.count,
+            });
         }
         let elapsed_seconds = started.elapsed().as_secs_f64();
         let cycles_per_second = if elapsed_seconds > 0.0 {
@@ -489,29 +358,16 @@ impl ChurnRunner {
 
         Ok(ChurnReport {
             points,
-            sampler: scenario.sampler,
-            shards: self.shards,
-            shard_load: (hooks.shard_load)(&sim),
             cycles: scenario.total_cycles,
             total_joins,
             total_departures,
             peak_live_nodes,
-            final_live_nodes: (hooks.live)(&sim),
-            peak_slot_capacity: (hooks.capacity)(&sim),
+            final_live_nodes: sim.live_count(),
+            peak_slot_capacity: sim.slot_capacity(),
             elapsed_seconds,
             cycles_per_second,
         })
     }
-}
-
-/// The engine operations [`ChurnRunner::drive`] needs, bound per engine.
-struct EngineHooks<S> {
-    add: fn(&mut S, f64) -> overlay_topology::NodeId,
-    remove_random: fn(&mut S, usize) -> usize,
-    live: fn(&S) -> usize,
-    capacity: fn(&S) -> usize,
-    step: fn(&mut S, usize) -> Option<SizeEstimationPoint>,
-    shard_load: fn(&S) -> Vec<usize>,
 }
 
 /// Result of a robustness run (benchmark A2): final accuracy under failures.
@@ -816,36 +672,7 @@ mod tests {
             Some(crate::SimError::Config(crate::SimConfigError::ZeroCycles))
         );
         scenario.total_cycles = 30;
-        assert!(ChurnRunner::sharded(scenario, 99).run().is_err());
         assert!(ChurnRunner::new(scenario).run().is_ok());
-    }
-
-    #[test]
-    fn sharded_churn_runner_tracks_the_oscillating_size() {
-        let scenario = SizeEstimationScenario::figure4_scaled(1_000, 240, 4242);
-        let report = ChurnRunner::sharded(scenario, 4).run().unwrap();
-        assert_eq!(report.cycles, 240);
-        assert_eq!(report.shards, 4);
-        assert_eq!(report.shard_load.len(), 4);
-        // Load balancing keeps the per-shard exchange split within ~10 % of
-        // uniform.
-        let total: usize = report.shard_load.iter().sum();
-        for &load in &report.shard_load {
-            let uniform = total as f64 / 4.0;
-            assert!(
-                (load as f64 - uniform).abs() < uniform * 0.1,
-                "shard load {load} vs uniform {uniform}"
-            );
-        }
-        let bound = scenario.churn.max_size + 2 * scenario.churn.fluctuation_per_cycle;
-        assert!(report.peak_slot_capacity <= bound);
-        assert!(report.mean_tracking_error().unwrap() < 0.15);
-        assert!(report.points.len() >= 7);
-        // The telemetry table renders one row with the engine label.
-        let table = report.telemetry_table();
-        let csv = table.to_csv();
-        assert!(csv.starts_with("engine,sampler,shards,cycles,cycles_per_sec"));
-        assert!(csv.contains("sharded,uniform-complete,4,240"));
     }
 
     #[test]

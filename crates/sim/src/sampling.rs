@@ -13,7 +13,7 @@
 //!   randomness never interferes with the engines' schedule/pick draws —
 //!   which is what keeps the uniform configuration bit-identical to the
 //!   pre-sampler engines;
-//! * the O(1) [`SamplerDirectory`] over a [`NodeArena`]'s dense live array,
+//! * the O(1) [`SamplerDirectory`] over a `NodeArena`'s dense live array,
 //!   the reference engine's directory (the sharded engine has its own over
 //!   the global live list).
 
@@ -24,10 +24,10 @@ use overlay_topology::NodeId;
 use peer_sampling::{NewscastSampler, StaticOverlaySampler};
 
 /// Label of the seed stream feeding a NEWSCAST sampler's internal RNG.
-pub const MEMBERSHIP_STREAM: &str = "sampler-membership";
+pub(crate) const MEMBERSHIP_STREAM: &str = "sampler-membership";
 
 /// Label of the seed stream feeding static-overlay generation.
-pub const TOPOLOGY_STREAM: &str = "sampler-topology";
+pub(crate) const TOPOLOGY_STREAM: &str = "sampler-topology";
 
 /// Label of the seed stream feeding the fault-injection lab (link/partition
 /// coins and adversarial victim picks). Isolated from every schedule stream,
@@ -42,7 +42,7 @@ pub const ADVERSARY_STREAM: &str = "adversary-collusion";
 /// Label of the seed stream electing the redundant counting-instance leaders
 /// (the median-of-k defense's `k` leaders per epoch). Isolated from the
 /// schedule and probabilistic-election streams.
-pub const REDUNDANCY_STREAM: &str = "redundancy-leaders";
+pub(crate) const REDUNDANCY_STREAM: &str = "redundancy-leaders";
 
 /// Builds the [`PeerSampler`] described by `config` over the initial
 /// population `initial` (in directory order), deriving internal seeds from
@@ -151,7 +151,7 @@ mod tests {
                 })
             })
             .collect();
-        arena.remove(ids[1]);
+        arena.remove_live_at(1);
         let directory: &dyn SamplerDirectory = &arena;
         assert_eq!(directory.len(), 3);
         assert!(!directory.is_empty());

@@ -46,7 +46,7 @@ use crate::coordinator::{epoch_size_estimate, Coordinator, CycleNodes};
 use crate::soa::{self, Columns, WordBuffer};
 use crate::{SeedSequence, SimConfigError, SimulationConfig};
 use aggregate_core::epoch::EpochManager;
-use aggregate_core::node::{LedSlot, NodeState, ProtocolNode};
+use aggregate_core::node::{LedSlot, NodeState};
 use aggregate_core::redundancy::MergePolicy;
 use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
 use aggregate_core::{AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag};
@@ -65,7 +65,7 @@ pub struct ShardedConfig {
     /// single-threaded reference engine).
     pub base: SimulationConfig,
     /// Number of shards (data partitions). Each shard owns a sub-arena of
-    /// nodes and its own [`crate::arena::IdLayout`] identifier space. The
+    /// nodes and its own identifier space. The
     /// shard count is part of the deterministic contract: same seed + same
     /// shard count → bit-identical runs.
     pub shards: usize,
@@ -92,7 +92,7 @@ impl ShardedConfig {
     /// [`SimConfigError::ZeroShards`] / [`SimConfigError::TooManyShards`] /
     /// [`SimConfigError::ZeroWorkers`] for an unusable shard or worker
     /// count, plus every check of [`SimulationConfig::validate`].
-    pub fn validate(&self, initial_values: &[f64]) -> Result<(), SimConfigError> {
+    pub(crate) fn validate(&self, initial_values: &[f64]) -> Result<(), SimConfigError> {
         if self.shards == 0 {
             return Err(SimConfigError::ZeroShards);
         }
@@ -150,7 +150,7 @@ pub struct ShardedCycleSummary {
     pub epoch_size_estimates: OnlineStats,
     /// Exchanges initiated per shard this cycle — the load-balance signal
     /// recorded by the bench CSV artifacts.
-    pub shard_exchanges: Vec<usize>,
+    pub(crate) shard_exchanges: Vec<usize>,
 }
 
 /// A shard's arena: identifiers and liveness; the state is in its columns.
@@ -322,7 +322,6 @@ pub struct ShardedSimulation {
     global_live: Vec<NodeId>,
     /// Random-victim departures under churn and crash bursts.
     churn_rng: StdRng,
-    shard_exchange_totals: Vec<usize>,
     /// Reusable shuffle buffer: one `u64` per live node carrying
     /// `directory_position << 32 | packed_endpoint`, so after the shuffle
     /// both the rejection compare (high half) and the initiator's shard/slot
@@ -348,7 +347,10 @@ impl ShardedSimulation {
     ///
     /// # Errors
     ///
-    /// See [`ShardedConfig::validate`].
+    /// [`SimConfigError::ZeroShards`] / [`SimConfigError::TooManyShards`] /
+    /// [`SimConfigError::ZeroWorkers`] for an unusable shard or worker
+    /// count, [`SimConfigError::PopulationExceedsCapacity`], plus every check
+    /// of [`SimulationConfig::validate`].
     pub fn new(
         config: ShardedConfig,
         initial_values: &[f64],
@@ -363,7 +365,7 @@ impl ShardedSimulation {
     ///
     /// # Errors
     ///
-    /// Everything [`ShardedConfig::validate`] rejects, plus
+    /// Everything [`ShardedSimulation::new`] rejects, plus
     /// [`SimConfigError::Faults`] for a malformed schedule.
     pub fn with_faults(
         config: ShardedConfig,
@@ -428,7 +430,6 @@ impl ShardedSimulation {
             global_live,
             // stream: random-victim departures under churn
             churn_rng: coordinator.seeds().rng_for_labeled(0, "sharded-churn"),
-            shard_exchange_totals: vec![0; shard_count],
             soa_order: Vec::new(),
             soa_packed: Vec::new(),
             coordinator,
@@ -466,21 +467,6 @@ impl ShardedSimulation {
         self.coordinator.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
-    /// Every verdict transition the watchdog has diagnosed so far.
-    pub fn watchdog_diagnoses(&self) -> &[gossip_telemetry::Diagnosis] {
-        self.coordinator.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
-    }
-
-    /// The accumulated telemetry counters (post-hoc readout).
-    pub fn telemetry_metrics(&self) -> &gossip_telemetry::MetricsRegistry {
-        self.coordinator.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
-    }
-
-    /// The peer-sampling configuration exchange partners are drawn from.
-    pub fn sampler_config(&self) -> SamplerConfig {
-        self.coordinator.sampler.config()
-    }
-
     /// The realised adversary (colluding set and per-epoch captures).
     pub fn adversary(&self) -> &Adversary {
         self.coordinator.adversary()
@@ -492,13 +478,8 @@ impl ShardedSimulation {
     }
 
     /// The current cycle index.
-    pub fn cycle(&self) -> usize {
+    pub(crate) fn cycle(&self) -> usize {
         self.coordinator.cycle()
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.config.shards
     }
 
     /// Total allocated node slots across all sub-arenas (live +
@@ -512,29 +493,9 @@ impl ShardedSimulation {
         self.shards.iter().map(|s| s.arena.free_slots()).sum()
     }
 
-    /// Number of live nodes per shard (the load-balance view).
-    pub fn shard_live_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.arena.len()).collect()
-    }
-
-    /// Total exchanges initiated per shard since construction — the
-    /// accumulated load-balance telemetry [`crate::runner::ChurnReport`]
-    /// records.
-    pub fn shard_exchange_totals(&self) -> &[usize] {
-        &self.shard_exchange_totals
-    }
-
     /// The most recent pooled network-size estimate, if any epoch completed.
     pub fn last_size_estimate(&self) -> Option<f64> {
         self.coordinator.last_size_estimate()
-    }
-
-    /// A snapshot of a node, built from its shard's columns. Returns `None`
-    /// for departed nodes and stale identifiers.
-    pub fn node(&self, id: NodeId) -> Option<ProtocolNode> {
-        let shard = self.shards.get(IdLayout::shard_of(id) as usize)?;
-        let slot = shard.arena.slot_of(id)?;
-        Some(shard.cols.snapshot(slot, id))
     }
 
     /// Current default-instance estimates of all live nodes, in global
@@ -543,12 +504,6 @@ impl ShardedSimulation {
     /// bit-for-bit.
     pub fn estimates(&self) -> Vec<f64> {
         self.gather(|cols, slot| cols.estimate(slot))
-    }
-
-    /// Current local attribute values of all live nodes, in global directory
-    /// order (the engine exposes no way to change them).
-    pub fn local_values(&self) -> Vec<f64> {
-        self.gather(|cols, slot| cols.hot.local[slot as usize])
     }
 
     /// `value` of every live node, in global directory order: each shard's
@@ -592,18 +547,6 @@ impl ShardedSimulation {
         id
     }
 
-    /// Removes a specific node. Returns `true` if the node was live; stale
-    /// identifiers are rejected.
-    pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let mut nodes = GlobalNodes::new(&mut self.global_live, &mut self.shards);
-        if !nodes.is_live(id) {
-            return false;
-        }
-        let (_, key) = nodes.remove_at(global_pos_of(nodes.shards, id) as usize);
-        self.coordinator.departed(id, key);
-        true
-    }
-
     /// Removes `count` uniformly random live nodes (churn schedules, crash
     /// experiments). The victim sequence is drawn from a dedicated stream
     /// over the global directory, so it is identical for every shard count.
@@ -637,11 +580,10 @@ impl ShardedSimulation {
         let mut size_stats = OnlineStats::new();
         let mut completed_epoch = None;
         let mut shard_exchanges = Vec::with_capacity(shard_count);
-        for (shard, out) in outs.iter().enumerate() {
+        for out in &outs {
             tally.exchanges += out.tally.exchanges;
             tally.messages_lost += out.tally.messages_lost;
             shard_exchanges.push(out.tally.exchanges);
-            self.shard_exchange_totals[shard] += out.tally.exchanges;
             estimate_stats.merge(&out.estimate_stats);
             epoch_stats.merge(&out.epoch_stats);
             size_stats.merge(&out.size_stats);
@@ -1099,8 +1041,30 @@ mod tests {
     use aggregate_core::config::LateJoinPolicy;
     use aggregate_core::node::HotView;
     use aggregate_core::size_estimation::LeaderPolicy;
-    use aggregate_core::ProtocolConfig;
+    use aggregate_core::{ProtocolConfig, ProtocolNode};
     use std::collections::HashMap;
+
+    /// Test-only views of the engine: what each shard holds, node by node.
+    impl ShardedSimulation {
+        /// Number of live nodes per shard (the load-balance view).
+        fn shard_live_counts(&self) -> Vec<usize> {
+            self.shards.iter().map(|s| s.arena.len()).collect()
+        }
+
+        /// A snapshot of a node, built from its shard's columns. Returns `None`
+        /// for departed nodes and stale identifiers.
+        fn node(&self, id: NodeId) -> Option<ProtocolNode> {
+            let shard = self.shards.get(IdLayout::shard_of(id) as usize)?;
+            let slot = shard.arena.slot_of(id)?;
+            Some(shard.cols.snapshot(slot, id))
+        }
+
+        /// Current local attribute values of all live nodes, in global directory
+        /// order (the engine exposes no way to change them).
+        fn local_values(&self) -> Vec<f64> {
+            self.gather(|cols, slot| cols.hot.local[slot as usize])
+        }
+    }
 
     fn averaging(shards: usize, cycles_per_epoch: u32) -> ShardedConfig {
         ShardedConfig::averaging(
@@ -1134,6 +1098,26 @@ mod tests {
             ShardedSimulation::new(averaging(2, 10), &[1.0, f64::NAN], 1).err(),
             Some(SimConfigError::NonFiniteInitialValue { index: 1, .. })
         ));
+        for policy in [
+            LeaderPolicy::Fixed { probability: 1.5 },
+            LeaderPolicy::Fixed {
+                probability: f64::NAN,
+            },
+            LeaderPolicy::Adaptive {
+                target_leaders: -3.0,
+                fallback_probability: 0.01,
+            },
+        ] {
+            let mut bad_policy = averaging(2, 10);
+            bad_policy.base.leader_policy = Some(policy);
+            assert!(
+                matches!(
+                    ShardedSimulation::new(bad_policy, &values, 1).err(),
+                    Some(SimConfigError::LeaderPolicy { .. })
+                ),
+                "{policy:?} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1316,24 +1300,6 @@ mod tests {
             "epoch mean {mean} must equal the new true average {expected}"
         );
         assert!(sim.node(newcomer).is_some());
-    }
-
-    #[test]
-    fn remove_node_rejects_stale_ids_after_slot_reuse() {
-        let values = vec![1.0; 10];
-        let mut sim = ShardedSimulation::new(averaging(2, 5), &values, 41).unwrap();
-        let victim = *sim.global_live.first().unwrap();
-        assert!(sim.remove_node(victim));
-        assert!(!sim.remove_node(victim));
-        assert_eq!(sim.free_slot_count(), 1);
-        let newcomer = sim.add_node(2.0);
-        // The join reclaimed the freed slot instead of growing the arenas…
-        assert_eq!(sim.slot_capacity(), 10);
-        // …and the stale identifier does not alias the new occupant.
-        assert_ne!(victim, newcomer);
-        assert!(sim.node(victim).is_none());
-        assert!(sim.node(newcomer).is_some());
-        assert_eq!(sim.live_count(), 10);
     }
 
     #[test]
@@ -1565,7 +1531,8 @@ mod tests {
             }
             // Outcomes are recorded without counting, so each counter counts
             // once.
-            let counter = |name| sim.telemetry_metrics().counter_value(name).unwrap();
+            let metrics = sim.coordinator.telemetry.metrics();
+            let counter = |name| metrics.counter_value(name).unwrap();
             assert_eq!(counter("exchanges"), count("exchange_begun"));
             assert_eq!(counter("messages_lost"), lost);
             assert_eq!(count("message_lost"), lost);

@@ -29,19 +29,18 @@
 
 use aggregate_core::epoch::EpochManager;
 use aggregate_core::node::{HotView, LedSlot, NodeState};
-use aggregate_core::{InstanceTag, ProtocolConfig, ProtocolNode};
-use overlay_topology::NodeId;
+use aggregate_core::{InstanceTag, ProtocolConfig};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
 /// Sentinel in [`HotSlot::key`] marking a slot whose occupant (if any) is
 /// cold: its epoch is in the cold columns, not in the record.
-pub const COLD: u32 = u32::MAX;
+pub(crate) const COLD: u32 = u32::MAX;
 
 /// A node's 16-byte, never-line-straddling record: the *only* state a fused
 /// exchange touches.
 ///
-/// `key` doubles as the hot flag ([`COLD`]) and, when hot, the node's current
+/// `key` doubles as the hot flag (`COLD`, `u32::MAX`) and, when hot, the node's current
 /// epoch — the fused-exchange precondition "both hot, same epoch" is a single
 /// compare. Epochs are kept as `u32` here to halve the record: a node whose
 /// epoch does not fit stays cold ([`HotStore::promote`] rejects it), which
@@ -52,7 +51,7 @@ pub const COLD: u32 = u32::MAX;
 pub struct HotSlot {
     /// Running approximation of the default instance, hot or cold.
     pub state: f64,
-    /// Current epoch, or [`COLD`].
+    /// Current epoch, or `COLD`.
     pub key: u32,
     /// Exchanges completed by the default instance this epoch, hot or cold.
     pub exchanges: u32,
@@ -60,7 +59,7 @@ pub struct HotSlot {
 
 impl HotSlot {
     /// A cold record.
-    pub const fn cold() -> Self {
+    pub(crate) const fn cold() -> Self {
         HotSlot {
             state: 0.0,
             key: COLD,
@@ -70,7 +69,7 @@ impl HotSlot {
 
     /// Whether the record holds its node's epoch (the node is hot).
     #[inline]
-    pub fn is_hot(&self) -> bool {
+    pub(crate) fn is_hot(&self) -> bool {
         self.key != COLD
     }
 }
@@ -78,17 +77,17 @@ impl HotSlot {
 /// One shard's struct-of-arrays records, indexed by arena slot.
 #[derive(Debug, Default)]
 pub struct HotStore {
-    /// Records, [`COLD`]-keyed where the occupant is cold.
+    /// Records, `COLD`-keyed where the occupant is cold.
     pub slots: Vec<HotSlot>,
     /// Cycles completed in the occupant's current epoch. Per-slot because
     /// hot nodes need not share an epoch position: a node that once jumped
     /// epochs completes them offset from the crowd forever after. Split out
     /// of [`HotSlot`] because only the end-of-cycle pass reads it.
-    pub cycles: Vec<u32>,
+    pub(crate) cycles: Vec<u32>,
     /// Per-slot local value of the occupant; an epoch restart sets the
     /// record's state to `kind.init_value(local)`. The sharded engine never
     /// changes a node's local value.
-    pub local: Vec<f64>,
+    pub(crate) local: Vec<f64>,
 }
 
 impl HotStore {
@@ -104,7 +103,7 @@ impl HotStore {
 
     /// Marks `slot` cold, keeping its state (no-op for never-touched slots
     /// beyond the arrays).
-    pub fn mark_cold(&mut self, slot: u32) {
+    pub(crate) fn mark_cold(&mut self, slot: u32) {
         if let Some(record) = self.slots.get_mut(slot as usize) {
             record.key = COLD;
         }
@@ -112,7 +111,7 @@ impl HotStore {
 
     /// The record at `slot` if it is hot.
     #[inline]
-    pub fn hot(&self, slot: u32) -> Option<&HotSlot> {
+    pub(crate) fn hot(&self, slot: u32) -> Option<&HotSlot> {
         self.slots.get(slot as usize).filter(|r| r.is_hot())
     }
 
@@ -324,14 +323,6 @@ impl Columns {
         kind.estimate_value(self.hot.slots[slot as usize].state)
     }
 
-    /// The node at `slot` as a `ProtocolNode` with identifier `id`.
-    pub(crate) fn snapshot(&self, slot: u32, id: NodeId) -> ProtocolNode {
-        let (record, local) = (self.hot.slots[slot as usize], self.hot.local[slot as usize]);
-        let (epochs, led) = (self.epochs(slot), self.led.run(slot));
-        let (state, exchanges) = (record.state, record.exchanges);
-        ProtocolNode::from_parts(id, self.protocol, local, epochs, state, exchanges, led)
-    }
-
     /// The initiator's side of a kernel exchange, copied out (its epoch and
     /// record, its led instances into `led`) so that the peer's side may
     /// borrow these columns. `None` while it waits for its first epoch.
@@ -515,8 +506,21 @@ pub fn shuffle_batched<T: Copy + Into<u64>>(order: &mut [T], rng: &mut StdRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggregate_core::ProtocolNode;
+    use overlay_topology::NodeId;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+
+    impl Columns {
+        /// The node at `slot` as a `ProtocolNode` with identifier `id`: what
+        /// the differential tests compare the columns with.
+        pub(crate) fn snapshot(&self, slot: u32, id: NodeId) -> ProtocolNode {
+            let (record, local) = (self.hot.slots[slot as usize], self.hot.local[slot as usize]);
+            let (epochs, led) = (self.epochs(slot), self.led.run(slot));
+            let (state, exchanges) = (record.state, record.exchanges);
+            ProtocolNode::from_parts(id, self.protocol, local, epochs, state, exchanges, led)
+        }
+    }
 
     #[test]
     fn shuffle_batched_is_bit_identical_to_slice_random_shuffle() {

@@ -76,26 +76,6 @@ impl ValueDistribution {
                 .collect(),
         }
     }
-
-    /// The exact mean of the distribution over `n` nodes (expected value for
-    /// the random variants).
-    pub fn expected_mean(&self, n: usize) -> f64 {
-        match *self {
-            ValueDistribution::Uniform { lo, hi } => (lo + hi) / 2.0,
-            ValueDistribution::Peak { peak, base } => {
-                if n == 0 {
-                    0.0
-                } else {
-                    (peak + base * (n as f64 - 1.0)) / n as f64
-                }
-            }
-            ValueDistribution::Linear { offset, slope } => {
-                offset + slope * (n.saturating_sub(1)) as f64 / 2.0
-            }
-            ValueDistribution::Constant(value) => value,
-            ValueDistribution::Gaussian { mean, .. } => mean,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +94,7 @@ mod tests {
         let dist = ValueDistribution::Uniform { lo: 2.0, hi: 6.0 };
         let values = dist.generate(20_000, &mut r);
         assert!(values.iter().all(|v| (2.0..6.0).contains(v)));
-        assert!((mean(&values) - dist.expected_mean(20_000)).abs() < 0.05);
+        assert!((mean(&values) - 4.0).abs() < 0.05);
     }
 
     #[test]
@@ -127,7 +107,7 @@ mod tests {
         let values = dist.generate(10, &mut r);
         assert_eq!(values[0], 100.0);
         assert!(values[1..].iter().all(|&v| v == 0.0));
-        assert_eq!(dist.expected_mean(10), 10.0);
+        assert_eq!(mean(&values), 10.0);
         assert_eq!(dist.generate(0, &mut r).len(), 0);
     }
 
@@ -140,13 +120,12 @@ mod tests {
         };
         let values = linear.generate(5, &mut r);
         assert_eq!(values, vec![1.0, 3.0, 5.0, 7.0, 9.0]);
-        assert_eq!(linear.expected_mean(5), 5.0);
+        assert_eq!(mean(&values), 5.0);
 
         let constant = ValueDistribution::Constant(3.5);
         let values = constant.generate(4, &mut r);
         assert_eq!(values, vec![3.5; 4]);
         assert_eq!(variance(&values), 0.0);
-        assert_eq!(constant.expected_mean(4), 3.5);
     }
 
     #[test]
@@ -159,7 +138,6 @@ mod tests {
         let values = dist.generate(50_000, &mut r);
         assert!((mean(&values) - 10.0).abs() < 0.05);
         assert!((variance(&values).sqrt() - 2.0).abs() < 0.05);
-        assert_eq!(dist.expected_mean(1), 10.0);
     }
 
     #[test]

@@ -57,14 +57,14 @@ pub use peer_sampling as membership;
 
 /// The most commonly used items, re-exported for convenient glob import.
 pub mod prelude {
-    pub use aggregate_core::aggregate::{Aggregate, AggregateKind, Average, Maximum, Minimum};
-    pub use aggregate_core::avg::{mean, run_avg, run_avg_cycle, variance};
+    pub use aggregate_core::aggregate::{Aggregate, AggregateKind};
+    pub use aggregate_core::avg::{mean, run_avg, variance};
     pub use aggregate_core::node::ProtocolNode;
     pub use aggregate_core::sampler::{
         PeerSampler, SamplerConfig, SamplerDirectory, SliceDirectory, UniformSampler,
     };
     pub use aggregate_core::selectors::{
-        PairSelector, PerfectMatchingSelector, RandomEdgeSelector, SelectorKind, SequentialSelector,
+        PairSelector, RandomEdgeSelector, SelectorKind, SequentialSelector,
     };
     pub use aggregate_core::size_estimation::LeaderPolicy;
     pub use aggregate_core::{theory, AggregationError, GossipMessage, ProtocolConfig};
