@@ -130,7 +130,8 @@ impl ExchangeCore {
     /// of each push to the peer and of each surviving reply back to the
     /// initiator, with the loss model consulted once per push and once per
     /// produced reply — and bit-identical to that sequence in both arithmetic
-    /// and loss-draw order, whatever the nodes' epochs and led instances. `scratch` is not used: both nodes own their state.
+    /// and loss-draw order, whatever the nodes' epochs and led instances.
+    /// `scratch` is not used: both nodes own their state.
     pub fn exchange(
         initiator: &mut ProtocolNode,
         peer: &mut ProtocolNode,
