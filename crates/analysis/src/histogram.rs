@@ -68,26 +68,18 @@ impl Histogram {
         &self.bins
     }
 
-    /// Observations smaller than the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Observations at or above the upper bound of the range.
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
 
     /// The `(low, high)` bounds of bin `idx`.
-    pub fn bin_bounds(&self, idx: usize) -> Option<(f64, f64)> {
-        if idx >= self.bins.len() {
-            return None;
-        }
+    fn bin_bounds(&self, idx: usize) -> (f64, f64) {
         let width = (self.hi - self.lo) / self.bins.len() as f64;
-        Some((
+        (
             self.lo + idx as f64 * width,
             self.lo + (idx + 1) as f64 * width,
-        ))
+        )
     }
 
     /// Renders the histogram as a simple text block (one line per bin with a
@@ -96,7 +88,7 @@ impl Histogram {
         let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
         let mut out = String::new();
         for (idx, &count) in self.bins.iter().enumerate() {
-            let (lo, hi) = self.bin_bounds(idx).expect("idx in range"); // lint-allow(unwrap): idx enumerates self.bins, so it is always in range
+            let (lo, hi) = self.bin_bounds(idx);
             let bar_len = (count * 40 / max) as usize;
             out.push_str(&format!(
                 "[{lo:>10.3}, {hi:>10.3}) {count:>8} {}\n",
@@ -127,7 +119,7 @@ mod tests {
             h.add(v as f64 + 0.5);
         }
         assert!(h.bin_counts().iter().all(|&c| c == 1));
-        assert_eq!(h.underflow(), 0);
+        assert_eq!(h.underflow, 0);
         assert_eq!(h.overflow(), 0);
         assert_eq!(h.count(), 10);
     }
@@ -139,7 +131,7 @@ mod tests {
         h.add(1.0);
         h.add(5.0);
         h.add(0.25);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.count(), 4);
     }
@@ -147,9 +139,8 @@ mod tests {
     #[test]
     fn bin_bounds_partition_the_range() {
         let h = Histogram::new(0.0, 8.0, 4).unwrap();
-        assert_eq!(h.bin_bounds(0), Some((0.0, 2.0)));
-        assert_eq!(h.bin_bounds(3), Some((6.0, 8.0)));
-        assert_eq!(h.bin_bounds(4), None);
+        assert_eq!(h.bin_bounds(0), (0.0, 2.0));
+        assert_eq!(h.bin_bounds(3), (6.0, 8.0));
     }
 
     #[test]

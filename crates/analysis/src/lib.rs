@@ -1,14 +1,15 @@
 //! # gossip-analysis
 //!
-//! Descriptive statistics, histograms, parameter sweeps and report generation
-//! for the epidemic-aggregation experiments.
+//! Descriptive statistics, histograms and report tables for the
+//! epidemic-aggregation experiments.
 //!
 //! The paper's evaluation reports *averages over 50 independent runs*, ranges
 //! over nodes (Figure 4's error bars) and per-cycle reduction factors plotted
-//! against theoretical constants. This crate contains the small, dependency
-//! free numerical toolbox the benchmark harness uses to produce those numbers
-//! and to render them as aligned text tables, CSV files and gnuplot-ready data
-//! blocks.
+//! against theoretical constants. This crate is the small, dependency-free
+//! numerical toolbox the experiment runners and the examples use to produce
+//! those numbers and to render them as aligned text tables and CSV files;
+//! the engines and the telemetry layer accumulate with [`OnlineStats`] and
+//! [`Histogram`].
 //!
 //! ## Example
 //!
@@ -25,21 +26,20 @@
 //!     format!("{:.3}", summary.mean),
 //!     "0.368".to_string(),
 //! ]);
-//! assert!(table.to_markdown().contains("getPair_rand"));
+//! assert!(table.to_string().contains("getPair_rand"));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod histogram;
 mod online;
 mod report;
-mod series;
 mod stats;
 
 pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use report::Table;
-pub use series::Series;
 pub use stats::Summary;

@@ -2,9 +2,9 @@
 
 /// Welford-style online accumulator for mean and variance.
 ///
-/// Used where the benchmark harness cannot afford to keep every observation in
-/// memory — e.g. per-node estimates across a 100 000-node network for every
-/// cycle of the Figure 4 scenario.
+/// Used where a run cannot afford to keep every observation in memory — e.g.
+/// the sharded engine's per-shard estimate statistics over a 10⁶-node
+/// network, merged once a cycle.
 ///
 /// # Example
 ///

@@ -1,9 +1,9 @@
-//! Text/markdown/CSV tables for benchmark reports.
+//! Aligned-text and CSV tables for experiment reports.
 
 /// A simple rectangular table with a header row.
 ///
-/// The benchmark binaries print every paper table and figure as one of these,
-/// so that the output is directly pasteable into a markdown report.
+/// The examples print every paper table and figure as one of these; its
+/// CSV form is the artifact the sweeps record.
 ///
 /// # Example
 ///
@@ -13,8 +13,7 @@
 /// let mut table = Table::new(vec!["selector", "rate"]);
 /// table.add_row(vec!["getPair_pm".into(), "0.250".into()]);
 /// table.add_row(vec!["getPair_rand".into(), "0.368".into()]);
-/// let text = table.to_aligned_text();
-/// assert!(text.contains("getPair_pm"));
+/// assert!(table.to_string().contains("getPair_pm"));
 /// assert_eq!(table.to_csv().lines().count(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,68 +52,8 @@ impl Table {
         true
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the table as GitHub-flavoured markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            self.headers.iter().map(|_| "---|").collect::<String>()
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
-    /// Renders the table as column-aligned plain text.
-    pub fn to_aligned_text(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let render_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:<width$}", c, width = widths[i] + 2))
-                .collect::<String>()
-                .trim_end()
-                .to_string()
-        };
-        let mut out = render_row(&self.headers);
-        out.push('\n');
-        out.push_str(
-            &"-".repeat(
-                widths
-                    .iter()
-                    .map(|w| w + 2)
-                    .sum::<usize>()
-                    .saturating_sub(2),
-            ),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&render_row(row));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Writes the CSV rendering to `path`, creating or truncating the file —
-    /// the artifact-recording half of the bench/telemetry pipeline.
+    /// the artifact the sweep examples record.
     ///
     /// # Errors
     ///
@@ -152,10 +91,36 @@ impl Table {
 }
 
 impl std::fmt::Display for Table {
-    /// Displays the table in its column-aligned plain-text form, so bench
-    /// binaries and examples can `println!("{table}")` directly.
+    /// Displays the table as column-aligned plain text (the header row, a
+    /// rule, then one line per row), so the examples can `println!("{table}")`
+    /// directly.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_aligned_text())
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+        let render_row = |cells: &[String]| -> String {
+            cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{:<width$}", c, width = widths[i] + 2))
+                .collect::<String>()
+                .trim_end()
+                .to_string()
+        };
+        writeln!(f, "{}", render_row(&self.headers))?;
+        let rule = widths
+            .iter()
+            .map(|w| w + 2)
+            .sum::<usize>()
+            .saturating_sub(2);
+        writeln!(f, "{}", "-".repeat(rule))?;
+        for row in &self.rows {
+            writeln!(f, "{}", render_row(row))?;
+        }
+        Ok(())
     }
 }
 
@@ -183,12 +148,12 @@ mod tests {
             t
         };
         assert!(base.append(&more));
-        assert_eq!(base.len(), 3);
+        assert_eq!(base.rows.len(), 3);
         assert!(base.to_csv().contains("getPair_seq,0.3030,0.3033"));
 
         let mismatched = Table::new(vec!["other", "headers"]);
         assert!(!base.append(&mismatched));
-        assert_eq!(base.len(), 3, "a rejected append must change nothing");
+        assert_eq!(base.rows.len(), 3, "a rejected append must change nothing");
     }
 
     #[test]
@@ -196,35 +161,19 @@ mod tests {
         let mut t = Table::new(vec!["a", "b"]);
         t.add_row(vec!["1".into()]);
         t.add_row(vec!["1".into(), "2".into(), "3".into()]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
         for line in t.to_csv().lines().skip(1) {
             assert_eq!(line.split(',').count(), 2);
         }
     }
 
     #[test]
-    fn markdown_rendering() {
-        let md = sample().to_markdown();
-        assert!(md.starts_with("| selector | measured | paper |"));
-        assert!(md.contains("|---|---|---|"));
-        assert!(md.contains("| getPair_rand | 0.3702 | 0.3679 |"));
-        assert_eq!(md.lines().count(), 4);
-    }
-
-    #[test]
     fn aligned_text_rendering() {
-        let text = sample().to_aligned_text();
+        let text = sample().to_string();
         assert!(text.contains("selector"));
         assert!(text.lines().count() >= 4);
         // Columns aligned: every data line starts with the selector name.
         assert!(text.lines().nth(2).unwrap().starts_with("getPair_pm"));
-    }
-
-    #[test]
-    fn display_matches_aligned_text() {
-        let table = sample();
-        assert_eq!(table.to_string(), table.to_aligned_text());
     }
 
     #[test]

@@ -68,7 +68,7 @@
 //!
 //! For the distributed (per-node, message-passing) form of the same protocol
 //! see [`node::ProtocolNode`]; for simulation engines, churn models and the
-//! paper's experiments see the `gossip-sim` and `gossip-bench` crates of this
+//! paper's experiments see the `gossip-sim` crate and the examples of this
 //! workspace.
 
 #![forbid(unsafe_code)]

@@ -7,8 +7,8 @@
 //! for the distributions of `φ` the analysis assumes, and the number of
 //! cycles a target accuracy takes at a given rate. Selectors report their
 //! rate through [`crate::SelectorKind::theoretical_rate`]; the convergence
-//! tests and the `gossip-bench` targets compare measured reductions with
-//! these rates.
+//! tests and the `variance_reduction` example compare measured reductions
+//! with these rates.
 
 use crate::AggregationError;
 

@@ -108,6 +108,13 @@ impl SimulationConfig {
     /// policy whose probability or target is out of range.
     pub fn validate(&self, initial_values: &[f64]) -> Result<(), SimConfigError> {
         self.validate_conditions()?;
+        self.validate_size_estimation()?;
+        crate::error::validate_initial_values(initial_values)
+    }
+
+    /// The redundancy configuration and the leader policy: the checks of
+    /// [`SimulationConfig::validate`] that `Coordinator::build` leaves out.
+    fn validate_size_estimation(&self) -> Result<(), SimConfigError> {
         if let Some(redundancy) = self.redundancy {
             redundancy.validate()?;
         }
@@ -118,7 +125,7 @@ impl SimulationConfig {
                     reason: e.to_string(),
                 })?;
         }
-        crate::error::validate_initial_values(initial_values)
+        Ok(())
     }
 
     pub(crate) fn validate_conditions(&self) -> Result<(), SimConfigError> {
@@ -239,19 +246,26 @@ impl GossipSimulation {
     /// # Panics
     ///
     /// Panics when the peer-sampling configuration cannot be realised (e.g.
-    /// invalid overlay-generator parameters) or the failure conditions are
-    /// not probabilities; [`GossipSimulation::try_new`] reports the same
-    /// conditions as typed errors.
+    /// invalid overlay-generator parameters), the failure conditions are
+    /// not probabilities, the leader policy's probability or target is out
+    /// of range (e.g. `LeaderPolicy::Fixed { probability: 1.5 }` or NaN), or
+    /// the redundancy configuration is degenerate;
+    /// [`GossipSimulation::try_new`] reports the same conditions as typed
+    /// errors.
     pub fn new(config: SimulationConfig, initial_values: &[f64], master_seed: u64) -> Self {
-        GossipSimulation::build(
-            config,
-            initial_values,
-            master_seed,
-            FaultPlan::none(),
-            AdversaryPlan::none(),
-        )
-        // lint-allow(unwrap): documented `# Panics` contract; `try_new` is the typed-error variant
-        .expect("invalid simulation configuration")
+        config
+            .validate_size_estimation()
+            .and_then(|()| {
+                GossipSimulation::build(
+                    config,
+                    initial_values,
+                    master_seed,
+                    FaultPlan::none(),
+                    AdversaryPlan::none(),
+                )
+            })
+            // lint-allow(unwrap): documented `# Panics` contract; `try_new` is the typed-error variant
+            .expect("invalid simulation configuration")
     }
 
     /// Validating variant of [`GossipSimulation::new`], mirroring the
@@ -1107,5 +1121,25 @@ mod tests {
         let mut empty = GossipSimulation::new(averaging_config(3), &[], 31);
         let summary = empty.run_cycle();
         assert_eq!(summary.live_nodes, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid simulation configuration")]
+    fn new_rejects_a_leader_probability_above_one() {
+        let config = SimulationConfig {
+            leader_policy: Some(LeaderPolicy::Fixed { probability: 1.5 }),
+            ..averaging_config(3)
+        };
+        GossipSimulation::new(config, &[1.0; 20], 37);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid simulation configuration")]
+    fn new_rejects_a_redundancy_configuration_without_instances() {
+        let config = SimulationConfig {
+            redundancy: Some(RedundancyConfig::median_of(0)),
+            ..averaging_config(3)
+        };
+        GossipSimulation::new(config, &[1.0; 20], 37);
     }
 }

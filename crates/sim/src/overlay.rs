@@ -17,7 +17,7 @@
 //!   quantity to compare against the uniform-random rate `1/e ≈ 0.3679`;
 //! * [`overlay_sweep`] runs the whole sweep (overlay families × NEWSCAST
 //!   cache sizes) and renders a [`Table`] whose CSV form is the artifact the
-//!   bench target and `EXPERIMENTS.md` record.
+//!   `overlay_sweep` example and `EXPERIMENTS.md` record.
 
 use crate::{
     SeedSequence, ShardedConfig, ShardedSimulation, SimError, SimulationConfig, ValueDistribution,

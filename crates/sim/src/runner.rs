@@ -1,6 +1,5 @@
 //! Experiment runners: the parameterised procedures behind every figure and
-//! table of the paper, shared by the benchmark harness, the examples and the
-//! integration tests.
+//! table of the paper, shared by the examples and the integration tests.
 
 use crate::{
     ChurnSchedule, GossipSimulation, NetworkConditions, SeedSequence, SimConfigError, SimError,
@@ -442,7 +441,7 @@ pub fn robustness_run(
 /// one row per cycle with the peer-sampling layer the run drew partners
 /// from, throughput-relevant counters, the merged estimate statistics and
 /// the per-shard load split. `Table::to_csv` / `Table::write_csv` turn it
-/// into the artifact the bench harness and the million-node example record
+/// into the artifact the million-node example records
 /// (the `sampler` column is what keeps complete-graph and NEWSCAST runs
 /// distinguishable in archived CSVs).
 pub fn cycle_telemetry_table(

@@ -149,7 +149,7 @@ pub struct ShardedCycleSummary {
     /// epoch completed and size estimation is enabled).
     pub epoch_size_estimates: OnlineStats,
     /// Exchanges initiated per shard this cycle — the load-balance signal
-    /// recorded by the bench CSV artifacts.
+    /// recorded by the per-cycle telemetry CSV.
     pub(crate) shard_exchanges: Vec<usize>,
 }
 

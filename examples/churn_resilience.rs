@@ -1,8 +1,14 @@
-//! Robustness demonstration: how the averaging protocol behaves under message
-//! loss, a correlated crash and continuous churn, using the full
-//! protocol-level simulator (epochs, joins, departures) — including the
-//! paper's Figure 4 oscillating-churn workload driven through the
-//! slot-reclaiming arena engine.
+//! Robustness demonstration: how the averaging protocol behaves under
+//! continuous churn, message loss and correlated crashes, using the full
+//! protocol-level simulator (epochs, joins, departures).
+//!
+//! * The paper's Figure 4: network size estimation by anti-entropy counting
+//!   while the size oscillates ±10 % around its base with node turnover
+//!   every cycle, driven through the slot-reclaiming arena engine. One row
+//!   per epoch: actual size, the estimates' mean, min and max, and how many
+//!   nodes reported one.
+//! * The failure ablation: final averaging accuracy under message loss
+//!   (0–40 %), a crash of 10–50 % of the nodes at cycle 5, and both at once.
 //!
 //! Run with:
 //!
@@ -12,60 +18,76 @@
 //! ```
 
 use epidemic_aggregation::prelude::*;
+use gossip_sim::runner::robustness_run;
 
-fn scenario(label: &str, conditions: NetworkConditions, crash_cycle: Option<usize>) {
-    let n = 2_000;
-    let cycles = 25;
-    let values: Vec<f64> = (0..n).map(|i| (i % 100) as f64).collect();
+const SEED: u64 = 20040102;
 
-    let protocol = ProtocolConfig::builder()
-        .cycles_per_epoch(cycles as u32 + 1)
-        .build()
-        .expect("valid config");
-    let config = SimulationConfig {
-        protocol,
-        conditions,
-        leader_policy: None,
-        sampler: SamplerConfig::UniformComplete,
-        redundancy: None,
-    };
-    let mut sim = GossipSimulation::new(config, &values, 99);
-
-    for cycle in 0..cycles {
-        if Some(cycle) == crash_cycle {
-            let victims = sim.live_count() / 4;
-            sim.remove_random_nodes(victims);
-        }
-        sim.run_cycle();
+/// The failure-injection ablation: final accuracy of averaging over 5 000
+/// uniform `[0, 1)` values after 20 cycles, under message loss, a crash of a
+/// fraction of the nodes at cycle 5, and both at once.
+fn failure_ablation() -> Result<Table, AggregationError> {
+    let (nodes, cycles) = (5_000, 20);
+    let mut scenarios = Vec::new();
+    for loss in [0.0, 0.05, 0.1, 0.2, 0.4] {
+        scenarios.push((
+            format!("message loss {:.0}%", loss * 100.0),
+            NetworkConditions::with_message_loss(loss),
+            SEED ^ (loss * 1000.0) as u64,
+        ));
     }
+    for crash in [0.1, 0.25, 0.5] {
+        scenarios.push((
+            format!("crash of {:.0}% of nodes at cycle 5", crash * 100.0),
+            NetworkConditions::with_crash(crash, 5),
+            SEED ^ (crash * 10_000.0) as u64,
+        ));
+    }
+    scenarios.push((
+        "crash of 25% at cycle 5 + message loss 20%".to_string(),
+        NetworkConditions {
+            message_loss: 0.2,
+            crash_fraction: 0.25,
+            crash_at_cycle: Some(5),
+        },
+        SEED,
+    ));
 
-    let estimates = sim.estimates();
-    let surviving_truth = mean(&sim.local_values());
-    let worst = estimates
-        .iter()
-        .map(|e| (e - surviving_truth).abs())
-        .fold(0.0f64, f64::max);
     println!(
-        "{label:<42} survivors {:>5}  final variance {:>10.3e}  worst error vs surviving avg {:>7.3}",
-        sim.live_count(),
-        variance(&estimates),
-        worst
+        "averaging over {nodes} nodes holding uniform [0,1) values for {cycles} cycles; \
+         accuracy against the surviving nodes' true average"
     );
+    let mut table = Table::new(vec![
+        "scenario",
+        "mean relative error",
+        "final variance",
+        "surviving nodes",
+    ]);
+    for (label, conditions, seed) in scenarios {
+        let result = robustness_run(nodes, cycles, conditions, seed)?;
+        table.add_row(vec![
+            label,
+            format!("{:.4}%", result.mean_relative_error * 100.0),
+            format!("{:.2e}", result.final_variance),
+            result.surviving_nodes.to_string(),
+        ]);
+    }
+    Ok(table)
 }
 
-/// Runs the Figure 4 churn scenario through [`ChurnRunner`] and prints the
-/// engine-health telemetry: estimation accuracy, throughput and the arena's
-/// resident-slot high-water mark (which the free list keeps bounded).
-fn figure4_churn(full_scale: bool) {
+/// Runs the Figure 4 churn scenario through [`ChurnRunner`], prints the
+/// per-epoch size estimates, and then the engine-health telemetry:
+/// estimation accuracy, throughput and the arena's resident-slot high-water
+/// mark (which the free list keeps bounded).
+fn figure4_churn(full_scale: bool) -> Result<(), SimError> {
     let (label, scenario) = if full_scale {
         (
             "Figure 4, full scale (90k-110k nodes)",
-            SizeEstimationScenario::figure4(99),
+            SizeEstimationScenario::figure4(SEED),
         )
     } else {
         (
             "Figure 4, scaled (900-1100 nodes)",
-            SizeEstimationScenario::figure4_scaled(1_000, 1_000, 99),
+            SizeEstimationScenario::figure4_scaled(1_000, 1_000, SEED),
         )
     };
     println!(
@@ -77,7 +99,33 @@ fn figure4_churn(full_scale: bool) {
         scenario.total_cycles, scenario.cycles_per_epoch
     );
 
-    let report = ChurnRunner::new(scenario).run().expect("valid scenario");
+    let report = ChurnRunner::new(scenario).run()?;
+
+    let mut table = Table::new(vec![
+        "cycle",
+        "epoch",
+        "actual size",
+        "estimate (mean)",
+        "estimate (min)",
+        "estimate (max)",
+        "reporting nodes",
+        "relative error",
+    ]);
+    for point in &report.points {
+        let relative_error =
+            (point.estimate_mean - point.actual_size as f64).abs() / point.actual_size as f64;
+        table.add_row(vec![
+            point.cycle.to_string(),
+            point.epoch.to_string(),
+            point.actual_size.to_string(),
+            format!("{:.0}", point.estimate_mean),
+            format!("{:.0}", point.estimate_min),
+            format!("{:.0}", point.estimate_max),
+            point.reporting_nodes.to_string(),
+            format!("{:.2}%", relative_error * 100.0),
+        ]);
+    }
+    println!("{table}");
 
     let slot_bound = scenario.churn.max_size + 2 * scenario.churn.fluctuation_per_cycle;
     println!(
@@ -104,40 +152,14 @@ fn figure4_churn(full_scale: bool) {
         "arena leaked beyond its bound"
     );
     println!();
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full_scale = std::env::args().any(|arg| arg == "--full");
-    figure4_churn(full_scale);
-
-    println!("averaging over 2000 nodes, 25 cycles, values 0..99 (true average 49.5)");
-    println!();
-    scenario(
-        "baseline (reliable network)",
-        NetworkConditions::reliable(),
-        None,
-    );
-    scenario(
-        "10% message loss",
-        NetworkConditions::with_message_loss(0.10),
-        None,
-    );
-    scenario(
-        "40% message loss",
-        NetworkConditions::with_message_loss(0.40),
-        None,
-    );
-    scenario(
-        "25% of nodes crash at cycle 5",
-        NetworkConditions::reliable(),
-        Some(5),
-    );
-    scenario(
-        "25% crash at cycle 5 + 20% message loss",
-        NetworkConditions::with_message_loss(0.20),
-        Some(5),
-    );
-    println!();
+    figure4_churn(full_scale)?;
+    println!("{}", failure_ablation()?);
     println!("message loss only slows convergence; crashes bias the result towards the mass");
     println!("the crashed nodes held, until the next epoch restarts the aggregation.");
+    Ok(())
 }

@@ -81,6 +81,35 @@ fn twenty_regular_overlay_matches_complete_graph() {
     );
 }
 
+/// Figure 3(b): iterating AVG on the complete graph, every cycle's mean
+/// reduction factor stays at its selector's closed form, not only the
+/// first cycle's. Over ten seeds at this scale (5 000 nodes, 10 runs) the
+/// worst cycle of 1–20 sat 0.016 from 1/e (`getPair_rand`) and 0.016 from
+/// 1/(2√e) (`getPair_seq`), so 0.025 leaves room for the seed while still
+/// keeping each selector's window clear of the other's closed form. The
+/// 20-regular curves sit 0.02–0.03 above the closed form and are left out.
+#[test]
+fn every_cycle_of_figure_3b_keeps_the_closed_form_rate() {
+    for (selector, expected) in [
+        (SelectorKind::RandomEdge, theory::rand_rate()),
+        (SelectorKind::Sequential, theory::seq_rate()),
+    ] {
+        let summaries =
+            VarianceExperiment::figure3(5_000, TopologyKind::Complete, selector, 20, 10, 20040102)
+                .run()
+                .expect("valid experiment");
+        assert_eq!(summaries.len(), 20);
+        for (cycle, summary) in summaries.iter().enumerate() {
+            assert!(
+                (summary.mean - expected).abs() < 0.025,
+                "{selector:?} cycle {}: mean factor {} vs closed form {expected}",
+                cycle + 1,
+                summary.mean
+            );
+        }
+    }
+}
+
 /// Section 5: 99.9% of the variance is gone within the predicted number of
 /// cycles for the deployable sequential protocol.
 #[test]

@@ -694,7 +694,7 @@ fn vector_level_runs_are_bit_identical_for_identical_seeds() {
     assert_ne!(run(2024).0, run(2025).0, "another seed, another schedule");
 }
 
-/// The experiment runners behind the benches: same seed, same summary.
+/// The experiment runners behind the examples: same seed, same summary.
 #[test]
 fn variance_experiments_are_reproducible() {
     let run = || {
