@@ -1,13 +1,22 @@
 //! Threaded node runtime and single-process cluster helper.
 //!
-//! The runtime thread is a thin scheduler around the shared protocol core:
-//! every exchange state transition goes through [`NodeCore`] (and therefore
-//! [`aggregate_core::ExchangeCore`]), and everything environmental reaches
-//! the loop through an injected [`NodeEnv`] — a [`Clock`], a seeded RNG, a
-//! [`PeerSampler`], a [`FaultInjector`] and the [`Transport`]. The same
-//! `SamplerConfig` and `FaultPlan` values that configure the simulators plug
-//! in here unchanged, so link vetoes, loss, partitions and crash bursts work
-//! against a live UDP cluster exactly as they do in the fault lab.
+//! One live node is one `NodeLoop`: the active and passive halves of
+//! Figure 1 as a state machine that owns everything the node is — its
+//! [`NodeCore`] (so every exchange state transition goes through
+//! [`aggregate_core::ExchangeCore`]), its seeded RNG, its [`PeerSampler`],
+//! its [`FaultInjector`], the cluster-shared fault-schedule stream, the
+//! member list, its counters and its telemetry sink. Time reaches it only as
+//! an argument: a driver calls `on_deadline(now)` when the clock passes
+//! `next_deadline()` and `on_message(message)` for each message it
+//! receives, and sends what the step left in the outbox.
+//!
+//! [`GossipRuntime`]'s thread is that driver on wall-clock time over a
+//! [`Transport`]; the unit tests step the same `NodeLoop`s on one thread in
+//! virtual time. Everything else environmental is injected through
+//! [`NodeEnv`], and the same `SamplerConfig` and `FaultPlan` values that
+//! configure the simulators plug in unchanged, so link vetoes, loss,
+//! partitions and crash bursts work against a live UDP cluster exactly as
+//! they do in the fault lab.
 
 use crate::node_core::{Delivery, NodeCore};
 use crate::{lock, InMemoryNetwork, NetError, Transport};
@@ -23,7 +32,7 @@ use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,7 +55,8 @@ pub struct RuntimeStats {
     pub exchanges_started: u64,
     /// Initiated exchanges that absorbed at least one reply.
     pub exchanges_completed: u64,
-    /// Initiated exchanges closed at the next cycle boundary with no reply.
+    /// Initiated exchanges closed with no reply, at their reply deadline
+    /// or at the next cycle boundary.
     pub exchanges_timed_out: u64,
     /// Exchange attempts vetoed by the fault lab before any message was
     /// formed (dead link or active partition to the sampled peer).
@@ -88,44 +98,6 @@ impl RuntimeStats {
     }
 }
 
-/// Lock-free counter cell shared between the runtime thread and its handles.
-#[derive(Debug, Default)]
-struct StatsCell {
-    exchanges_started: AtomicU64,
-    exchanges_completed: AtomicU64,
-    exchanges_timed_out: AtomicU64,
-    exchanges_vetoed: AtomicU64,
-    pushes_rejected: AtomicU64,
-    messages_lost: AtomicU64,
-    non_finite_rejected: AtomicU64,
-    send_errors: AtomicU64,
-    recv_errors: AtomicU64,
-    decode_errors: AtomicU64,
-    cycles_run: AtomicU64,
-}
-
-impl StatsCell {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> RuntimeStats {
-        RuntimeStats {
-            exchanges_started: self.exchanges_started.load(Ordering::Relaxed),
-            exchanges_completed: self.exchanges_completed.load(Ordering::Relaxed),
-            exchanges_timed_out: self.exchanges_timed_out.load(Ordering::Relaxed),
-            exchanges_vetoed: self.exchanges_vetoed.load(Ordering::Relaxed),
-            pushes_rejected: self.pushes_rejected.load(Ordering::Relaxed),
-            messages_lost: self.messages_lost.load(Ordering::Relaxed),
-            non_finite_rejected: self.non_finite_rejected.load(Ordering::Relaxed),
-            send_errors: self.send_errors.load(Ordering::Relaxed),
-            recv_errors: self.recv_errors.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            cycles_run: self.cycles_run.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A periodic, point-in-time view of one live node: the current cycle
 /// ordinal and estimate alongside the typed counters — the mid-run
 /// visibility [`RuntimeStats`] alone (an end-of-run readout) cannot give.
@@ -145,9 +117,7 @@ pub struct MetricsSnapshot {
 #[derive(Debug, Clone)]
 pub struct NodeHandle {
     id: NodeId,
-    node: Arc<Mutex<NodeCore>>,
-    stats: Arc<StatsCell>,
-    telemetry: Arc<Mutex<TelemetrySink>>,
+    node: Arc<Mutex<NodeLoop>>,
 }
 
 impl NodeHandle {
@@ -158,40 +128,34 @@ impl NodeHandle {
 
     /// The node's current estimate of the aggregate.
     pub fn estimate(&self) -> Option<f64> {
-        lock(&self.node).estimate()
+        lock(&self.node).core.estimate()
     }
 
     /// The epoch the node is currently executing.
     pub fn current_epoch(&self) -> u64 {
-        lock(&self.node).current_epoch()
+        lock(&self.node).core.current_epoch()
     }
 
     /// Updates the node's local attribute value (picked up at the next epoch
     /// restart, as in the paper's adaptive protocol).
     pub fn set_local_value(&self, value: f64) {
-        lock(&self.node).set_local_value(value);
+        lock(&self.node).core.set_local_value(value);
     }
 
     /// A snapshot of the node's typed event counters.
     pub fn stats(&self) -> RuntimeStats {
-        self.stats.snapshot()
+        lock(&self.node).stats
     }
 
     /// A periodic mid-run snapshot: current cycle, epoch, estimate and the
-    /// typed counters in one consistent read (the counters and node state
-    /// are sampled back to back, not atomically — good enough for the
-    /// monitoring this serves).
+    /// typed counters, read together under the node's lock.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let (epoch, estimate) = {
-            let core = lock(&self.node);
-            (core.current_epoch(), core.estimate())
-        };
-        let stats = self.stats.snapshot();
+        let node = lock(&self.node);
         MetricsSnapshot {
-            cycle: stats.cycles_run,
-            epoch,
-            estimate,
-            stats,
+            cycle: node.stats.cycles_run,
+            epoch: node.core.current_epoch(),
+            estimate: node.core.estimate(),
+            stats: node.stats,
         }
     }
 
@@ -199,27 +163,27 @@ impl NodeHandle {
     /// unless the runtime was spawned with event recording enabled
     /// ([`NodeEnv::with_telemetry`]).
     pub fn drain_trace(&self) -> Vec<Event> {
-        lock(&self.telemetry).drain_events() // lint-allow(observer-effect): post-hoc export accessor for observers, not protocol logic
+        lock(&self.node).telemetry.drain_events() // lint-allow(observer-effect): post-hoc export accessor for observers, not protocol logic
     }
 
     /// Renders the node's telemetry counters (post-hoc readout).
     pub fn telemetry_metrics(&self) -> String {
-        lock(&self.telemetry).metrics().render() // lint-allow(observer-effect): post-hoc metrics accessor for observers, not protocol logic
+        lock(&self.node).telemetry.metrics().render() // lint-allow(observer-effect): post-hoc metrics accessor for observers, not protocol logic
     }
 }
 
-/// The injected environment one runtime thread lives in: transport, clock,
-/// entropy, peer sampling and fault injection.
+/// The injected environment one node lives in: transport, entropy, peer
+/// sampling, fault injection and telemetry. Time is not part of it: the
+/// driver that steps the node passes the time in.
 ///
-/// [`NodeEnv::real`] is the deployment environment — [`SystemClock`], a
-/// seeded [`StdRng`], uniform sampling over the transport's peers and the
-/// empty fault plan. The builder methods swap individual effects; the
-/// deterministic lockstep counterpart lives in [`crate::VirtualCluster`],
-/// which binds a `VirtualClock` and labelled `SeedSequence` streams instead.
+/// [`NodeEnv::real`] is the deployment environment — a seeded [`StdRng`],
+/// uniform sampling over the transport's peers and the empty fault plan.
+/// The builder methods swap individual effects; the deterministic lockstep
+/// counterpart lives in [`crate::VirtualCluster`], which binds a
+/// `VirtualClock` and labelled `SeedSequence` streams instead.
 #[derive(Debug)]
 pub struct NodeEnv<T: Transport> {
     transport: T,
-    clock: Box<dyn Clock>,
     rng: StdRng,
     sampler: Box<dyn PeerSampler + Send>,
     injector: Box<dyn FaultInjector + Send>,
@@ -232,19 +196,18 @@ pub struct NodeEnv<T: Transport> {
     /// on every node of a cluster (see [`FAULT_SCHEDULE_STREAM`]).
     fault_schedule: StdRng,
     /// Per-node observability configuration; disabled by default. The
-    /// spawned runtime owns a private [`TelemetrySink`] built from this,
-    /// timestamped via the injected clock.
+    /// node owns a private [`TelemetrySink`] built from this, stamped with
+    /// the times its driver passes in.
     telemetry: TelemetryConfig,
 }
 
 impl<T: Transport> NodeEnv<T> {
-    /// The real deployment environment over `transport`: wall-clock time, a
-    /// node-private RNG stream seeded with `seed`, uniform peer sampling and
-    /// no injected faults.
+    /// The real deployment environment over `transport`: a node-private RNG
+    /// stream seeded with `seed`, uniform peer sampling and no injected
+    /// faults.
     pub fn real(transport: T, seed: u64) -> Self {
         NodeEnv {
             transport,
-            clock: Box::new(SystemClock::new()),
             rng: StdRng::seed_from_u64(seed),
             sampler: Box::new(UniformSampler::new()),
             injector: Box::new(PlanInjector::new(FaultPlan::none(), 0)),
@@ -254,22 +217,15 @@ impl<T: Transport> NodeEnv<T> {
         }
     }
 
-    /// Enables per-node telemetry: the runtime thread records protocol
-    /// events (begun / completed / vetoed / rejected / lost, churn,
-    /// corruption) into a private flight recorder, drained through
-    /// [`NodeHandle::drain_trace`]. Event sequence numbers are per-node
-    /// ordinals — the initiator band counts this node's initiated
-    /// exchanges, served pushes count separately — faithful to what one
-    /// node can observe of an asynchronous cluster.
+    /// Enables per-node telemetry: the node records protocol events (begun /
+    /// completed / vetoed / rejected / lost, churn, corruption) into a
+    /// private flight recorder, drained through [`NodeHandle::drain_trace`].
+    /// Event sequence numbers are per-node ordinals — the initiator band
+    /// counts this node's initiated exchanges, served pushes count
+    /// separately — faithful to what one node can observe of an
+    /// asynchronous cluster.
     pub fn with_telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = config;
-        self
-    }
-
-    /// Replaces the clock (e.g. a [`aggregate_core::effects::VirtualClock`]
-    /// in tests that step time manually).
-    pub fn with_clock(mut self, clock: impl Clock + 'static) -> Self {
-        self.clock = Box::new(clock);
         self
     }
 
@@ -287,13 +243,11 @@ impl<T: Transport> NodeEnv<T> {
         config: SamplerConfig,
         seeds: &SeedSequence,
     ) -> Result<Self, NetError> {
-        let mut members = self.transport.peers();
-        members.push(self.transport.local_node());
-        members.sort();
-        self.sampler =
-            instantiate_sampler(config, &members, seeds).map_err(|e| NetError::InvalidConfig {
+        self.sampler = instantiate_sampler(config, &self.members(), seeds).map_err(|e| {
+            NetError::InvalidConfig {
                 reason: e.to_string(),
-            })?;
+            }
+        })?;
         Ok(self)
     }
 
@@ -340,12 +294,64 @@ impl<T: Transport> NodeEnv<T> {
         plan.validate().map_err(|e| NetError::InvalidConfig {
             reason: e.to_string(),
         })?;
+        let seed = seeds.seed_for_labeled(0, ADVERSARY_STREAM);
+        self.adversary = Adversary::new(plan, seed, &self.members());
+        Ok(self)
+    }
+
+    /// Every member of the cluster, this node included, in id order.
+    fn members(&self) -> Vec<NodeId> {
         let mut members = self.transport.peers();
         members.push(self.transport.local_node());
         members.sort();
-        self.adversary =
-            Adversary::new(plan, seeds.seed_for_labeled(0, ADVERSARY_STREAM), &members);
-        Ok(self)
+        members
+    }
+
+    /// Splits the environment into the transport a driver carries the
+    /// node's messages over and the node's [`NodeLoop`], started at time
+    /// `now`: cycle 0 is entered (fault and overlay bookkeeping) without
+    /// initiating, and the first boundary falls at a random phase within
+    /// one Δt, so nodes do not fire in lock-step.
+    fn start(self, config: ProtocolConfig, local_value: f64, now: u64) -> (T, NodeLoop) {
+        let live_ids = self.members();
+        let NodeEnv {
+            transport,
+            rng,
+            sampler,
+            injector,
+            adversary,
+            fault_schedule,
+            telemetry,
+        } = self;
+        let cycle_length = config.cycle_length_ms().max(1);
+        let local = transport.local_node();
+        let mut node = NodeLoop {
+            core: NodeCore::new(ProtocolNode::new(local, config, local_value)),
+            rng,
+            sampler,
+            injector,
+            adversary,
+            fault_schedule,
+            live_ids,
+            crashed: false,
+            loss: 0.0,
+            cycle: 0,
+            cycle_length,
+            next_cycle: now,
+            reply_timeout: (cycle_length / 4).max(2),
+            reply_deadline: u64::MAX,
+            init_seq: 0,
+            serve_seq: 0,
+            pushes: Vec::new(),
+            outbox: Vec::new(),
+            stats: RuntimeStats::default(),
+            telemetry: TelemetrySink::new(telemetry),
+        };
+        node.telemetry.begin_cycle(0, now);
+        node.enter_cycle();
+        let phase = cycle_length as f64 * node.rng.gen_range(0.0..1.0);
+        node.next_cycle = now + phase as u64;
+        (transport, node)
     }
 }
 
@@ -380,25 +386,15 @@ impl GossipRuntime {
         config: ProtocolConfig,
         local_value: f64,
     ) -> GossipRuntime {
-        let id = env.transport.local_node();
-        let node = Arc::new(Mutex::new(NodeCore::new(ProtocolNode::new(
-            id,
-            config,
-            local_value,
-        ))));
-        let stats = Arc::new(StatsCell::default());
-        let telemetry = Arc::new(Mutex::new(TelemetrySink::new(env.telemetry)));
-        let stop = Arc::new(AtomicBool::new(false));
+        let clock = SystemClock::new();
+        let (transport, node) = env.start(config, local_value, clock.now_ms());
         let handle = NodeHandle {
-            id,
-            node: Arc::clone(&node),
-            stats: Arc::clone(&stats),
-            telemetry: Arc::clone(&telemetry),
+            id: transport.local_node(),
+            node: Arc::new(Mutex::new(node)),
         };
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            run_node_loop(env, node, config, stats, telemetry, &stop_flag);
-        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let (node, stop_flag) = (Arc::clone(&handle.node), Arc::clone(&stop));
+        let thread = std::thread::spawn(move || drive(&transport, &node, &clock, &stop_flag));
         GossipRuntime {
             handle,
             stop,
@@ -429,329 +425,282 @@ impl Drop for GossipRuntime {
     }
 }
 
-/// Mutable per-cycle membership view of one runtime thread.
-struct CycleState {
+/// The runtime thread: steps `node` on wall-clock time until `stop` is set.
+/// Each pass runs the deadlines that are due or else waits for one message;
+/// whatever a step queued goes out through `transport`, and transport
+/// failures are counted, not swallowed.
+fn drive<T: Transport>(
+    transport: &T,
+    node: &Mutex<NodeLoop>,
+    clock: &SystemClock,
+    stop: &AtomicBool,
+) {
+    while !stop.load(Ordering::SeqCst) {
+        {
+            let mut node = lock(node);
+            let now = clock.now_ms();
+            if now >= node.next_deadline() {
+                node.on_deadline(now);
+                send_outbox(transport, &mut node);
+                continue;
+            }
+        }
+        // Deadlines are whole milliseconds, so a 1 ms wait never overshoots
+        // the next one, and a stop request is seen within a millisecond.
+        match transport.recv_timeout(Duration::from_millis(1)) {
+            Ok(Some(message)) => {
+                let mut node = lock(node);
+                node.on_message(message);
+                send_outbox(transport, &mut node);
+            }
+            Ok(None) => {}
+            Err(NetError::Decode { .. }) => lock(node).stats.decode_errors += 1,
+            Err(_) => {
+                // Transport failure: count it, back off briefly, keep
+                // serving; the protocol tolerates lost exchanges.
+                lock(node).stats.recv_errors += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+}
+
+/// Sends every message `node`'s last step queued, counting failed sends.
+fn send_outbox(transport: &impl Transport, node: &mut NodeLoop) {
+    for message in node.outbox.drain(..) {
+        if transport.send(&message).is_err() {
+            node.stats.send_errors += 1;
+        }
+    }
+}
+
+/// A node's identifier as a trace key.
+fn key(id: NodeId) -> u64 {
+    u64::from(id.as_u32())
+}
+
+/// One live node of Figure 1 as a state machine: the active half fires at
+/// each cycle boundary, the passive half answers each message, and the time
+/// of every step is an argument. Messages to send collect in `outbox`.
+///
+/// The node draws from its own RNG in a fixed order — the initial phase,
+/// then per boundary the peer pick and one loss coin per push, and one loss
+/// coin per reply it owes — and from the cluster-shared fault-schedule
+/// stream for crash victims, so its behaviour is a function of its inputs:
+/// the times of its steps and the messages it receives.
+#[derive(Debug)]
+struct NodeLoop {
+    core: NodeCore,
+    rng: StdRng,
+    sampler: Box<dyn PeerSampler + Send>,
+    injector: Box<dyn FaultInjector + Send>,
+    adversary: Adversary,
+    fault_schedule: StdRng,
     /// Members not yet killed by a crash burst, in a deterministic order
     /// every node reproduces from the shared fault-schedule stream.
     live_ids: Vec<NodeId>,
-    /// Whether a crash burst killed *this* node (it then goes silent).
+    /// Whether a crash burst killed *this* node: it then neither initiates
+    /// nor answers, but keeps counting cycles.
     crashed: bool,
     /// This cycle's message-loss probability.
     loss: f64,
+    cycle: usize,
+    /// `Δt` in milliseconds, at least 1.
+    cycle_length: u64,
+    /// Time of the next cycle boundary.
+    next_cycle: u64,
+    /// How long an initiated exchange may wait for its replies: `Δt/4`,
+    /// at least 2 ms.
+    reply_timeout: u64,
+    /// When the pending exchange is closed early; `u64::MAX` when none is.
+    reply_deadline: u64,
+    /// Event ordinals: initiated exchanges and served pushes count
+    /// separately (an asynchronous node cannot know its peers' numbering).
+    init_seq: u64,
+    serve_seq: u64,
+    pushes: Vec<GossipMessage>,
+    outbox: Vec<GossipMessage>,
+    stats: RuntimeStats,
+    telemetry: TelemetrySink,
 }
 
-fn run_node_loop<T: Transport>(
-    mut env: NodeEnv<T>,
-    node: Arc<Mutex<NodeCore>>,
-    config: ProtocolConfig,
-    stats: Arc<StatsCell>,
-    telemetry: Arc<Mutex<TelemetrySink>>,
-    stop: &AtomicBool,
-) {
-    // Cached once: with telemetry disabled every hook below is one branch.
-    let events = lock(&telemetry).events_enabled();
-    // Per-node event ordinals: initiated exchanges and served pushes count
-    // separately (an asynchronous node cannot know its peers' numbering).
-    let mut init_seq: u64 = 0;
-    let mut serve_seq: u64 = 0;
-    let local = env.transport.local_node();
-    let cycle_length = config.cycle_length_ms().max(1);
-    let mut members = env.transport.peers();
-    members.push(local);
-    members.sort();
-    let mut state = CycleState {
-        live_ids: members,
-        crashed: false,
-        loss: 0.0,
-    };
-    let mut cycle: usize = 0;
-    let mut pushes: Vec<GossipMessage> = Vec::new();
-    // Replies land within a network round-trip; once a pending exchange has
-    // outlived this deadline its replies were lost or the push was rejected,
-    // and the node must close it early and resume answering pushes. Holding
-    // the pending slot to the cycle boundary instead lets rejections cascade:
-    // every push the stuck node rejects strands another initiator, and a
-    // fault-free symmetric cluster can livelock with nobody completing.
-    let reply_timeout = (cycle_length / 4).max(2);
-    let mut reply_deadline = u64::MAX;
-
-    // Enter cycle 0 (fault + overlay bookkeeping) without initiating yet:
-    // the random initial phase staggers the first active exchanges so nodes
-    // do not fire in lock-step.
-    if events {
-        lock(&telemetry).begin_cycle(0, env.clock.now_ms());
+impl NodeLoop {
+    /// When the node next needs a step without a message: its cycle
+    /// boundary or, if earlier, its pending exchange's reply deadline.
+    fn next_deadline(&self) -> u64 {
+        self.next_cycle.min(self.reply_deadline)
     }
-    enter_cycle(
-        &mut env, cycle, &mut state, &node, local, &telemetry, events,
-    );
-    let mut next_cycle =
-        env.clock.now_ms() + (cycle_length as f64 * env.rng.gen_range(0.0..1.0)) as u64;
 
-    while !stop.load(Ordering::SeqCst) {
-        // Serve incoming exchanges until the next cycle boundary.
-        let now = env.clock.now_ms();
-        if now < next_cycle {
-            if now >= reply_deadline {
-                match lock(&node).close_pending() {
-                    Some(true) => {
-                        StatsCell::bump(&stats.exchanges_completed);
-                        if events {
-                            lock(&telemetry).exchange_completed(init_seq.wrapping_sub(1));
-                        }
-                    }
-                    Some(false) => StatsCell::bump(&stats.exchanges_timed_out),
-                    None => {}
-                }
-                reply_deadline = u64::MAX;
-            }
-            let wait = Duration::from_millis((next_cycle - now).min(1));
-            match env.transport.recv_timeout(wait) {
-                Ok(Some(message)) => {
-                    if !state.crashed {
-                        serve(
-                            &mut env,
-                            &node,
-                            &state,
-                            message,
-                            &stats,
-                            ServeTelemetry {
-                                sink: &telemetry,
-                                events,
-                                serve_seq: &mut serve_seq,
-                                init_seq,
-                                local,
-                            },
-                        );
-                    }
-                }
-                Ok(None) => {}
-                Err(NetError::Decode { .. }) => StatsCell::bump(&stats.decode_errors),
-                Err(_) => {
-                    // Transport failure: count it, back off briefly, keep
-                    // serving; the protocol tolerates lost exchanges.
-                    StatsCell::bump(&stats.recv_errors);
-                    env.clock.advance(1);
-                }
-            }
-            continue;
-        }
-
-        // Cycle boundary: settle the in-flight exchange, advance the epoch
-        // machinery, enter the next cycle and run the active half.
-        let epoch_restart = {
-            let mut core = lock(&node);
-            match core.close_pending() {
-                Some(true) => {
-                    StatsCell::bump(&stats.exchanges_completed);
-                    if events {
-                        lock(&telemetry).exchange_completed(init_seq.wrapping_sub(1));
-                    }
-                }
-                Some(false) => StatsCell::bump(&stats.exchanges_timed_out),
-                None => {}
-            }
-            if !state.crashed {
-                core.end_cycle().map(|result| result.epoch)
+    /// Runs every deadline due by `now`, in time order.
+    fn on_deadline(&mut self, now: u64) {
+        while self.next_deadline() <= now {
+            if self.next_cycle <= now {
+                self.cross_boundary(now);
             } else {
-                None
+                // Replies land within a network round-trip; past this
+                // deadline they were lost or the push was rejected, so the
+                // node closes the exchange and answers pushes again. Holding
+                // the pending slot to the boundary instead lets rejections
+                // cascade: every push the stuck node rejects strands another
+                // initiator, and a fault-free symmetric cluster can livelock
+                // with nobody completing.
+                self.settle();
+                self.reply_deadline = u64::MAX;
             }
-        };
-        if events {
-            if let Some(epoch) = epoch_restart {
-                lock(&telemetry).epoch_restarted(epoch);
+        }
+    }
+
+    /// The passive half: delivers `message` through the core and queues the
+    /// reply it owes, if any (through the loss gate). A crashed node drops
+    /// every message. It reads no time: a message is served as it arrives,
+    /// also one that arrives just after a deadline the driver has not yet
+    /// run.
+    fn on_message(&mut self, message: GossipMessage) {
+        if self.crashed {
+            return;
+        }
+        match self.core.deliver(message) {
+            Delivery::Reply(reply) => {
+                let seq = self.serve_seq;
+                self.serve_seq += 1;
+                self.ship(reply, seq);
+            }
+            Delivery::ExchangeComplete => self.count_completed(),
+            Delivery::RejectedOverlap => {
+                self.stats.pushes_rejected += 1;
+                let seq = self.serve_seq;
+                self.serve_seq += 1;
+                self.telemetry.exchange_rejected(seq, key(self.core.id()));
+            }
+            Delivery::RejectedNonFinite => self.stats.non_finite_rejected += 1,
+            Delivery::Absorbed | Delivery::ReplyAbsorbed | Delivery::UnmatchedReply => {}
+        }
+    }
+
+    /// The cycle boundary: settle the in-flight exchange, advance the epoch
+    /// machinery, enter the next cycle and run the active half.
+    fn cross_boundary(&mut self, now: u64) {
+        self.settle();
+        if !self.crashed {
+            if let Some(result) = self.core.end_cycle() {
+                self.telemetry.epoch_restarted(result.epoch);
             }
         }
-        cycle += 1;
-        StatsCell::bump(&stats.cycles_run);
-        if events {
-            lock(&telemetry).begin_cycle(cycle as u64, env.clock.now_ms());
+        self.cycle += 1;
+        self.stats.cycles_run += 1;
+        self.telemetry.begin_cycle(self.cycle as u64, now);
+        self.enter_cycle();
+        if !self.crashed {
+            self.initiate();
         }
-        enter_cycle(
-            &mut env, cycle, &mut state, &node, local, &telemetry, events,
-        );
-        if !state.crashed {
-            initiate(
-                &mut env,
-                &node,
-                &state,
-                &mut pushes,
-                local,
-                &stats,
-                &telemetry,
-                events,
-                &mut init_seq,
-            );
-        }
-        reply_deadline = if lock(&node).is_pending() {
-            env.clock.now_ms().saturating_add(reply_timeout)
+        self.reply_deadline = if self.core.is_pending() {
+            now.saturating_add(self.reply_timeout)
         } else {
             u64::MAX
         };
-        next_cycle = next_cycle.saturating_add(cycle_length);
+        self.next_cycle = self.next_cycle.saturating_add(self.cycle_length);
     }
-}
 
-/// Per-cycle fault-lab and overlay bookkeeping, identical on every node:
-/// crash bursts and value corruptions are drawn from streams every node
-/// shares, so the cluster agrees on victims without coordination.
-#[allow(clippy::too_many_arguments)]
-fn enter_cycle<T: Transport>(
-    env: &mut NodeEnv<T>,
-    cycle: usize,
-    state: &mut CycleState,
-    node: &Mutex<NodeCore>,
-    local: NodeId,
-    telemetry: &Mutex<TelemetrySink>,
-    events: bool,
-) {
-    env.injector.begin_cycle(cycle);
-    let victims = env.injector.crash_count(state.live_ids.len());
-    for _ in 0..victims {
-        if state.live_ids.is_empty() {
-            break;
-        }
-        let k = env.fault_schedule.gen_range(0..state.live_ids.len());
-        let victim = state.live_ids.swap_remove(k);
-        env.sampler.on_depart(victim);
-        if victim == local {
-            state.crashed = true;
-            // Each node's trace records only its own crash; merging per-node
-            // traces therefore yields one departure event per victim.
-            if events {
-                lock(telemetry).node_departed(u64::from(local.as_u32()));
-            }
+    /// Closes a still-pending exchange and counts how it ended.
+    fn settle(&mut self) {
+        match self.core.close_pending() {
+            Some(true) => self.count_completed(),
+            Some(false) => self.stats.exchanges_timed_out += 1,
+            None => {}
         }
     }
-    // The stateful adversary next, in the simulators' order: a colluding
-    // node re-asserts its lie every cycle, and the one-shot ValueInjection
-    // never double-corrupts a node the adversary is actively lying through.
-    if env.adversary.is_colluder(local) {
-        if let Some(value) = env.adversary.lie_at(cycle) {
-            lock(node).corrupt_estimate(value);
-            if events {
-                lock(telemetry).value_corrupted(u64::from(local.as_u32()));
-            }
-        }
-    }
-    for (pos, value) in env.injector.corruptions(state.live_ids.len()) {
-        if state.live_ids.get(pos) == Some(&local)
-            && !env.adversary.overrides_injection(cycle, local)
-        {
-            lock(node).corrupt_estimate(value);
-            if events {
-                lock(telemetry).value_corrupted(u64::from(local.as_u32()));
-            }
-        }
-    }
-    state.loss = env.injector.loss_probability();
-    env.sampler
-        .begin_cycle(&SliceDirectory::new(&state.live_ids));
-}
 
-/// The active half of Figure 1: sample a peer, let the fault lab veto the
-/// contact, otherwise begin the exchange through the core and ship the
-/// pushes (each through the loss gate).
-#[allow(clippy::too_many_arguments)]
-fn initiate<T: Transport>(
-    env: &mut NodeEnv<T>,
-    node: &Mutex<NodeCore>,
-    state: &CycleState,
-    pushes: &mut Vec<GossipMessage>,
-    local: NodeId,
-    stats: &StatsCell,
-    telemetry: &Mutex<TelemetrySink>,
-    events: bool,
-    init_seq: &mut u64,
-) {
-    let Some(self_pos) = state.live_ids.iter().position(|&id| id == local) else {
-        return;
-    };
-    let directory = SliceDirectory::new(&state.live_ids);
-    let Some(peer) = sample_live_peer(env.sampler.as_mut(), &directory, self_pos, &mut env.rng)
-    else {
-        return;
-    };
-    if env.injector.link_blocked(local, peer) {
-        env.sampler.peer_failed(local, peer);
-        StatsCell::bump(&stats.exchanges_vetoed);
-        if events {
-            lock(telemetry).exchange_vetoed(u64::from(local.as_u32()), u64::from(peer.as_u32()));
-        }
-        return;
+    /// Counts the completion of the most recent initiated exchange.
+    fn count_completed(&mut self) {
+        self.stats.exchanges_completed += 1;
+        self.telemetry
+            .exchange_completed(self.init_seq.wrapping_sub(1));
     }
-    if !lock(node).begin(peer, pushes) {
-        return;
-    }
-    StatsCell::bump(&stats.exchanges_started);
-    let seq = *init_seq;
-    *init_seq += 1;
-    if events {
-        lock(telemetry).exchange_begun(seq, u64::from(local.as_u32()), u64::from(peer.as_u32()));
-    }
-    for push in pushes.iter() {
-        if state.loss > 0.0 && env.rng.gen_bool(state.loss) {
-            StatsCell::bump(&stats.messages_lost);
-            if events {
-                lock(telemetry).message_lost(seq);
-            }
-            continue;
-        }
-        if env.transport.send(push).is_err() {
-            StatsCell::bump(&stats.send_errors);
-        }
-    }
-}
 
-/// The passive half: deliver one received message through the core and send
-/// back the reply it owes, if any (through the loss gate).
-/// Telemetry context for [`serve`]: the shared sink plus the two per-node
-/// ordinal streams (served pushes get fresh ordinals; a completing reply is
-/// attributed to the most recent initiated exchange).
-struct ServeTelemetry<'a> {
-    sink: &'a Mutex<TelemetrySink>,
-    events: bool,
-    serve_seq: &'a mut u64,
-    init_seq: u64,
-    local: NodeId,
-}
+    /// Per-cycle fault-lab and overlay bookkeeping, identical on every node:
+    /// crash bursts and value corruptions are drawn from streams every node
+    /// shares, so the cluster agrees on victims without coordination.
+    fn enter_cycle(&mut self) {
+        let local = self.core.id();
+        self.injector.begin_cycle(self.cycle);
+        let victims = self.injector.crash_count(self.live_ids.len());
+        for _ in 0..victims {
+            if self.live_ids.is_empty() {
+                break;
+            }
+            let k = self.fault_schedule.gen_range(0..self.live_ids.len());
+            let victim = self.live_ids.swap_remove(k);
+            self.sampler.on_depart(victim);
+            if victim == local {
+                self.crashed = true;
+                // Each node's trace records only its own crash; merging
+                // per-node traces therefore yields one departure per victim.
+                self.telemetry.node_departed(key(local));
+            }
+        }
+        // The stateful adversary next, in the simulators' order: a colluding
+        // node re-asserts its lie every cycle, and the one-shot
+        // ValueInjection never double-corrupts a node the adversary is
+        // actively lying through.
+        if self.adversary.is_colluder(local) {
+            if let Some(value) = self.adversary.lie_at(self.cycle) {
+                self.core.corrupt_estimate(value);
+                self.telemetry.value_corrupted(key(local));
+            }
+        }
+        for (pos, value) in self.injector.corruptions(self.live_ids.len()) {
+            if self.live_ids.get(pos) == Some(&local)
+                && !self.adversary.overrides_injection(self.cycle, local)
+            {
+                self.core.corrupt_estimate(value);
+                self.telemetry.value_corrupted(key(local));
+            }
+        }
+        self.loss = self.injector.loss_probability();
+        self.sampler
+            .begin_cycle(&SliceDirectory::new(&self.live_ids));
+    }
 
-fn serve<T: Transport>(
-    env: &mut NodeEnv<T>,
-    node: &Mutex<NodeCore>,
-    state: &CycleState,
-    message: GossipMessage,
-    stats: &StatsCell,
-    telemetry: ServeTelemetry<'_>,
-) {
-    match lock(node).deliver(message) {
-        Delivery::Reply(reply) => {
-            let seq = *telemetry.serve_seq;
-            *telemetry.serve_seq += 1;
-            if state.loss > 0.0 && env.rng.gen_bool(state.loss) {
-                StatsCell::bump(&stats.messages_lost);
-                if telemetry.events {
-                    lock(telemetry.sink).message_lost(seq);
-                }
-            } else if env.transport.send(&reply).is_err() {
-                StatsCell::bump(&stats.send_errors);
-            }
+    /// The active half of Figure 1: sample a peer, let the fault lab veto the
+    /// contact, otherwise begin the exchange through the core and queue the
+    /// pushes (each through the loss gate).
+    fn initiate(&mut self) {
+        let local = self.core.id();
+        let Some(self_pos) = self.live_ids.iter().position(|&id| id == local) else {
+            return;
+        };
+        let directory = SliceDirectory::new(&self.live_ids);
+        let sampler = self.sampler.as_mut();
+        let Some(peer) = sample_live_peer(sampler, &directory, self_pos, &mut self.rng) else {
+            return;
+        };
+        if self.injector.link_blocked(local, peer) {
+            self.sampler.peer_failed(local, peer);
+            self.stats.exchanges_vetoed += 1;
+            self.telemetry.exchange_vetoed(key(local), key(peer));
+            return;
         }
-        Delivery::ExchangeComplete => {
-            StatsCell::bump(&stats.exchanges_completed);
-            if telemetry.events {
-                lock(telemetry.sink).exchange_completed(telemetry.init_seq.wrapping_sub(1));
-            }
+        if !self.core.begin(peer, &mut self.pushes) {
+            return;
         }
-        Delivery::RejectedOverlap => {
-            StatsCell::bump(&stats.pushes_rejected);
-            if telemetry.events {
-                let seq = *telemetry.serve_seq;
-                *telemetry.serve_seq += 1;
-                lock(telemetry.sink).exchange_rejected(seq, u64::from(telemetry.local.as_u32()));
-            }
+        self.stats.exchanges_started += 1;
+        let seq = self.init_seq;
+        self.init_seq += 1;
+        self.telemetry.exchange_begun(seq, key(local), key(peer));
+        for i in 0..self.pushes.len() {
+            self.ship(self.pushes[i], seq);
         }
-        Delivery::RejectedNonFinite => StatsCell::bump(&stats.non_finite_rejected),
-        Delivery::Absorbed | Delivery::ReplyAbsorbed | Delivery::UnmatchedReply => {}
+    }
+
+    /// Queues `message` of exchange `seq` for sending, unless this cycle's
+    /// loss model drops it.
+    fn ship(&mut self, message: GossipMessage, seq: u64) {
+        if self.loss > 0.0 && self.rng.gen_bool(self.loss) {
+            self.stats.messages_lost += 1;
+            self.telemetry.message_lost(seq);
+        } else {
+            self.outbox.push(message);
+        }
     }
 }
 
@@ -788,61 +737,13 @@ impl GossipCluster {
     /// Returns [`NetError::InvalidConfig`] for empty inputs or a zero cycle
     /// length.
     pub fn run_in_memory(values: &[f64], config: ClusterConfig) -> Result<ClusterReport, NetError> {
-        GossipCluster::run_with(
-            values,
-            config,
-            SamplerConfig::UniformComplete,
-            FaultPlan::none(),
-        )
-    }
-
-    /// Runs the in-memory cluster with the simulator-grade knobs: any
-    /// [`SamplerConfig`] and any [`FaultPlan`], taken *unchanged* — the same
-    /// values a [`gossip_sim::GossipSimulation`] accepts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidConfig`] for empty inputs, a zero cycle
-    /// length, an unrealisable sampler configuration or a malformed fault
-    /// plan.
-    pub fn run_with(
-        values: &[f64],
-        config: ClusterConfig,
-        sampler: SamplerConfig,
-        plan: FaultPlan,
-    ) -> Result<ClusterReport, NetError> {
-        if values.is_empty() {
-            return Err(NetError::InvalidConfig {
-                reason: "at least one node is required".to_string(),
-            });
-        }
-        if config.cycle_length_ms == 0 || config.cycles == 0 {
-            return Err(NetError::InvalidConfig {
-                reason: "cycle length and cycle count must be positive".to_string(),
-            });
-        }
-        let protocol = ProtocolConfig::builder()
-            .cycle_length_ms(config.cycle_length_ms)
-            // One long epoch: the cluster helper measures raw convergence.
-            .cycles_per_epoch(config.cycles.saturating_mul(10).max(1))
-            .build()
-            .map_err(|e| NetError::InvalidConfig {
-                reason: e.to_string(),
-            })?;
-
-        let seeds = SeedSequence::new(1_000);
-        let endpoints = InMemoryNetwork::create(values.len());
-        let runtimes: Vec<GossipRuntime> = endpoints
+        let sampler = SamplerConfig::UniformComplete;
+        let (protocol, envs) = cluster_envs(values, config, sampler, FaultPlan::none())?;
+        let runtimes: Vec<GossipRuntime> = envs
             .into_iter()
-            .zip(values.iter())
-            .enumerate()
-            .map(|(i, (endpoint, &value))| {
-                let env = NodeEnv::real(endpoint, seeds.seed_for_run(i as u64))
-                    .with_sampler(sampler, &seeds)?
-                    .with_faults(plan.clone(), &seeds)?;
-                Ok(GossipRuntime::spawn_env(env, protocol, value))
-            })
-            .collect::<Result<_, NetError>>()?;
+            .zip(values)
+            .map(|(env, &value)| GossipRuntime::spawn_env(env, protocol, value))
+            .collect();
 
         // Wait on protocol progress, not wall-clock guesses: the nominal run
         // time assumes the node threads are scheduled promptly, which a
@@ -881,9 +782,147 @@ impl GossipCluster {
     }
 }
 
+/// The in-memory cluster of `values.len()` nodes: the protocol configuration
+/// (one long epoch, so the run measures raw convergence) and one environment
+/// per node, with `sampler` and `plan` taken unchanged — the same values a
+/// [`gossip_sim::GossipSimulation`] accepts.
+///
+/// # Errors
+///
+/// [`NetError::InvalidConfig`] for empty inputs, a zero cycle length or
+/// count, an unrealisable sampler configuration or a malformed fault plan.
+fn cluster_envs(
+    values: &[f64],
+    config: ClusterConfig,
+    sampler: SamplerConfig,
+    plan: FaultPlan,
+) -> Result<(ProtocolConfig, Vec<NodeEnv<InMemoryNetwork>>), NetError> {
+    if values.is_empty() {
+        return Err(NetError::InvalidConfig {
+            reason: "at least one node is required".to_string(),
+        });
+    }
+    if config.cycle_length_ms == 0 || config.cycles == 0 {
+        return Err(NetError::InvalidConfig {
+            reason: "cycle length and cycle count must be positive".to_string(),
+        });
+    }
+    let protocol = ProtocolConfig::builder()
+        .cycle_length_ms(config.cycle_length_ms)
+        .cycles_per_epoch(config.cycles.saturating_mul(10).max(1))
+        .build()
+        .map_err(|e| NetError::InvalidConfig {
+            reason: e.to_string(),
+        })?;
+    let seeds = SeedSequence::new(1_000);
+    let envs = InMemoryNetwork::create(values.len())
+        .into_iter()
+        .enumerate()
+        .map(|(i, endpoint)| {
+            NodeEnv::real(endpoint, seeds.seed_for_run(i as u64))
+                .with_sampler(sampler, &seeds)?
+                .with_faults(plan.clone(), &seeds)
+        })
+        .collect::<Result<_, NetError>>()?;
+    Ok((protocol, envs))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggregate_core::InstanceTag;
+    use std::collections::VecDeque;
+
+    /// The in-memory cluster's nodes stepped on one thread in virtual time
+    /// with zero latency: time jumps to the earliest deadline, the nodes due
+    /// then step in id order, and each step's messages — and the replies they
+    /// provoke — are delivered at once.
+    struct VirtualNet {
+        nodes: Vec<NodeLoop>,
+        now: u64,
+    }
+
+    impl VirtualNet {
+        fn new(
+            values: &[f64],
+            config: ClusterConfig,
+            sampler: SamplerConfig,
+            plan: FaultPlan,
+        ) -> Self {
+            let (protocol, envs) = cluster_envs(values, config, sampler, plan).unwrap();
+            let nodes = envs
+                .into_iter()
+                .zip(values)
+                .map(|(env, &value)| env.start(protocol, value, 0).1)
+                .collect();
+            VirtualNet { nodes, now: 0 }
+        }
+
+        fn step(&mut self) {
+            self.now = self
+                .nodes
+                .iter()
+                .map(NodeLoop::next_deadline)
+                .min()
+                .unwrap();
+            for i in 0..self.nodes.len() {
+                if self.nodes[i].next_deadline() <= self.now {
+                    self.nodes[i].on_deadline(self.now);
+                    self.deliver(i);
+                }
+            }
+        }
+
+        fn deliver(&mut self, from: usize) {
+            let mut queue: VecDeque<GossipMessage> = self.nodes[from].outbox.drain(..).collect();
+            while let Some(message) = queue.pop_front() {
+                let to = message.recipient().index();
+                self.nodes[to].on_message(message);
+                queue.extend(self.nodes[to].outbox.drain(..));
+            }
+        }
+
+        /// Steps until every node has crossed `cycles` cycle boundaries.
+        fn run(&mut self, cycles: u64) {
+            while self.nodes.iter().any(|node| node.stats.cycles_run < cycles) {
+                self.step();
+            }
+        }
+
+        fn report(&self) -> ClusterReport {
+            let mut stats = RuntimeStats::default();
+            for node in &self.nodes {
+                stats.merge(node.stats);
+            }
+            let estimates = self
+                .nodes
+                .iter()
+                .map(|node| node.core.estimate().unwrap())
+                .collect();
+            ClusterReport { estimates, stats }
+        }
+    }
+
+    fn run_virtual(
+        values: &[f64],
+        config: ClusterConfig,
+        sampler: SamplerConfig,
+        plan: FaultPlan,
+    ) -> ClusterReport {
+        let mut net = VirtualNet::new(values, config, sampler, plan);
+        net.run(u64::from(config.cycles));
+        net.report()
+    }
+
+    fn push(from: usize, to: usize, value: f64) -> GossipMessage {
+        GossipMessage::Push {
+            from: NodeId::new(from),
+            to: NodeId::new(to),
+            instance: InstanceTag::DEFAULT,
+            epoch: 0,
+            value,
+        }
+    }
 
     #[test]
     fn cluster_converges_and_conserves_the_sum() {
@@ -894,14 +933,15 @@ mod tests {
         let values = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0];
         let true_mean = values.iter().sum::<f64>() / values.len() as f64;
         let true_sum: f64 = values.iter().sum();
-        let report = GossipCluster::run_in_memory(
+        let report = run_virtual(
             &values,
             ClusterConfig {
                 cycle_length_ms: 5,
                 cycles: 40,
             },
-        )
-        .unwrap();
+            SamplerConfig::UniformComplete,
+            FaultPlan::none(),
+        );
         assert_eq!(report.estimates.len(), values.len());
         for estimate in &report.estimates {
             assert!(
@@ -967,14 +1007,14 @@ mod tests {
             cycle_length_ms: 5,
             cycles: 10,
         };
-        assert!(GossipCluster::run_with(
+        assert!(cluster_envs(
             &[1.0, 2.0],
             config,
             SamplerConfig::Newscast { cache_size: 0 },
             FaultPlan::none(),
         )
         .is_err());
-        assert!(GossipCluster::run_with(
+        assert!(cluster_envs(
             &[1.0, 2.0],
             config,
             SamplerConfig::UniformComplete,
@@ -987,15 +1027,15 @@ mod tests {
     fn simulator_fault_plan_and_sampler_plug_into_the_live_cluster() {
         // The exact values a GossipSimulation takes — a NEWSCAST sampler
         // config and a FaultPlan with loss and dead links — drive the live
-        // threaded cluster unchanged, and the typed counters surface the
-        // injected failures.
+        // node loop unchanged, and the typed counters surface the injected
+        // failures.
         let values: Vec<f64> = (0..8).map(|i| 10.0 * i as f64).collect();
         let true_mean = values.iter().sum::<f64>() / values.len() as f64;
         let plan = FaultPlan {
             link_failure: 0.1,
             ..FaultPlan::with_message_loss(0.05)
         };
-        let report = GossipCluster::run_with(
+        let report = run_virtual(
             &values,
             ClusterConfig {
                 cycle_length_ms: 5,
@@ -1003,8 +1043,7 @@ mod tests {
             },
             SamplerConfig::newscast(),
             plan,
-        )
-        .unwrap();
+        );
         assert!(
             report.stats.messages_lost > 0 || report.stats.exchanges_vetoed > 0,
             "the fault lab must visibly act on the live path: {:?}",
@@ -1026,6 +1065,121 @@ mod tests {
             "estimates must still contract under faults, spread {}",
             max - min
         );
+    }
+
+    /// An initiated exchange whose push is lost holds the node's pending
+    /// slot, and pushes to it are rejected, only until `Δt/4` (at least
+    /// 2 ms) after the boundary: then it is counted as timed out and the
+    /// node answers pushes again, well before its next boundary.
+    #[test]
+    fn an_unanswered_exchange_closes_at_its_reply_deadline_and_the_node_serves_again() {
+        for (cycle_length_ms, timeout) in [(40, 10), (5, 2)] {
+            let config = ClusterConfig {
+                cycle_length_ms,
+                cycles: 10,
+            };
+            let uniform = SamplerConfig::UniformComplete;
+            let mut net = VirtualNet::new(&[2.0, 6.0], config, uniform, FaultPlan::none());
+            let node = &mut net.nodes[0];
+            let boundary = node.next_deadline();
+            node.on_deadline(boundary);
+            assert_eq!(node.stats.exchanges_started, 1);
+            assert_eq!(node.outbox.len(), 1, "one push to the only peer");
+            node.outbox.clear(); // the push is lost in transit
+            assert_eq!(node.next_deadline(), boundary + timeout);
+
+            node.on_deadline(boundary + timeout - 1);
+            node.on_message(push(1, 0, 6.0));
+            assert_eq!(node.stats.pushes_rejected, 1);
+            assert!(node.outbox.is_empty());
+            assert_eq!(node.stats.exchanges_timed_out, 0);
+
+            node.on_deadline(boundary + timeout);
+            assert_eq!(node.stats.exchanges_timed_out, 1);
+            assert_eq!(node.stats.cycles_run, 1, "closed before the next boundary");
+            assert_eq!(node.next_deadline(), boundary + cycle_length_ms);
+
+            node.on_message(push(1, 0, 6.0));
+            assert!(
+                matches!(node.outbox[..], [GossipMessage::Reply { value, .. }] if value == 2.0),
+                "{:?}",
+                node.outbox
+            );
+            assert_eq!(node.core.estimate(), Some(4.0));
+            assert_eq!(node.stats.exchanges_timed_out, 1);
+        }
+    }
+
+    /// Every node's first cycle boundary falls at a random phase within one
+    /// `Δt` of its start, so the nodes do not fire in lock-step.
+    #[test]
+    fn the_first_cycle_boundary_falls_within_the_first_cycle() {
+        let values = vec![1.0; 64];
+        let config = ClusterConfig {
+            cycle_length_ms: 40,
+            cycles: 10,
+        };
+        let (protocol, envs) = cluster_envs(
+            &values,
+            config,
+            SamplerConfig::UniformComplete,
+            FaultPlan::none(),
+        )
+        .unwrap();
+        let start = 1_000;
+        let phases: Vec<u64> = envs
+            .into_iter()
+            .map(|env| env.start(protocol, 1.0, start).1.next_deadline() - start)
+            .collect();
+        assert!(phases.iter().all(|&phase| phase < 40), "{phases:?}");
+        assert!(phases.iter().any(|&phase| phase != phases[0]), "{phases:?}");
+    }
+
+    /// A node a crash burst kills goes silent: it initiates nothing, answers
+    /// nothing and its state freezes, while every node agrees on the victims
+    /// and the survivors keep converging among themselves.
+    #[test]
+    fn a_crash_burst_victim_goes_silent() {
+        let values: Vec<f64> = (0..8).map(|i| 10.0 * i as f64).collect();
+        let config = ClusterConfig {
+            cycle_length_ms: 5,
+            cycles: 40,
+        };
+        let plan = FaultPlan::with_crash_burst(3, 0.25);
+        let mut net = VirtualNet::new(&values, config, SamplerConfig::UniformComplete, plan);
+        net.run(3);
+        let live = net.nodes[0].live_ids.clone();
+        assert_eq!(live.len(), 6);
+        assert!(net.nodes.iter().all(|node| node.live_ids == live));
+        let victims: Vec<usize> = (0..8).filter(|&i| net.nodes[i].crashed).collect();
+        assert_eq!(victims.len(), 2);
+        assert!(victims.iter().all(|&i| !live.contains(&NodeId::new(i))));
+        let frozen: Vec<_> = victims
+            .iter()
+            .map(|&i| {
+                (
+                    net.nodes[i].stats.exchanges_started,
+                    net.nodes[i].core.estimate(),
+                )
+            })
+            .collect();
+
+        net.run(40);
+        for (&i, &(started, estimate)) in victims.iter().zip(&frozen) {
+            let node = &mut net.nodes[i];
+            assert_eq!(node.stats.exchanges_started, started, "node {i} initiated");
+            assert_eq!(node.core.estimate(), estimate, "node {i} changed");
+            let peer = usize::from(i == 0);
+            node.on_message(push(peer, i, 1.0));
+            assert!(node.outbox.is_empty(), "node {i} answered");
+        }
+        let survivors: Vec<f64> = (0..8)
+            .filter(|i| !victims.contains(i))
+            .map(|i| net.nodes[i].core.estimate().unwrap())
+            .collect();
+        let spread = survivors.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+            - survivors.iter().cloned().fold(f64::INFINITY, f64::min);
+        assert!(spread < 1.0, "survivors disagree by {spread}");
     }
 
     #[test]
