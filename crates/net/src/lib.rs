@@ -20,10 +20,12 @@
 //!   network-wide sum;
 //! * [`GossipRuntime`] — one OS thread per node driving the active cycle of
 //!   Figure 1 (wait Δt → sample a peer → push–pull exchange) while serving
-//!   incoming exchanges. Its environment is fully injected through
-//!   [`NodeEnv`]: a [`aggregate_core::effects::Clock`], a seeded RNG, a
+//!   incoming exchanges. The node itself is one state machine that owns all
+//!   its state and is stepped with the time as an argument; the thread is a
+//!   thin driver that reads the wall clock, receives, steps and sends. Its
+//!   environment is injected through [`NodeEnv`]: a seeded RNG, a
 //!   [`aggregate_core::sampler::PeerSampler`], a
-//!   [`gossip_faults::FaultInjector`] and the transport;
+//!   [`gossip_faults::FaultInjector`], telemetry and the transport;
 //! * [`VirtualCluster`] — the same node type and transport under a
 //!   [`aggregate_core::effects::VirtualClock`] and labelled
 //!   [`aggregate_core::effects::SeedSequence`] streams, stepped in lockstep:
@@ -53,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod codec;
 mod error;
@@ -69,7 +72,6 @@ pub use memory::InMemoryNetwork;
 pub use node_core::{Delivery, NodeCore};
 pub use runtime::{
     ClusterConfig, ClusterReport, GossipCluster, GossipRuntime, NodeEnv, NodeHandle, RuntimeStats,
-    FAULT_SCHEDULE_STREAM,
 };
 pub use transport::Transport;
 pub use udp::UdpTransport;

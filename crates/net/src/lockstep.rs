@@ -22,7 +22,7 @@
 use crate::node_core::{Delivery, NodeCore};
 use crate::{InMemoryNetwork, Transport};
 use aggregate_core::node::ProtocolNode;
-use aggregate_core::sampler::{sample_live_peer, SamplerConfig, SamplerDirectory};
+use aggregate_core::sampler::{sample_live_peer, SamplerDirectory};
 use aggregate_core::{EpochResult, ExchangeTally, GossipMessage, InstanceTag};
 use gossip_faults::{Adversary, AdversaryPlan, FaultPlan};
 use gossip_sim::coordinator::{Coordinator, CycleNodes, NodeTicks};
@@ -144,7 +144,9 @@ impl NodeTicks for Members {
 /// let mut wire = VirtualCluster::new(config, &values, 7).unwrap();
 /// let mut engine = GossipSimulation::new(config, &values, 7);
 /// // The wire runtime and the cycle engine take identical trajectories.
-/// assert_eq!(wire.run(5), engine.run(5));
+/// for _ in 0..5 {
+///     assert_eq!(wire.run_cycle(), engine.run_cycle());
+/// }
 /// ```
 #[derive(Debug)]
 pub struct VirtualCluster {
@@ -174,24 +176,7 @@ impl VirtualCluster {
         initial_values: &[f64],
         master_seed: u64,
     ) -> Result<Self, SimConfigError> {
-        VirtualCluster::with_faults(config, initial_values, master_seed, FaultPlan::none())
-    }
-
-    /// Creates the cluster executing the given [`FaultPlan`] (with the
-    /// configuration's conditions absorbed underneath), exactly as
-    /// [`gossip_sim::GossipSimulation::with_faults`] does.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`VirtualCluster::new`] rejects, plus
-    /// [`SimConfigError::Faults`] for a malformed schedule.
-    pub fn with_faults(
-        config: SimulationConfig,
-        initial_values: &[f64],
-        master_seed: u64,
-        plan: FaultPlan,
-    ) -> Result<Self, SimConfigError> {
-        let adversary = AdversaryPlan::none();
+        let (plan, adversary) = (FaultPlan::none(), AdversaryPlan::none());
         VirtualCluster::with_adversary(config, initial_values, master_seed, plan, adversary)
     }
 
@@ -202,7 +187,8 @@ impl VirtualCluster {
     ///
     /// # Errors
     ///
-    /// Everything [`VirtualCluster::with_faults`] rejects, plus
+    /// Everything [`VirtualCluster::new`] rejects, plus
+    /// [`SimConfigError::Faults`] for a malformed schedule and
     /// [`SimConfigError::Adversary`] for a malformed adversary plan.
     pub fn with_adversary(
         config: SimulationConfig,
@@ -257,41 +243,10 @@ impl VirtualCluster {
         self.coordinator.telemetry.watchdog_verdict() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
     }
 
-    /// Every verdict transition the watchdog has diagnosed so far.
-    pub fn watchdog_diagnoses(&self) -> &[gossip_telemetry::Diagnosis] {
-        self.coordinator.telemetry.diagnoses() // lint-allow(observer-effect): post-hoc diagnosis accessor for runners/tests, not protocol logic
-    }
-
-    /// The accumulated telemetry counters (post-hoc readout).
-    pub fn telemetry_metrics(&self) -> &gossip_telemetry::MetricsRegistry {
-        self.coordinator.telemetry.metrics() // lint-allow(observer-effect): post-hoc metrics accessor for runners/tests, not protocol logic
-    }
-
-    /// The peer-sampling configuration partners are drawn from.
-    pub fn sampler_config(&self) -> SamplerConfig {
-        self.coordinator.sampler.config()
-    }
-
     /// The realised adversary (colluding set and per-epoch captures) — the
     /// cross-runtime tests inspect it to cross-check which nodes are lying.
     pub fn adversary(&self) -> &Adversary {
         self.coordinator.adversary()
-    }
-
-    /// Number of live nodes.
-    pub fn live_count(&self) -> usize {
-        self.members.live.len()
-    }
-
-    /// The current cycle index.
-    pub fn cycle(&self) -> usize {
-        self.coordinator.cycle()
-    }
-
-    /// The cluster's virtual time in milliseconds (one `cycle_length_ms` per
-    /// cycle run).
-    pub fn now_ms(&self) -> u64 {
-        self.coordinator.now_ms()
     }
 
     /// The most recent pooled network-size estimate, if any epoch completed.
@@ -432,16 +387,12 @@ impl VirtualCluster {
         self.coordinator
             .close_cycle(&mut self.members, &mut self.rng, tally, exchanges_blocked)
     }
-
-    /// Runs `cycles` consecutive cycles, returning all summaries.
-    pub fn run(&mut self, cycles: usize) -> Vec<CycleSummary> {
-        (0..cycles).map(|_| self.run_cycle()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggregate_core::sampler::SamplerConfig;
     use aggregate_core::size_estimation::LeaderPolicy;
     use aggregate_core::ProtocolConfig;
     use gossip_sim::GossipSimulation;
@@ -477,10 +428,12 @@ mod tests {
                 .unwrap(),
         );
         let mut cluster = VirtualCluster::new(config, &[1.0, 2.0, 3.0], 1).unwrap();
-        assert_eq!(cluster.now_ms(), 0);
-        cluster.run(4);
-        assert_eq!(cluster.now_ms(), 8_000);
-        assert_eq!(cluster.cycle(), 4);
+        assert_eq!(cluster.coordinator.now_ms(), 0);
+        for _ in 0..4 {
+            cluster.run_cycle();
+        }
+        assert_eq!(cluster.coordinator.now_ms(), 8_000);
+        assert_eq!(cluster.coordinator.cycle(), 4);
     }
 
     #[test]
@@ -495,7 +448,14 @@ mod tests {
             Some(SimConfigError::NonFiniteInitialValue { index: 1, .. })
         ));
         assert!(matches!(
-            VirtualCluster::with_faults(config, &[1.0], 1, FaultPlan::with_link_failure(2.0)).err(),
+            VirtualCluster::with_adversary(
+                config,
+                &[1.0],
+                1,
+                FaultPlan::with_link_failure(2.0),
+                AdversaryPlan::none()
+            )
+            .err(),
             Some(SimConfigError::Faults { .. })
         ));
         let bad_sampler = SimulationConfig {
@@ -535,13 +495,15 @@ mod tests {
         let values: Vec<f64> = (0..80).map(|i| i as f64).collect();
         let config = averaging(10);
         let plan = FaultPlan::with_crash_burst(3, 0.25);
-        let mut wire = VirtualCluster::with_faults(config, &values, 9, plan.clone()).unwrap();
+        let adversary = AdversaryPlan::none();
+        let mut wire =
+            VirtualCluster::with_adversary(config, &values, 9, plan.clone(), adversary).unwrap();
         let mut engine = GossipSimulation::with_faults(config, &values, 9, plan).unwrap();
         for _ in 0..8 {
             assert_eq!(wire.run_cycle(), engine.run_cycle());
         }
-        assert_eq!(wire.live_count(), 60);
-        assert_eq!(wire.live_count(), engine.live_count());
+        assert_eq!(wire.members.live.len(), 60);
+        assert_eq!(wire.members.live.len(), engine.live_count());
         assert_eq!(wire.estimates(), engine.estimates());
     }
 }

@@ -79,23 +79,23 @@ impl NodeCore {
     }
 
     /// The node's identifier.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.node.id()
     }
 
     /// Read access to the wrapped protocol node.
-    pub fn node(&self) -> &ProtocolNode {
+    pub(crate) fn node(&self) -> &ProtocolNode {
         &self.node
     }
 
     /// Mutable access to the wrapped protocol node (leader election, value
     /// corruption — the non-exchange operations an engine performs).
-    pub fn node_mut(&mut self) -> &mut ProtocolNode {
+    pub(crate) fn node_mut(&mut self) -> &mut ProtocolNode {
         &mut self.node
     }
 
     /// Whether an exchange is currently awaiting replies.
-    pub fn is_pending(&self) -> bool {
+    pub(crate) fn is_pending(&self) -> bool {
         self.pending.is_some()
     }
 
@@ -179,19 +179,19 @@ impl NodeCore {
     }
 
     /// The epoch the node is currently executing.
-    pub fn current_epoch(&self) -> u64 {
+    pub(crate) fn current_epoch(&self) -> u64 {
         self.node.current_epoch()
     }
 
     /// Updates the node's local attribute value (picked up at the next epoch
     /// restart, as in the paper's adaptive protocol).
-    pub fn set_local_value(&mut self, value: f64) {
+    pub(crate) fn set_local_value(&mut self, value: f64) {
         self.node.set_local_value(value);
     }
 
     /// Overwrites the node's running estimate (the fault lab's adversarial
     /// value injection).
-    pub fn corrupt_estimate(&mut self, value: f64) {
+    pub(crate) fn corrupt_estimate(&mut self, value: f64) {
         self.node.corrupt_estimate(value);
     }
 }

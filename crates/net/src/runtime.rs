@@ -25,9 +25,9 @@ use aggregate_core::node::ProtocolNode;
 use aggregate_core::sampler::UniformSampler;
 use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SliceDirectory};
 use aggregate_core::{GossipMessage, ProtocolConfig};
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
+use gossip_faults::{FaultInjector, FaultPlan, PlanInjector};
 use gossip_sim::instantiate_sampler;
-use gossip_sim::sampling::{ADVERSARY_STREAM, FAULTS_STREAM};
+use gossip_sim::sampling::FAULTS_STREAM;
 use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 /// draws. Every node derives this stream from the *same* cluster
 /// [`SeedSequence`], so all nodes agree on which of them a crash burst kills
 /// without any coordination messages.
-pub const FAULT_SCHEDULE_STREAM: &str = "fault-schedule";
+const FAULT_SCHEDULE_STREAM: &str = "fault-schedule";
 
 /// Snapshot of a runtime's typed event counters.
 ///
@@ -165,11 +165,6 @@ impl NodeHandle {
     pub fn drain_trace(&self) -> Vec<Event> {
         lock(&self.node).telemetry.drain_events() // lint-allow(observer-effect): post-hoc export accessor for observers, not protocol logic
     }
-
-    /// Renders the node's telemetry counters (post-hoc readout).
-    pub fn telemetry_metrics(&self) -> String {
-        lock(&self.node).telemetry.metrics().render() // lint-allow(observer-effect): post-hoc metrics accessor for observers, not protocol logic
-    }
 }
 
 /// The injected environment one node lives in: transport, entropy, peer
@@ -187,11 +182,6 @@ pub struct NodeEnv<T: Transport> {
     rng: StdRng,
     sampler: Box<dyn PeerSampler + Send>,
     injector: Box<dyn FaultInjector + Send>,
-    /// The stateful adversary: when this node is a colluder, it re-asserts
-    /// the attack value at every cycle boundary, exactly as the simulators'
-    /// colluders do. Cluster-shared seed stream ⇒ every node agrees on the
-    /// colluding set without coordination.
-    adversary: Adversary,
     /// Cluster-shared stream for crash/corruption victim selection; identical
     /// on every node of a cluster (see [`FAULT_SCHEDULE_STREAM`]).
     fault_schedule: StdRng,
@@ -211,7 +201,6 @@ impl<T: Transport> NodeEnv<T> {
             rng: StdRng::seed_from_u64(seed),
             sampler: Box::new(UniformSampler::new()),
             injector: Box::new(PlanInjector::new(FaultPlan::none(), 0)),
-            adversary: Adversary::none(),
             fault_schedule: StdRng::seed_from_u64(0),
             telemetry: TelemetryConfig::disabled(),
         }
@@ -271,34 +260,6 @@ impl<T: Transport> NodeEnv<T> {
         Ok(self)
     }
 
-    /// Arms the stateful adversary with the *same* [`AdversaryPlan`] the
-    /// simulators take, deriving the colluder coins from the cluster-wide
-    /// `seeds` through the same labelled stream over the sorted member list
-    /// — every node of a cluster agrees on who is colluding without any
-    /// coordination messages, and each colluder re-asserts its lie at every
-    /// cycle boundary.
-    ///
-    /// Leader capture ([`gossip_faults::AttackStrategy::LeaderCapture`]) is
-    /// inert here: the live runtime runs no counting-instance elections, so
-    /// there are no leaders to capture. The simulators and
-    /// [`crate::VirtualCluster`] exercise that half of the lab.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] for a malformed adversary plan.
-    pub fn with_adversary(
-        mut self,
-        plan: AdversaryPlan,
-        seeds: &SeedSequence,
-    ) -> Result<Self, NetError> {
-        plan.validate().map_err(|e| NetError::InvalidConfig {
-            reason: e.to_string(),
-        })?;
-        let seed = seeds.seed_for_labeled(0, ADVERSARY_STREAM);
-        self.adversary = Adversary::new(plan, seed, &self.members());
-        Ok(self)
-    }
-
     /// Every member of the cluster, this node included, in id order.
     fn members(&self) -> Vec<NodeId> {
         let mut members = self.transport.peers();
@@ -319,7 +280,6 @@ impl<T: Transport> NodeEnv<T> {
             rng,
             sampler,
             injector,
-            adversary,
             fault_schedule,
             telemetry,
         } = self;
@@ -330,7 +290,6 @@ impl<T: Transport> NodeEnv<T> {
             rng,
             sampler,
             injector,
-            adversary,
             fault_schedule,
             live_ids,
             crashed: false,
@@ -366,21 +325,12 @@ pub struct GossipRuntime {
 }
 
 impl GossipRuntime {
-    /// Spawns the runtime thread for one node over the real environment
-    /// ([`NodeEnv::real`] with the given seed).
+    /// Spawns the runtime thread for one node over `env` (for example
+    /// [`NodeEnv::real`]).
     ///
-    /// `transport` must belong to the node (its `local_node` defines the
-    /// node's identity); `config.cycle_length_ms()` sets `Δt`.
-    pub fn spawn<T: Transport + 'static>(
-        transport: T,
-        config: ProtocolConfig,
-        local_value: f64,
-        seed: u64,
-    ) -> GossipRuntime {
-        GossipRuntime::spawn_env(NodeEnv::real(transport, seed), config, local_value)
-    }
-
-    /// Spawns the runtime thread for one node over an explicit environment.
+    /// The environment's transport must belong to the node (its
+    /// `local_node` defines the node's identity); `config.cycle_length_ms()`
+    /// sets `Δt`.
     pub fn spawn_env<T: Transport + 'static>(
         env: NodeEnv<T>,
         config: ProtocolConfig,
@@ -494,7 +444,6 @@ struct NodeLoop {
     rng: StdRng,
     sampler: Box<dyn PeerSampler + Send>,
     injector: Box<dyn FaultInjector + Send>,
-    adversary: Adversary,
     fault_schedule: StdRng,
     /// Members not yet killed by a crash burst, in a deterministic order
     /// every node reproduces from the shared fault-schedule stream.
@@ -638,20 +587,8 @@ impl NodeLoop {
                 self.telemetry.node_departed(key(local));
             }
         }
-        // The stateful adversary next, in the simulators' order: a colluding
-        // node re-asserts its lie every cycle, and the one-shot
-        // ValueInjection never double-corrupts a node the adversary is
-        // actively lying through.
-        if self.adversary.is_colluder(local) {
-            if let Some(value) = self.adversary.lie_at(self.cycle) {
-                self.core.corrupt_estimate(value);
-                self.telemetry.value_corrupted(key(local));
-            }
-        }
         for (pos, value) in self.injector.corruptions(self.live_ids.len()) {
-            if self.live_ids.get(pos) == Some(&local)
-                && !self.adversary.overrides_injection(self.cycle, local)
-            {
+            if self.live_ids.get(pos) == Some(&local) {
                 self.core.corrupt_estimate(value);
                 self.telemetry.value_corrupted(key(local));
             }
@@ -1191,8 +1128,8 @@ mod tests {
             .cycles_per_epoch(1_000)
             .build()
             .unwrap();
-        let a = GossipRuntime::spawn(endpoints.next().unwrap(), config, 4.0, 1);
-        let b = GossipRuntime::spawn(endpoints.next().unwrap(), config, 8.0, 2);
+        let a = GossipRuntime::spawn_env(NodeEnv::real(endpoints.next().unwrap(), 1), config, 4.0);
+        let b = GossipRuntime::spawn_env(NodeEnv::real(endpoints.next().unwrap(), 2), config, 8.0);
         let handle = a.handle();
         assert_eq!(handle.id(), NodeId::new(0));
         std::thread::sleep(Duration::from_millis(100));
@@ -1218,7 +1155,7 @@ mod tests {
             .unwrap();
         let runtimes: Vec<GossipRuntime> = endpoints
             .into_iter()
-            .map(|e| GossipRuntime::spawn(e, config, 1.0, 7))
+            .map(|e| GossipRuntime::spawn_env(NodeEnv::real(e, 7), config, 1.0))
             .collect();
         std::thread::sleep(Duration::from_millis(20));
         drop(runtimes);
@@ -1263,8 +1200,8 @@ mod tests {
             inner: endpoints.next().unwrap(),
             polls: std::sync::atomic::AtomicU64::new(0),
         };
-        let a = GossipRuntime::spawn(flaky, config, 4.0, 1);
-        let b = GossipRuntime::spawn(endpoints.next().unwrap(), config, 8.0, 2);
+        let a = GossipRuntime::spawn_env(NodeEnv::real(flaky, 1), config, 4.0);
+        let b = GossipRuntime::spawn_env(NodeEnv::real(endpoints.next().unwrap(), 2), config, 8.0);
         std::thread::sleep(Duration::from_millis(100));
         let stats = a.handle().stats();
         assert!(stats.decode_errors > 0, "{stats:?}");
