@@ -22,6 +22,20 @@ use gossip_sim::runner::robustness_run;
 
 const SEED: u64 = 20040102;
 
+const USAGE: &str = "usage: churn_resilience [--full]";
+
+/// Whether `--full` was given; any other argument is an error.
+fn parse_args() -> Result<bool, String> {
+    let mut full_scale = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--full" => full_scale = true,
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    Ok(full_scale)
+}
+
 /// The failure-injection ablation: final accuracy of averaging over 5 000
 /// uniform `[0, 1)` values after 20 cycles, under message loss, a crash of a
 /// fraction of the nodes at cycle 5, and both at once.
@@ -156,7 +170,10 @@ fn figure4_churn(full_scale: bool) -> Result<(), SimError> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let full_scale = std::env::args().any(|arg| arg == "--full");
+    let full_scale = parse_args().unwrap_or_else(|message| {
+        eprintln!("{message}\n{USAGE}");
+        std::process::exit(2)
+    });
     figure4_churn(full_scale)?;
     println!("{}", failure_ablation()?);
     println!("message loss only slows convergence; crashes bias the result towards the mass");
