@@ -448,8 +448,9 @@ struct NodeLoop {
     /// Members not yet killed by a crash burst, in a deterministic order
     /// every node reproduces from the shared fault-schedule stream.
     live_ids: Vec<NodeId>,
-    /// Whether a crash burst killed *this* node: it then neither initiates
-    /// nor answers, but keeps counting cycles.
+    /// Whether a crash burst killed *this* node: it then answers nothing,
+    /// initiates nothing (it has left `live_ids`), but keeps counting
+    /// cycles.
     crashed: bool,
     /// This cycle's message-loss probability.
     loss: f64,
@@ -539,9 +540,7 @@ impl NodeLoop {
         self.stats.cycles_run += 1;
         self.telemetry.begin_cycle(self.cycle as u64, now);
         self.enter_cycle();
-        if !self.crashed {
-            self.initiate();
-        }
+        self.initiate();
         self.reply_deadline = if self.core.is_pending() {
             now.saturating_add(self.reply_timeout)
         } else {
@@ -600,7 +599,8 @@ impl NodeLoop {
 
     /// The active half of Figure 1: sample a peer, let the fault lab veto the
     /// contact, otherwise begin the exchange through the core and queue the
-    /// pushes (each through the loss gate).
+    /// pushes (each through the loss gate). A node no longer in `live_ids`
+    /// (a crash victim) does nothing.
     fn initiate(&mut self) {
         let local = self.core.id();
         let Some(self_pos) = self.live_ids.iter().position(|&id| id == local) else {
