@@ -283,6 +283,21 @@ fn matrix() -> Vec<Cell> {
     m.push(many_lossy.on(Sharded(4)).with(full).rel(IdenticalToUntraced));
     m.push(many_leaders.clone().on(Sharded(1)));
     m.push(many_leaders.on(Sharded(4)).rel(SameNodes));
+
+    // Loss-free reference runs, where the engine stages its exchanges in
+    // blocks: Figure 4's configuration (late join at zero, median of four
+    // led COUNT instances) under churn, and NEWSCAST behind dead links, whose
+    // vetoes and `peer_failed` reports land mid-block. The wire cluster runs
+    // one exchange at a time, so its twins hold the staged order to it.
+    m.push(cell("fig4-reliable", (600, 37), (40, 6), 2_004).protocol(late0(10)).with(|c| c.config.redundancy = Some(RedundancyConfig::median_of(4))).rel(Differs));
+    let reliable_links = cell("newscast-links-reliable", (600, 37), (30, 0), 2_718).protocol(late0(8)).with(|c| {
+        (c.config.redundancy, c.config.sampler) = (median3, newscast);
+        c.faults = FaultPlan::with_link_failure(0.1);
+    });
+    m.push(reliable_links.clone().rel(Differs));
+    m.push(reliable_links.clone().with(full).rel(IdenticalToUntraced));
+    m.push(reliable_links.clone().on(Wire).rel(IdenticalToReference));
+    m.push(reliable_links.on(Wire).with(full).rel(IdenticalToReference));
     m
 }
 
@@ -666,6 +681,8 @@ checks! {
         "median4-loss@3141/{ref,wire}{,/full}", "fig4-mini@2004/ref";
     sharded_injections_and_adaptive_elections_under_churn_reproduce_their_goldens:
         "inject@808/shards{1,4}", "adaptive-churn@909/shards{1,4}", "adaptive-churn@909/shards4/full";
+    loss_free_reference_runs_reproduce_their_goldens_and_the_wire_cluster:
+        "fig4-reliable@2004/ref", "newscast-links-reliable@2718/{ref,wire}{,/full}";
     sharded_nodes_with_many_led_instances_reproduce_their_goldens:
         "many-leaders-loss@1212/shards{1,4}", "many-leaders-loss@1212/shards4/full",
         "many-leaders@1212/shards{1,4}";
