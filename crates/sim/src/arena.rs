@@ -30,6 +30,15 @@
 //! An identifier minted by one shard's arena never resolves in another
 //! shard's arena (the tag check fails), and the sharded engine routes
 //! messages by extracting the shard bits — no map lookup required.
+//!
+//! The arena is kept as columns: the generations in a `Vec<u32>` of their
+//! own, beside the `Vec<Option<T>>` of payloads and the slot → live-position
+//! map. Resolving an identifier ([`NodeArena::slot_of`],
+//! [`NodeArena::is_live`]) or naming a slot's occupant
+//! ([`NodeArena::id_at_slot`]) reads only the two 4-byte columns, so a peer
+//! pick never touches a node: at 10⁵ nodes a node is a cache miss, and the
+//! reference engine resolves every pick of a block before it touches the
+//! nodes it picked.
 
 use aggregate_core::node::ProtocolNode;
 use overlay_topology::NodeId;
@@ -143,27 +152,27 @@ impl Default for IdLayout {
     }
 }
 
-#[derive(Debug)]
-struct Slot<T> {
-    generation: u32,
-    node: Option<T>,
-}
-
 /// A generational arena of node payloads — [`ProtocolNode`]s unless stated
 /// otherwise — with O(1) insert, remove and uniform sampling over the live
 /// set. The reference engine stores its nodes inline; the sharded engine
 /// stores `()` and keeps its node state in columns beside the arena.
 ///
-/// * `slots` owns the payloads; a departed slot keeps its generation and
+/// * `generations` holds each slot's generation and `nodes` its payload,
+///   `None` when the slot is dead; a departed slot keeps its generation and
 ///   goes on `free` for reuse.
 /// * `live` is a dense array of the currently live slot indices — the
 ///   iteration and sampling surface for the per-cycle active phase.
 /// * `live_pos` maps a slot index back to its position in `live` so removal
-///   by identifier is O(1) swap-remove rather than a linear scan.
+///   by identifier is O(1) swap-remove rather than a linear scan. It is also
+///   the liveness column: a slot is live exactly when its entry is set.
+///
+/// Identifier lookups answer from `generations` and `live_pos` alone and
+/// never read `nodes`.
 #[derive(Debug)]
 pub(crate) struct NodeArena<T = ProtocolNode> {
     layout: IdLayout,
-    slots: Vec<Slot<T>>,
+    generations: Vec<u32>,
+    nodes: Vec<Option<T>>,
     free: Vec<u32>,
     live: Vec<u32>,
     live_pos: Vec<u32>,
@@ -176,9 +185,10 @@ impl<T> Default for NodeArena<T> {
 }
 
 impl<T> NodeArena<T> {
-    /// Resident bytes of one allocated slot.
+    /// Resident bytes of one allocated slot: its generation and its payload.
     #[cfg(test)]
-    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+    pub(crate) const SLOT_BYTES: usize =
+        std::mem::size_of::<u32>() + std::mem::size_of::<Option<T>>();
 
     /// Creates an empty arena with the single-engine layout.
     pub(crate) fn new() -> Self {
@@ -190,7 +200,8 @@ impl<T> NodeArena<T> {
     pub(crate) fn with_layout(layout: IdLayout) -> Self {
         NodeArena {
             layout,
-            slots: Vec::new(),
+            generations: Vec::new(),
+            nodes: Vec::new(),
             free: Vec::new(),
             live: Vec::new(),
             live_pos: Vec::new(),
@@ -206,7 +217,7 @@ impl<T> NodeArena<T> {
     /// footprint of the arena; the churn tests assert it stays bounded by the
     /// peak live size plus the per-cycle churn.
     pub(crate) fn slot_capacity(&self) -> usize {
-        self.slots.len()
+        self.generations.len()
     }
 
     /// Number of dead slots currently awaiting reuse.
@@ -228,19 +239,29 @@ impl<T> NodeArena<T> {
         }
     }
 
+    /// The slot `id` names when its tag is this arena's and its generation
+    /// is the slot's current one, live or not.
+    #[inline]
+    fn current_slot(&self, id: NodeId) -> Option<usize> {
+        let (slot, tag, generation) = self.layout.unpack(id);
+        let current = self.generations.get(slot as usize)?;
+        (tag == self.layout.tag && *current == generation).then_some(slot as usize)
+    }
+
     /// The slot of the live node with identifier `id` — `None` when the
     /// identifier is stale, foreign (minted by another shard's arena) or its
     /// slot is dead. The id-addressed analogue of [`NodeArena::id_at_slot`].
+    #[inline]
     pub(crate) fn slot_of(&self, id: NodeId) -> Option<u32> {
-        let (slot, tag, generation) = self.layout.unpack(id);
-        if tag != self.layout.tag {
-            return None;
-        }
-        let entry = self.slots.get(slot as usize)?;
-        if entry.generation != generation || entry.node.is_none() {
-            return None;
-        }
-        Some(slot)
+        let slot = self.current_slot(id)?;
+        (self.live_pos[slot] != NOT_LIVE).then_some(slot as u32)
+    }
+
+    /// Whether `id` names a live node: [`NodeArena::slot_of`] without the
+    /// slot.
+    #[inline]
+    pub(crate) fn is_live(&self, id: NodeId) -> bool {
+        self.slot_of(id).is_some()
     }
 
     /// The identifier of the current occupant of `slot` (which must be live).
@@ -250,18 +271,19 @@ impl<T> NodeArena<T> {
     /// Panics when `slot` is out of bounds; returns a stale-generation id
     /// only if the caller raced an arena mutation, which the engine never
     /// does within a cycle.
+    #[inline]
     pub(crate) fn id_at_slot(&self, slot: u32) -> NodeId {
-        self.layout.pack(slot, self.slots[slot as usize].generation)
+        self.layout.pack(slot, self.generations[slot as usize])
     }
 
     /// Read access to the live occupant of `slot`, if any.
     pub(crate) fn node_at_slot(&self, slot: u32) -> Option<&T> {
-        self.slots.get(slot as usize)?.node.as_ref()
+        self.nodes.get(slot as usize)?.as_ref()
     }
 
     /// Mutable access to the live occupant of `slot`, if any.
     pub(crate) fn node_at_slot_mut(&mut self, slot: u32) -> Option<&mut T> {
-        self.slots.get_mut(slot as usize)?.node.as_mut()
+        self.nodes.get_mut(slot as usize)?.as_mut()
     }
 
     /// Mutable access to the live occupants of two *distinct* slots at once —
@@ -274,9 +296,9 @@ impl<T> NodeArena<T> {
     pub(crate) fn pair_mut(&mut self, a: u32, b: u32) -> (Option<&mut T>, Option<&mut T>) {
         assert_ne!(a, b, "pair_mut requires two distinct slots");
         let (lo, hi, swapped) = if a < b { (a, b, false) } else { (b, a, true) };
-        let (head, tail) = self.slots.split_at_mut(hi as usize);
-        let lo_node = head.get_mut(lo as usize).and_then(|s| s.node.as_mut());
-        let hi_node = tail.first_mut().and_then(|s| s.node.as_mut());
+        let (head, tail) = self.nodes.split_at_mut(hi as usize);
+        let lo_node = head.get_mut(lo as usize).and_then(Option::as_mut);
+        let hi_node = tail.first_mut().and_then(Option::as_mut);
         if swapped {
             (hi_node, lo_node)
         } else {
@@ -288,28 +310,13 @@ impl<T> NodeArena<T> {
     /// the identifier's generation is stale (a previous occupant), or the
     /// identifier was minted by a different shard's arena.
     pub(crate) fn get(&self, id: NodeId) -> Option<&T> {
-        let (slot, tag, generation) = self.layout.unpack(id);
-        if tag != self.layout.tag {
-            return None;
-        }
-        let entry = self.slots.get(slot as usize)?;
-        if entry.generation != generation {
-            return None;
-        }
-        entry.node.as_ref()
+        self.nodes[self.current_slot(id)?].as_ref()
     }
 
     /// Mutable variant of [`NodeArena::get`].
     pub(crate) fn get_mut(&mut self, id: NodeId) -> Option<&mut T> {
-        let (slot, tag, generation) = self.layout.unpack(id);
-        if tag != self.layout.tag {
-            return None;
-        }
-        let entry = self.slots.get_mut(slot as usize)?;
-        if entry.generation != generation {
-            return None;
-        }
-        entry.node.as_mut()
+        let slot = self.current_slot(id)?;
+        self.nodes[slot].as_mut()
     }
 
     /// Inserts a node, reusing a free slot when one exists. The constructor
@@ -327,26 +334,24 @@ impl<T> NodeArena<T> {
                 // Recycled slot: bump the generation so identifiers of the
                 // previous occupant no longer resolve. Wrap-around after
                 // the layout's generation limit is documented and accepted.
-                let entry = &mut self.slots[slot as usize];
-                entry.generation = (entry.generation + 1) % self.layout.generation_limit();
+                let generation = &mut self.generations[slot as usize];
+                *generation = (*generation + 1) % self.layout.generation_limit();
                 slot
             }
             None => {
                 assert!(
-                    self.slots.len() < self.layout.max_slots(),
+                    self.generations.len() < self.layout.max_slots(),
                     "node arena exhausted: {} simultaneously live slots",
                     self.layout.max_slots()
                 );
-                self.slots.push(Slot {
-                    generation: 0,
-                    node: None,
-                });
+                self.generations.push(0);
+                self.nodes.push(None);
                 self.live_pos.push(NOT_LIVE);
-                (self.slots.len() - 1) as u32
+                (self.generations.len() - 1) as u32
             }
         };
-        let id = self.layout.pack(slot, self.slots[slot as usize].generation);
-        self.slots[slot as usize].node = Some(make_node(id));
+        let id = self.id_at_slot(slot);
+        self.nodes[slot as usize] = Some(make_node(id));
         self.live_pos[slot as usize] = self.live.len() as u32;
         self.live.push(slot);
         (id, slot)
@@ -371,13 +376,11 @@ impl<T> NodeArena<T> {
     /// Removes the live occupant of `slot`. Returns `false` when the slot is
     /// dead or out of bounds.
     pub(crate) fn remove_slot_checked(&mut self, slot: u32) -> bool {
-        match self.slots.get(slot as usize) {
-            Some(entry) if entry.node.is_some() => {
-                self.remove_slot(slot);
-                true
-            }
-            _ => false,
+        let live = self.live_pos_of_slot(slot).is_some();
+        if live {
+            self.remove_slot(slot);
         }
+        live
     }
 
     fn remove_slot(&mut self, slot: u32) {
@@ -389,7 +392,7 @@ impl<T> NodeArena<T> {
             self.live_pos[last as usize] = pos;
         }
         self.live_pos[slot as usize] = NOT_LIVE;
-        self.slots[slot as usize].node = None;
+        self.nodes[slot as usize] = None;
         self.free.push(slot);
     }
 }
@@ -398,6 +401,7 @@ impl<T> NodeArena<T> {
 mod tests {
     use super::*;
     use aggregate_core::ProtocolConfig;
+    use std::collections::HashMap;
 
     fn make(id: NodeId, value: f64) -> ProtocolNode {
         ProtocolNode::new(id, ProtocolConfig::default(), value)
@@ -604,5 +608,162 @@ mod tests {
         assert!(!arena.remove_slot_checked(99), "out of range");
         assert_eq!(arena.len(), 1);
         assert!(arena.get(ids[1]).is_some());
+    }
+
+    /// The arena as a map from live identifier to payload, plus the slot
+    /// count: a join appends a slot only when none is free.
+    #[derive(Default)]
+    struct Model {
+        live: HashMap<NodeId, u64>,
+        /// Every identifier minted so far, once each; most are stale.
+        issued: Vec<NodeId>,
+        capacity: usize,
+        next: u64,
+    }
+
+    impl Model {
+        fn insert(&mut self, arena: &mut NodeArena<u64>) -> NodeId {
+            let value = self.next;
+            self.next += 1;
+            let (id, slot) = arena.insert_at(|_| value);
+            assert!(!self.live.contains_key(&id), "{id:?} was already live");
+            assert_eq!(arena.layout.unpack(id).1, arena.layout.tag);
+            if self.live.len() == self.capacity {
+                assert_eq!(slot as usize, self.capacity, "no free slot: append");
+                self.capacity += 1;
+            }
+            self.live.insert(id, value);
+            id
+        }
+
+        fn remove(&mut self, arena: &mut NodeArena<u64>, id: NodeId) {
+            let removed = arena
+                .slot_of(id)
+                .is_some_and(|slot| arena.remove_slot_checked(slot));
+            assert_eq!(removed, self.live.remove(&id).is_some(), "{id:?}");
+        }
+
+        fn issue(&mut self, id: NodeId) {
+            if !self.issued.contains(&id) {
+                self.issued.push(id);
+            }
+        }
+
+        /// Every lookup of every issued identifier, of its twin under
+        /// another shard's tag, and of every slot answers as the model says.
+        fn check(&self, arena: &NodeArena<u64>, step: usize) {
+            assert_eq!(arena.len(), self.live.len(), "step {step}");
+            assert_eq!(arena.slot_capacity(), self.capacity, "step {step}");
+            assert_eq!(arena.free_slots(), self.capacity - self.live.len());
+            for &id in &self.issued {
+                let value = self.live.get(&id);
+                assert_eq!(arena.get(id), value, "step {step}: {id:?}");
+                assert_eq!(arena.is_live(id), value.is_some(), "step {step}");
+                match arena.slot_of(id) {
+                    Some(slot) => {
+                        assert!(value.is_some(), "step {step}: {id:?} resolved");
+                        assert_eq!(arena.id_at_slot(slot), id, "step {step}");
+                        assert_eq!(arena.node_at_slot(slot), value, "step {step}");
+                        let pos = arena.live_pos_of_slot(slot).expect("a live slot");
+                        assert_eq!(arena.live_slots()[pos as usize], slot);
+                    }
+                    None => assert!(value.is_none(), "step {step}: {id:?} lost"),
+                }
+                let (slot, tag, generation) = arena.layout.unpack(id);
+                if arena.layout.tag_bits > 0 {
+                    let other = IdLayout::sharded((tag + 1) % MAX_SHARDS as u32);
+                    let foreign = other.pack(slot, generation);
+                    assert!(arena.get(foreign).is_none() && arena.slot_of(foreign).is_none());
+                }
+            }
+            let mut live: Vec<u32> = self
+                .live
+                .keys()
+                .filter_map(|&id| arena.slot_of(id))
+                .collect();
+            live.sort_unstable();
+            let mut listed = arena.live_slots().to_vec();
+            listed.sort_unstable();
+            assert_eq!(live, listed, "step {step}: live slots");
+            for slot in 0..self.capacity as u32 + 2 {
+                let expected = live.binary_search(&slot).is_ok();
+                assert_eq!(
+                    arena.live_pos_of_slot(slot).is_some(),
+                    expected,
+                    "step {step}"
+                );
+                assert_eq!(arena.node_at_slot(slot).is_some(), expected, "step {step}");
+            }
+        }
+    }
+
+    /// Holds a `NodeArena<u64>` to [`Model`] over one history, under the
+    /// single layout or shard `layout.1`'s. A step `(op, k)` is an insert
+    /// (op 0–7), a removal by the issued identifier `k` names, live, stale
+    /// or dead (8–10), a removal at live position `k` (11–12), a payload
+    /// rewrite through `get_mut` (13–14), or the slot at live position `k`
+    /// reused one time past the layout's generation limit (15), where the
+    /// identifier comes round to the one it started from.
+    fn arena_follows_its_model(layout: (bool, u32), steps: &[(u8, usize)]) {
+        let layout = if layout.0 {
+            IdLayout::single()
+        } else {
+            IdLayout::sharded(layout.1)
+        };
+        let mut arena = NodeArena::<u64>::with_layout(layout);
+        let mut model = Model::default();
+        for (step, &(op, k)) in steps.iter().enumerate() {
+            let issued = model.issued.len().max(1);
+            match op {
+                0..=7 => {
+                    let id = model.insert(&mut arena);
+                    model.issue(id);
+                }
+                8..=10 if !model.issued.is_empty() => {
+                    model.remove(&mut arena, model.issued[k % issued]);
+                }
+                11..=12 if arena.len() > 0 => {
+                    let pos = k % arena.len();
+                    let id = arena.id_at_slot(arena.live_slots()[pos]);
+                    arena.remove_live_at(pos);
+                    assert!(model.live.remove(&id).is_some(), "step {step}");
+                }
+                13..=14 if !model.issued.is_empty() => {
+                    let id = model.issued[k % issued];
+                    let (real, modelled) = (arena.get_mut(id), model.live.get_mut(&id));
+                    assert_eq!(real.is_some(), modelled.is_some(), "step {step}");
+                    if let (Some(real), Some(modelled)) = (real, modelled) {
+                        (*real, *modelled) = (*real + 1_000, *modelled + 1_000);
+                    }
+                }
+                15 if arena.len() > 0 => {
+                    let slot = arena.live_slots()[k % arena.len()];
+                    let (start, mut id) = (arena.id_at_slot(slot), arena.id_at_slot(slot));
+                    let limit = layout.generation_limit();
+                    for reuse in 1..=limit + 1 {
+                        model.remove(&mut arena, id);
+                        id = model.insert(&mut arena);
+                        assert_eq!(arena.slot_of(id), Some(slot), "the free list is LIFO");
+                        assert_eq!(id == start, reuse == limit, "step {step}, reuse {reuse}");
+                    }
+                    model.issue(id);
+                }
+                _ => {}
+            }
+            model.check(&arena, step);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// [`arena_follows_its_model`] over random histories.
+        #[test]
+        fn arena_follows_its_model_over_random_histories(
+            layout in (proptest::bool::ANY, 0u32..16),
+            steps in proptest::collection::vec((0u8..16, 0usize..1024), 0..80),
+        ) {
+            arena_follows_its_model(layout, &steps);
+        }
     }
 }

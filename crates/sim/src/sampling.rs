@@ -92,7 +92,7 @@ pub fn instantiate_sampler(
 
 /// The reference engine's [`SamplerDirectory`]: positions are the arena's
 /// dense live order, liveness is a generation-checked arena lookup — all
-/// O(1).
+/// O(1), and none reads a node.
 impl SamplerDirectory for NodeArena {
     fn len(&self) -> usize {
         NodeArena::len(self)
@@ -103,7 +103,7 @@ impl SamplerDirectory for NodeArena {
     }
 
     fn is_live(&self, id: NodeId) -> bool {
-        self.get(id).is_some()
+        NodeArena::is_live(self, id)
     }
 }
 

@@ -186,9 +186,7 @@ impl SamplerDirectory for GlobalDirectory<'_> {
 
     fn is_live(&self, id: NodeId) -> bool {
         let shard = IdLayout::shard_of(id) as usize;
-        self.shards
-            .get(shard)
-            .is_some_and(|s| s.arena.get(id).is_some())
+        self.shards.get(shard).is_some_and(|s| s.arena.is_live(id))
     }
 }
 
