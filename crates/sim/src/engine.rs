@@ -232,6 +232,22 @@ pub struct GossipSimulation {
     /// (`tests/determinism.rs`).
     coordinator: Coordinator,
     scratch: ExchangeScratch,
+    /// The cycle's initiator slots in shuffled order, kept between cycles.
+    order: Vec<u32>,
+}
+
+/// Initiators per block of the exchange phase, as in the sharded engine.
+const BLOCK: usize = 128;
+
+/// Reads what an exchange will read of `node`, folded into a word for
+/// [`std::hint::black_box`]: its epoch state, its id at the end of its hot
+/// fields, and the front of its led instances, through a search for the
+/// smallest led tag.
+fn touch(node: &ProtocolNode) -> u64 {
+    let led = node
+        .instance_estimate(InstanceTag(1))
+        .map_or(0, f64::to_bits);
+    led ^ u64::from(node.id().as_u32()) ^ u64::from(node.can_participate())
 }
 
 impl GossipSimulation {
@@ -343,6 +359,7 @@ impl GossipSimulation {
             rng,
             coordinator,
             scratch: ExchangeScratch::new(),
+            order: Vec::new(),
         })
     }
 
@@ -480,6 +497,17 @@ impl GossipSimulation {
     /// `/wire ≡ /ref` cells of `tests/determinism.rs` pin the two bit for
     /// bit. Telemetry records the exchange's start, its lost messages and
     /// its completion from the tally deltas.
+    ///
+    /// The exchange phase runs in blocks of [`BLOCK`] initiators, three
+    /// stages each, so that each stage's random loads overlap: stage 1
+    /// draws every pick and resolves every veto in initiator order, reading
+    /// only the arena's generation and live-position columns; stage 2
+    /// touches both endpoints' nodes and led instances; stage 3 runs the
+    /// exchanges. A pick never reads a node and an exchange draws nothing
+    /// from the schedule stream when the cycle is loss-free, so the stream
+    /// is consumed as if each exchange followed its pick. A lossy cycle
+    /// draws each exchange's loss coins between picks, so it runs blocks of
+    /// one initiator.
     pub fn run_cycle(&mut self) -> CycleSummary {
         let mut tally = ExchangeTally::default();
         let mut exchanges_blocked = 0usize;
@@ -491,61 +519,84 @@ impl GossipSimulation {
             ..
         } = &mut self.coordinator;
         let record = telemetry.events_enabled();
+        let arena = &mut self.arena;
 
         // Active phase: every live node initiates one exchange, in random
         // order (the GETPAIR_SEQ schedule realised by a distributed system).
-        let mut order = self.arena.live_slots().to_vec();
-        order.shuffle(&mut self.rng);
-        for initiator_slot in order {
-            let Some(initiator_pos) = self.arena.live_pos_of_slot(initiator_slot) else {
-                continue;
-            };
-            let Some(peer_id) = sample_live_peer(
-                sampler.as_mut(),
-                &self.arena,
-                initiator_pos as usize,
-                &mut self.rng,
-            ) else {
-                continue;
-            };
-            // The fault lab vetoes the contact attempt when the link is dead
-            // or a partition separates the endpoints — the exchange simply
-            // does not happen, and the failed contact is reported to the
-            // peer-sampling layer exactly like a contact with a dead node,
-            // so cached views (NEWSCAST) tail-drop unreachable neighbours
-            // and heal around dead links and partitions.
-            let initiator_id = self.arena.id_at_slot(initiator_slot);
-            let (initiator_key, peer_key) = (initiator_id.as_u32(), peer_id.as_u32());
-            if injector.link_blocked(initiator_id, peer_id) {
-                sampler.peer_failed(initiator_id, peer_id);
-                exchanges_blocked += 1;
-                if record {
-                    telemetry.exchange_vetoed(initiator_key.into(), peer_key.into());
+        self.order.clear();
+        self.order.extend_from_slice(arena.live_slots());
+        self.order.shuffle(&mut self.rng);
+        let block = if loss > 0.0 { 1 } else { BLOCK };
+        let mut pairs = [(0u32, 0u32); BLOCK];
+        for initiators in self.order.chunks(block) {
+            // Stage 1: the block's picks and vetoes, its surviving pairs
+            // packed into `pairs`.
+            let mut survivors = 0;
+            for &initiator_slot in initiators {
+                let Some(initiator_pos) = arena.live_pos_of_slot(initiator_slot) else {
+                    continue;
+                };
+                let Some(peer_id) = sample_live_peer(
+                    sampler.as_mut(),
+                    &*arena,
+                    initiator_pos as usize,
+                    &mut self.rng,
+                ) else {
+                    continue;
+                };
+                // The fault lab vetoes the contact attempt when the link is
+                // dead or a partition separates the endpoints — the exchange
+                // simply does not happen, and the failed contact is reported
+                // to the peer-sampling layer exactly like a contact with a
+                // dead node, so cached views (NEWSCAST) tail-drop unreachable
+                // neighbours and heal around dead links and partitions.
+                let initiator_id = arena.id_at_slot(initiator_slot);
+                if injector.link_blocked(initiator_id, peer_id) {
+                    sampler.peer_failed(initiator_id, peer_id);
+                    exchanges_blocked += 1;
+                    if record {
+                        let keys = (initiator_id.as_u32().into(), peer_id.as_u32().into());
+                        telemetry.exchange_vetoed(keys.0, keys.1);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let peer_slot = self.arena.slot_of(peer_id).expect("sampled peer is live"); // lint-allow(unwrap): sampler returned it from the live directory this cycle
-            if peer_slot == initiator_slot {
-                // A node never exchanges with itself (`begin` pushes nothing).
-                continue;
-            }
-            let (Some(initiator), Some(peer)) = self.arena.pair_mut(initiator_slot, peer_slot)
-            else {
-                continue;
-            };
-            let rng = &mut self.rng;
-            let mut lost = || loss > 0.0 && rng.gen_bool(loss);
-            let before = tally;
-            ExchangeCore::exchange(initiator, peer, &mut self.scratch, &mut lost, &mut tally);
-            if record && tally.exchanges > before.exchanges {
-                let seq = (tally.exchanges - 1) as u64;
-                telemetry.exchange_begun(seq, initiator_key.into(), peer_key.into());
-                let lost_now = tally.messages_lost - before.messages_lost;
-                for _ in 0..lost_now {
-                    telemetry.message_lost(seq);
+                let peer_slot = arena.slot_of(peer_id).expect("sampled peer is live"); // lint-allow(unwrap): sampler returned it from the live directory this cycle
+                if peer_slot == initiator_slot {
+                    // A node never exchanges with itself (`begin` pushes
+                    // nothing).
+                    continue;
                 }
-                if lost_now == 0 {
-                    telemetry.exchange_completed(seq);
+                pairs[survivors] = (initiator_slot, peer_slot);
+                survivors += 1;
+            }
+            // Stage 2: touch both endpoints of every surviving pair. The
+            // loads' values are discarded, so they can never go stale.
+            let node = |slot| arena.node_at_slot(slot).map_or(0, touch);
+            let warm = pairs[..survivors]
+                .iter()
+                .fold(0, |w, &(a, b)| w ^ node(a) ^ node(b));
+            std::hint::black_box(warm);
+            // Stage 3: the exchanges, in initiator order.
+            for &(initiator_slot, peer_slot) in &pairs[..survivors] {
+                let (Some(initiator), Some(peer)) = arena.pair_mut(initiator_slot, peer_slot)
+                else {
+                    continue;
+                };
+                let rng = &mut self.rng;
+                let mut lost = || loss > 0.0 && rng.gen_bool(loss);
+                let before = tally;
+                ExchangeCore::exchange(initiator, peer, &mut self.scratch, &mut lost, &mut tally);
+                if record && tally.exchanges > before.exchanges {
+                    let seq = (tally.exchanges - 1) as u64;
+                    let keys = (initiator.id().as_u32().into(), peer.id().as_u32().into());
+                    telemetry.exchange_begun(seq, keys.0, keys.1);
+                    let lost_now = tally.messages_lost - before.messages_lost;
+                    for _ in 0..lost_now {
+                        telemetry.message_lost(seq);
+                    }
+                    if lost_now == 0 {
+                        telemetry.exchange_completed(seq);
+                    }
                 }
             }
         }
