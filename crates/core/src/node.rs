@@ -245,6 +245,7 @@ impl ProtocolNode {
     }
 
     /// Estimate of an arbitrary instance.
+    #[inline]
     pub fn instance_estimate(&self, tag: InstanceTag) -> Option<f64> {
         if tag == InstanceTag::DEFAULT {
             return Some(self.default_instance.estimate());
