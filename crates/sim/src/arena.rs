@@ -33,9 +33,9 @@
 //!
 //! The arena is kept as columns: the generations in a `Vec<u32>` of their
 //! own, beside the `Vec<Option<T>>` of payloads and the slot → live-position
-//! map. Resolving an identifier ([`NodeArena::slot_of`],
-//! [`NodeArena::is_live`]) or naming a slot's occupant
-//! ([`NodeArena::id_at_slot`]) reads only the two 4-byte columns, so a peer
+//! map. Resolving an identifier (`NodeArena::slot_of`,
+//! `NodeArena::is_live`) or naming a slot's occupant
+//! (`NodeArena::id_at_slot`) reads only the two 4-byte columns, so a peer
 //! pick never touches a node: at 10⁵ nodes a node is a cache miss, and the
 //! reference engine resolves every pick of a block before it touches the
 //! nodes it picked.

@@ -27,7 +27,9 @@
 //! [`ProtocolNode`]s: the fused kernel that runs the default and every led
 //! COUNT instance without building a message, falling back to the message
 //! path across epochs. The engine does *not* adopt the struct-of-arrays
-//! store of the sharded engine ([`crate::soa`]). The message path a live
+//! store of the sharded engine ([`crate::soa`]), but it runs the exchange
+//! phase in that engine's stage shape: blocks of picks, then touches, then
+//! exchanges ([`GossipSimulation::run_cycle`]). The message path a live
 //! transport runs (`begin` → `respond` → `complete`, then `NodeCore`) is
 //! exercised by the wire cluster, the live runtime and the event engine, and
 //! the `/wire ≡ /ref` cells of `tests/determinism.rs` pin it bit for bit to
@@ -498,7 +500,7 @@ impl GossipSimulation {
     /// bit. Telemetry records the exchange's start, its lost messages and
     /// its completion from the tally deltas.
     ///
-    /// The exchange phase runs in blocks of [`BLOCK`] initiators, three
+    /// The exchange phase runs in blocks of 128 initiators, three
     /// stages each, so that each stage's random loads overlap: stage 1
     /// draws every pick and resolves every veto in initiator order, reading
     /// only the arena's generation and live-position columns; stage 2
