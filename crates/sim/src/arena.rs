@@ -190,9 +190,17 @@ impl<T> NodeArena<T> {
     pub(crate) const SLOT_BYTES: usize =
         std::mem::size_of::<u32>() + std::mem::size_of::<Option<T>>();
 
-    /// Creates an empty arena with the single-engine layout.
-    pub(crate) fn new() -> Self {
-        NodeArena::default()
+    /// Creates an empty arena with the single-engine layout and room for
+    /// `capacity` slots. The reference engine sizes it for its initial
+    /// population: its columns then grow by no reallocation at set-up.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        NodeArena {
+            generations: Vec::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
+            live: Vec::with_capacity(capacity),
+            live_pos: Vec::with_capacity(capacity),
+            ..NodeArena::default()
+        }
     }
 
     /// Creates an empty arena minting identifiers under `layout` (the sharded
@@ -416,7 +424,7 @@ mod tests {
     }
 
     fn arena_with(n: usize) -> (NodeArena, Vec<NodeId>) {
-        let mut arena = NodeArena::new();
+        let mut arena = NodeArena::default();
         let ids = (0..n)
             .map(|i| arena.insert(|id| make(id, i as f64)))
             .collect();
@@ -514,7 +522,7 @@ mod tests {
 
     #[test]
     fn generation_wraps_instead_of_overflowing() {
-        let mut arena = NodeArena::new();
+        let mut arena = NodeArena::default();
         let mut id = arena.insert(|id| make(id, 0.0));
         for _ in 0..IdLayout::single().generation_limit() {
             remove(&mut arena, id);
@@ -738,7 +746,8 @@ mod tests {
                 }
                 15 if arena.len() > 0 => {
                     let slot = arena.live_slots()[k % arena.len()];
-                    let (start, mut id) = (arena.id_at_slot(slot), arena.id_at_slot(slot));
+                    let start = arena.id_at_slot(slot);
+                    let mut id = start;
                     let limit = layout.generation_limit();
                     for reuse in 1..=limit + 1 {
                         model.remove(&mut arena, id);

@@ -347,7 +347,7 @@ impl GossipSimulation {
         plan: FaultPlan,
         adversary: AdversaryPlan,
     ) -> Result<Self, SimConfigError> {
-        let mut arena = NodeArena::new();
+        let mut arena = NodeArena::with_capacity(initial_values.len());
         let initial_ids: Vec<NodeId> = initial_values
             .iter()
             .map(|&v| arena.insert(|id| ProtocolNode::new(id, config.protocol, v)))
@@ -557,8 +557,8 @@ impl GossipSimulation {
                     sampler.peer_failed(initiator_id, peer_id);
                     exchanges_blocked += 1;
                     if record {
-                        let keys = (initiator_id.as_u32().into(), peer_id.as_u32().into());
-                        telemetry.exchange_vetoed(keys.0, keys.1);
+                        let (initiator_key, peer_key) = (initiator_id.as_u32(), peer_id.as_u32());
+                        telemetry.exchange_vetoed(initiator_key.into(), peer_key.into());
                     }
                     continue;
                 }
@@ -590,8 +590,8 @@ impl GossipSimulation {
                 ExchangeCore::exchange(initiator, peer, &mut self.scratch, &mut lost, &mut tally);
                 if record && tally.exchanges > before.exchanges {
                     let seq = (tally.exchanges - 1) as u64;
-                    let keys = (initiator.id().as_u32().into(), peer.id().as_u32().into());
-                    telemetry.exchange_begun(seq, keys.0, keys.1);
+                    let (initiator_key, peer_key) = (initiator.id().as_u32(), peer.id().as_u32());
+                    telemetry.exchange_begun(seq, initiator_key.into(), peer_key.into());
                     let lost_now = tally.messages_lost - before.messages_lost;
                     for _ in 0..lost_now {
                         telemetry.message_lost(seq);

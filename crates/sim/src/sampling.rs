@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn arena_directory_exposes_live_order_and_liveness() {
-        let mut arena = NodeArena::new();
+        let mut arena = NodeArena::default();
         let ids: Vec<NodeId> = (0..4)
             .map(|i| {
                 arena.insert(|id| {
