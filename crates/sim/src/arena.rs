@@ -624,7 +624,7 @@ mod tests {
     struct Model {
         live: HashMap<NodeId, u64>,
         /// Every identifier minted so far, once each; most are stale.
-        issued: Vec<NodeId>,
+        minted: Vec<NodeId>,
         capacity: usize,
         next: u64,
     }
@@ -651,19 +651,19 @@ mod tests {
             assert_eq!(removed, self.live.remove(&id).is_some(), "{id:?}");
         }
 
-        fn issue(&mut self, id: NodeId) {
-            if !self.issued.contains(&id) {
-                self.issued.push(id);
+        fn note(&mut self, id: NodeId) {
+            if !self.minted.contains(&id) {
+                self.minted.push(id);
             }
         }
 
-        /// Every lookup of every issued identifier, of its twin under
+        /// Every lookup of every minted identifier, of its twin under
         /// another shard's tag, and of every slot answers as the model says.
         fn check(&self, arena: &NodeArena<u64>, step: usize) {
             assert_eq!(arena.len(), self.live.len(), "step {step}");
             assert_eq!(arena.slot_capacity(), self.capacity, "step {step}");
             assert_eq!(arena.free_slots(), self.capacity - self.live.len());
-            for &id in &self.issued {
+            for &id in &self.minted {
                 let value = self.live.get(&id);
                 assert_eq!(arena.get(id), value, "step {step}: {id:?}");
                 assert_eq!(arena.is_live(id), value.is_some(), "step {step}");
@@ -707,7 +707,7 @@ mod tests {
 
     /// Holds a `NodeArena<u64>` to [`Model`] over one history, under the
     /// single layout or shard `layout.1`'s. A step `(op, k)` is an insert
-    /// (op 0–7), a removal by the issued identifier `k` names, live, stale
+    /// (op 0–7), a removal by the minted identifier `k` names, live, stale
     /// or dead (8–10), a removal at live position `k` (11–12), a payload
     /// rewrite through `get_mut` (13–14), or the slot at live position `k`
     /// reused one time past the layout's generation limit (15), where the
@@ -721,14 +721,14 @@ mod tests {
         let mut arena = NodeArena::<u64>::with_layout(layout);
         let mut model = Model::default();
         for (step, &(op, k)) in steps.iter().enumerate() {
-            let issued = model.issued.len().max(1);
+            let minted = model.minted.len().max(1);
             match op {
                 0..=7 => {
                     let id = model.insert(&mut arena);
-                    model.issue(id);
+                    model.note(id);
                 }
-                8..=10 if !model.issued.is_empty() => {
-                    model.remove(&mut arena, model.issued[k % issued]);
+                8..=10 if !model.minted.is_empty() => {
+                    model.remove(&mut arena, model.minted[k % minted]);
                 }
                 11..=12 if arena.len() > 0 => {
                     let pos = k % arena.len();
@@ -736,8 +736,8 @@ mod tests {
                     arena.remove_live_at(pos);
                     assert!(model.live.remove(&id).is_some(), "step {step}");
                 }
-                13..=14 if !model.issued.is_empty() => {
-                    let id = model.issued[k % issued];
+                13..=14 if !model.minted.is_empty() => {
+                    let id = model.minted[k % minted];
                     let (real, modelled) = (arena.get_mut(id), model.live.get_mut(&id));
                     assert_eq!(real.is_some(), modelled.is_some(), "step {step}");
                     if let (Some(real), Some(modelled)) = (real, modelled) {
@@ -755,7 +755,7 @@ mod tests {
                         assert_eq!(arena.slot_of(id), Some(slot), "the free list is LIFO");
                         assert_eq!(id == start, reuse == limit, "step {step}, reuse {reuse}");
                     }
-                    model.issue(id);
+                    model.note(id);
                 }
                 _ => {}
             }
