@@ -26,6 +26,10 @@
 //!   environment is injected through [`NodeEnv`]: a seeded RNG, a
 //!   [`aggregate_core::sampler::PeerSampler`], a
 //!   [`gossip_faults::FaultInjector`], telemetry and the transport;
+//! * [`GossipCluster`] — a whole cluster of that node in one process,
+//!   stepped on the calling thread in virtual time with zero latency: the
+//!   deterministic home of the asynchronous protocol's tests (no thread
+//!   scheduling, no wall clock);
 //! * [`VirtualCluster`] — the same node type and transport under a
 //!   [`aggregate_core::effects::VirtualClock`] and labelled
 //!   [`aggregate_core::effects::SeedSequence`] streams, stepped in lockstep:
@@ -41,11 +45,16 @@
 //! ## Example
 //!
 //! ```
+//! use aggregate_core::sampler::SamplerConfig;
+//! use gossip_faults::FaultPlan;
 //! use gossip_net::{GossipCluster, ClusterConfig};
 //!
-//! // Five nodes holding 1..=5 gossip in-process for 30 cycles of 5 ms.
+//! // Five nodes holding 1..=5 gossip for 30 cycles of 5 ms, uniform
+//! // sampling and no faults, stepped in virtual time on this thread.
 //! let config = ClusterConfig { cycle_length_ms: 5, cycles: 30 };
-//! let report = GossipCluster::run_in_memory(&[1.0, 2.0, 3.0, 4.0, 5.0], config).unwrap();
+//! let values = [1.0, 2.0, 3.0, 4.0, 5.0];
+//! let sampler = SamplerConfig::UniformComplete;
+//! let report = GossipCluster::run_in_memory(&values, config, sampler, FaultPlan::none()).unwrap();
 //! // Every node's estimate has converged close to the true average 3.0.
 //! assert!(report.estimates.iter().all(|e| (e - 3.0).abs() < 1.0));
 //! // The runtime counts exchange outcomes instead of swallowing them.

@@ -128,8 +128,9 @@ fn aggregation_over_newscast_views_converges_like_random_overlay() {
     );
 }
 
-/// The in-process "live" cluster (threads + channels, no simulator) reaches
-/// consensus on a value close to the true average.
+/// The in-process "live" cluster (the runtime's own nodes, stepped in
+/// virtual time on one thread, no simulator) reaches consensus on a value
+/// close to the true average.
 #[test]
 fn in_memory_cluster_reaches_consensus() {
     let values = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0];
@@ -140,6 +141,8 @@ fn in_memory_cluster_reaches_consensus() {
             cycle_length_ms: 5,
             cycles: 40,
         },
+        SamplerConfig::UniformComplete,
+        FaultPlan::none(),
     )
     .expect("cluster runs");
     let estimates = &report.estimates;
