@@ -1105,6 +1105,15 @@ mod tests {
             later.estimate_variance
         );
         assert!((later.estimate_mean - poisoned.estimate_mean).abs() < 1.0);
+        // The epoch restart at the end of cycle 100 re-seeds every estimate
+        // from its local value, which the injection never touched: the
+        // corrupted mass is flushed.
+        sim.run(76); // cycles 24..=99
+        assert!(sim.estimates().iter().all(|&e| e > 40.0));
+        sim.run(1); // cycle 100 and its restart
+        let estimates = sim.estimates();
+        assert_eq!(estimates.len(), 200);
+        assert!(estimates.iter().all(|&e| e == 1.0), "{estimates:?}");
     }
 
     #[test]
