@@ -1,8 +1,8 @@
 //! Engine-agnostic push–pull exchange core.
 //!
-//! Every runtime in this workspace — the reference cycle engine, the
-//! event-driven asynchronous engine and the sharded engine in
-//! `gossip-sim`, as well as the live UDP runtime in `gossip-net` — ultimately
+//! Every runtime in this workspace — the reference cycle engine and the
+//! sharded engine in `gossip-sim`, as well as the wire cluster and the live
+//! runtime in `gossip-net` — ultimately
 //! performs the same node-level step: the initiator pushes one message per
 //! live instance, the peer absorbs each push and replies with its pre-update
 //! approximation, and the initiator absorbs the replies (Figure 1 of the
@@ -13,7 +13,7 @@
 //! The core is deliberately split into resumable halves —
 //! [`ExchangeCore::begin`] on the initiator and [`ExchangeCore::deliver`]
 //! for each message in flight — because message-passing runtimes (the wire
-//! cluster, the event engine, the live runtime) execute the two sides of an
+//! cluster, the live runtime) execute the two sides of an
 //! exchange with a message hop in between. With both nodes in hand, an
 //! engine runs the one kernel, [`ExchangeCore::exchange_instances`], without
 //! building a message: the initiator's instances as slices, the peer as a
@@ -117,7 +117,7 @@ impl ExchangeCore {
 
     /// Delivers one in-flight message to a node, returning the reply to send
     /// back, if any. This is the entry point for engines that model message
-    /// transit explicitly (the event-driven engine, live transports).
+    /// transit explicitly (the wire cluster, the live runtime).
     pub fn deliver(node: &mut ProtocolNode, message: GossipMessage) -> Option<GossipMessage> {
         node.handle_message(message)
     }

@@ -11,10 +11,9 @@ use std::fmt;
 
 /// A rejected [`NetworkConditions`] parameter.
 ///
-/// Conditions are validated once, when a simulation is constructed (the
-/// `AsyncConfigError` pattern of the event-driven engine); the per-message
-/// draw then trusts the stored probability unconditionally instead of
-/// re-clamping it on every message.
+/// Conditions are validated once, when a simulation is constructed; the
+/// per-message draw then trusts the stored probability unconditionally
+/// instead of re-clamping it on every message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConditionsError {
     /// `message_loss` is not a probability (outside `[0, 1]`, NaN or

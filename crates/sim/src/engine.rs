@@ -31,11 +31,10 @@
 //! phase in that engine's stage shape: blocks of picks, then touches, then
 //! exchanges ([`GossipSimulation::run_cycle`]). The message path a live
 //! transport runs (`begin` → `respond` → `complete`, then `NodeCore`) is
-//! exercised by the wire cluster, the live runtime and the event engine, and
-//! the `/wire ≡ /ref` cells of `tests/determinism.rs` pin it bit for bit to
-//! this engine. Scale runs belong to
-//! [`crate::sharded::ShardedSimulation`]; this engine is the semantic
-//! reference it is pinned against.
+//! exercised by the wire cluster and the live runtime, and the
+//! `/wire ≡ /ref` cells of `tests/determinism.rs` pin it bit for bit to this
+//! engine. Scale runs belong to [`crate::sharded::ShardedSimulation`]; this
+//! engine is the semantic reference it is pinned against.
 
 use crate::arena::NodeArena;
 use crate::coordinator::{Coordinator, CycleNodes, NodeTicks};
@@ -286,10 +285,9 @@ impl GossipSimulation {
             .expect("invalid simulation configuration")
     }
 
-    /// Validating variant of [`GossipSimulation::new`], mirroring the
-    /// [`crate::AsyncSimulation::new`] pattern: rejects an empty population,
-    /// non-finite initial values, invalid failure conditions and unrealisable
-    /// sampler configurations at construction.
+    /// Validating variant of [`GossipSimulation::new`]: rejects an empty
+    /// population, non-finite initial values, invalid failure conditions and
+    /// unrealisable sampler configurations at construction.
     ///
     /// # Errors
     ///

@@ -5,10 +5,9 @@ use std::fmt;
 
 /// A rejected simulation configuration.
 ///
-/// Mirrors the [`crate::AsyncConfigError`] pattern of the event-driven
-/// engine: every constructor that can be handed nonsense validates at
-/// construction and reports *which* parameter was rejected, instead of
-/// producing NaN telemetry or a wedged run thousands of cycles later.
+/// Every constructor that can be handed nonsense validates at construction
+/// and reports *which* parameter was rejected, instead of producing NaN
+/// telemetry or a wedged run thousands of cycles later.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimConfigError {
     /// The initial population is empty.

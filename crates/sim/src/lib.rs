@@ -16,16 +16,13 @@
 //!   order through a struct-of-arrays block pipeline — bit-identical per
 //!   (seed, shard count), node values invariant across shard counts — the
 //!   engine behind the million-node epochs (`examples/million_node.rs`);
-//! * an **event-driven engine** ([`AsyncSimulation`]) with per-node clocks and
-//!   message latency, validating that convergence does not depend on the
-//!   synchronisation assumption of the analysis;
 //! * **experiment runners** ([`runner`]) that package the paper's experiments
 //!   (Figure 3's variance-reduction sweeps, Figure 4's size-estimation
 //!   scenario, robustness ablations) as reusable, seeded procedures;
 //! * the supporting models: initial value distributions ([`ValueDistribution`]),
 //!   churn schedules ([`ChurnSchedule`]), failure conditions
-//!   ([`NetworkConditions`]) and deterministic seed management
-//!   ([`SeedSequence`]).
+//!   ([`NetworkConditions`]) and the labelled seed streams of
+//!   [`aggregate_core::effects::SeedSequence`].
 //!
 //! The engines, their configurations and errors and the value and churn
 //! models are re-exported at the crate root. The public modules:
@@ -73,7 +70,6 @@ mod churn;
 pub mod coordinator;
 mod engine;
 mod error;
-mod event_engine;
 pub mod overlay;
 pub mod robustness;
 pub mod runner;
@@ -86,16 +82,11 @@ pub use churn::ChurnSchedule;
 pub use engine::{CycleSummary, GossipSimulation, SimulationConfig};
 // The failure models live in `gossip-faults` (the fault-injection lab);
 // re-exported here because every simulation configuration embeds them.
+use aggregate_core::effects::SeedSequence;
 pub use aggregate_core::redundancy::{MergePolicy, RedundancyConfig, ReportError};
 pub use error::{SimConfigError, SimError};
-pub use event_engine::{
-    AsyncConfig, AsyncConfigError, AsyncSimulation, TimeSample, WakeupDistribution,
-};
 pub use gossip_faults::NetworkConditions;
 pub(crate) use gossip_faults::{AdversaryPlan, FaultPlan};
-// `SeedSequence` moved to `aggregate-core`'s effects module (it now seeds
-// the live runtime too); re-exported here so existing imports keep working.
-pub use aggregate_core::effects::SeedSequence;
 pub use robustness::{AttackDefensePoint, RobustnessPoint, RobustnessSweep};
 pub use sampling::instantiate_sampler;
 pub use sharded::{ShardedConfig, ShardedCycleSummary, ShardedSimulation};

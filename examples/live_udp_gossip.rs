@@ -14,10 +14,10 @@
 //! cargo run --release --example live_udp_gossip -- --faults --sampler newscast --trace run.jsonl
 //! ```
 
+use epidemic_aggregation::core::effects::SeedSequence;
 use epidemic_aggregation::net::{GossipRuntime, NodeEnv, UdpTransport};
 use epidemic_aggregation::prelude::*;
 use epidemic_aggregation::telemetry::{merge_events, trace};
-use gossip_sim::SeedSequence;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;

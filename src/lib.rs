@@ -12,8 +12,8 @@
 //!   the convergence theory;
 //! * [`topology`] (`overlay-topology`) — overlay graphs and generators;
 //! * [`membership`] (`peer-sampling`) — newscast-style peer sampling;
-//! * [`sim`] (`gossip-sim`) — cycle-driven and event-driven simulators,
-//!   churn models and experiment runners;
+//! * [`sim`] (`gossip-sim`) — the cycle-driven simulators (reference and
+//!   sharded), churn models and experiment runners;
 //! * [`faults`] (`gossip-faults`) — the fault-injection lab: deterministic
 //!   fault schedules (link failures, partitions, crash bursts, loss ramps,
 //!   adversarial value injection) every engine executes;
@@ -81,10 +81,9 @@ pub mod prelude {
         ChurnReport, ChurnRunner, SizeEstimationScenario, VarianceExperiment,
     };
     pub use gossip_sim::{
-        AsyncConfig, AsyncSimulation, AttackDefensePoint, ChurnSchedule, GossipSimulation,
-        MergePolicy, NetworkConditions, RedundancyConfig, ReportError, RobustnessPoint,
-        RobustnessSweep, ShardedConfig, ShardedSimulation, SimConfigError, SimError,
-        SimulationConfig, ValueDistribution, WakeupDistribution,
+        AttackDefensePoint, ChurnSchedule, GossipSimulation, MergePolicy, NetworkConditions,
+        RedundancyConfig, ReportError, RobustnessPoint, RobustnessSweep, ShardedConfig,
+        ShardedSimulation, SimConfigError, SimError, SimulationConfig, ValueDistribution,
     };
     pub use gossip_telemetry::{
         ConvergenceWatchdog, Diagnosis, Event, EventKind, FlightRecorder, MetricsRegistry,

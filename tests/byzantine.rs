@@ -17,11 +17,11 @@
 //! * the stateful/one-shot contrast — dilution absorbs a one-shot injection
 //!   but never outruns a persistent lie.
 
+use epidemic_aggregation::core::effects::SeedSequence;
 use epidemic_aggregation::core::redundancy::merge_estimates;
 use epidemic_aggregation::prelude::*;
 use epidemic_aggregation::sim::robustness::attack_defense_sweep;
 use epidemic_aggregation::sim::sampling::ADVERSARY_STREAM;
-use epidemic_aggregation::sim::SeedSequence;
 
 /// The issue's acceptance bound, pinned at CI-smoke scale: 10⁴ nodes,
 /// k = 5 redundant counting instances, f = 2 captured leaders re-asserting a
